@@ -15,9 +15,10 @@
 //!
 //! Run with `cargo run --release -p gist-bench --bin bench_dist_allreduce`.
 
-use gist_dist::{DistTrainer, GradCodec, GradCodecPolicy, DEFAULT_SHARDS};
+use gist_dist::{
+    DistTrainer, GradCodec, GradCodecPolicy, NetConfig, NetTrainer, Tcp, DEFAULT_SHARDS,
+};
 use gist_encodings::DprFormat;
-use gist_net::{NetConfig, NetTrainer, Tcp};
 use gist_perf::GpuModel;
 use gist_runtime::{ExecMode, Executor, SyntheticImages};
 use gist_tensor::Tensor;

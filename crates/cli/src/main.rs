@@ -62,10 +62,10 @@ struct Args {
 /// Which medium carries cross-replica gradient traffic in `train`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Transport {
-    /// In-process replicas (`DistTrainer`), the default.
+    /// In-process replicas (`gist_dist::DistTrainer`), the default.
     InProcess,
     /// One OS process per rank over framed loopback/remote TCP
-    /// (`gist_net::Tcp`), either as a worker (`--rank`/`--peers`) or as
+    /// (`gist_dist::Tcp`), either as a worker (`--rank`/`--peers`) or as
     /// the `--spawn-local N` launcher.
     Tcp,
 }
@@ -307,12 +307,12 @@ fn run(args: Args) -> Result<(), String> {
                 if args.spawn_local > 0 {
                     run_spawn_local(&args)?;
                 } else {
-                    run_train_tcp(graph, mode, &args)?;
+                    run_train_dist(rendezvous_tcp(&args)?, graph, mode, &args)?;
                 }
             } else if args.replicas > 1
                 || args.grad_codec != gist_dist::GradCodecPolicy::Fixed(gist_dist::GradCodec::None)
             {
-                run_train_dist(graph, mode, &args)?;
+                run_train_dist(args.replicas, graph, mode, &args)?;
             } else {
                 run_train(graph, mode, &args)?;
             }
@@ -456,7 +456,9 @@ fn train_fingerprint(loss_bits: &[u32], exec: &gist_runtime::Executor) -> u64 {
     h
 }
 
-fn run_train(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Result<(), String> {
+/// The synthetic dataset every `train` path draws from: class count from
+/// the loss head's input, image geometry from the graph's input node.
+fn synthetic_dataset(graph: &Graph) -> Result<gist_runtime::SyntheticImages, String> {
     let shapes = graph.infer_shapes().map_err(|e| e.to_string())?;
     let loss = graph
         .nodes()
@@ -465,11 +467,15 @@ fn run_train(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Result<
         .ok_or("model has no loss head")?;
     let classes = shapes[loss.inputs[0].index()].as_matrix().1;
     let input = shapes[0];
-    let mut ds = if input.c() == 3 {
+    Ok(if input.c() == 3 {
         gist_runtime::SyntheticImages::rgb(classes, input.h(), 0.3, 42)
     } else {
         gist_runtime::SyntheticImages::new(classes, input.h(), 0.3, 42)
-    };
+    })
+}
+
+fn run_train(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Result<(), String> {
+    let mut ds = synthetic_dataset(&graph)?;
     let mut exec = gist_runtime::Executor::new_with_granularity(
         graph,
         mode,
@@ -529,45 +535,24 @@ fn run_train(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Result<
     Ok(())
 }
 
-/// Runs `--steps` distributed training steps: `--replicas` lockstep model
-/// replicas over `gist_dist::DEFAULT_SHARDS` micro-batch shards of
-/// `--batch` images each, all-reducing gradients through the fixed tree
-/// with `--grad-codec` on every transfer, and pricing the observed wire
-/// bytes on the virtual-clock link engine.
-fn run_train_dist(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Result<(), String> {
-    use gist_dist::{DistTrainer, DEFAULT_SHARDS};
-    let shards = DEFAULT_SHARDS;
-    if shards % args.replicas != 0 {
-        return Err(format!("--replicas must divide {shards} (got {})", args.replicas));
-    }
-    let shapes = graph.infer_shapes().map_err(|e| e.to_string())?;
-    let loss = graph
-        .nodes()
-        .iter()
-        .find(|n| matches!(n.op, gist_graph::OpKind::SoftmaxLoss))
-        .ok_or("model has no loss head")?;
-    let classes = shapes[loss.inputs[0].index()].as_matrix().1;
-    let input = shapes[0];
-    let mut ds = if input.c() == 3 {
-        gist_runtime::SyntheticImages::rgb(classes, input.h(), 0.3, 42)
-    } else {
-        gist_runtime::SyntheticImages::new(classes, input.h(), 0.3, 42)
-    };
-    let (per, total) = gist_runtime::predicted_replica_slab_bytes_granular(
-        &graph,
-        &mode,
-        args.replicas,
-        args.plan,
-    )
-    .map_err(|e| e.to_string())?;
-    println!(
-        "replica slab: {:.1} KB per replica, {:.1} KB across {} replica(s) ({} granularity)",
-        per as f64 / 1024.0,
-        total as f64 / 1024.0,
-        args.replicas,
-        args.plan
-    );
-    let mut trainer = DistTrainer::new_with_policy(args.replicas, shards, args.grad_codec, || {
+/// Runs `--steps` data-parallel training steps on the ranks `placement`
+/// owns — every one of `--replicas` in-process ranks, or the one rank a
+/// connected [`gist_dist::Tcp`] speaks for: `gist_dist::DEFAULT_SHARDS`
+/// micro-batch shards of `--batch` images each, gradients all-reduced
+/// through the fixed tree with `--grad-codec` on every transfer. Each step
+/// prints this trainer's edges as the virtual-clock link engine prices
+/// them next to the bytes its transport observed (none in-process); the
+/// fingerprint is the same for every placement of the same world
+/// (`verify.sh` asserts it across the process boundary).
+fn run_train_dist<T: gist_dist::Transport>(
+    placement: impl Into<gist_dist::Placement<T>>,
+    graph: Graph,
+    mode: gist_runtime::ExecMode,
+    args: &Args,
+) -> Result<(), String> {
+    let shards = gist_dist::DEFAULT_SHARDS;
+    let mut ds = synthetic_dataset(&graph)?;
+    let mut trainer = gist_dist::Trainer::new(placement, shards, args.grad_codec, || {
         gist_runtime::Executor::new_with_granularity(
             graph.clone(),
             mode.clone(),
@@ -578,41 +563,57 @@ fn run_train_dist(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Re
         )
     })
     .map_err(|e| e.to_string())?;
+    let (per, total) = gist_runtime::predicted_replica_slab_bytes_granular(
+        &graph,
+        &mode,
+        trainer.replicas(),
+        args.plan,
+    )
+    .map_err(|e| e.to_string())?;
+    println!(
+        "replica slab: {:.1} KB per replica, {:.1} KB across {} replica(s) of {} ({} granularity)",
+        per as f64 / 1024.0,
+        total as f64 / 1024.0,
+        trainer.replicas(),
+        trainer.world(),
+        args.plan
+    );
     let gpu = gist_perf::GpuModel::titan_x();
     let mut loss_bits = Vec::with_capacity(args.steps);
+    let mut events = Vec::new();
     for step in 0..args.steps {
-        let mut images = Vec::with_capacity(shards);
-        let mut labels = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (x, y) = ds.minibatch(args.batch);
-            images.push(x);
-            labels.push(y);
-        }
+        let (images, labels): (Vec<_>, Vec<_>) =
+            (0..shards).map(|_| ds.minibatch(args.batch)).unzip();
         let rep = trainer.step(&images, &labels, 0.05).map_err(|e| e.to_string())?;
         loss_bits.push(rep.loss.to_bits());
         let priced = trainer.price(&rep, &gpu);
         println!(
-            "step {:>3}: loss {:.4}  acc {:5.1}%  wire {:.1} KB ({} codec, dense {:.1} KB)  \
-             all-reduce {:.3} ms",
+            "step {:>3}: loss {:.4}  acc {:5.1}%  wire {:.1} KB priced, {:.1} KB observed \
+             ({} codec, dense {:.1} KB)  all-reduce {:.3} ms",
             step,
             rep.loss,
             100.0 * (rep.correct as f64 / rep.batch as f64),
             priced.bytes_on_wire as f64 / 1024.0,
-            trainer.policy().label(),
+            rep.observed_wire_bytes as f64 / 1024.0,
+            args.grad_codec.label(),
             rep.dense_grad_bytes as f64 / 1024.0,
             priced.total_s * 1e3
         );
+        if args.trace.is_some() {
+            events.extend(trainer.take_events());
+        }
     }
     println!("train fingerprint: 0x{:016x}", train_fingerprint(&loss_bits, trainer.replica(0)));
+    if let Some(path) = &args.trace {
+        std::fs::write(path, gist_obs::export_chrome(&events)).map_err(|e| e.to_string())?;
+        println!("wrote {} net trace events to {path}", events.len());
+    }
     Ok(())
 }
 
-/// One rank of a multi-process TCP training job: rendezvous with the
-/// `--peers` roster, then run the exact global steps the in-process
-/// distributed path runs — the printed fingerprint must match it bitwise
-/// (the `verify.sh` loopback smoke asserts exactly that).
-fn run_train_tcp(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Result<(), String> {
-    use gist_net::{NetConfig, NetTrainer, Tcp};
+/// Joins the `--peers` world as `--rank`: the transport of one rank of a
+/// multi-process TCP training job.
+fn rendezvous_tcp(args: &Args) -> Result<gist_dist::Tcp, String> {
     let shards = gist_dist::DEFAULT_SHARDS;
     let world = args.peers.len();
     if world < 2 {
@@ -626,69 +627,17 @@ fn run_train_tcp(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Res
     if shards % world != 0 {
         return Err(format!("the peer count must divide {shards} (got {world})"));
     }
-    let shapes = graph.infer_shapes().map_err(|e| e.to_string())?;
-    let loss = graph
-        .nodes()
-        .iter()
-        .find(|n| matches!(n.op, gist_graph::OpKind::SoftmaxLoss))
-        .ok_or("model has no loss head")?;
-    let classes = shapes[loss.inputs[0].index()].as_matrix().1;
-    let input = shapes[0];
-    let mut ds = if input.c() == 3 {
-        gist_runtime::SyntheticImages::rgb(classes, input.h(), 0.3, 42)
-    } else {
-        gist_runtime::SyntheticImages::new(classes, input.h(), 0.3, 42)
-    };
     // GIST_NET_TIMEOUT_MS garbage warns and falls back (workspace policy).
-    let config = NetConfig::from_env();
-    let tcp =
-        Tcp::rendezvous(args.rank, &args.peers, shards, args.grad_codec.meta_id() as u32, &config)
-            .map_err(|e| e.to_string())?;
-    let mut trainer = NetTrainer::new(tcp, shards, args.grad_codec, || {
-        gist_runtime::Executor::new_with_granularity(
-            graph.clone(),
-            mode.clone(),
-            7,
-            args.alloc,
-            gist_runtime::OffloadMode::None,
-            args.plan,
-        )
-    })
-    .map_err(|e| e.to_string())?;
+    let config = gist_dist::NetConfig::from_env();
+    let policy_id = args.grad_codec.meta_id() as u32;
+    let tcp = gist_dist::Tcp::rendezvous(args.rank, &args.peers, shards, policy_id, &config)
+        .map_err(|e| e.to_string())?;
     println!(
         "rank {}/{world}: rendezvous complete ({} codec, {shards} shards)",
         args.rank,
         args.grad_codec.label()
     );
-    let mut loss_bits = Vec::with_capacity(args.steps);
-    for step in 0..args.steps {
-        let mut images = Vec::with_capacity(shards);
-        let mut labels = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (x, y) = ds.minibatch(args.batch);
-            images.push(x);
-            labels.push(y);
-        }
-        let rep = trainer.step(&images, &labels, 0.05).map_err(|e| e.to_string())?;
-        loss_bits.push(rep.loss.to_bits());
-        println!(
-            "step {:>3}: loss {:.4}  acc {:5.1}%  observed {:.1} KB on the wire \
-             (priced {:.1} KB on this rank's edges, dense {:.1} KB)",
-            step,
-            rep.loss,
-            100.0 * (rep.correct as f64 / rep.batch as f64),
-            rep.observed_wire_bytes as f64 / 1024.0,
-            (rep.reduce_bytes + rep.broadcast_bytes) as f64 / 1024.0,
-            rep.dense_grad_bytes as f64 / 1024.0,
-        );
-    }
-    println!("train fingerprint: 0x{:016x}", train_fingerprint(&loss_bits, trainer.exec()));
-    if let Some(path) = &args.trace {
-        let events = trainer.take_events();
-        std::fs::write(path, gist_obs::export_chrome(&events)).map_err(|e| e.to_string())?;
-        println!("wrote {} net trace events to {path}", events.len());
-    }
-    Ok(())
+    Ok(tcp)
 }
 
 /// Loopback launcher: forks `--spawn-local N` worker processes of this
@@ -784,15 +733,14 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    /// Parses one whitespace-separated command line.
+    fn cli(line: &str) -> Result<Args, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
     #[test]
     fn parses_full_command_line() {
-        let a =
-            parse_args(&args(&["plan", "vgg16", "--batch", "32", "--mode", "fp8", "--dynamic"]))
-                .unwrap();
+        let a = cli("plan vgg16 --batch 32 --mode fp8 --dynamic").unwrap();
         assert_eq!(a.command, "plan");
         assert_eq!(a.model.as_deref(), Some("vgg16"));
         assert_eq!(a.batch, 32);
@@ -802,11 +750,11 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_args(&args(&[])).is_err());
-        assert!(parse_args(&args(&["plan", "--batch"])).is_err());
-        assert!(parse_args(&args(&["plan", "--bogus"])).is_err());
-        assert!(run(parse_args(&args(&["plan", "nosuchmodel"])).unwrap()).is_err());
-        assert!(run(parse_args(&args(&["frobnicate", "vgg16"])).unwrap()).is_err());
+        assert!(cli("").is_err());
+        assert!(cli("plan --batch").is_err());
+        assert!(cli("plan --bogus").is_err());
+        assert!(run(cli("plan nosuchmodel").unwrap()).is_err());
+        assert!(run(cli("frobnicate vgg16").unwrap()).is_err());
     }
 
     #[test]
@@ -820,7 +768,7 @@ mod tests {
     #[test]
     fn all_commands_run_on_a_small_model() {
         for cmd in ["plan", "breakdown", "stashes", "report", "dot", "trace"] {
-            let a = parse_args(&args(&[cmd, "alexnet", "--batch", "2"])).unwrap();
+            let a = cli(&format!("{cmd} alexnet --batch 2")).unwrap();
             run(a).unwrap_or_else(|e| panic!("{cmd}: {e}"));
         }
     }
@@ -829,17 +777,7 @@ mod tests {
     fn train_writes_a_parsable_chrome_trace() {
         let path = std::env::temp_dir().join("gist_cli_train_trace_test.json");
         let path_str = path.to_str().unwrap().to_string();
-        let a = parse_args(&args(&[
-            "train",
-            "tiny-convnet",
-            "--batch",
-            "4",
-            "--steps",
-            "2",
-            "--trace",
-            &path_str,
-        ]))
-        .unwrap();
+        let a = cli(&format!("train tiny-convnet --batch 4 --steps 2 --trace {path_str}")).unwrap();
         assert_eq!((a.steps, a.trace.as_deref()), (2, Some(path_str.as_str())));
         run(a).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -854,25 +792,14 @@ mod tests {
 
     #[test]
     fn train_runs_without_tracing() {
-        let a =
-            parse_args(&args(&["train", "tiny-classic", "--batch", "2", "--mode", "fp8"])).unwrap();
+        let a = cli("train tiny-classic --batch 2 --mode fp8").unwrap();
         run(a).unwrap();
     }
 
     #[test]
     fn parses_offload_and_trains_offloaded() {
         use gist_runtime::{OffloadMode, SwapStrategy};
-        let a = parse_args(&args(&[
-            "train",
-            "tiny-convnet",
-            "--batch",
-            "2",
-            "--alloc",
-            "arena",
-            "--offload",
-            "recompute",
-        ]))
-        .unwrap();
+        let a = cli("train tiny-convnet --batch 2 --alloc arena --offload recompute").unwrap();
         assert_eq!(a.offload, OffloadMode::Recompute);
         run(a).unwrap();
         for (flag, want) in [
@@ -880,110 +807,61 @@ mod tests {
             ("swap:naive", OffloadMode::Swap(SwapStrategy::Naive)),
             ("swap:vdnn", OffloadMode::Swap(SwapStrategy::Vdnn)),
         ] {
-            let a =
-                parse_args(&args(&["train", "tiny-convnet", "--batch", "2", "--offload", flag]))
-                    .unwrap();
+            let a = cli(&format!("train tiny-convnet --batch 2 --offload {flag}")).unwrap();
             assert_eq!(a.offload, want, "{flag}");
             run(a).unwrap();
         }
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--offload", "teleport"])).is_err());
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--offload"])).is_err());
+        assert!(cli("train tiny-convnet --offload teleport").is_err());
+        assert!(cli("train tiny-convnet --offload").is_err());
     }
 
     #[test]
     fn parses_replicas_and_grad_codec_and_trains_distributed() {
-        let a = parse_args(&args(&[
-            "train",
-            "tiny-convnet",
-            "--batch",
-            "2",
-            "--replicas",
-            "2",
-            "--grad-codec",
-            "ssdc",
-        ]))
-        .unwrap();
+        let a = cli("train tiny-convnet --batch 2 --replicas 2 --grad-codec ssdc").unwrap();
         assert_eq!(a.replicas, 2);
         assert_eq!(a.grad_codec, gist_dist::GradCodecPolicy::Fixed(gist_dist::GradCodec::Ssdc));
         run(a).unwrap();
         // A codec alone routes through the distributed path too.
-        let a = parse_args(&args(&[
-            "train",
-            "tiny-convnet",
-            "--batch",
-            "2",
-            "--grad-codec",
-            "dpr:8",
-            "--alloc",
-            "arena",
-        ]))
-        .unwrap();
+        let a = cli("train tiny-convnet --batch 2 --grad-codec dpr:8 --alloc arena").unwrap();
         assert_eq!(a.replicas, 1);
         run(a).unwrap();
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--replicas", "0"])).is_err());
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--grad-codec", "zip"])).is_err());
+        assert!(cli("train tiny-convnet --replicas 0").is_err());
+        assert!(cli("train tiny-convnet --grad-codec zip").is_err());
         // 3 does not divide the 8 fixed shards.
-        let a = parse_args(&args(&["train", "tiny-convnet", "--batch", "2", "--replicas", "3"]))
-            .unwrap();
+        let a = cli("train tiny-convnet --batch 2 --replicas 3").unwrap();
         assert!(run(a).is_err());
     }
 
     #[test]
     fn parses_auto_codec_and_trains_through_the_dist_path() {
-        let a = parse_args(&args(&[
-            "train",
-            "tiny-convnet",
-            "--batch",
-            "2",
-            "--replicas",
-            "2",
-            "--grad-codec",
-            "auto",
-        ]))
-        .unwrap();
+        let a = cli("train tiny-convnet --batch 2 --replicas 2 --grad-codec auto").unwrap();
         assert_eq!(a.grad_codec, gist_dist::GradCodecPolicy::Auto);
         run(a).unwrap();
         // Auto alone (replicas 1) still routes through the dist path.
-        let a =
-            parse_args(&args(&["train", "tiny-convnet", "--batch", "2", "--grad-codec", "auto"]))
-                .unwrap();
+        let a = cli("train tiny-convnet --batch 2 --grad-codec auto").unwrap();
         run(a).unwrap();
     }
 
     #[test]
     fn parses_transport_flags() {
-        let a = parse_args(&args(&[
-            "train",
-            "tiny-convnet",
-            "--transport",
-            "tcp",
-            "--rank",
-            "1",
-            "--peers",
-            "127.0.0.1:5000,127.0.0.1:5001",
-        ]))
+        let a = cli(
+            "train tiny-convnet --transport tcp --rank 1 --peers 127.0.0.1:5000,127.0.0.1:5001",
+        )
         .unwrap();
         assert_eq!(a.transport, Transport::Tcp);
         assert_eq!(a.rank, 1);
         assert_eq!(a.peers, vec!["127.0.0.1:5000".to_string(), "127.0.0.1:5001".to_string()]);
-        let a = parse_args(&args(&["train", "tiny-convnet", "--spawn-local", "2"])).unwrap();
+        let a = cli("train tiny-convnet --spawn-local 2").unwrap();
         assert_eq!(a.spawn_local, 2);
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--transport", "carrier"])).is_err());
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--spawn-local", "1"])).is_err());
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--peers", "a,,b"])).is_err());
+        assert!(cli("train tiny-convnet --transport carrier").is_err());
+        assert!(cli("train tiny-convnet --spawn-local 1").is_err());
+        assert!(cli("train tiny-convnet --peers a,,b").is_err());
         // A tcp worker without a usable roster or rank fails by name.
-        let a = parse_args(&args(&["train", "tiny-convnet", "--transport", "tcp"])).unwrap();
+        let a = cli("train tiny-convnet --transport tcp").unwrap();
         assert!(run(a).unwrap_err().contains("--peers"));
-        let a = parse_args(&args(&[
-            "train",
-            "tiny-convnet",
-            "--transport",
-            "tcp",
-            "--rank",
-            "5",
-            "--peers",
-            "127.0.0.1:5000,127.0.0.1:5001",
-        ]))
+        let a = cli(
+            "train tiny-convnet --transport tcp --rank 5 --peers 127.0.0.1:5000,127.0.0.1:5001",
+        )
         .unwrap();
         assert!(run(a).unwrap_err().contains("--rank 5"));
     }
@@ -1005,22 +883,10 @@ mod tests {
             .map(|rank| {
                 let roster = roster.clone();
                 std::thread::spawn(move || {
-                    let a = parse_args(&args(&[
-                        "train",
-                        "tiny-convnet",
-                        "--batch",
-                        "2",
-                        "--steps",
-                        "1",
-                        "--transport",
-                        "tcp",
-                        "--grad-codec",
-                        "ssdc",
-                        "--rank",
-                        &rank.to_string(),
-                        "--peers",
-                        &roster,
-                    ]))
+                    let a = cli(&format!(
+                        "train tiny-convnet --batch 2 --steps 1 --transport tcp \
+                         --grad-codec ssdc --rank {rank} --peers {roster}"
+                    ))
                     .unwrap();
                     run(a)
                 })
@@ -1043,7 +909,7 @@ mod tests {
 
     #[test]
     fn serve_runs_the_default_mix_under_the_default_budget() {
-        let a = parse_args(&args(&["serve"])).unwrap();
+        let a = cli("serve").unwrap();
         assert_eq!(a.mem_budget, 4 * 1024 * 1024);
         assert!(a.jobs.is_empty());
         run(a).unwrap();
@@ -1051,17 +917,8 @@ mod tests {
 
     #[test]
     fn serve_parses_budget_and_jobs_and_completes_a_tight_mix() {
-        let a = parse_args(&args(&[
-            "serve",
-            "--mem-budget",
-            "768k",
-            "--order",
-            "rotating",
-            "--job",
-            "tiny-convnet,steps=2",
-            "--job",
-            "tiny-classic,steps=2,mode=fp8",
-        ]))
+        let a = cli("serve --mem-budget 768k --order rotating --job tiny-convnet,steps=2 \
+                     --job tiny-classic,steps=2,mode=fp8")
         .unwrap();
         assert_eq!(a.mem_budget, 768 * 1024);
         assert_eq!(a.jobs.len(), 2);
@@ -1070,16 +927,14 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_budget_and_unknown_job_model() {
-        assert!(parse_args(&args(&["serve", "--mem-budget", "lots"])).is_err());
-        assert!(parse_args(&args(&["serve", "--mem-budget"])).is_err());
-        assert!(parse_args(&args(&["serve", "--job"])).is_err());
+        assert!(cli("serve --mem-budget lots").is_err());
+        assert!(cli("serve --mem-budget").is_err());
+        assert!(cli("serve --job").is_err());
         // Unknown model in a job spec is a hard error at submit time...
-        let a = parse_args(&args(&["serve", "--job", "warpdrive,steps=1"])).unwrap();
+        let a = cli("serve --job warpdrive,steps=1").unwrap();
         assert!(run(a).is_err());
         // ...and a job whose lease alone exceeds the budget is rejected.
-        let a =
-            parse_args(&args(&["serve", "--mem-budget", "1k", "--job", "tiny-convnet,steps=1"]))
-                .unwrap();
+        let a = cli("serve --mem-budget 1k --job tiny-convnet,steps=1").unwrap();
         assert!(run(a).is_err());
     }
 
@@ -1087,59 +942,29 @@ mod tests {
     fn serve_garbage_order_and_values_fall_back_instead_of_failing() {
         // Garbage --order and garbage known-key values warn + fall back, so
         // the run still completes (workspace parse_or_warn policy).
-        let a = parse_args(&args(&[
-            "serve",
-            "--order",
-            "sideways",
-            "--job",
-            "tiny-convnet,steps=backwards,codec=zip",
-        ]))
-        .unwrap();
+        let a = cli("serve --order sideways --job tiny-convnet,steps=backwards,codec=zip").unwrap();
         run(a).unwrap();
     }
 
     #[test]
     fn parses_plan_granularity_and_trains_wave_arena() {
-        let a = parse_args(&args(&[
-            "train",
-            "tiny-convnet",
-            "--batch",
-            "2",
-            "--alloc",
-            "arena",
-            "--plan",
-            "wave",
-        ]))
-        .unwrap();
+        let a = cli("train tiny-convnet --batch 2 --alloc arena --plan wave").unwrap();
         assert_eq!(a.plan, gist_runtime::PlanGranularity::Wave);
         run(a).unwrap();
         // Wave planning composes with the distributed path (lease pricing
         // and replica construction both take the granularity).
-        let a = parse_args(&args(&[
-            "train",
-            "tiny-convnet",
-            "--batch",
-            "2",
-            "--replicas",
-            "2",
-            "--alloc",
-            "arena",
-            "--plan",
-            "wave",
-        ]))
-        .unwrap();
+        let a = cli("train tiny-convnet --batch 2 --replicas 2 --alloc arena --plan wave").unwrap();
         run(a).unwrap();
         // Unlike serve's key=value grammar, a bad --plan is a hard error.
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--plan", "tick"])).is_err());
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--plan"])).is_err());
+        assert!(cli("train tiny-convnet --plan tick").is_err());
+        assert!(cli("train tiny-convnet --plan").is_err());
     }
 
     #[test]
     fn parses_alloc_policy_and_trains_in_arena() {
-        let a = parse_args(&args(&["train", "tiny-convnet", "--batch", "2", "--alloc", "arena"]))
-            .unwrap();
+        let a = cli("train tiny-convnet --batch 2 --alloc arena").unwrap();
         assert_eq!(a.alloc, gist_runtime::AllocPolicy::Arena);
         run(a).unwrap();
-        assert!(parse_args(&args(&["train", "tiny-convnet", "--alloc", "stack"])).is_err());
+        assert!(cli("train tiny-convnet --alloc stack").is_err());
     }
 }

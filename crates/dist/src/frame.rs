@@ -1,4 +1,4 @@
-//! The framed, versioned gist-net message layer.
+//! The framed, versioned message layer between ranks ("GNT1").
 //!
 //! Every message that crosses a process boundary travels as one frame:
 //!
@@ -22,7 +22,7 @@
 use gist_encodings::WireError;
 use std::io::{Read, Write};
 
-/// Leading magic of a gist-net frame ("Gist NeT v1").
+/// Leading magic of a frame ("Gist NeT v1").
 pub const MAGIC: [u8; 4] = *b"GNT1";
 
 /// Protocol version carried in every frame; bumped on any layout change.
@@ -136,7 +136,7 @@ impl From<WireError> for NetError {
     }
 }
 
-/// One gist-net message.
+/// One rank-to-rank message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
     /// Rendezvous handshake: both sides validate every field against their

@@ -1,4 +1,5 @@
-//! The fixed-reduction-tree all-reduce core.
+//! The fixed-reduction-tree all-reduce: the schedule, the combine, and the
+//! one walk over them that every trainer placement runs.
 //!
 //! Determinism across replica counts hinges on two decisions made here:
 //!
@@ -12,8 +13,23 @@
 //!    (`Dpr`) therefore perturbs each partial identically for N = 1 and
 //!    N = 8; placement changes which edges cross a physical link (and thus
 //!    the wire bytes and simulated stall), never the merged values.
+//!
+//! Placement enters through one predicate only. Slot `s` lives on rank
+//! `s % world`, and a [`Placement`] says which ranks one side *owns*. An
+//! edge with both endpoints owned is [`combine_into`]; an edge with one
+//! owned endpoint frames the same `Wire::encode(policy.choose(payload))`
+//! bytes through the [`Transport`] and the receiver runs the same serial
+//! accumulation on the decoded values; an edge with none belongs to
+//! someone else. `Wire::to_bytes`/`from_bytes` round-trips exactly, so
+//! which branch an edge takes never moves a bit of the sum.
 
+use crate::frame::{Msg, NetError};
+use crate::trainer::DistError;
+use crate::transport::{NoPeers, Transport};
 use gist_encodings::{CodecPolicy, TransferCodec, Wire};
+use gist_obs::Event;
+use std::ops::Range;
+use std::time::Instant;
 
 /// One combine edge: `slots[dst] += decode(encode(slots[src]))`.
 pub type Edge = (usize, usize);
@@ -60,21 +76,26 @@ pub fn reduction_rounds(n: usize) -> Vec<Vec<Edge>> {
 /// Panics if the slices disagree in length.
 pub fn combine_into(acc: &mut [f32], src: &[f32], codec: TransferCodec) -> u64 {
     assert_eq!(acc.len(), src.len(), "combine_into: shard gradient length mismatch");
-    let wire = Wire::encode(codec, src);
-    let bytes = wire.wire_bytes();
-    let decoded = wire.decode();
-    for (a, d) in acc.iter_mut().zip(&decoded) {
-        *a += *d;
-    }
-    bytes
+    accumulate(acc, &Wire::encode(codec, src))
 }
 
-/// Arrival-order-independent fixed-tree reducer for one gradient tensor.
+/// The receiving half of every edge, owned or crossing: `acc[i] +=
+/// decode(wire)[i]` in serial element order. Returns the priced bytes.
+fn accumulate(acc: &mut [f32], wire: &Wire) -> u64 {
+    for (a, d) in acc.iter_mut().zip(&wire.decode()) {
+        *a += *d;
+    }
+    wire.wire_bytes()
+}
+
+/// The shard slots of one gradient tensor, filled in any arrival order.
 ///
-/// Shard gradients are [`ingest`](Self::ingest)ed into their slot in any
-/// order (replicas finish whenever they finish); [`finish`](Self::finish)
-/// then runs the fixed schedule, so the merged bits depend only on the
-/// shard *values*, never on which replica delivered them first.
+/// Shard gradients are [`ingest`](Self::ingest)ed into their slot whenever
+/// their replica finishes; the walk then runs the fixed schedule, so the
+/// merged bits depend only on the shard *values*, never on which replica
+/// delivered them first. A trainer ingests the shards of the ranks it owns
+/// and hands the tree to its step's exchange; [`finish`](Self::finish) is
+/// the same walk for a caller that holds every shard.
 #[derive(Debug)]
 pub struct GradReduceTree {
     slots: Vec<Option<Vec<f32>>>,
@@ -82,27 +103,15 @@ pub struct GradReduceTree {
 }
 
 impl GradReduceTree {
-    /// A tree over `shards` slots, applying `codec` on every edge.
-    #[must_use]
-    pub fn new(shards: usize, codec: TransferCodec) -> Self {
-        Self::new_with_policy(shards, CodecPolicy::Fixed(codec))
-    }
-
     /// A tree over `shards` slots whose per-edge codec is chosen by
-    /// `policy` from each edge's payload ([`CodecPolicy::Auto`] picks SSDC
-    /// vs raw from observed density). The choice is a pure function of the
-    /// payload values, so arrival-order and placement independence hold
-    /// exactly as for a fixed codec.
+    /// `policy` from each edge's payload (a fixed [`TransferCodec`], or
+    /// [`CodecPolicy::Auto`] picking SSDC vs raw from observed density).
+    /// The choice is a pure function of the payload values, so
+    /// arrival-order and placement independence hold for every policy.
     #[must_use]
-    pub fn new_with_policy(shards: usize, policy: CodecPolicy) -> Self {
+    pub fn new(shards: usize, policy: impl Into<CodecPolicy>) -> Self {
         assert!(shards > 0, "GradReduceTree needs at least one shard");
-        Self { slots: (0..shards).map(|_| None).collect(), policy }
-    }
-
-    /// Number of shard slots.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.slots.len()
+        Self { slots: (0..shards).map(|_| None).collect(), policy: policy.into() }
     }
 
     /// Delivers shard `shard`'s gradient. Order across shards is free.
@@ -120,7 +129,8 @@ impl GradReduceTree {
         self.slots[shard] = Some(grad);
     }
 
-    /// Runs the fixed schedule and returns `(merged_sum, wire_bytes)`.
+    /// Runs the fixed schedule over a fully delivered tree and returns
+    /// `(merged_sum, wire_bytes)`.
     ///
     /// The merged vector is the tree-ordered **sum** over shards (callers
     /// scale by `1 / shards` themselves); `wire_bytes` is the total encoded
@@ -130,38 +140,313 @@ impl GradReduceTree {
     ///
     /// Panics if any shard was never delivered.
     #[must_use]
-    pub fn finish(self) -> (Vec<f32>, u64) {
-        let (merged, per_edge) = self.finish_detailed();
-        let total = per_edge.iter().flatten().sum();
-        (merged, total)
-    }
-
-    /// [`finish`](Self::finish), but returns the encoded bytes of every
-    /// individual edge (`bytes[round][edge]`, matching
-    /// [`reduction_rounds`]) so callers can price each link crossing
-    /// separately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shard was never delivered.
-    #[must_use]
-    pub fn finish_detailed(mut self) -> (Vec<f32>, Vec<Vec<u64>>) {
+    pub fn finish(mut self) -> (Vec<f32>, u64) {
         let n = self.slots.len();
         for (i, s) in self.slots.iter().enumerate() {
             assert!(s.is_some(), "shard {i} never delivered (have {n} slots)");
         }
-        let mut per_edge = Vec::new();
-        for round in reduction_rounds(n) {
-            let mut round_bytes = Vec::with_capacity(round.len());
-            for (dst, src) in round {
-                let incoming = self.slots[src].take().expect("source slot consumed twice");
-                let acc = self.slots[dst].as_mut().expect("destination slot missing");
-                round_bytes.push(combine_into(acc, &incoming, self.policy.choose(&incoming)));
-            }
-            per_edge.push(round_bytes);
-        }
-        (self.slots[0].take().expect("root slot"), per_edge)
+        let rounds = reduction_rounds(n);
+        let mut everything = Placement::from(1);
+        let mut all_mine = Exchange::new(&rounds, &mut everything, 0, Instant::now());
+        all_mine.reduce(&mut self, 0).expect("no edge crosses when every slot is owned");
+        (self.slots[0].take().expect("root slot"), all_mine.edge_bytes.iter().flatten().sum())
     }
+}
+
+/// Which ranks of a world one side owns, and the route to the rest.
+/// Slot `s` of every tree lives on rank `s % world`. Built from a replica
+/// count (own them all) or from a connected [`Transport`] (own the rank
+/// it speaks for).
+#[derive(Debug)]
+pub struct Placement<T> {
+    pub(crate) owned: Range<usize>,
+    pub(crate) world: usize,
+    /// Reaches every rank outside `owned`; `None` when there is none.
+    transport: Option<T>,
+}
+
+impl From<usize> for Placement<NoPeers> {
+    fn from(replicas: usize) -> Self {
+        Placement { owned: 0..replicas, world: replicas, transport: None }
+    }
+}
+
+impl<T: Transport> From<T> for Placement<T> {
+    fn from(transport: T) -> Self {
+        let rank = transport.rank();
+        Placement { owned: rank..rank + 1, world: transport.world(), transport: Some(transport) }
+    }
+}
+
+impl<T> Placement<T> {
+    fn owns(&self, slot: usize) -> bool {
+        self.owned.contains(&(slot % self.world))
+    }
+
+    /// The ranks on the far side of the transport, ascending.
+    fn unowned(&self) -> impl Iterator<Item = usize> {
+        let owned = self.owned.clone();
+        (0..self.world).filter(move |rank| !owned.contains(rank))
+    }
+
+    fn peers(&mut self) -> &mut T {
+        self.transport.as_mut().expect("a rank outside `owned` implies a transport")
+    }
+}
+
+/// Every run is one epoch today; the field rides the [`Msg::Grad`] header
+/// so a receiver can reject a frame from another pass over the data.
+const EPOCH: u32 = 0;
+
+/// One global step's exchange state: this side's placement plus the
+/// byte and trace accounts each transfer of the step adds to.
+pub(crate) struct Exchange<'a, T> {
+    rounds: &'a [Vec<Edge>],
+    at: &'a mut Placement<T>,
+    step: u32,
+    t0: Instant,
+    /// Priced bytes per edge this side touched, `[round][edge]`.
+    pub(crate) edge_bytes: Vec<Vec<u64>>,
+    /// Priced bytes of one broadcast copy, summed over tensors.
+    pub(crate) broadcast_bytes: u64,
+    /// Bytes that actually crossed the transport, framing included.
+    pub(crate) observed: u64,
+    /// One [`Event::NetTransfer`] per crossing edge and broadcast leg.
+    pub(crate) events: Vec<Event>,
+}
+
+impl<'a, T: Transport> Exchange<'a, T> {
+    /// `t0` is when the step began: transfer events are stamped from it.
+    pub(crate) fn new(
+        rounds: &'a [Vec<Edge>],
+        at: &'a mut Placement<T>,
+        step: u32,
+        t0: Instant,
+    ) -> Self {
+        Exchange {
+            rounds,
+            at,
+            step,
+            t0,
+            edge_bytes: rounds.iter().map(|r| vec![0; r.len()]).collect(),
+            broadcast_bytes: 0,
+            observed: 0,
+            events: Vec::new(),
+        }
+    }
+
+    /// All-reduces one gradient tensor: the tree walk into slot 0, then
+    /// the mean-scale and broadcast. Returns the broadcast-decoded mean —
+    /// the same bits on every rank of the world.
+    pub(crate) fn allreduce(
+        &mut self,
+        mut tree: GradReduceTree,
+        tensor: u32,
+    ) -> Result<Vec<f32>, DistError> {
+        self.reduce(&mut tree, tensor)?;
+        let GradReduceTree { mut slots, policy } = tree;
+        // Rank 0 owns slot 0: it mean-scales *before* the broadcast
+        // encode, and every rank — the root's own side included — decodes
+        // that one wire, so a lossy codec perturbs identically everywhere.
+        let wire = if self.at.owns(0) {
+            let inv = 1.0f32 / slots.len() as f32;
+            let sum = slots[0].as_mut().expect("root slot");
+            for v in sum.iter_mut() {
+                *v *= inv;
+            }
+            let wire = Wire::encode(policy.choose(sum), sum);
+            for peer in self.at.unowned() {
+                self.send_grad(peer, tensor, &wire, format_args!("bcast{peer}"))?;
+            }
+            wire
+        } else {
+            let me = self.at.owned.start;
+            self.recv_grad(0, tensor, format_args!("bcast{me}"))?
+        };
+        self.broadcast_bytes += wire.wire_bytes();
+        Ok(wire.decode())
+    }
+
+    /// The one walk over [`reduction_rounds`] that combines gradients,
+    /// leaving the sum in slot 0 on the side that owns it.
+    fn reduce(&mut self, tree: &mut GradReduceTree, tensor: u32) -> Result<(), DistError> {
+        let GradReduceTree { slots, policy } = tree;
+        let (rounds, world) = (self.rounds, self.at.world);
+        for (ri, round) in rounds.iter().enumerate() {
+            for (ei, &(dst, src)) in round.iter().enumerate() {
+                let priced = match (self.at.owns(dst), self.at.owns(src)) {
+                    (false, false) => continue,
+                    (true, true) => {
+                        let incoming = slots[src].take().expect("source slot");
+                        let acc = slots[dst].as_mut().expect("destination slot");
+                        combine_into(acc, &incoming, policy.choose(&incoming))
+                    }
+                    (false, true) => {
+                        let payload = slots[src].take().expect("source slot");
+                        let wire = Wire::encode(policy.choose(&payload), &payload);
+                        self.send_grad(dst % world, tensor, &wire, format_args!("r{ri}e{ei}"))?;
+                        wire.wire_bytes()
+                    }
+                    (true, false) => {
+                        let wire =
+                            self.recv_grad(src % world, tensor, format_args!("r{ri}e{ei}"))?;
+                        let acc = slots[dst].as_mut().expect("destination slot");
+                        if wire.len() != acc.len() {
+                            return Err(protocol(format!(
+                                "tensor {tensor}: peer sent {} elements, expected {}",
+                                wire.len(),
+                                acc.len()
+                            )));
+                        }
+                        accumulate(acc, &wire)
+                    }
+                };
+                self.edge_bytes[ri][ei] += priced;
+            }
+        }
+        Ok(())
+    }
+
+    /// Completes the per-shard `[loss bits, correct, batch]` table: the
+    /// side owning rank 0 gathers the rows of every un-owned rank and
+    /// sends the full table back, so every rank sums the losses in
+    /// shard-id order — the identical `f32` operation sequence.
+    pub(crate) fn share_stats(
+        &mut self,
+        mut table: Vec<Option<[u32; 3]>>,
+    ) -> Result<Vec<[u32; 3]>, DistError> {
+        let shards = table.len();
+        if self.at.owns(0) {
+            for peer in self.at.unowned() {
+                let words = self.recv_stats(peer)?;
+                if words.len() % 4 != 0 {
+                    return Err(protocol("malformed stats gather".into()));
+                }
+                for row in words.chunks_exact(4) {
+                    let shard = row[0] as usize;
+                    if shard >= shards || shard % self.at.world != peer || table[shard].is_some() {
+                        return Err(protocol(format!(
+                            "stats for shard {shard} from rank {peer} violate ownership"
+                        )));
+                    }
+                    table[shard] = Some([row[1], row[2], row[3]]);
+                }
+            }
+            let full: Vec<[u32; 3]> = table
+                .into_iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    row.ok_or_else(|| protocol(format!("shard {i} never reported stats")))
+                })
+                .collect::<Result<_, _>>()?;
+            for peer in self.at.unowned() {
+                self.send_stats(peer, full.iter().flatten().copied().collect())?;
+            }
+            Ok(full)
+        } else {
+            let mine = table
+                .iter()
+                .enumerate()
+                .filter_map(|(shard, row)| row.map(|[l, c, b]| [shard as u32, l, c, b]));
+            self.send_stats(0, mine.flatten().collect())?;
+            let words = self.recv_stats(0)?;
+            if words.len() != shards * 3 {
+                return Err(protocol("malformed stats broadcast".into()));
+            }
+            Ok(words.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect())
+        }
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.t0.elapsed().as_nanos() as u64
+    }
+
+    /// Frames `wire` to `peer` as this step's gradient for `tensor`.
+    fn send_grad(
+        &mut self,
+        peer: usize,
+        tensor: u32,
+        wire: &Wire,
+        leg: std::fmt::Arguments<'_>,
+    ) -> Result<(), DistError> {
+        let msg = Msg::Grad { epoch: EPOCH, step: self.step, tensor, wire: wire.to_bytes() };
+        let start = self.now_ns();
+        let sent = self.at.peers().send(peer, &msg)?;
+        let name = format!("allreduce.n{}.t{tensor}.{leg}", self.at.world);
+        self.record(name, peer, true, wire.wire_bytes(), sent, start);
+        Ok(())
+    }
+
+    /// Receives and validates `peer`'s frame as this step's gradient for
+    /// `tensor`, parsing its wire payload.
+    fn recv_grad(
+        &mut self,
+        peer: usize,
+        tensor: u32,
+        leg: std::fmt::Arguments<'_>,
+    ) -> Result<Wire, DistError> {
+        let start = self.now_ns();
+        let (msg, got) = self.at.peers().recv(peer)?;
+        let Msg::Grad { epoch, step, tensor: sent_tensor, wire } = msg else {
+            return Err(protocol(format!("expected a Grad frame for tensor {tensor}")));
+        };
+        if (epoch, step, sent_tensor) != (EPOCH, self.step, tensor) {
+            return Err(protocol(format!(
+                "header mismatch: got epoch {epoch} step {step} tensor {sent_tensor}, \
+                 expected epoch {EPOCH} step {} tensor {tensor}",
+                self.step
+            )));
+        }
+        let wire = Wire::from_bytes(&wire).map_err(NetError::from)?;
+        let name = format!("allreduce.n{}.t{tensor}.{leg}", self.at.world);
+        self.record(name, peer, false, wire.wire_bytes(), got, start);
+        Ok(wire)
+    }
+
+    /// Books one gradient transfer: its observed bytes and its trace event.
+    fn record(
+        &mut self,
+        name: String,
+        peer: usize,
+        sent: bool,
+        priced: u64,
+        observed: u64,
+        ts: u64,
+    ) {
+        self.observed += observed;
+        let event = Event::NetTransfer {
+            name,
+            rank: self.at.peers().rank() as u32,
+            peer: peer as u32,
+            sent,
+            priced_bytes: priced,
+            observed_bytes: observed,
+            ts_ns: ts,
+            dur_ns: self.now_ns() - ts,
+        };
+        self.events.push(event);
+    }
+
+    fn send_stats(&mut self, peer: usize, words: Vec<u32>) -> Result<(), DistError> {
+        let msg = Msg::Stats { step: self.step, words };
+        self.observed += self.at.peers().send(peer, &msg)?;
+        Ok(())
+    }
+
+    fn recv_stats(&mut self, peer: usize) -> Result<Vec<u32>, DistError> {
+        let (msg, got) = self.at.peers().recv(peer)?;
+        self.observed += got;
+        match msg {
+            Msg::Stats { step, words } if step == self.step => Ok(words),
+            _ => {
+                Err(protocol(format!("expected step {}'s Stats frame from rank {peer}", self.step)))
+            }
+        }
+    }
+}
+
+fn protocol(msg: String) -> DistError {
+    DistError::Net(NetError::Protocol(msg))
 }
 
 #[cfg(test)]

@@ -1,35 +1,49 @@
-//! N deterministic model replicas stepping disjoint micro-batch shards.
+//! The data-parallel trainer: one global step, wherever its ranks live.
 //!
-//! Every global step runs the same `S` shards no matter how many replicas
-//! exist: replica `r` of `N` computes shards `r, r + N, r + 2N, ...` (on
-//! its own scoped sub-pool when the ambient pool has threads to split,
-//! sequentially inline otherwise), the `S` shard gradients drain into the
-//! fixed reduction tree of [`crate::reduce`], the merged mean rides one
-//! codec round-trip as the broadcast, and the identical SGD update lands
-//! on every replica. The merged update is therefore byte-identical for
-//! `N ∈ {1, 2, 4, 8}` — placement only moves wire bytes and stall.
+//! Every global step runs the same `S` shards no matter how the world of
+//! `N` ranks is placed: rank `r` computes shards `r, r + N, r + 2N, ...`,
+//! the shard gradients drain into the fixed reduction tree of
+//! [`crate::reduce`], rank 0 mean-scales the sum and broadcasts one
+//! encoded copy that every rank decodes, and the identical SGD update
+//! lands on every replica. A [`Trainer`] *owns* some of those ranks (their
+//! executors and sub-pools) and holds a [`Transport`] to the rest:
+//! [`DistTrainer`] owns them all, so nothing is ever serialized, framed or
+//! sent; [`NetTrainer<T>`] owns the one rank its transport speaks for.
+//! Ownership only decides, edge by edge, whether a partial is combined in
+//! place or carried — the merged update is byte-identical for every `N`
+//! and every placement (`tests/{dist,net}_equivalence.rs`).
+//!
+//! **No partial application:** every merged tensor for a step is computed
+//! (and every exchange completed) before any parameter moves. A typed
+//! [`DistError`] aborts the step with parameters untouched.
 
+use crate::frame::NetError;
 use crate::link::{simulate_allreduce, AllReduceReport};
-use crate::reduce::{reduction_rounds, GradReduceTree};
-use gist_encodings::{CodecPolicy, TransferCodec, Wire};
+use crate::reduce::{reduction_rounds, Exchange, GradReduceTree, Placement};
+use crate::transport::{NoPeers, Transport};
+use gist_encodings::CodecPolicy;
+use gist_obs::Event;
 use gist_par as par;
 use gist_par::ThreadPool;
 use gist_perf::GpuModel;
 use gist_runtime::params::{sgd_update, ParamGrads};
 use gist_runtime::{Executor, RuntimeError, StepStats};
 use gist_tensor::Tensor;
+use std::time::Instant;
 
 /// Micro-batch shards per global step, fixed regardless of replica count
 /// so the reduction order (and thus the merged bits) never moves.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Errors from distributed construction or stepping.
+/// Errors from trainer construction or stepping.
 #[derive(Debug)]
 pub enum DistError {
-    /// Invalid replica/shard configuration.
+    /// Invalid world/shard configuration or malformed step inputs.
     Config(String),
-    /// A replica's training step failed.
+    /// A replica's executor failed to build or to step.
     Runtime(RuntimeError),
+    /// The transport failed or a peer broke the exchange protocol.
+    Net(NetError),
 }
 
 impl std::fmt::Display for DistError {
@@ -37,6 +51,7 @@ impl std::fmt::Display for DistError {
         match self {
             DistError::Config(msg) => write!(f, "dist config error: {msg}"),
             DistError::Runtime(e) => write!(f, "dist runtime error: {e}"),
+            DistError::Net(e) => write!(f, "dist transport error: {e}"),
         }
     }
 }
@@ -49,143 +64,180 @@ impl From<RuntimeError> for DistError {
     }
 }
 
-/// What one global step produced.
+impl From<NetError> for DistError {
+    fn from(e: NetError) -> Self {
+        DistError::Net(e)
+    }
+}
+
+/// What one global step produced. The global loss/correct/batch, the
+/// merged gradient and `broadcast_bytes` are identical on every trainer of
+/// a world by construction.
 #[derive(Debug)]
-pub struct DistStepReport {
-    /// Mean of the shard mean losses (shard-id order).
+pub struct StepReport {
+    /// Mean of the shard mean losses (summed in shard-id order — the
+    /// identical `f32` operation sequence on every rank).
     pub loss: f32,
     /// Correct top-1 predictions summed over all shards.
     pub correct: usize,
     /// Total examples over all shards.
     pub batch: usize,
-    /// Per-shard step statistics, indexed by shard id.
+    /// Step statistics of the shards this trainer's ranks computed, in
+    /// ascending shard id (every shard for a [`DistTrainer`]).
     pub shard_stats: Vec<StepStats>,
     /// The merged (mean, broadcast-decoded) gradient actually applied to
     /// every replica — what the equivalence tests fingerprint.
     pub merged: Vec<Option<ParamGrads>>,
-    /// Observed encoded bytes per tree edge, `[round][edge]` matching
-    /// [`reduction_rounds`], summed over gradient tensors.
+    /// Priced encoded bytes per tree edge, `[round][edge]` matching
+    /// [`reduction_rounds`], summed over gradient tensors — restricted to
+    /// the edges **this trainer touches** (combined in place, sent or
+    /// received). A crossing edge is priced identically on both endpoints,
+    /// so overlaying every trainer's table reconstructs the full tree.
     pub edge_bytes: Vec<Vec<u64>>,
-    /// Observed encoded bytes of one broadcast copy of the merged
-    /// gradient (the link engine multiplies by `replicas - 1`).
+    /// Priced encoded bytes of one broadcast copy of the merged gradient
+    /// (the link engine multiplies by `world - 1`).
     pub broadcast_bytes: u64,
-    /// Total encoded bytes over all reduction-tree edges.
+    /// Total priced bytes over this trainer's reduction-tree edges.
     pub reduce_bytes: u64,
     /// Dense baseline bytes for one gradient copy (`scalars * 4`).
     pub dense_grad_bytes: u64,
+    /// Bytes that actually crossed this trainer's transport this step,
+    /// framing included — the measured side of the observed-vs-priced
+    /// pair. `0` when nothing crossed.
+    pub observed_wire_bytes: u64,
 }
 
-/// Data-parallel trainer: `N` lockstep replicas + fixed-tree all-reduce
-/// with a codec on every transfer.
+/// A shard's forward/backward output, tagged with its shard id.
+type ShardOut = (usize, StepStats, Vec<Option<ParamGrads>>);
+
+/// Data-parallel trainer over the ranks it owns: lockstep replicas, the
+/// fixed-tree all-reduce with a codec on every transfer, and `T` carrying
+/// whatever leaves those ranks.
 #[derive(Debug)]
-pub struct DistTrainer {
+pub struct Trainer<T> {
+    /// One executor per owned rank, in rank order.
     execs: Vec<Executor>,
     pools: Vec<ThreadPool>,
+    placement: Placement<T>,
     policy: CodecPolicy,
     shards: usize,
+    step_no: u32,
+    events: Vec<Event>,
 }
 
-impl DistTrainer {
-    /// Builds `replicas` identical executors by calling `build` once per
-    /// replica (same graph, same seed → identical initial parameters) and
-    /// carves the ambient thread budget into one sub-pool per replica
-    /// (`max(1, current_threads / replicas)` threads each).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::Config`] unless `1 <= replicas <= shards` and
-    /// `replicas` divides `shards`; propagates builder failures.
-    pub fn new(
-        replicas: usize,
-        shards: usize,
-        codec: TransferCodec,
-        build: impl FnMut() -> Result<Executor, RuntimeError>,
-    ) -> Result<Self, DistError> {
-        Self::new_with_policy(replicas, shards, CodecPolicy::Fixed(codec), build)
-    }
+/// The trainer that owns every rank of its world: `DistTrainer::new(replicas, ..)`.
+pub type DistTrainer = Trainer<NoPeers>;
 
-    /// [`Self::new`], but the per-transfer codec is chosen by `policy`
-    /// from each payload ([`CodecPolicy::Auto`] = density-driven SSDC vs
-    /// raw, still bitwise lossless).
+/// The trainer that owns one rank of a world connected by `T`:
+/// `NetTrainer::new(transport, ..)`.
+pub type NetTrainer<T> = Trainer<T>;
+
+impl<T: Transport> Trainer<T> {
+    /// Builds one executor per owned rank by calling `build` (same graph,
+    /// same seed on every rank of the world → identical initial
+    /// parameters, the other half of the lockstep invariant). A trainer
+    /// owning several ranks carves the ambient thread budget into one
+    /// sub-pool per rank (`max(1, current_threads / ranks)` threads each).
+    ///
+    /// `placement` is a replica count or a connected [`Transport`];
+    /// `policy` a fixed codec or a [`CodecPolicy`], applied on every tree
+    /// edge and the broadcast regardless of placement.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::new`].
-    pub fn new_with_policy(
-        replicas: usize,
+    /// [`DistError::Config`] unless `1 <= world <= shards` and `world`
+    /// divides `shards`; builder failures are [`DistError::Runtime`].
+    pub fn new(
+        placement: impl Into<Placement<T>>,
         shards: usize,
-        policy: CodecPolicy,
+        policy: impl Into<CodecPolicy>,
         mut build: impl FnMut() -> Result<Executor, RuntimeError>,
     ) -> Result<Self, DistError> {
-        if replicas == 0 || shards == 0 {
-            return Err(DistError::Config("replicas and shards must be positive".into()));
+        let placement = placement.into();
+        let world = placement.world;
+        if world == 0 || shards == 0 {
+            return Err(DistError::Config("world and shards must be positive".into()));
         }
-        if replicas > shards || !shards.is_multiple_of(replicas) {
+        if world > shards || !shards.is_multiple_of(world) {
             return Err(DistError::Config(format!(
-                "replicas ({replicas}) must divide shards ({shards})"
+                "world ({world}) must divide shards ({shards})"
             )));
         }
-        let execs: Vec<Executor> = (0..replicas).map(|_| build()).collect::<Result<_, _>>()?;
+        let execs: Vec<Executor> =
+            placement.owned.clone().map(|_| build()).collect::<Result<_, _>>()?;
         // Sub-pools only matter when there are both threads to split and
         // replicas to run side by side; otherwise replicas step
         // sequentially on the caller's ambient pool.
-        let pools = if replicas > 1 && par::current_threads() > 1 {
-            let per = (par::current_threads() / replicas).max(1);
-            (0..replicas).map(|_| ThreadPool::new(per)).collect()
+        let pools = if execs.len() > 1 && par::current_threads() > 1 {
+            let per = (par::current_threads() / execs.len()).max(1);
+            execs.iter().map(|_| ThreadPool::new(per)).collect()
         } else {
             Vec::new()
         };
-        Ok(Self { execs, pools, policy, shards })
+        let policy = policy.into();
+        Ok(Self { execs, pools, placement, policy, shards, step_no: 0, events: Vec::new() })
     }
 
-    /// Replica count.
+    /// Replicas this trainer owns.
     #[must_use]
     pub fn replicas(&self) -> usize {
         self.execs.len()
     }
 
-    /// Micro-batch shards per global step.
+    /// Total rank count of the world.
     #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
+    pub fn world(&self) -> usize {
+        self.placement.world
     }
 
-    /// The codec policy applied on every tree edge and the broadcast.
-    #[must_use]
-    pub fn policy(&self) -> CodecPolicy {
-        self.policy
-    }
-
-    /// Replica `r`'s executor (all replicas hold identical parameters
-    /// after every step — tests fingerprint replica 0).
+    /// The `r`-th owned replica's executor (every replica of the world
+    /// holds identical parameters after every step — tests fingerprint
+    /// replica 0).
     #[must_use]
     pub fn replica(&self, r: usize) -> &Executor {
         &self.execs[r]
     }
 
-    /// Mutable access to replica `r`'s executor. The serve layer restores
-    /// parked parameters through this; a caller that mutates one replica's
-    /// parameters must mutate **every** replica identically, or the
-    /// all-replicas-agree invariant [`Self::replica`] documents breaks.
+    /// Mutable access to the `r`-th owned executor. The serve layer
+    /// restores parked parameters through this; a caller that mutates one
+    /// replica's parameters must mutate **every** replica identically, or
+    /// the all-replicas-agree invariant [`Self::replica`] documents breaks.
     pub fn replica_mut(&mut self, r: usize) -> &mut Executor {
         &mut self.execs[r]
     }
 
-    /// Runs one global step over `shards()` micro-batch shards: shard
-    /// forward/backward on each owning replica, fixed-tree all-reduce with
-    /// the codec on every edge, mean-scale, broadcast round-trip, and the
-    /// identical SGD update on every replica.
+    /// Drains the most recent step's [`Event::NetTransfer`] trace events:
+    /// observed wall-clock and observed-vs-priced bytes per crossing edge
+    /// and broadcast leg. Each `step` starts the list afresh, so a caller
+    /// that never drains holds one step's worth; empty when nothing
+    /// crossed.
+    pub fn take_events(&mut self) -> Vec<Event> {
+        std::mem::take(&mut self.events)
+    }
+
+    /// Runs one global step: forward/backward of every owned rank's
+    /// shards, the fixed-tree all-reduce (owned edges combined in place,
+    /// crossing edges framed over the transport), rank 0's mean-scale +
+    /// broadcast, the per-shard stats exchange, and — only after every
+    /// exchange succeeded — the identical SGD update on every owned
+    /// replica.
+    ///
+    /// `images`/`labels` must hold **all** `shards()` shard minibatches on
+    /// every trainer of the world (each computes only its own, but indexes
+    /// the shared table).
     ///
     /// # Errors
     ///
-    /// Returns [`DistError::Config`] if `images`/`labels` are not exactly
-    /// one entry per shard; propagates replica step failures.
+    /// [`DistError::Config`] unless there is exactly one equally shaped
+    /// entry per shard; executor failures are [`DistError::Runtime`],
+    /// transport and protocol failures [`DistError::Net`]. Parameters are
+    /// untouched on every error.
     pub fn step(
         &mut self,
         images: &[Tensor],
         labels: &[Vec<usize>],
         lr: f32,
-    ) -> Result<DistStepReport, DistError> {
+    ) -> Result<StepReport, DistError> {
         let s = self.shards;
         if images.len() != s || labels.len() != s {
             return Err(DistError::Config(format!(
@@ -194,208 +246,145 @@ impl DistTrainer {
                 labels.len()
             )));
         }
-        for w in images.windows(2) {
-            if w[0].shape() != w[1].shape() {
-                return Err(DistError::Config("shard minibatch shapes differ".into()));
-            }
+        if images.windows(2).any(|w| w[0].shape() != w[1].shape()) {
+            return Err(DistError::Config("shard minibatch shapes differ".into()));
         }
+        self.events.clear();
+        let t0 = Instant::now();
 
-        // Phase 1: every shard's forward+backward on its owning replica.
-        let mut per_replica = self.run_replicas(images, labels)?;
+        // Phase 1: every owned rank's shards, in rank-major arrival order
+        // (for several ranks NOT shard order — the tree does not care).
+        let mut outs = self.run_owned(images, labels)?;
 
-        // Phase 2: slot the shard gradients into the fixed tree in
-        // arbitrary arrival order (here: replica-major, which for n > 1 is
-        // NOT shard order — the tree does not care).
-        let mut shard_out: Vec<Option<(StepStats, Vec<Option<ParamGrads>>)>> =
-            (0..s).map(|_| None).collect();
-        for bundle in per_replica.drain(..) {
-            for (shard, stats, grads) in bundle {
-                assert!(shard_out[shard].is_none(), "shard {shard} computed twice");
-                shard_out[shard] = Some((stats, grads));
-            }
-        }
-        let shard_out: Vec<(StepStats, Vec<Option<ParamGrads>>)> =
-            shard_out.into_iter().map(|o| o.expect("shard never computed")).collect();
-
-        // Phase 3: per-tensor fixed-tree reduce, mean-scale, broadcast
-        // round-trip.
+        // Phase 2: per-tensor fixed-tree reduce, mean-scale, broadcast.
+        // Tensor ids count main-then-secondary in node order on every
+        // rank, so frame headers line up without negotiation.
         let rounds = reduction_rounds(s);
-        let mut edge_bytes: Vec<Vec<u64>> = rounds.iter().map(|r| vec![0u64; r.len()]).collect();
-        let num_nodes = shard_out[0].1.len();
-        let inv = 1.0f32 / s as f32;
-        let mut merged: Vec<Option<ParamGrads>> = Vec::with_capacity(num_nodes);
-        let mut broadcast_bytes = 0u64;
+        let mut ex = Exchange::new(&rounds, &mut self.placement, self.step_no, t0);
+        let policy = self.policy;
+        let mut tensor = 0u32;
         let mut dense_grad_bytes = 0u64;
-        for node in 0..num_nodes {
-            if shard_out[0].1[node].is_none() {
+        let mut merged: Vec<Option<ParamGrads>> = Vec::with_capacity(outs[0].2.len());
+        for (node, grads) in outs[0].2.iter().enumerate() {
+            let Some(grads) = grads else {
                 merged.push(None);
                 continue;
-            }
-            let shape_main = shard_out[0].1[node].as_ref().expect("grads").main.shape();
-            let main = self.reduce_tensor(&shard_out, node, false, &mut edge_bytes);
-            dense_grad_bytes += main.len() as u64 * 4;
-            let (main, mb) = Self::broadcast_roundtrip(main, inv, self.policy);
-            broadcast_bytes += mb;
-            let main_t = Tensor::from_vec(shape_main, main).map_err(RuntimeError::from)?;
-            let secondary =
-                if let Some(sec) = &shard_out[0].1[node].as_ref().expect("grads").secondary {
-                    let shape_sec = sec.shape();
-                    let sec = self.reduce_tensor(&shard_out, node, true, &mut edge_bytes);
-                    dense_grad_bytes += sec.len() as u64 * 4;
-                    let (sec, sb) = Self::broadcast_roundtrip(sec, inv, self.policy);
-                    broadcast_bytes += sb;
-                    Some(Tensor::from_vec(shape_sec, sec).map_err(RuntimeError::from)?)
-                } else {
-                    None
-                };
-            merged.push(Some(ParamGrads { main: main_t, secondary }));
+            };
+            let mut exchange = |pick: fn(&ParamGrads) -> &Tensor| -> Result<Tensor, DistError> {
+                let mut tree = GradReduceTree::new(s, policy);
+                for (shard, _, shard_grads) in &outs {
+                    let g = shard_grads[node].as_ref().expect("shard grad structure mismatch");
+                    tree.ingest(*shard, pick(g).data().to_vec());
+                }
+                let mean = ex.allreduce(tree, tensor)?;
+                tensor += 1;
+                dense_grad_bytes += mean.len() as u64 * 4;
+                Ok(Tensor::from_vec(pick(grads).shape(), mean).map_err(RuntimeError::from)?)
+            };
+            let main = exchange(|g| &g.main)?;
+            let secondary = match grads.secondary {
+                Some(_) => Some(exchange(|g| g.secondary.as_ref().expect("secondary grad"))?),
+                None => None,
+            };
+            merged.push(Some(ParamGrads { main, secondary }));
         }
 
-        // Phase 4: the identical update lands on every replica — lockstep.
+        // Phase 3: the per-shard stats table, completed across the world.
+        let mut table = vec![None; s];
+        for (shard, stats, _) in &outs {
+            table[*shard] = Some([stats.loss.to_bits(), stats.correct as u32, stats.batch as u32]);
+        }
+        let table = ex.share_stats(table)?;
+        let loss =
+            table.iter().map(|row| f32::from_bits(row[0])).sum::<f32>() * (1.0f32 / s as f32);
+
+        // Phase 4: every exchange succeeded — only now touch parameters.
         for exec in &mut self.execs {
             sgd_update(&mut exec.params, &merged, lr);
         }
+        let Exchange { edge_bytes, broadcast_bytes, observed, events, .. } = ex;
+        self.events = events;
+        self.step_no += 1;
 
-        let shard_stats: Vec<StepStats> = shard_out.into_iter().map(|(stats, _)| stats).collect();
-        let loss = shard_stats.iter().map(|st| st.loss).sum::<f32>() * inv;
-        let correct = shard_stats.iter().map(|st| st.correct).sum();
-        let batch = shard_stats.iter().map(|st| st.batch).sum();
-        let reduce_bytes = edge_bytes.iter().flatten().sum();
-        Ok(DistStepReport {
+        outs.sort_by_key(|(shard, ..)| *shard);
+        Ok(StepReport {
             loss,
-            correct,
-            batch,
-            shard_stats,
+            correct: table.iter().map(|row| row[1] as usize).sum(),
+            batch: table.iter().map(|row| row[2] as usize).sum(),
+            shard_stats: outs.into_iter().map(|(_, stats, _)| stats).collect(),
             merged,
+            reduce_bytes: edge_bytes.iter().flatten().sum(),
             edge_bytes,
             broadcast_bytes,
-            reduce_bytes,
             dense_grad_bytes,
+            observed_wire_bytes: observed,
         })
     }
 
-    /// Prices the report's observed wire bytes on the virtual-clock link
-    /// engine for this trainer's placement.
+    /// Prices the report's wire bytes on the virtual-clock link engine for
+    /// this trainer's world (the whole all-reduce for a [`DistTrainer`],
+    /// whose report covers every edge).
     #[must_use]
-    pub fn price(&self, report: &DistStepReport, gpu: &GpuModel) -> AllReduceReport {
+    pub fn price(&self, report: &StepReport, gpu: &GpuModel) -> AllReduceReport {
         simulate_allreduce(
             &reduction_rounds(self.shards),
             &report.edge_bytes,
-            self.execs.len(),
+            self.placement.world,
             report.broadcast_bytes,
             gpu,
         )
     }
 
-    /// Phase 1: each replica steps its shards `r, r + N, ...`. With more
-    /// than one ambient thread, replicas run side by side on scoped OS
+    /// Phase 1: owned rank `r` steps shards `r, r + N, ...` on its own
+    /// executor. With sub-pools, ranks run side by side on scoped OS
     /// threads, each re-installing the parent's ambient word (spawned
     /// threads start with ambient 0, which would drop the caller's
-    /// `GIST_SIMD` override) and its own sub-pool. On a single-thread
-    /// budget they step sequentially inline — bit-identical either way,
-    /// because each shard's computation is independent and the executor is
+    /// `GIST_SIMD` override) and its own sub-pool; otherwise they step
+    /// sequentially inline — bit-identical either way, because each
+    /// shard's computation is independent and the executor is
     /// thread-count-invariant.
-    #[allow(clippy::type_complexity)]
-    fn run_replicas(
+    fn run_owned(
         &mut self,
         images: &[Tensor],
         labels: &[Vec<usize>],
-    ) -> Result<Vec<Vec<(usize, StepStats, Vec<Option<ParamGrads>>)>>, DistError> {
-        let s = self.shards;
-        let n = self.execs.len();
-        if self.pools.is_empty() {
-            let mut out = Vec::with_capacity(n);
-            for (r, exec) in self.execs.iter_mut().enumerate() {
-                let mut bundle = Vec::with_capacity(s / n);
-                let mut shard = r;
-                while shard < s {
+    ) -> Result<Vec<ShardOut>, RuntimeError> {
+        let (s, world) = (self.shards, self.placement.world);
+        let run = |rank: usize, exec: &mut Executor| -> Result<Vec<ShardOut>, RuntimeError> {
+            (rank..s)
+                .step_by(world)
+                .map(|shard| {
                     let (stats, grads) = exec.forward_backward(&images[shard], &labels[shard])?;
-                    bundle.push((shard, stats, grads));
-                    shard += n;
-                }
-                out.push(bundle);
-            }
-            return Ok(out);
-        }
-        let ambient = par::ambient();
-        let joined: Vec<Result<Vec<_>, RuntimeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .execs
-                .iter_mut()
-                .zip(&self.pools)
-                .enumerate()
-                .map(|(r, (exec, pool))| {
-                    scope.spawn(move || {
-                        par::with_ambient(ambient, || {
-                            par::with_pool(pool, || {
-                                let mut bundle = Vec::with_capacity(s / n);
-                                let mut shard = r;
-                                while shard < s {
-                                    let (stats, grads) =
-                                        exec.forward_backward(&images[shard], &labels[shard])?;
-                                    bundle.push((shard, stats, grads));
-                                    shard += n;
-                                }
-                                Ok(bundle)
-                            })
+                    Ok((shard, stats, grads))
+                })
+                .collect()
+        };
+        let ranked = self.placement.owned.clone().zip(&mut self.execs);
+        let per_rank: Result<Vec<Vec<ShardOut>>, RuntimeError> = if self.pools.is_empty() {
+            ranked.map(|(rank, exec)| run(rank, exec)).collect()
+        } else {
+            let ambient = par::ambient();
+            let run = &run;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = ranked
+                    .zip(&self.pools)
+                    .map(|((rank, exec), pool)| {
+                        scope.spawn(move || {
+                            par::with_ambient(ambient, || par::with_pool(pool, || run(rank, exec)))
                         })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("replica thread panicked")).collect()
-        });
-        let mut out = Vec::with_capacity(n);
-        for bundle in joined {
-            out.push(bundle?);
-        }
-        Ok(out)
-    }
-
-    /// Reduces one gradient tensor (main or secondary) of `node` across
-    /// all shards through the fixed tree, accumulating per-edge wire
-    /// bytes.
-    fn reduce_tensor(
-        &self,
-        shard_out: &[(StepStats, Vec<Option<ParamGrads>>)],
-        node: usize,
-        secondary: bool,
-        edge_bytes: &mut [Vec<u64>],
-    ) -> Vec<f32> {
-        let mut tree = GradReduceTree::new_with_policy(self.shards, self.policy);
-        for (shard, (_, grads)) in shard_out.iter().enumerate() {
-            let g = grads[node].as_ref().expect("shard grad structure mismatch");
-            let data = if secondary {
-                g.secondary.as_ref().expect("secondary grad").data()
-            } else {
-                g.main.data()
-            };
-            tree.ingest(shard, data.to_vec());
-        }
-        let (merged, per_edge) = tree.finish_detailed();
-        for (acc, add) in edge_bytes.iter_mut().zip(&per_edge) {
-            for (a, b) in acc.iter_mut().zip(add) {
-                *a += *b;
-            }
-        }
-        merged
-    }
-
-    /// Mean-scales the tree sum, then rides it through one codec
-    /// round-trip — the broadcast every replica decodes on arrival.
-    /// Returns the applied gradient and the bytes of one broadcast copy.
-    fn broadcast_roundtrip(mut sum: Vec<f32>, inv: f32, policy: CodecPolicy) -> (Vec<f32>, u64) {
-        for v in &mut sum {
-            *v *= inv;
-        }
-        let wire = Wire::encode(policy.choose(&sum), &sum);
-        let bytes = wire.wire_bytes();
-        (wire.decode(), bytes)
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("replica thread panicked")).collect()
+            })
+        };
+        Ok(per_rank?.into_iter().flatten().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::InProcess;
+    use gist_encodings::TransferCodec;
     use gist_runtime::ExecMode;
 
     fn build_exec() -> Result<Executor, RuntimeError> {
@@ -405,14 +394,7 @@ mod tests {
 
     fn shard_data(shards: usize, batch: usize) -> (Vec<Tensor>, Vec<Vec<usize>>) {
         let mut data = gist_runtime::SyntheticImages::new(4, 16, 0.1, 1234);
-        let mut images = Vec::new();
-        let mut labels = Vec::new();
-        for _ in 0..shards {
-            let (x, y) = data.minibatch(batch);
-            images.push(x);
-            labels.push(y);
-        }
-        (images, labels)
+        (0..shards).map(|_| data.minibatch(batch)).unzip()
     }
 
     fn fingerprint(exec: &Executor) -> Vec<u32> {
@@ -469,18 +451,13 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        assert!(matches!(
-            DistTrainer::new(0, 8, TransferCodec::None, build_exec),
-            Err(DistError::Config(_))
-        ));
-        assert!(matches!(
-            DistTrainer::new(3, 8, TransferCodec::None, build_exec),
-            Err(DistError::Config(_))
-        ));
-        assert!(matches!(
-            DistTrainer::new(16, 8, TransferCodec::None, build_exec),
-            Err(DistError::Config(_))
-        ));
+        for replicas in [0, 3, 16] {
+            let built = DistTrainer::new(replicas, 8, TransferCodec::None, build_exec);
+            assert!(
+                matches!(built, Err(DistError::Config(_))),
+                "{replicas} replicas over 8 shards"
+            );
+        }
     }
 
     #[test]
@@ -502,5 +479,69 @@ mod tests {
             rep.edge_bytes[0].iter().sum::<u64>() + rep.edge_bytes[1].iter().sum::<u64>();
         assert_eq!(crossed_reduce, expected);
         assert_eq!(priced.bytes_on_wire, crossed_reduce + 3 * rep.broadcast_bytes);
+    }
+
+    /// Bad step inputs, run through a trainer of either ownership: the
+    /// same typed variant, and parameters untouched.
+    fn rejects_bad_inputs<T: Transport>(mut t: Trainer<T>, owns: &str) {
+        let (images, labels) = shard_data(8, 2);
+        let (wide, wide_labels) = shard_data(1, 3);
+        let before = fingerprint(t.replica(0));
+        type Case = (&'static str, Vec<Tensor>, Vec<Vec<usize>>, fn(&DistError) -> bool);
+        let mut ragged = (images.clone(), labels.clone());
+        ragged.0[3] = wide[0].clone();
+        ragged.1[3] = wide_labels[0].clone();
+        let mut short_labels = labels.clone();
+        short_labels[5].pop();
+        let cases: Vec<Case> = vec![
+            ("wrong shard count", images[..7].to_vec(), labels[..7].to_vec(), |e| {
+                matches!(e, DistError::Config(_))
+            }),
+            ("ragged shapes", ragged.0, ragged.1, |e| matches!(e, DistError::Config(_))),
+            ("label/batch mismatch", images.clone(), short_labels, |e| {
+                matches!(e, DistError::Runtime(RuntimeError::BatchMismatch(_)))
+            }),
+        ];
+        for (what, x, y, expected) in cases {
+            let err = t.step(&x, &y, 0.05).expect_err(what);
+            assert!(expected(&err), "{owns}, {what}: got {err:?}");
+            assert_eq!(fingerprint(t.replica(0)), before, "{owns}, {what}: parameters moved");
+        }
+        // The trainer is still usable after every rejection.
+        t.step(&images, &labels, 0.05).expect("good inputs after bad ones");
+        assert_ne!(fingerprint(t.replica(0)), before);
+    }
+
+    #[test]
+    fn both_ownerships_reject_the_same_bad_inputs_the_same_way() {
+        let all = DistTrainer::new(2, 8, TransferCodec::None, build_exec).unwrap();
+        rejects_bad_inputs(all, "owns every rank");
+        let solo = InProcess::mesh(1).pop().expect("rank 0");
+        let one = NetTrainer::new(solo, 8, TransferCodec::None, build_exec).unwrap();
+        rejects_bad_inputs(one, "owns one rank");
+    }
+
+    #[test]
+    fn undrained_trainer_holds_one_step_of_transfer_events() {
+        let ranks: Vec<_> = InProcess::mesh(2)
+            .into_iter()
+            .map(|tp| {
+                std::thread::spawn(move || {
+                    let (images, labels) = shard_data(8, 2);
+                    let mut t = NetTrainer::new(tp, 8, TransferCodec::None, build_exec).unwrap();
+                    t.step(&images, &labels, 0.05).unwrap();
+                    let one_step = t.take_events().len();
+                    for _ in 0..3 {
+                        t.step(&images, &labels, 0.05).unwrap();
+                    }
+                    (one_step, t.take_events().len())
+                })
+            })
+            .collect();
+        for (rank, h) in ranks.into_iter().enumerate() {
+            let (one_step, after_three) = h.join().expect("rank thread");
+            assert!(one_step > 0, "rank {rank} crossed nothing");
+            assert_eq!(after_three, one_step, "rank {rank} kept more than the last step");
+        }
     }
 }

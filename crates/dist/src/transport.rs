@@ -44,6 +44,30 @@ pub trait Transport {
     fn recv(&mut self, peer: usize) -> Result<(Msg, u64), NetError>;
 }
 
+/// The transport of a trainer that owns every rank: no value of this type
+/// exists, so a peer can never be addressed and every framing branch of
+/// the step is statically dead for [`crate::DistTrainer`].
+#[derive(Debug)]
+pub enum NoPeers {}
+
+impl Transport for NoPeers {
+    fn rank(&self) -> usize {
+        match *self {}
+    }
+
+    fn world(&self) -> usize {
+        match *self {}
+    }
+
+    fn send(&mut self, _peer: usize, _msg: &Msg) -> Result<u64, NetError> {
+        match *self {}
+    }
+
+    fn recv(&mut self, _peer: usize) -> Result<(Msg, u64), NetError> {
+        match *self {}
+    }
+}
+
 // ---------------------------------------------------------------------------
 // In-process mesh
 // ---------------------------------------------------------------------------
@@ -157,7 +181,7 @@ impl NetConfig {
     #[must_use]
     pub fn resolve(raw: Option<&str>) -> (Self, Option<String>) {
         let (ms, warning) = gist_par::parse_or_warn(
-            "gist-net",
+            "gist-dist",
             "GIST_NET_TIMEOUT_MS",
             raw,
             "a positive integer (milliseconds)",
@@ -334,7 +358,7 @@ impl Tcp {
     }
 }
 
-/// Applies the socket options every gist-net stream runs with.
+/// Applies the socket options every rank-to-rank stream runs with.
 fn configure(stream: TcpStream, peer: u32, config: &NetConfig) -> Result<TcpStream, NetError> {
     let io = |e: std::io::Error| NetError::Io { peer, op: "configure", detail: e.to_string() };
     stream.set_nonblocking(false).map_err(io)?;

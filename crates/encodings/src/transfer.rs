@@ -189,6 +189,12 @@ impl CodecPolicy {
     }
 }
 
+impl From<TransferCodec> for CodecPolicy {
+    fn from(codec: TransferCodec) -> Self {
+        CodecPolicy::Fixed(codec)
+    }
+}
+
 impl std::fmt::Display for CodecPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())

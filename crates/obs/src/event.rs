@@ -111,9 +111,9 @@ pub enum Event {
         /// Encoded stash size in bytes.
         encoded_bytes: u64,
     },
-    /// A gradient payload crossed a **real** transport (gist-net): one
-    /// reduction-tree edge or broadcast leg whose endpoints live in
-    /// different OS processes. Records the observed-vs-priced byte pair —
+    /// A gradient payload crossed a **real** transport (gist-dist's
+    /// `Transport`): one reduction-tree edge or broadcast leg whose
+    /// endpoints are owned by different trainers. Records the observed-vs-priced byte pair —
     /// `priced_bytes` is the encoded `Wire` payload the virtual-clock link
     /// engine prices, `observed_bytes` what actually moved on the socket
     /// (frame header included) — plus observed wall-clock, so a trace shows

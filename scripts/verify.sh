@@ -33,16 +33,20 @@
 #      train fingerprint (per-step loss bits + all trained weight bits)
 #      across all four runs — wave-concurrent arena execution is only
 #      allowed to change the slab, never a bit of the training
-#  10. the multi-process transport gate (tests/net_equivalence.rs, run
-#      twice by step 2): NetTrainer over channel-mesh and loopback-TCP
-#      transports bitwise-identical to in-process gist-dist across worlds
-#      x codecs — plus a CLI smoke forking a real 2-process loopback world
+#  10. the placement gate (tests/net_equivalence.rs, run twice by step
+#      2): the one data-parallel step, run by trainers that each own one
+#      rank over channel-mesh and loopback-TCP transports, bitwise-identical
+#      to the trainer that owns every rank across worlds x codecs — plus a
+#      CLI smoke forking a real 2-process loopback world
 #      (`train --transport tcp --spawn-local 2`) whose printed fingerprint
 #      must equal the in-process `--replicas 2` run's, with garbage
 #      GIST_NET_TIMEOUT_MS warning and falling back (parse_or_warn policy)
+#  11. `cargo check` of the repo benchmark package (benchmark/): it sits
+#      outside the workspace and builds against the `gist` facade, so a
+#      facade API break would otherwise show only in the benchmark run
 #
-# Run this before committing; record what changed in CHANGELOG.md and
-# append a one-line summary to CHANGES.md as usual.
+# Run this before committing, and append a one-line summary of what
+# changed to CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +64,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
+
+echo "==> cargo check of the benchmark package (outside the workspace)"
+cargo check --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> memory oracle gate (traced step vs static planner)"
 cargo run --release -q --offline -p gist-bench --bin extra_runtime_validation

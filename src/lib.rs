@@ -16,11 +16,12 @@
 /// `use gist::prelude::*;`
 pub mod prelude {
     pub use gist_core::{Gist, GistConfig, GistPlan, ScheduleBuilder};
-    pub use gist_dist::{DistTrainer, GradCodec, GradCodecPolicy};
+    pub use gist_dist::{
+        DistTrainer, GradCodec, GradCodecPolicy, InProcess, NetTrainer, Tcp, Transport,
+    };
     pub use gist_encodings::DprFormat;
     pub use gist_graph::{Graph, NodeId, OpKind};
     pub use gist_memory::{plan_static, SharingPolicy};
-    pub use gist_net::{InProcess, NetTrainer, Tcp, Transport};
     pub use gist_obs::{MemoryAccountant, NullRecorder, Recorder, TraceSink};
     pub use gist_offload::OffloadMode;
     pub use gist_perf::SwapStrategy;
@@ -31,11 +32,14 @@ pub mod prelude {
 
 pub use gist_core as core;
 pub use gist_dist as dist;
+/// The transport side of [`dist`] (frames, rendezvous, [`net::NetTrainer`])
+/// under its own name: one crate since the in-process and multi-process
+/// trainers became one step.
+pub use gist_dist as net;
 pub use gist_encodings as encodings;
 pub use gist_graph as graph;
 pub use gist_memory as memory;
 pub use gist_models as models;
-pub use gist_net as net;
 pub use gist_obs as obs;
 pub use gist_offload as offload;
 pub use gist_par as par;

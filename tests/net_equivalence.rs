@@ -1,14 +1,17 @@
-//! Headline gate for `gist-net`: the multi-process trainer is *invisible*
-//! arithmetic, just like the in-process one.
+//! Headline gate for placement independence: the data-parallel step is
+//! *invisible* arithmetic wherever its ranks live.
 //!
-//! `NetTrainer` rank `r` of `N` must produce bit-identical merged
-//! gradients, losses, byte prices and final parameters to in-process
-//! `DistTrainer` replica `r` — across replica counts {1, 2, 4}, codecs
+//! There is one trainer and one reduction walk; this suite runs it under
+//! both ownerships and demands the same bits. `NetTrainer` (owns one rank
+//! of `N`, the rest behind a transport) must produce bit-identical merged
+//! gradients, losses, byte prices and final parameters to `DistTrainer`
+//! (owns every rank, nothing framed) — across worlds {1, 2, 4}, codecs
 //! {none, ssdc, dpr:8} and the auto policy, over both transports: the
 //! channel-mesh `InProcess` (frames still encoded/decoded) and real
 //! loopback `Tcp` sockets. On top of the numeric identity, every
 //! `NetTransfer` trace event must satisfy the observed-vs-priced frame
-//! relation `observed == priced + GRAD_FRAME_OVERHEAD` exactly.
+//! relation `observed == priced + GRAD_FRAME_OVERHEAD` exactly, and a
+//! trainer that owns its whole world frames nothing at all.
 
 use gist::dist::DistTrainer;
 use gist::encodings::{CodecPolicy, DprFormat, TransferCodec};
@@ -93,15 +96,17 @@ fn step_fp(
 /// Per-step `[round][edge]` priced-byte tables.
 type EdgeTables = Vec<Vec<Vec<u64>>>;
 
-/// The in-process reference trajectory for a codec policy.
+/// The own-every-rank reference trajectory for a codec policy.
 fn dist_fingerprint(replicas: usize, policy: CodecPolicy) -> (Vec<u32>, EdgeTables) {
     let (images, labels) = shard_data();
-    let mut trainer =
-        DistTrainer::new_with_policy(replicas, SHARDS, policy, build_exec).expect("dist trainer");
+    let mut trainer = DistTrainer::new(replicas, SHARDS, policy, build_exec).expect("dist trainer");
     let mut fp = Vec::new();
     let mut edges = Vec::with_capacity(STEPS);
     for _ in 0..STEPS {
         let rep = trainer.step(&images, &labels, LR).expect("dist step");
+        // Nothing crosses, so nothing is framed.
+        assert_eq!(rep.observed_wire_bytes, 0, "own-all trainer observed wire bytes");
+        assert!(trainer.take_events().is_empty(), "own-all trainer recorded a transfer");
         fp.extend(step_fp(rep.loss, &rep.merged, rep.broadcast_bytes, rep.dense_grad_bytes));
         edges.push(rep.edge_bytes);
     }
@@ -115,21 +120,30 @@ const DENSE_WIRE_HEADER: u64 = 13;
 
 /// Runs one rank to completion on an already-connected transport and
 /// returns its fingerprint, its per-step partial edge tables, and the
-/// drained `NetTransfer` events.
+/// `NetTransfer` events drained after every step (the trainer keeps only
+/// the latest step's).
 fn run_rank<T: Transport>(transport: T, policy: CodecPolicy) -> (Vec<u32>, EdgeTables, Vec<Event>) {
     let (images, labels) = shard_data();
     let mut trainer = NetTrainer::new(transport, SHARDS, policy, build_exec).expect("net trainer");
     let mut fp = Vec::new();
     let mut edges = Vec::with_capacity(STEPS);
+    let mut events = Vec::new();
     for _ in 0..STEPS {
         let rep = trainer.step(&images, &labels, LR).expect("net step");
         assert_eq!(rep.batch, SHARDS * SHARD_BATCH);
         assert_eq!(rep.reduce_bytes, rep.edge_bytes.iter().flatten().sum::<u64>());
+        let step_events = trainer.take_events();
+        if trainer.world() == 1 {
+            // A world of one owns everything: the transport is never used.
+            assert_eq!(rep.observed_wire_bytes, 0, "world-1 rank observed wire bytes");
+            assert!(step_events.is_empty(), "world-1 rank recorded a transfer");
+        }
+        events.extend(step_events);
         fp.extend(step_fp(rep.loss, &rep.merged, rep.broadcast_bytes, rep.dense_grad_bytes));
         edges.push(rep.edge_bytes);
     }
-    fp.extend(param_bits(trainer.exec()));
-    (fp, edges, trainer.take_events())
+    fp.extend(param_bits(trainer.replica(0)));
+    (fp, edges, events)
 }
 
 /// Cross-rank event audit: every crossing edge / broadcast leg must be
@@ -282,7 +296,7 @@ fn headline_policies() -> Vec<CodecPolicy> {
 }
 
 // ---------------------------------------------------------------------------
-// Headline: multi-rank == in-process, bit for bit
+// Headline: own-one == own-all, bit for bit
 // ---------------------------------------------------------------------------
 
 #[test]
