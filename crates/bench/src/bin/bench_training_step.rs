@@ -17,9 +17,7 @@
 use gist_core::GistConfig;
 use gist_encodings::DprFormat;
 use gist_obs::NullRecorder;
-use gist_runtime::{
-    AllocPolicy, ExecMode, Executor, OffloadMode, PlanGranularity, SyntheticImages,
-};
+use gist_runtime::{AllocPolicy, ExecMode, ExecSpec, Executor, PlanGranularity, SyntheticImages};
 use gist_testkit::BenchGroup;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,15 +131,9 @@ fn main() {
     g.meta("plan", if plan == PlanGranularity::Wave { 1 } else { 0 });
     for (label, mode) in &modes {
         let step_allocs = |policy: AllocPolicy| {
-            let mut exec = Executor::new_with_granularity(
-                gist_models::small_vgg(batch, 4),
-                mode.clone(),
-                7,
-                policy,
-                OffloadMode::None,
-                plan,
-            )
-            .expect("executor");
+            let spec = ExecSpec { alloc: policy, plan, ..mode.clone().into() };
+            let mut exec =
+                Executor::new(gist_models::small_vgg(batch, 4), spec, 7).expect("executor");
             exec.step(&x, &y, 0.01).unwrap();
             let (leases0, misses0) = exec.scratch_counters();
             let allocs = alloc_calls(|| {
@@ -179,15 +171,8 @@ fn main() {
         g.meta(&format!("{label}_scratch_absorbed_per_step"), leases - misses);
         g.meta(&format!("{label}_arena_slab_bytes"), slab.expect("arena slab") as u64);
 
-        let mut exec = Executor::new_with_granularity(
-            gist_models::small_vgg(batch, 4),
-            mode.clone(),
-            7,
-            AllocPolicy::Arena,
-            OffloadMode::None,
-            plan,
-        )
-        .expect("executor");
+        let spec = ExecSpec { plan, ..ExecSpec::from(mode.clone()).arena() };
+        let mut exec = Executor::new(gist_models::small_vgg(batch, 4), spec, 7).expect("executor");
         g.bench(label, || exec.step(&x, &y, 0.01).unwrap());
     }
     g.meta("alloc_policy", 1);

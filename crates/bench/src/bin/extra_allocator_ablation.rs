@@ -14,7 +14,7 @@ use gist_memory::{
     observed_inventory, plan_offsets_aligned, plan_static, SharingPolicy, ARENA_ALIGN,
 };
 use gist_obs::{MemoryAccountant, TraceSink};
-use gist_runtime::{AllocPolicy, ExecMode, Executor, SyntheticImages};
+use gist_runtime::{ExecMode, ExecSpec, Executor, SyntheticImages};
 
 /// Waste rows from one traced arena step: (peak, first-fit cap, group cap).
 fn executed_waste(
@@ -22,8 +22,8 @@ fn executed_waste(
     ds: &SyntheticImages,
     mode: &ExecMode,
 ) -> (u64, u64, u64) {
-    let mut exec = Executor::new_with_policy(graph.clone(), mode.clone(), 7, AllocPolicy::Arena)
-        .expect("executor");
+    let mut exec =
+        Executor::new(graph.clone(), ExecSpec::from(mode.clone()).arena(), 7).expect("executor");
     let (x, y) = ds.clone().minibatch(4);
     let sink = TraceSink::new();
     exec.step_traced(&x, &y, 0.05, &sink).expect("step");

@@ -5,8 +5,9 @@
 //! For every small net x offload mechanism x stash mode this checks that:
 //!
 //! 1. an arena-policy training step under the offload plan traces a memory
-//!    stream that matches `predict_step_events_offload` event-for-event —
-//!    the plan really is the single source of truth for both sides;
+//!    stream that matches the fold of the executor's lowered program
+//!    (`StepProgram::events`) event-for-event — the interpreter played the
+//!    plan's swap-ins and replays exactly as lowered;
 //! 2. the runtime accountant's observed peak equals the executor's own
 //!    meter (`StepStats::peak_live_bytes`) exactly;
 //! 3. the arena layout honors every observed lifetime (`verify_offsets`)
@@ -21,7 +22,7 @@ use gist_core::GistConfig;
 use gist_obs::{Event, MemoryAccountant, TraceSink};
 use gist_offload::{simulate, OffloadMode, SwapStrategy};
 use gist_perf::GpuModel;
-use gist_runtime::{predict_step_events_offload, AllocPolicy, ExecMode, Executor, SyntheticImages};
+use gist_runtime::{ExecMode, ExecSpec, Executor, SyntheticImages};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -50,9 +51,8 @@ fn check(
     let resident_stats = resident.step(&x, &y, 0.05).map_err(|e| e.to_string())?;
 
     // Offloaded arena step, traced.
-    let mut exec =
-        Executor::new_with_offload(graph.clone(), mode.clone(), 7, AllocPolicy::Arena, offload)
-            .map_err(|e| e.to_string())?;
+    let spec = ExecSpec { offload, ..ExecSpec::from(mode.clone()).arena() };
+    let mut exec = Executor::new(graph.clone(), spec, 7).map_err(|e| e.to_string())?;
     let sink = TraceSink::new();
     let stats = exec.step_traced(&x, &y, 0.05, &sink).map_err(|e| e.to_string())?;
     let trace = sink.take();
@@ -67,13 +67,7 @@ fn check(
 
     // (1) observed memory substream == offload-aware static prediction.
     let observed: Vec<&Event> = trace.iter().filter(|e| e.is_memory()).collect();
-    let predicted = match predict_step_events_offload(
-        graph,
-        mode,
-        AllocPolicy::Arena,
-        &HashMap::new(),
-        exec.offload_plan(),
-    ) {
+    let predicted = match exec.program().events(&HashMap::new()) {
         Ok(p) => p,
         Err(e) => return fail(format!("offload predictor failed: {e}")),
     };

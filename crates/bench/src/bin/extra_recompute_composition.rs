@@ -15,18 +15,12 @@ use gist_core::GistConfig;
 use gist_obs::{MemoryAccountant, TraceSink};
 use gist_offload::{simulate, OffloadMode, OffloadPlan};
 use gist_perf::{composition_report, GpuModel};
-use gist_runtime::{AllocPolicy, ExecMode, Executor, SyntheticImages};
+use gist_runtime::{ExecMode, ExecSpec, Executor, SyntheticImages};
 
 /// Observed arena peak of one traced training step.
 fn observed_peak(graph: &gist_graph::Graph, ds: &SyntheticImages, offload: OffloadMode) -> u64 {
-    let mut exec = Executor::new_with_offload(
-        graph.clone(),
-        ExecMode::Baseline,
-        7,
-        AllocPolicy::Arena,
-        offload,
-    )
-    .expect("executor");
+    let spec = ExecSpec { offload, ..ExecSpec::from(ExecMode::Baseline).arena() };
+    let mut exec = Executor::new(graph.clone(), spec, 7).expect("executor");
     let (x, y) = ds.clone().minibatch(4);
     let sink = TraceSink::new();
     exec.step_traced(&x, &y, 0.05, &sink).expect("step");

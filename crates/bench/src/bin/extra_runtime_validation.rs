@@ -8,8 +8,9 @@
 //!    mismatched frees, or reuse collisions);
 //! 2. the accountant's observed peak equals the executor's own meter
 //!    (`StepStats::peak_live_bytes`) exactly;
-//! 3. the statically predicted event stream (`gist_runtime::predict`)
-//!    matches the observed memory substream event-for-event;
+//! 3. the fold of the executor's lowered program
+//!    (`StepProgram::events`) matches the observed memory substream
+//!    event-for-event — the interpreter played exactly the ops it lowered;
 //! 4. `gist-memory`'s dynamic-allocation simulator over the observed buffer
 //!    lifetimes reproduces the accountant's peak, and its offset packer
 //!    finds a layout in which no two concurrently-live buffers overlap;
@@ -27,10 +28,7 @@ use gist_core::GistConfig;
 use gist_encodings::DprFormat;
 use gist_memory::{check_no_overlap, observed_peak};
 use gist_obs::{Event, MemoryAccountant, TraceSink};
-use gist_runtime::{
-    predict_step_events, predict_step_events_for, ssdc_stash_sizes, AllocPolicy, ExecMode,
-    Executor, SyntheticImages,
-};
+use gist_runtime::{ssdc_stash_sizes, AllocPolicy, ExecMode, ExecSpec, Executor, SyntheticImages};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -55,7 +53,8 @@ fn traced_step(
         let graph = zoo_graph(net);
         let mut ds = SyntheticImages::new(4, 16, 0.4, 3);
         let (x, y) = ds.minibatch(batch);
-        let mut exec = Executor::new_with_policy(graph, mode.clone(), 7, policy).expect("executor");
+        let spec = ExecSpec { alloc: policy, ..mode.clone().into() };
+        let mut exec = Executor::new(graph, spec, 7).expect("executor");
         let sink = TraceSink::new();
         let stats = exec.step_traced(&x, &y, 0.05, &sink).expect("step");
         let events: Vec<Event> = sink
@@ -67,20 +66,14 @@ fn traced_step(
     })
 }
 
-fn memory_substream(net: &str, mode: &ExecMode, threads: usize) -> (Vec<Event>, usize) {
-    let (_, events, stats) = traced_step(net, mode, threads, AllocPolicy::Heap);
-    (events, stats.peak_live_bytes)
+fn memory_substream(net: &str, mode: &ExecMode, threads: usize) -> (Executor, Vec<Event>, usize) {
+    let (exec, events, stats) = traced_step(net, mode, threads, AllocPolicy::Heap);
+    (exec, events, stats.peak_live_bytes)
 }
 
 fn check(net: &str, mode_name: &str, mode: &ExecMode) -> Result<(), String> {
     let fail = |msg: String| Err(format!("{net}/{mode_name}: {msg}"));
-    let graph = match net {
-        "TinyConvNet" => gist_models::tiny_convnet(16, 4),
-        "SmallVGG" => gist_models::small_vgg(16, 4),
-        "TinyClassic" => gist_models::tiny_classic(16, 4),
-        _ => unreachable!("unknown net"),
-    };
-    let (events, meter_peak) = memory_substream(net, mode, 1);
+    let (exec, events, meter_peak) = memory_substream(net, mode, 1);
 
     // (1) the stream folds cleanly.
     let mut acc = MemoryAccountant::new();
@@ -99,7 +92,7 @@ fn check(net: &str, mode_name: &str, mode: &ExecMode) -> Result<(), String> {
 
     // (3) predicted stream == observed memory substream, event for event.
     let ssdc = ssdc_stash_sizes(&events);
-    let predicted = match predict_step_events(&graph, mode, &ssdc) {
+    let predicted = match exec.program().events(&ssdc) {
         Ok(p) => p,
         Err(e) => return fail(format!("predictor failed: {e}")),
     };
@@ -132,7 +125,7 @@ fn check(net: &str, mode_name: &str, mode: &ExecMode) -> Result<(), String> {
     }
 
     // (5) the memory substream is thread-count invariant.
-    let (events4, peak4) = memory_substream(net, mode, 4);
+    let (_, events4, peak4) = memory_substream(net, mode, 4);
     if events4 != events || peak4 != meter_peak {
         return fail("memory substream differs between 1 and 4 threads".to_string());
     }
@@ -148,11 +141,10 @@ fn check(net: &str, mode_name: &str, mode: &ExecMode) -> Result<(), String> {
             arena_stats.loss, heap_stats.loss
         ));
     }
-    let arena_predicted =
-        match predict_step_events_for(&graph, mode, AllocPolicy::Arena, &HashMap::new()) {
-            Ok(p) => p,
-            Err(e) => return fail(format!("arena predictor failed: {e}")),
-        };
+    let arena_predicted = match arena_exec.program().events(&HashMap::new()) {
+        Ok(p) => p,
+        Err(e) => return fail(format!("arena predictor failed: {e}")),
+    };
     let arena_observed: Vec<&Event> = arena_events.iter().filter(|e| e.is_memory()).collect();
     if arena_observed.len() != arena_predicted.len()
         || arena_observed.iter().zip(&arena_predicted).any(|(a, b)| **a != *b)
@@ -194,7 +186,7 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     for net in ["TinyConvNet", "SmallVGG", "TinyClassic"] {
         for (mode_name, mode) in &modes {
-            let (_, peak) = memory_substream(net, mode, 1);
+            let (_, _, peak) = memory_substream(net, mode, 1);
             match check(net, mode_name, mode) {
                 Ok(()) => println!(
                     "{:<14} {:<10} {:>11.1} {:>10}",

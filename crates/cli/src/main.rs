@@ -11,10 +11,10 @@
 //! ```
 
 use gist_core::{plan::stash_breakdown, Gist, GistConfig};
-use gist_encodings::DprFormat;
 use gist_graph::class::{baseline_inventory, WorkspaceMode};
 use gist_graph::Graph;
 use gist_memory::FootprintReport;
+use gist_runtime::{ExecMode, ExecSpec};
 use std::process::ExitCode;
 
 // The model table lives in gist-models (`MODEL_NAMES` / `by_name`) so the
@@ -25,15 +25,15 @@ fn build_model(name: &str, batch: usize) -> Option<Graph> {
     gist_models::by_name(name, batch)
 }
 
+/// The planner-side reading of `--mode`, through the one spelling table
+/// (`ExecMode::parse`): the baseline plans as the no-encoding config, and
+/// the executor-only Figure 12 strawman has no plan.
 fn parse_mode(mode: &str) -> Option<GistConfig> {
-    Some(match mode {
-        "baseline" => GistConfig::baseline(),
-        "lossless" => GistConfig::lossless(),
-        "fp16" => GistConfig::lossy(DprFormat::Fp16),
-        "fp10" => GistConfig::lossy(DprFormat::Fp10),
-        "fp8" => GistConfig::lossy(DprFormat::Fp8),
-        _ => return None,
-    })
+    match ExecMode::parse(mode)? {
+        ExecMode::Baseline => Some(GistConfig::baseline()),
+        ExecMode::Gist(config) => Some(config),
+        ExecMode::UniformImmediate(_) => None,
+    }
 }
 
 struct Args {
@@ -57,6 +57,15 @@ struct Args {
     mem_budget: u64,
     jobs: Vec<String>,
     order: String,
+}
+
+impl Args {
+    /// The execution spec `train` runs under: `--mode`, `--alloc`, `--plan`
+    /// and `--offload` as one value.
+    fn exec_spec(&self) -> Result<ExecSpec, String> {
+        let mode = ExecMode::parse(&self.mode).ok_or(format!("unknown mode {}", self.mode))?;
+        Ok(ExecSpec { mode, alloc: self.alloc, plan: self.plan, offload: self.offload })
+    }
 }
 
 /// Which medium carries cross-replica gradient traffic in `train`.
@@ -122,11 +131,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.trace = Some(it.next().ok_or("--trace needs a file path")?.clone());
             }
             "--alloc" => {
-                args.alloc = match it.next().ok_or("--alloc needs heap or arena")?.as_str() {
-                    "heap" => gist_runtime::AllocPolicy::Heap,
-                    "arena" => gist_runtime::AllocPolicy::Arena,
-                    other => return Err(format!("unknown alloc policy: {other}")),
-                };
+                let v = it.next().ok_or("--alloc needs heap or arena")?;
+                args.alloc = gist_runtime::AllocPolicy::parse(v)
+                    .ok_or(format!("unknown alloc policy: {v}"))?;
             }
             "--plan" => {
                 let v = it.next().ok_or("--plan needs event or wave")?;
@@ -134,19 +141,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .ok_or(format!("unknown plan granularity: {v} (try event|wave)"))?;
             }
             "--offload" => {
-                use gist_runtime::{OffloadMode, SwapStrategy};
-                args.offload = match it.next().ok_or("--offload needs a mechanism")?.as_str() {
-                    "recompute" => OffloadMode::Recompute,
-                    "swap" | "swap:vdnn" => OffloadMode::Swap(SwapStrategy::Vdnn),
-                    "swap:naive" => OffloadMode::Swap(SwapStrategy::Naive),
-                    "swap:cdma" => OffloadMode::Swap(SwapStrategy::Cdma { compression: 2.0 }),
-                    other => {
-                        return Err(format!(
-                            "unknown offload mechanism: {other} \
-                             (try recompute|swap|swap:naive|swap:vdnn|swap:cdma)"
-                        ))
-                    }
-                };
+                let v = it.next().ok_or("--offload needs a mechanism")?;
+                args.offload = gist_runtime::parse_offload(v).ok_or(format!(
+                    "unknown offload mechanism: {v} \
+                     (try recompute|swap|swap:naive|swap:vdnn|swap:cdma)"
+                ))?;
             }
             "--replicas" => {
                 let v = it.next().ok_or("--replicas needs a value")?;
@@ -296,25 +295,19 @@ fn run(args: Args) -> Result<(), String> {
         }
         "dot" => print!("{}", gist_graph::dot::to_dot(&graph)),
         "train" => {
-            let mode = if args.mode == "baseline" {
-                gist_runtime::ExecMode::Baseline
-            } else {
-                let config =
-                    parse_mode(&args.mode).ok_or_else(|| format!("unknown mode {}", args.mode))?;
-                gist_runtime::ExecMode::Gist(config)
-            };
+            let spec = args.exec_spec()?;
             if args.transport == Transport::Tcp {
                 if args.spawn_local > 0 {
                     run_spawn_local(&args)?;
                 } else {
-                    run_train_dist(rendezvous_tcp(&args)?, graph, mode, &args)?;
+                    run_train_dist(rendezvous_tcp(&args)?, graph, spec, &args)?;
                 }
             } else if args.replicas > 1
                 || args.grad_codec != gist_dist::GradCodecPolicy::Fixed(gist_dist::GradCodec::None)
             {
-                run_train_dist(args.replicas, graph, mode, &args)?;
+                run_train_dist(args.replicas, graph, spec, &args)?;
             } else {
-                run_train(graph, mode, &args)?;
+                run_train(graph, spec, &args)?;
             }
         }
         "trace" => {
@@ -474,22 +467,14 @@ fn synthetic_dataset(graph: &Graph) -> Result<gist_runtime::SyntheticImages, Str
     })
 }
 
-fn run_train(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Result<(), String> {
+fn run_train(graph: Graph, spec: ExecSpec, args: &Args) -> Result<(), String> {
     let mut ds = synthetic_dataset(&graph)?;
-    let mut exec = gist_runtime::Executor::new_with_granularity(
-        graph,
-        mode,
-        7,
-        args.alloc,
-        args.offload,
-        args.plan,
-    )
-    .map_err(|e| e.to_string())?;
+    let mut exec = gist_runtime::Executor::new(graph, spec, 7).map_err(|e| e.to_string())?;
     if let Some(capacity) = exec.arena_capacity_bytes() {
         println!(
             "arena slab: {:.1} KB pre-planned ({} granularity)",
             capacity as f64 / 1024.0,
-            exec.plan_granularity()
+            exec.spec().plan
         );
     }
     if let Some(plan) = exec.offload_plan() {
@@ -547,29 +532,23 @@ fn run_train(graph: Graph, mode: gist_runtime::ExecMode, args: &Args) -> Result<
 fn run_train_dist<T: gist_dist::Transport>(
     placement: impl Into<gist_dist::Placement<T>>,
     graph: Graph,
-    mode: gist_runtime::ExecMode,
+    spec: ExecSpec,
     args: &Args,
 ) -> Result<(), String> {
     let shards = gist_dist::DEFAULT_SHARDS;
     let mut ds = synthetic_dataset(&graph)?;
+    // Data-parallel replicas run fully resident.
+    let spec = ExecSpec { offload: gist_runtime::OffloadMode::None, ..spec };
     let mut trainer = gist_dist::Trainer::new(placement, shards, args.grad_codec, || {
-        gist_runtime::Executor::new_with_granularity(
-            graph.clone(),
-            mode.clone(),
-            7,
-            args.alloc,
-            gist_runtime::OffloadMode::None,
-            args.plan,
-        )
+        gist_runtime::Executor::new(graph.clone(), spec.clone(), 7)
     })
     .map_err(|e| e.to_string())?;
-    let (per, total) = gist_runtime::predicted_replica_slab_bytes_granular(
-        &graph,
-        &mode,
-        trainer.replicas(),
-        args.plan,
-    )
-    .map_err(|e| e.to_string())?;
+    // Every replica runs the same per-shard graph, so each needs an
+    // identical pre-planned slab: the arena-policy peak of the lowered step.
+    let per = gist_runtime::StepProgram::lower(&graph, &spec.clone().arena())
+        .and_then(|program| program.peak_bytes(&std::collections::HashMap::new()))
+        .map_err(|e| e.to_string())?;
+    let total = per * trainer.replicas() as u64;
     println!(
         "replica slab: {:.1} KB per replica, {:.1} KB across {} replica(s) of {} ({} granularity)",
         per as f64 / 1024.0,
@@ -671,10 +650,7 @@ fn run_spawn_local(args: &Args) -> Result<(), String> {
             .args(["--batch", &args.batch.to_string()])
             .args(["--steps", &args.steps.to_string()])
             .args(["--mode", &args.mode])
-            .args([
-                "--alloc",
-                if args.alloc == gist_runtime::AllocPolicy::Arena { "arena" } else { "heap" },
-            ])
+            .args(["--alloc", args.alloc.label()])
             .args(["--plan", args.plan.label()])
             .args(["--grad-codec", args.grad_codec.label()])
             .args(["--transport", "tcp"])

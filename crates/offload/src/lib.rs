@@ -13,9 +13,9 @@
 //! - [`OffloadPlan`]: a segment planner that inspects the graph's stash
 //!   inventory, picks sqrt-N checkpoints (recompute) or swap victims
 //!   (swapping), and rewrites buffer lifetimes into an explicit, named plan
-//!   the executor and the static event predictor both iterate — the plan is
-//!   the single source of truth for every `Alloc`/`Free` the offloaded
-//!   stashes cause.
+//!   that `gist-runtime` lowers into its step program — the plan is the
+//!   single source of truth for every `Alloc`/`Free` the offloaded stashes
+//!   cause.
 //! - [`clock`]: a deterministic virtual-clock transfer engine that
 //!   simulates PCIe swap-out/swap-in (naive, vDNN-prefetch, cDMA-compressed)
 //!   over the `gist-perf` GPU/PCIe latency model, with a double-buffered

@@ -2,13 +2,12 @@
 //! recomputed, which are swapped to host — and exactly which named buffers
 //! come and go at which backward step.
 //!
-//! The plan is consumed twice, by construction identically: the executor
-//! materializes buffers from it during the backward pass, and
-//! `gist_runtime::predict` replays it statically to produce the event
-//! stream the memory oracle compares against. Every buffer a plan
+//! The plan is consumed once: `gist_runtime::StepProgram::lower` turns its
+//! triggers into the step program's swap-in and replay-step items, which
+//! the executor interprets and the predictor folds. Every buffer a plan
 //! introduces carries its *name* in the plan itself (`{node}.rstash`,
-//! `{node}.ry{segment}`, `{node}.sin`), so both sides emit byte-identical
-//! `Alloc`/`Free` streams without sharing any code with each other.
+//! `{node}.ry{segment}`, `{node}.sin`); the lowering interns those names
+//! as the program's buffers.
 
 use gist_core::Encoding;
 use gist_graph::class::is_stashed;

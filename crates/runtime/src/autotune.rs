@@ -7,7 +7,7 @@
 //! that search: short pilot trainings under each candidate, compared
 //! against an FP32 pilot on the identical sample stream.
 
-use crate::exec::ExecMode;
+use crate::spec::ExecMode;
 use crate::trainer::{train, TrainReport};
 use crate::RuntimeError;
 use gist_core::GistConfig;

@@ -185,7 +185,8 @@ pub fn load(params: &mut ParamSet, num_nodes: usize, bytes: &[u8]) -> Result<(),
 mod tests {
     use super::*;
     use crate::data::SyntheticImages;
-    use crate::exec::{ExecMode, Executor};
+    use crate::exec::Executor;
+    use crate::spec::ExecMode;
 
     #[test]
     fn roundtrip_restores_training_state_exactly() {

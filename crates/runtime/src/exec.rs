@@ -1,52 +1,29 @@
-//! The graph executor: forward/backward with runtime encode/decode.
+//! The graph executor: interprets a lowered [`StepProgram`] for values —
+//! forward/backward with runtime encode/decode, every buffer's life played
+//! from the program's memory ops.
 
 use crate::params::{sgd_update, NodeParams, ParamGrads, ParamSet};
+use crate::program::{
+    Block, BufId, Bytes, Item, MemOp, Slot, StashSite, StepProgram, Target, Work,
+};
+use crate::spec::{AllocPolicy, ExecMode, ExecSpec};
 use crate::RuntimeError;
-use gist_core::{Encoding, GistConfig};
+use gist_core::Encoding;
 use gist_encodings::csr::SsdcConfig;
 use gist_encodings::dpr::DprBuffer;
-use gist_encodings::{BitMask, CsrMatrix, DprFormat, TransferCodec, Wire};
-use gist_graph::{Graph, Node, NodeId, OpKind, Schedule};
-use gist_memory::{align_arena, Arena, PlanGranularity};
+use gist_encodings::{BitMask, CsrMatrix, TransferCodec, Wire};
+use gist_graph::{Graph, Node, NodeId, OpKind};
+use gist_memory::{Arena, PlanGranularity};
 use gist_obs::{Event, NullRecorder, Phase, Recorder};
-use gist_offload::{Action, HostStore, OffloadMode, OffloadPlan, StashDisposition, SwapStrategy};
+use gist_offload::{HostStore, OffloadMode, OffloadPlan, SwapStrategy};
 use gist_par::parallel_map;
 use gist_tensor::ops::batchnorm::BatchNormCache;
 use gist_tensor::ops::{batchnorm, conv, dropout, elementwise, linear, lrn, pool, relu, softmax};
 use gist_tensor::{Shape, Tensor};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::ops::Deref;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// How the executor stashes feature maps for the backward pass.
-#[derive(Debug, Clone)]
-pub enum ExecMode {
-    /// FP32 stashes everywhere (the CNTK baseline).
-    Baseline,
-    /// Gist encodings chosen by the Schedule Builder's policy.
-    Gist(GistConfig),
-    /// The Figure 12 strawman: every feature map and gradient map is
-    /// quantized to the given format *immediately* when produced, so
-    /// quantization error propagates through the forward pass.
-    UniformImmediate(DprFormat),
-}
-
-/// Where the executor's step buffers live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocPolicy {
-    /// Every buffer is a fresh heap allocation (the original discipline);
-    /// kept as the differential-testing reference for the arena.
-    #[default]
-    Heap,
-    /// All step buffers resolve to planned offsets inside one slab packed
-    /// by `gist-memory` before the first kernel runs. Event sizes are
-    /// [`align_arena`]-rounded reservations; SSDC stash regions reserve the
-    /// data-independent worst case. Wave execution is serialized in event
-    /// order so the plan's event-time disjointness implies real-time
-    /// safety for the shared storage.
-    Arena,
-}
 
 /// A stashed feature map in whatever form the mode selected.
 ///
@@ -57,43 +34,25 @@ pub enum AllocPolicy {
 #[derive(Debug, Clone)]
 enum Stash {
     Dense(Tensor),
-    Bits(BitMask, Shape),
+    Bits(BitMask),
     Sparse(CsrMatrix, Shape),
     Reduced(DprBuffer, Shape),
-}
-
-/// A stash materialized for a backward read: either a zero-copy borrow of a
-/// dense stash or an owned/viewed decode buffer.
-enum Decoded<'a> {
-    Borrowed(&'a Tensor),
-    Owned(Tensor),
-}
-
-impl Deref for Decoded<'_> {
-    type Target = Tensor;
-
-    fn deref(&self) -> &Tensor {
-        match self {
-            Decoded::Borrowed(t) => t,
-            Decoded::Owned(t) => t,
-        }
-    }
 }
 
 impl Stash {
     /// Dense stashes are borrowed in place — the backward pass only reads
     /// them, so the old decode-by-clone was a needless full copy.
-    fn decoded(&self) -> Decoded<'_> {
+    fn decoded(&self) -> Cow<'_, Tensor> {
         match self {
-            Stash::Dense(t) => Decoded::Borrowed(t),
-            Stash::Bits(_, _) => {
+            Stash::Dense(t) => Cow::Borrowed(t),
+            Stash::Bits(_) => {
                 unreachable!("binarized stashes are consumed via relu_backward, never decoded")
             }
             Stash::Sparse(c, s) => {
-                Decoded::Owned(Tensor::from_vec(*s, c.decode()).expect("csr decode length"))
+                Cow::Owned(Tensor::from_vec(*s, c.decode()).expect("csr decode length"))
             }
             Stash::Reduced(b, s) => {
-                Decoded::Owned(Tensor::from_vec(*s, b.decode()).expect("dpr decode length"))
+                Cow::Owned(Tensor::from_vec(*s, b.decode()).expect("dpr decode length"))
             }
         }
     }
@@ -101,7 +60,7 @@ impl Stash {
     fn encoded_bytes(&self) -> usize {
         match self {
             Stash::Dense(t) => t.numel() * 4,
-            Stash::Bits(m, _) => m.encoded_bytes(),
+            Stash::Bits(m) => m.encoded_bytes(),
             Stash::Sparse(c, _) => c.encoded_bytes(),
             Stash::Reduced(b, _) => b.encoded_bytes(),
         }
@@ -112,7 +71,7 @@ impl Stash {
     fn codec_label(&self) -> Option<&'static str> {
         match self {
             Stash::Dense(_) => None,
-            Stash::Bits(_, _) => Some("binarize"),
+            Stash::Bits(_) => Some("binarize"),
             Stash::Sparse(_, _) => Some("ssdc"),
             Stash::Reduced(_, _) => Some("dpr"),
         }
@@ -166,15 +125,12 @@ struct NodeOut {
 }
 
 /// One node's backward contribution. Computed (possibly concurrently) per
-/// wave, then merged sequentially in descending node-id order so gradient
+/// block, then merged sequentially in program order so gradient
 /// accumulation has one fixed order at every thread count.
 struct BwdOut {
     pgrads: Option<ParamGrads>,
-    /// `(producer, gradient)` pairs to accumulate, in input order.
-    contrib: Vec<(NodeId, Tensor)>,
-    /// Largest short-lived decode buffer this node's backward needed; zero
-    /// when every stashed input was dense (borrowed in place, no copy).
-    transient: usize,
+    /// One gradient per backward target, in target order.
+    contrib: Vec<Tensor>,
     /// Compute start, nanoseconds since the step epoch.
     t0_ns: u64,
     /// Compute duration in nanoseconds.
@@ -184,8 +140,45 @@ struct BwdOut {
     decodes: Vec<(NodeId, &'static str, u64, u64)>,
 }
 
-/// All per-step mutable state, bundled so the compute/absorb split can pass
-/// it around without a dozen loose locals.
+/// What an item's compute phase hands to its merge.
+enum Out {
+    Forward(NodeOut),
+    Backward(BwdOut),
+    /// The item's work mutates step state, so it runs inside its merge.
+    Deferred,
+}
+
+/// The minibatch and clock of one step — everything a (possibly pooled)
+/// compute reads besides the step state.
+struct Batch<'a> {
+    images: &'a Tensor,
+    labels: &'a [usize],
+    epoch: Instant,
+    /// The recorder's `enabled()` answer, hoisted: an untraced step never
+    /// builds an event or notes a codec decode.
+    traced: bool,
+}
+
+/// A step's batch plus its recorder — what the sequential merges see.
+struct Step<'a> {
+    batch: Batch<'a>,
+    rec: &'a dyn Recorder,
+}
+
+impl Step<'_> {
+    fn emit(&self, event: impl FnOnce() -> Event) {
+        if self.batch.traced {
+            self.rec.record(event());
+        }
+    }
+
+    fn span(&self, name: &str, phase: Phase, wave: u32, lane: usize, ts_ns: u64, dur_ns: u64) {
+        let name = || name.to_string();
+        self.emit(|| Event::Span { name: name(), phase, wave, lane: lane as u32, ts_ns, dur_ns });
+    }
+}
+
+/// All per-step mutable state.
 struct StepState {
     fmaps: Vec<Option<Tensor>>,
     stashes: Vec<Option<Stash>>,
@@ -196,11 +189,19 @@ struct StepState {
     correct: usize,
     relu_sparsity: Vec<(String, f64)>,
     meter: MemMeter,
-    cursor: usize,
-    last_use_pos: Vec<usize>,
     grads: Vec<Option<Tensor>>,
     pgrads: Vec<Option<ParamGrads>>,
     swap_transfers: Vec<(String, bool, u64)>,
+    /// Feature maps local to the recompute segment being replayed (empty
+    /// outside one).
+    rmaps: Vec<Option<Tensor>>,
+    /// Debug builds only (empty otherwise): which buffers are inside their
+    /// program lifetime — between the `Alloc` and the `Free`/`Transient`
+    /// the interpreter plays for them. Every arena view and every poison
+    /// asserts against it, so an interpreter that strays outside the
+    /// lowered lifetimes fails even though `observed == predicted` holds
+    /// by construction.
+    live: Vec<bool>,
 }
 
 /// Per-minibatch statistics.
@@ -241,66 +242,24 @@ impl StepStats {
     }
 }
 
-/// Per-node buffer names, built once at construction so the per-step hot
-/// path (arena region lookups, debug poisoning, event emission) never
-/// formats strings on the heap.
-#[derive(Debug)]
-struct BufNames {
-    y: String,
-    stash: String,
-    dy: String,
-    dec: String,
-    /// One `{node}.dx{k}` gradient side region per backward target (arena
-    /// policy only): backward kernels land contributions directly in these
-    /// planned regions instead of fresh heap tensors.
-    dx: Vec<String>,
-}
-
-/// Executes training steps over a graph under a stash mode.
+/// Executes training steps over a graph under an [`ExecSpec`].
 #[derive(Debug)]
 pub struct Executor {
     graph: Graph,
-    shapes: Vec<Shape>,
-    mode: ExecMode,
-    encodings: Vec<Encoding>,
+    spec: ExecSpec,
+    /// The lowered step: every buffer lifetime, the wave order, the
+    /// offload plan and the inferred shapes live here and nowhere else.
+    program: StepProgram,
     seed: u64,
     /// Minibatches executed so far; also salts the per-step dropout masks.
     step_counter: u64,
-    policy: AllocPolicy,
-    /// Lifetime granularity the arena plan was packed at. Under
-    /// [`PlanGranularity::Wave`] every buffer of a wave is planned
-    /// concurrently live, so the executor may run arena waves on the
-    /// `gist-par` pool exactly as the heap policy does. A no-op under the
-    /// heap policy, whose buffers are independent heap allocations.
-    granularity: PlanGranularity,
-    /// The pre-planned slab every step executes out of (arena policy only).
+    /// The slab every step executes out of (arena policy only), packed
+    /// from the program's own event fold before the first kernel runs.
     arena: Option<Arena>,
-    /// Planned per-node stash reservations (arena policy only): the event
-    /// and meter size for `{node}.stash`, matching the region the plan
-    /// packed, which for SSDC is a data-independent worst-case bound.
-    planned_stash: Vec<u64>,
-    /// Precomputed `{node}.y` / `.stash` / `.dy` / `.dec` / `.dx{k}` names.
-    names: Vec<BufNames>,
-    /// Precomputed backward targets (the producers each node's backward
-    /// contributes a gradient to), so the per-step hot path never rebuilds
-    /// the per-op target list on the heap.
-    targets: Vec<Vec<NodeId>>,
-    /// The offload mechanism this executor runs under.
-    offload: OffloadMode,
-    /// The offload plan, present only when it actually changes something
-    /// relative to fully-resident execution. The executor and the static
-    /// predictor iterate the *same* plan, so their event streams agree.
-    oplan: Option<OffloadPlan>,
     /// Host "pinned" slots for swapped-out stashes (swap modes only).
-    /// Behind a mutex because forward waves store into it from the
-    /// sequential absorb loop while `&self` is shared with worker threads.
+    /// Behind a mutex because forward merges store into it while `&self`
+    /// is shared with worker threads.
     host: Option<Mutex<HostStore>>,
-    /// The codec swapped stashes ride through on the (virtual) bus. `None`
-    /// for dense swap strategies; the executed cDMA path SSDC-encodes each
-    /// stash on its way to the host store and decodes it — bit-exactly —
-    /// on swap-in, so the traffic the trace reports is the traffic a
-    /// compressing DMA engine would actually move.
-    swap_codec: Option<TransferCodec>,
     /// Reusable backward scratch (im2col columns and matmul temporaries),
     /// so steady-state steps stop heap-allocating per-image scratch.
     scratch: gist_tensor::ScratchPool,
@@ -309,69 +268,68 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Builds a heap-policy executor, initializing parameters
-    /// deterministically.
+    /// Builds an executor for `graph` under `spec`, initializing parameters
+    /// deterministically. An [`ExecMode`] converts into the all-default
+    /// spec (heap policy, resident), so `Executor::new(graph, mode, seed)`
+    /// is the plain reference executor.
+    ///
+    /// Under [`AllocPolicy::Arena`] the lowered program's event stream is
+    /// packed into offsets and backed by one slab — the whole training loop
+    /// then runs inside that pre-planned arena, serialized per wave under
+    /// [`PlanGranularity::Event`] and on the `gist-par` pool under
+    /// [`PlanGranularity::Wave`] (which trades slab bytes for wall-clock).
+    /// Offload composes with every mode and both policies: recompute drops
+    /// dense stashes and rebuilds them by re-running forward kernels at
+    /// their first backward use; swap copies them to host pinned memory and
+    /// fetches them back just before that use. Every combination trains
+    /// bit-identically.
     ///
     /// # Errors
     ///
-    /// Returns an error if the graph fails shape inference.
-    pub fn new(graph: Graph, mode: ExecMode, seed: u64) -> Result<Self, RuntimeError> {
-        Self::new_with_policy(graph, mode, seed, AllocPolicy::Heap)
+    /// Returns an error if the graph fails shape inference, or
+    /// [`RuntimeError::Trace`] if the program's stream cannot be lifted
+    /// into an arena.
+    pub fn new(graph: Graph, spec: impl Into<ExecSpec>, seed: u64) -> Result<Self, RuntimeError> {
+        let spec = spec.into();
+        let program = StepProgram::lower(&graph, &spec)?;
+        let params = ParamSet::init(&graph, seed)?;
+        let host = match (&program.oplan, spec.offload) {
+            (Some(plan), OffloadMode::Swap(_)) => {
+                Some(Mutex::new(HostStore::new(&plan.host_slots)))
+            }
+            _ => None,
+        };
+        let arena = match spec.alloc {
+            AllocPolicy::Heap => None,
+            AllocPolicy::Arena => Some(
+                Arena::from_events_granular(
+                    &program.events(&HashMap::new())?,
+                    spec.plan,
+                    &program.wave_groups(),
+                )
+                .map_err(|e| RuntimeError::Trace(format!("arena build: {e}")))?,
+            ),
+        };
+        Ok(Executor {
+            graph,
+            spec,
+            program,
+            seed,
+            step_counter: 0,
+            arena,
+            host,
+            scratch: gist_tensor::ScratchPool::new(),
+            params,
+        })
     }
 
-    /// [`Executor::new`] with an explicit allocation policy. Under
-    /// [`AllocPolicy::Arena`] the step's memory-event stream is predicted
-    /// up front, packed into offsets, and backed by one slab — the whole
-    /// training loop then runs inside that pre-planned arena.
+    /// [`Executor::new`] with the spec spelled as four positional axes.
+    /// Kept for `benchmark/`; a later `benchmark` PR moves it to
+    /// [`ExecSpec`] and deletes this.
     ///
     /// # Errors
     ///
-    /// As for [`Executor::new`], plus [`RuntimeError::Trace`] if the
-    /// predicted stream cannot be lifted into an arena.
-    pub fn new_with_policy(
-        graph: Graph,
-        mode: ExecMode,
-        seed: u64,
-        policy: AllocPolicy,
-    ) -> Result<Self, RuntimeError> {
-        Self::new_with_offload(graph, mode, seed, policy, OffloadMode::None)
-    }
-
-    /// [`Executor::new_with_policy`] with an offload mechanism: recompute
-    /// drops dense stashes and rebuilds them by re-running forward kernels
-    /// at their first backward use; swap copies them to host pinned memory
-    /// and fetches them back just before that use. Both compose with every
-    /// `ExecMode` (encoded stashes always stay resident) and both
-    /// allocation policies, and both train bit-identically to resident
-    /// execution.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Executor::new_with_policy`].
-    pub fn new_with_offload(
-        graph: Graph,
-        mode: ExecMode,
-        seed: u64,
-        policy: AllocPolicy,
-        offload: OffloadMode,
-    ) -> Result<Self, RuntimeError> {
-        Self::new_with_granularity(graph, mode, seed, policy, offload, PlanGranularity::Event)
-    }
-
-    /// [`Executor::new_with_offload`] with an explicit plan granularity.
-    ///
-    /// Under [`PlanGranularity::Event`] arena lifetimes are tick-exact and
-    /// arena waves are serialized (event-time disjointness is only sound in
-    /// event order). Under [`PlanGranularity::Wave`] the plan treats every
-    /// buffer of a wave as concurrently live, so the executor runs
-    /// multi-node arena waves on the `gist-par` pool — trading slab bytes
-    /// for wall-clock exactly like the heap policy's parallelism, with
-    /// bitwise-identical training results. The granularity is ignored under
-    /// the heap policy.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Executor::new_with_policy`].
+    /// As for [`Executor::new`].
     pub fn new_with_granularity(
         graph: Graph,
         mode: ExecMode,
@@ -380,105 +338,24 @@ impl Executor {
         offload: OffloadMode,
         granularity: PlanGranularity,
     ) -> Result<Self, RuntimeError> {
-        let shapes = graph.infer_shapes()?;
-        let params = ParamSet::init(&graph, seed)?;
-        let encodings = match &mode {
-            ExecMode::Gist(cfg) => {
-                let assignments = gist_core::policy::assign(&graph, cfg);
-                let mut per_node = vec![Encoding::None; graph.len()];
-                for a in assignments {
-                    per_node[a.node.index()] = a.encoding;
-                }
-                per_node
-            }
-            _ => vec![Encoding::None; graph.len()],
-        };
-        let oplan = match offload {
-            OffloadMode::None => None,
-            _ => {
-                let plan = OffloadPlan::plan(&graph, &encodings, offload)?;
-                plan.has_offload_work().then_some(plan)
-            }
-        };
-        let host = match (&oplan, offload) {
-            (Some(plan), OffloadMode::Swap(_)) => {
-                Some(Mutex::new(HostStore::new(&plan.host_slots)))
-            }
-            _ => None,
-        };
-        let swap_codec = match (&host, offload) {
-            (Some(_), OffloadMode::Swap(SwapStrategy::Cdma { .. })) => Some(TransferCodec::Ssdc),
-            _ => None,
-        };
-        let (arena, planned_stash) = match policy {
-            AllocPolicy::Heap => (None, Vec::new()),
-            AllocPolicy::Arena => {
-                let (events, groups) = crate::predict::predict_step_events_granular(
-                    &graph,
-                    &mode,
-                    AllocPolicy::Arena,
-                    &HashMap::new(),
-                    oplan.as_ref(),
-                    granularity,
-                )?;
-                let arena = Arena::from_events_granular(&events, granularity, &groups)
-                    .map_err(|e| RuntimeError::Trace(format!("arena build: {e}")))?;
-                let planned: Vec<u64> = graph
-                    .nodes()
-                    .iter()
-                    .map(|nd| {
-                        if gist_graph::class::is_stashed(&graph, nd.id) {
-                            align_arena(crate::predict::static_stash_bytes(
-                                shapes[nd.id.index()].numel() as u64,
-                                &mode,
-                                encodings[nd.id.index()],
-                            ))
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                (Some(arena), planned)
-            }
-        };
-        let targets: Vec<Vec<NodeId>> = graph.nodes().iter().map(Self::backward_targets).collect();
-        let names = graph
-            .nodes()
-            .iter()
-            .zip(&targets)
-            .map(|(nd, tg)| BufNames {
-                y: format!("{}.y", nd.name),
-                stash: format!("{}.stash", nd.name),
-                dy: format!("{}.dy", nd.name),
-                dec: format!("{}.dec", nd.name),
-                dx: (0..tg.len()).map(|k| format!("{}.dx{k}", nd.name)).collect(),
-            })
-            .collect();
-        Ok(Executor {
-            graph,
-            shapes,
-            mode,
-            encodings,
-            seed,
-            step_counter: 0,
-            policy,
-            granularity,
-            arena,
-            planned_stash,
-            names,
-            targets,
-            offload,
-            oplan,
-            host,
-            swap_codec,
-            scratch: gist_tensor::ScratchPool::new(),
-            params,
-        })
+        Self::new(graph, ExecSpec { mode, alloc: policy, plan: granularity, offload }, seed)
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
+    }
+
+    /// The configuration this executor runs under.
+    pub fn spec(&self) -> &ExecSpec {
+        &self.spec
+    }
+
+    /// The lowered step this executor interprets; folding it
+    /// ([`StepProgram::events`]) predicts the memory events of a traced
+    /// step exactly.
+    pub fn program(&self) -> &StepProgram {
+        &self.program
     }
 
     /// Number of minibatches executed so far.
@@ -495,17 +372,6 @@ impl Executor {
         self.step_counter = steps;
     }
 
-    /// The allocation policy this executor runs under.
-    pub fn alloc_policy(&self) -> AllocPolicy {
-        self.policy
-    }
-
-    /// The plan granularity the executor (and its arena plan, if any) runs
-    /// under.
-    pub fn plan_granularity(&self) -> PlanGranularity {
-        self.granularity
-    }
-
     /// The packed slab steps execute out of (arena policy only).
     pub fn arena(&self) -> Option<&Arena> {
         self.arena.as_ref()
@@ -516,14 +382,9 @@ impl Executor {
         self.arena.as_ref().map(Arena::capacity_bytes)
     }
 
-    /// The offload mechanism this executor runs under.
-    pub fn offload_mode(&self) -> OffloadMode {
-        self.offload
-    }
-
     /// The offload plan, when the mode actually offloads anything.
     pub fn offload_plan(&self) -> Option<&OffloadPlan> {
-        self.oplan.as_ref()
+        self.program.oplan.as_ref()
     }
 
     /// Host pinned bytes held for swapped-out stashes (swap modes only).
@@ -538,105 +399,63 @@ impl Executor {
         self.scratch.counters()
     }
 
-    /// The producers a node's backward pass contributes a gradient to, in
-    /// the order the backward kernels emit them. Empty for inputs (no
-    /// backward) — and therefore the length of the node's `.dx{k}` name and
-    /// side-region lists.
-    fn backward_targets(node: &Node) -> Vec<NodeId> {
-        match &node.op {
-            OpKind::Input(_) => Vec::new(),
-            OpKind::Add => vec![node.inputs[0], node.inputs[1]],
-            OpKind::Concat => node.inputs.clone(),
-            _ => vec![node.inputs[0]],
-        }
+    /// The codec swapped stashes ride through on the (virtual) bus. `None`
+    /// for dense swap strategies; the executed cDMA path SSDC-encodes each
+    /// stash on its way to the host store and decodes it — bit-exactly —
+    /// on swap-in, so the traffic the trace reports is the traffic a
+    /// compressing DMA engine would actually move.
+    fn swap_codec(&self) -> Option<TransferCodec> {
+        let cdma = matches!(self.spec.offload, OffloadMode::Swap(SwapStrategy::Cdma { .. }));
+        cdma.then_some(TransferCodec::Ssdc)
     }
 
-    /// Planned size of the node's backward decode buffer (`{node}.dec`), or
-    /// `None` when its backward decodes nothing — the static mirror of
-    /// [`Executor::decode_stash`]'s transient, used by the wave-granular
-    /// entry/free blocks whose events must be emitted before the compute
-    /// that would measure it.
-    fn dec_bytes_static(&self, id: NodeId) -> Option<u64> {
-        let node = self.graph.node(id);
-        match &node.op {
-            OpKind::SoftmaxLoss
-            | OpKind::Conv { .. }
-            | OpKind::Linear { .. }
-            | OpKind::BatchNorm
-            | OpKind::Lrn(_)
-                if matches!(
-                    self.encodings[node.inputs[0].index()],
-                    Encoding::Ssdc { .. } | Encoding::Dpr(_)
-                ) =>
-            {
-                Some(self.ev_bytes(self.shapes[node.inputs[0].index()].numel() * 4))
-            }
-            _ => None,
-        }
+    fn shape(&self, id: NodeId) -> Shape {
+        self.program.shapes[id.index()]
     }
 
-    /// What the plan says happens to this node's stash (Resident when no
-    /// plan is active).
-    fn stash_disposition(&self, id: NodeId) -> StashDisposition {
-        self.oplan.as_ref().map_or(StashDisposition::Resident, |p| p.disposition[id.index()])
+    /// `buf`'s planned region as a tensor of `shape` (arena policy), or
+    /// `None` on the heap. In debug builds, asserts `buf` is inside its
+    /// program lifetime — the precondition that makes handing out an
+    /// aliasing view of the shared slab sound.
+    fn view(
+        &self,
+        st: &StepState,
+        buf: BufId,
+        shape: Shape,
+    ) -> Result<Option<Tensor>, RuntimeError> {
+        let Some(arena) = &self.arena else {
+            return Ok(None);
+        };
+        let name = &self.program.bufs[buf].name;
+        debug_assert!(st.live[buf], "view of {name} outside its program lifetime");
+        arena.view(name, shape).map(Some).map_err(|e| RuntimeError::Trace(format!("arena: {e}")))
     }
 
-    /// The name a node's stash is freed (and its arena region looked up)
-    /// under: the plan's swap-slot / rebuilt-stash name for offloaded
-    /// stashes, the default `{node}.stash` otherwise.
-    fn stash_free_name(&self, id: NodeId) -> &str {
-        self.oplan
-            .as_ref()
-            .and_then(|p| p.stash_free_name[id.index()].as_deref())
-            .unwrap_or(&self.names[id.index()].stash)
-    }
-
-    /// Event/meter size of a plain buffer: exact on the heap, the aligned
-    /// arena reservation under the arena policy.
-    fn ev_bytes(&self, bytes: usize) -> u64 {
-        match self.policy {
-            AllocPolicy::Heap => bytes as u64,
-            AllocPolicy::Arena => align_arena(bytes as u64),
-        }
-    }
-
-    /// Event/meter size of a node's stash: actual encoded bytes on the
-    /// heap, the planned (worst-case, aligned) reservation in the arena.
-    fn stash_event_bytes(&self, id: NodeId, stash: &Stash) -> u64 {
-        match self.policy {
-            AllocPolicy::Heap => stash.encoded_bytes() as u64,
-            AllocPolicy::Arena => self.planned_stash[id.index()],
-        }
-    }
-
-    /// Debug-poisons a freed buffer's arena region with NaN so any stale
-    /// read downstream fails loudly instead of silently consuming reused
-    /// bytes. No-op on the heap policy and in release builds.
-    fn poison_region(&self, name: &str) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        if let Some(arena) = &self.arena {
-            // SAFETY: callers poison a region only right after emitting its
-            // Free/Transient-expiry — no live view of it remains, and every
-            // later writer of an overlapping region fully overwrites it.
-            unsafe { arena.poison(name).expect("freed buffer has a planned region") }
-        }
+    /// The tensor a kernel writes `buf` through: its planned region under
+    /// the arena policy (which may hold poison or a previous step's bytes —
+    /// every `_into` kernel fully overwrites), a fresh allocation on the
+    /// heap (what the alloc-returning kernels do internally anyway).
+    fn buffer(&self, st: &StepState, buf: BufId, shape: Shape) -> Result<Tensor, RuntimeError> {
+        Ok(self.view(st, buf, shape)?.unwrap_or_else(|| Tensor::zeros(shape)))
     }
 
     fn quantize_immediate(&self, t: &mut Tensor) {
-        if let ExecMode::UniformImmediate(f) = &self.mode {
+        if let ExecMode::UniformImmediate(f) = &self.spec.mode {
             for v in t.data_mut() {
                 *v = f.quantize(*v);
             }
         }
     }
 
-    fn make_stash(&self, id: NodeId, y: &Tensor) -> Result<Stash, RuntimeError> {
-        Ok(match (&self.mode, self.encodings[id.index()]) {
-            (ExecMode::Gist(_), Encoding::Binarize) => {
-                Stash::Bits(BitMask::encode(y.data()), y.shape())
-            }
+    fn make_stash(
+        &self,
+        st: &StepState,
+        id: NodeId,
+        buf: BufId,
+        y: &Tensor,
+    ) -> Result<Stash, RuntimeError> {
+        Ok(match (&self.spec.mode, self.program.encodings[id.index()]) {
+            (ExecMode::Gist(_), Encoding::Binarize) => Stash::Bits(BitMask::encode(y.data())),
             (ExecMode::Gist(cfg), Encoding::Ssdc { .. }) => {
                 let ssdc = SsdcConfig { narrow: true, value_format: cfg.dpr };
                 Stash::Sparse(CsrMatrix::encode(y.data(), ssdc), y.shape())
@@ -644,120 +463,85 @@ impl Executor {
             (ExecMode::Gist(cfg), Encoding::Dpr(f)) => {
                 Stash::Reduced(DprBuffer::encode_with(f, y.data(), cfg.rounding), y.shape())
             }
-            _ => match &self.arena {
-                Some(arena) => {
-                    let mut v = arena
-                        .view(&self.names[id.index()].stash, y.shape())
-                        .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?;
+            _ => Stash::Dense(match self.view(st, buf, y.shape())? {
+                Some(mut v) => {
                     v.copy_from(y);
-                    Stash::Dense(v)
+                    v
                 }
-                None => Stash::Dense(y.clone()),
-            },
+                None => y.clone(),
+            }),
         })
     }
 
     /// Materializes a stashed producer for a backward read. Dense stashes
-    /// are borrowed in place (zero copy, zero transient); encoded stashes
-    /// decode into the consuming node's planned `.dec` region under the
-    /// arena policy, or a fresh heap buffer on the heap policy. Returns the
-    /// value, the transient scratch bytes it needed, and the Decode trace
-    /// record (for codec stashes).
-    #[allow(clippy::type_complexity)]
+    /// are borrowed in place (zero copy, no decode buffer); encoded stashes
+    /// decode into the consuming item's `dec` buffer, noting the decode in
+    /// `decodes` when the step is traced.
     fn decode_stash<'s>(
         &self,
-        stashes: &'s [Option<Stash>],
+        st: &'s StepState,
         pid: NodeId,
-        dec_name: &str,
-    ) -> Result<(Decoded<'s>, usize, Option<(NodeId, &'static str, u64, u64)>), RuntimeError> {
-        let s = stashes[pid.index()].as_ref().expect("stash present for backward");
-        if matches!(s, Stash::Dense(_)) {
-            return Ok((s.decoded(), 0, None));
-        }
-        let decoded = match &self.arena {
-            Some(arena) => {
-                let shape = match s {
-                    Stash::Sparse(_, sh) | Stash::Reduced(_, sh) => *sh,
-                    _ => unreachable!("binarized stashes are never decoded here"),
-                };
-                let mut t = arena
-                    .view(dec_name, shape)
-                    .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?;
-                match s {
-                    Stash::Sparse(c, _) => c.decode_into(t.data_mut()),
-                    Stash::Reduced(b, _) => b.decode_into(t.data_mut()),
-                    _ => unreachable!(),
-                }
-                Decoded::Owned(t)
+        dec: Option<BufId>,
+        decodes: Option<&mut Vec<(NodeId, &'static str, u64, u64)>>,
+    ) -> Result<Cow<'s, Tensor>, RuntimeError> {
+        let s = st.stashes[pid.index()].as_ref().expect("stash present for backward");
+        let shape = match s {
+            Stash::Dense(t) => return Ok(Cow::Borrowed(t)),
+            Stash::Sparse(_, sh) | Stash::Reduced(_, sh) => *sh,
+            Stash::Bits(..) => {
+                unreachable!("binarized stashes are consumed via relu_backward, never decoded")
             }
-            None => s.decoded(),
         };
-        let raw = decoded.numel() * 4;
-        let codec = s.codec_label().expect("encoded stash has a codec");
-        Ok((decoded, raw, Some((pid, codec, raw as u64, s.encoded_bytes() as u64))))
+        let dec = dec.expect("lowering plans a decode buffer for every encoded read");
+        let mut t = self.buffer(st, dec, shape)?;
+        match s {
+            Stash::Sparse(c, _) => c.decode_into(t.data_mut()),
+            Stash::Reduced(b, _) => b.decode_into(t.data_mut()),
+            _ => unreachable!(),
+        }
+        if let Some(decodes) = decodes {
+            let codec = s.codec_label().expect("encoded stash has a codec");
+            decodes.push((pid, codec, (t.numel() * 4) as u64, s.encoded_bytes() as u64));
+        }
+        Ok(Cow::Owned(t))
     }
 
-    /// The forward stash site, shared by [`Executor::absorb_forward`] and
-    /// the inplace-ReLU branch: materialize and meter the stash for
-    /// resident dispositions, skip it entirely for dropped ones, or copy it
-    /// out to the host store (a [`Event::Transfer`], not a memory event —
-    /// the bytes leave the device) for swapped ones.
-    /// `emit_alloc` is false only inside a wave-granular forward block,
-    /// where the stash's Alloc event and meter traffic were already issued
-    /// by the wave's entry block (the Encode event still fires here — it is
-    /// not a memory event and carries the data-dependent encoded size).
-    #[allow(clippy::too_many_arguments)]
+    /// The forward stash site: materialize the stash in its buffer for
+    /// resident dispositions, or copy it out to the host store (a
+    /// [`Event::Transfer`], not a memory event — the bytes leave the
+    /// device) for swapped ones. The stash's `Alloc` is the program's.
     fn stash_forward(
         &self,
         st: &mut StepState,
         id: NodeId,
+        site: StashSite,
         y: &Tensor,
-        rec: &dyn Recorder,
-        on: bool,
-        epoch: &Instant,
-        emit_alloc: bool,
+        cx: &Step,
     ) -> Result<(), RuntimeError> {
-        if !gist_graph::class::is_stashed(&self.graph, id) {
-            return Ok(());
-        }
-        let node = self.graph.node(id);
-        match self.stash_disposition(id) {
-            StashDisposition::Resident => {
-                let stash = self.make_stash(id, y)?;
-                let stash_bytes = self.stash_event_bytes(id, &stash);
-                if emit_alloc {
-                    st.meter.alloc(stash_bytes as usize);
-                }
-                if on {
-                    if let Some(codec) = stash.codec_label() {
-                        rec.record(Event::Encode {
-                            name: node.name.clone(),
-                            codec: codec.to_string(),
-                            raw_bytes: (y.numel() * 4) as u64,
-                            encoded_bytes: stash.encoded_bytes() as u64,
-                        });
-                    }
-                    if emit_alloc {
-                        rec.record(Event::Alloc {
-                            name: self.names[id.index()].stash.clone(),
-                            bytes: stash_bytes,
-                        });
-                    }
+        let name = &self.graph.node(id).name;
+        match site {
+            StashSite::None => {}
+            StashSite::Resident(buf) => {
+                let stash = self.make_stash(st, id, buf, y)?;
+                if let Some(codec) = stash.codec_label() {
+                    cx.emit(|| Event::Encode {
+                        name: name.clone(),
+                        codec: codec.to_string(),
+                        raw_bytes: (y.numel() * 4) as u64,
+                        encoded_bytes: stash.encoded_bytes() as u64,
+                    });
                 }
                 st.stashes[id.index()] = Some(stash);
             }
-            // Recompute will rebuild this stash in the backward pass (or
-            // nothing ever reads it): no device bytes, no events.
-            StashDisposition::Dropped => {}
-            StashDisposition::Swapped => {
-                let t0_ns = elapsed_ns(epoch);
+            StashSite::Swap => {
+                let ts_ns = elapsed_ns(&cx.batch.epoch);
                 let mut host = self
                     .host
                     .as_ref()
                     .expect("swap plan has a host store")
                     .lock()
                     .expect("host store lock");
-                let wire_bytes = match self.swap_codec {
+                let bytes = match self.swap_codec() {
                     Some(codec) => {
                         let wire = Wire::encode(codec, y.data());
                         let bytes = wire.wire_bytes();
@@ -770,39 +554,33 @@ impl Executor {
                     }
                 };
                 drop(host);
-                st.swap_transfers.push((node.name.clone(), true, wire_bytes));
-                if on {
-                    rec.record(Event::Transfer {
-                        name: node.name.clone(),
-                        to_host: true,
-                        bytes: wire_bytes,
-                        ts_ns: t0_ns,
-                        dur_ns: elapsed_ns(epoch).saturating_sub(t0_ns),
-                    });
-                }
+                st.swap_transfers.push((name.clone(), true, bytes));
+                cx.emit(|| Event::Transfer {
+                    name: name.clone(),
+                    to_host: true,
+                    bytes,
+                    ts_ns,
+                    dur_ns: elapsed_ns(&cx.batch.epoch).saturating_sub(ts_ns),
+                });
             }
         }
         Ok(())
     }
 
-    /// Computes one node's forward output from already-materialized inputs.
+    /// Computes one node's forward output from already-materialized inputs
+    /// into `y` (see [`Executor::buffer`]).
     ///
-    /// Pure with respect to the executor: nodes of one wave never read each
-    /// other's outputs (the wave invariant), so the scheduler may run them
-    /// concurrently against a shared `fmaps` view — except under the arena
-    /// policy, where the caller passes the node's planned output region as
-    /// `out` and serializes the wave so writes into the shared slab follow
-    /// the planned event order.
+    /// Pure with respect to the executor: nodes of one block never read
+    /// each other's outputs (the wave invariant), so a concurrent block's
+    /// items may run against a shared `fmaps` view.
     fn compute_forward(
         &self,
         node: &Node,
         fmaps: &[Option<Tensor>],
-        images: &Tensor,
-        labels: &[usize],
-        epoch: &Instant,
-        out: Option<Tensor>,
+        step: &Batch,
+        mut y: Tensor,
     ) -> Result<NodeOut, RuntimeError> {
-        let t0_ns = elapsed_ns(epoch);
+        let t0_ns = elapsed_ns(&step.epoch);
         let id = node.id;
         let input = |i: usize| -> &Tensor {
             fmaps[node.inputs[i].index()].as_ref().expect("producer already executed")
@@ -811,123 +589,51 @@ impl Executor {
         let mut bn = None;
         let mut mask = None;
         let mut loss = None;
-        let y = match out {
-            None => match &node.op {
-                OpKind::Input(_) => images.clone(),
-                OpKind::Conv { params: cp, .. } => {
-                    let Some(NodeParams::Conv { weight, bias }) = self.params.get(id.index())
-                    else {
-                        unreachable!("conv has params")
-                    };
-                    conv::forward(input(0), weight, bias.as_ref(), *cp)?
-                }
-                OpKind::Relu => relu::forward(input(0)),
-                OpKind::MaxPool(p) => {
-                    let out = pool::maxpool_forward(input(0), *p)?;
-                    argmax = Some(out.argmax);
-                    out.y
-                }
-                OpKind::AvgPool(p) => pool::avgpool_forward(input(0), *p)?,
-                OpKind::Linear { .. } => {
-                    let Some(NodeParams::Linear { weight, bias }) = self.params.get(id.index())
-                    else {
-                        unreachable!("linear has params")
-                    };
-                    linear::forward(input(0), weight, bias.as_ref())?
-                }
-                OpKind::BatchNorm => {
-                    let Some(NodeParams::BatchNorm { gamma, beta }) = self.params.get(id.index())
-                    else {
-                        unreachable!("bn has params")
-                    };
-                    let (y, cache) = batchnorm::forward(input(0), gamma, beta, 1e-5)?;
-                    bn = Some(cache);
-                    y
-                }
-                OpKind::Lrn(p) => lrn::forward(input(0), *p)?,
-                OpKind::Dropout { p } => {
-                    let keep = dropout::keep_mask(input(0).numel(), *p, self.dropout_mask_seed(id));
-                    let y = dropout::forward(input(0), &keep, *p)?;
-                    mask = Some(keep);
-                    y
-                }
-                OpKind::Add => elementwise::add_forward(input(0), input(1))?,
-                OpKind::Concat => {
-                    let ins: Vec<&Tensor> = node
-                        .inputs
-                        .iter()
-                        .map(|&i| fmaps[i.index()].as_ref().expect("producer executed"))
-                        .collect();
-                    elementwise::concat_forward(&ins)?
-                }
-                OpKind::SoftmaxLoss => {
-                    // The forward "use" is the loss value itself; the
-                    // gradient is recomputed in backward from the stashed
-                    // (possibly encoded) logits.
-                    let out = softmax::cross_entropy(input(0), labels)?;
-                    loss = Some((out.loss, out.correct));
-                    input(0).clone()
-                }
-            },
-            // Arena policy: write into the planned region via the `_into`
-            // kernels, which fully overwrite (the region may hold poison or
-            // a previous step's bytes).
-            Some(mut y) => {
-                match &node.op {
-                    OpKind::Input(_) => y.copy_from(images),
-                    OpKind::Conv { params: cp, .. } => {
-                        let Some(NodeParams::Conv { weight, bias }) = self.params.get(id.index())
-                        else {
-                            unreachable!("conv has params")
-                        };
-                        conv::forward_into(input(0), weight, bias.as_ref(), *cp, &mut y)?;
-                    }
-                    OpKind::Relu => relu::forward_into(input(0), &mut y),
-                    OpKind::MaxPool(p) => {
-                        argmax = Some(pool::maxpool_forward_into(input(0), *p, &mut y)?);
-                    }
-                    OpKind::AvgPool(p) => pool::avgpool_forward_into(input(0), *p, &mut y)?,
-                    OpKind::Linear { .. } => {
-                        let Some(NodeParams::Linear { weight, bias }) = self.params.get(id.index())
-                        else {
-                            unreachable!("linear has params")
-                        };
-                        linear::forward_into(input(0), weight, bias.as_ref(), &mut y)?;
-                    }
-                    OpKind::BatchNorm => {
-                        let Some(NodeParams::BatchNorm { gamma, beta }) =
-                            self.params.get(id.index())
-                        else {
-                            unreachable!("bn has params")
-                        };
-                        bn = Some(batchnorm::forward_into(input(0), gamma, beta, 1e-5, &mut y)?);
-                    }
-                    OpKind::Lrn(p) => lrn::forward_into(input(0), *p, &mut y)?,
-                    OpKind::Dropout { p } => {
-                        let keep =
-                            dropout::keep_mask(input(0).numel(), *p, self.dropout_mask_seed(id));
-                        dropout::forward_into(input(0), &keep, *p, &mut y)?;
-                        mask = Some(keep);
-                    }
-                    OpKind::Add => elementwise::add_forward_into(input(0), input(1), &mut y)?,
-                    OpKind::Concat => {
-                        let ins: Vec<&Tensor> = node
-                            .inputs
-                            .iter()
-                            .map(|&i| fmaps[i.index()].as_ref().expect("producer executed"))
-                            .collect();
-                        elementwise::concat_forward_into(&ins, &mut y)?;
-                    }
-                    OpKind::SoftmaxLoss => {
-                        let out = softmax::cross_entropy(input(0), labels)?;
-                        loss = Some((out.loss, out.correct));
-                        y.copy_from(input(0));
-                    }
-                }
-                y
+        match &node.op {
+            OpKind::Input(_) => y.copy_from(step.images),
+            OpKind::Conv { params: cp, .. } => {
+                let Some(NodeParams::Conv { weight, bias }) = self.params.get(id.index()) else {
+                    unreachable!("conv has params")
+                };
+                conv::forward_into(input(0), weight, bias.as_ref(), *cp, &mut y)?;
             }
-        };
-        let dur_ns = elapsed_ns(epoch).saturating_sub(t0_ns);
+            OpKind::Relu => relu::forward_into(input(0), &mut y),
+            OpKind::MaxPool(p) => argmax = Some(pool::maxpool_forward_into(input(0), *p, &mut y)?),
+            OpKind::AvgPool(p) => pool::avgpool_forward_into(input(0), *p, &mut y)?,
+            OpKind::Linear { .. } => {
+                let Some(NodeParams::Linear { weight, bias }) = self.params.get(id.index()) else {
+                    unreachable!("linear has params")
+                };
+                linear::forward_into(input(0), weight, bias.as_ref(), &mut y)?;
+            }
+            OpKind::BatchNorm => {
+                let Some(NodeParams::BatchNorm { gamma, beta }) = self.params.get(id.index())
+                else {
+                    unreachable!("bn has params")
+                };
+                bn = Some(batchnorm::forward_into(input(0), gamma, beta, 1e-5, &mut y)?);
+            }
+            OpKind::Lrn(p) => lrn::forward_into(input(0), *p, &mut y)?,
+            OpKind::Dropout { p } => {
+                let keep = dropout::keep_mask(input(0).numel(), *p, self.dropout_mask_seed(id));
+                dropout::forward_into(input(0), &keep, *p, &mut y)?;
+                mask = Some(keep);
+            }
+            OpKind::Add => elementwise::add_forward_into(input(0), input(1), &mut y)?,
+            OpKind::Concat => {
+                let ins: Vec<&Tensor> = (0..node.inputs.len()).map(input).collect();
+                elementwise::concat_forward_into(&ins, &mut y)?;
+            }
+            OpKind::SoftmaxLoss => {
+                // The forward "use" is the loss value itself; the gradient
+                // is recomputed in backward from the stashed (possibly
+                // encoded) logits.
+                let out = softmax::cross_entropy(input(0), step.labels)?;
+                loss = Some((out.loss, out.correct));
+                y.copy_from(input(0));
+            }
+        }
+        let dur_ns = elapsed_ns(&step.epoch).saturating_sub(t0_ns);
         Ok(NodeOut { y, argmax, bn, mask, loss, t0_ns, dur_ns })
     }
 
@@ -938,381 +644,175 @@ impl Executor {
     }
 
     /// Computes one node's backward contributions without touching shared
-    /// state — the caller merges them in a fixed order.
-    ///
-    /// `dy` is `None` only for the loss head, whose upstream gradient is
-    /// synthesized from the stashed logits.
-    #[allow(clippy::too_many_arguments)]
+    /// state — the caller merges them in program order. Each contribution
+    /// is written through the item's side region for its target (see
+    /// [`Executor::buffer`]); the node's upstream gradient is read in place
+    /// from `st.grads` (absent only for the loss head, which synthesizes
+    /// its own from the stashed logits).
     fn backward_node(
         &self,
+        st: &StepState,
         node: &Node,
-        dy: Option<&Tensor>,
-        stashes: &[Option<Stash>],
-        argmaxes: &[Option<Vec<u8>>],
-        drop_masks: &[Option<Vec<bool>>],
-        bn_caches: &[Option<BatchNormCache>],
-        labels: &[usize],
-        record: bool,
-        epoch: &Instant,
+        dec: Option<BufId>,
+        targets: &[Target],
+        step: &Batch,
     ) -> Result<BwdOut, RuntimeError> {
-        let t0_ns = elapsed_ns(epoch);
+        let t0_ns = elapsed_ns(&step.epoch);
         let id = node.id;
-        let mut transient = 0usize;
-        let mut decodes: Vec<(NodeId, &'static str, u64, u64)> = Vec::new();
-        let dec_name = &self.names[id.index()].dec;
-        // Under the arena policy each contribution lands directly in this
-        // node's planned `.dx{k}` side region (the gradient-merge scratch);
-        // on the heap contributions stay owned, unmetered tensors.
-        let dx_view = |k: usize, shape: Shape| -> Result<Option<Tensor>, RuntimeError> {
-            match &self.arena {
-                Some(arena) => Ok(Some(
-                    arena
-                        .view(&self.names[id.index()].dx[k], shape)
-                        .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?,
-                )),
-                None => Ok(None),
-            }
-        };
-        if matches!(node.op, OpKind::SoftmaxLoss) {
-            let producer = node.inputs[0];
-            let (logits, tr, drec) = self.decode_stash(stashes, producer, dec_name)?;
-            transient = transient.max(tr);
-            if record {
-                decodes.extend(drec);
-            }
-            let mut dlogits = match dx_view(0, self.shapes[producer.index()])? {
-                Some(mut v) => {
-                    softmax::cross_entropy_into(&logits, labels, &mut v)?;
-                    v
-                }
-                // Reshape the [N, K] gradient back to the producer's shape.
-                None => softmax::cross_entropy(&logits, labels)?
-                    .dlogits
-                    .reshape(self.shapes[producer.index()])?,
-            };
-            self.quantize_immediate(&mut dlogits);
-            let dur_ns = elapsed_ns(epoch).saturating_sub(t0_ns);
-            return Ok(BwdOut {
-                pgrads: None,
-                contrib: vec![(producer, dlogits)],
-                transient,
-                t0_ns,
-                dur_ns,
-                decodes,
-            });
+        let mut decodes = Vec::new();
+        let mut contrib = Vec::with_capacity(targets.len());
+        for t in targets {
+            contrib.push(self.buffer(st, t.dx, self.shape(t.node))?);
         }
-        let dy = dy.expect("non-loss nodes reach backward_node with a gradient");
-        let mut pg = None;
-        let mut contrib = Vec::new();
+        let mut stashed_input =
+            || self.decode_stash(st, node.inputs[0], dec, step.traced.then_some(&mut decodes));
+        let upstream = st.grads[id.index()].as_ref();
+        let dy = || upstream.expect("non-loss nodes reach backward with a gradient");
+        let mut pgrads = None;
         match &node.op {
+            OpKind::SoftmaxLoss => {
+                softmax::cross_entropy_into(&*stashed_input()?, step.labels, &mut contrib[0])?;
+                self.quantize_immediate(&mut contrib[0]);
+            }
             OpKind::Conv { params: cp, .. } => {
-                let producer = node.inputs[0];
-                let (x, tr, drec) = self.decode_stash(stashes, producer, dec_name)?;
-                transient = transient.max(tr);
-                if record {
-                    decodes.extend(drec);
-                }
                 let Some(NodeParams::Conv { weight, .. }) = self.params.get(id.index()) else {
                     unreachable!("conv has params")
                 };
-                let (dw, db, dx) = match dx_view(0, self.shapes[producer.index()])? {
-                    Some(mut v) => {
-                        let (dw, db) =
-                            conv::backward_with_into(&x, weight, dy, *cp, &self.scratch, &mut v)?;
-                        (dw, db, v)
-                    }
-                    None => {
-                        let g = conv::backward_with(&x, weight, dy, *cp, &self.scratch)?;
-                        (g.dw, g.db, g.dx)
-                    }
-                };
-                pg = Some(ParamGrads { main: dw, secondary: Some(db) });
-                contrib.push((producer, dx));
+                let x = stashed_input()?;
+                let (dw, db) = conv::backward_with_into(
+                    &x,
+                    weight,
+                    dy(),
+                    *cp,
+                    &self.scratch,
+                    &mut contrib[0],
+                )?;
+                pgrads = Some(ParamGrads { main: dw, secondary: Some(db) });
             }
             OpKind::Linear { .. } => {
-                let producer = node.inputs[0];
-                let (x, tr, drec) = self.decode_stash(stashes, producer, dec_name)?;
-                transient = transient.max(tr);
-                if record {
-                    decodes.extend(drec);
-                }
                 let Some(NodeParams::Linear { weight, .. }) = self.params.get(id.index()) else {
                     unreachable!("linear has params")
                 };
-                let (rows, cols) = self.shapes[id.index()].as_matrix();
-                let dy2 = dy.clone().reshape(Shape::matrix(rows, cols))?;
-                let (dw, db, dx) = match dx_view(0, self.shapes[producer.index()])? {
-                    // The view carries the producer's (possibly NCHW) shape;
-                    // backward_with_into matrix-checks it, so no reshape.
-                    Some(mut v) => {
-                        let (dw, db) =
-                            linear::backward_with_into(&x, weight, &dy2, &self.scratch, &mut v)?;
-                        (dw, db, v)
-                    }
-                    None => {
-                        let g = linear::backward_with(&x, weight, &dy2, &self.scratch)?;
-                        (g.dw, g.db, g.dx.reshape(self.shapes[producer.index()])?)
-                    }
-                };
-                pg = Some(ParamGrads { main: dw, secondary: Some(db) });
-                contrib.push((producer, dx));
+                let x = stashed_input()?;
+                let (rows, cols) = self.shape(id).as_matrix();
+                let dy2 = dy().clone().reshape(Shape::matrix(rows, cols))?;
+                // The output carries the producer's (possibly NCHW) shape;
+                // backward_with_into matrix-checks it, so no reshape.
+                let (dw, db) =
+                    linear::backward_with_into(&x, weight, &dy2, &self.scratch, &mut contrib[0])?;
+                pgrads = Some(ParamGrads { main: dw, secondary: Some(db) });
             }
-            OpKind::Relu => {
-                let producer = node.inputs[0];
-                let dxv = dx_view(0, self.shapes[producer.index()])?;
-                let dx = match (&stashes[id.index()], dxv) {
-                    (Some(Stash::Bits(mask, _)), Some(mut v)) => {
-                        // Binarize: backward directly on the 1-bit mask,
-                        // straight into the planned side region.
-                        mask.relu_backward_into(dy.data(), v.data_mut())?;
-                        v
+            OpKind::Relu => match st.stashes[id.index()].as_ref() {
+                // Binarize: backward directly on the 1-bit mask.
+                Some(Stash::Bits(mask)) => {
+                    mask.relu_backward_into(dy().data(), contrib[0].data_mut())?;
+                }
+                Some(other) => {
+                    // Decode scratch here stays heap-allocated under both
+                    // policies: it has never been metered (it is part of
+                    // the backward compute, not a tracked buffer), so the
+                    // program reserves no region for it.
+                    let y = other.decoded();
+                    if let (true, Some(codec)) = (step.traced, other.codec_label()) {
+                        let (raw, enc) = ((y.numel() * 4) as u64, other.encoded_bytes() as u64);
+                        decodes.push((id, codec, raw, enc));
                     }
-                    (Some(Stash::Bits(mask, shape)), None) => {
-                        Tensor::from_vec(*shape, mask.relu_backward(dy.data())?)?
-                    }
-                    (Some(other), dxv) => {
-                        // Decode scratch here stays heap-allocated under
-                        // both policies: it has never been metered (it is
-                        // part of the backward compute, not a tracked
-                        // buffer), so the plan reserves no region for it.
-                        let x = other.decoded();
-                        if record {
-                            if let Some(codec) = other.codec_label() {
-                                decodes.push((
-                                    id,
-                                    codec,
-                                    (x.numel() * 4) as u64,
-                                    other.encoded_bytes() as u64,
-                                ));
-                            }
-                        }
-                        match dxv {
-                            Some(mut v) => {
-                                relu::backward_into(&x, dy, &mut v);
-                                v
-                            }
-                            None => relu::backward(&x, dy),
-                        }
-                    }
-                    (None, _) => unreachable!("relu output is always stashed"),
-                };
-                contrib.push((producer, dx));
-            }
+                    relu::backward_into(&y, dy(), &mut contrib[0]);
+                }
+                None => unreachable!("relu output is always stashed"),
+            },
             OpKind::MaxPool(p) => {
-                let producer = node.inputs[0];
-                let x_shape = self.shapes[producer.index()];
-                let argmax = argmaxes[id.index()].as_ref().expect("maxpool ran forward");
-                let dx = match dx_view(0, x_shape)? {
-                    Some(mut v) => {
-                        pool::maxpool_backward_into(x_shape, argmax, dy, *p, &mut v)?;
-                        v
-                    }
-                    None => pool::maxpool_backward(x_shape, argmax, dy, *p)?,
-                };
-                contrib.push((producer, dx));
+                let argmax = st.argmaxes[id.index()].as_ref().expect("maxpool ran forward");
+                let x_shape = self.shape(node.inputs[0]);
+                pool::maxpool_backward_into(x_shape, argmax, dy(), *p, &mut contrib[0])?;
             }
             OpKind::AvgPool(p) => {
-                let producer = node.inputs[0];
-                let x_shape = self.shapes[producer.index()];
-                let dx = match dx_view(0, x_shape)? {
-                    Some(mut v) => {
-                        pool::avgpool_backward_into(x_shape, dy, *p, &mut v)?;
-                        v
-                    }
-                    None => pool::avgpool_backward(x_shape, dy, *p)?,
-                };
-                contrib.push((producer, dx));
+                pool::avgpool_backward_into(self.shape(node.inputs[0]), dy(), *p, &mut contrib[0])?;
             }
             OpKind::BatchNorm => {
-                let producer = node.inputs[0];
-                let (x, tr, drec) = self.decode_stash(stashes, producer, dec_name)?;
-                transient = transient.max(tr);
-                if record {
-                    decodes.extend(drec);
-                }
                 let Some(NodeParams::BatchNorm { gamma, .. }) = self.params.get(id.index()) else {
                     unreachable!("bn has params")
                 };
-                let cache = bn_caches[id.index()].as_ref().expect("bn ran forward");
-                let (dgamma, dbeta, dx) = match dx_view(0, self.shapes[producer.index()])? {
-                    Some(mut v) => {
-                        let (dg, db) = batchnorm::backward_into(&x, gamma, cache, dy, &mut v)?;
-                        (dg, db, v)
-                    }
-                    None => {
-                        let g = batchnorm::backward(&x, gamma, cache, dy)?;
-                        (g.dgamma, g.dbeta, g.dx)
-                    }
-                };
-                pg = Some(ParamGrads { main: dgamma, secondary: Some(dbeta) });
-                contrib.push((producer, dx));
+                let x = stashed_input()?;
+                let cache = st.bn_caches[id.index()].as_ref().expect("bn ran forward");
+                let (dgamma, dbeta) =
+                    batchnorm::backward_into(&x, gamma, cache, dy(), &mut contrib[0])?;
+                pgrads = Some(ParamGrads { main: dgamma, secondary: Some(dbeta) });
             }
-            OpKind::Lrn(p) => {
-                let producer = node.inputs[0];
-                let (x, tr, drec) = self.decode_stash(stashes, producer, dec_name)?;
-                transient = transient.max(tr);
-                if record {
-                    decodes.extend(drec);
-                }
-                let dx = match dx_view(0, self.shapes[producer.index()])? {
-                    Some(mut v) => {
-                        lrn::backward_into(&x, dy, *p, &mut v)?;
-                        v
-                    }
-                    None => lrn::backward(&x, dy, *p)?,
-                };
-                contrib.push((producer, dx));
-            }
+            OpKind::Lrn(p) => lrn::backward_into(&*stashed_input()?, dy(), *p, &mut contrib[0])?,
             OpKind::Dropout { p } => {
-                let producer = node.inputs[0];
-                let mask = drop_masks[id.index()].as_ref().expect("dropout ran forward");
-                let dx = match dx_view(0, self.shapes[producer.index()])? {
-                    Some(mut v) => {
-                        dropout::backward_into(dy, mask, *p, &mut v)?;
-                        v
-                    }
-                    None => dropout::backward(dy, mask, *p)?,
-                };
-                contrib.push((producer, dx));
+                let mask = st.drop_masks[id.index()].as_ref().expect("dropout ran forward");
+                dropout::backward_into(dy(), mask, *p, &mut contrib[0])?;
             }
             OpKind::Add => {
-                if self.arena.is_some() {
-                    let mut v0 = dx_view(0, self.shapes[node.inputs[0].index()])?
-                        .expect("arena has dx views");
-                    let mut v1 = dx_view(1, self.shapes[node.inputs[1].index()])?
-                        .expect("arena has dx views");
-                    elementwise::add_backward_into(dy, &mut v0);
-                    elementwise::add_backward_into(dy, &mut v1);
-                    contrib.push((node.inputs[0], v0));
-                    contrib.push((node.inputs[1], v1));
-                } else {
-                    let (da, db) = elementwise::add_backward(dy);
-                    contrib.push((node.inputs[0], da));
-                    contrib.push((node.inputs[1], db));
+                for dx in &mut contrib {
+                    elementwise::add_backward_into(dy(), dx);
                 }
             }
             OpKind::Concat => {
-                let shapes: Vec<Shape> =
-                    node.inputs.iter().map(|&i| self.shapes[i.index()]).collect();
-                if self.arena.is_some() {
-                    let mut views: Vec<Tensor> = Vec::with_capacity(shapes.len());
-                    for (k, &sh) in shapes.iter().enumerate() {
-                        views.push(dx_view(k, sh)?.expect("arena has dx views"));
-                    }
-                    {
-                        let mut refs: Vec<&mut Tensor> = views.iter_mut().collect();
-                        elementwise::concat_backward_into(dy, &shapes, &mut refs)?;
-                    }
-                    for (&inp, v) in node.inputs.iter().zip(views) {
-                        contrib.push((inp, v));
-                    }
-                } else {
-                    let parts = elementwise::concat_backward(dy, &shapes)?;
-                    for (&inp, part) in node.inputs.iter().zip(parts) {
-                        contrib.push((inp, part));
-                    }
-                }
+                let shapes: Vec<Shape> = targets.iter().map(|t| self.shape(t.node)).collect();
+                let mut outs: Vec<&mut Tensor> = contrib.iter_mut().collect();
+                elementwise::concat_backward_into(dy(), &shapes, &mut outs)?;
             }
-            OpKind::Input(_) | OpKind::SoftmaxLoss => unreachable!("handled by the caller"),
+            OpKind::Input(_) => unreachable!("inputs have no backward item"),
         }
-        let dur_ns = elapsed_ns(epoch).saturating_sub(t0_ns);
-        Ok(BwdOut { pgrads: pg, contrib, transient, t0_ns, dur_ns, decodes })
+        let dur_ns = elapsed_ns(&step.epoch).saturating_sub(t0_ns);
+        Ok(BwdOut { pgrads, contrib, t0_ns, dur_ns, decodes })
     }
 
-    /// Forward-only inference: returns the argmax class per image.
+    /// Forward-only inference: returns the argmax class per image (the
+    /// last maximum under IEEE total order, so diverged — NaN — logits
+    /// still classify deterministically instead of panicking).
     ///
     /// No stashes are created and no encodings run — inference has no
     /// backward pass, which is exactly why the paper's problem (and Gist)
-    /// is specific to training. Always heap-allocated: the arena plans the
-    /// training step, not this path.
+    /// is specific to training. Always heap-allocated: the program lowers
+    /// the training step, not this path.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BatchMismatch`] on input-shape mismatch.
     pub fn predict(&self, images: &Tensor) -> Result<Vec<usize>, RuntimeError> {
         let logits = self.forward_logits(images)?;
-        let (n, k) = logits.shape().as_matrix();
-        Ok((0..n)
-            .map(|i| {
-                let row = &logits.data()[i * k..(i + 1) * k];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(j, _)| j)
-                    .expect("non-empty row")
-            })
-            .collect())
+        let (_, k) = logits.shape().as_matrix();
+        let argmax = |row: &[f32]| {
+            let best = row.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
+            best.map(|(j, _)| j).expect("non-empty row")
+        };
+        Ok(logits.data().chunks(k).map(argmax).collect())
     }
 
-    /// Runs the inference forward pass and returns the logits (the loss
-    /// head's input).
-    fn forward_logits(&self, images: &Tensor) -> Result<Tensor, RuntimeError> {
-        let expected = self.shapes[0];
+    /// Checks a minibatch against the graph's input node; returns its size.
+    fn check_images(&self, images: &Tensor) -> Result<usize, RuntimeError> {
+        let expected = self.shape(self.program.input);
         if images.shape() != expected {
             return Err(RuntimeError::BatchMismatch(format!(
                 "images {} vs input {expected}",
                 images.shape()
             )));
         }
-        let loss_node = self
-            .graph
-            .nodes()
-            .iter()
-            .find(|n| matches!(n.op, OpKind::SoftmaxLoss))
-            .expect("graph has a loss head");
-        let producer = loss_node.inputs[0];
+        Ok(expected.n())
+    }
+
+    /// Runs the inference forward pass — the training step's own kernel
+    /// dispatch, minus dropout — and returns the logits (the loss head's
+    /// input).
+    fn forward_logits(&self, images: &Tensor) -> Result<Tensor, RuntimeError> {
+        self.check_images(images)?;
+        let step = Batch { images, labels: &[], epoch: Instant::now(), traced: false };
+        let logits = self.program.logits;
         let mut fmaps: Vec<Option<Tensor>> = vec![None; self.graph.len()];
-        for node in self.graph.nodes() {
-            if node.id.index() > producer.index() {
-                break;
-            }
-            let id = node.id;
-            let input = |i: usize| -> &Tensor {
-                fmaps[node.inputs[i].index()].as_ref().expect("producer already executed")
-            };
-            let y = match &node.op {
-                OpKind::Input(_) => images.clone(),
-                OpKind::Conv { params: cp, .. } => {
-                    let Some(NodeParams::Conv { weight, bias }) = self.params.get(id.index())
-                    else {
-                        unreachable!("conv has params")
-                    };
-                    conv::forward(input(0), weight, bias.as_ref(), *cp)?
-                }
-                OpKind::Relu => relu::forward(input(0)),
-                OpKind::MaxPool(p) => pool::maxpool_forward(input(0), *p)?.y,
-                OpKind::AvgPool(p) => pool::avgpool_forward(input(0), *p)?,
-                OpKind::Linear { .. } => {
-                    let Some(NodeParams::Linear { weight, bias }) = self.params.get(id.index())
-                    else {
-                        unreachable!("linear has params")
-                    };
-                    linear::forward(input(0), weight, bias.as_ref())?
-                }
-                OpKind::BatchNorm => {
-                    let Some(NodeParams::BatchNorm { gamma, beta }) = self.params.get(id.index())
-                    else {
-                        unreachable!("bn has params")
-                    };
-                    batchnorm::forward(input(0), gamma, beta, 1e-5)?.0
-                }
-                OpKind::Lrn(p) => lrn::forward(input(0), *p)?,
+        for node in &self.graph.nodes()[..=logits.index()] {
+            let y = match node.op {
                 // Inference: dropout is the identity (inverted dropout).
-                OpKind::Dropout { .. } => input(0).clone(),
-                OpKind::Add => elementwise::add_forward(input(0), input(1))?,
-                OpKind::Concat => {
-                    let ins: Vec<&Tensor> = node
-                        .inputs
-                        .iter()
-                        .map(|&i| fmaps[i.index()].as_ref().expect("producer executed"))
-                        .collect();
-                    elementwise::concat_forward(&ins)?
+                OpKind::Dropout { .. } => fmaps[node.inputs[0].index()].clone().expect("producer"),
+                _ => {
+                    self.compute_forward(node, &fmaps, &step, Tensor::zeros(self.shape(node.id)))?.y
                 }
-                OpKind::SoftmaxLoss => break,
             };
-            fmaps[id.index()] = Some(y);
+            fmaps[node.id.index()] = Some(y);
         }
-        let logits = fmaps[producer.index()].take().expect("logits computed");
+        let logits = fmaps[logits.index()].take().expect("logits computed");
         let (n, k) = logits.shape().as_matrix();
         logits.reshape(Shape::matrix(n, k)).map_err(RuntimeError::from)
     }
@@ -1367,419 +867,18 @@ impl Executor {
         self.forward_backward_traced(images, labels, &NullRecorder)
     }
 
-    /// Sequential forward post-processing of one node's output:
-    /// quantization, stats, stashing, metering/events, and last-use
-    /// relinquishment. Shared by the parallel heap path, the serialized
-    /// event-granular arena path, and (with `wave_block` set) the
-    /// wave-granular arena path — where the wave's entry block already
-    /// emitted the stash/output allocations and its free block will handle
-    /// relinquishment, so this only runs the value-level post-processing.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_forward(
-        &self,
-        st: &mut StepState,
-        wv: usize,
-        lane: usize,
-        id: NodeId,
-        out: NodeOut,
-        rec: &dyn Recorder,
-        on: bool,
-        epoch: &Instant,
-        wave_block: bool,
-    ) -> Result<(), RuntimeError> {
-        let node = self.graph.node(id);
-        let NodeOut { mut y, argmax, bn, mask, loss, t0_ns, dur_ns } = out;
-        self.quantize_immediate(&mut y);
-        if on {
-            rec.record(Event::Span {
-                name: node.name.clone(),
-                phase: Phase::Forward,
-                wave: wv as u32,
-                lane: lane as u32,
-                ts_ns: t0_ns,
-                dur_ns,
-            });
-        }
-        if matches!(node.op, OpKind::Relu) {
-            st.relu_sparsity.push((node.name.clone(), y.sparsity()));
-        }
-        if let Some(a) = argmax {
-            st.argmaxes[id.index()] = Some(a);
-        }
-        if let Some(c) = bn {
-            st.bn_caches[id.index()] = Some(c);
-        }
-        if let Some(m) = mask {
-            st.drop_masks[id.index()] = Some(m);
-        }
-        if let Some((l, c)) = loss {
-            st.loss = l;
-            st.correct = c;
-        }
-        self.stash_forward(st, id, &y, rec, on, epoch, !wave_block)?;
-        if !wave_block {
-            let y_bytes = self.ev_bytes(y.numel() * 4);
-            st.meter.alloc(y_bytes as usize);
-            if on {
-                rec.record(Event::Alloc { name: self.names[id.index()].y.clone(), bytes: y_bytes });
-            }
-        }
-        st.fmaps[id.index()] = Some(y);
-        if wave_block {
-            return Ok(());
-        }
-        // Relinquish every dense buffer whose last forward use was this
-        // position (including this node's own output if nothing reads it).
-        for j in 0..self.graph.len() {
-            if st.last_use_pos[j] == st.cursor {
-                if let Some(t) = st.fmaps[j].take() {
-                    let bytes = self.ev_bytes(t.numel() * 4);
-                    st.meter.free(bytes as usize);
-                    let name = &self.names[j].y;
-                    if on {
-                        rec.record(Event::Free { name: name.clone(), bytes });
-                    }
-                    drop(t);
-                    self.poison_region(name);
-                }
-            }
-        }
-        st.cursor += 1;
-        Ok(())
-    }
-
-    /// Sequential backward merge of one node's contributions: trace events,
-    /// transient accounting, gradient-map release/accumulation, and stash
-    /// release. The per-node event order here — side-region allocs (arena),
-    /// transient, own-`dy` free, contribution allocs, side-region frees,
-    /// stash free — is the contract the predictor and the arena plan
-    /// replicate. With `wave_block` set (wave-granular arena path) only the
-    /// value-level work runs: span/decode events, param grads, and the
-    /// gradient merge into pre-allocated regions — every memory event of the
-    /// wave is issued by its entry/free blocks instead.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_backward(
-        &self,
-        st: &mut StepState,
-        wv: usize,
-        lane: usize,
-        id: NodeId,
-        dy: Option<Tensor>,
-        out: BwdOut,
-        rec: &dyn Recorder,
-        on: bool,
-        wave_block: bool,
-    ) -> Result<(), RuntimeError> {
-        let node = self.graph.node(id);
-        let BwdOut { pgrads: pg, contrib, transient, t0_ns, dur_ns, decodes } = out;
-        if on {
-            rec.record(Event::Span {
-                name: node.name.clone(),
-                phase: Phase::Backward,
-                wave: wv as u32,
-                lane: lane as u32,
-                ts_ns: t0_ns,
-                dur_ns,
-            });
-            for (pid, codec, raw_bytes, encoded_bytes) in decodes {
-                rec.record(Event::Decode {
-                    name: self.graph.node(pid).name.clone(),
-                    codec: codec.to_string(),
-                    raw_bytes,
-                    encoded_bytes,
-                });
-            }
-        }
-        // The backward kernels already wrote this node's contributions into
-        // its planned side regions; their Allocs precede every same-item
-        // free so the plan holds them live across the whole merge.
-        if !wave_block && self.arena.is_some() {
-            for (k, &t) in self.targets[id.index()].iter().enumerate() {
-                let bytes = self.ev_bytes(self.shapes[t.index()].numel() * 4);
-                st.meter.alloc(bytes as usize);
-                if on {
-                    rec.record(Event::Alloc { name: self.names[id.index()].dx[k].clone(), bytes });
-                }
-            }
-        }
-        if !wave_block && transient > 0 {
-            let bytes = self.ev_bytes(transient);
-            st.meter.transient(bytes as usize);
-            let name = &self.names[id.index()].dec;
-            if on {
-                rec.record(Event::Transient { name: name.clone(), bytes });
-            }
-            // The decode scratch died with this node's backward compute.
-            self.poison_region(name);
-        }
-        if let Some(dy) = dy {
-            // The upstream gradient's last read was this node's backward
-            // compute; releasing it only now (not at wave collection) keeps
-            // the plan from reusing its region under a concurrent reader.
-            let bytes = self.ev_bytes(dy.numel() * 4);
-            st.meter.free(bytes as usize);
-            let name = &self.names[id.index()].dy;
-            if on {
-                rec.record(Event::Free { name: name.clone(), bytes });
-            }
-            drop(dy);
-            self.poison_region(name);
-        }
-        if pg.is_some() {
-            st.pgrads[id.index()] = pg;
-        }
-        for (target, g) in contrib {
-            match &mut st.grads[target.index()] {
-                Some(existing) => existing.add_scaled(&g, 1.0).expect("gradient shapes agree"),
-                slot @ None => {
-                    let name = &self.names[target.index()].dy;
-                    if !wave_block {
-                        let bytes = self.ev_bytes(g.numel() * 4);
-                        st.meter.alloc(bytes as usize);
-                        if on {
-                            rec.record(Event::Alloc { name: name.clone(), bytes });
-                        }
-                    }
-                    let held = match &self.arena {
-                        Some(arena) => {
-                            let mut v = arena
-                                .view(name, g.shape())
-                                .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?;
-                            v.copy_from(&g);
-                            v
-                        }
-                        None => g,
-                    };
-                    *slot = Some(held);
-                }
-            }
-        }
-        if wave_block {
-            return Ok(());
-        }
-        // The side regions' last read was the merge above.
-        if self.arena.is_some() {
-            for (k, &t) in self.targets[id.index()].iter().enumerate() {
-                let bytes = self.ev_bytes(self.shapes[t.index()].numel() * 4);
-                st.meter.free(bytes as usize);
-                let name = &self.names[id.index()].dx[k];
-                if on {
-                    rec.record(Event::Free { name: name.clone(), bytes });
-                }
-                self.poison_region(name);
-            }
-        }
-        // This node's backward pass was the last reader of its own stash
-        // (consumers' backward steps all ran earlier). Offloaded stashes
-        // free under the plan's name — the swap slot or rebuilt stash the
-        // materialization pass allocated.
-        if let Some(stash) = st.stashes[id.index()].take() {
-            let bytes = self.stash_event_bytes(id, &stash);
-            st.meter.free(bytes as usize);
-            let name = self.stash_free_name(id);
-            if on {
-                rec.record(Event::Free { name: name.to_string(), bytes });
-            }
-            drop(stash);
-            self.poison_region(name);
-        }
-        Ok(())
-    }
-
-    /// The backward wave-entry materialization pass: before any of a wave's
-    /// backward items run, fire every offload trigger attached to them — in
-    /// work order, sequentially — so swapped stashes are fetched and dropped
-    /// stashes rebuilt before a (possibly concurrent) backward compute reads
-    /// them. The event order this pass emits is the contract
-    /// `predict_step_events_offload` replays from the same plan.
-    #[allow(clippy::too_many_arguments)]
-    fn materialize_offload(
-        &self,
-        st: &mut StepState,
-        work: &[(NodeId, Option<Tensor>)],
-        wv: usize,
-        images: &Tensor,
-        labels: &[usize],
-        epoch: &Instant,
-        rec: &dyn Recorder,
-        on: bool,
-    ) -> Result<(), RuntimeError> {
-        let Some(plan) = &self.oplan else {
-            return Ok(());
-        };
-        for (id, _) in work {
-            for action in &plan.triggers[id.index()] {
-                match action {
-                    Action::SwapIn(v) => self.swap_in(st, plan, *v, rec, on, epoch)?,
-                    Action::Replay(s) => {
-                        self.replay_segment(st, plan, *s, wv, images, labels, epoch, rec, on)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fetches one swapped-out stash from the host store into its planned
-    /// swap slot (`{node}.sin`), making it readable exactly like a resident
-    /// dense stash.
-    fn swap_in(
-        &self,
-        st: &mut StepState,
-        plan: &OffloadPlan,
-        v: NodeId,
-        rec: &dyn Recorder,
-        on: bool,
-        epoch: &Instant,
-    ) -> Result<(), RuntimeError> {
-        let vi = v.index();
-        let name = plan.swap_in_name[vi].as_ref().expect("triggered swap-in has a slot name");
-        let bytes = self.ev_bytes(plan.numel[vi] * 4);
-        st.meter.alloc(bytes as usize);
-        if on {
-            rec.record(Event::Alloc { name: name.clone(), bytes });
-        }
-        let t0_ns = elapsed_ns(epoch);
-        let host = self.host.as_ref().expect("swap plan has a host store");
-        let host = host.lock().expect("host store lock");
-        let wire_bytes = match self.swap_codec {
-            Some(_) => host.load_wire(vi).wire_bytes(),
-            None => (plan.numel[vi] * 4) as u64,
-        };
-        let tensor = match &self.arena {
-            Some(arena) => {
-                let mut t = arena
-                    .view(name, self.shapes[vi])
-                    .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?;
-                match self.swap_codec {
-                    Some(_) => host.load_wire(vi).decode_into(t.data_mut()),
-                    None => t.data_mut().copy_from_slice(host.load(vi)),
-                }
-                t
-            }
-            None => match self.swap_codec {
-                Some(_) => Tensor::from_vec(self.shapes[vi], host.load_wire(vi).decode())?,
-                None => Tensor::from_vec(self.shapes[vi], host.load(vi).to_vec())?,
-            },
-        };
-        drop(host);
-        st.swap_transfers.push((self.graph.node(v).name.clone(), false, wire_bytes));
-        if on {
-            rec.record(Event::Transfer {
-                name: self.graph.node(v).name.clone(),
-                to_host: false,
-                bytes: wire_bytes,
-                ts_ns: t0_ns,
-                dur_ns: elapsed_ns(epoch).saturating_sub(t0_ns),
-            });
-        }
-        st.stashes[vi] = Some(Stash::Dense(tensor));
-        Ok(())
-    }
-
-    /// Re-executes one recompute segment's forward kernels, rebuilding its
-    /// dropped stashes (`{node}.rstash`) into their planned regions and
-    /// freeing replay-internal intermediates (`{node}.ry{segment}`) at
-    /// their last replay use.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_segment(
-        &self,
-        st: &mut StepState,
-        plan: &OffloadPlan,
-        seg_index: usize,
-        wv: usize,
-        images: &Tensor,
-        labels: &[usize],
-        epoch: &Instant,
-        rec: &dyn Recorder,
-        on: bool,
-    ) -> Result<(), RuntimeError> {
-        let seg = &plan.segments[seg_index];
-        // Replay-local feature maps, seeded from data that is still live:
-        // resident dense stashes and the minibatch images. (Cloning a view
-        // deep-copies; like backward decode scratch, these short-lived reads
-        // are compute-internal and unmetered.)
-        let mut rmaps: Vec<Option<Tensor>> = vec![None; self.graph.len()];
-        for &e in &seg.externals {
-            let ei = e.index();
-            rmaps[ei] = Some(match &st.stashes[ei] {
-                Some(Stash::Dense(t)) => t.clone(),
-                Some(_) => unreachable!("replay externals are dense stashes"),
-                None => {
-                    debug_assert!(matches!(self.graph.node(e).op, OpKind::Input(_)));
-                    images.clone()
-                }
-            });
-        }
-        for (lane, step) in seg.replay.iter().enumerate() {
-            let node = self.graph.node(step.node);
-            let out_view = match &self.arena {
-                Some(arena) => Some(
-                    arena
-                        .view(&step.buf, self.shapes[step.node.index()])
-                        .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?,
-                ),
-                None => None,
-            };
-            let out = self.compute_forward(node, &rmaps, images, labels, epoch, out_view)?;
-            let NodeOut { mut y, t0_ns, dur_ns, .. } = out;
-            // The step counter has not advanced, so replayed dropout masks
-            // are bit-identical to the forward pass; argmax/BN/mask side
-            // outputs are likewise identical to the retained originals and
-            // are ignored (stats were already collected in the forward
-            // pass).
-            self.quantize_immediate(&mut y);
-            let bytes = self.ev_bytes(y.numel() * 4);
-            st.meter.alloc(bytes as usize);
-            if on {
-                rec.record(Event::Span {
-                    name: node.name.clone(),
-                    phase: Phase::Recompute,
-                    wave: wv as u32,
-                    lane: lane as u32,
-                    ts_ns: t0_ns,
-                    dur_ns,
-                });
-                rec.record(Event::Alloc { name: step.buf.clone(), bytes });
-            }
-            if step.is_stash {
-                let stash = match &self.arena {
-                    // A second view of the planned region the kernel just
-                    // wrote — reads only from here on.
-                    Some(arena) => arena
-                        .view(&step.buf, y.shape())
-                        .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?,
-                    None => y.clone(),
-                };
-                st.stashes[step.node.index()] = Some(Stash::Dense(stash));
-            }
-            rmaps[step.node.index()] = Some(y);
-            for (fid, fbuf) in &step.frees_after {
-                let fbytes = self.ev_bytes(self.shapes[fid.index()].numel() * 4);
-                st.meter.free(fbytes as usize);
-                if on {
-                    rec.record(Event::Free { name: fbuf.clone(), bytes: fbytes });
-                }
-                rmaps[fid.index()] = None;
-                self.poison_region(fbuf);
-            }
-        }
-        Ok(())
-    }
-
     /// [`Executor::forward_backward`] with execution tracing.
     ///
-    /// The memory-event substream (alloc/free/reuse/transient) mirrors the
-    /// internal meter call-for-call: folding it through
-    /// `gist_obs::MemoryAccountant` reproduces `StepStats::peak_live_bytes`
-    /// exactly. Memory and codec events are emitted from the sequential
-    /// merge loops, so their order — and therefore the whole memory
-    /// substream — is identical at every thread count. Span events carry
-    /// wall-clock timing and are the only thread-count-dependent payload.
-    ///
-    /// Under [`AllocPolicy::Arena`] the same event order is additionally
-    /// the *real* execution order: waves are serialized so every write into
-    /// the shared slab happens inside its buffer's planned lifetime.
+    /// The step is the lowered program, interpreted: one loop over the
+    /// forward blocks, one over the backward blocks and the close-out.
+    /// Every memory event, meter update, arena view and debug poison comes
+    /// from playing the program's memory ops (`Executor::play`), so the
+    /// memory substream of the trace *is* [`StepProgram::events`] and
+    /// folding it through `gist_obs::MemoryAccountant` reproduces
+    /// `StepStats::peak_live_bytes` exactly. Memory and codec events are
+    /// emitted from the sequential merges, so their order is identical at
+    /// every thread count; span events carry wall-clock timing and are the
+    /// only thread-count-dependent payload.
     ///
     /// # Errors
     ///
@@ -1791,53 +890,17 @@ impl Executor {
         labels: &[usize],
         rec: &dyn Recorder,
     ) -> Result<(StepStats, Vec<Option<ParamGrads>>), RuntimeError> {
-        let on = rec.enabled();
+        let batch = self.check_images(images)?;
+        if labels.len() != batch {
+            return Err(RuntimeError::BatchMismatch(format!(
+                "{} labels for minibatch {batch}",
+                labels.len()
+            )));
+        }
         let epoch = Instant::now();
+        let cx = Step { batch: Batch { images, labels, epoch, traced: rec.enabled() }, rec };
         let n = self.graph.len();
-        let input_node = self
-            .graph
-            .nodes()
-            .iter()
-            .find(|nd| matches!(nd.op, OpKind::Input(_)))
-            .expect("graph has an input");
-        let expected = self.shapes[input_node.id.index()];
-        if images.shape() != expected {
-            return Err(RuntimeError::BatchMismatch(format!(
-                "images {} vs input {expected}",
-                images.shape()
-            )));
-        }
-        if labels.len() != expected.n() {
-            return Err(RuntimeError::BatchMismatch(format!(
-                "{} labels for minibatch {}",
-                labels.len(),
-                expected.n()
-            )));
-        }
-
-        // Wavefront schedule: each wave holds mutually-independent nodes, so
-        // a wave's forward (and backward) computes may run concurrently on
-        // the gist-par pool. All cross-node state is still touched in one
-        // fixed sequential order (ascending position forward, descending id
-        // within reversed waves backward), so results are byte-identical at
-        // every thread count.
-        let sched = Schedule::of(&self.graph);
-        let mut pos = vec![0usize; n];
-        for (p, &id) in sched.waves().iter().flatten().enumerate() {
-            pos[id.index()] = p;
-        }
-        // Last execution position at which each node's dense output is read;
-        // the buffer is relinquished right after (the paper's "the
-        // full-fidelity feature maps are used in the forward pass and
-        // relinquished immediately").
-        let mut last_use_pos: Vec<usize> = (0..n).map(|j| pos[j]).collect();
-        for node in self.graph.nodes() {
-            for &inp in &node.inputs {
-                let lp = &mut last_use_pos[inp.index()];
-                *lp = (*lp).max(pos[node.id.index()]);
-            }
-        }
-
+        let debug_bufs = if cfg!(debug_assertions) { self.program.bufs.len() } else { 0 };
         let mut st = StepState {
             fmaps: vec![None; n],
             stashes: vec![None; n],
@@ -1848,219 +911,17 @@ impl Executor {
             correct: 0,
             relu_sparsity: Vec::new(),
             meter: MemMeter::default(),
-            cursor: 0,
-            last_use_pos,
             grads: vec![None; n],
             pgrads: (0..n).map(|_| None).collect(),
             swap_transfers: Vec::new(),
+            rmaps: Vec::new(),
+            live: vec![false; debug_bufs],
         };
+        let (forward, backward) = self.program.blocks.split_at(self.program.backward_start);
 
-        // ---- Forward pass ----
-        let inplace_on = matches!(&self.mode, ExecMode::Gist(cfg) if cfg.inplace);
-        // Wave-granular arena execution: the plan holds every buffer of a
-        // wave concurrently live, so waves run on the pool exactly like the
-        // heap policy, with all memory events issued from sequential
-        // entry/free blocks around the parallel computes.
-        let wave_mode = self.arena.is_some() && matches!(self.granularity, PlanGranularity::Wave);
-        for (wv, wave) in sched.waves().iter().enumerate() {
-            // Inplace ReLU (Section III-C): when this ReLU is the sole and
-            // final reader of its producer's buffer, overwrite it instead
-            // of allocating a fresh output. Applied only in singleton waves:
-            // overwriting a shared buffer while sibling nodes may read it is
-            // unsound, and keeping the rule wave-structural (never
-            // thread-count-dependent) keeps the meter deterministic.
-            if inplace_on && wave.len() == 1 {
-                let node = self.graph.node(wave[0]);
-                let id = node.id;
-                if matches!(node.op, OpKind::Relu) {
-                    let producer = node.inputs[0];
-                    let sole_reader = st.last_use_pos[producer.index()] == pos[id.index()]
-                        && self.graph.consumers(producer).len() == 1
-                        && !matches!(self.graph.node(producer).op, OpKind::Input(_));
-                    if sole_reader {
-                        let mut y = st.fmaps[producer.index()].take().expect("producer executed");
-                        // The buffer is reused, not freed-and-reallocated: no
-                        // meter traffic for the producer's release.
-                        let t0_ns = elapsed_ns(&epoch);
-                        relu::forward_inplace(&mut y);
-                        let dur_ns = elapsed_ns(&epoch).saturating_sub(t0_ns);
-                        if on {
-                            rec.record(Event::Span {
-                                name: node.name.clone(),
-                                phase: Phase::Forward,
-                                wave: wv as u32,
-                                lane: 0,
-                                ts_ns: t0_ns,
-                                dur_ns,
-                            });
-                            rec.record(Event::Reuse {
-                                from: self.names[producer.index()].y.clone(),
-                                into: self.names[id.index()].y.clone(),
-                            });
-                        }
-                        st.relu_sparsity.push((node.name.clone(), y.sparsity()));
-                        self.stash_forward(&mut st, id, &y, rec, on, &epoch, true)?;
-                        st.fmaps[id.index()] = Some(y);
-                        // Release this node's own buffer if nothing reads it.
-                        if st.last_use_pos[id.index()] == pos[id.index()] {
-                            if let Some(t) = st.fmaps[id.index()].take() {
-                                let bytes = self.ev_bytes(t.numel() * 4);
-                                st.meter.free(bytes as usize);
-                                let name = &self.names[id.index()].y;
-                                if on {
-                                    rec.record(Event::Free { name: name.clone(), bytes });
-                                }
-                                drop(t);
-                                self.poison_region(name);
-                            }
-                        }
-                        st.cursor += 1;
-                        continue;
-                    }
-                }
-            }
-            if wave_mode {
-                let arena = self.arena.as_ref().expect("wave mode is arena-only");
-                // Entry block: allocate every stash and output region of the
-                // wave before any compute — the event order the wave plan
-                // was packed against, so the concurrently-written regions
-                // are all disjoint.
-                for &id in wave {
-                    if gist_graph::class::is_stashed(&self.graph, id)
-                        && matches!(self.stash_disposition(id), StashDisposition::Resident)
-                    {
-                        let bytes = self.planned_stash[id.index()];
-                        st.meter.alloc(bytes as usize);
-                        if on {
-                            rec.record(Event::Alloc {
-                                name: self.names[id.index()].stash.clone(),
-                                bytes,
-                            });
-                        }
-                    }
-                    let y_bytes = self.ev_bytes(self.shapes[id.index()].numel() * 4);
-                    st.meter.alloc(y_bytes as usize);
-                    if on {
-                        rec.record(Event::Alloc {
-                            name: self.names[id.index()].y.clone(),
-                            bytes: y_bytes,
-                        });
-                    }
-                }
-                // Concurrent computes into the planned (disjoint) regions.
-                // Singleton waves skip the result vector so the arena hot
-                // path stays allocation-free outside the kernels.
-                if wave.len() == 1 {
-                    let id = wave[0];
-                    let out_view = arena
-                        .view(&self.names[id.index()].y, self.shapes[id.index()])
-                        .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?;
-                    let out = self.compute_forward(
-                        self.graph.node(id),
-                        &st.fmaps,
-                        images,
-                        labels,
-                        &epoch,
-                        Some(out_view),
-                    )?;
-                    self.absorb_forward(&mut st, wv, 0, id, out, rec, on, &epoch, true)?;
-                } else {
-                    let outs: Vec<Result<NodeOut, RuntimeError>> = {
-                        let this = &*self;
-                        let fview = &st.fmaps;
-                        let ep = &epoch;
-                        parallel_map(wave.len(), 1, |wi| {
-                            let id = wave[wi];
-                            let out_view = arena
-                                .view(&this.names[id.index()].y, this.shapes[id.index()])
-                                .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?;
-                            this.compute_forward(
-                                this.graph.node(id),
-                                fview,
-                                images,
-                                labels,
-                                ep,
-                                Some(out_view),
-                            )
-                        })
-                    };
-                    for (lane, (&id, out)) in wave.iter().zip(outs).enumerate() {
-                        self.absorb_forward(&mut st, wv, lane, id, out?, rec, on, &epoch, true)?;
-                    }
-                }
-                // Free block: relinquish every dense buffer whose last read
-                // was inside this wave (including wave members' own outputs
-                // if nothing reads them).
-                let wave_end = st.cursor + wave.len() - 1;
-                for j in 0..n {
-                    if st.last_use_pos[j] >= st.cursor && st.last_use_pos[j] <= wave_end {
-                        if let Some(t) = st.fmaps[j].take() {
-                            let bytes = self.ev_bytes(t.numel() * 4);
-                            st.meter.free(bytes as usize);
-                            let name = &self.names[j].y;
-                            if on {
-                                rec.record(Event::Free { name: name.clone(), bytes });
-                            }
-                            drop(t);
-                            self.poison_region(name);
-                        }
-                    }
-                }
-                st.cursor += wave.len();
-            } else if let Some(arena) = &self.arena {
-                // Event-granular arena policy: compute and post-process one
-                // node at a time, in the exact order the plan's events were
-                // packed against — event-time disjointness then implies
-                // real-time safety for writes into the shared slab.
-                for (lane, &id) in wave.iter().enumerate() {
-                    let node = self.graph.node(id);
-                    let out_view = arena
-                        .view(&self.names[id.index()].y, self.shapes[id.index()])
-                        .map_err(|e| RuntimeError::Trace(format!("arena: {e}")))?;
-                    let out = self.compute_forward(
-                        node,
-                        &st.fmaps,
-                        images,
-                        labels,
-                        &epoch,
-                        Some(out_view),
-                    )?;
-                    self.absorb_forward(&mut st, wv, lane, id, out, rec, on, &epoch, false)?;
-                }
-            } else {
-                // Heap policy: compute the wave — concurrently when it has
-                // siblings — then post-process sequentially in ascending-id
-                // order.
-                let outs: Vec<Result<NodeOut, RuntimeError>> = if wave.len() == 1 {
-                    vec![self.compute_forward(
-                        self.graph.node(wave[0]),
-                        &st.fmaps,
-                        images,
-                        labels,
-                        &epoch,
-                        None,
-                    )]
-                } else {
-                    let this = &*self;
-                    let fview = &st.fmaps;
-                    let ep = &epoch;
-                    parallel_map(wave.len(), 1, |wi| {
-                        this.compute_forward(
-                            this.graph.node(wave[wi]),
-                            fview,
-                            images,
-                            labels,
-                            ep,
-                            None,
-                        )
-                    })
-                };
-                for (lane, (&id, out)) in wave.iter().zip(outs).enumerate() {
-                    self.absorb_forward(&mut st, wv, lane, id, out?, rec, on, &epoch, false)?;
-                }
-            }
+        for block in forward {
+            self.run_block(&mut st, block, &cx)?;
         }
-
         let stash_bytes: usize = st.stashes.iter().flatten().map(Stash::encoded_bytes).sum();
         let ssdc_compression: Vec<(String, f64)> = self
             .graph
@@ -2071,266 +932,15 @@ impl Executor {
                 _ => None,
             })
             .collect();
-
-        // ---- Backward pass ----
-        // Walk the waves in reverse. A node's upstream gradient is complete
-        // once every consumer's backward has run — all consumers live in
-        // later waves, so the wave invariant holds backward too. Within a
-        // wave the computes may run concurrently (heap policy); merging
-        // (gradient accumulation, param grads, meter, stash release) is
-        // sequential in descending-id order so shared producers always
-        // accumulate contributions in one fixed order.
-        let mut dy_entered = if wave_mode { vec![false; n] } else { Vec::new() };
-        // One work buffer reused across waves keeps the steady-state wave
-        // loop off the heap entirely.
-        let mut work: Vec<(NodeId, Option<Tensor>)> =
-            Vec::with_capacity(sched.waves().iter().map(Vec::len).max().unwrap_or(0));
-        for (wv, wave) in sched.waves().iter().enumerate().rev() {
-            work.clear();
-            for &id in wave.iter().rev() {
-                let node = self.graph.node(id);
-                if matches!(node.op, OpKind::Input(_)) {
-                    continue;
-                }
-                if matches!(node.op, OpKind::SoftmaxLoss) {
-                    work.push((id, None));
-                    continue;
-                }
-                let Some(mut dy) = st.grads[id.index()].take() else {
-                    continue; // no gradient path through this node
-                };
-                self.quantize_immediate(&mut dy);
-                work.push((id, Some(dy)));
-            }
-            self.materialize_offload(&mut st, &work, wv, images, labels, &epoch, rec, on)?;
-            if wave_mode {
-                // Entry block: decode buffers, gradient side regions, and
-                // every target gradient map of the wave are allocated before
-                // any compute, matching the wave plan's conservative
-                // lifetimes.
-                for (id, _) in &work {
-                    let i = id.index();
-                    if let Some(dec) = self.dec_bytes_static(*id) {
-                        st.meter.alloc(dec as usize);
-                        if on {
-                            rec.record(Event::Alloc {
-                                name: self.names[i].dec.clone(),
-                                bytes: dec,
-                            });
-                        }
-                    }
-                    for (k, &t) in self.targets[i].iter().enumerate() {
-                        let bytes = self.ev_bytes(self.shapes[t.index()].numel() * 4);
-                        st.meter.alloc(bytes as usize);
-                        if on {
-                            rec.record(Event::Alloc { name: self.names[i].dx[k].clone(), bytes });
-                        }
-                    }
-                    for &t in &self.targets[i] {
-                        if st.grads[t.index()].is_none() && !dy_entered[t.index()] {
-                            dy_entered[t.index()] = true;
-                            let bytes = self.ev_bytes(self.shapes[t.index()].numel() * 4);
-                            st.meter.alloc(bytes as usize);
-                            if on {
-                                rec.record(Event::Alloc {
-                                    name: self.names[t.index()].dy.clone(),
-                                    bytes,
-                                });
-                            }
-                        }
-                    }
-                }
-                // Concurrent computes; every region they write (dx, dec) is
-                // planned concurrently live and mutually disjoint. Singleton
-                // waves compute and merge inline, skipping the result vector
-                // so the steady-state arena loop stays off the heap.
-                if work.len() <= 1 {
-                    for (lane, item) in work.iter().enumerate() {
-                        let (id, dy) = (item.0, item.1.as_ref());
-                        let out = self.backward_node(
-                            self.graph.node(id),
-                            dy,
-                            &st.stashes,
-                            &st.argmaxes,
-                            &st.drop_masks,
-                            &st.bn_caches,
-                            labels,
-                            on,
-                            &epoch,
-                        )?;
-                        self.absorb_backward(&mut st, wv, lane, id, None, out, rec, on, true)?;
-                    }
-                } else {
-                    let outs: Vec<Result<BwdOut, RuntimeError>> = {
-                        let this = &*self;
-                        let wview = &work;
-                        let sview = &st.stashes;
-                        let aview = &st.argmaxes;
-                        let dview = &st.drop_masks;
-                        let bview = &st.bn_caches;
-                        let ep = &epoch;
-                        parallel_map(work.len(), 1, |wi| {
-                            let (id, dy) = &wview[wi];
-                            this.backward_node(
-                                this.graph.node(*id),
-                                dy.as_ref(),
-                                sview,
-                                aview,
-                                dview,
-                                bview,
-                                labels,
-                                on,
-                                ep,
-                            )
-                        })
-                    };
-                    // Sequential merge in work order — same fixed accumulation
-                    // order as every other path, so results are identical at
-                    // every thread count.
-                    for (lane, ((id, _), out)) in work.iter().zip(outs).enumerate() {
-                        self.absorb_backward(&mut st, wv, lane, *id, None, out?, rec, on, true)?;
-                    }
-                }
-                for (id, _) in &work {
-                    for &t in &self.targets[id.index()] {
-                        dy_entered[t.index()] = false;
-                    }
-                }
-                // Free block: release the wave's decode buffers, consumed
-                // upstream gradients, side regions, and stashes, in work
-                // order.
-                for item in work.iter_mut() {
-                    let (id, dy) = (item.0, item.1.take());
-                    let i = id.index();
-                    if let Some(dec) = self.dec_bytes_static(id) {
-                        st.meter.free(dec as usize);
-                        if on {
-                            rec.record(Event::Free { name: self.names[i].dec.clone(), bytes: dec });
-                        }
-                        self.poison_region(&self.names[i].dec);
-                    }
-                    if let Some(dy) = dy {
-                        let bytes = self.ev_bytes(dy.numel() * 4);
-                        st.meter.free(bytes as usize);
-                        if on {
-                            rec.record(Event::Free { name: self.names[i].dy.clone(), bytes });
-                        }
-                        drop(dy);
-                        self.poison_region(&self.names[i].dy);
-                    }
-                    for (k, &t) in self.targets[i].iter().enumerate() {
-                        let bytes = self.ev_bytes(self.shapes[t.index()].numel() * 4);
-                        st.meter.free(bytes as usize);
-                        if on {
-                            rec.record(Event::Free { name: self.names[i].dx[k].clone(), bytes });
-                        }
-                        self.poison_region(&self.names[i].dx[k]);
-                    }
-                    if let Some(stash) = st.stashes[i].take() {
-                        let bytes = self.stash_event_bytes(id, &stash);
-                        st.meter.free(bytes as usize);
-                        let name = self.stash_free_name(id);
-                        if on {
-                            rec.record(Event::Free { name: name.to_string(), bytes });
-                        }
-                        drop(stash);
-                        self.poison_region(name);
-                    }
-                }
-            } else if self.arena.is_some() {
-                // Event-granular arena policy: serialize compute+merge per
-                // work item so the gradient-map, side, and decode regions
-                // are only written inside their planned lifetimes.
-                for (lane, item) in work.iter_mut().enumerate() {
-                    let (id, dy) = (item.0, item.1.take());
-                    let out = self.backward_node(
-                        self.graph.node(id),
-                        dy.as_ref(),
-                        &st.stashes,
-                        &st.argmaxes,
-                        &st.drop_masks,
-                        &st.bn_caches,
-                        labels,
-                        on,
-                        &epoch,
-                    )?;
-                    self.absorb_backward(&mut st, wv, lane, id, dy, out, rec, on, false)?;
-                }
-            } else {
-                let outs: Vec<Result<BwdOut, RuntimeError>> = if work.len() <= 1 {
-                    work.iter()
-                        .map(|(id, dy)| {
-                            self.backward_node(
-                                self.graph.node(*id),
-                                dy.as_ref(),
-                                &st.stashes,
-                                &st.argmaxes,
-                                &st.drop_masks,
-                                &st.bn_caches,
-                                labels,
-                                on,
-                                &epoch,
-                            )
-                        })
-                        .collect()
-                } else {
-                    let this = &*self;
-                    let wview = &work;
-                    let sview = &st.stashes;
-                    let aview = &st.argmaxes;
-                    let dview = &st.drop_masks;
-                    let bview = &st.bn_caches;
-                    let ep = &epoch;
-                    parallel_map(work.len(), 1, |wi| {
-                        let (id, dy) = &wview[wi];
-                        this.backward_node(
-                            this.graph.node(*id),
-                            dy.as_ref(),
-                            sview,
-                            aview,
-                            dview,
-                            bview,
-                            labels,
-                            on,
-                            ep,
-                        )
-                    })
-                };
-                for (lane, ((id, dy), out)) in work.drain(..).zip(outs).enumerate() {
-                    self.absorb_backward(&mut st, wv, lane, id, dy, out?, rec, on, false)?;
-                }
-            }
-        }
-
-        // Close the stream: every buffer still live (the input's stash and
-        // gradient, plus anything off the gradient path) is dropped when
-        // this function returns, so a traced step always folds back to zero
-        // live bytes and consecutive steps share one well-formed trace. The
-        // meter ignores these frees — they cannot affect the peak.
-        if on {
-            for node in self.graph.nodes() {
-                if let Some(stash) = &st.stashes[node.id.index()] {
-                    rec.record(Event::Free {
-                        name: self.stash_free_name(node.id).to_string(),
-                        bytes: self.stash_event_bytes(node.id, stash),
-                    });
-                }
-            }
-            for node in self.graph.nodes() {
-                if let Some(g) = &st.grads[node.id.index()] {
-                    rec.record(Event::Free {
-                        name: self.names[node.id.index()].dy.clone(),
-                        bytes: self.ev_bytes(g.numel() * 4),
-                    });
-                }
-            }
+        for block in backward {
+            self.run_block(&mut st, block, &cx)?;
         }
 
         self.step_counter += 1;
         let stats = StepStats {
             loss: st.loss,
             correct: st.correct,
-            batch: labels.len(),
+            batch,
             relu_sparsity: st.relu_sparsity,
             ssdc_compression,
             stash_bytes,
@@ -2339,12 +949,371 @@ impl Executor {
         };
         Ok((stats, st.pgrads))
     }
+
+    /// Interprets one block: `entry` ops, the items' computes — on the
+    /// `gist-par` pool iff the block is concurrent and has siblings,
+    /// otherwise each immediately followed by its merge — the sequential
+    /// merges in program order, then `exit` ops.
+    fn run_block(&self, st: &mut StepState, block: &Block, cx: &Step) -> Result<(), RuntimeError> {
+        self.play_all(st, &block.entry, cx);
+        if block.concurrent && block.items.len() > 1 {
+            for item in &block.items {
+                self.prepare(st, item);
+            }
+            let outs = {
+                let shared = &*st;
+                let batch = &cx.batch;
+                parallel_map(block.items.len(), 1, |i| self.compute(shared, &block.items[i], batch))
+            };
+            for (lane, (item, out)) in block.items.iter().zip(outs).enumerate() {
+                self.merge(st, block.wave, lane, item, out?, cx)?;
+            }
+        } else {
+            // Serialized (and singleton) blocks skip the result vector, so
+            // the steady-state loop stays off the heap outside the kernels.
+            for (lane, item) in block.items.iter().enumerate() {
+                self.prepare(st, item);
+                let out = self.compute(st, item, &cx.batch)?;
+                self.merge(st, block.wave, lane, item, out, cx)?;
+            }
+        }
+        self.play_all(st, &block.exit, cx);
+        Ok(())
+    }
+
+    /// The sequential step before an item's compute. Its allocations come
+    /// to life here as far as the debug live-set is concerned: the compute
+    /// writes them, and the merge that plays their `Alloc` follows with no
+    /// other memory op in between, so the planned tick is the same.
+    fn prepare(&self, st: &mut StepState, item: &Item) {
+        if cfg!(debug_assertions) {
+            for op in item.pre.iter().chain(&item.post) {
+                if let MemOp::Alloc(b) | MemOp::Transient(b) = *op {
+                    st.live[b] = true;
+                }
+            }
+        }
+        if let Work::Backward { node, .. } = &item.work {
+            if let Some(dy) = &mut st.grads[node.index()] {
+                self.quantize_immediate(dy);
+            }
+        }
+    }
+
+    /// An item's compute phase: reads step state, writes only the item's
+    /// own buffers.
+    fn compute(&self, st: &StepState, item: &Item, step: &Batch) -> Result<Out, RuntimeError> {
+        Ok(match &item.work {
+            Work::Forward { node, y, .. } => {
+                let y = self.buffer(st, *y, self.shape(*node))?;
+                Out::Forward(self.compute_forward(self.graph.node(*node), &st.fmaps, step, y)?)
+            }
+            Work::Backward { node, dec, targets } => Out::Backward(self.backward_node(
+                st,
+                self.graph.node(*node),
+                *dec,
+                targets,
+                step,
+            )?),
+            Work::ReluInplace { .. } | Work::SwapIn { .. } | Work::Replay { .. } => Out::Deferred,
+        })
+    }
+
+    /// An item's sequential merge: its span (and decode) events, its `pre`
+    /// ops, its value-level effects on the step state, its `post` ops.
+    fn merge(
+        &self,
+        st: &mut StepState,
+        wave: u32,
+        lane: usize,
+        item: &Item,
+        out: Out,
+        cx: &Step,
+    ) -> Result<(), RuntimeError> {
+        match (&item.work, out) {
+            (Work::Forward { node, stash, .. }, Out::Forward(out)) => {
+                let name = &self.graph.node(*node).name;
+                cx.span(name, Phase::Forward, wave, lane, out.t0_ns, out.dur_ns);
+                self.play_all(st, &item.pre, cx);
+                self.absorb_forward(st, *node, *stash, out, cx)?;
+            }
+            (Work::ReluInplace { node, stash }, _) => {
+                let node = self.graph.node(*node);
+                let mut y = st.fmaps[node.inputs[0].index()].take().expect("producer executed");
+                let t0_ns = elapsed_ns(&cx.batch.epoch);
+                relu::forward_inplace(&mut y);
+                let dur_ns = elapsed_ns(&cx.batch.epoch).saturating_sub(t0_ns);
+                cx.span(&node.name, Phase::Forward, wave, lane, t0_ns, dur_ns);
+                self.play_all(st, &item.pre, cx);
+                let out =
+                    NodeOut { y, argmax: None, bn: None, mask: None, loss: None, t0_ns, dur_ns };
+                self.absorb_forward(st, node.id, *stash, out, cx)?;
+            }
+            (Work::Backward { node, targets, .. }, Out::Backward(out)) => {
+                let name = &self.graph.node(*node).name;
+                cx.span(name, Phase::Backward, wave, lane, out.t0_ns, out.dur_ns);
+                for (pid, codec, raw_bytes, encoded_bytes) in out.decodes {
+                    cx.emit(|| Event::Decode {
+                        name: self.graph.node(pid).name.clone(),
+                        codec: codec.to_string(),
+                        raw_bytes,
+                        encoded_bytes,
+                    });
+                }
+                self.play_all(st, &item.pre, cx);
+                if out.pgrads.is_some() {
+                    st.pgrads[node.index()] = out.pgrads;
+                }
+                for (t, g) in targets.iter().zip(out.contrib) {
+                    if let Some(existing) = &mut st.grads[t.node.index()] {
+                        existing.add_scaled(&g, 1.0).expect("gradient shapes agree");
+                        continue;
+                    }
+                    let held = match self.view(st, t.dy, g.shape())? {
+                        Some(mut v) => {
+                            v.copy_from(&g);
+                            v
+                        }
+                        None => g,
+                    };
+                    st.grads[t.node.index()] = Some(held);
+                }
+            }
+            (Work::SwapIn { node, slot }, _) => {
+                self.play_all(st, &item.pre, cx);
+                self.swap_in(st, *node, *slot, cx)?;
+            }
+            (Work::Replay { seg, step, buf }, _) => {
+                self.play_all(st, &item.pre, cx);
+                self.replay_step(st, wave, *seg, *step, *buf, cx)?;
+            }
+            _ => unreachable!("compute returns each work kind's own output"),
+        }
+        self.play_all(st, &item.post, cx);
+        Ok(())
+    }
+
+    /// Sequential forward post-processing of one node's output:
+    /// quantization, stats, stashing, and handing the output to its slot.
+    fn absorb_forward(
+        &self,
+        st: &mut StepState,
+        id: NodeId,
+        stash: StashSite,
+        out: NodeOut,
+        cx: &Step,
+    ) -> Result<(), RuntimeError> {
+        let node = self.graph.node(id);
+        let NodeOut { mut y, argmax, bn, mask, loss, .. } = out;
+        self.quantize_immediate(&mut y);
+        if matches!(node.op, OpKind::Relu) {
+            st.relu_sparsity.push((node.name.clone(), y.sparsity()));
+        }
+        if argmax.is_some() {
+            st.argmaxes[id.index()] = argmax;
+        }
+        if bn.is_some() {
+            st.bn_caches[id.index()] = bn;
+        }
+        if mask.is_some() {
+            st.drop_masks[id.index()] = mask;
+        }
+        if let Some((l, c)) = loss {
+            st.loss = l;
+            st.correct = c;
+        }
+        self.stash_forward(st, id, stash, &y, cx)?;
+        st.fmaps[id.index()] = Some(y);
+        Ok(())
+    }
+
+    /// Fetches one swapped-out stash from the host store into its swap
+    /// slot, making it readable exactly like a resident dense stash.
+    fn swap_in(
+        &self,
+        st: &mut StepState,
+        v: NodeId,
+        slot: BufId,
+        cx: &Step,
+    ) -> Result<(), RuntimeError> {
+        let vi = v.index();
+        let ts_ns = elapsed_ns(&cx.batch.epoch);
+        let mut t = self.buffer(st, slot, self.shape(v))?;
+        let host = self.host.as_ref().expect("swap plan has a host store");
+        let host = host.lock().expect("host store lock");
+        let bytes = match self.swap_codec() {
+            Some(_) => {
+                let wire = host.load_wire(vi);
+                wire.decode_into(t.data_mut());
+                wire.wire_bytes()
+            }
+            None => {
+                t.data_mut().copy_from_slice(host.load(vi));
+                (t.numel() * 4) as u64
+            }
+        };
+        drop(host);
+        let name = &self.graph.node(v).name;
+        st.swap_transfers.push((name.clone(), false, bytes));
+        cx.emit(|| Event::Transfer {
+            name: name.clone(),
+            to_host: false,
+            bytes,
+            ts_ns,
+            dur_ns: elapsed_ns(&cx.batch.epoch).saturating_sub(ts_ns),
+        });
+        st.stashes[vi] = Some(Stash::Dense(t));
+        Ok(())
+    }
+
+    /// Re-executes one forward kernel of a recompute segment into `buf`: a
+    /// rebuilt stash (`{node}.rstash`) or a replay-internal intermediate
+    /// (`{node}.ry{segment}`) the program frees at its last replay use.
+    fn replay_step(
+        &self,
+        st: &mut StepState,
+        wave: u32,
+        seg: usize,
+        index: usize,
+        buf: BufId,
+        cx: &Step,
+    ) -> Result<(), RuntimeError> {
+        let plan = self.program.oplan.as_ref().expect("replay items come from a plan");
+        let seg = &plan.segments[seg];
+        if index == 0 {
+            // Replay-local feature maps, seeded from data that is still
+            // live: resident dense stashes and the minibatch images.
+            // (Cloning a view deep-copies; like backward decode scratch,
+            // these short-lived reads are compute-internal and unmetered.)
+            st.rmaps = vec![None; self.graph.len()];
+            for &e in &seg.externals {
+                st.rmaps[e.index()] = Some(match &st.stashes[e.index()] {
+                    Some(Stash::Dense(t)) => t.clone(),
+                    Some(_) => unreachable!("replay externals are dense stashes"),
+                    None => {
+                        debug_assert!(matches!(self.graph.node(e).op, OpKind::Input(_)));
+                        cx.batch.images.clone()
+                    }
+                });
+            }
+        }
+        let rs = &seg.replay[index];
+        let node = self.graph.node(rs.node);
+        let out = self.buffer(st, buf, self.shape(rs.node))?;
+        // The step counter has not advanced, so replayed dropout masks are
+        // bit-identical to the forward pass; argmax/BN/mask side outputs
+        // are likewise identical to the retained originals and are ignored
+        // (stats were already collected in the forward pass).
+        let NodeOut { mut y, t0_ns, dur_ns, .. } =
+            self.compute_forward(node, &st.rmaps, &cx.batch, out)?;
+        self.quantize_immediate(&mut y);
+        cx.span(&node.name, Phase::Recompute, wave, index, t0_ns, dur_ns);
+        if rs.is_stash {
+            // Under the arena policy, a second view of the planned region
+            // the kernel just wrote — reads only from here on.
+            let stash = self.view(st, buf, y.shape())?.unwrap_or_else(|| y.clone());
+            st.stashes[rs.node.index()] = Some(Stash::Dense(stash));
+        }
+        st.rmaps[rs.node.index()] = Some(y);
+        if index + 1 == seg.replay.len() {
+            st.rmaps = Vec::new();
+        }
+        Ok(())
+    }
+
+    fn play_all(&self, st: &mut StepState, ops: &[MemOp], cx: &Step) {
+        for &op in ops {
+            self.play(st, op, cx);
+        }
+    }
+
+    /// Plays one memory op — the single place a buffer's life touches the
+    /// meter, the trace, the step state's slots and (debug builds) the
+    /// live-set and the arena poison.
+    fn play(&self, st: &mut StepState, op: MemOp, cx: &Step) {
+        let bufs = &self.program.bufs;
+        let bytes_of = |st: &StepState, b: BufId| match bufs[b].bytes {
+            Bytes::Fixed(bytes) => bytes,
+            Bytes::Ssdc(node) => {
+                let stash = st.stashes[node.index()].as_ref();
+                stash.expect("an SSDC stash is held while its buffer is live").encoded_bytes()
+                    as u64
+            }
+        };
+        match op {
+            MemOp::Alloc(b) => {
+                let bytes = bytes_of(st, b);
+                st.meter.alloc(bytes as usize);
+                cx.emit(|| Event::Alloc { name: bufs[b].name.clone(), bytes });
+                if cfg!(debug_assertions) {
+                    st.live[b] = true;
+                }
+            }
+            MemOp::Free(b) => {
+                let bytes = bytes_of(st, b);
+                st.meter.free(bytes as usize);
+                cx.emit(|| Event::Free { name: bufs[b].name.clone(), bytes });
+                match bufs[b].slot {
+                    Slot::Fmap(n) => st.fmaps[n.index()] = None,
+                    Slot::Stash(n) => st.stashes[n.index()] = None,
+                    Slot::Grad(n) => st.grads[n.index()] = None,
+                    Slot::Replay(n) => {
+                        if let Some(slot) = st.rmaps.get_mut(n.index()) {
+                            *slot = None;
+                        }
+                    }
+                    Slot::Scratch => {}
+                }
+                self.retire(st, b);
+            }
+            MemOp::Transient(b) => {
+                let bytes = bytes_of(st, b);
+                st.meter.transient(bytes as usize);
+                cx.emit(|| Event::Transient { name: bufs[b].name.clone(), bytes });
+                // The decode scratch died with the item's backward compute.
+                self.retire(st, b);
+            }
+            MemOp::Reuse { from, into } => {
+                cx.emit(|| Event::Reuse {
+                    from: bufs[from].name.clone(),
+                    into: bufs[into].name.clone(),
+                });
+                if cfg!(debug_assertions) {
+                    assert!(st.live[from], "{} reused outside its lifetime", bufs[from].name);
+                    st.live[from] = false;
+                    st.live[into] = true;
+                }
+            }
+        }
+    }
+
+    /// Debug builds: ends `buf`'s program lifetime — asserts it was inside
+    /// one, then NaN-poisons its arena region so any stale read downstream
+    /// fails loudly instead of silently consuming reused bytes. No-op in
+    /// release builds.
+    fn retire(&self, st: &mut StepState, buf: BufId) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let name = &self.program.bufs[buf].name;
+        assert!(std::mem::take(&mut st.live[buf]), "{name} released outside its program lifetime");
+        if let Some(arena) = &self.arena {
+            // SAFETY: the op that retires a buffer has just dropped the
+            // slot holding its tensor (or it was compute-internal scratch
+            // that died with the compute) — no live view of it remains,
+            // and every later writer of an overlapping region fully
+            // overwrites it.
+            unsafe { arena.poison(name).expect("retired buffer has a planned region") }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::SyntheticImages;
+    use gist_core::GistConfig;
+    use gist_encodings::DprFormat;
 
     fn minibatch(batch: usize) -> (Tensor, Vec<usize>) {
         let mut ds = SyntheticImages::new(3, 16, 0.3, 42);
@@ -2518,9 +1487,9 @@ mod tests {
 
     #[test]
     fn multi_node_waves_are_thread_count_invariant() {
-        let sched = Schedule::of(&branchy_graph(2));
+        let probe = Executor::new(branchy_graph(2), ExecMode::Baseline, 3).unwrap();
         assert!(
-            sched.waves().iter().any(|w| w.len() > 1),
+            probe.program().blocks.iter().any(|b| b.concurrent && b.items.len() > 1),
             "test graph must exercise sibling waves"
         );
         let mut ds = SyntheticImages::rgb(3, 8, 0.3, 9);
@@ -2557,9 +1526,8 @@ mod tests {
         ] {
             let g = gist_models::small_vgg(4, 3);
             let mut heap = Executor::new(g.clone(), mode.clone(), 5).unwrap();
-            let mut arena =
-                Executor::new_with_policy(g, mode.clone(), 5, AllocPolicy::Arena).unwrap();
-            assert_eq!(arena.alloc_policy(), AllocPolicy::Arena);
+            let mut arena = Executor::new(g, ExecSpec::from(mode.clone()).arena(), 5).unwrap();
+            assert_eq!(arena.spec().alloc, AllocPolicy::Arena);
             assert!(arena.arena_capacity_bytes().unwrap() > 0);
             for step in 0..2 {
                 let sh = heap.step(&x, &y, 0.05).unwrap();
@@ -2583,9 +1551,8 @@ mod tests {
         let mut ds = SyntheticImages::rgb(3, 8, 0.3, 9);
         let (x, y) = ds.minibatch(2);
         let mut heap = Executor::new(branchy_graph(2), ExecMode::Baseline, 3).unwrap();
-        let mut arena =
-            Executor::new_with_policy(branchy_graph(2), ExecMode::Baseline, 3, AllocPolicy::Arena)
-                .unwrap();
+        let spec = ExecSpec::from(ExecMode::Baseline).arena();
+        let mut arena = Executor::new(branchy_graph(2), spec, 3).unwrap();
         let (sh, gh) = heap.forward_backward(&x, &y).unwrap();
         let (sa, ga) = arena.forward_backward(&x, &y).unwrap();
         assert_eq!(sh.loss.to_bits(), sa.loss.to_bits());
@@ -2612,5 +1579,51 @@ mod tests {
         assert!(matches!(e.step(&x, &y[..2], 0.1), Err(RuntimeError::BatchMismatch(_))));
         let bad = Tensor::zeros(Shape::nchw(4, 3, 16, 16));
         assert!(matches!(e.step(&bad, &y, 0.1), Err(RuntimeError::BatchMismatch(_))));
+        assert!(matches!(e.predict(&bad), Err(RuntimeError::BatchMismatch(_))));
+    }
+
+    #[test]
+    fn predict_classifies_diverged_logits_deterministically() {
+        // The state Figure 12's All-FP16 run reaches by design: a NaN
+        // weight makes every logit downstream NaN. Inference must still
+        // answer — the same answer every time — instead of panicking.
+        let g = gist_models::tiny_convnet(4, 3);
+        let mut e = Executor::new(g, ExecMode::UniformImmediate(DprFormat::Fp16), 1).unwrap();
+        let fc = e.graph().nodes().iter().position(|n| n.name == "fc").unwrap();
+        let Some(NodeParams::Linear { weight, .. }) = e.params.get_mut(fc) else {
+            unreachable!("fc is linear")
+        };
+        weight.data_mut()[0] = f32::NAN;
+        let (x, _) = minibatch(4);
+        let classes = e.predict(&x).expect("NaN logits still classify");
+        assert_eq!(classes.len(), 4);
+        assert!(classes.iter().all(|&c| c < 3));
+        assert_eq!(e.predict(&x).unwrap(), classes);
+    }
+
+    /// The oracle that can still fail now that `observed == predicted`
+    /// holds by construction: an interpreter touching a buffer outside the
+    /// lifetime the program gives it trips the debug live-set. Here the
+    /// lifetime of one backward side region is shortened — its `Alloc`
+    /// moved from the block's entry to just before its `Free` — while the
+    /// backward kernel still writes it in between.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "outside its program lifetime")]
+    fn shortened_buffer_lifetime_trips_the_live_set_guard() {
+        let g = gist_models::tiny_convnet(4, 3);
+        let spec = ExecSpec { plan: PlanGranularity::Wave, ..ExecSpec::from(ExecMode::Baseline) };
+        let mut e = Executor::new(g, spec.arena(), 1).unwrap();
+        let backward_start = e.program.backward_start;
+        let dx = match &e.program.blocks[backward_start].items[0].work {
+            Work::Backward { targets, .. } => targets[0].dx,
+            other => panic!("first backward item is the loss head, got {other:?}"),
+        };
+        let block = &mut e.program.blocks[backward_start];
+        block.entry.retain(|op| *op != MemOp::Alloc(dx));
+        let free = block.exit.iter().position(|op| *op == MemOp::Free(dx)).unwrap();
+        block.exit.insert(free, MemOp::Alloc(dx));
+        let (x, y) = minibatch(4);
+        let _ = e.step(&x, &y, 0.05);
     }
 }

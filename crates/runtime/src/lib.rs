@@ -24,23 +24,24 @@ pub mod exec;
 pub mod optim;
 pub mod params;
 pub mod predict;
+pub mod program;
+pub mod spec;
 pub mod trainer;
 
 pub use autotune::{select_dpr_format, AutotuneConfig, AutotuneResult};
 pub use checkpoint::{load as load_checkpoint, save as save_checkpoint, CheckpointError};
 pub use data::SyntheticImages;
-pub use exec::{AllocPolicy, ExecMode, Executor, StepStats};
+pub use exec::{Executor, StepStats};
 pub use gist_memory::PlanGranularity;
 pub use gist_offload::{OffloadMode, SwapStrategy};
 pub use optim::MomentumSgd;
 pub use params::ParamSet;
 pub use predict::{
-    param_tensor_numels, predict_step_events, predict_step_events_for,
-    predict_step_events_granular, predict_step_events_offload, predicted_param_wire_bytes,
-    predicted_peak_bytes, predicted_peak_bytes_for, predicted_peak_bytes_granular,
-    predicted_peak_bytes_offload, predicted_replica_slab_bytes,
-    predicted_replica_slab_bytes_granular, ssdc_stash_sizes,
+    param_tensor_numels, predict_step_events_granular, predicted_param_wire_bytes,
+    predicted_peak_bytes_granular, ssdc_stash_sizes,
 };
+pub use program::StepProgram;
+pub use spec::{offload_label, parse_offload, AllocPolicy, ExecMode, ExecSpec};
 pub use trainer::{train, train_loop, train_loop_traced, EpochStats, LrSchedule, TrainReport};
 
 /// Errors from runtime execution.

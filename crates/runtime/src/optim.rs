@@ -73,7 +73,8 @@ impl MomentumSgd {
 mod tests {
     use super::*;
     use crate::data::SyntheticImages;
-    use crate::exec::{ExecMode, Executor};
+    use crate::exec::Executor;
+    use crate::spec::ExecMode;
 
     #[test]
     fn zero_momentum_matches_plain_sgd() {

@@ -35,6 +35,39 @@ pub struct ParamSet {
     params: Vec<Option<NodeParams>>,
 }
 
+/// Shapes of every node's learned-parameter tensors, indexed by node id:
+/// weight-or-gamma first, then bias-or-beta if the node has one (empty for
+/// parameterless nodes). The one derivation [`ParamSet::init`] fills and
+/// the park-side bounds (`param_tensor_numels`) size from, so they cannot
+/// disagree on layout.
+///
+/// # Errors
+///
+/// Propagates shape-inference failures.
+pub(crate) fn param_shapes(graph: &Graph) -> Result<Vec<Vec<Shape>>, GraphError> {
+    let shapes = graph.infer_shapes()?;
+    let with_bias = |main: Shape, bias: bool, len: usize| {
+        std::iter::once(main).chain(bias.then(|| Shape::vector(len))).collect()
+    };
+    Ok(graph
+        .nodes()
+        .iter()
+        .map(|node| {
+            let x = node.inputs.first().map(|p| shapes[p.index()]);
+            match (&node.op, x) {
+                (OpKind::Conv { out_channels: k, params: cp, bias }, Some(x)) => {
+                    with_bias(Shape::nchw(*k, x.c(), cp.kernel, cp.kernel), *bias, *k)
+                }
+                (OpKind::Linear { out_features: f, bias }, Some(x)) => {
+                    with_bias(Shape::matrix(*f, x.as_matrix().1), *bias, *f)
+                }
+                (OpKind::BatchNorm, Some(x)) => with_bias(Shape::vector(x.c()), true, x.c()),
+                _ => Vec::new(),
+            }
+        })
+        .collect())
+}
+
 impl ParamSet {
     /// Initializes parameters for every parameterized node, deterministically
     /// from `seed`.
@@ -43,42 +76,31 @@ impl ParamSet {
     ///
     /// Propagates shape-inference failures.
     pub fn init(graph: &Graph, seed: u64) -> Result<Self, GraphError> {
-        let shapes = graph.infer_shapes()?;
-        let mut params = Vec::with_capacity(graph.len());
-        for node in graph.nodes() {
-            let p = match &node.op {
-                OpKind::Conv { out_channels, params: cp, bias } => {
-                    let in_c = shapes[node.inputs[0].index()].c();
-                    let w_shape = Shape::nchw(*out_channels, in_c, cp.kernel, cp.kernel);
-                    let fan_in = in_c * cp.kernel * cp.kernel;
-                    let weight =
-                        init::kaiming_uniform(w_shape, fan_in, seed ^ node.id.index() as u64);
-                    let bias = bias.then(|| Tensor::zeros(Shape::vector(*out_channels)));
-                    Some(NodeParams::Conv { weight, bias })
-                }
-                OpKind::Linear { out_features, bias } => {
-                    let (_, f_in) = shapes[node.inputs[0].index()].as_matrix();
-                    let w_shape = Shape::matrix(*out_features, f_in);
-                    let weight = init::xavier_uniform(
-                        w_shape,
-                        f_in,
-                        *out_features,
-                        seed ^ node.id.index() as u64,
-                    );
-                    let bias = bias.then(|| Tensor::zeros(Shape::vector(*out_features)));
-                    Some(NodeParams::Linear { weight, bias })
-                }
-                OpKind::BatchNorm => {
-                    let c = shapes[node.inputs[0].index()].c();
-                    Some(NodeParams::BatchNorm {
-                        gamma: Tensor::full(Shape::vector(c), 1.0),
-                        beta: Tensor::zeros(Shape::vector(c)),
-                    })
-                }
-                _ => None,
-            };
-            params.push(p);
-        }
+        let params = graph
+            .nodes()
+            .iter()
+            .zip(param_shapes(graph)?)
+            .map(|(node, shapes)| {
+                let (&main, rest) = shapes.split_first()?;
+                let seed = seed ^ node.id.index() as u64;
+                let bias = rest.first().map(|&shape| Tensor::zeros(shape));
+                Some(match &node.op {
+                    OpKind::Conv { .. } => {
+                        let fan_in = main.c() * main.h() * main.w();
+                        NodeParams::Conv { weight: init::kaiming_uniform(main, fan_in, seed), bias }
+                    }
+                    OpKind::Linear { .. } => {
+                        let (f_out, f_in) = main.as_matrix();
+                        let weight = init::xavier_uniform(main, f_in, f_out, seed);
+                        NodeParams::Linear { weight, bias }
+                    }
+                    _ => NodeParams::BatchNorm {
+                        gamma: Tensor::full(main, 1.0),
+                        beta: bias.expect("batch-norm has a shift"),
+                    },
+                })
+            })
+            .collect();
         Ok(ParamSet { params })
     }
 

@@ -1,63 +1,29 @@
-//! Static prediction of the executor's memory-event stream.
-//!
-//! [`predict_step_events`] replays the executor's allocation discipline —
-//! stash-then-output allocation order, last-use relinquishment, the inplace
-//! ReLU reuse rule, backward gradient-map recycling, decode transients, and
-//! stash release — without running any kernels. The result is the exact
-//! sequence of memory events a traced [`crate::Executor`] step emits.
-//!
-//! The prediction is policy-aware ([`predict_step_events_for`]):
+//! Static prediction of the executor's memory behaviour: folds of the one
+//! lowered [`StepProgram`] the executor itself interprets, so a predicted
+//! stream is the observed stream by construction.
 //!
 //! - Under [`AllocPolicy::Heap`] sizes are exact, with one data-dependent
 //!   input: SSDC stash sizes, which depend on the values being encoded and
-//!   are supplied from observed [`gist_obs::Event::Encode`] events.
-//! - Under [`AllocPolicy::Arena`] every size is the planned reservation —
-//!   [`align_arena`]-rounded, with SSDC stashes at their data-independent
-//!   worst case — so the stream is fully static and is exactly what
-//!   `gist_memory::Arena::from_events` packs into the slab the executor
-//!   then runs out of.
+//!   are supplied from observed [`gist_obs::Event::Encode`] events
+//!   ([`ssdc_stash_sizes`]).
+//! - Under [`AllocPolicy::Arena`] every size is the planned reservation, so
+//!   the stream is fully static and is exactly what
+//!   `gist_memory::Arena::from_events_granular` packs into the slab the
+//!   executor then runs out of.
 //!
-//! This is the bridge between the runtime memory accountant (what the
-//! executor *did*) and the `gist-memory` planner (what the schedule
-//! *implies*): the oracle tests assert the two agree event-for-event, so
-//! the planner's footprint numbers are backed by execution, not just by a
-//! second copy of the same arithmetic.
+//! Also here: the parameter-side bounds the serve layer prices parks with.
 
-use crate::exec::{AllocPolicy, ExecMode};
+use crate::program::StepProgram;
+use crate::spec::{AllocPolicy, ExecMode, ExecSpec};
 use crate::RuntimeError;
-use gist_core::Encoding;
-use gist_encodings::csr::{max_encoded_bytes, SsdcConfig};
-use gist_graph::{Graph, NodeId, OpKind, Schedule};
-use gist_memory::{align_arena, PlanGranularity};
-use gist_obs::{Event, MemoryAccountant};
-use gist_offload::{Action, OffloadPlan, StashDisposition};
+use gist_graph::Graph;
+use gist_memory::PlanGranularity;
+use gist_obs::Event;
+use gist_offload::{OffloadMode, OffloadPlan};
 use std::collections::HashMap;
 
-/// An event stream under construction, tracking the accountant's logical
-/// tick alongside emission (every memory event consumes one tick except
-/// `Reuse`) so wave groups can be recorded in tick space as the stream is
-/// built — the exact coordinates [`gist_memory::coarsen_lifetimes`] widens
-/// against.
-struct Stream {
-    events: Vec<Event>,
-    tick: usize,
-}
-
-impl Stream {
-    fn new() -> Self {
-        Stream { events: Vec::new(), tick: 0 }
-    }
-
-    fn push(&mut self, ev: Event) {
-        if !matches!(ev, Event::Reuse { .. }) {
-            self.tick += 1;
-        }
-        self.events.push(ev);
-    }
-}
-
 /// Extracts observed SSDC stash sizes (`node name -> encoded bytes`) from a
-/// trace — the only data-dependent sizes the heap-policy predictor needs.
+/// trace — the only data-dependent sizes a heap-policy fold needs.
 pub fn ssdc_stash_sizes(events: &[Event]) -> HashMap<String, u64> {
     let mut sizes = HashMap::new();
     for ev in events {
@@ -70,109 +36,29 @@ pub fn ssdc_stash_sizes(events: &[Event]) -> HashMap<String, u64> {
     sizes
 }
 
-/// Data-independent stash size for a node of `ne` elements: exact for
-/// Binarize/DPR/dense (their encoded size is shape-only), the worst-case
-/// bound for SSDC (whose actual size depends on the values). This is what
-/// the arena reserves, so a step can never outgrow its planned region.
-pub(crate) fn static_stash_bytes(ne: u64, mode: &ExecMode, enc: Encoding) -> u64 {
-    match (mode, enc) {
-        (ExecMode::Gist(_), Encoding::Binarize) => ne.div_ceil(32) * 4,
-        (ExecMode::Gist(cfg), Encoding::Ssdc { .. }) => {
-            max_encoded_bytes(ne as usize, SsdcConfig { narrow: true, value_format: cfg.dpr })
-                as u64
-        }
-        (ExecMode::Gist(_), Encoding::Dpr(f)) => ne.div_ceil(f.values_per_word() as u64) * 4,
-        _ => ne * 4,
-    }
-}
-
-/// Predicts the memory-event substream of one traced heap-policy training
-/// step. See [`predict_step_events_for`].
-///
-/// # Errors
-///
-/// Returns an error if the graph fails shape inference, or
-/// [`RuntimeError::Trace`] if an SSDC-encoded node has no observed size.
-pub fn predict_step_events(
-    graph: &Graph,
-    mode: &ExecMode,
-    ssdc_bytes: &HashMap<String, u64>,
-) -> Result<Vec<Event>, RuntimeError> {
-    predict_step_events_for(graph, mode, AllocPolicy::Heap, ssdc_bytes)
-}
-
-/// Predicts the memory-event substream of one traced training step under
-/// the given allocation policy.
-///
-/// `ssdc_bytes` supplies observed encoded sizes for SSDC stashes (see
-/// [`ssdc_stash_sizes`]); it is only consulted under the heap policy and
-/// may be empty when the mode assigns no SSDC encodings.
-///
-/// # Errors
-///
-/// As for [`predict_step_events`].
-pub fn predict_step_events_for(
-    graph: &Graph,
-    mode: &ExecMode,
-    policy: AllocPolicy,
-    ssdc_bytes: &HashMap<String, u64>,
-) -> Result<Vec<Event>, RuntimeError> {
-    predict_step_events_offload(graph, mode, policy, ssdc_bytes, None)
-}
-
-/// [`predict_step_events_for`] under an offload plan: dropped and swapped
-/// stashes emit no forward allocation; each backward wave first replays the
-/// plan's triggers (swap-in slot allocations, recompute-segment replay
-/// allocations and replay-internal frees) in work order, exactly as the
-/// executor's wave-entry materialization pass does; and offloaded stashes
-/// free under the plan's swap-slot / rebuilt-stash names.
-///
-/// With `plan == None` this is exactly [`predict_step_events_for`].
-///
-/// # Errors
-///
-/// As for [`predict_step_events`].
-pub fn predict_step_events_offload(
-    graph: &Graph,
-    mode: &ExecMode,
-    policy: AllocPolicy,
-    ssdc_bytes: &HashMap<String, u64>,
-    plan: Option<&OffloadPlan>,
-) -> Result<Vec<Event>, RuntimeError> {
-    Ok(predict_step_events_granular(graph, mode, policy, ssdc_bytes, plan, PlanGranularity::Event)?
-        .0)
-}
-
-/// A predicted event stream paired with its wave groups: sorted, disjoint,
-/// inclusive tick ranges on the stream's accountant timeline, one per
-/// schedule wave that emitted memory events inside its wave block (empty
-/// under [`PlanGranularity::Event`]).
+/// A predicted event stream paired with its wave groups
+/// ([`StepProgram::wave_groups`]).
 pub type GranularEvents = (Vec<Event>, Vec<(usize, usize)>);
 
-/// [`predict_step_events_offload`] under an explicit plan granularity,
-/// additionally returning the **wave groups**: sorted, disjoint, inclusive
-/// tick ranges on the stream's accountant timeline, one per schedule wave
-/// that emitted memory events inside its wave block.
-///
-/// Under [`PlanGranularity::Wave`] (arena policy only — the granularity is
-/// a no-op under the heap policy, whose executor ignores it) the stream is
-/// emitted **wave-conservatively**: each wave's allocations all precede its
-/// computes and its frees all follow them, backward decode buffers become
-/// named `.dec` allocations (concurrent decodes need simultaneously-live
-/// distinct regions, which a single-tick `Transient` cannot express), and
-/// gradient side regions `.dx{k}` are held across the whole wave. Offload
-/// materialization prologues and the close-out frees stay event-granular
-/// and *outside* the groups — they run sequentially in the executor.
-///
-/// Because every group's allocations precede its frees, folding the stream
-/// through the accountant yields the same peak as packing the
-/// group-coarsened lifetimes — so observed peak, predicted peak, and the
-/// planned slab agree event-for-event under wave granularity too.
+/// The spec the positional-axis shims below stand for.
+fn positional_spec(
+    mode: &ExecMode,
+    policy: AllocPolicy,
+    plan: Option<&OffloadPlan>,
+    granularity: PlanGranularity,
+) -> ExecSpec {
+    let offload = plan.map_or(OffloadMode::None, |p| p.mode);
+    ExecSpec { mode: mode.clone(), alloc: policy, plan: granularity, offload }
+}
+
+/// [`StepProgram::events`] and [`StepProgram::wave_groups`] of the step
+/// lowered from four positional axes (the offload mechanism is the given
+/// plan's). Kept for `benchmark/`; a later `benchmark` PR moves it to
+/// [`ExecSpec`] and deletes this.
 ///
 /// # Errors
 ///
-/// As for [`predict_step_events`].
-#[allow(clippy::too_many_lines)]
+/// As for [`StepProgram::lower`] and [`StepProgram::events`].
 pub fn predict_step_events_granular(
     graph: &Graph,
     mode: &ExecMode,
@@ -181,427 +67,17 @@ pub fn predict_step_events_granular(
     plan: Option<&OffloadPlan>,
     granularity: PlanGranularity,
 ) -> Result<GranularEvents, RuntimeError> {
-    let n = graph.len();
-    let shapes = graph.infer_shapes()?;
-    let encodings: Vec<Encoding> = match mode {
-        ExecMode::Gist(cfg) => {
-            let assignments = gist_core::policy::assign(graph, cfg);
-            let mut per_node = vec![Encoding::None; n];
-            for a in assignments {
-                per_node[a.node.index()] = a.encoding;
-            }
-            per_node
-        }
-        _ => vec![Encoding::None; n],
-    };
-    let inplace_on = matches!(mode, ExecMode::Gist(cfg) if cfg.inplace);
-    let arena = matches!(policy, AllocPolicy::Arena);
-    let sz = |bytes: u64| -> u64 {
-        if arena {
-            align_arena(bytes)
-        } else {
-            bytes
-        }
-    };
-
-    // Same wave order and last-use positions as the executor.
-    let sched = Schedule::of(graph);
-    let mut pos = vec![0usize; n];
-    for (p, &id) in sched.waves().iter().flatten().enumerate() {
-        pos[id.index()] = p;
-    }
-    let mut last_use_pos: Vec<usize> = (0..n).map(|j| pos[j]).collect();
-    for node in graph.nodes() {
-        for &inp in &node.inputs {
-            let lp = &mut last_use_pos[inp.index()];
-            *lp = (*lp).max(pos[node.id.index()]);
-        }
-    }
-
-    let numel = |id: NodeId| -> u64 { shapes[id.index()].numel() as u64 };
-    let y_name = |id: NodeId| -> String { format!("{}.y", graph.node(id).name) };
-    let dy_name = |id: NodeId| -> String { format!("{}.dy", graph.node(id).name) };
-    let stash_size = |id: NodeId| -> Result<u64, RuntimeError> {
-        let ne = numel(id);
-        if arena {
-            return Ok(align_arena(static_stash_bytes(ne, mode, encodings[id.index()])));
-        }
-        Ok(match (mode, encodings[id.index()]) {
-            (ExecMode::Gist(_), Encoding::Binarize) => ne.div_ceil(32) * 4,
-            (ExecMode::Gist(_), Encoding::Ssdc { .. }) => {
-                *ssdc_bytes.get(&graph.node(id).name).ok_or_else(|| {
-                    RuntimeError::Trace(format!(
-                        "no observed SSDC stash size for node {}",
-                        graph.node(id).name
-                    ))
-                })?
-            }
-            (ExecMode::Gist(_), Encoding::Dpr(f)) => ne.div_ceil(f.values_per_word() as u64) * 4,
-            _ => ne * 4,
-        })
-    };
-    // Whether a backward read of this producer's stash materializes a
-    // decode buffer: dense stashes are borrowed in place (no transient).
-    let decode_is_transient = |pid: NodeId| -> bool {
-        matches!(encodings[pid.index()], Encoding::Ssdc { .. } | Encoding::Dpr(_))
-    };
-    // Offload-plan mirrors of the executor's stash_disposition /
-    // stash_free_name helpers.
-    let disposition = |id: NodeId| -> StashDisposition {
-        plan.map_or(StashDisposition::Resident, |p| p.disposition[id.index()])
-    };
-    let stash_free_name = |id: NodeId| -> String {
-        plan.and_then(|p| p.stash_free_name[id.index()].clone())
-            .unwrap_or_else(|| format!("{}.stash", graph.node(id).name))
-    };
-
-    // Wave granularity only changes the arena stream: the heap executor
-    // ignores the granularity entirely (its buffers are independent heap
-    // allocations, so same-wave concurrency needs no planned disjointness).
-    let wave_mode = arena && matches!(granularity, PlanGranularity::Wave);
-    // Per-consumer gradient side regions (`{node}.dx{k}`) exist only under
-    // the arena policy — the heap path keeps owned, unmetered contribution
-    // tensors.
-    let dx_name = |id: NodeId, k: usize| -> String { format!("{}.dx{k}", graph.node(id).name) };
-    let backward_targets = |node: &gist_graph::Node| -> Vec<NodeId> {
-        match &node.op {
-            OpKind::Add => vec![node.inputs[0], node.inputs[1]],
-            OpKind::Concat => node.inputs.clone(),
-            _ => vec![node.inputs[0]],
-        }
-    };
-    // Ops whose backward decodes a stashed producer into a dense buffer
-    // (the executor's `decode_stash` on an encoded stash; dense stashes are
-    // borrowed in place and leave no trace).
-    let dec_bytes = |node: &gist_graph::Node| -> u64 {
-        match &node.op {
-            OpKind::SoftmaxLoss
-            | OpKind::Conv { .. }
-            | OpKind::Linear { .. }
-            | OpKind::BatchNorm
-            | OpKind::Lrn(_)
-                if decode_is_transient(node.inputs[0]) =>
-            {
-                sz(numel(node.inputs[0]) * 4)
-            }
-            _ => 0,
-        }
-    };
-
-    let mut st = Stream::new();
-    let mut groups: Vec<(usize, usize)> = Vec::new();
-    // fmaps[j].is_some() / stashes[j].is_some() / grads[j].is_some() in the
-    // executor, respectively.
-    let mut live_fmap = vec![false; n];
-    let mut stashed = vec![false; n];
-    let mut grads_live = vec![false; n];
-
-    // ---- Forward pass ----
-    let mut cursor = 0usize;
-    for wave in sched.waves() {
-        let group_start = st.tick;
-        if inplace_on && wave.len() == 1 {
-            let node = graph.node(wave[0]);
-            let id = node.id;
-            if matches!(node.op, OpKind::Relu) {
-                let producer = node.inputs[0];
-                let sole_reader = last_use_pos[producer.index()] == pos[id.index()]
-                    && graph.consumers(producer).len() == 1
-                    && !matches!(graph.node(producer).op, OpKind::Input(_));
-                if sole_reader {
-                    live_fmap[producer.index()] = false;
-                    st.push(Event::Reuse { from: y_name(producer), into: y_name(id) });
-                    live_fmap[id.index()] = true;
-                    if gist_graph::class::is_stashed(graph, id)
-                        && matches!(disposition(id), StashDisposition::Resident)
-                    {
-                        st.push(Event::Alloc {
-                            name: format!("{}.stash", node.name),
-                            bytes: stash_size(id)?,
-                        });
-                        stashed[id.index()] = true;
-                    }
-                    if last_use_pos[id.index()] == pos[id.index()] {
-                        live_fmap[id.index()] = false;
-                        st.push(Event::Free { name: y_name(id), bytes: sz(numel(id) * 4) });
-                    }
-                    cursor += 1;
-                    if wave_mode && st.tick > group_start {
-                        groups.push((group_start, st.tick - 1));
-                    }
-                    continue;
-                }
-            }
-        }
-        if wave_mode {
-            // Wave block: every allocation of the wave precedes every free,
-            // so all of the wave's buffers are planned concurrently live —
-            // the invariant that lets the executor run the wave's computes
-            // on the thread pool.
-            for &id in wave {
-                let node = graph.node(id);
-                if gist_graph::class::is_stashed(graph, id)
-                    && matches!(disposition(id), StashDisposition::Resident)
-                {
-                    st.push(Event::Alloc {
-                        name: format!("{}.stash", node.name),
-                        bytes: stash_size(id)?,
-                    });
-                    stashed[id.index()] = true;
-                }
-                st.push(Event::Alloc { name: y_name(id), bytes: sz(numel(id) * 4) });
-                live_fmap[id.index()] = true;
-            }
-            let wave_end = cursor + wave.len() - 1;
-            for j in 0..n {
-                if live_fmap[j] && last_use_pos[j] >= cursor && last_use_pos[j] <= wave_end {
-                    live_fmap[j] = false;
-                    let jid = graph.nodes()[j].id;
-                    st.push(Event::Free { name: y_name(jid), bytes: sz(numel(jid) * 4) });
-                }
-            }
-            cursor += wave.len();
-            if st.tick > group_start {
-                groups.push((group_start, st.tick - 1));
-            }
-            continue;
-        }
-        for &id in wave {
-            let node = graph.node(id);
-            if gist_graph::class::is_stashed(graph, id)
-                && matches!(disposition(id), StashDisposition::Resident)
-            {
-                st.push(Event::Alloc {
-                    name: format!("{}.stash", node.name),
-                    bytes: stash_size(id)?,
-                });
-                stashed[id.index()] = true;
-            }
-            st.push(Event::Alloc { name: y_name(id), bytes: sz(numel(id) * 4) });
-            live_fmap[id.index()] = true;
-            for j in 0..n {
-                if last_use_pos[j] == cursor && live_fmap[j] {
-                    live_fmap[j] = false;
-                    let jid = graph.nodes()[j].id;
-                    st.push(Event::Free { name: y_name(jid), bytes: sz(numel(jid) * 4) });
-                }
-            }
-            cursor += 1;
-        }
-    }
-
-    // ---- Backward pass ----
-    for wave in sched.waves().iter().rev() {
-        let mut work: Vec<(NodeId, bool)> = Vec::new();
-        for &id in wave.iter().rev() {
-            let node = graph.node(id);
-            if matches!(node.op, OpKind::Input(_)) {
-                continue;
-            }
-            if matches!(node.op, OpKind::SoftmaxLoss) {
-                work.push((id, false));
-                continue;
-            }
-            if !grads_live[id.index()] {
-                continue; // no gradient path through this node
-            }
-            work.push((id, true));
-        }
-        // The executor's wave-entry materialization pass: swap-ins and
-        // recompute replays fire in work order before any per-item backward
-        // events of this wave. They run sequentially in the executor, so
-        // they stay event-granular and outside the wave group.
-        if let Some(p) = plan {
-            for &(id, _) in &work {
-                for action in &p.triggers[id.index()] {
-                    match action {
-                        Action::SwapIn(v) => {
-                            let vi = v.index();
-                            let name = p.swap_in_name[vi]
-                                .clone()
-                                .expect("triggered swap-in has a slot name");
-                            st.push(Event::Alloc { name, bytes: sz(p.numel[vi] as u64 * 4) });
-                            stashed[vi] = true;
-                        }
-                        Action::Replay(s) => {
-                            for step in &p.segments[*s].replay {
-                                st.push(Event::Alloc {
-                                    name: step.buf.clone(),
-                                    bytes: sz(numel(step.node) * 4),
-                                });
-                                if step.is_stash {
-                                    stashed[step.node.index()] = true;
-                                }
-                                for (fid, fbuf) in &step.frees_after {
-                                    st.push(Event::Free {
-                                        name: fbuf.clone(),
-                                        bytes: sz(numel(*fid) * 4),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let group_start = st.tick;
-        if wave_mode {
-            // Entry block: everything the wave's backward computes touch —
-            // decode buffers, gradient side regions, and every target
-            // gradient map — is allocated before any compute, so the plan
-            // holds all of it concurrently live.
-            for &(id, _) in &work {
-                let node = graph.node(id);
-                let dec = dec_bytes(node);
-                if dec > 0 {
-                    st.push(Event::Alloc { name: format!("{}.dec", node.name), bytes: dec });
-                }
-                for (k, &t) in backward_targets(node).iter().enumerate() {
-                    st.push(Event::Alloc { name: dx_name(id, k), bytes: sz(numel(t) * 4) });
-                }
-                for &t in &backward_targets(node) {
-                    if !grads_live[t.index()] {
-                        grads_live[t.index()] = true;
-                        st.push(Event::Alloc { name: dy_name(t), bytes: sz(numel(t) * 4) });
-                    }
-                }
-            }
-            // (Computes and the serial merge emit no memory events.)
-            for &(id, has_dy) in &work {
-                let node = graph.node(id);
-                let dec = dec_bytes(node);
-                if dec > 0 {
-                    st.push(Event::Free { name: format!("{}.dec", node.name), bytes: dec });
-                }
-                if has_dy {
-                    grads_live[id.index()] = false;
-                    st.push(Event::Free { name: dy_name(id), bytes: sz(numel(id) * 4) });
-                }
-                for (k, &t) in backward_targets(node).iter().enumerate() {
-                    st.push(Event::Free { name: dx_name(id, k), bytes: sz(numel(t) * 4) });
-                }
-                if stashed[id.index()] {
-                    stashed[id.index()] = false;
-                    st.push(Event::Free { name: stash_free_name(id), bytes: stash_size(id)? });
-                }
-            }
-            if st.tick > group_start {
-                groups.push((group_start, st.tick - 1));
-            }
-            continue;
-        }
-        for &(id, has_dy) in &work {
-            let node = graph.node(id);
-            // Gradient side regions are allocated before the backward
-            // compute writes into them (under the heap policy contributions
-            // are owned, unmetered tensors instead).
-            if arena {
-                for (k, &t) in backward_targets(node).iter().enumerate() {
-                    st.push(Event::Alloc { name: dx_name(id, k), bytes: sz(numel(t) * 4) });
-                }
-            }
-            let transient = dec_bytes(node);
-            if transient > 0 {
-                st.push(Event::Transient { name: format!("{}.dec", node.name), bytes: transient });
-            }
-            // The upstream gradient is released at merge time, after this
-            // node's backward compute has read it for the last time.
-            if has_dy {
-                grads_live[id.index()] = false;
-                st.push(Event::Free { name: dy_name(id), bytes: sz(numel(id) * 4) });
-            }
-            for &t in &backward_targets(node) {
-                if !grads_live[t.index()] {
-                    grads_live[t.index()] = true;
-                    st.push(Event::Alloc { name: dy_name(t), bytes: sz(numel(t) * 4) });
-                }
-            }
-            if arena {
-                for (k, &t) in backward_targets(node).iter().enumerate() {
-                    st.push(Event::Free { name: dx_name(id, k), bytes: sz(numel(t) * 4) });
-                }
-            }
-            if stashed[id.index()] {
-                stashed[id.index()] = false;
-                st.push(Event::Free { name: stash_free_name(id), bytes: stash_size(id)? });
-            }
-        }
-    }
-
-    // Stream close-out: buffers still live when the step returns (the
-    // executor's trailing frees, sequential under every granularity).
-    for node in graph.nodes() {
-        if stashed[node.id.index()] {
-            st.push(Event::Free { name: stash_free_name(node.id), bytes: stash_size(node.id)? });
-        }
-    }
-    for node in graph.nodes() {
-        if grads_live[node.id.index()] {
-            st.push(Event::Free { name: dy_name(node.id), bytes: sz(numel(node.id) * 4) });
-        }
-    }
-    Ok((st.events, groups))
+    StepProgram::lower(graph, &positional_spec(mode, policy, plan, granularity))
+        .and_then(|p| Ok((p.events(ssdc_bytes)?, p.wave_groups())))
 }
 
-/// Predicted peak footprint in bytes under the heap policy: the predicted
-/// event stream folded through the memory accountant.
+/// [`StepProgram::peak_bytes`] of the step lowered from four positional
+/// axes. Kept for `benchmark/`; a later `benchmark` PR moves it to
+/// [`ExecSpec`] and deletes this.
 ///
 /// # Errors
 ///
-/// As for [`predict_step_events`]; a malformed predicted stream is a
-/// predictor bug and is reported as [`RuntimeError::Trace`].
-pub fn predicted_peak_bytes(
-    graph: &Graph,
-    mode: &ExecMode,
-    ssdc_bytes: &HashMap<String, u64>,
-) -> Result<u64, RuntimeError> {
-    predicted_peak_bytes_for(graph, mode, AllocPolicy::Heap, ssdc_bytes)
-}
-
-/// [`predicted_peak_bytes`] under an explicit allocation policy.
-///
-/// # Errors
-///
-/// As for [`predict_step_events`].
-pub fn predicted_peak_bytes_for(
-    graph: &Graph,
-    mode: &ExecMode,
-    policy: AllocPolicy,
-    ssdc_bytes: &HashMap<String, u64>,
-) -> Result<u64, RuntimeError> {
-    let events = predict_step_events_for(graph, mode, policy, ssdc_bytes)?;
-    let mut acc = MemoryAccountant::new();
-    acc.fold_all(&events)
-        .map_err(|e| RuntimeError::Trace(format!("predicted stream malformed: {e}")))?;
-    Ok(acc.peak_bytes())
-}
-
-/// [`predicted_peak_bytes_for`] under an offload plan: the offload-aware
-/// predicted stream folded through the memory accountant.
-///
-/// # Errors
-///
-/// As for [`predict_step_events`].
-pub fn predicted_peak_bytes_offload(
-    graph: &Graph,
-    mode: &ExecMode,
-    policy: AllocPolicy,
-    ssdc_bytes: &HashMap<String, u64>,
-    plan: Option<&OffloadPlan>,
-) -> Result<u64, RuntimeError> {
-    predicted_peak_bytes_granular(graph, mode, policy, ssdc_bytes, plan, PlanGranularity::Event)
-}
-
-/// [`predicted_peak_bytes_offload`] under an explicit plan granularity.
-///
-/// Because wave-conservative streams allocate every buffer of a group
-/// before freeing any (see [`predict_step_events_granular`]), the stream
-/// fold's peak already *is* the group-coarsened packing peak — no separate
-/// coarsening pass is needed here.
-///
-/// # Errors
-///
-/// As for [`predict_step_events`].
+/// As for [`StepProgram::lower`] and [`StepProgram::peak_bytes`].
 pub fn predicted_peak_bytes_granular(
     graph: &Graph,
     mode: &ExecMode,
@@ -610,85 +86,22 @@ pub fn predicted_peak_bytes_granular(
     plan: Option<&OffloadPlan>,
     granularity: PlanGranularity,
 ) -> Result<u64, RuntimeError> {
-    let (events, _) =
-        predict_step_events_granular(graph, mode, policy, ssdc_bytes, plan, granularity)?;
-    let mut acc = MemoryAccountant::new();
-    acc.fold_all(&events)
-        .map_err(|e| RuntimeError::Trace(format!("predicted stream malformed: {e}")))?;
-    Ok(acc.peak_bytes())
-}
-
-/// Arena sizing for data-parallel training: every one of `replicas` model
-/// replicas runs the *same* per-shard graph, so each needs an identical
-/// pre-planned slab and the fleet needs `replicas` of them. Returns
-/// `(per_replica_bytes, total_bytes)`, both from the arena-policy predicted
-/// event stream (the same stream each replica's executor packs its slab
-/// from), so the whole fleet's footprint is known before any replica runs.
-///
-/// # Errors
-///
-/// As for [`predict_step_events`].
-pub fn predicted_replica_slab_bytes(
-    graph: &Graph,
-    mode: &ExecMode,
-    replicas: usize,
-) -> Result<(u64, u64), RuntimeError> {
-    predicted_replica_slab_bytes_granular(graph, mode, replicas, PlanGranularity::Event)
-}
-
-/// [`predicted_replica_slab_bytes`] under an explicit plan granularity:
-/// replicas planned at wave granularity pay for the wave-conservative slab,
-/// and the fleet total prices that honestly.
-///
-/// # Errors
-///
-/// As for [`predict_step_events`].
-pub fn predicted_replica_slab_bytes_granular(
-    graph: &Graph,
-    mode: &ExecMode,
-    replicas: usize,
-    granularity: PlanGranularity,
-) -> Result<(u64, u64), RuntimeError> {
-    let per = predicted_peak_bytes_granular(
-        graph,
-        mode,
-        AllocPolicy::Arena,
-        &HashMap::new(),
-        None,
-        granularity,
-    )?;
-    Ok((per, per * replicas as u64))
+    StepProgram::lower(graph, &positional_spec(mode, policy, plan, granularity))?
+        .peak_bytes(ssdc_bytes)
 }
 
 /// Element count of every learned-parameter tensor, in the fixed
 /// (node order, weight before bias) layout [`crate::params::ParamSet`]
 /// iterates. The serve layer's park path sizes one host-store slot per
 /// entry of this list, so park and resume agree on the layout by
-/// construction. Parameter shapes are seed-independent.
+/// construction. Shapes only — no parameter is initialized.
 ///
 /// # Errors
 ///
 /// Returns an error if the graph fails shape inference.
 pub fn param_tensor_numels(graph: &Graph) -> Result<Vec<usize>, RuntimeError> {
-    use crate::params::{NodeParams, ParamSet};
-    let params = ParamSet::init(graph, 0)?;
-    let mut numels = Vec::new();
-    for i in 0..graph.len() {
-        match params.get(i) {
-            Some(NodeParams::Conv { weight, bias }) | Some(NodeParams::Linear { weight, bias }) => {
-                numels.push(weight.numel());
-                if let Some(b) = bias {
-                    numels.push(b.numel());
-                }
-            }
-            Some(NodeParams::BatchNorm { gamma, beta }) => {
-                numels.push(gamma.numel());
-                numels.push(beta.numel());
-            }
-            None => {}
-        }
-    }
-    Ok(numels)
+    let shapes = crate::params::param_shapes(graph)?;
+    Ok(shapes.iter().flatten().map(|shape| shape.numel()).collect())
 }
 
 /// Worst-case wire bytes for parking a job's learned parameters under
@@ -720,28 +133,24 @@ mod tests {
 
     fn observed_and_predicted(mode: ExecMode) -> (Vec<Event>, Vec<Event>) {
         let g = gist_models::small_vgg(4, 3);
-        let mut e = Executor::new(g.clone(), mode.clone(), 5).unwrap();
+        let mut e = Executor::new(g, mode, 5).unwrap();
         let mut ds = SyntheticImages::new(3, 16, 0.3, 42);
         let (x, y) = ds.minibatch(4);
         let sink = TraceSink::new();
         e.step_traced(&x, &y, 0.05, &sink).unwrap();
         let trace = sink.take();
         let ssdc = ssdc_stash_sizes(&trace);
-        let predicted = predict_step_events(&g, &mode, &ssdc).unwrap();
+        let predicted = e.program().events(&ssdc).unwrap();
         let observed: Vec<Event> = trace.into_iter().filter(|ev| ev.is_memory()).collect();
         (observed, predicted)
     }
 
     #[test]
-    fn baseline_stream_is_predicted_event_for_event() {
-        let (observed, predicted) = observed_and_predicted(ExecMode::Baseline);
-        assert_eq!(observed, predicted);
-    }
-
-    #[test]
-    fn lossless_gist_stream_is_predicted_event_for_event() {
-        let (observed, predicted) = observed_and_predicted(ExecMode::Gist(GistConfig::lossless()));
-        assert_eq!(observed, predicted);
+    fn heap_stream_is_predicted_event_for_event() {
+        for mode in [ExecMode::Baseline, ExecMode::Gist(GistConfig::lossless())] {
+            let (observed, predicted) = observed_and_predicted(mode);
+            assert_eq!(observed, predicted);
+        }
     }
 
     #[test]
@@ -754,7 +163,8 @@ mod tests {
         let sink = TraceSink::new();
         let stats = e.step_traced(&x, &y, 0.05, &sink).unwrap();
         let ssdc = ssdc_stash_sizes(&sink.take());
-        let peak = predicted_peak_bytes(&g, &mode, &ssdc).unwrap();
+        // Lowered independently of the executor that ran.
+        let peak = StepProgram::lower(&g, &mode.into()).unwrap().peak_bytes(&ssdc).unwrap();
         assert_eq!(peak, stats.peak_live_bytes as u64);
     }
 
@@ -762,8 +172,8 @@ mod tests {
     fn arena_predicted_stream_matches_arena_observed() {
         let g = gist_models::small_vgg(4, 3);
         for mode in [ExecMode::Baseline, ExecMode::Gist(GistConfig::lossless())] {
-            let mut e =
-                Executor::new_with_policy(g.clone(), mode.clone(), 5, AllocPolicy::Arena).unwrap();
+            let spec = ExecSpec::from(mode.clone()).arena();
+            let mut e = Executor::new(g.clone(), spec.clone(), 5).unwrap();
             let mut ds = SyntheticImages::new(3, 16, 0.3, 42);
             let (x, y) = ds.minibatch(4);
             let sink = TraceSink::new();
@@ -771,11 +181,10 @@ mod tests {
             let observed: Vec<Event> =
                 sink.take().into_iter().filter(|ev| ev.is_memory()).collect();
             // The arena stream is fully static: no observed sizes needed.
-            let predicted =
-                predict_step_events_for(&g, &mode, AllocPolicy::Arena, &HashMap::new()).unwrap();
+            let program = StepProgram::lower(&g, &spec).unwrap();
+            let predicted = program.events(&HashMap::new()).unwrap();
             assert_eq!(observed, predicted, "arena stream divergence under {mode:?}");
-            let peak =
-                predicted_peak_bytes_for(&g, &mode, AllocPolicy::Arena, &HashMap::new()).unwrap();
+            let peak = program.peak_bytes(&HashMap::new()).unwrap();
             assert_eq!(peak, stats.peak_live_bytes as u64);
             assert!(
                 peak as usize <= e.arena_capacity_bytes().unwrap(),
@@ -788,7 +197,33 @@ mod tests {
     fn missing_ssdc_size_is_a_trace_error() {
         let g = gist_models::small_vgg(4, 3);
         let mode = ExecMode::Gist(GistConfig::lossless());
-        let err = predict_step_events(&g, &mode, &HashMap::new()).unwrap_err();
+        let program = StepProgram::lower(&g, &mode.into()).unwrap();
+        let err = program.events(&HashMap::new()).unwrap_err();
         assert!(matches!(err, RuntimeError::Trace(_)));
+    }
+
+    #[test]
+    fn param_numels_are_shape_only_and_match_an_initialised_param_set() {
+        use crate::params::{NodeParams, ParamSet};
+        for name in gist_models::MODEL_NAMES {
+            let g = gist_models::by_name(name, 1).expect("canonical name");
+            let params = ParamSet::init(&g, 3).unwrap();
+            let mut expected = Vec::new();
+            for i in 0..g.len() {
+                match params.get(i) {
+                    Some(NodeParams::Conv { weight, bias })
+                    | Some(NodeParams::Linear { weight, bias }) => {
+                        expected.push(weight.numel());
+                        expected.extend(bias.as_ref().map(|b| b.numel()));
+                    }
+                    Some(NodeParams::BatchNorm { gamma, beta }) => {
+                        expected.extend([gamma.numel(), beta.numel()]);
+                    }
+                    None => {}
+                }
+            }
+            assert_eq!(param_tensor_numels(&g).unwrap(), expected, "{name}");
+            assert_eq!(params.num_scalars(), expected.iter().sum::<usize>(), "{name}");
+        }
     }
 }

@@ -1,0 +1,742 @@
+//! The step program: one lowering of `Graph × ExecSpec` that both the
+//! executor and the static predictor consume.
+//!
+//! [`StepProgram::lower`] is the only place that knows a training step's
+//! buffer lifetimes — wave order, last forward use, the inplace-ReLU reuse
+//! rule, which producers a backward item contributes to, which backward
+//! items decode a stash, and where an offload plan's swap-ins and replays
+//! land. Its output is a flat list of `Block`s over interned buffers:
+//!
+//! * a block plays its `entry` memory ops, runs its work `Item`s, merges
+//!   them sequentially in program order (each item's `pre` ops, its
+//!   value-level merge, its `post` ops), then plays its `exit` ops;
+//! * `concurrent` says the items' computes may overlap — every buffer they
+//!   touch is live for the whole compute phase, so the executor may run
+//!   them on the `gist-par` pool. Heap blocks are concurrent (buffers are
+//!   independent allocations) with per-item ops; event-granular arena
+//!   blocks carry the *same* ops with `concurrent` off, so each item's ops
+//!   play around its own compute and event-time disjointness is real-time
+//!   disjointness; wave-granular arena blocks hoist every allocation into
+//!   `entry` and every release into `exit`. Offload prologues (swap-ins,
+//!   replay steps) and the end-of-step close-out are sequential blocks of
+//!   their own under every policy.
+//!
+//! The executor *interprets* the program for values ([`crate::Executor`]);
+//! the predictor *folds* it for bytes ([`StepProgram::events`],
+//! [`StepProgram::wave_groups`], [`StepProgram::peak_bytes`]), and
+//! `gist_memory::Arena::from_events_granular` packs the slab from that
+//! fold. Sizes are resolved at lowering time — [`align_arena`]-rounded
+//! reservations under the arena policy, SSDC stashes at their
+//! data-independent worst case — with one exception: a heap-policy SSDC
+//! stash is as large as the values make it, so it lowers to a
+//! `Bytes::Ssdc` placeholder the executor fills from the encoded stash
+//! and the predictor from observed sizes ([`crate::ssdc_stash_sizes`]).
+
+use crate::spec::{AllocPolicy, ExecMode, ExecSpec};
+use crate::RuntimeError;
+use gist_core::Encoding;
+use gist_encodings::csr::{max_encoded_bytes, SsdcConfig};
+use gist_graph::class::is_stashed;
+use gist_graph::{Graph, Node, NodeId, OpKind, Schedule};
+use gist_memory::{align_arena, PlanGranularity};
+use gist_obs::{Event, MemoryAccountant};
+use gist_offload::{Action, OffloadMode, OffloadPlan, StashDisposition};
+use gist_tensor::Shape;
+use std::collections::HashMap;
+
+/// Index into [`StepProgram::bufs`].
+pub(crate) type BufId = usize;
+
+/// A buffer's event/meter size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bytes {
+    Fixed(u64),
+    /// The encoded size of this node's heap-policy SSDC stash, known only
+    /// once its values have been encoded.
+    Ssdc(NodeId),
+}
+
+/// The per-step slot holding a buffer's tensor — what the executor drops
+/// when the buffer is freed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// A node's dense forward output.
+    Fmap(NodeId),
+    /// A node's stash (resident, swapped back in, or rebuilt by replay).
+    Stash(NodeId),
+    /// A node's upstream gradient map.
+    Grad(NodeId),
+    /// A replay-internal intermediate.
+    Replay(NodeId),
+    /// Compute-internal scratch (`.dx{k}` side regions, `.dec` decode
+    /// buffers): nothing outlives the item that wrote it.
+    Scratch,
+}
+
+/// One interned step buffer.
+#[derive(Debug, Clone)]
+pub(crate) struct Buf {
+    /// Event / arena-region name, e.g. `conv1.y`, `relu2.stash`, `fc.dx0`.
+    pub name: String,
+    pub bytes: Bytes,
+    pub slot: Slot,
+}
+
+/// One memory operation, mirroring `gist_obs::Event`'s memory variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MemOp {
+    Alloc(BufId),
+    Free(BufId),
+    /// `from`'s storage continues as `into` (inplace ReLU).
+    Reuse {
+        from: BufId,
+        into: BufId,
+    },
+    /// A buffer live only inside the item's compute (bounds the peak, has
+    /// no alloc/free pair).
+    Transient(BufId),
+}
+
+/// What a forward item does with its output's stash.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StashSite {
+    /// Not stashed, or dropped by the offload plan.
+    None,
+    /// Stashed on the device in this buffer.
+    Resident(BufId),
+    /// Copied out to the host store.
+    Swap,
+}
+
+/// One producer a backward item contributes a gradient to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Target {
+    pub node: NodeId,
+    /// The item's side region for this contribution (in the program's
+    /// memory ops under the arena policy only; heap contributions are
+    /// owned, unmetered tensors).
+    pub dx: BufId,
+    /// The producer's gradient map.
+    pub dy: BufId,
+}
+
+/// What one work item runs.
+#[derive(Debug, Clone)]
+pub(crate) enum Work {
+    /// A node's forward kernel writing `y`.
+    Forward { node: NodeId, y: BufId, stash: StashSite },
+    /// Inplace ReLU (Section III-C): the sole and final reader of its
+    /// producer's buffer overwrites it instead of allocating an output.
+    /// Only ever lowered as the single item of its block — overwriting a
+    /// shared buffer next to sibling readers would be unsound, and keeping
+    /// the rule wave-structural keeps the meter thread-count-independent.
+    ReluInplace { node: NodeId, stash: StashSite },
+    /// A node's backward kernel: `dec` is where it decodes an encoded
+    /// producer stash (if it does), `targets` the producers it contributes
+    /// to, in kernel output order.
+    Backward { node: NodeId, dec: Option<BufId>, targets: Vec<Target> },
+    /// Fetch a swapped-out stash from the host store into its `{node}.sin`
+    /// slot.
+    SwapIn { node: NodeId, slot: BufId },
+    /// Re-run forward kernel `step` of recompute segment `seg` (indices
+    /// into `OffloadPlan::segments` and that segment's `replay`) into `buf`.
+    Replay { seg: usize, step: usize, buf: BufId },
+}
+
+/// One unit of work with the memory ops played around its sequential merge.
+#[derive(Debug, Clone)]
+pub(crate) struct Item {
+    pub work: Work,
+    /// Ops played after the item's span/decode events, before its
+    /// value-level merge.
+    pub pre: Vec<MemOp>,
+    /// Ops played after its value-level merge.
+    pub post: Vec<MemOp>,
+}
+
+/// See the module docs.
+#[derive(Debug, Clone)]
+pub(crate) struct Block {
+    /// Schedule wave the block belongs to (span events carry it).
+    pub wave: u32,
+    /// Whether the items' computes may overlap.
+    pub concurrent: bool,
+    /// Ops played before any item runs.
+    pub entry: Vec<MemOp>,
+    /// The work, in merge order.
+    pub items: Vec<Item>,
+    /// Ops played after every item has merged.
+    pub exit: Vec<MemOp>,
+}
+
+impl Block {
+    fn new(wave: usize, concurrent: bool) -> Block {
+        Block {
+            wave: wave as u32,
+            concurrent,
+            entry: Vec::new(),
+            items: Vec::new(),
+            exit: Vec::new(),
+        }
+    }
+
+    /// The block's memory ops in the order an interpreter plays them.
+    fn ops(&self) -> impl Iterator<Item = MemOp> + '_ {
+        let items = self.items.iter().flat_map(|it| it.pre.iter().chain(&it.post));
+        self.entry.iter().chain(items).chain(&self.exit).copied()
+    }
+}
+
+/// One training step of a graph under an [`ExecSpec`], lowered. Fold it
+/// with [`Self::events`] / [`Self::wave_groups`] / [`Self::peak_bytes`];
+/// [`crate::Executor`] interprets it.
+#[derive(Debug, Clone)]
+pub struct StepProgram {
+    pub(crate) bufs: Vec<Buf>,
+    /// Forward blocks, backward blocks (from `backward_start`), then the
+    /// close-out block.
+    pub(crate) blocks: Vec<Block>,
+    pub(crate) backward_start: usize,
+    /// Inferred output shape of every node.
+    pub(crate) shapes: Vec<Shape>,
+    /// Stash encoding of every node (`None` outside `ExecMode::Gist`).
+    pub(crate) encodings: Vec<Encoding>,
+    /// The offload plan, present only when it changes something relative
+    /// to fully-resident execution.
+    pub(crate) oplan: Option<OffloadPlan>,
+    /// The graph's input node.
+    pub(crate) input: NodeId,
+    /// The loss head's producer (the logits).
+    pub(crate) logits: NodeId,
+    /// Whether concurrent blocks are wave groups of an arena plan.
+    wave_planned: bool,
+}
+
+/// Data-independent stash size for a node of `ne` elements: exact for
+/// Binarize/DPR/dense (their encoded size is shape-only), the worst-case
+/// bound for SSDC (whose actual size depends on the values). This is what
+/// the arena reserves, so a step can never outgrow its planned region.
+fn static_stash_bytes(ne: u64, mode: &ExecMode, enc: Encoding) -> u64 {
+    match (mode, enc) {
+        (ExecMode::Gist(_), Encoding::Binarize) => ne.div_ceil(32) * 4,
+        (ExecMode::Gist(cfg), Encoding::Ssdc { .. }) => {
+            max_encoded_bytes(ne as usize, SsdcConfig { narrow: true, value_format: cfg.dpr })
+                as u64
+        }
+        (ExecMode::Gist(_), Encoding::Dpr(f)) => ne.div_ceil(f.values_per_word() as u64) * 4,
+        _ => ne * 4,
+    }
+}
+
+/// The producers a node's backward pass contributes a gradient to, in the
+/// order the backward kernels emit them.
+fn backward_targets(node: &Node) -> &[NodeId] {
+    match &node.op {
+        OpKind::Input(_) => &[],
+        OpKind::Add | OpKind::Concat => &node.inputs,
+        _ => &node.inputs[..1],
+    }
+}
+
+/// Buffer interning and sizing during a lowering.
+struct Lowering<'a> {
+    graph: &'a Graph,
+    spec: &'a ExecSpec,
+    shapes: &'a [Shape],
+    encodings: &'a [Encoding],
+    plan: Option<&'a OffloadPlan>,
+    bufs: Vec<Buf>,
+    index: HashMap<String, BufId>,
+}
+
+impl Lowering<'_> {
+    fn arena(&self) -> bool {
+        self.spec.alloc == AllocPolicy::Arena
+    }
+
+    fn intern(&mut self, name: String, bytes: Bytes, slot: Slot) -> BufId {
+        if let Some(&id) = self.index.get(&name) {
+            return id;
+        }
+        self.index.insert(name.clone(), self.bufs.len());
+        self.bufs.push(Buf { name, bytes, slot });
+        self.bufs.len() - 1
+    }
+
+    /// A dense FP32 buffer the size of `of`'s output: exact on the heap,
+    /// the aligned reservation under the arena policy.
+    fn dense(&mut self, name: String, of: NodeId, slot: Slot) -> BufId {
+        let bytes = self.shapes[of.index()].numel() as u64 * 4;
+        let bytes = if self.arena() { align_arena(bytes) } else { bytes };
+        self.intern(name, Bytes::Fixed(bytes), slot)
+    }
+
+    fn name(&self, id: NodeId) -> &str {
+        &self.graph.node(id).name
+    }
+
+    fn y(&mut self, id: NodeId) -> BufId {
+        self.dense(format!("{}.y", self.name(id)), id, Slot::Fmap(id))
+    }
+
+    fn dy(&mut self, id: NodeId) -> BufId {
+        self.dense(format!("{}.dy", self.name(id)), id, Slot::Grad(id))
+    }
+
+    /// What a forward item does with `id`'s stash.
+    fn stash_site(&mut self, id: NodeId) -> StashSite {
+        if !is_stashed(self.graph, id) {
+            return StashSite::None;
+        }
+        match self.plan.map_or(StashDisposition::Resident, |p| p.disposition[id.index()]) {
+            // Recompute rebuilds it in the backward pass (or nothing ever
+            // reads it): no device bytes, no events.
+            StashDisposition::Dropped => StashSite::None,
+            StashDisposition::Swapped => StashSite::Swap,
+            StashDisposition::Resident => {
+                let (mode, enc) = (&self.spec.mode, self.encodings[id.index()]);
+                let ne = self.shapes[id.index()].numel() as u64;
+                let bytes = if self.arena() {
+                    Bytes::Fixed(align_arena(static_stash_bytes(ne, mode, enc)))
+                } else if matches!((mode, enc), (ExecMode::Gist(_), Encoding::Ssdc { .. })) {
+                    Bytes::Ssdc(id)
+                } else {
+                    Bytes::Fixed(static_stash_bytes(ne, mode, enc))
+                };
+                let name = format!("{}.stash", self.name(id));
+                StashSite::Resident(self.intern(name, bytes, Slot::Stash(id)))
+            }
+        }
+    }
+
+    /// The buffer `id`'s stash is held in when its backward item releases
+    /// it: the plan's swap slot / rebuilt stash for offloaded stashes, the
+    /// forward `{node}.stash` otherwise.
+    fn held_stash(&mut self, id: NodeId) -> BufId {
+        match self.plan.and_then(|p| p.stash_free_name[id.index()].clone()) {
+            Some(name) => self.dense(name, id, Slot::Stash(id)),
+            None => match self.stash_site(id) {
+                StashSite::Resident(buf) => buf,
+                _ => unreachable!("a held stash without a plan name is resident"),
+            },
+        }
+    }
+
+    /// The backward item of `node`: its targets and decode buffer.
+    fn backward(&mut self, node: &Node) -> (Option<BufId>, Vec<Target>) {
+        let targets = backward_targets(node)
+            .iter()
+            .enumerate()
+            .map(|(k, &t)| Target {
+                node: t,
+                dx: self.dense(format!("{}.dx{k}", node.name), t, Slot::Scratch),
+                dy: self.dy(t),
+            })
+            .collect();
+        // Ops whose backward decodes an *encoded* producer stash into a
+        // dense buffer; dense stashes are borrowed in place and leave no
+        // trace. (ReLU's own decode scratch has never been metered.)
+        let decodes = matches!(
+            node.op,
+            OpKind::SoftmaxLoss
+                | OpKind::Conv { .. }
+                | OpKind::Linear { .. }
+                | OpKind::BatchNorm
+                | OpKind::Lrn(_)
+        ) && matches!(
+            self.encodings[node.inputs[0].index()],
+            Encoding::Ssdc { .. } | Encoding::Dpr(_)
+        );
+        let dec = decodes
+            .then(|| self.dense(format!("{}.dec", node.name), node.inputs[0], Slot::Scratch));
+        (dec, targets)
+    }
+}
+
+impl StepProgram {
+    /// Lowers one training step of `graph` under `spec`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the graph fails shape inference.
+    #[allow(clippy::too_many_lines)]
+    pub fn lower(graph: &Graph, spec: &ExecSpec) -> Result<StepProgram, RuntimeError> {
+        let n = graph.len();
+        let shapes = graph.infer_shapes()?;
+        let mut encodings = vec![Encoding::None; n];
+        if let ExecMode::Gist(cfg) = &spec.mode {
+            for a in gist_core::policy::assign(graph, cfg) {
+                encodings[a.node.index()] = a.encoding;
+            }
+        }
+        let oplan = match spec.offload {
+            OffloadMode::None => None,
+            mode => Some(OffloadPlan::plan(graph, &encodings, mode)?)
+                .filter(OffloadPlan::has_offload_work),
+        };
+        let find =
+            |what: &str, pred: fn(&OpKind) -> bool| {
+                graph.nodes().iter().find(|nd| pred(&nd.op)).ok_or_else(|| {
+                    RuntimeError::Trace(format!("graph {} has no {what}", graph.name()))
+                })
+            };
+        let input = find("input node", |op| matches!(op, OpKind::Input(_)))?.id;
+        let logits = find("loss head", |op| matches!(op, OpKind::SoftmaxLoss))?.inputs[0];
+
+        let arena = spec.alloc == AllocPolicy::Arena;
+        // Wave granularity only changes the arena program: heap buffers are
+        // independent allocations, so same-wave concurrency needs no
+        // planned disjointness.
+        let hoist = arena && spec.plan == PlanGranularity::Wave;
+        let concurrent = !arena || hoist;
+        let inplace = matches!(&spec.mode, ExecMode::Gist(cfg) if cfg.inplace);
+        let mut lo = Lowering {
+            graph,
+            spec,
+            shapes: &shapes,
+            encodings: &encodings,
+            plan: oplan.as_ref(),
+            bufs: Vec::new(),
+            index: HashMap::new(),
+        };
+
+        // Wavefront schedule: each wave holds mutually-independent nodes.
+        // All cross-node state is touched in one fixed sequential order
+        // (ascending position forward, descending id within reversed waves
+        // backward), so results are byte-identical at every thread count.
+        let sched = Schedule::of(graph);
+        let mut pos = vec![0usize; n];
+        for (p, &id) in sched.waves().iter().flatten().enumerate() {
+            pos[id.index()] = p;
+        }
+        // Last execution position at which each node's dense output is
+        // read; the buffer is relinquished right after (the paper's "the
+        // full-fidelity feature maps are used in the forward pass and
+        // relinquished immediately").
+        let mut last_use = pos.clone();
+        for node in graph.nodes() {
+            for &inp in &node.inputs {
+                last_use[inp.index()] = last_use[inp.index()].max(pos[node.id.index()]);
+            }
+        }
+
+        let mut blocks: Vec<Block> = Vec::new();
+        // Whether each node's output / stash / gradient map is live at the
+        // current point of the lowering.
+        let mut live_fmap = vec![false; n];
+        let mut stashed = vec![false; n];
+        let mut grad_live = vec![false; n];
+
+        // ---- Forward pass ----
+        let mut cursor = 0usize;
+        for (wv, wave) in sched.waves().iter().enumerate() {
+            let mut block = Block::new(wv, concurrent);
+            let head = graph.node(wave[0]);
+            if inplace && wave.len() == 1 && matches!(head.op, OpKind::Relu) {
+                let (id, producer) = (head.id, head.inputs[0]);
+                let sole_reader = last_use[producer.index()] == pos[id.index()]
+                    && graph.consumers(producer).len() == 1
+                    && !matches!(graph.node(producer).op, OpKind::Input(_));
+                if sole_reader {
+                    // The buffer is reused, not freed-and-reallocated: no
+                    // meter traffic for the producer's release.
+                    let (from, into) = (lo.y(producer), lo.y(id));
+                    let stash = lo.stash_site(id);
+                    let mut post = Vec::new();
+                    if let StashSite::Resident(buf) = stash {
+                        stashed[id.index()] = true;
+                        post.push(MemOp::Alloc(buf));
+                    }
+                    // Release this node's own buffer if nothing reads it.
+                    live_fmap[producer.index()] = false;
+                    if last_use[id.index()] != pos[id.index()] {
+                        live_fmap[id.index()] = true;
+                    } else {
+                        post.push(MemOp::Free(into));
+                    }
+                    block.items.push(Item {
+                        work: Work::ReluInplace { node: id, stash },
+                        pre: vec![MemOp::Reuse { from, into }],
+                        post,
+                    });
+                    blocks.push(block);
+                    cursor += 1;
+                    continue;
+                }
+            }
+            for &id in wave {
+                let (y, stash) = (lo.y(id), lo.stash_site(id));
+                let mut ops = Vec::new();
+                if let StashSite::Resident(buf) = stash {
+                    stashed[id.index()] = true;
+                    ops.push(MemOp::Alloc(buf));
+                }
+                ops.push(MemOp::Alloc(y));
+                live_fmap[id.index()] = true;
+                if hoist {
+                    block.entry.append(&mut ops);
+                } else {
+                    // Relinquish every dense buffer whose last forward use
+                    // was this position (including this node's own output
+                    // if nothing reads it).
+                    for j in (0..n).filter(|&j| last_use[j] == cursor) {
+                        if std::mem::take(&mut live_fmap[j]) {
+                            ops.push(MemOp::Free(lo.y(NodeId::new(j))));
+                        }
+                    }
+                    cursor += 1;
+                }
+                block.items.push(Item {
+                    work: Work::Forward { node: id, y, stash },
+                    pre: Vec::new(),
+                    post: ops,
+                });
+            }
+            if hoist {
+                // Every allocation of the wave precedes every free, so all
+                // of its buffers are planned concurrently live; the exit
+                // relinquishes whatever was last read inside the wave.
+                let wave_end = cursor + wave.len();
+                for j in (0..n).filter(|&j| (cursor..wave_end).contains(&last_use[j])) {
+                    if std::mem::take(&mut live_fmap[j]) {
+                        block.exit.push(MemOp::Free(lo.y(NodeId::new(j))));
+                    }
+                }
+                cursor = wave_end;
+            }
+            blocks.push(block);
+        }
+        let backward_start = blocks.len();
+
+        // ---- Backward pass ----
+        // Waves in reverse. A node's upstream gradient is complete once
+        // every consumer's backward has run — all consumers live in later
+        // waves, so the wave invariant holds backward too. Items merge in
+        // descending-id order so shared producers always accumulate
+        // contributions in one fixed order.
+        for (wv, wave) in sched.waves().iter().enumerate().rev() {
+            // `(node, has an upstream gradient)`; the loss head synthesizes
+            // its own, and a node no gradient reaches does not run.
+            let work: Vec<(&Node, bool)> = wave
+                .iter()
+                .rev()
+                .map(|&id| graph.node(id))
+                .filter_map(|node| match node.op {
+                    OpKind::Input(_) => None,
+                    OpKind::SoftmaxLoss => Some((node, false)),
+                    _ => grad_live[node.id.index()].then_some((node, true)),
+                })
+                .collect();
+            // Materialization prologue: before any of the wave's backward
+            // items run, every offload trigger attached to them fires — in
+            // work order, sequentially — so swapped stashes are fetched
+            // and dropped stashes rebuilt before a (possibly concurrent)
+            // backward compute reads them.
+            let mut prologue = Block::new(wv, false);
+            let plan = lo.plan;
+            for action in work
+                .iter()
+                .flat_map(|(node, _)| plan.map_or(&[][..], |p| &p.triggers[node.id.index()]))
+            {
+                let plan = plan.expect("triggers come from a plan");
+                match *action {
+                    Action::SwapIn(v) => {
+                        let name = plan.swap_in_name[v.index()].clone();
+                        let name = name.expect("triggered swap-in has a slot name");
+                        let slot = lo.dense(name, v, Slot::Stash(v));
+                        stashed[v.index()] = true;
+                        prologue.items.push(Item {
+                            work: Work::SwapIn { node: v, slot },
+                            pre: vec![MemOp::Alloc(slot)],
+                            post: Vec::new(),
+                        });
+                    }
+                    Action::Replay(seg) => {
+                        for (step, rs) in plan.segments[seg].replay.iter().enumerate() {
+                            let slot = if rs.is_stash {
+                                stashed[rs.node.index()] = true;
+                                Slot::Stash(rs.node)
+                            } else {
+                                Slot::Replay(rs.node)
+                            };
+                            let buf = lo.dense(rs.buf.clone(), rs.node, slot);
+                            let mut post = vec![MemOp::Alloc(buf)];
+                            for (fid, fbuf) in &rs.frees_after {
+                                let freed = lo.dense(fbuf.clone(), *fid, Slot::Replay(*fid));
+                                post.push(MemOp::Free(freed));
+                            }
+                            prologue.items.push(Item {
+                                work: Work::Replay { seg, step, buf },
+                                pre: Vec::new(),
+                                post,
+                            });
+                        }
+                    }
+                }
+            }
+            if !prologue.items.is_empty() {
+                blocks.push(prologue);
+            }
+
+            let mut block = Block::new(wv, concurrent);
+            for &(node, has_dy) in &work {
+                let id = node.id;
+                let (dec, targets) = lo.backward(node);
+                let (mut pre, mut post) = (Vec::new(), Vec::new());
+                // Gradient side regions are allocated before the backward
+                // compute writes into them and held across the merge; the
+                // upstream gradient is released only at merge time, after
+                // this node's backward compute has read it for the last
+                // time; the node's own stash goes last — its backward was
+                // the final reader (consumers' backward items all ran
+                // earlier).
+                if hoist {
+                    // Concurrent decodes need simultaneously-live distinct
+                    // regions, which a single-tick `Transient` cannot
+                    // express: `.dec` becomes an alloc/free pair.
+                    pre.extend(dec.map(MemOp::Alloc));
+                    post.extend(dec.map(MemOp::Free));
+                }
+                if arena {
+                    pre.extend(targets.iter().map(|t| MemOp::Alloc(t.dx)));
+                }
+                if !hoist {
+                    pre.extend(dec.map(MemOp::Transient));
+                }
+                if has_dy {
+                    grad_live[id.index()] = false;
+                    let dy = MemOp::Free(lo.dy(id));
+                    if hoist {
+                        post.push(dy);
+                    } else {
+                        pre.push(dy);
+                    }
+                }
+                for t in &targets {
+                    if !std::mem::replace(&mut grad_live[t.node.index()], true) {
+                        pre.push(MemOp::Alloc(t.dy));
+                    }
+                }
+                if arena {
+                    post.extend(targets.iter().map(|t| MemOp::Free(t.dx)));
+                }
+                if std::mem::take(&mut stashed[id.index()]) {
+                    post.push(MemOp::Free(lo.held_stash(id)));
+                }
+                if hoist {
+                    block.entry.append(&mut pre);
+                    block.exit.append(&mut post);
+                }
+                block.items.push(Item {
+                    work: Work::Backward { node: id, dec, targets },
+                    pre,
+                    post,
+                });
+            }
+            if !block.items.is_empty() {
+                blocks.push(block);
+            }
+        }
+
+        // Close-out: every buffer still live (the input's stash and
+        // gradient, plus anything off the gradient path) is released when
+        // the step returns, so a traced step always folds back to zero
+        // live bytes and consecutive steps share one well-formed trace.
+        let mut close = Block::new(0, false);
+        for id in (0..n).map(NodeId::new) {
+            if stashed[id.index()] {
+                close.entry.push(MemOp::Free(lo.held_stash(id)));
+            }
+        }
+        for id in (0..n).map(NodeId::new) {
+            if grad_live[id.index()] {
+                close.entry.push(MemOp::Free(lo.dy(id)));
+            }
+        }
+        blocks.push(close);
+
+        let bufs = lo.bufs;
+        Ok(StepProgram {
+            bufs,
+            blocks,
+            backward_start,
+            shapes,
+            encodings,
+            oplan,
+            input,
+            logits,
+            wave_planned: hoist,
+        })
+    }
+
+    /// The memory event `op` stands for. `ssdc` maps node names to observed
+    /// SSDC stash sizes; it is only consulted for [`Bytes::Ssdc`] buffers.
+    fn event(&self, op: MemOp, ssdc: &HashMap<String, u64>) -> Result<Event, RuntimeError> {
+        let name = |b: BufId| self.bufs[b].name.clone();
+        let bytes = |b: BufId| match self.bufs[b].bytes {
+            Bytes::Fixed(bytes) => Ok(bytes),
+            // The placeholder only ever sizes a `{node}.stash` buffer.
+            Bytes::Ssdc(_) => {
+                let node = self.bufs[b].name.strip_suffix(".stash").unwrap_or_default();
+                ssdc.get(node).copied().ok_or_else(|| {
+                    RuntimeError::Trace(format!("no observed SSDC stash size for node {node}"))
+                })
+            }
+        };
+        Ok(match op {
+            MemOp::Alloc(b) => Event::Alloc { name: name(b), bytes: bytes(b)? },
+            MemOp::Free(b) => Event::Free { name: name(b), bytes: bytes(b)? },
+            MemOp::Transient(b) => Event::Transient { name: name(b), bytes: bytes(b)? },
+            MemOp::Reuse { from, into } => Event::Reuse { from: name(from), into: name(into) },
+        })
+    }
+
+    /// The memory-event substream of one traced step of this program — by
+    /// construction exactly what the executor emits. `ssdc` supplies the
+    /// observed sizes of heap-policy SSDC stashes (see
+    /// [`crate::ssdc_stash_sizes`]); arena programs and modes without SSDC
+    /// need none.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Trace`] if an SSDC stash has no observed size.
+    pub fn events(&self, ssdc: &HashMap<String, u64>) -> Result<Vec<Event>, RuntimeError> {
+        self.blocks.iter().flat_map(Block::ops).map(|op| self.event(op, ssdc)).collect()
+    }
+
+    /// The wave groups of a wave-granular arena program: sorted, disjoint,
+    /// inclusive tick ranges on the event stream's accountant timeline
+    /// (every memory event but `Reuse` takes one tick), one per concurrent
+    /// block that plays any — the coordinates
+    /// `gist_memory::coarsen_lifetimes` widens against. Offload prologues
+    /// and the close-out run sequentially and stay outside every group.
+    /// Empty for every other program.
+    pub fn wave_groups(&self) -> Vec<(usize, usize)> {
+        let mut groups = Vec::new();
+        let mut tick = 0usize;
+        for block in &self.blocks {
+            let start = tick;
+            tick += block.ops().filter(|op| !matches!(op, MemOp::Reuse { .. })).count();
+            if self.wave_planned && block.concurrent && tick > start {
+                groups.push((start, tick - 1));
+            }
+        }
+        groups
+    }
+
+    /// Peak footprint in bytes: [`Self::events`] folded through the memory
+    /// accountant. Because a wave-granular program allocates every buffer
+    /// of a group before freeing any, this already *is* the
+    /// group-coarsened packing peak.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::events`]; a malformed stream is a lowering bug and is
+    /// reported as [`RuntimeError::Trace`].
+    pub fn peak_bytes(&self, ssdc: &HashMap<String, u64>) -> Result<u64, RuntimeError> {
+        let mut acc = MemoryAccountant::new();
+        acc.fold_all(&self.events(ssdc)?)
+            .map_err(|e| RuntimeError::Trace(format!("lowered stream malformed: {e}")))?;
+        Ok(acc.peak_bytes())
+    }
+}

@@ -1,7 +1,8 @@
 //! Multi-epoch SGD training loop with accuracy tracking.
 
 use crate::data::SyntheticImages;
-use crate::exec::{ExecMode, Executor};
+use crate::exec::Executor;
+use crate::spec::ExecMode;
 use crate::RuntimeError;
 use gist_graph::Graph;
 
@@ -276,12 +277,9 @@ mod tests {
 
     #[test]
     fn train_loop_with_decay_still_learns() {
-        let mut exec = crate::exec::Executor::new(
-            gist_models::tiny_convnet(8, 3),
-            crate::exec::ExecMode::Baseline,
-            7,
-        )
-        .unwrap();
+        let mut exec =
+            crate::exec::Executor::new(gist_models::tiny_convnet(8, 3), ExecMode::Baseline, 7)
+                .unwrap();
         let mut ds = crate::data::SyntheticImages::new(3, 16, 0.3, 42);
         let report = train_loop(
             &mut exec,
@@ -305,12 +303,8 @@ mod tests {
     #[test]
     fn traced_loop_records_steps_without_changing_results() {
         let fresh = || {
-            crate::exec::Executor::new(
-                gist_models::tiny_convnet(4, 3),
-                crate::exec::ExecMode::Baseline,
-                7,
-            )
-            .unwrap()
+            crate::exec::Executor::new(gist_models::tiny_convnet(4, 3), ExecMode::Baseline, 7)
+                .unwrap()
         };
         let mut a = fresh();
         let mut da = crate::data::SyntheticImages::new(3, 16, 0.3, 42);

@@ -6,10 +6,10 @@
 //! predictor: the missing piece between the single-job runtime and a
 //! traffic-serving scenario.
 //!
-//! The core asset is that `gist-runtime`'s planner can size a job's arena
-//! slab **before the job runs** ([`gist_runtime::predicted_replica_slab_bytes`]
-//! is fully static under the arena policy, with SSDC stashes at their
-//! data-independent worst case). That turns admission control into
+//! The core asset is that `gist-runtime` can size a job's arena slab
+//! **before the job runs** (the fold [`gist_runtime::StepProgram::peak_bytes`]
+//! of its lowered step is fully static under the arena policy, with SSDC
+//! stashes at their data-independent worst case). That turns admission control into
 //! arithmetic: a job's slab lease is known at submit time, so the server
 //! can bin-pack concurrent jobs into a fixed `--mem-budget`, queue jobs
 //! that do not fit, and *prove* — via [`gist_obs::MemoryAccountant`] —

@@ -3,8 +3,9 @@
 //! ## Admission invariants
 //!
 //! 1. **Lease before life.** A job's slab lease is the static predictor's
-//!    arena bound, `predicted_replica_slab_bytes(graph, mode, replicas)`,
-//!    computed at submit time. A heap-policy job leases the same number —
+//!    arena bound — `replicas ×` the peak of its step lowered under the
+//!    arena policy (`StepProgram::lower(..).peak_bytes(..)`) — computed at
+//!    submit time. A heap-policy job leases the same number —
 //!    its observed peak is never above the arena reservation — so one
 //!    lease arithmetic covers both policies.
 //! 2. **Live ≤ budget, observed.** Every lease/release folds an
@@ -27,8 +28,9 @@ use crate::spec::JobSpec;
 use gist_dist::DistTrainer;
 use gist_graph::{Graph, OpKind};
 use gist_obs::{Event, MemoryAccountant, NullRecorder, Phase, Recorder};
-use gist_runtime::{Executor, SyntheticImages};
+use gist_runtime::{Executor, StepProgram, SyntheticImages};
 use gist_tensor::Tensor;
+use std::collections::HashMap;
 
 /// Order resident jobs step within one scheduler tick — the interleaving
 /// axis the equivalence suite sweeps to prove jobs do not contaminate one
@@ -318,13 +320,7 @@ impl Server {
     /// the predictor rejects the graph.
     pub fn submit(&mut self, spec: JobSpec) -> Result<usize, ServeError> {
         let graph = spec.graph();
-        let (_, lease) = gist_runtime::predicted_replica_slab_bytes_granular(
-            &graph,
-            &spec.mode,
-            spec.replicas,
-            spec.plan,
-        )
-        .map_err(|e| ServeError::Predict(e.to_string()))?;
+        let lease = lease_bytes(&spec, &graph)?;
         if lease > self.config.budget_bytes {
             return Err(ServeError::OverBudget {
                 job: spec.name.clone(),
@@ -587,14 +583,7 @@ impl Server {
         let job = &mut self.jobs[id];
         let (graph, spec) = (job.graph.clone(), job.spec.clone());
         let mut trainer = DistTrainer::new(spec.replicas, spec.replicas, spec.codec, || {
-            Executor::new_with_granularity(
-                graph.clone(),
-                spec.mode.clone(),
-                spec.seed,
-                spec.alloc,
-                gist_runtime::OffloadMode::None,
-                spec.plan,
-            )
+            Executor::new(graph.clone(), spec.exec_spec(), spec.seed)
         })
         .map_err(|e| ServeError::Train(e.to_string()))?;
         if let Some(parked) = job.parked.take() {
@@ -676,6 +665,17 @@ fn lease_name(id: usize, job: &Job) -> String {
     format!("j{}:{}.slab@{}", id, job.spec.name, job.parks)
 }
 
+/// A job's slab lease: one arena slab per replica, each the peak of the
+/// job's step lowered under the arena policy — whatever policy the job
+/// then runs under, since a heap step's observed peak never exceeds the
+/// arena reservation.
+fn lease_bytes(spec: &JobSpec, graph: &Graph) -> Result<u64, ServeError> {
+    let per_replica = StepProgram::lower(graph, &spec.exec_spec().arena())
+        .and_then(|program| program.peak_bytes(&HashMap::new()))
+        .map_err(|e| ServeError::Predict(e.to_string()))?;
+    Ok(per_replica * spec.replicas as u64)
+}
+
 fn job_id(jobs: &[Job], job: &Job) -> usize {
     jobs.iter().position(|j| std::ptr::eq(j, job)).expect("job is in its own vec")
 }
@@ -688,14 +688,7 @@ fn job_id(jobs: &[Job], job: &Job) -> usize {
 ///
 /// As for [`Server::run`].
 pub fn solo_report(spec: &JobSpec, lr: f32) -> Result<JobReport, ServeError> {
-    let graph = spec.graph();
-    let (_, lease) = gist_runtime::predicted_replica_slab_bytes_granular(
-        &graph,
-        &spec.mode,
-        spec.replicas,
-        spec.plan,
-    )
-    .map_err(|e| ServeError::Predict(e.to_string()))?;
+    let lease = lease_bytes(spec, &spec.graph())?;
     let mut config = ServeConfig::new(lease);
     config.lr = lr;
     let mut server = Server::new(config);

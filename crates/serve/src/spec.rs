@@ -11,10 +11,10 @@
 //! sensible model to fall back to.
 
 use gist_core::GistConfig;
-use gist_encodings::{DprFormat, TransferCodec};
+use gist_encodings::TransferCodec;
 use gist_graph::Graph;
 use gist_par::parse_or_warn;
-use gist_runtime::{AllocPolicy, ExecMode, PlanGranularity};
+use gist_runtime::{AllocPolicy, ExecMode, ExecSpec, OffloadMode, PlanGranularity};
 
 /// An invalid job specification, naming what was wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,40 +47,15 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Parses an execution-mode spelling (`baseline|lossless|fp16|fp10|fp8`),
-/// mirroring the CLI's `--mode` grammar.
+/// [`ExecMode::parse`] — the one `mode` spelling table, shared with the
+/// CLI's `--mode` — under the name the equivalence suites import.
 pub fn parse_exec_mode(s: &str) -> Option<ExecMode> {
-    Some(match s.trim().to_ascii_lowercase().as_str() {
-        "baseline" => ExecMode::Baseline,
-        "lossless" => ExecMode::Gist(GistConfig::lossless()),
-        "fp16" => ExecMode::Gist(GistConfig::lossy(DprFormat::Fp16)),
-        "fp10" => ExecMode::Gist(GistConfig::lossy(DprFormat::Fp10)),
-        "fp8" => ExecMode::Gist(GistConfig::lossy(DprFormat::Fp8)),
-        _ => return None,
-    })
+    ExecMode::parse(s)
 }
 
-/// Display label for an execution mode (inverse of [`parse_exec_mode`]).
-pub fn mode_label(mode: &ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Baseline => "baseline",
-        ExecMode::Gist(cfg) => match cfg.dpr {
-            None => "lossless",
-            Some(DprFormat::Fp16) => "fp16",
-            Some(DprFormat::Fp10) => "fp10",
-            Some(DprFormat::Fp8) => "fp8",
-        },
-        ExecMode::UniformImmediate(_) => "uniform-immediate",
-    }
-}
-
-/// Parses an allocation-policy spelling (`heap|arena`).
+/// [`AllocPolicy::parse`], likewise.
 pub fn parse_alloc(s: &str) -> Option<AllocPolicy> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "heap" => Some(AllocPolicy::Heap),
-        "arena" => Some(AllocPolicy::Arena),
-        _ => None,
-    }
+    AllocPolicy::parse(s)
 }
 
 /// One training job as the scheduler sees it. Construct via
@@ -137,6 +112,18 @@ impl JobSpec {
     /// name was validated there).
     pub fn graph(&self) -> Graph {
         gist_models::by_name(&self.model, self.batch).expect("model validated at build time")
+    }
+
+    /// The execution spec every replica executor of this job is built from
+    /// (and, under the arena policy, its lease is priced from). Jobs run
+    /// fully resident: the grammar has no offload key.
+    pub fn exec_spec(&self) -> ExecSpec {
+        ExecSpec {
+            mode: self.mode.clone(),
+            alloc: self.alloc,
+            plan: self.plan,
+            offload: OffloadMode::None,
+        }
     }
 
     /// Parses the CLI spec grammar `model[,key=value]*` with keys
@@ -221,7 +208,7 @@ impl JobSpec {
                         Some(value),
                         "baseline|lossless|fp16|fp10|fp8",
                         "lossless",
-                        parse_exec_mode,
+                        ExecMode::parse,
                         || ExecMode::Gist(GistConfig::lossless()),
                     );
                     warn(w);
@@ -234,7 +221,7 @@ impl JobSpec {
                         Some(value),
                         "heap|arena",
                         "arena",
-                        parse_alloc,
+                        AllocPolicy::parse,
                         || AllocPolicy::Arena,
                     );
                     warn(w);
@@ -461,9 +448,8 @@ mod tests {
 
     #[test]
     fn mode_spellings_roundtrip() {
-        for s in ["baseline", "lossless", "fp16", "fp10", "fp8"] {
-            let mode = parse_exec_mode(s).unwrap();
-            assert_eq!(mode_label(&mode), s);
+        for s in ["baseline", "lossless", "fp16", "fp10", "fp8", "uniform-immediate"] {
+            assert_eq!(parse_exec_mode(s).unwrap().label(), s);
         }
         assert!(parse_exec_mode("fast").is_none());
         assert!(parse_alloc("stack").is_none());

@@ -44,6 +44,13 @@
 #  11. `cargo check` of the repo benchmark package (benchmark/): it sits
 #      outside the workspace and builds against the `gist` facade, so a
 #      facade API break would otherwise show only in the benchmark run
+#  12. the suffix-family tripwire: a training step is configured by one
+#      `ExecSpec` value and described by one lowered `StepProgram`, so no
+#      constructor or predictor per axis (`new_with_*`,
+#      `predict_step_events*`, `predicted_peak_bytes*`,
+#      `predicted_replica_slab_bytes*`) may reappear under crates/ beyond
+#      the three shims the benchmark package still compiles against — and
+#      the line budget of crates/runtime/src is printed into every log
 #
 # Run this before committing, and append a one-line summary of what
 # changed to CHANGES.md.
@@ -67,6 +74,16 @@ cargo clippy --all-targets --offline -- -D warnings
 
 echo "==> cargo check of the benchmark package (outside the workspace)"
 cargo check --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> suffix-family tripwire (one ExecSpec, one StepProgram)"
+families=$(grep -rnE "fn (new_with_|predict_step_events|predicted_peak_bytes|predicted_replica_slab_bytes)" crates/ |
+    grep -vE "fn (new_with_granularity|predict_step_events_granular|predicted_peak_bytes_granular)\(" || true)
+if [ -n "$families" ]; then
+    echo "a per-axis constructor/predictor family reappeared (build an ExecSpec instead):" >&2
+    echo "$families" >&2
+    exit 1
+fi
+wc -l crates/runtime/src/*.rs | tail -1
 
 echo "==> memory oracle gate (traced step vs static planner)"
 cargo run --release -q --offline -p gist-bench --bin extra_runtime_validation

@@ -25,7 +25,7 @@ pub mod prelude {
     pub use gist_obs::{MemoryAccountant, NullRecorder, Recorder, TraceSink};
     pub use gist_offload::OffloadMode;
     pub use gist_perf::SwapStrategy;
-    pub use gist_runtime::{train, ExecMode, Executor, SyntheticImages};
+    pub use gist_runtime::{train, ExecMode, ExecSpec, Executor, SyntheticImages};
     pub use gist_serve::{JobSpec, ServeConfig, Server};
     pub use gist_tensor::{Shape, Tensor};
 }

@@ -60,15 +60,8 @@ fn train_fingerprint_gran(
     granularity: PlanGranularity,
     mut ds: SyntheticImages,
 ) -> Vec<u32> {
-    let mut exec = Executor::new_with_granularity(
-        graph.clone(),
-        mode.clone(),
-        9,
-        policy,
-        OffloadMode::None,
-        granularity,
-    )
-    .expect("executor");
+    let spec = ExecSpec { alloc: policy, plan: granularity, ..mode.clone().into() };
+    let mut exec = Executor::new(graph.clone(), spec, 9).expect("executor");
     let mut fp = Vec::new();
     for _ in 0..STEPS {
         let (x, y) = ds.minibatch(BATCH);

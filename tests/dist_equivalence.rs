@@ -17,7 +17,7 @@ use gist::offload::{simulate_observed, OffloadMode, SwapStrategy};
 use gist::par::{env_threads, with_threads};
 use gist::perf::GpuModel;
 use gist::runtime::params::NodeParams;
-use gist::runtime::{AllocPolicy, ExecMode, Executor, SyntheticImages};
+use gist::runtime::{AllocPolicy, ExecMode, ExecSpec, Executor, SyntheticImages};
 use gist::simd::{available_levels, with_level, Level};
 use gist::tensor::Tensor;
 use gist_testkit::prop::{boxed, just, one_of, vec_of, Strategy};
@@ -45,12 +45,8 @@ fn shard_data() -> (Vec<Tensor>, Vec<Vec<usize>>) {
 fn run_fingerprint(replicas: usize, codec: GradCodec, alloc: AllocPolicy) -> Vec<u32> {
     let (images, labels) = shard_data();
     let mut trainer = DistTrainer::new(replicas, SHARDS, codec, || {
-        Executor::new_with_policy(
-            gist::models::tiny_convnet(SHARD_BATCH, 4),
-            ExecMode::Baseline,
-            7,
-            alloc,
-        )
+        let spec = ExecSpec { alloc, ..ExecMode::Baseline.into() };
+        Executor::new(gist::models::tiny_convnet(SHARD_BATCH, 4), spec, 7)
     })
     .expect("trainer");
     let mut fp = Vec::new();
@@ -214,14 +210,9 @@ const PIN_DPR_FP16: u64 = 0xfac0_1088_52c1_de24;
 #[test]
 fn executed_cdma_observed_bytes_price_the_virtual_clock_exactly() {
     let graph = gist::models::small_vgg(4, 4);
-    let mut exec = Executor::new_with_offload(
-        graph,
-        ExecMode::Baseline,
-        7,
-        AllocPolicy::Arena,
-        OffloadMode::Swap(SwapStrategy::Cdma { compression: 2.0 }),
-    )
-    .expect("executor");
+    let offload = OffloadMode::Swap(SwapStrategy::Cdma { compression: 2.0 });
+    let spec = ExecSpec { offload, ..ExecSpec::from(ExecMode::Baseline).arena() };
+    let mut exec = Executor::new(graph, spec, 7).expect("executor");
     let mut ds = SyntheticImages::new(4, 16, 0.3, 42);
     let (x, y) = ds.minibatch(4);
     let stats = exec.step(&x, &y, 0.05).expect("step");

@@ -1,8 +1,13 @@
 //! The memory oracle, as a library-level invariant: for every zoo model x
 //! stash policy, the peak footprint the runtime accountant *observes* while
-//! folding a traced training step equals the footprint the static predictor
-//! *computes* from the graph alone, and the offset packer finds a layout in
-//! which no two concurrently-live buffers overlap. The same invariant is
+//! folding a traced training step equals the footprint *folded* from the
+//! executor's lowered program (`exec.program()`), and the offset packer
+//! finds a layout in which no two concurrently-live buffers overlap. The
+//! executor interprets that same program, so a divergence here means the
+//! interpreter skipped, repeated or reordered an op the lowering gave it;
+//! that it also stays *inside* the lowered lifetimes is held by the debug
+//! live-set guard and by `tests/arena_equivalence.rs` (heap-vs-arena bits
+//! under NaN poison). The same invariant is
 //! enforced as a release gate by `gist-bench`'s `extra_runtime_validation`
 //! binary; this test keeps it under plain `cargo test`.
 
@@ -10,11 +15,7 @@ use gist::memory::{check_no_overlap, check_no_overlap_waves, observed_peak, obse
 use gist::obs::{Event, MemoryAccountant, TraceSink};
 use gist::par::with_threads;
 use gist::prelude::*;
-use gist::runtime::{
-    predict_step_events, predict_step_events_for, predict_step_events_granular,
-    predicted_peak_bytes, predicted_peak_bytes_for, predicted_peak_bytes_granular,
-    ssdc_stash_sizes, AllocPolicy, PlanGranularity,
-};
+use gist::runtime::{ssdc_stash_sizes, AllocPolicy, PlanGranularity, StepProgram};
 use std::collections::HashMap;
 
 const BATCH: usize = 8;
@@ -37,15 +38,15 @@ fn policies() -> Vec<(&'static str, ExecMode)> {
     ]
 }
 
-/// Runs one traced step and returns the full trace plus the executor's own
-/// meter peak.
-fn traced_step(graph: &Graph, mode: &ExecMode) -> (Vec<Event>, usize) {
-    let mut exec = Executor::new(graph.clone(), mode.clone(), 7).expect("executor");
+/// Runs one traced step and returns the executor (for its program), the
+/// full trace and the executor's own meter peak.
+fn traced_step(graph: &Graph, spec: impl Into<ExecSpec>) -> (Executor, Vec<Event>, usize) {
+    let mut exec = Executor::new(graph.clone(), spec, 7).expect("executor");
     let mut ds = SyntheticImages::new(CLASSES, 16, 0.4, 11);
     let (x, y) = ds.minibatch(BATCH);
     let sink = TraceSink::new();
     let stats = exec.step_traced(&x, &y, 0.05, &sink).expect("step");
-    (sink.take(), stats.peak_live_bytes)
+    (exec, sink.take(), stats.peak_live_bytes)
 }
 
 /// Observed peak == predicted footprint, for every zoo model x policy.
@@ -53,7 +54,7 @@ fn traced_step(graph: &Graph, mode: &ExecMode) -> (Vec<Event>, usize) {
 fn observed_peak_equals_predicted_footprint() {
     for (net, graph) in zoo() {
         for (policy, mode) in policies() {
-            let (trace, meter_peak) = traced_step(&graph, &mode);
+            let (exec, trace, meter_peak) = traced_step(&graph, mode);
             let mut acc = MemoryAccountant::new();
             acc.fold_all(&trace).unwrap_or_else(|e| panic!("{net}/{policy}: bad stream: {e}"));
             assert_eq!(
@@ -61,7 +62,9 @@ fn observed_peak_equals_predicted_footprint() {
                 meter_peak as u64,
                 "{net}/{policy}: accountant vs executor meter"
             );
-            let predicted = predicted_peak_bytes(&graph, &mode, &ssdc_stash_sizes(&trace))
+            let predicted = exec
+                .program()
+                .peak_bytes(&ssdc_stash_sizes(&trace))
                 .unwrap_or_else(|e| panic!("{net}/{policy}: predictor: {e}"));
             assert_eq!(
                 acc.peak_bytes(),
@@ -78,8 +81,10 @@ fn observed_peak_equals_predicted_footprint() {
 fn predicted_stream_matches_observed_event_for_event() {
     for (net, graph) in zoo() {
         for (policy, mode) in policies() {
-            let (trace, _) = traced_step(&graph, &mode);
-            let predicted = predict_step_events(&graph, &mode, &ssdc_stash_sizes(&trace))
+            let (exec, trace, _) = traced_step(&graph, mode);
+            let predicted = exec
+                .program()
+                .events(&ssdc_stash_sizes(&trace))
                 .unwrap_or_else(|e| panic!("{net}/{policy}: predictor: {e}"));
             let observed: Vec<Event> = trace.into_iter().filter(|ev| ev.is_memory()).collect();
             assert_eq!(observed, predicted, "{net}/{policy}: stream divergence");
@@ -93,7 +98,7 @@ fn predicted_stream_matches_observed_event_for_event() {
 fn no_concurrently_live_buffers_overlap() {
     for (net, graph) in zoo() {
         for (policy, mode) in policies() {
-            let (trace, _) = traced_step(&graph, &mode);
+            let (_, trace, _) = traced_step(&graph, mode);
             let mut acc = MemoryAccountant::new();
             acc.fold_all(&trace).unwrap_or_else(|e| panic!("{net}/{policy}: bad stream: {e}"));
             assert_eq!(
@@ -121,30 +126,22 @@ fn no_concurrently_live_buffers_overlap() {
 fn arena_step_runs_inside_the_planned_slab() {
     for (net, graph) in zoo() {
         for (policy, mode) in policies() {
-            let mut exec =
-                Executor::new_with_policy(graph.clone(), mode.clone(), 7, AllocPolicy::Arena)
-                    .unwrap_or_else(|e| panic!("{net}/{policy}: arena executor: {e}"));
-            let mut ds = SyntheticImages::new(CLASSES, 16, 0.4, 11);
-            let (x, y) = ds.minibatch(BATCH);
-            let sink = TraceSink::new();
-            let stats = exec.step_traced(&x, &y, 0.05, &sink).expect("step");
-            let trace = sink.take();
+            let (exec, trace, meter_peak) = traced_step(&graph, ExecSpec::from(mode).arena());
 
             // Observed == predicted, event for event (the arena stream is
             // fully static — no observed SSDC sizes needed).
-            let predicted =
-                predict_step_events_for(&graph, &mode, AllocPolicy::Arena, &HashMap::new())
-                    .unwrap_or_else(|e| panic!("{net}/{policy}: predictor: {e}"));
+            let predicted = exec
+                .program()
+                .events(&HashMap::new())
+                .unwrap_or_else(|e| panic!("{net}/{policy}: predictor: {e}"));
             let observed: Vec<Event> = trace.iter().filter(|ev| ev.is_memory()).cloned().collect();
             assert_eq!(observed, predicted, "{net}/{policy}: arena stream divergence");
 
             // Peaks agree across all three derivations.
             let mut acc = MemoryAccountant::new();
             acc.fold_all(&trace).unwrap_or_else(|e| panic!("{net}/{policy}: bad stream: {e}"));
-            assert_eq!(acc.peak_bytes(), stats.peak_live_bytes as u64);
-            let predicted_peak =
-                predicted_peak_bytes_for(&graph, &mode, AllocPolicy::Arena, &HashMap::new())
-                    .unwrap();
+            assert_eq!(acc.peak_bytes(), meter_peak as u64);
+            let predicted_peak = exec.program().peak_bytes(&HashMap::new()).unwrap();
             assert_eq!(acc.peak_bytes(), predicted_peak, "{net}/{policy}: peak mismatch");
 
             // Every life fits its planned region; concurrently-live regions
@@ -173,7 +170,8 @@ fn arena_and_heap_steps_agree_bitwise() {
     let graph = gist::models::tiny_convnet(BATCH, CLASSES);
     for (policy, mode) in policies() {
         let run = |alloc: AllocPolicy| {
-            let mut exec = Executor::new_with_policy(graph.clone(), mode.clone(), 7, alloc)
+            let spec = ExecSpec { alloc, ..mode.clone().into() };
+            let mut exec = Executor::new(graph.clone(), spec, 7)
                 .unwrap_or_else(|e| panic!("{policy}: executor: {e}"));
             let mut ds = SyntheticImages::new(CLASSES, 16, 0.4, 11);
             let (x, y) = ds.minibatch(BATCH);
@@ -204,30 +202,15 @@ fn wave_arena_oracle_over_zoo_and_offload_modes() {
                 ("recompute", OffloadMode::Recompute),
                 ("swap", OffloadMode::Swap(SwapStrategy::Vdnn)),
             ] {
-                let mut exec = Executor::new_with_granularity(
-                    graph.clone(),
-                    mode.clone(),
-                    7,
-                    AllocPolicy::Arena,
-                    offload,
-                    PlanGranularity::Wave,
-                )
-                .unwrap_or_else(|e| panic!("{net}/{policy}/{oname}: executor: {e}"));
-                let mut ds = SyntheticImages::new(CLASSES, 16, 0.4, 11);
-                let (x, y) = ds.minibatch(BATCH);
-                let sink = TraceSink::new();
-                let stats = exec.step_traced(&x, &y, 0.05, &sink).expect("step");
-                let trace = sink.take();
+                let event = ExecSpec { offload, ..ExecSpec::from(mode.clone()).arena() };
+                let wave = ExecSpec { plan: PlanGranularity::Wave, ..event.clone() };
+                let (exec, trace, meter_peak) = traced_step(&graph, wave);
 
-                let (predicted, groups) = predict_step_events_granular(
-                    &graph,
-                    &mode,
-                    AllocPolicy::Arena,
-                    &HashMap::new(),
-                    exec.offload_plan(),
-                    PlanGranularity::Wave,
-                )
-                .unwrap_or_else(|e| panic!("{net}/{policy}/{oname}: predictor: {e}"));
+                let predicted = exec
+                    .program()
+                    .events(&HashMap::new())
+                    .unwrap_or_else(|e| panic!("{net}/{policy}/{oname}: predictor: {e}"));
+                let groups = exec.program().wave_groups();
                 let observed: Vec<Event> =
                     trace.iter().filter(|ev| ev.is_memory()).cloned().collect();
                 assert_eq!(observed, predicted, "{net}/{policy}/{oname}: wave stream divergence");
@@ -235,16 +218,8 @@ fn wave_arena_oracle_over_zoo_and_offload_modes() {
                 let mut acc = MemoryAccountant::new();
                 acc.fold_all(&trace)
                     .unwrap_or_else(|e| panic!("{net}/{policy}/{oname}: bad stream: {e}"));
-                assert_eq!(acc.peak_bytes(), stats.peak_live_bytes as u64);
-                let predicted_peak = predicted_peak_bytes_granular(
-                    &graph,
-                    &mode,
-                    AllocPolicy::Arena,
-                    &HashMap::new(),
-                    exec.offload_plan(),
-                    PlanGranularity::Wave,
-                )
-                .unwrap();
+                assert_eq!(acc.peak_bytes(), meter_peak as u64);
+                let predicted_peak = exec.program().peak_bytes(&HashMap::new()).unwrap();
                 assert_eq!(
                     acc.peak_bytes(),
                     predicted_peak,
@@ -270,15 +245,9 @@ fn wave_arena_oracle_over_zoo_and_offload_modes() {
 
                 // Wave conservatism is monotone: the wave plan never
                 // undercuts the event plan's footprint.
-                let event_peak = predicted_peak_bytes_granular(
-                    &graph,
-                    &mode,
-                    AllocPolicy::Arena,
-                    &HashMap::new(),
-                    exec.offload_plan(),
-                    PlanGranularity::Event,
-                )
-                .unwrap();
+                let event_peak = StepProgram::lower(&graph, &event)
+                    .and_then(|program| program.peak_bytes(&HashMap::new()))
+                    .unwrap();
                 assert!(
                     predicted_peak >= event_peak,
                     "{net}/{policy}/{oname}: wave peak {predicted_peak} < event peak {event_peak}"
@@ -325,7 +294,7 @@ fn memory_substream_is_thread_invariant() {
     let mode = ExecMode::Gist(GistConfig::lossless());
     let substream = |threads: usize| {
         with_threads(threads, || {
-            let (trace, peak) = traced_step(&graph, &mode);
+            let (_, trace, peak) = traced_step(&graph, mode.clone());
             let mem: Vec<Event> = trace.into_iter().filter(|ev| ev.is_memory()).collect();
             (mem, peak)
         })

@@ -18,7 +18,7 @@ use gist::encodings::{CodecPolicy, DprFormat, TransferCodec};
 use gist::net::{InProcess, NetConfig, NetTrainer, Tcp, Transport, GRAD_FRAME_OVERHEAD};
 use gist::obs::Event;
 use gist::runtime::params::{NodeParams, ParamGrads};
-use gist::runtime::{AllocPolicy, ExecMode, Executor, SyntheticImages};
+use gist::runtime::{ExecMode, Executor, SyntheticImages};
 use gist::tensor::Tensor;
 use std::net::TcpListener;
 use std::thread;
@@ -41,12 +41,7 @@ fn shard_data() -> (Vec<Tensor>, Vec<Vec<usize>>) {
 }
 
 fn build_exec() -> Result<Executor, gist::runtime::RuntimeError> {
-    Executor::new_with_policy(
-        gist::models::tiny_convnet(SHARD_BATCH, 4),
-        ExecMode::Baseline,
-        7,
-        AllocPolicy::Heap,
-    )
+    Executor::new(gist::models::tiny_convnet(SHARD_BATCH, 4), ExecMode::Baseline, 7)
 }
 
 fn param_bits(exec: &Executor) -> Vec<u32> {

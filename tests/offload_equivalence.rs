@@ -48,8 +48,8 @@ fn train_fingerprint(
     offload: OffloadMode,
     mut ds: SyntheticImages,
 ) -> Vec<u32> {
-    let mut exec = Executor::new_with_offload(graph.clone(), mode.clone(), 9, policy, offload)
-        .expect("executor");
+    let spec = ExecSpec { alloc: policy, offload, ..mode.clone().into() };
+    let mut exec = Executor::new(graph.clone(), spec, 9).expect("executor");
     let mut fp = Vec::new();
     for _ in 0..STEPS {
         let (x, y) = ds.minibatch(BATCH);

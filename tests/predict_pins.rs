@@ -1,8 +1,9 @@
 //! Predictor pins: the static numbers the serve layer prices admissions
 //! with, held against execution.
 //!
-//! `gist-serve` trusts [`gist::runtime::predicted_replica_slab_bytes`]
-//! enough to *lease device memory on it before a job runs*. This suite
+//! `gist-serve` trusts the folded peak of a lowered step
+//! ([`gist::runtime::StepProgram::peak_bytes`]) enough to *lease device
+//! memory on it before a job runs*. This suite
 //! pins that trust: for every executable small-zoo model × execution mode
 //! × allocation policy, the predicted peak equals the peak the executor's
 //! meter observes; the arena prediction equals the capacity of the slab
@@ -14,17 +15,15 @@
 
 use gist::obs::{MemoryAccountant, TraceSink};
 use gist::prelude::*;
-use gist::runtime::{
-    predicted_param_wire_bytes, predicted_peak_bytes_for, predicted_peak_bytes_granular,
-    predicted_replica_slab_bytes, predicted_replica_slab_bytes_granular, ssdc_stash_sizes,
-    AllocPolicy, PlanGranularity,
-};
+use gist::runtime::{predicted_param_wire_bytes, ssdc_stash_sizes, PlanGranularity, StepProgram};
+use gist::serve::parse_exec_mode;
 use std::collections::HashMap;
 
 const BATCH: usize = 4;
 const CLASSES: usize = 3;
 
-/// Models small enough to execute a traced step in a unit test.
+/// Models small enough to execute a traced step in a unit test: `(serve
+/// model name, graph)`.
 fn small_zoo() -> Vec<(&'static str, Graph)> {
     vec![
         ("tiny-convnet", gist::models::tiny_convnet(BATCH, CLASSES)),
@@ -34,22 +33,24 @@ fn small_zoo() -> Vec<(&'static str, Graph)> {
 }
 
 fn modes() -> Vec<(&'static str, ExecMode)> {
-    vec![
-        ("baseline", ExecMode::Baseline),
-        ("lossless", ExecMode::Gist(GistConfig::lossless())),
-        ("fp8", ExecMode::Gist(GistConfig::lossy(DprFormat::Fp8))),
-    ]
+    ["baseline", "lossless", "fp8"]
+        .into_iter()
+        .map(|label| (label, parse_exec_mode(label).expect("mode table")))
+        .collect()
 }
 
-/// One traced step under `policy`; returns (observed peak, arena capacity
+/// The statically priced peak of `graph` under `spec`: lowered here, from
+/// the graph alone, exactly as an admission controller does — never read
+/// off the executor that is then held against it.
+fn priced(graph: &Graph, spec: &ExecSpec, ssdc: &HashMap<String, u64>) -> u64 {
+    let program = StepProgram::lower(graph, spec).expect("lowering");
+    program.peak_bytes(ssdc).expect("priced peak")
+}
+
+/// One traced step under `spec`; returns (observed peak, arena capacity
 /// if the policy has one, observed ssdc stash sizes).
-fn observe(
-    graph: &Graph,
-    mode: &ExecMode,
-    policy: AllocPolicy,
-) -> (u64, Option<u64>, HashMap<String, u64>) {
-    let mut exec =
-        Executor::new_with_policy(graph.clone(), mode.clone(), 7, policy).expect("executor");
+fn observe(graph: &Graph, spec: &ExecSpec) -> (u64, Option<u64>, HashMap<String, u64>) {
+    let mut exec = Executor::new(graph.clone(), spec.clone(), 7).expect("executor");
     let mut ds = SyntheticImages::new(CLASSES, 16, 0.3, 11);
     let (x, y) = ds.minibatch(BATCH);
     let sink = TraceSink::new();
@@ -61,20 +62,32 @@ fn observe(
     (acc.peak_bytes(), exec.arena_capacity_bytes().map(|c| c as u64), ssdc_stash_sizes(&trace))
 }
 
+/// What `gist-serve` leases `replicas` replicas of `model` for.
+fn lease(model: &str, mode: &ExecMode, plan: PlanGranularity, replicas: usize) -> u64 {
+    let spec = JobSpec::builder(model)
+        .batch(BATCH)
+        .mode(mode.clone())
+        .plan(plan)
+        .replicas(replicas)
+        .build()
+        .expect("job spec");
+    let mut server = Server::new(ServeConfig::new(u64::MAX));
+    let id = server.submit(spec).expect("unbounded budget admits every job");
+    server.lease_bytes(id)
+}
+
 #[test]
 fn predicted_peak_matches_observed_for_small_zoo_both_policies() {
     for (net, graph) in small_zoo() {
         for (label, mode) in modes() {
-            let (heap_peak, none, ssdc) = observe(&graph, &mode, AllocPolicy::Heap);
+            let heap = ExecSpec::from(mode.clone());
+            let (heap_peak, none, ssdc) = observe(&graph, &heap);
             assert!(none.is_none(), "{net}: heap policy has no arena");
-            let predicted_heap = predicted_peak_bytes_for(&graph, &mode, AllocPolicy::Heap, &ssdc)
-                .unwrap_or_else(|e| panic!("{net}/{label}: {e}"));
-            assert_eq!(predicted_heap, heap_peak, "{net}/{label}: heap peak pin");
+            assert_eq!(priced(&graph, &heap, &ssdc), heap_peak, "{net}/{label}: heap peak pin");
 
-            let (arena_peak, capacity, _) = observe(&graph, &mode, AllocPolicy::Arena);
-            let predicted_arena =
-                predicted_peak_bytes_for(&graph, &mode, AllocPolicy::Arena, &HashMap::new())
-                    .unwrap_or_else(|e| panic!("{net}/{label}: {e}"));
+            let arena = heap.arena();
+            let (arena_peak, capacity, _) = observe(&graph, &arena);
+            let predicted_arena = priced(&graph, &arena, &HashMap::new());
             assert_eq!(predicted_arena, arena_peak, "{net}/{label}: arena peak pin");
             // The predicted peak fits inside the slab the executor packed
             // (capacity is the packed-plan total, so it may carry padding
@@ -98,16 +111,12 @@ fn predicted_peak_matches_observed_for_small_zoo_both_policies() {
 fn replica_slab_bytes_is_per_slab_times_replicas() {
     for (net, graph) in small_zoo() {
         for (label, mode) in modes() {
-            let arena =
-                predicted_peak_bytes_for(&graph, &mode, AllocPolicy::Arena, &HashMap::new())
-                    .unwrap();
+            let arena = priced(&graph, &ExecSpec::from(mode.clone()).arena(), &HashMap::new());
             for replicas in [1usize, 2, 4] {
-                let (per, total) = predicted_replica_slab_bytes(&graph, &mode, replicas).unwrap();
-                assert_eq!(per, arena, "{net}/{label}: per-replica slab vs arena peak");
                 assert_eq!(
-                    total,
-                    per * replicas as u64,
-                    "{net}/{label}: total at {replicas} replicas"
+                    lease(net, &mode, PlanGranularity::Event, replicas),
+                    arena * replicas as u64,
+                    "{net}/{label}: lease at {replicas} replicas"
                 );
             }
         }
@@ -118,79 +127,35 @@ fn replica_slab_bytes_is_per_slab_times_replicas() {
 /// peak a wave-plan executor's meter observes; the wave lease dominates
 /// the event lease (serve can upgrade a job's granularity without
 /// re-admission only in the event direction); and the replica lease
-/// arithmetic is exact under both granularities, with `Event` pricing
-/// bit-identical to the legacy entry point.
+/// arithmetic is exact under wave granularity too.
 #[test]
 fn wave_plan_predicted_peak_matches_observed_and_prices_leases() {
     for (net, graph) in small_zoo() {
         for (label, mode) in modes() {
-            let mut exec = Executor::new_with_granularity(
-                graph.clone(),
-                mode.clone(),
-                7,
-                AllocPolicy::Arena,
-                OffloadMode::None,
-                PlanGranularity::Wave,
-            )
-            .unwrap_or_else(|e| panic!("{net}/{label}: executor: {e}"));
-            let mut ds = SyntheticImages::new(CLASSES, 16, 0.3, 11);
-            let (x, y) = ds.minibatch(BATCH);
-            let sink = TraceSink::new();
-            let stats = exec.step_traced(&x, &y, 0.05, &sink).expect("step");
-            let mut acc = MemoryAccountant::new();
-            acc.fold_all(&sink.take()).expect("well-formed stream");
-            assert_eq!(acc.peak_bytes(), stats.peak_live_bytes as u64, "meter vs accountant");
-
-            let predicted_wave = predicted_peak_bytes_granular(
-                &graph,
-                &mode,
-                AllocPolicy::Arena,
-                &HashMap::new(),
-                None,
-                PlanGranularity::Wave,
-            )
-            .unwrap_or_else(|e| panic!("{net}/{label}: {e}"));
-            assert_eq!(predicted_wave, acc.peak_bytes(), "{net}/{label}: wave peak pin");
-            let capacity = exec.arena_capacity_bytes().expect("arena") as u64;
+            let event = ExecSpec::from(mode.clone()).arena();
+            let wave = ExecSpec { plan: PlanGranularity::Wave, ..event.clone() };
+            let (observed, capacity, _) = observe(&graph, &wave);
+            let predicted_wave = priced(&graph, &wave, &HashMap::new());
+            assert_eq!(predicted_wave, observed, "{net}/{label}: wave peak pin");
+            let capacity = capacity.expect("arena");
             assert!(
                 predicted_wave <= capacity,
                 "{net}/{label}: predicted wave peak {predicted_wave} exceeds slab {capacity}"
             );
 
-            let predicted_event = predicted_peak_bytes_granular(
-                &graph,
-                &mode,
-                AllocPolicy::Arena,
-                &HashMap::new(),
-                None,
-                PlanGranularity::Event,
-            )
-            .unwrap();
+            let predicted_event = priced(&graph, &event, &HashMap::new());
             assert!(
                 predicted_wave >= predicted_event,
                 "{net}/{label}: wave lease {predicted_wave} below event lease {predicted_event}"
             );
 
             for replicas in [1usize, 2, 4] {
-                let (per, total) = predicted_replica_slab_bytes_granular(
-                    &graph,
-                    &mode,
-                    replicas,
-                    PlanGranularity::Wave,
-                )
-                .unwrap();
-                assert_eq!(per, predicted_wave, "{net}/{label}: per-replica wave lease");
                 assert_eq!(
-                    total,
-                    per * replicas as u64,
-                    "{net}/{label}: wave total at {replicas} replicas"
+                    lease(net, &mode, PlanGranularity::Wave, replicas),
+                    predicted_wave * replicas as u64,
+                    "{net}/{label}: wave lease at {replicas} replicas"
                 );
             }
-            let (per_event, _) =
-                predicted_replica_slab_bytes_granular(&graph, &mode, 2, PlanGranularity::Event)
-                    .unwrap();
-            let (per_legacy, _) = predicted_replica_slab_bytes(&graph, &mode, 2).unwrap();
-            assert_eq!(per_event, per_legacy, "{net}/{label}: event pricing drifted from legacy");
         }
     }
 }
@@ -204,14 +169,13 @@ fn every_canonical_model_prices_admission_statically() {
     for name in gist::models::MODEL_NAMES {
         let graph = gist::models::by_name(name, 2).expect("canonical name");
         let mode = ExecMode::Gist(GistConfig::lossless());
-        let (per, total) = predicted_replica_slab_bytes(&graph, &mode, 4)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let spec = ExecSpec::from(mode).arena();
+        let per = priced(&graph, &spec, &HashMap::new());
         assert!(per > 0, "{name}: empty slab prediction");
-        assert_eq!(total, per * 4, "{name}: replica arithmetic");
         // Deterministic: pricing twice gives the same lease.
         assert_eq!(
-            predicted_replica_slab_bytes(&graph, &mode, 4).unwrap(),
-            (per, total),
+            priced(&graph, &spec, &HashMap::new()),
+            per,
             "{name}: prediction is not deterministic"
         );
         // The park-side bound prices too, and a parked job's encoded

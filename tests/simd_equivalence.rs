@@ -32,7 +32,7 @@ use gist::encodings::dpr::DprBuffer;
 use gist::encodings::{BitMask, CsrMatrix, DprFormat, RoundingMode};
 use gist::offload::{OffloadMode, SwapStrategy};
 use gist::par::{env_threads, with_threads};
-use gist::runtime::{AllocPolicy, ExecMode, Executor, SyntheticImages};
+use gist::runtime::{AllocPolicy, ExecMode, ExecSpec, Executor, SyntheticImages};
 use gist::simd::{available_levels, canon_bits, with_level, Level};
 use gist::tensor::ops::conv::ConvParams;
 use gist::tensor::ops::{conv, linear, matmul};
@@ -331,7 +331,7 @@ fn empty_and_one_element_inputs_at_every_level() {
 /// machinery pointed at the SIMD axis.
 fn run_fingerprint_full(policy: AllocPolicy, mode: ExecMode, offload: OffloadMode) -> Vec<u32> {
     let g = gist::models::resnet_cifar(1, 2);
-    let mut e = Executor::new_with_offload(g, mode, 17, policy, offload).unwrap();
+    let mut e = Executor::new(g, ExecSpec { alloc: policy, offload, ..mode.into() }, 17).unwrap();
     let mut ds = SyntheticImages::rgb(4, 32, 0.2, 23);
     let mut bits = Vec::new();
     for _ in 0..2 {
