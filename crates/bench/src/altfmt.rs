@@ -7,13 +7,15 @@
 //!
 //! This module implements the two losing candidates (plus a bitmap format
 //! as an extra ablation point) so that the comparison itself is
-//! reproducible: the `sparse_formats` criterion bench measures conversion
-//! latency, and the unit tests here check the size trade-offs.
+//! reproducible: the `bench_sparse_formats` bin measures conversion
+//! latency, and the unit tests here check the size trade-offs. Nothing
+//! outside this crate uses them, which is why they live here and not in
+//! `gist-encodings`.
 //!
 //! All formats view the flat buffer as a matrix of [`NARROW_COLS`] columns
 //! (the Narrow Value Optimization), so column indices fit in one byte.
 
-use crate::csr::NARROW_COLS;
+use gist_encodings::csr::NARROW_COLS;
 
 /// ELLPACK: every row stores the same number of slots (the maximum row
 /// nnz), padding short rows. Fast uniform access, but one dense row blows
@@ -209,7 +211,7 @@ impl BitmapMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::{CsrMatrix, SsdcConfig};
+    use gist_encodings::csr::{CsrMatrix, SsdcConfig};
 
     fn pattern(len: usize, m: usize) -> Vec<f32> {
         (0..len).map(|i| if i % m == 0 { (i + 1) as f32 * 0.5 } else { 0.0 }).collect()

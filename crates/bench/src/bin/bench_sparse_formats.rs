@@ -6,8 +6,9 @@
 //!
 //! Run with `cargo run --release -p gist-bench --bin bench_sparse_formats`.
 
+use gist_bench::altfmt::{BitmapMatrix, EllMatrix, HybMatrix};
 use gist_encodings::csr::SsdcConfig;
-use gist_encodings::{BitmapMatrix, CsrMatrix, EllMatrix, HybMatrix};
+use gist_encodings::CsrMatrix;
 use gist_testkit::BenchGroup;
 use std::hint::black_box;
 

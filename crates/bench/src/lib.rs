@@ -12,6 +12,8 @@
 //! the paper's reference numbers, so `EXPERIMENTS.md` can record
 //! paper-vs-measured side by side.
 
+pub mod altfmt;
+
 /// Formats bytes as gigabytes with three decimals.
 pub fn gb(bytes: usize) -> f64 {
     bytes as f64 / (1u64 << 30) as f64

@@ -414,61 +414,19 @@ fn run_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The synthetic dataset every `train` path draws from.
+const DATA_NOISE: f32 = 0.3;
+const DATA_SEED: u64 = 42;
+
 /// Runs `--steps` training steps on synthetic data, optionally recording an
 /// execution trace (`--trace out.json`, chrome://tracing format) and
-/// printing the aggregate counters report.
-/// FNV-1a over each step's loss bits plus every trained parameter bit —
-/// the fingerprint shape the equivalence gates pin, printed by `train` so
-/// `scripts/verify.sh` can demand bitwise-identical training across plan
+/// printing the aggregate counters report. The printed train fingerprint
+/// (`ParamSet::fingerprint` over each step's loss bits) is what
+/// `scripts/verify.sh` demands be bitwise-identical across plan
 /// granularities and thread counts.
-fn train_fingerprint(loss_bits: &[u32], exec: &gist_runtime::Executor) -> u64 {
-    use gist_runtime::params::NodeParams;
-    let mut words: Vec<u32> = loss_bits.to_vec();
-    for i in 0..exec.graph().len() {
-        match exec.params.get(i) {
-            Some(NodeParams::Conv { weight, bias }) | Some(NodeParams::Linear { weight, bias }) => {
-                words.extend(weight.data().iter().map(|v| v.to_bits()));
-                if let Some(b) = bias {
-                    words.extend(b.data().iter().map(|v| v.to_bits()));
-                }
-            }
-            Some(NodeParams::BatchNorm { gamma, beta }) => {
-                words.extend(gamma.data().iter().map(|v| v.to_bits()));
-                words.extend(beta.data().iter().map(|v| v.to_bits()));
-            }
-            None => {}
-        }
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
-}
-
-/// The synthetic dataset every `train` path draws from: class count from
-/// the loss head's input, image geometry from the graph's input node.
-fn synthetic_dataset(graph: &Graph) -> Result<gist_runtime::SyntheticImages, String> {
-    let shapes = graph.infer_shapes().map_err(|e| e.to_string())?;
-    let loss = graph
-        .nodes()
-        .iter()
-        .find(|n| matches!(n.op, gist_graph::OpKind::SoftmaxLoss))
-        .ok_or("model has no loss head")?;
-    let classes = shapes[loss.inputs[0].index()].as_matrix().1;
-    let input = shapes[0];
-    Ok(if input.c() == 3 {
-        gist_runtime::SyntheticImages::rgb(classes, input.h(), 0.3, 42)
-    } else {
-        gist_runtime::SyntheticImages::new(classes, input.h(), 0.3, 42)
-    })
-}
-
 fn run_train(graph: Graph, spec: ExecSpec, args: &Args) -> Result<(), String> {
-    let mut ds = synthetic_dataset(&graph)?;
+    let mut ds = gist_runtime::SyntheticImages::for_graph(&graph, DATA_NOISE, DATA_SEED)
+        .map_err(|e| e.to_string())?;
     let mut exec = gist_runtime::Executor::new(graph, spec, 7).map_err(|e| e.to_string())?;
     if let Some(capacity) = exec.arena_capacity_bytes() {
         println!(
@@ -510,7 +468,7 @@ fn run_train(graph: Graph, spec: ExecSpec, args: &Args) -> Result<(), String> {
             stats.stash_bytes as f64 / 1024.0
         );
     }
-    println!("train fingerprint: 0x{:016x}", train_fingerprint(&loss_bits, &exec));
+    println!("train fingerprint: 0x{:016x}", exec.params.fingerprint(&loss_bits));
     if let Some(path) = &args.trace {
         let events = sink.take();
         std::fs::write(path, gist_obs::export_chrome(&events)).map_err(|e| e.to_string())?;
@@ -536,7 +494,8 @@ fn run_train_dist<T: gist_dist::Transport>(
     args: &Args,
 ) -> Result<(), String> {
     let shards = gist_dist::DEFAULT_SHARDS;
-    let mut ds = synthetic_dataset(&graph)?;
+    let mut ds = gist_runtime::SyntheticImages::for_graph(&graph, DATA_NOISE, DATA_SEED)
+        .map_err(|e| e.to_string())?;
     // Data-parallel replicas run fully resident.
     let spec = ExecSpec { offload: gist_runtime::OffloadMode::None, ..spec };
     let mut trainer = gist_dist::Trainer::new(placement, shards, args.grad_codec, || {
@@ -582,7 +541,7 @@ fn run_train_dist<T: gist_dist::Transport>(
             events.extend(trainer.take_events());
         }
     }
-    println!("train fingerprint: 0x{:016x}", train_fingerprint(&loss_bits, trainer.replica(0)));
+    println!("train fingerprint: 0x{:016x}", trainer.replica(0).params.fingerprint(&loss_bits));
     if let Some(path) = &args.trace {
         std::fs::write(path, gist_obs::export_chrome(&events)).map_err(|e| e.to_string())?;
         println!("wrote {} net trace events to {path}", events.len());
@@ -603,7 +562,7 @@ fn rendezvous_tcp(args: &Args) -> Result<gist_dist::Tcp, String> {
     if args.rank >= world {
         return Err(format!("--rank {} outside the world of {world} peers", args.rank));
     }
-    if shards % world != 0 {
+    if !shards.is_multiple_of(world) {
         return Err(format!("the peer count must divide {shards} (got {world})"));
     }
     // GIST_NET_TIMEOUT_MS garbage warns and falls back (workspace policy).

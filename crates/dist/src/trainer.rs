@@ -26,7 +26,7 @@ use gist_obs::Event;
 use gist_par as par;
 use gist_par::ThreadPool;
 use gist_perf::GpuModel;
-use gist_runtime::params::{sgd_update, ParamGrads};
+use gist_runtime::params::{sgd_update, tensors, ParamGrads};
 use gist_runtime::{Executor, RuntimeError, StepStats};
 use gist_tensor::Tensor;
 use std::time::Instant;
@@ -257,36 +257,35 @@ impl<T: Transport> Trainer<T> {
         let mut outs = self.run_owned(images, labels)?;
 
         // Phase 2: per-tensor fixed-tree reduce, mean-scale, broadcast.
-        // Tensor ids count main-then-secondary in node order on every
-        // rank, so frame headers line up without negotiation.
+        // Tensor ids are positions in the canonical walk of the gradient
+        // list on every rank, so frame headers line up without negotiation.
         let rounds = reduction_rounds(s);
         let mut ex = Exchange::new(&rounds, &mut self.placement, self.step_no, t0);
         let policy = self.policy;
-        let mut tensor = 0u32;
+        let per_shard: Vec<Vec<&Tensor>> =
+            outs.iter().map(|(.., g)| tensors(g).collect()).collect();
+        let mut tensor = 0usize;
         let mut dense_grad_bytes = 0u64;
+        let mut exchange = |like: &Tensor| -> Result<Tensor, DistError> {
+            let mut tree = GradReduceTree::new(s, policy);
+            for ((shard, ..), grads) in outs.iter().zip(&per_shard) {
+                let g = grads.get(tensor).expect("shard grad structure mismatch");
+                tree.ingest(*shard, g.data().to_vec());
+            }
+            let mean = ex.allreduce(tree, tensor as u32)?;
+            tensor += 1;
+            dense_grad_bytes += mean.len() as u64 * 4;
+            Ok(Tensor::from_vec(like.shape(), mean).map_err(RuntimeError::from)?)
+        };
         let mut merged: Vec<Option<ParamGrads>> = Vec::with_capacity(outs[0].2.len());
-        for (node, grads) in outs[0].2.iter().enumerate() {
-            let Some(grads) = grads else {
-                merged.push(None);
-                continue;
-            };
-            let mut exchange = |pick: fn(&ParamGrads) -> &Tensor| -> Result<Tensor, DistError> {
-                let mut tree = GradReduceTree::new(s, policy);
-                for (shard, _, shard_grads) in &outs {
-                    let g = shard_grads[node].as_ref().expect("shard grad structure mismatch");
-                    tree.ingest(*shard, pick(g).data().to_vec());
-                }
-                let mean = ex.allreduce(tree, tensor)?;
-                tensor += 1;
-                dense_grad_bytes += mean.len() as u64 * 4;
-                Ok(Tensor::from_vec(pick(grads).shape(), mean).map_err(RuntimeError::from)?)
-            };
-            let main = exchange(|g| &g.main)?;
-            let secondary = match grads.secondary {
-                Some(_) => Some(exchange(|g| g.secondary.as_ref().expect("secondary grad"))?),
+        for node in &outs[0].2 {
+            merged.push(match node {
+                Some(g) => Some(ParamGrads {
+                    main: exchange(&g.main)?,
+                    secondary: g.secondary.as_ref().map(&mut exchange).transpose()?,
+                }),
                 None => None,
-            };
-            merged.push(Some(ParamGrads { main, secondary }));
+            });
         }
 
         // Phase 3: the per-shard stats table, completed across the world.
@@ -398,21 +397,7 @@ mod tests {
     }
 
     fn fingerprint(exec: &Executor) -> Vec<u32> {
-        let mut fp = Vec::new();
-        for i in 0..16 {
-            if let Some(p) = exec.params.get(i) {
-                match p {
-                    gist_runtime::params::NodeParams::Conv { weight, .. }
-                    | gist_runtime::params::NodeParams::Linear { weight, .. } => {
-                        fp.extend(weight.data().iter().map(|v| v.to_bits()));
-                    }
-                    gist_runtime::params::NodeParams::BatchNorm { gamma, .. } => {
-                        fp.extend(gamma.data().iter().map(|v| v.to_bits()));
-                    }
-                }
-            }
-        }
-        fp
+        exec.params.bits().collect()
     }
 
     #[test]

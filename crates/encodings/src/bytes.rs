@@ -39,23 +39,26 @@ pub(crate) fn tag_format(t: u8) -> Option<DprFormat> {
     }
 }
 
-/// A bounds-checked little-endian read cursor.
-pub(crate) struct Reader<'a> {
+/// A bounds-checked little-endian read cursor. Public for containers that
+/// frame wires in a buffer of their own (`gist-runtime`'s `Snapshot`).
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// The next `n` bytes, borrowed; [`WireError::Truncated`] if fewer remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated { needed: n, available: self.remaining() });
         }
@@ -68,7 +71,8 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }

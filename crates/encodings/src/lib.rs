@@ -21,20 +21,17 @@
 //! byte size (driving the memory planner in `gist-core`) and can decode
 //! themselves (driving the runtime executor in `gist-runtime`).
 
-pub mod altfmt;
 pub mod binarize;
 pub mod bitpack;
 mod bytes;
 pub mod csr;
 pub mod dpr;
-pub mod encoded;
 pub mod transfer;
 
-pub use altfmt::{BitmapMatrix, EllMatrix, HybMatrix};
 pub use binarize::{BitMask, PoolIndexMap};
+pub use bytes::Reader;
 pub use csr::{CsrMatrix, SsdcConfig};
 pub use dpr::{DprFormat, RoundingMode};
-pub use encoded::EncodedTensor;
 pub use transfer::{auto_codec, max_wire_bytes, CodecPolicy, TransferCodec, Wire, WireError};
 
 /// Errors from encoding/decoding operations.

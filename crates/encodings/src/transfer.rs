@@ -330,23 +330,29 @@ impl Wire {
     /// magic `GWR1`, codec tag, element count, codec payload, fixup list.
     /// [`Self::from_bytes`] round-trips it exactly.
     pub fn to_bytes(&self) -> Vec<u8> {
-        assert!(self.len <= u32::MAX as usize, "wire length exceeds the u32 format field");
         let mut out = Vec::with_capacity(self.wire_bytes() as usize + 32);
+        self.write_bytes(&mut out);
+        out
+    }
+
+    /// Appends the [`Self::to_bytes`] serialization to `out` — for
+    /// containers that frame several wires in one buffer.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        assert!(self.len <= u32::MAX as usize, "wire length exceeds the u32 format field");
         out.extend_from_slice(&MAGIC);
         out.push(match self.codec() {
             TransferCodec::None => 0,
             TransferCodec::Ssdc => 1,
             TransferCodec::Dpr(f) => 1 + format_tag(f),
         });
-        put_u32(&mut out, self.len as u32);
+        put_u32(out, self.len as u32);
         match &self.payload {
-            Payload::Dense(v) => v.iter().for_each(|&x| put_f32(&mut out, x)),
-            Payload::Ssdc(c) => c.write_bytes(&mut out),
-            Payload::Dpr(b) => b.write_words(&mut out),
+            Payload::Dense(v) => v.iter().for_each(|&x| put_f32(out, x)),
+            Payload::Ssdc(c) => c.write_bytes(out),
+            Payload::Dpr(b) => b.write_words(out),
         }
-        put_u32(&mut out, self.fixups.len() as u32);
-        self.fixups.iter().for_each(|&i| put_u32(&mut out, i));
-        out
+        put_u32(out, self.fixups.len() as u32);
+        self.fixups.iter().for_each(|&i| put_u32(out, i));
     }
 
     /// Deserializes a [`Self::to_bytes`] buffer, validating every structural

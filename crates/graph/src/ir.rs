@@ -92,6 +92,14 @@ impl OpKind {
         )
     }
 
+    /// Whether this op's backward kernel decodes the stash of `inputs[0]`
+    /// at runtime. Narrower than [`Self::needs_input_in_backward`]: MaxPool
+    /// recovers its routing from the stashed argmax, so its input's stash
+    /// is metadata only and never read back.
+    pub fn reads_input_stash(&self) -> bool {
+        self.needs_input_in_backward() && !matches!(self, OpKind::MaxPool(_))
+    }
+
     /// Whether this op's backward pass reads the op's stashed *output*
     /// feature map (the `Y` of Figure 4).
     pub fn needs_output_in_backward(&self) -> bool {
@@ -133,6 +141,18 @@ pub struct Node {
     pub op: OpKind,
     /// Producer nodes whose outputs this node consumes.
     pub inputs: Vec<NodeId>,
+}
+
+impl Node {
+    /// The producers this node's backward pass contributes a gradient to,
+    /// in the order the backward kernels emit them.
+    pub fn backward_targets(&self) -> &[NodeId] {
+        match &self.op {
+            OpKind::Input(_) => &[],
+            OpKind::Add | OpKind::Concat => &self.inputs,
+            _ => &self.inputs[..1],
+        }
+    }
 }
 
 /// Errors from graph construction and analysis.
@@ -535,6 +555,7 @@ mod tests {
         assert!(OpKind::Conv { out_channels: 1, params: ConvParams::new(1, 1, 0), bias: false }
             .needs_input_in_backward());
         assert!(!OpKind::Relu.needs_input_in_backward());
+        assert!(OpKind::BatchNorm.reads_input_stash() && !OpKind::Relu.reads_input_stash());
         assert!(OpKind::Relu.needs_output_in_backward());
         let mp = OpKind::MaxPool(PoolParams::new(2, 2, 0));
         assert!(mp.needs_input_in_backward() && mp.needs_output_in_backward());

@@ -6,7 +6,7 @@
 //! temporal structure behind Figure 2 of the paper: the deeper a layer, the
 //! longer the gap between its feature map's two uses.
 
-use crate::ir::{Graph, NodeId};
+use crate::ir::{Graph, NodeId, OpKind};
 
 /// The static schedule of one minibatch.
 #[derive(Debug, Clone)]
@@ -42,6 +42,48 @@ impl Schedule {
     /// pass walks the same waves in reverse.
     pub fn waves(&self) -> &[Vec<NodeId>] {
         &self.waves
+    }
+
+    /// Every node in forward execution order: the waves, flattened.
+    pub fn order(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.waves.iter().flatten().copied()
+    }
+
+    /// Forward execution position of every node, indexed by node id — the
+    /// exact order the executor computes and stashes them in.
+    pub fn positions(&self) -> Vec<usize> {
+        let mut pos = vec![0; self.num_nodes];
+        for (p, id) in self.order().enumerate() {
+            pos[id.index()] = p;
+        }
+        pos
+    }
+
+    /// The backward pass, indexed like [`Self::waves`]: per wave, the nodes
+    /// that execute a backward item, in execution (descending-id) order.
+    /// Waves run in reverse; a node runs iff it is the loss head or a
+    /// consumer's backward item — always in a later wave — contributed a
+    /// gradient to it ([`crate::Node::backward_targets`]). Inputs never do.
+    pub fn backward_waves(&self, graph: &Graph) -> Vec<Vec<NodeId>> {
+        let mut reached = vec![false; self.num_nodes];
+        let mut per_wave = vec![Vec::new(); self.waves.len()];
+        for (wave, runs) in self.waves.iter().zip(&mut per_wave).rev() {
+            for &id in wave.iter().rev() {
+                let node = graph.node(id);
+                let runs_backward = match node.op {
+                    OpKind::Input(_) => false,
+                    OpKind::SoftmaxLoss => true,
+                    _ => reached[id.index()],
+                };
+                if runs_backward {
+                    runs.push(id);
+                    for t in node.backward_targets() {
+                        reached[t.index()] = true;
+                    }
+                }
+            }
+        }
+        per_wave
     }
 
     /// Number of nodes scheduled.
@@ -100,6 +142,25 @@ mod tests {
         let add = g.add(r1, r2, "add");
         let s = Schedule::of(&g);
         assert_eq!(s.waves(), &[vec![a], vec![r1, r2], vec![add]]);
+    }
+
+    #[test]
+    fn positions_follow_waves_and_backward_skips_unreached_branches() {
+        // input -> r1 -> loss, plus a dead-end branch r2 no gradient reaches.
+        let mut g = Graph::new("b");
+        let a = g.input(Shape::nchw(2, 1, 2, 2));
+        let r1 = g.relu(a, "r1");
+        let r2 = g.relu(a, "r2");
+        let dead = g.relu(r2, "dead");
+        let fc = g.linear(r1, 2, true, "fc");
+        let loss = g.softmax_loss(fc, "loss");
+        let s = Schedule::of(&g);
+        assert_eq!(s.waves(), &[vec![a], vec![r1, r2], vec![dead, fc], vec![loss]]);
+        assert_eq!(s.order().collect::<Vec<_>>(), [a, r1, r2, dead, fc, loss]);
+        let pos = s.positions();
+        assert_eq!((pos[dead.index()], pos[fc.index()]), (3, 4));
+        // The input has no backward item although a gradient reaches it.
+        assert_eq!(s.backward_waves(&g), [vec![], vec![r1], vec![fc], vec![loss]]);
     }
 
     #[test]

@@ -32,9 +32,12 @@ fn regressions_path() -> std::path::PathBuf {
         .join("tests/wave_plan_properties.testkit-regressions")
 }
 
+/// One buffer's `(name, birth wave, death wave)`.
+type Life = (String, usize, usize);
+
 /// Lowers a schedule to an event stream plus its wave groups (inclusive
-/// tick ranges) and, for each buffer, its `(name, birth wave, death wave)`.
-fn lower(schedule: &Schedule) -> (Vec<Event>, Vec<(usize, usize)>, Vec<(String, usize, usize)>) {
+/// tick ranges) and every buffer's [`Life`].
+fn lower(schedule: &Schedule) -> (Vec<Event>, Vec<(usize, usize)>, Vec<Life>) {
     let last = schedule.len() - 1;
     let bufs: Vec<(String, usize, usize, usize)> = schedule
         .iter()

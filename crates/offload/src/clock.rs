@@ -116,38 +116,35 @@ pub fn simulate_observed(
 
     // Forward: compute in schedule order; swapped stashes go out over the
     // bus as soon as they are produced.
-    let schedule = Schedule::of(graph);
-    for wave in schedule.waves() {
-        for &id in wave {
-            let i = id.index();
-            clock += time.per_node[i].0;
-            compute_s += time.per_node[i].0;
-            if plan.host_slots[i] == 0 {
-                continue;
-            }
-            let bytes = priced_bytes(i);
-            let t = gpu.pcie_time(bytes);
-            let start = match strategy {
-                // Naive swapping serializes the copy with compute.
-                Some(SwapStrategy::Naive) => clock,
-                // vDNN/cDMA overlap: the copy queues on the bus.
-                _ => pcie_free.max(clock),
-            };
-            let end = start + t;
-            pcie_free = end;
-            if matches!(strategy, Some(SwapStrategy::Naive)) {
-                clock = end;
-            }
-            out_end[i] = end;
-            transfers.push(TransferRecord {
-                node: i,
-                to_host: true,
-                bytes,
-                start_s: start,
-                end_s: end,
-                consume_s: end,
-            });
+    for id in Schedule::of(graph).order() {
+        let i = id.index();
+        clock += time.per_node[i].0;
+        compute_s += time.per_node[i].0;
+        if plan.host_slots[i] == 0 {
+            continue;
         }
+        let bytes = priced_bytes(i);
+        let t = gpu.pcie_time(bytes);
+        let start = match strategy {
+            // Naive swapping serializes the copy with compute.
+            Some(SwapStrategy::Naive) => clock,
+            // vDNN/cDMA overlap: the copy queues on the bus.
+            _ => pcie_free.max(clock),
+        };
+        let end = start + t;
+        pcie_free = end;
+        if matches!(strategy, Some(SwapStrategy::Naive)) {
+            clock = end;
+        }
+        out_end[i] = end;
+        transfers.push(TransferRecord {
+            node: i,
+            to_host: true,
+            bytes,
+            start_s: start,
+            end_s: end,
+            consume_s: end,
+        });
     }
     // Overlapped writes may lag the last kernel; backward starts when both
     // compute and the bus are done.

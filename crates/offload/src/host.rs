@@ -71,21 +71,6 @@ impl HostStore {
         self.wires[node].as_ref().expect("swap-in of a stash that never swapped out encoded")
     }
 
-    /// Removes and returns a node's encoded stash, if one is stored. The
-    /// serve layer's park/resume path uses this: resuming a parked job
-    /// drains its wires back into device parameters, after which the store
-    /// reports zero [`Self::stored_wire_bytes`] again.
-    pub fn take_wire(&mut self, node: usize) -> Option<Wire> {
-        self.wires[node].take()
-    }
-
-    /// Total observed link bytes of every encoded stash currently stored
-    /// (the data-dependent footprint a parked job actually occupies, as
-    /// opposed to the plan-time [`Self::pinned_bytes`] bound).
-    pub fn stored_wire_bytes(&self) -> u64 {
-        self.wires.iter().flatten().map(Wire::wire_bytes).sum()
-    }
-
     /// Total bytes held pinned on the host.
     pub fn pinned_bytes(&self) -> u64 {
         self.pinned_bytes
@@ -127,22 +112,6 @@ mod tests {
             data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             back.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn take_wire_drains_and_accounts() {
-        use gist_encodings::TransferCodec;
-        let data = [0.0f32, 2.0, 0.0, 4.0];
-        let mut h = HostStore::new(&[data.len(), data.len()]);
-        assert_eq!(h.stored_wire_bytes(), 0);
-        let wire = Wire::encode(TransferCodec::Ssdc, &data);
-        let bytes = wire.wire_bytes();
-        h.store_wire(0, wire);
-        assert_eq!(h.stored_wire_bytes(), bytes);
-        let back = h.take_wire(0).expect("stored wire comes back");
-        assert_eq!(back.decode(), data);
-        assert_eq!(h.stored_wire_bytes(), 0);
-        assert!(h.take_wire(0).is_none(), "second take finds nothing");
     }
 
     #[test]

@@ -117,21 +117,6 @@ pub struct OffloadPlan {
     pub backward_order: Vec<NodeId>,
 }
 
-/// Ops whose backward pass decodes the stash of `inputs[0]` at runtime.
-/// This is narrower than `needs_input_in_backward`: MaxPool recovers its
-/// routing from the stashed argmax, so its inputs' stashes are metadata
-/// only and never read back.
-fn reads_input_stash(op: &OpKind) -> bool {
-    matches!(
-        op,
-        OpKind::SoftmaxLoss
-            | OpKind::Conv { .. }
-            | OpKind::Linear { .. }
-            | OpKind::BatchNorm
-            | OpKind::Lrn(_)
-    )
-}
-
 impl OffloadPlan {
     /// Plans offload for `graph` under the given per-node stash encodings
     /// (from `gist_core::policy::assign`, `Encoding::None` everywhere for
@@ -150,44 +135,15 @@ impl OffloadPlan {
         let numel: Vec<usize> = shapes.iter().map(|s| s.numel()).collect();
         let schedule = Schedule::of(graph);
 
-        // Forward schedule position of every node (flattened wave order —
-        // the exact order the executor computes and stashes them in).
-        let mut pos = vec![0usize; n];
-        let mut cursor = 0usize;
-        for wave in schedule.waves() {
-            for &id in wave {
-                pos[id.index()] = cursor;
-                cursor += 1;
-            }
-        }
+        let pos = schedule.positions();
 
-        // Which nodes execute a backward item, and in what order. This
-        // replays the executor's gradient-liveness walk: a node runs
-        // backward iff an upstream contribution made its gradient live by
-        // the time its wave is visited (SoftmaxLoss seeds the chain).
-        let mut grads_live = vec![false; n];
+        // Which nodes execute a backward item, and in what order: the
+        // schedule's gradient-liveness walk, flattened.
+        let backward_order: Vec<NodeId> =
+            schedule.backward_waves(graph).into_iter().rev().flatten().collect();
         let mut runs_backward = vec![false; n];
-        let mut backward_order = Vec::new();
-        for wave in schedule.waves().iter().rev() {
-            for &id in wave.iter().rev() {
-                let node = graph.node(id);
-                if matches!(node.op, OpKind::Input(_)) {
-                    continue;
-                }
-                if !matches!(node.op, OpKind::SoftmaxLoss) && !grads_live[id.index()] {
-                    continue;
-                }
-                grads_live[id.index()] = false;
-                runs_backward[id.index()] = true;
-                backward_order.push(id);
-                let targets: Vec<NodeId> = match node.op {
-                    OpKind::Add | OpKind::Concat => node.inputs.clone(),
-                    _ => vec![node.inputs[0]],
-                };
-                for t in targets {
-                    grads_live[t.index()] = true;
-                }
-            }
+        for id in &backward_order {
+            runs_backward[id.index()] = true;
         }
 
         // Runtime readers of each node's stash: consumers whose backward
@@ -195,7 +151,7 @@ impl OffloadPlan {
         // Readers that never run backward don't count.
         let mut readers: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         for node in graph.nodes() {
-            if reads_input_stash(&node.op) && runs_backward[node.id.index()] {
+            if node.op.reads_input_stash() && runs_backward[node.id.index()] {
                 readers[node.inputs[0].index()].push(node.id);
             }
             if matches!(node.op, OpKind::Relu) && runs_backward[node.id.index()] {

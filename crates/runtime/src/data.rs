@@ -7,6 +7,9 @@
 //! accuracy-tracking experiments (Figure 12) and sparsity-ramp experiments
 //! (Figure 14) require.
 
+use crate::program::find_node;
+use crate::RuntimeError;
+use gist_graph::{Graph, OpKind};
 use gist_tensor::{Shape, Tensor};
 use gist_testkit::Rng;
 
@@ -20,6 +23,14 @@ pub struct SyntheticImages {
     rng: Rng,
 }
 
+/// Class count and input shape of the task `graph` trains on.
+fn task_of(graph: &Graph) -> Result<(usize, Shape), RuntimeError> {
+    let shapes = graph.infer_shapes()?;
+    let input = find_node(graph, "input node", |op| matches!(op, OpKind::Input(_)))?;
+    let loss = find_node(graph, "loss head", |op| matches!(op, OpKind::SoftmaxLoss))?;
+    Ok((shapes[loss.inputs[0].index()].as_matrix().1, shapes[input.id.index()]))
+}
+
 impl SyntheticImages {
     /// Single-channel dataset of `classes` prototypes at `size`×`size`.
     pub fn new(classes: usize, size: usize, noise: f32, seed: u64) -> Self {
@@ -29,6 +40,19 @@ impl SyntheticImages {
     /// Three-channel (RGB-like) dataset.
     pub fn rgb(classes: usize, size: usize, noise: f32, seed: u64) -> Self {
         Self::with_channels(classes, 3, size, noise, seed)
+    }
+
+    /// The dataset `graph` trains on: class count from the width of the
+    /// loss head's producer, channels and (square) geometry from the input
+    /// node — both found by op, as the lowering finds them.
+    ///
+    /// # Errors
+    ///
+    /// Shape-inference failures, or [`RuntimeError::Trace`] for a graph
+    /// without an input node or a loss head.
+    pub fn for_graph(graph: &Graph, noise: f32, seed: u64) -> Result<Self, RuntimeError> {
+        let (classes, image) = task_of(graph)?;
+        Ok(Self::with_channels(classes, image.c(), image.h(), noise, seed))
     }
 
     fn with_channels(classes: usize, channels: usize, size: usize, noise: f32, seed: u64) -> Self {
@@ -83,6 +107,34 @@ mod tests {
         let (xb, yb) = b.minibatch(6);
         assert_eq!(xa, xb);
         assert_eq!(ya, yb);
+    }
+
+    #[test]
+    fn for_graph_matches_every_zoo_model() {
+        for name in gist_models::MODEL_NAMES {
+            let g = gist_models::by_name(name, 2).expect("canonical name");
+            let shapes = g.infer_shapes().unwrap();
+            let input = g.nodes().iter().find(|n| matches!(n.op, OpKind::Input(_))).unwrap();
+            let loss = g.nodes().iter().find(|n| matches!(n.op, OpKind::SoftmaxLoss)).unwrap();
+            let (classes, image) = task_of(&g).expect(name);
+            assert_eq!(image, shapes[input.id.index()], "{name}");
+            assert_eq!(classes, shapes[loss.inputs[0].index()].as_matrix().1, "{name}");
+            // ImageNet-sized prototypes are hundreds of MB; build the
+            // dataset itself only for the trainable small nets.
+            if classes * image.numel() < 1 << 16 {
+                let mut ds = SyntheticImages::for_graph(&g, 0.3, 1).expect(name);
+                assert_eq!(ds.classes(), classes, "{name}");
+                let (x, y) = ds.minibatch(2);
+                assert_eq!(x.shape(), image, "{name}");
+                assert!(y.iter().all(|&l| l < classes), "{name}");
+            }
+        }
+        let mut headless = Graph::new("headless");
+        headless.input(Shape::nchw(1, 1, 4, 4));
+        assert!(matches!(
+            SyntheticImages::for_graph(&headless, 0.3, 1),
+            Err(RuntimeError::Trace(_))
+        ));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! forward/backward with runtime encode/decode, every buffer's life played
 //! from the program's memory ops.
 
+use crate::checkpoint::Snapshot;
 use crate::params::{sgd_update, NodeParams, ParamGrads, ParamSet};
 use crate::program::{
     Block, BufId, Bytes, Item, MemOp, Slot, StashSite, StepProgram, Target, Work,
@@ -11,7 +12,7 @@ use crate::RuntimeError;
 use gist_core::Encoding;
 use gist_encodings::csr::SsdcConfig;
 use gist_encodings::dpr::DprBuffer;
-use gist_encodings::{BitMask, CsrMatrix, TransferCodec, Wire};
+use gist_encodings::{BitMask, CsrMatrix, EncodingError, TransferCodec, Wire};
 use gist_graph::{Graph, Node, NodeId, OpKind};
 use gist_memory::{Arena, PlanGranularity};
 use gist_obs::{Event, NullRecorder, Phase, Recorder};
@@ -363,13 +364,42 @@ impl Executor {
         self.step_counter
     }
 
-    /// Restores the step counter on a freshly built executor — the resume
-    /// half of a park/resume cycle. The counter salts per-step dropout
-    /// masks ([`Self::steps_executed`] doubles as the mask epoch), so a
-    /// resumed job is bitwise-identical to an uninterrupted one only if
-    /// both its parameters *and* this counter are restored.
-    pub fn set_steps_executed(&mut self, steps: u64) {
-        self.step_counter = steps;
+    /// Captures the cross-step train state: every parameter tensor encoded
+    /// under `codec`, and the step epoch. Restored into an executor of the
+    /// same graph **and seed** (the seed salts the dropout masks too),
+    /// training continues bit-identically when `codec` is lossless.
+    pub fn snapshot(&self, codec: TransferCodec) -> Snapshot {
+        Snapshot {
+            steps_executed: self.step_counter,
+            wires: self.params.tensors().map(|t| Wire::encode(codec, t.data())).collect(),
+        }
+    }
+
+    /// Overwrites this executor's parameters and step epoch with
+    /// `snapshot`'s. All or nothing: the tensor count and every element
+    /// count are checked before the first write, so a failed restore —
+    /// e.g. of another architecture's snapshot — leaves no partial state.
+    ///
+    /// # Errors
+    ///
+    /// [`EncodingError::LengthMismatch`] (tensors, then elements of the
+    /// first tensor that disagrees); the executor is unchanged.
+    pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), RuntimeError> {
+        let mismatch = |expected, actual| EncodingError::LengthMismatch { expected, actual };
+        let (want, got) = (self.params.tensors().count(), snapshot.wires.len());
+        if want != got {
+            return Err(mismatch(want, got).into());
+        }
+        for (t, wire) in self.params.tensors().zip(&snapshot.wires) {
+            if t.numel() != wire.len() {
+                return Err(mismatch(t.numel(), wire.len()).into());
+            }
+        }
+        for (t, wire) in self.params.tensors_mut().zip(&snapshot.wires) {
+            wire.decode_into(t.data_mut());
+        }
+        self.step_counter = snapshot.steps_executed;
+        Ok(())
     }
 
     /// The packed slab steps execute out of (arena policy only).
@@ -592,26 +622,20 @@ impl Executor {
         match &node.op {
             OpKind::Input(_) => y.copy_from(step.images),
             OpKind::Conv { params: cp, .. } => {
-                let Some(NodeParams::Conv { weight, bias }) = self.params.get(id.index()) else {
-                    unreachable!("conv has params")
-                };
-                conv::forward_into(input(0), weight, bias.as_ref(), *cp, &mut y)?;
+                let p = self.node_params(id);
+                conv::forward_into(input(0), &p.main, p.secondary.as_ref(), *cp, &mut y)?;
             }
             OpKind::Relu => relu::forward_into(input(0), &mut y),
             OpKind::MaxPool(p) => argmax = Some(pool::maxpool_forward_into(input(0), *p, &mut y)?),
             OpKind::AvgPool(p) => pool::avgpool_forward_into(input(0), *p, &mut y)?,
             OpKind::Linear { .. } => {
-                let Some(NodeParams::Linear { weight, bias }) = self.params.get(id.index()) else {
-                    unreachable!("linear has params")
-                };
-                linear::forward_into(input(0), weight, bias.as_ref(), &mut y)?;
+                let p = self.node_params(id);
+                linear::forward_into(input(0), &p.main, p.secondary.as_ref(), &mut y)?;
             }
             OpKind::BatchNorm => {
-                let Some(NodeParams::BatchNorm { gamma, beta }) = self.params.get(id.index())
-                else {
-                    unreachable!("bn has params")
-                };
-                bn = Some(batchnorm::forward_into(input(0), gamma, beta, 1e-5, &mut y)?);
+                let p = self.node_params(id);
+                let beta = p.secondary.as_ref().expect("batch-norm has a shift");
+                bn = Some(batchnorm::forward_into(input(0), &p.main, beta, 1e-5, &mut y)?);
             }
             OpKind::Lrn(p) => lrn::forward_into(input(0), *p, &mut y)?,
             OpKind::Dropout { p } => {
@@ -635,6 +659,11 @@ impl Executor {
         }
         let dur_ns = elapsed_ns(&step.epoch).saturating_sub(t0_ns);
         Ok(NodeOut { y, argmax, bn, mask, loss, t0_ns, dur_ns })
+    }
+
+    /// Parameters of a conv, linear or batch-norm node.
+    fn node_params(&self, id: NodeId) -> &NodeParams {
+        self.params.get(id.index()).expect("parameterized op has parameters")
     }
 
     fn dropout_mask_seed(&self, id: NodeId) -> u64 {
@@ -675,13 +704,11 @@ impl Executor {
                 self.quantize_immediate(&mut contrib[0]);
             }
             OpKind::Conv { params: cp, .. } => {
-                let Some(NodeParams::Conv { weight, .. }) = self.params.get(id.index()) else {
-                    unreachable!("conv has params")
-                };
+                let p = self.node_params(id);
                 let x = stashed_input()?;
                 let (dw, db) = conv::backward_with_into(
                     &x,
-                    weight,
+                    &p.main,
                     dy(),
                     *cp,
                     &self.scratch,
@@ -690,16 +717,14 @@ impl Executor {
                 pgrads = Some(ParamGrads { main: dw, secondary: Some(db) });
             }
             OpKind::Linear { .. } => {
-                let Some(NodeParams::Linear { weight, .. }) = self.params.get(id.index()) else {
-                    unreachable!("linear has params")
-                };
+                let p = self.node_params(id);
                 let x = stashed_input()?;
                 let (rows, cols) = self.shape(id).as_matrix();
                 let dy2 = dy().clone().reshape(Shape::matrix(rows, cols))?;
                 // The output carries the producer's (possibly NCHW) shape;
                 // backward_with_into matrix-checks it, so no reshape.
                 let (dw, db) =
-                    linear::backward_with_into(&x, weight, &dy2, &self.scratch, &mut contrib[0])?;
+                    linear::backward_with_into(&x, &p.main, &dy2, &self.scratch, &mut contrib[0])?;
                 pgrads = Some(ParamGrads { main: dw, secondary: Some(db) });
             }
             OpKind::Relu => match st.stashes[id.index()].as_ref() {
@@ -730,9 +755,7 @@ impl Executor {
                 pool::avgpool_backward_into(self.shape(node.inputs[0]), dy(), *p, &mut contrib[0])?;
             }
             OpKind::BatchNorm => {
-                let Some(NodeParams::BatchNorm { gamma, .. }) = self.params.get(id.index()) else {
-                    unreachable!("bn has params")
-                };
+                let gamma = &self.node_params(id).main;
                 let x = stashed_input()?;
                 let cache = st.bn_caches[id.index()].as_ref().expect("bn ran forward");
                 let (dgamma, dbeta) =
@@ -1321,24 +1344,7 @@ mod tests {
     }
 
     fn weights_of(e: &Executor) -> Vec<f32> {
-        let mut out = Vec::new();
-        for i in 0..e.graph().len() {
-            if let Some(p) = e.params.get(i) {
-                match p {
-                    NodeParams::Conv { weight, bias } | NodeParams::Linear { weight, bias } => {
-                        out.extend_from_slice(weight.data());
-                        if let Some(b) = bias {
-                            out.extend_from_slice(b.data());
-                        }
-                    }
-                    NodeParams::BatchNorm { gamma, beta } => {
-                        out.extend_from_slice(gamma.data());
-                        out.extend_from_slice(beta.data());
-                    }
-                }
-            }
-        }
-        out
+        e.params.tensors().flat_map(|t| t.data().iter().copied()).collect()
     }
 
     #[test]
@@ -1590,10 +1596,7 @@ mod tests {
         let g = gist_models::tiny_convnet(4, 3);
         let mut e = Executor::new(g, ExecMode::UniformImmediate(DprFormat::Fp16), 1).unwrap();
         let fc = e.graph().nodes().iter().position(|n| n.name == "fc").unwrap();
-        let Some(NodeParams::Linear { weight, .. }) = e.params.get_mut(fc) else {
-            unreachable!("fc is linear")
-        };
-        weight.data_mut()[0] = f32::NAN;
+        e.params.get_mut(fc).expect("fc is linear").main.data_mut()[0] = f32::NAN;
         let (x, _) = minibatch(4);
         let classes = e.predict(&x).expect("NaN logits still classify");
         assert_eq!(classes.len(), 4);

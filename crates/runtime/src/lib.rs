@@ -29,7 +29,7 @@ pub mod spec;
 pub mod trainer;
 
 pub use autotune::{select_dpr_format, AutotuneConfig, AutotuneResult};
-pub use checkpoint::{load as load_checkpoint, save as save_checkpoint, CheckpointError};
+pub use checkpoint::Snapshot;
 pub use data::SyntheticImages;
 pub use exec::{Executor, StepStats};
 pub use gist_memory::PlanGranularity;

@@ -2,7 +2,6 @@
 //! paper's ImageNet training runs.
 
 use crate::params::{NodeParams, ParamGrads, ParamSet};
-use gist_tensor::Tensor;
 
 /// SGD with classical momentum and L2 weight decay.
 ///
@@ -14,56 +13,39 @@ pub struct MomentumSgd {
     /// Momentum coefficient (0 disables).
     pub momentum: f32,
     /// L2 weight-decay coefficient (0 disables). Not applied to biases or
-    /// batch-norm parameters, per common practice.
+    /// batch-norm parameters, per common practice
+    /// ([`ParamSet::decays`]).
     pub weight_decay: f32,
-    velocity: Vec<Option<(Tensor, Option<Tensor>)>>,
+    /// Per node, zeroed on the first gradient the node receives.
+    velocity: Vec<Option<NodeParams>>,
 }
 
 impl MomentumSgd {
-    /// Creates the optimizer for a parameter set of `num_nodes` slots.
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32, num_nodes: usize) -> Self {
-        MomentumSgd { lr, momentum, weight_decay, velocity: (0..num_nodes).map(|_| None).collect() }
+    /// Creates the optimizer.
+    pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
+        MomentumSgd { lr, momentum, weight_decay, velocity: Vec::new() }
     }
 
-    /// Applies one update step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` has a different node count than configured.
+    /// Applies one update step to every node that has a gradient.
     pub fn step(&mut self, params: &mut ParamSet, grads: &[Option<ParamGrads>]) {
-        assert_eq!(grads.len(), self.velocity.len(), "node count mismatch");
-        for (i, g) in grads.iter().enumerate() {
-            let Some(g) = g else { continue };
-            let Some(p) = params.get_mut(i) else { continue };
-            let decay = match p {
-                NodeParams::Conv { .. } | NodeParams::Linear { .. } => self.weight_decay,
-                NodeParams::BatchNorm { .. } => 0.0,
-            };
-            let (main_p, sec_p): (&mut Tensor, Option<&mut Tensor>) = match p {
-                NodeParams::Conv { weight, bias } | NodeParams::Linear { weight, bias } => {
-                    (weight, bias.as_mut())
+        self.velocity.resize(grads.len(), None);
+        for (i, (g, v)) in grads.iter().zip(&mut self.velocity).enumerate() {
+            let weight_decay = if params.decays(i) { self.weight_decay } else { 0.0 };
+            let (Some(g), Some(p)) = (g, params.get_mut(i)) else { continue };
+            let v = v.get_or_insert_with(|| {
+                let mut v = g.clone();
+                v.tensors_mut().for_each(|t| t.data_mut().fill(0.0));
+                v
+            });
+            // Main first: the only tensor weight decay can apply to.
+            let decays = [weight_decay, 0.0];
+            for (((p, g), v), decay) in
+                p.tensors_mut().zip(g.tensors()).zip(v.tensors_mut()).zip(decays)
+            {
+                for ((v, &gv), &pv) in v.data_mut().iter_mut().zip(g.data()).zip(p.data()) {
+                    *v = self.momentum * *v + gv + decay * pv;
                 }
-                NodeParams::BatchNorm { gamma, beta } => (gamma, Some(beta)),
-            };
-            let slot = &mut self.velocity[i];
-            if slot.is_none() {
-                *slot = Some((
-                    Tensor::zeros(g.main.shape()),
-                    g.secondary.as_ref().map(|s| Tensor::zeros(s.shape())),
-                ));
-            }
-            let (vm, vs) = slot.as_mut().expect("velocity just initialized");
-            // v = momentum*v + g + decay*p
-            for ((v, &gv), &pv) in vm.data_mut().iter_mut().zip(g.main.data()).zip(main_p.data()) {
-                *v = self.momentum * *v + gv + decay * pv;
-            }
-            main_p.add_scaled(vm, -self.lr).expect("shapes fixed at init");
-            if let (Some(sp), Some(sv), Some(sg)) = (sec_p, vs.as_mut(), g.secondary.as_ref()) {
-                // No weight decay on biases.
-                for (v, &gv) in sv.data_mut().iter_mut().zip(sg.data()) {
-                    *v = self.momentum * *v + gv;
-                }
-                sp.add_scaled(sv, -self.lr).expect("shapes fixed at init");
+                p.add_scaled(v, -self.lr).expect("shapes fixed at init");
             }
         }
     }
@@ -81,7 +63,7 @@ mod tests {
         let g = gist_models::tiny_convnet(4, 3);
         let mut a = Executor::new(g.clone(), ExecMode::Baseline, 5).unwrap();
         let mut b = Executor::new(g, ExecMode::Baseline, 5).unwrap();
-        let mut opt = MomentumSgd::new(0.05, 0.0, 0.0, a.graph().len());
+        let mut opt = MomentumSgd::new(0.05, 0.0, 0.0);
         let mut ds = SyntheticImages::new(3, 16, 0.3, 1);
         let (x, y) = ds.minibatch(4);
         // a: plain sgd via step(); b: momentum(0) optimizer.
@@ -99,7 +81,7 @@ mod tests {
         // is larger than the first.
         let g = gist_models::tiny_convnet(4, 3);
         let mut e = Executor::new(g, ExecMode::Baseline, 5).unwrap();
-        let mut opt = MomentumSgd::new(0.01, 0.9, 0.0, e.graph().len());
+        let mut opt = MomentumSgd::new(0.01, 0.9, 0.0);
         let mut ds = SyntheticImages::new(3, 16, 0.0, 1);
         let (x, y) = ds.minibatch(4);
         let w0 = first_conv_weight(&e);
@@ -113,36 +95,44 @@ mod tests {
         assert!(d2 > 1.5 * d1, "momentum should grow the step: {d1} then {d2}");
     }
 
+    /// Zero gradients for every parameter tensor of `e`.
+    fn zero_grads(e: &Executor) -> Vec<Option<ParamGrads>> {
+        let mut grads: Vec<_> = (0..e.graph().len()).map(|i| e.params.get(i).cloned()).collect();
+        for t in grads.iter_mut().flatten().flat_map(|g| g.tensors_mut()) {
+            t.data_mut().fill(0.0);
+        }
+        grads
+    }
+
     #[test]
     fn weight_decay_shrinks_weights_without_gradients() {
         let g = gist_models::tiny_convnet(4, 3);
         let mut e = Executor::new(g, ExecMode::Baseline, 5).unwrap();
-        let mut opt = MomentumSgd::new(0.1, 0.0, 0.1, e.graph().len());
+        let mut opt = MomentumSgd::new(0.1, 0.0, 0.1);
         let w0: f32 = first_conv_weight(&e).iter().map(|v| v.abs()).sum();
         // Zero gradients, decay only.
-        let zeros: Vec<Option<ParamGrads>> = e
-            .graph()
-            .nodes()
-            .iter()
-            .map(|n| {
-                e.params.get(n.id.index()).map(|p| match p {
-                    NodeParams::Conv { weight, bias } | NodeParams::Linear { weight, bias } => {
-                        ParamGrads {
-                            main: Tensor::zeros(weight.shape()),
-                            secondary: bias.as_ref().map(|b| Tensor::zeros(b.shape())),
-                        }
-                    }
-                    NodeParams::BatchNorm { gamma, beta } => ParamGrads {
-                        main: Tensor::zeros(gamma.shape()),
-                        secondary: Some(Tensor::zeros(beta.shape())),
-                    },
-                })
-            })
-            .collect();
+        let zeros = zero_grads(&e);
         opt.step(&mut e.params, &zeros);
         let w1: f32 = first_conv_weight(&e).iter().map(|v| v.abs()).sum();
         assert!(w1 < w0, "decay should shrink weights: {w0} -> {w1}");
         assert!((w1 / w0 - 0.99).abs() < 1e-3, "p *= (1 - lr*decay) = 0.99");
+    }
+
+    #[test]
+    fn weight_decay_skips_batchnorm_scale_and_every_secondary() {
+        let g = gist_models::resnet_cifar(1, 2);
+        let mut e = Executor::new(g, ExecMode::Baseline, 5).unwrap();
+        let before = e.params.clone();
+        let zeros = zero_grads(&e);
+        MomentumSgd::new(0.1, 0.0, 0.1).step(&mut e.params, &zeros);
+        let mut moved = [0, 0];
+        for i in 0..e.graph().len() {
+            let (Some(b), Some(a)) = (before.get(i), e.params.get(i)) else { continue };
+            assert_eq!(b.main != a.main, e.params.decays(i), "only conv/linear weights decay");
+            assert_eq!(b.secondary, a.secondary, "biases and batch-norm shifts never decay");
+            moved[usize::from(e.params.decays(i))] += 1;
+        }
+        assert!(moved[0] > 0 && moved[1] > 0, "both kinds exist in a ResNet");
     }
 
     fn first_conv_weight(e: &Executor) -> Vec<f32> {
@@ -152,9 +142,6 @@ mod tests {
             .iter()
             .position(|n| matches!(n.op, gist_graph::OpKind::Conv { .. }))
             .unwrap();
-        match e.params.get(idx).unwrap() {
-            NodeParams::Conv { weight, .. } => weight.data().to_vec(),
-            _ => unreachable!(),
-        }
+        e.params.get(idx).unwrap().main.data().to_vec()
     }
 }

@@ -1,38 +1,57 @@
-//! Learned-parameter storage and SGD updates.
+//! Learned-parameter storage, its one canonical tensor walk, and SGD.
 
 use gist_graph::{Graph, GraphError, OpKind};
 use gist_tensor::{init, Shape, Tensor};
 
-/// Parameters of one node.
+/// Parameters of one node. Which op they belong to is the graph's `OpKind`,
+/// not restated here.
 #[derive(Debug, Clone)]
-pub enum NodeParams {
-    /// Convolution weights `[K, C, R, R]` and optional bias `[K]`.
-    Conv {
-        /// Filter weights.
-        weight: Tensor,
-        /// Per-filter bias.
-        bias: Option<Tensor>,
-    },
-    /// Fully-connected weights `[F_out, F_in]` and optional bias.
-    Linear {
-        /// Weight matrix.
-        weight: Tensor,
-        /// Bias vector.
-        bias: Option<Tensor>,
-    },
-    /// Batch-norm scale and shift, each `[C]`.
-    BatchNorm {
-        /// Per-channel scale.
-        gamma: Tensor,
-        /// Per-channel shift.
-        beta: Tensor,
-    },
+pub struct NodeParams {
+    /// Conv/linear weight, or batch-norm scale.
+    pub main: Tensor,
+    /// Bias, or batch-norm shift, if the node has one.
+    pub secondary: Option<Tensor>,
+}
+
+/// Gradients of one node's parameters: the same two tensors.
+pub type ParamGrads = NodeParams;
+
+/// The one body of the canonical order within a node — main, then
+/// secondary — shared by the borrowing and the mutable walk.
+macro_rules! walk {
+    ($node:expr $(, $m:tt)?) => {
+        std::iter::once(&$($m)? $node.main).chain(&$($m)? $node.secondary)
+    };
+}
+
+impl NodeParams {
+    /// This node's tensors: main, then secondary if present.
+    pub fn tensors(&self) -> impl Iterator<Item = &Tensor> {
+        walk!(self)
+    }
+
+    /// [`Self::tensors`], mutably.
+    pub fn tensors_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
+        walk!(self, mut)
+    }
+}
+
+/// The canonical walk over a per-node slot list — node ascending, main then
+/// secondary — a [`ParamSet`]'s own or a gradient list as
+/// `Executor::forward_backward` returns it. A gradient list skips nodes no
+/// gradient reached and carries a bias gradient even for a bias-less layer,
+/// so it pairs with parameters per node ([`sgd_update`]), not per position.
+pub fn tensors(slots: &[Option<NodeParams>]) -> impl Iterator<Item = &Tensor> {
+    slots.iter().flatten().flat_map(|p| p.tensors())
 }
 
 /// All parameters of a graph, indexed by node id.
 #[derive(Debug, Clone)]
 pub struct ParamSet {
-    params: Vec<Option<NodeParams>>,
+    slots: Vec<Option<NodeParams>>,
+    /// Per node: whether L2 weight decay applies to its main tensor (conv
+    /// and linear weights, not batch-norm scale; secondaries never decay).
+    decays: Vec<bool>,
 }
 
 /// Shapes of every node's learned-parameter tensors, indexed by node id:
@@ -76,93 +95,86 @@ impl ParamSet {
     ///
     /// Propagates shape-inference failures.
     pub fn init(graph: &Graph, seed: u64) -> Result<Self, GraphError> {
-        let params = graph
+        let slots = graph
             .nodes()
             .iter()
             .zip(param_shapes(graph)?)
             .map(|(node, shapes)| {
-                let (&main, rest) = shapes.split_first()?;
+                let (&shape, rest) = shapes.split_first()?;
                 let seed = seed ^ node.id.index() as u64;
-                let bias = rest.first().map(|&shape| Tensor::zeros(shape));
-                Some(match &node.op {
+                let main = match &node.op {
                     OpKind::Conv { .. } => {
-                        let fan_in = main.c() * main.h() * main.w();
-                        NodeParams::Conv { weight: init::kaiming_uniform(main, fan_in, seed), bias }
+                        init::kaiming_uniform(shape, shape.c() * shape.h() * shape.w(), seed)
                     }
                     OpKind::Linear { .. } => {
-                        let (f_out, f_in) = main.as_matrix();
-                        let weight = init::xavier_uniform(main, f_in, f_out, seed);
-                        NodeParams::Linear { weight, bias }
+                        let (f_out, f_in) = shape.as_matrix();
+                        init::xavier_uniform(shape, f_in, f_out, seed)
                     }
-                    _ => NodeParams::BatchNorm {
-                        gamma: Tensor::full(main, 1.0),
-                        beta: bias.expect("batch-norm has a shift"),
-                    },
-                })
+                    _ => Tensor::full(shape, 1.0),
+                };
+                Some(NodeParams { main, secondary: rest.first().map(|&s| Tensor::zeros(s)) })
             })
             .collect();
-        Ok(ParamSet { params })
+        let decays = graph.nodes().iter().map(|n| !matches!(n.op, OpKind::BatchNorm)).collect();
+        Ok(ParamSet { slots, decays })
     }
 
     /// Parameters of a node, if any.
     pub fn get(&self, index: usize) -> Option<&NodeParams> {
-        self.params.get(index).and_then(|p| p.as_ref())
+        self.slots.get(index).and_then(|p| p.as_ref())
     }
 
     /// Mutable parameters of a node.
     pub fn get_mut(&mut self, index: usize) -> Option<&mut NodeParams> {
-        self.params.get_mut(index).and_then(|p| p.as_mut())
+        self.slots.get_mut(index).and_then(|p| p.as_mut())
     }
 
-    /// Number of parameterized nodes.
-    pub fn num_parameterized(&self) -> usize {
-        self.params.iter().filter(|p| p.is_some()).count()
+    /// Every parameter tensor in canonical order ([`tensors`]). Snapshots
+    /// and fingerprints iterate this and nothing else.
+    pub fn tensors(&self) -> impl Iterator<Item = &Tensor> {
+        tensors(&self.slots)
+    }
+
+    /// [`Self::tensors`], mutably.
+    pub fn tensors_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
+        self.slots.iter_mut().flatten().flat_map(|p| p.tensors_mut())
+    }
+
+    /// Whether weight decay applies to a node's main tensor.
+    pub fn decays(&self, index: usize) -> bool {
+        self.get(index).is_some() && self.decays[index]
     }
 
     /// Total scalar parameter count.
     pub fn num_scalars(&self) -> usize {
-        self.params
-            .iter()
-            .flatten()
-            .map(|p| match p {
-                NodeParams::Conv { weight, bias } => {
-                    weight.numel() + bias.as_ref().map_or(0, Tensor::numel)
-                }
-                NodeParams::Linear { weight, bias } => {
-                    weight.numel() + bias.as_ref().map_or(0, Tensor::numel)
-                }
-                NodeParams::BatchNorm { gamma, beta } => gamma.numel() + beta.numel(),
-            })
-            .sum()
+        self.tensors().map(Tensor::numel).sum()
+    }
+
+    /// Every parameter scalar's bit pattern, in walk order.
+    pub fn bits(&self) -> impl Iterator<Item = u32> + '_ {
+        self.tensors().flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+    }
+
+    /// FNV-1a-style hash of `loss_bits` then [`Self::bits`], each word as
+    /// little-endian bytes: the train fingerprint the CLI prints and the
+    /// serve reports compare. The multiplier has one zero digit more than
+    /// the standard 64-bit FNV prime; it stays because every committed
+    /// fingerprint was hashed with it.
+    pub fn fingerprint(&self, loss_bits: &[u32]) -> u64 {
+        let words = loss_bits.iter().copied().chain(self.bits());
+        words.flat_map(u32::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3)
+        })
     }
 }
 
-/// Gradients of one node's parameters (same layout as [`NodeParams`]).
-#[derive(Debug, Clone)]
-pub struct ParamGrads {
-    /// Gradient tensors: `(weight-or-gamma, bias-or-beta)`.
-    pub main: Tensor,
-    /// Secondary gradient (bias / beta), if the node has one.
-    pub secondary: Option<Tensor>,
-}
-
-/// Applies one SGD step: `p -= lr * g` for every parameterized node.
+/// Applies one SGD step: `p -= lr * g` for every parameter tensor of every
+/// node that has a gradient.
 pub fn sgd_update(params: &mut ParamSet, grads: &[Option<ParamGrads>], lr: f32) {
-    for (p, g) in params.params.iter_mut().zip(grads) {
+    for (p, g) in params.slots.iter_mut().zip(grads) {
         let (Some(p), Some(g)) = (p, g) else { continue };
-        match p {
-            NodeParams::Conv { weight, bias } | NodeParams::Linear { weight, bias } => {
-                weight.add_scaled(&g.main, -lr).expect("weight grad shape");
-                if let (Some(b), Some(db)) = (bias, &g.secondary) {
-                    b.add_scaled(db, -lr).expect("bias grad shape");
-                }
-            }
-            NodeParams::BatchNorm { gamma, beta } => {
-                gamma.add_scaled(&g.main, -lr).expect("gamma grad shape");
-                if let Some(db) = &g.secondary {
-                    beta.add_scaled(db, -lr).expect("beta grad shape");
-                }
-            }
+        for (p, g) in p.tensors_mut().zip(g.tensors()) {
+            p.add_scaled(g, -lr).expect("gradient shape");
         }
     }
 }
@@ -176,7 +188,7 @@ mod tests {
         let g = gist_models::tiny_convnet(2, 3);
         let p = ParamSet::init(&g, 7).unwrap();
         // conv1, conv2, fc
-        assert_eq!(p.num_parameterized(), 3);
+        assert_eq!((0..g.len()).filter(|&i| p.get(i).is_some()).count(), 3);
         assert!(p.num_scalars() > 0);
     }
 
@@ -185,53 +197,76 @@ mod tests {
         let g = gist_models::tiny_convnet(2, 3);
         let a = ParamSet::init(&g, 7).unwrap();
         let b = ParamSet::init(&g, 7).unwrap();
-        for i in 0..g.len() {
-            match (a.get(i), b.get(i)) {
-                (
-                    Some(NodeParams::Conv { weight: wa, .. }),
-                    Some(NodeParams::Conv { weight: wb, .. }),
-                ) => {
-                    assert_eq!(wa, wb)
-                }
-                (None, None) => {}
-                _ => {}
-            }
-        }
+        assert!(a.bits().eq(b.bits()));
+        assert_eq!(a.fingerprint(&[1, 2]), b.fingerprint(&[1, 2]));
+        assert_ne!(a.fingerprint(&[1, 2]), a.fingerprint(&[2, 1]));
     }
 
     #[test]
-    fn resnet_gets_batchnorm_params() {
+    fn walk_is_node_ascending_main_then_secondary() {
         let g = gist_models::resnet_cifar(1, 2);
         let p = ParamSet::init(&g, 1).unwrap();
-        let bn_count = g.nodes().iter().filter(|n| matches!(n.op, OpKind::BatchNorm)).count();
-        assert!(bn_count > 0);
-        let has_bn_params = g
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, OpKind::BatchNorm))
-            .all(|n| matches!(p.get(n.id.index()), Some(NodeParams::BatchNorm { .. })));
-        assert!(has_bn_params);
+        let mut by_hand = Vec::new();
+        for i in 0..g.len() {
+            if let Some(n) = p.get(i) {
+                by_hand.push(n.main.shape());
+                by_hand.extend(n.secondary.as_ref().map(Tensor::shape));
+            }
+        }
+        assert_eq!(p.tensors().map(Tensor::shape).collect::<Vec<_>>(), by_hand);
     }
 
     #[test]
-    fn sgd_moves_weights_against_gradient() {
-        let g = gist_models::tiny_convnet(2, 3);
-        let mut p = ParamSet::init(&g, 7).unwrap();
-        let conv_idx = g.nodes().iter().position(|n| n.name == "conv1").unwrap();
-        let before = match p.get(conv_idx).unwrap() {
-            NodeParams::Conv { weight, .. } => weight.clone(),
-            _ => unreachable!(),
-        };
-        let mut grads: Vec<Option<ParamGrads>> = vec![None; g.len()];
-        grads[conv_idx] =
-            Some(ParamGrads { main: Tensor::full(before.shape(), 1.0), secondary: None });
-        sgd_update(&mut p, &grads, 0.5);
-        let after = match p.get(conv_idx).unwrap() {
-            NodeParams::Conv { weight, .. } => weight.clone(),
-            _ => unreachable!(),
-        };
-        for (b, a) in before.data().iter().zip(after.data()) {
-            assert!((b - a - 0.5).abs() < 1e-6);
+    fn resnet_gets_batchnorm_params_that_skip_weight_decay() {
+        let g = gist_models::resnet_cifar(1, 2);
+        let p = ParamSet::init(&g, 1).unwrap();
+        let mut seen = [false; 2];
+        for n in g.nodes() {
+            let i = n.id.index();
+            match n.op {
+                OpKind::BatchNorm => {
+                    assert!(p.get(i).is_some_and(|n| n.secondary.is_some()));
+                    assert!(!p.decays(i));
+                    seen[0] = true;
+                }
+                OpKind::Conv { .. } | OpKind::Linear { .. } => {
+                    assert!(p.decays(i));
+                    seen[1] = true;
+                }
+                _ => assert!(p.get(i).is_none() && !p.decays(i)),
+            }
         }
+        assert_eq!(seen, [true; 2]);
+    }
+
+    #[test]
+    fn sgd_moves_weights_against_gradient_pairing_per_node() {
+        // ResNet: bias-less convs, whose gradients still carry a `db`, and
+        // every other parameterized node left without a gradient at all.
+        let g = gist_models::resnet_cifar(1, 2);
+        let mut p = ParamSet::init(&g, 7).unwrap();
+        let before = p.clone();
+        let ones = |shape| Tensor::full(shape, 1.0);
+        let mut skip = false;
+        let grads: Vec<Option<ParamGrads>> = (0..g.len())
+            .map(|i| {
+                let n = p.get(i)?;
+                skip = !skip;
+                let db = ones(Shape::vector(n.main.shape().n()));
+                (!skip).then(|| NodeParams { main: ones(n.main.shape()), secondary: Some(db) })
+            })
+            .collect();
+        sgd_update(&mut p, &grads, 0.5);
+        let mut seen = [0, 0];
+        for (i, grad) in grads.iter().enumerate() {
+            let (Some(b), Some(a)) = (before.get(i), p.get(i)) else { continue };
+            let step = if grad.is_some() { 0.5 } else { 0.0 };
+            seen[usize::from(grad.is_some())] += 1;
+            assert_eq!(b.secondary.is_some(), a.secondary.is_some());
+            for (b, a) in b.tensors().zip(a.tensors()) {
+                assert!(b.data().iter().zip(a.data()).all(|(b, a)| (b - a - step).abs() < 1e-6));
+            }
+        }
+        assert!(seen[0] > 0 && seen[1] > 0, "nodes with and without a gradient: {seen:?}");
     }
 }

@@ -90,11 +90,9 @@ pub fn predicted_peak_bytes_granular(
         .peak_bytes(ssdc_bytes)
 }
 
-/// Element count of every learned-parameter tensor, in the fixed
-/// (node order, weight before bias) layout [`crate::params::ParamSet`]
-/// iterates. The serve layer's park path sizes one host-store slot per
-/// entry of this list, so park and resume agree on the layout by
-/// construction. Shapes only — no parameter is initialized.
+/// Element count of every learned-parameter tensor, in
+/// [`crate::params::ParamSet::tensors`] order — one entry per wire of a
+/// [`crate::Snapshot`]. Shapes only — no parameter is initialized.
 ///
 /// # Errors
 ///
@@ -204,24 +202,12 @@ mod tests {
 
     #[test]
     fn param_numels_are_shape_only_and_match_an_initialised_param_set() {
-        use crate::params::{NodeParams, ParamSet};
+        use crate::params::ParamSet;
+        use gist_tensor::Tensor;
         for name in gist_models::MODEL_NAMES {
             let g = gist_models::by_name(name, 1).expect("canonical name");
             let params = ParamSet::init(&g, 3).unwrap();
-            let mut expected = Vec::new();
-            for i in 0..g.len() {
-                match params.get(i) {
-                    Some(NodeParams::Conv { weight, bias })
-                    | Some(NodeParams::Linear { weight, bias }) => {
-                        expected.push(weight.numel());
-                        expected.extend(bias.as_ref().map(|b| b.numel()));
-                    }
-                    Some(NodeParams::BatchNorm { gamma, beta }) => {
-                        expected.extend([gamma.numel(), beta.numel()]);
-                    }
-                    None => {}
-                }
-            }
+            let expected: Vec<usize> = params.tensors().map(Tensor::numel).collect();
             assert_eq!(param_tensor_numels(&g).unwrap(), expected, "{name}");
             assert_eq!(params.num_scalars(), expected.iter().sum::<usize>(), "{name}");
         }

@@ -228,16 +228,6 @@ fn static_stash_bytes(ne: u64, mode: &ExecMode, enc: Encoding) -> u64 {
     }
 }
 
-/// The producers a node's backward pass contributes a gradient to, in the
-/// order the backward kernels emit them.
-fn backward_targets(node: &Node) -> &[NodeId] {
-    match &node.op {
-        OpKind::Input(_) => &[],
-        OpKind::Add | OpKind::Concat => &node.inputs,
-        _ => &node.inputs[..1],
-    }
-}
-
 /// Buffer interning and sizing during a lowering.
 struct Lowering<'a> {
     graph: &'a Graph,
@@ -324,7 +314,8 @@ impl Lowering<'_> {
 
     /// The backward item of `node`: its targets and decode buffer.
     fn backward(&mut self, node: &Node) -> (Option<BufId>, Vec<Target>) {
-        let targets = backward_targets(node)
+        let targets = node
+            .backward_targets()
             .iter()
             .enumerate()
             .map(|(k, &t)| Target {
@@ -336,21 +327,29 @@ impl Lowering<'_> {
         // Ops whose backward decodes an *encoded* producer stash into a
         // dense buffer; dense stashes are borrowed in place and leave no
         // trace. (ReLU's own decode scratch has never been metered.)
-        let decodes = matches!(
-            node.op,
-            OpKind::SoftmaxLoss
-                | OpKind::Conv { .. }
-                | OpKind::Linear { .. }
-                | OpKind::BatchNorm
-                | OpKind::Lrn(_)
-        ) && matches!(
-            self.encodings[node.inputs[0].index()],
-            Encoding::Ssdc { .. } | Encoding::Dpr(_)
-        );
+        let decodes = node.op.reads_input_stash()
+            && matches!(
+                self.encodings[node.inputs[0].index()],
+                Encoding::Ssdc { .. } | Encoding::Dpr(_)
+            );
         let dec = decodes
             .then(|| self.dense(format!("{}.dec", node.name), node.inputs[0], Slot::Scratch));
         (dec, targets)
     }
+}
+
+/// The first node whose op satisfies `pred` — how the lowering (and the
+/// dataset built for a graph) find the input node and the loss head.
+pub(crate) fn find_node<'g>(
+    graph: &'g Graph,
+    what: &str,
+    pred: fn(&OpKind) -> bool,
+) -> Result<&'g Node, RuntimeError> {
+    graph
+        .nodes()
+        .iter()
+        .find(|nd| pred(&nd.op))
+        .ok_or_else(|| RuntimeError::Trace(format!("graph {} has no {what}", graph.name())))
 }
 
 impl StepProgram {
@@ -374,14 +373,9 @@ impl StepProgram {
             mode => Some(OffloadPlan::plan(graph, &encodings, mode)?)
                 .filter(OffloadPlan::has_offload_work),
         };
-        let find =
-            |what: &str, pred: fn(&OpKind) -> bool| {
-                graph.nodes().iter().find(|nd| pred(&nd.op)).ok_or_else(|| {
-                    RuntimeError::Trace(format!("graph {} has no {what}", graph.name()))
-                })
-            };
-        let input = find("input node", |op| matches!(op, OpKind::Input(_)))?.id;
-        let logits = find("loss head", |op| matches!(op, OpKind::SoftmaxLoss))?.inputs[0];
+        let input = find_node(graph, "input node", |op| matches!(op, OpKind::Input(_)))?.id;
+        let logits =
+            find_node(graph, "loss head", |op| matches!(op, OpKind::SoftmaxLoss))?.inputs[0];
 
         let arena = spec.alloc == AllocPolicy::Arena;
         // Wave granularity only changes the arena program: heap buffers are
@@ -405,10 +399,7 @@ impl StepProgram {
         // (ascending position forward, descending id within reversed waves
         // backward), so results are byte-identical at every thread count.
         let sched = Schedule::of(graph);
-        let mut pos = vec![0usize; n];
-        for (p, &id) in sched.waves().iter().flatten().enumerate() {
-            pos[id.index()] = p;
-        }
+        let pos = sched.positions();
         // Last execution position at which each node's dense output is
         // read; the buffer is relinquished right after (the paper's "the
         // full-fidelity feature maps are used in the forward pass and
@@ -514,18 +505,13 @@ impl StepProgram {
         // waves, so the wave invariant holds backward too. Items merge in
         // descending-id order so shared producers always accumulate
         // contributions in one fixed order.
-        for (wv, wave) in sched.waves().iter().enumerate().rev() {
+        for (wv, wave) in sched.backward_waves(graph).iter().enumerate().rev() {
             // `(node, has an upstream gradient)`; the loss head synthesizes
-            // its own, and a node no gradient reaches does not run.
+            // its own, and a node no gradient reaches is not in the wave.
             let work: Vec<(&Node, bool)> = wave
                 .iter()
-                .rev()
                 .map(|&id| graph.node(id))
-                .filter_map(|node| match node.op {
-                    OpKind::Input(_) => None,
-                    OpKind::SoftmaxLoss => Some((node, false)),
-                    _ => grad_live[node.id.index()].then_some((node, true)),
-                })
+                .map(|node| (node, !matches!(node.op, OpKind::SoftmaxLoss)))
                 .collect();
             // Materialization prologue: before any of the wave's backward
             // items run, every offload trigger attached to them fires — in
@@ -604,6 +590,7 @@ impl StepProgram {
                     pre.extend(dec.map(MemOp::Transient));
                 }
                 if has_dy {
+                    debug_assert!(grad_live[id.index()], "{} runs backward unreached", node.name);
                     grad_live[id.index()] = false;
                     let dy = MemOp::Free(lo.dy(id));
                     if hoist {

@@ -106,24 +106,7 @@ pub fn train(
     noise: f32,
 ) -> Result<TrainReport, RuntimeError> {
     let mut exec = Executor::new(graph, mode, param_seed)?;
-    // Class count comes from the loss head's input width; the dataset must
-    // be built by the caller to match — here we infer from the graph.
-    let classes = {
-        let g = exec.graph();
-        let loss = g
-            .nodes()
-            .iter()
-            .find(|n| matches!(n.op, gist_graph::OpKind::SoftmaxLoss))
-            .expect("training graph has a loss head");
-        let shapes = g.infer_shapes()?;
-        shapes[loss.inputs[0].index()].as_matrix().1
-    };
-    let input_shape = exec.graph().infer_shapes()?[0];
-    let mut ds = if input_shape.c() == 3 {
-        SyntheticImages::rgb(classes, input_shape.h(), noise, dataset_seed)
-    } else {
-        SyntheticImages::new(classes, input_shape.h(), noise, dataset_seed)
-    };
+    let mut ds = SyntheticImages::for_graph(exec.graph(), noise, dataset_seed)?;
     train_loop(
         &mut exec,
         &mut ds,

@@ -16,10 +16,10 @@
 //! that observed live bytes never exceed the budget.
 //!
 //! When the queue head starves, the server **parks** a resident job: its
-//! learned parameters ride SSDC-encoded [`gist_encodings::Wire`]s (through
-//! the hardened byte serializer) into a [`gist_offload::HostStore`], its
-//! slab lease is released, and the job re-queues. Resuming rebuilds the
-//! executors and restores parameters plus the dropout-mask epoch, so a
+//! SSDC-encoded [`gist_runtime::Snapshot`] (through the hardened byte
+//! serializer) stays on the host, its slab lease is released, and the job
+//! re-queues. Resuming rebuilds the executors and restores the snapshot —
+//! parameters plus the dropout-mask epoch — into every replica, so a
 //! parked job's training fingerprint is bitwise-identical to an
 //! uninterrupted run — `tests/serve_equivalence.rs` holds the scheduler to
 //! exactly that across interleavings, thread counts, and alloc policies.

@@ -1,108 +1,51 @@
-//! Parking a job's learned state through the gist-offload host store.
+//! Parking a job's learned state on the host.
 //!
 //! Parking frees a job's device slab while preserving everything a
-//! bitwise-identical resume needs: every parameter tensor rides an
-//! SSDC-encoded [`Wire`] — serialized through [`Wire::to_bytes`] and
-//! re-parsed with [`Wire::from_bytes`], so the hardened byte decoder is on
-//! the production path, not just in tests — into one [`HostStore`] slot
-//! per tensor. The slot layout is [`gist_runtime::param_tensor_numels`]'s
-//! fixed (node order, weight before bias) order, which both park and
-//! resume iterate, so they agree by construction.
-//!
-//! The *other* cross-step executor state, the dropout-mask epoch, is the
-//! scheduler's job: it rebuilds executors and calls
-//! [`Executor::set_steps_executed`] alongside [`ParkedParams::resume_into`].
+//! bitwise-identical resume needs: the executor's SSDC
+//! [`gist_runtime::Snapshot`] — every parameter tensor as an encoded
+//! [`gist_encodings::Wire`], plus the dropout-mask epoch — serialized
+//! through [`Snapshot::to_bytes`] and re-parsed with
+//! [`Snapshot::from_bytes`], so the hardened byte decoder is on the
+//! production path, not just in tests.
 
-use gist_encodings::{TransferCodec, Wire};
-use gist_offload::HostStore;
-use gist_runtime::params::NodeParams;
-use gist_runtime::Executor;
-use gist_tensor::Tensor;
+use gist_encodings::TransferCodec;
+use gist_runtime::{Executor, Snapshot};
 
-/// Walks a parameter set's tensors in the canonical park order.
-fn visit_params(exec: &Executor, mut f: impl FnMut(&Tensor)) {
-    for i in 0..exec.graph().len() {
-        match exec.params.get(i) {
-            Some(NodeParams::Conv { weight, bias }) | Some(NodeParams::Linear { weight, bias }) => {
-                f(weight);
-                if let Some(b) = bias {
-                    f(b);
-                }
-            }
-            Some(NodeParams::BatchNorm { gamma, beta }) => {
-                f(gamma);
-                f(beta);
-            }
-            None => {}
-        }
-    }
-}
-
-/// A parked job's learned parameters, SSDC-encoded in host pinned slots.
+/// A parked job's train state, SSDC-encoded on the host.
 #[derive(Debug)]
 pub struct ParkedParams {
-    store: HostStore,
+    snapshot: Snapshot,
 }
 
 impl ParkedParams {
-    /// Encodes every parameter tensor of `exec` into the host store,
-    /// round-tripping each wire through its byte serialization.
+    /// Snapshots `exec` under SSDC, round-tripping it through its byte
+    /// serialization.
+    pub fn park(exec: &Executor) -> ParkedParams {
+        let bytes = exec.snapshot(TransferCodec::Ssdc).to_bytes();
+        let snapshot =
+            Snapshot::from_bytes(&bytes).expect("self-produced snapshot bytes always parse");
+        ParkedParams { snapshot }
+    }
+
+    /// Restores the parked parameters and step epoch into `exec` (SSDC is
+    /// lossless, fixups included, so the restore is bitwise). Call once
+    /// per replica — every replica must receive the identical restore.
     ///
     /// # Panics
     ///
-    /// Panics if the executor's graph fails shape inference (impossible
-    /// for a graph that already built an executor).
-    pub fn park(exec: &Executor) -> ParkedParams {
-        let numels = gist_runtime::param_tensor_numels(exec.graph())
-            .expect("an executed graph infers shapes");
-        let mut store = HostStore::new(&numels);
-        let mut slot = 0;
-        visit_params(exec, |t| {
-            let bytes = Wire::encode(TransferCodec::Ssdc, t.data()).to_bytes();
-            let wire = Wire::from_bytes(&bytes).expect("self-produced wire bytes always parse");
-            store.store_wire(slot, wire);
-            slot += 1;
-        });
-        debug_assert_eq!(slot, numels.len(), "param walk disagrees with numel layout");
-        ParkedParams { store }
-    }
-
-    /// Decodes every parked tensor back into `exec`'s parameters (SSDC is
-    /// lossless, fixups included, so the restore is bitwise). Call once
-    /// per replica — every replica must receive the identical restore.
+    /// Panics if `exec` was not built from the graph that was parked.
     pub fn resume_into(&self, exec: &mut Executor) {
-        let n = exec.graph().len();
-        let mut slot = 0;
-        let write = |t: &mut Tensor, store: &HostStore, slot: &mut usize| {
-            store.load_wire(*slot).decode_into(t.data_mut());
-            *slot += 1;
-        };
-        for i in 0..n {
-            match exec.params.get_mut(i) {
-                Some(NodeParams::Conv { weight, bias })
-                | Some(NodeParams::Linear { weight, bias }) => {
-                    write(weight, &self.store, &mut slot);
-                    if let Some(b) = bias {
-                        write(b, &self.store, &mut slot);
-                    }
-                }
-                Some(NodeParams::BatchNorm { gamma, beta }) => {
-                    write(gamma, &self.store, &mut slot);
-                    write(beta, &self.store, &mut slot);
-                }
-                None => {}
-            }
-        }
+        exec.restore(&self.snapshot).expect("a job resumes into the graph it parked from");
     }
 
     /// Observed encoded bytes this parked job holds on the host.
     pub fn wire_bytes(&self) -> u64 {
-        self.store.stored_wire_bytes()
+        self.snapshot.wire_bytes()
     }
 
-    /// Plan-time pinned bytes of the underlying slots (the dense bound).
+    /// The dense bound: bytes the same tensors occupy unencoded.
     pub fn pinned_bytes(&self) -> u64 {
-        self.store.pinned_bytes()
+        self.snapshot.wires.iter().map(|w| w.len() as u64 * 4).sum()
     }
 }
 
@@ -112,9 +55,7 @@ mod tests {
     use gist_runtime::{ExecMode, SyntheticImages};
 
     fn param_bits(exec: &Executor) -> Vec<u32> {
-        let mut bits = Vec::new();
-        visit_params(exec, |t| bits.extend(t.data().iter().map(|v| v.to_bits())));
-        bits
+        exec.params.bits().collect()
     }
 
     #[test]
@@ -133,8 +74,11 @@ mod tests {
         let (x2, y2) = ds.minibatch(2);
         exec.step(&x2, &y2, 0.05).unwrap();
         assert_ne!(param_bits(&exec), want, "second step must move parameters");
+        assert_eq!(exec.steps_executed(), 2);
         parked.resume_into(&mut exec);
         assert_eq!(param_bits(&exec), want, "resume must be bitwise");
+        assert_eq!(exec.steps_executed(), 1, "the dropout-mask epoch rides the snapshot");
+        assert_eq!(parked.pinned_bytes(), 4 * exec.params.num_scalars() as u64);
     }
 
     #[test]

@@ -26,10 +26,9 @@
 use crate::park::ParkedParams;
 use crate::spec::JobSpec;
 use gist_dist::DistTrainer;
-use gist_graph::{Graph, OpKind};
+use gist_graph::Graph;
 use gist_obs::{Event, MemoryAccountant, NullRecorder, Phase, Recorder};
 use gist_runtime::{Executor, StepProgram, SyntheticImages};
-use gist_tensor::Tensor;
 use std::collections::HashMap;
 
 /// Order resident jobs step within one scheduler tick — the interleaving
@@ -218,18 +217,6 @@ impl ServeReport {
     }
 }
 
-/// FNV-1a over a `u32` stream — the parameter fingerprint hash.
-fn fnv64(bits: impl Iterator<Item = u32>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bits {
-        for byte in b.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Queued,
@@ -255,47 +242,6 @@ struct Job {
     completed_tick: u64,
     enqueued_tick: u64,
     queue_ticks: u64,
-}
-
-/// Builds a job's synthetic dataset from its graph (class count from the
-/// loss head, geometry and channel count from the input shape) — the same
-/// derivation the CLI trainers use, so `serve` and `train` agree on data.
-fn dataset_for(graph: &Graph, seed: u64) -> Result<SyntheticImages, ServeError> {
-    let shapes = graph.infer_shapes().map_err(|e| ServeError::Predict(e.to_string()))?;
-    let loss = graph
-        .nodes()
-        .iter()
-        .find(|n| matches!(n.op, OpKind::SoftmaxLoss))
-        .ok_or_else(|| ServeError::Predict("model has no loss head".into()))?;
-    let classes = shapes[loss.inputs[0].index()].as_matrix().1;
-    let input = shapes[0];
-    Ok(if input.c() == 3 {
-        SyntheticImages::rgb(classes, input.h(), 0.3, seed)
-    } else {
-        SyntheticImages::new(classes, input.h(), 0.3, seed)
-    })
-}
-
-fn param_bits_hash(exec: &Executor) -> u64 {
-    use gist_runtime::params::NodeParams;
-    let mut bits: Vec<u32> = Vec::new();
-    let mut push = |t: &Tensor| bits.extend(t.data().iter().map(|v| v.to_bits()));
-    for i in 0..exec.graph().len() {
-        match exec.params.get(i) {
-            Some(NodeParams::Conv { weight, bias }) | Some(NodeParams::Linear { weight, bias }) => {
-                push(weight);
-                if let Some(b) = bias {
-                    push(b);
-                }
-            }
-            Some(NodeParams::BatchNorm { gamma, beta }) => {
-                push(gamma);
-                push(beta);
-            }
-            None => {}
-        }
-    }
-    fnv64(bits.into_iter())
 }
 
 /// The multi-job scheduler. Submit jobs, then [`Server::run`] to completion.
@@ -331,7 +277,8 @@ impl Server {
         let wire_bound =
             gist_runtime::predicted_param_wire_bytes(&graph, gist_encodings::TransferCodec::Ssdc)
                 .map_err(|e| ServeError::Predict(e.to_string()))?;
-        let ds = dataset_for(&graph, spec.seed.wrapping_add(1234))?;
+        let ds = SyntheticImages::for_graph(&graph, 0.3, spec.seed.wrapping_add(1234))
+            .map_err(|e| ServeError::Predict(e.to_string()))?;
         let id = self.jobs.len();
         self.jobs.push(Job {
             spec,
@@ -588,9 +535,7 @@ impl Server {
         .map_err(|e| ServeError::Train(e.to_string()))?;
         if let Some(parked) = job.parked.take() {
             for r in 0..trainer.replicas() {
-                let exec = trainer.replica_mut(r);
-                parked.resume_into(exec);
-                exec.set_steps_executed(job.steps_done as u64);
+                parked.resume_into(trainer.replica_mut(r));
             }
         }
         job.trainer = Some(trainer);
@@ -600,7 +545,7 @@ impl Server {
         Ok(())
     }
 
-    /// Parks a resident job: parameters to the host store (bounded by the
+    /// Parks a resident job: its snapshot to the host (bounded by the
     /// submit-time wire prediction), trainer dropped, job re-queued.
     fn park(&mut self, id: usize, tick: u64) {
         let job = &mut self.jobs[id];
@@ -640,7 +585,7 @@ impl Server {
     fn complete(&mut self, id: usize, tick: u64, rec: &dyn Recorder) {
         let job = &mut self.jobs[id];
         let trainer = job.trainer.take().expect("completing a resident job");
-        job.param_hash = param_bits_hash(trainer.replica(0));
+        job.param_hash = trainer.replica(0).params.fingerprint(&[]);
         job.state = State::Done;
         job.completed_tick = tick;
         if rec.enabled() {

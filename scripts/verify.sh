@@ -10,7 +10,7 @@
 #      the gate. tests/simd_equivalence.rs additionally crosses every
 #      available GIST_SIMD level in-process and bit-compares against scalar
 #   3. rustfmt conformance (rustfmt.toml at the repo root)
-#   4. clippy over all targets with warnings denied
+#   4. clippy over every workspace crate and all targets, warnings denied
 #   5. the memory oracle gate: a traced training step per small net x stash
 #      mode (heap and arena policies), failing if the runtime accountant's
 #      observed peak disagrees with the static planner's prediction, any
@@ -50,7 +50,12 @@
 #      `predict_step_events*`, `predicted_peak_bytes*`,
 #      `predicted_replica_slab_bytes*`) may reappear under crates/ beyond
 #      the three shims the benchmark package still compiles against — and
-#      the line budget of crates/runtime/src is printed into every log
+#      the line budget of crates/runtime/src is printed into every log.
+#      Likewise one train state: parameters are one struct walked by
+#      `ParamSet::tensors`, so no `NodeParams::` variant match may reappear
+#      under crates/ src/ tests/ examples/, and the FNV offset basis may
+#      appear in two files under crates/ only (the runtime's fingerprint
+#      and gist-testkit's seed hash)
 #
 # Run this before committing, and append a one-line summary of what
 # changed to CHANGES.md.
@@ -69,8 +74,8 @@ env -u GIST_THREADS -u GIST_SIMD cargo test -q --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo check of the benchmark package (outside the workspace)"
 cargo check --offline --manifest-path benchmark/Cargo.toml
@@ -84,6 +89,18 @@ if [ -n "$families" ]; then
     exit 1
 fi
 wc -l crates/runtime/src/*.rs | tail -1
+walks=$(grep -rn "NodeParams::" crates src tests examples || true)
+if [ -n "$walks" ]; then
+    echo "a hand-written parameter walk reappeared (use ParamSet::tensors / bits / fingerprint):" >&2
+    echo "$walks" >&2
+    exit 1
+fi
+fnv_files=$(grep -rl "0xcbf2_9ce4" crates | wc -l)
+if [ "$fnv_files" -gt 2 ]; then
+    echo "FNV-1a is spelled in $fnv_files files under crates/ (use ParamSet::fingerprint):" >&2
+    grep -rl "0xcbf2_9ce4" crates >&2
+    exit 1
+fi
 
 echo "==> memory oracle gate (traced step vs static planner)"
 cargo run --release -q --offline -p gist-bench --bin extra_runtime_validation

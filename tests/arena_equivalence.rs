@@ -68,23 +68,7 @@ fn train_fingerprint_gran(
         let stats = exec.step(&x, &y, 0.05).expect("step");
         fp.push(stats.loss.to_bits());
     }
-    for i in 0..exec.graph().len() {
-        if let Some(p) = exec.params.get(i) {
-            match p {
-                gist::runtime::params::NodeParams::Conv { weight, bias }
-                | gist::runtime::params::NodeParams::Linear { weight, bias } => {
-                    fp.extend(weight.data().iter().map(|v| v.to_bits()));
-                    if let Some(b) = bias {
-                        fp.extend(b.data().iter().map(|v| v.to_bits()));
-                    }
-                }
-                gist::runtime::params::NodeParams::BatchNorm { gamma, beta } => {
-                    fp.extend(gamma.data().iter().map(|v| v.to_bits()));
-                    fp.extend(beta.data().iter().map(|v| v.to_bits()));
-                }
-            }
-        }
-    }
+    fp.extend(exec.params.bits());
     fp
 }
 

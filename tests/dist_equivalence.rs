@@ -16,7 +16,6 @@ use gist::encodings::DprFormat;
 use gist::offload::{simulate_observed, OffloadMode, SwapStrategy};
 use gist::par::{env_threads, with_threads};
 use gist::perf::GpuModel;
-use gist::runtime::params::NodeParams;
 use gist::runtime::{AllocPolicy, ExecMode, ExecSpec, Executor, SyntheticImages};
 use gist::simd::{available_levels, with_level, Level};
 use gist::tensor::Tensor;
@@ -74,23 +73,7 @@ fn run_fingerprint(replicas: usize, codec: GradCodec, alloc: AllocPolicy) -> Vec
 }
 
 fn param_bits(exec: &Executor) -> Vec<u32> {
-    let mut fp = Vec::new();
-    for i in 0..exec.graph().len() {
-        match exec.params.get(i) {
-            Some(NodeParams::Conv { weight, bias } | NodeParams::Linear { weight, bias }) => {
-                fp.extend(weight.data().iter().map(|v| v.to_bits()));
-                if let Some(b) = bias {
-                    fp.extend(b.data().iter().map(|v| v.to_bits()));
-                }
-            }
-            Some(NodeParams::BatchNorm { gamma, beta }) => {
-                fp.extend(gamma.data().iter().map(|v| v.to_bits()));
-                fp.extend(beta.data().iter().map(|v| v.to_bits()));
-            }
-            None => {}
-        }
-    }
-    fp
+    exec.params.bits().collect()
 }
 
 /// FNV-1a over the fingerprint words — the committed regression pin.

@@ -17,7 +17,7 @@ use gist::dist::DistTrainer;
 use gist::encodings::{CodecPolicy, DprFormat, TransferCodec};
 use gist::net::{InProcess, NetConfig, NetTrainer, Tcp, Transport, GRAD_FRAME_OVERHEAD};
 use gist::obs::Event;
-use gist::runtime::params::{NodeParams, ParamGrads};
+use gist::runtime::params::ParamGrads;
 use gist::runtime::{ExecMode, Executor, SyntheticImages};
 use gist::tensor::Tensor;
 use std::net::TcpListener;
@@ -45,23 +45,7 @@ fn build_exec() -> Result<Executor, gist::runtime::RuntimeError> {
 }
 
 fn param_bits(exec: &Executor) -> Vec<u32> {
-    let mut fp = Vec::new();
-    for i in 0..exec.graph().len() {
-        match exec.params.get(i) {
-            Some(NodeParams::Conv { weight, bias } | NodeParams::Linear { weight, bias }) => {
-                fp.extend(weight.data().iter().map(|v| v.to_bits()));
-                if let Some(b) = bias {
-                    fp.extend(b.data().iter().map(|v| v.to_bits()));
-                }
-            }
-            Some(NodeParams::BatchNorm { gamma, beta }) => {
-                fp.extend(gamma.data().iter().map(|v| v.to_bits()));
-                fp.extend(beta.data().iter().map(|v| v.to_bits()));
-            }
-            None => {}
-        }
-    }
-    fp
+    exec.params.bits().collect()
 }
 
 /// One step's transport-comparable snapshot: loss bits, the merged

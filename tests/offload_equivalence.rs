@@ -56,23 +56,7 @@ fn train_fingerprint(
         let stats = exec.step(&x, &y, 0.05).expect("step");
         fp.push(stats.loss.to_bits());
     }
-    for i in 0..exec.graph().len() {
-        if let Some(p) = exec.params.get(i) {
-            match p {
-                gist::runtime::params::NodeParams::Conv { weight, bias }
-                | gist::runtime::params::NodeParams::Linear { weight, bias } => {
-                    fp.extend(weight.data().iter().map(|v| v.to_bits()));
-                    if let Some(b) = bias {
-                        fp.extend(b.data().iter().map(|v| v.to_bits()));
-                    }
-                }
-                gist::runtime::params::NodeParams::BatchNorm { gamma, beta } => {
-                    fp.extend(gamma.data().iter().map(|v| v.to_bits()));
-                    fp.extend(beta.data().iter().map(|v| v.to_bits()));
-                }
-            }
-        }
-    }
+    fp.extend(exec.params.bits());
     fp
 }
 
@@ -277,14 +261,13 @@ fn recompute_plans_rebuild_every_read_stash_exactly_once() {
 // Park/resume through the host store (the serve layer's offload path)
 // ---------------------------------------------------------------------------
 
-/// Parking a job mid-run — parameters SSDC-encoded into the host store,
-/// executor torn down — and resuming into a freshly built executor is
-/// bitwise invisible, on randomly generated chains. The resume restores
-/// both halves of the cross-step state: every parameter bit
-/// (`ParkedParams::resume_into`) and the dropout-mask epoch
-/// (`Executor::set_steps_executed`); forgetting either must fail this
-/// property, so it is the offload-side guarantee the serve scheduler's
-/// equivalence gate stands on.
+/// Parking a job mid-run — its SSDC snapshot held on the host, executor
+/// torn down — and resuming into a freshly built executor is bitwise
+/// invisible, on randomly generated chains. `ParkedParams::resume_into`
+/// restores both halves of the cross-step state, every parameter bit and
+/// the dropout-mask epoch; losing either must fail this property, so it
+/// is the offload-side guarantee the serve scheduler's equivalence gate
+/// stands on.
 #[test]
 fn park_and_resume_into_a_fresh_executor_is_bitwise_invisible() {
     use gist::serve::ParkedParams;
@@ -323,7 +306,7 @@ fn park_and_resume_into_a_fresh_executor_is_bitwise_invisible() {
             // the resume must overwrite both.
             let mut exec = Executor::new(g.clone(), ExecMode::Baseline, seed).expect("executor");
             parked.resume_into(&mut exec);
-            exec.set_steps_executed(park_after as u64);
+            assert_eq!(exec.steps_executed(), park_after as u64);
             for _ in park_after..total_steps {
                 let (x, y) = ds.minibatch(chain_batch);
                 got.push(exec.step(&x, &y, 0.05).expect("step").loss.to_bits());

@@ -347,23 +347,7 @@ fn run_fingerprint_full(policy: AllocPolicy, mode: ExecMode, offload: OffloadMod
         }
         e.step(&x, &y, 0.05).unwrap();
     }
-    for i in 0..e.graph().len() {
-        if let Some(p) = e.params.get(i) {
-            match p {
-                gist::runtime::params::NodeParams::Conv { weight, bias }
-                | gist::runtime::params::NodeParams::Linear { weight, bias } => {
-                    bits.extend(weight.data().iter().map(|v| v.to_bits()));
-                    if let Some(b) = bias {
-                        bits.extend(b.data().iter().map(|v| v.to_bits()));
-                    }
-                }
-                gist::runtime::params::NodeParams::BatchNorm { gamma, beta } => {
-                    bits.extend(gamma.data().iter().map(|v| v.to_bits()));
-                    bits.extend(beta.data().iter().map(|v| v.to_bits()));
-                }
-            }
-        }
-    }
+    bits.extend(e.params.bits());
     bits
 }
 

@@ -30,23 +30,7 @@ fn run_fingerprint(mode: ExecMode) -> Vec<u32> {
         }
         e.step(&x, &y, 0.05).unwrap();
     }
-    for i in 0..e.graph().len() {
-        if let Some(p) = e.params.get(i) {
-            match p {
-                gist::runtime::params::NodeParams::Conv { weight, bias }
-                | gist::runtime::params::NodeParams::Linear { weight, bias } => {
-                    bits.extend(weight.data().iter().map(|v| v.to_bits()));
-                    if let Some(b) = bias {
-                        bits.extend(b.data().iter().map(|v| v.to_bits()));
-                    }
-                }
-                gist::runtime::params::NodeParams::BatchNorm { gamma, beta } => {
-                    bits.extend(gamma.data().iter().map(|v| v.to_bits()));
-                    bits.extend(beta.data().iter().map(|v| v.to_bits()));
-                }
-            }
-        }
-    }
+    bits.extend(e.params.bits());
     bits
 }
 
@@ -82,4 +66,66 @@ fn repeated_runs_are_byte_identical() {
     let a = with_threads(4, || run_fingerprint(ExecMode::Baseline));
     let b = with_threads(4, || run_fingerprint(ExecMode::Baseline));
     assert_eq!(a, b);
+}
+
+/// A run restarted from written-down state is the uninterrupted run.
+/// tiny-classic has dropout, whose masks are salted by the step epoch, so
+/// this holds only because a snapshot carries the epoch along with the
+/// parameters — through the checkpoint bytes (raw wires) and through
+/// `ParkedParams` (SSDC wires, what `Server::admit` relies on) alike.
+#[test]
+fn a_run_restarted_from_a_snapshot_fingerprints_like_an_uninterrupted_one() {
+    use gist::encodings::TransferCodec;
+    use gist::runtime::Snapshot;
+    use gist::serve::ParkedParams;
+
+    let graph = gist::models::by_name("tiny-classic", 4).unwrap();
+    let has_dropout =
+        graph.nodes().iter().any(|n| matches!(n.op, gist::graph::OpKind::Dropout { .. }));
+    assert!(has_dropout, "the epoch only matters with dropout in the graph");
+    let mode = || ExecMode::Gist(GistConfig::lossless());
+    let fresh = || Executor::new(graph.clone(), mode(), 7).unwrap();
+    let dataset = || SyntheticImages::for_graph(&graph, 0.3, 42).unwrap();
+    let train = |e: &mut Executor, ds: &mut SyntheticImages, steps: usize| -> Vec<u32> {
+        (0..steps)
+            .map(|_| {
+                let (x, y) = ds.minibatch(4);
+                e.step(&x, &y, 0.05).unwrap().loss.to_bits()
+            })
+            .collect()
+    };
+
+    let (mut whole, mut ds) = (fresh(), dataset());
+    let want_losses = train(&mut whole, &mut ds, 4);
+    let want = whole.params.fingerprint(&want_losses);
+
+    type Restart = fn(&Executor, &mut Executor);
+    let restarts: [(&str, Restart); 2] = [
+        ("checkpoint bytes", |from, into| {
+            let bytes = from.snapshot(TransferCodec::None).to_bytes();
+            into.restore(&Snapshot::from_bytes(&bytes).unwrap()).unwrap();
+        }),
+        ("ParkedParams", |from, into| ParkedParams::park(from).resume_into(into)),
+    ];
+    for (name, restart) in restarts {
+        let (mut first, mut ds) = (fresh(), dataset());
+        let mut losses = train(&mut first, &mut ds, 2);
+        let mut second = fresh();
+        restart(&first, &mut second);
+        drop(first);
+        assert_eq!(second.steps_executed(), 2, "{name}");
+        losses.extend(train(&mut second, &mut ds, 2));
+        assert_eq!(losses, want_losses, "{name}: loss bits diverged after the restart");
+        assert_eq!(second.params.fingerprint(&losses), want, "{name}");
+    }
+
+    // The epoch is load-bearing: parameters alone do not reproduce the run.
+    let (mut first, mut ds) = (fresh(), dataset());
+    let mut losses = train(&mut first, &mut ds, 2);
+    let mut stale = fresh();
+    let mut snap = first.snapshot(TransferCodec::None);
+    snap.steps_executed = 0;
+    stale.restore(&snap).unwrap();
+    losses.extend(train(&mut stale, &mut ds, 2));
+    assert_ne!(losses, want_losses, "dropout masks ignore the step epoch");
 }
