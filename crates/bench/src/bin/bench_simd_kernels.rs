@@ -11,18 +11,13 @@
 //! would use by default (0 = scalar, 1 = SSE2, 2 = AVX2).
 //!
 //! Run with `cargo run --release -p gist-bench --bin bench_simd_kernels`;
-//! medians land in `results/bench_simd_{matmul,conv3,codecs}.json`. On a
-//! single-core container the vector speedups here are the only ones
-//! available — thread scaling is a no-op — so this is also the cleanest
-//! signal for the per-kernel effect of the instruction set alone.
+//! medians land in `results/bench_simd_{matmul,codecs}.json`, each
+//! recording the pool size it ran on in its `threads` meta.
 
 use gist_encodings::csr::SsdcConfig;
 use gist_encodings::dpr::DprBuffer;
 use gist_encodings::{BitMask, CsrMatrix, DprFormat};
-use gist_simd::{available_levels, with_level};
-use gist_tensor::ops::conv::{self, ConvParams};
-use gist_tensor::ops::matmul;
-use gist_tensor::{Shape, Tensor};
+use gist_simd::{available_levels, matmul_a_bt_into, matmul_at_b_into, matmul_into, with_level};
 use gist_testkit::BenchGroup;
 use std::hint::black_box;
 
@@ -50,38 +45,17 @@ fn bench_matmul() {
     let b = filled(k * n, 2);
     let at = filled(k * m, 3);
     let bt = filled(n * k, 4);
+    let mut c = vec![0.0f32; m * n];
     for lvl in available_levels() {
         with_level(lvl, || {
             g.bench(&format!("{lvl}_matmul_{m}x{k}x{n}"), || {
-                matmul::matmul(black_box(&a), black_box(&b), m, k, n)
+                matmul_into(black_box(&a), black_box(&b), m, k, n, black_box(&mut c))
             });
             g.bench(&format!("{lvl}_at_b_{m}x{k}x{n}"), || {
-                matmul::matmul_at_b(black_box(&at), black_box(&b), m, k, n)
+                matmul_at_b_into(black_box(&at), black_box(&b), m, k, n, black_box(&mut c))
             });
             g.bench(&format!("{lvl}_a_bt_{m}x{k}x{n}"), || {
-                matmul::matmul_a_bt(black_box(&a), black_box(&bt), m, k, n)
-            });
-        });
-    }
-    g.finish();
-}
-
-fn bench_conv3() {
-    let mut g = BenchGroup::new("simd_conv3");
-    g.meta("threads", gist_par::current_threads() as u64);
-    g.meta("simd", gist_simd::level() as u64);
-    // The direct 3x3/stride-1 path (every resnet_cifar / small_vgg body
-    // conv): 8 images, 16->16 channels at 32x32.
-    let (bn, c, hw, f) = (8, 16, 32, 16);
-    let p = ConvParams::new(3, 1, 1);
-    g.throughput_bytes((bn * c * hw * hw * 4) as u64);
-    let x = Tensor::from_vec(Shape::nchw(bn, c, hw, hw), filled(bn * c * hw * hw, 5)).unwrap();
-    let w = Tensor::from_vec(Shape::nchw(f, c, 3, 3), filled(f * c * 9, 6)).unwrap();
-    let bias = Tensor::from_vec(Shape::vector(f), filled(f, 7)).unwrap();
-    for lvl in available_levels() {
-        with_level(lvl, || {
-            g.bench(&format!("{lvl}_conv3x3s1_{bn}x{c}x{hw}x{hw}"), || {
-                conv::forward(black_box(&x), black_box(&w), Some(black_box(&bias)), p).unwrap()
+                matmul_a_bt_into(black_box(&a), black_box(&bt), m, k, n, black_box(&mut c))
             });
         });
     }
@@ -121,6 +95,5 @@ fn bench_codecs() {
 
 fn main() {
     bench_matmul();
-    bench_conv3();
     bench_codecs();
 }

@@ -89,19 +89,25 @@ fn main() {
         // plain path does not.
         let fresh =
             || Executor::new(gist_models::small_vgg(batch, 4), ExecMode::Baseline, 7).unwrap();
-        // Warm kernel-internal thread-local scratch (the gist-simd matmul
-        // pack buffers grow once per thread and persist) so neither counted
-        // step pays one-time growth the other doesn't.
-        let mut warm = fresh();
-        warm.step(&x, &y, 0.01).unwrap();
-        drop(warm);
-        let mut plain = fresh();
-        let mut traced = fresh();
-        let plain_allocs = alloc_calls(|| {
-            plain.step(&x, &y, 0.01).unwrap();
-        });
-        let traced_allocs = alloc_calls(|| {
-            traced.step_traced(&x, &y, 0.01, &NullRecorder).unwrap();
+        // Counted on one thread: with pool workers, which task pops which
+        // recycled scratch buffer depends on interleaving, and the counts
+        // differ by that noise (1–3 on a 2-core host), not by tracing.
+        let (plain_allocs, traced_allocs) = gist_par::with_threads(1, || {
+            // Warm kernel-internal thread-local scratch (conv columns, the
+            // gist-simd matmul pack buffers: grown once per thread) so
+            // neither counted step pays one-time growth the other doesn't.
+            let mut warm = fresh();
+            warm.step(&x, &y, 0.01).unwrap();
+            drop(warm);
+            let mut plain = fresh();
+            let mut traced = fresh();
+            let plain_allocs = alloc_calls(|| {
+                plain.step(&x, &y, 0.01).unwrap();
+            });
+            let traced_allocs = alloc_calls(|| {
+                traced.step_traced(&x, &y, 0.01, &NullRecorder).unwrap();
+            });
+            (plain_allocs, traced_allocs)
         });
         let delta = traced_allocs.abs_diff(plain_allocs);
         assert_eq!(

@@ -423,8 +423,8 @@ const DATA_SEED: u64 = 42;
 /// printing the aggregate counters report. The printed train fingerprint
 /// (`ParamSet::fingerprint` over each step's loss bits) is what
 /// `scripts/verify.sh` demands be bitwise-identical across plan
-/// granularities and thread counts.
-fn run_train(graph: Graph, spec: ExecSpec, args: &Args) -> Result<(), String> {
+/// granularities and thread counts; it is also the return value.
+fn run_train(graph: Graph, spec: ExecSpec, args: &Args) -> Result<u64, String> {
     let mut ds = gist_runtime::SyntheticImages::for_graph(&graph, DATA_NOISE, DATA_SEED)
         .map_err(|e| e.to_string())?;
     let mut exec = gist_runtime::Executor::new(graph, spec, 7).map_err(|e| e.to_string())?;
@@ -468,14 +468,15 @@ fn run_train(graph: Graph, spec: ExecSpec, args: &Args) -> Result<(), String> {
             stats.stash_bytes as f64 / 1024.0
         );
     }
-    println!("train fingerprint: 0x{:016x}", exec.params.fingerprint(&loss_bits));
+    let fingerprint = exec.params.fingerprint(&loss_bits);
+    println!("train fingerprint: 0x{fingerprint:016x}");
     if let Some(path) = &args.trace {
         let events = sink.take();
         std::fs::write(path, gist_obs::export_chrome(&events)).map_err(|e| e.to_string())?;
         println!("wrote {} trace events to {path}", events.len());
         print!("{}", gist_obs::CountersReport::from_events(&events).to_table());
     }
-    Ok(())
+    Ok(fingerprint)
 }
 
 /// Runs `--steps` data-parallel training steps on the ranks `placement`
@@ -723,6 +724,22 @@ mod tests {
         acc.fold_all(&events).unwrap();
         assert!(acc.peak_bytes() > 0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// What `train small-vgg --batch 4 --steps 3` printed at the last commit
+    /// that still had a direct 3×3 convolution kernel beside the im2col
+    /// lowering. Small-VGG is all 3×3/stride-1 convs, so this value standing
+    /// is the bitwise proof that deleting that kernel changed nothing — do
+    /// not edit it. (verify.sh runs it forced-scalar on one thread and on
+    /// the detected level with the default pool.)
+    #[test]
+    fn small_vgg_train_fingerprint_is_pinned() {
+        for alloc in ["heap", "arena"] {
+            let a = cli(&format!("train small-vgg --batch 4 --steps 3 --alloc {alloc}")).unwrap();
+            let graph = build_model(a.model.as_deref().unwrap(), a.batch).unwrap();
+            let fingerprint = run_train(graph, a.exec_spec().unwrap(), &a).unwrap();
+            assert_eq!(fingerprint, 0xbbea_10f8_6e07_33c0, "--alloc {alloc}");
+        }
     }
 
     #[test]

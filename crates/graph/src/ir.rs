@@ -404,10 +404,11 @@ impl Graph {
                 OpKind::Input(s) => *s,
                 OpKind::Conv { out_channels, params, .. } => {
                     let x = input_shape(0);
-                    if x.h() + 2 * params.pad < params.kernel
-                        || x.w() + 2 * params.pad < params.kernel
-                    {
-                        return Err(err(format!("kernel {} too large for {x}", params.kernel)));
+                    if !params.fits(x.h(), x.w()) {
+                        return Err(err(format!(
+                            "kernel {} stride {} pad {} does not fit {x}",
+                            params.kernel, params.stride, params.pad
+                        )));
                     }
                     params.out_shape(x, *out_channels)
                 }
@@ -416,8 +417,11 @@ impl Graph {
                 }
                 OpKind::MaxPool(p) | OpKind::AvgPool(p) => {
                     let x = input_shape(0);
-                    if x.h() + 2 * p.pad < p.window || x.w() + 2 * p.pad < p.window {
-                        return Err(err(format!("window {} too large for {x}", p.window)));
+                    if !p.fits(x.h(), x.w()) {
+                        return Err(err(format!(
+                            "window {} stride {} pad {} does not fit {x}",
+                            p.window, p.stride, p.pad
+                        )));
                     }
                     p.out_shape(x)
                 }
@@ -537,6 +541,46 @@ mod tests {
         let y = g.input(Shape::nchw(1, 3, 4, 4));
         g.add(x, y, "sum");
         assert!(matches!(g.infer_shapes(), Err(GraphError::ShapeInference { .. })));
+    }
+
+    /// Zero stride, zero kernel/window and a kernel wider than the padded
+    /// input are typed errors at every entry that takes the geometry from
+    /// outside — none may reach `out_hw`'s division.
+    #[test]
+    fn degenerate_geometry_is_a_typed_error_everywhere() {
+        use gist_tensor::ops::{conv, pool};
+        use gist_tensor::{ScratchPool, Tensor, TensorError};
+        // (kernel/window, stride, pad, input h = w)
+        for (k, stride, pad, hw) in [(3, 0, 1, 8), (0, 1, 0, 8), (0, 0, 0, 8), (5, 1, 0, 4)] {
+            let case = format!("k={k} stride={stride} pad={pad} hw={hw}");
+            let unsupported = |r: Result<(), TensorError>| {
+                assert!(matches!(r, Err(TensorError::UnsupportedShape(_))), "{case}: {r:?}");
+            };
+            let x = Tensor::zeros(Shape::nchw(1, 2, hw, hw));
+            let mut out = Tensor::zeros(x.shape());
+            let (cp, pp) = (ConvParams::new(k, stride, pad), PoolParams::new(k, stride, pad));
+
+            let w = Tensor::zeros(Shape::nchw(3, 2, k, k));
+            unsupported(conv::forward(&x, &w, None, cp).map(drop));
+            let scratch = ScratchPool::new();
+            unsupported(conv::backward_with_into(&x, &w, &x, cp, &scratch, &mut out).map(drop));
+            unsupported(pool::maxpool_forward(&x, pp).map(drop));
+            unsupported(pool::avgpool_forward(&x, pp).map(drop));
+            unsupported(pool::maxpool_backward_into(x.shape(), &[], &x, pp, &mut out));
+            unsupported(pool::avgpool_backward_into(x.shape(), &x, pp, &mut out));
+
+            for pooled in [false, true] {
+                let mut g = Graph::new("bad");
+                let i = g.input(x.shape());
+                if pooled {
+                    g.max_pool(i, pp, "p");
+                } else {
+                    g.conv(i, 3, cp, false, "c");
+                }
+                let r = g.infer_shapes();
+                assert!(matches!(r, Err(GraphError::ShapeInference { .. })), "{case}: {r:?}");
+            }
+        }
     }
 
     #[test]

@@ -56,8 +56,10 @@ impl ExecMode {
 /// Where the executor's step buffers live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocPolicy {
-    /// Every buffer is a fresh heap allocation (the original discipline);
-    /// kept as the differential-testing reference for the arena.
+    /// Every buffer is a fresh heap allocation (the original discipline).
+    /// A production path — the default, and what the repo benchmark's
+    /// `train_stash` workload runs — as well as the differential-testing
+    /// reference for the arena.
     #[default]
     Heap,
     /// All step buffers resolve to planned offsets inside one slab packed

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod codec;
-mod conv3;
 mod csr;
 mod matmul;
 
@@ -38,7 +37,6 @@ pub use codec::{
     count_nonzero, dpr_decode_into, dpr_encode_codes, pack_bools_into_words, pack_gt_zero_words,
     select_by_mask, DprSpec,
 };
-pub use conv3::{conv3x3s1_image, Conv3Shape};
 pub use csr::{csr_pack_row_u32, csr_pack_row_u8, csr_scatter_row_u32, csr_scatter_row_u8};
 pub use matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into, row_grain};
 

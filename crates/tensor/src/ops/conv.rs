@@ -1,13 +1,15 @@
-//! 2-D convolution via im2col + dense matmul, with a direct (im2col-free)
-//! gist-simd kernel for the 3×3/stride-1 hot case.
+//! 2-D convolution: every geometry is lowered per image to an im2col
+//! column matrix and the packed `gist-simd` GEMM family, forward and
+//! backward.
 //!
 //! The convolution backward pass needs its stashed *input* feature map to
 //! compute weight gradients (Figure 4(d) in the paper) — which is why
 //! Binarize cannot apply to ReLU→Conv pairs and SSDC exists.
 
-use crate::ops::matmul::{matmul, matmul_a_bt_into, matmul_at_b_into};
 use crate::{ScratchPool, Shape, Tensor, TensorError};
 use gist_par::{parallel_chunks_mut, parallel_reduce, SendPtr};
+use gist_simd::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
+use std::cell::Cell;
 
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,7 +28,18 @@ impl ConvParams {
         ConvParams { kernel, stride, pad }
     }
 
-    /// Output spatial size for input `(h, w)`.
+    /// Whether this geometry yields an output on an `h × w` input: kernel
+    /// and stride non-zero, kernel within the padded input. Everything that
+    /// takes a `ConvParams` from outside checks this before calling
+    /// [`ConvParams::out_hw`], which divides by the stride.
+    pub fn fits(&self, h: usize, w: usize) -> bool {
+        self.kernel != 0
+            && self.stride != 0
+            && h + 2 * self.pad >= self.kernel
+            && w + 2 * self.pad >= self.kernel
+    }
+
+    /// Output spatial size for input `(h, w)`; requires [`ConvParams::fits`].
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
         let oh = (h + 2 * self.pad - self.kernel) / self.stride + 1;
         let ow = (w + 2 * self.pad - self.kernel) / self.stride + 1;
@@ -40,48 +53,75 @@ impl ConvParams {
     }
 }
 
-/// Lowers one image of `x` into an im2col matrix of shape
-/// `[C*K*K, OH*OW]` (row-major), zero-filling padding.
-fn im2col(x: &Tensor, n: usize, p: ConvParams, oh: usize, ow: usize) -> Vec<f32> {
-    let s = x.shape();
-    let (c, k) = (s.c(), p.kernel);
-    let mut cols = vec![0.0f32; c * k * k * oh * ow];
-    im2col_into(x, n, p, oh, ow, &mut cols);
-    cols
+/// Rejects degenerate geometry before any output-shape arithmetic.
+fn check_geometry(s: Shape, p: ConvParams) -> Result<(), TensorError> {
+    if p.fits(s.h(), s.w()) {
+        return Ok(());
+    }
+    Err(TensorError::UnsupportedShape(format!(
+        "conv kernel {} stride {} pad {} on {s}",
+        p.kernel, p.stride, p.pad
+    )))
 }
 
-/// [`im2col`] writing into a preallocated, **zero-filled** buffer (padding
-/// cells are skipped, so the caller must provide zeros — a fresh
-/// [`ScratchPool`] lease qualifies).
+thread_local! {
+    /// This thread's column matrix, forward and backward: grown to the
+    /// largest image it has lowered and never shrunk, so a steady-state step
+    /// allocates none. `take`/`set` rather than a held borrow, as for
+    /// gist-simd's pack buffer (a separate slot: the matmul packs while the
+    /// columns are live).
+    static COLS_BUF: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's column buffer at `len` elements. The contents
+/// are whatever the last image left there: [`im2col_into`] writes every cell.
+fn with_cols_buf<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    COLS_BUF.with(|slot| {
+        let mut buf = slot.take();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        let r = f(&mut buf[..len]);
+        slot.set(buf);
+        r
+    })
+}
+
+/// Lowers image `n` of `x` into the im2col matrix `[C*K*K, OH*OW]`
+/// (row-major). Every cell of `cols` is written, padding cells with `0.0`,
+/// so the buffer may hold anything on entry.
 fn im2col_into(x: &Tensor, n: usize, p: ConvParams, oh: usize, ow: usize, cols: &mut [f32]) {
     let s = x.shape();
-    let (c, k) = (s.c(), p.kernel);
+    let (c, h, w, k) = (s.c(), s.h(), s.w(), p.kernel);
     debug_assert_eq!(cols.len(), c * k * k * oh * ow);
-    for ci in 0..c {
-        for kh in 0..k {
-            for kw in 0..k {
-                let row = (ci * k + kh) * k + kw;
-                for ohi in 0..oh {
-                    let ih = (ohi * p.stride + kh) as isize - p.pad as isize;
-                    if ih < 0 || ih >= s.h() as isize {
-                        continue;
-                    }
-                    for owi in 0..ow {
-                        let iw = (owi * p.stride + kw) as isize - p.pad as isize;
-                        if iw < 0 || iw >= s.w() as isize {
-                            continue;
-                        }
-                        cols[row * oh * ow + ohi * ow + owi] =
-                            x.at(n, ci, ih as usize, iw as usize);
-                    }
-                }
+    let xn = &x.data()[n * c * h * w..(n + 1) * c * h * w];
+    for (row, plane) in cols.chunks_exact_mut(oh * ow).enumerate() {
+        let (ci, kh, kw) = (row / (k * k), row / k % k, row % k);
+        // Output columns [lo, hi) read x; the rest of each row is padding.
+        let lo = p.pad.saturating_sub(kw).div_ceil(p.stride).min(ow);
+        let hi = (w + p.pad).saturating_sub(kw).div_ceil(p.stride).clamp(lo, ow);
+        if lo == hi {
+            plane.fill(0.0);
+            continue;
+        }
+        for (ohi, dst) in plane.chunks_exact_mut(ow).enumerate() {
+            let ih = ohi * p.stride + kh;
+            if ih < p.pad || ih >= h + p.pad {
+                dst.fill(0.0);
+                continue;
+            }
+            dst[..lo].fill(0.0);
+            dst[hi..].fill(0.0);
+            let src = &xn[(ci * h + ih - p.pad) * w + lo * p.stride + kw - p.pad..];
+            for (d, v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(p.stride)) {
+                *d = *v;
             }
         }
     }
 }
 
 /// Scatters an im2col matrix back into one image's `dx` slice (transpose
-/// of [`im2col`]), accumulating overlaps.
+/// of [`im2col_into`]), accumulating overlaps.
 fn col2im_slice(cols: &[f32], dst: &mut [f32], s: Shape, p: ConvParams, oh: usize, ow: usize) {
     let (c, k) = (s.c(), p.kernel);
     for ci in 0..c {
@@ -136,15 +176,10 @@ fn check_forward_shapes(
 ) -> Result<(), TensorError> {
     let s = x.shape();
     let ws = weight.shape();
+    check_geometry(s, p)?;
     if ws.c() != s.c() || ws.h() != p.kernel || ws.w() != p.kernel {
         return Err(TensorError::UnsupportedShape(format!(
             "weight {ws} incompatible with input {s} kernel {}",
-            p.kernel
-        )));
-    }
-    if s.h() + 2 * p.pad < p.kernel || s.w() + 2 * p.pad < p.kernel {
-        return Err(TensorError::UnsupportedShape(format!(
-            "kernel {} larger than padded input {s}",
             p.kernel
         )));
     }
@@ -184,30 +219,17 @@ pub fn forward_into(
     let (oh, ow) = (out.h(), out.w());
     let ckk = s.c() * p.kernel * p.kernel;
     let per_image = out_c * oh * ow;
-    let per_x = s.c() * s.h() * s.w();
     // Images are independent; fan the minibatch out over the gist-par pool.
     // (Nested matmul dispatch degrades to serial inside each image task.)
-    if p.kernel == 3 && p.stride == 1 {
-        // The VGG/ResNet hot case: gist-simd's im2col-free direct kernel.
-        // Bit-exact with the lowering below — each output element sees the
-        // identical tap sequence — so taking this branch never changes
-        // results, only skips materialising the [C*9, OH*OW] matrix.
-        let cs = gist_simd::Conv3Shape { c: s.c(), h: s.h(), w: s.w(), out_c, pad: p.pad };
-        parallel_chunks_mut(y.data_mut(), per_image, |n, dst| {
-            let xn = &x.data()[n * per_x..(n + 1) * per_x];
-            gist_simd::conv3x3s1_image(xn, weight.data(), bias.map(|b| b.data()), cs, dst);
-        });
-        return Ok(());
-    }
     parallel_chunks_mut(y.data_mut(), per_image, |n, dst| {
-        let cols = im2col(x, n, p, oh, ow);
-        // weight viewed as [out_c, ckk] * cols [ckk, oh*ow]
-        let prod = matmul(weight.data(), &cols, out_c, ckk, oh * ow);
-        dst.copy_from_slice(&prod);
+        with_cols_buf(ckk * oh * ow, |cols| {
+            im2col_into(x, n, p, oh, ow, cols);
+            // weight viewed as [out_c, ckk] * cols [ckk, oh*ow]
+            matmul_into(weight.data(), cols, out_c, ckk, oh * ow, dst);
+        });
         if let Some(b) = bias {
-            for k in 0..out_c {
-                let bk = b.data()[k];
-                for v in &mut dst[k * oh * ow..(k + 1) * oh * ow] {
+            for (plane, bk) in dst.chunks_exact_mut(oh * ow).zip(b.data()) {
+                for v in plane {
                     *v += bk;
                 }
             }
@@ -240,35 +262,20 @@ pub fn backward(
     dy: &Tensor,
     p: ConvParams,
 ) -> Result<ConvGrads, TensorError> {
-    backward_with(x, weight, dy, p, &ScratchPool::new())
-}
-
-/// [`backward`] with its per-image scratch (im2col columns, the dW/dX
-/// matmul temporaries, and the per-task reduction partials) leased from a
-/// caller-owned [`ScratchPool`] instead of heap-allocated per call.
-/// Bit-exact with [`backward`] at every thread count: leases are
-/// zero-filled, and the merge tree is unchanged.
-///
-/// # Errors
-///
-/// As for [`backward`].
-pub fn backward_with(
-    x: &Tensor,
-    weight: &Tensor,
-    dy: &Tensor,
-    p: ConvParams,
-    scratch: &ScratchPool,
-) -> Result<ConvGrads, TensorError> {
     let mut dx = Tensor::zeros(x.shape());
-    let (dw, db) = backward_with_into(x, weight, dy, p, scratch, &mut dx)?;
+    let (dw, db) = backward_with_into(x, weight, dy, p, &ScratchPool::new(), &mut dx)?;
     Ok(ConvGrads { dx, dw, db })
 }
 
-/// [`backward_with`] landing `dx` in a preallocated buffer (e.g. a planned
-/// arena side region) instead of a fresh allocation; returns `(dw, db)`.
-/// Every element of `dx` is overwritten — it is zero-filled first, then
-/// accumulated into by the col2im scatter — so a poisoned view is fine.
-/// Bit-exact with [`backward_with`].
+/// [`backward`] with its per-image scratch (the dW/dX matmul temporaries
+/// and the per-task reduction partials) leased from a
+/// caller-owned [`ScratchPool`] instead of heap-allocated per call, landing
+/// `dx` in a preallocated buffer (e.g. a planned arena side region) and
+/// returning `(dw, db)`. Every element of `dx` is overwritten — it is
+/// zero-filled first, then accumulated into by the col2im scatter — so a
+/// poisoned view is fine. Bit-exact with [`backward`] at every thread
+/// count: the accumulators lease zero-filled, every other lease is fully
+/// overwritten, and the merge tree is unchanged.
 ///
 /// # Errors
 ///
@@ -283,6 +290,7 @@ pub fn backward_with_into(
 ) -> Result<(Tensor, Tensor), TensorError> {
     let s = x.shape();
     let ws = weight.shape();
+    check_geometry(s, p)?;
     let out_c = ws.n();
     let expected = p.out_shape(s, out_c);
     if dy.shape() != expected {
@@ -312,11 +320,12 @@ pub fn backward_with_into(
             let mut dw_part = scratch.lease(ws.numel());
             let mut db_part = scratch.lease(out_c);
             for n in range {
-                let mut cols = scratch.lease(ckk * oh * ow);
-                im2col_into(x, n, p, oh, ow, &mut cols);
                 let dy_n = &dy.data()[n * out_c * oh * ow..(n + 1) * out_c * oh * ow];
                 let mut dwn = scratch.lease(out_c * ckk);
-                matmul_a_bt_into(dy_n, &cols, out_c, oh * ow, ckk, &mut dwn);
+                with_cols_buf(ckk * oh * ow, |cols| {
+                    im2col_into(x, n, p, oh, ow, cols);
+                    matmul_a_bt_into(dy_n, cols, out_c, oh * ow, ckk, &mut dwn);
+                });
                 for (a, b) in dw_part.iter_mut().zip(dwn.iter()) {
                     *a += b;
                 }
@@ -460,37 +469,6 @@ mod tests {
             );
             assert_eq!(g.db.data()[0].to_bits(), reference.db.data()[0].to_bits());
         }
-    }
-
-    /// The 3×3/stride-1 forward takes the direct gist-simd kernel; pin it
-    /// bit-for-bit against the im2col + matmul lowering it replaced.
-    #[test]
-    fn direct_3x3_path_matches_im2col_lowering() {
-        let p = ConvParams::new(3, 1, 1);
-        let x = crate::init::uniform(Shape::nchw(2, 3, 6, 6), -1.0, 1.0, 7);
-        let w = crate::init::uniform(Shape::nchw(4, 3, 3, 3), -0.5, 0.5, 9);
-        let b = crate::init::uniform(Shape::vector(4), -0.1, 0.1, 21);
-        let y = forward(&x, &w, Some(&b), p).unwrap();
-        let out = p.out_shape(x.shape(), 4);
-        let (oh, ow) = (out.h(), out.w());
-        let ckk = 3 * 9;
-        let mut expect = Tensor::zeros(out);
-        let per_image = 4 * oh * ow;
-        for n in 0..2 {
-            let cols = im2col(&x, n, p, oh, ow);
-            let prod = matmul(w.data(), &cols, 4, ckk, oh * ow);
-            let dst = &mut expect.data_mut()[n * per_image..(n + 1) * per_image];
-            dst.copy_from_slice(&prod);
-            for k in 0..4 {
-                let bk = b.data()[k];
-                for v in &mut dst[k * oh * ow..(k + 1) * oh * ow] {
-                    *v += bk;
-                }
-            }
-        }
-        let yb: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
-        let eb: Vec<u32> = expect.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(yb, eb, "direct 3x3 kernel must match the im2col lowering");
     }
 
     #[test]

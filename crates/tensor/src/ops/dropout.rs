@@ -72,22 +72,13 @@ pub fn forward_into(
     Ok(())
 }
 
-/// Backward pass: the same mask and scale applied to `dy`.
+/// Backward pass: the same mask and scale applied to `dy`, landing `dx` in
+/// a preallocated buffer (e.g. a planned arena side region). Every element
+/// of `dx` is overwritten.
 ///
 /// # Errors
 ///
-/// As for [`forward`].
-pub fn backward(dy: &Tensor, mask: &[bool], drop_p: f32) -> Result<Tensor, TensorError> {
-    forward(dy, mask, drop_p)
-}
-
-/// [`backward`] landing `dx` in a preallocated buffer (e.g. a planned arena
-/// side region). Every element of `dx` is overwritten; bit-exact with
-/// [`backward`].
-///
-/// # Errors
-///
-/// As for [`backward`], plus a shape mismatch on `dx`.
+/// As for [`forward`], plus a shape mismatch on `dx`.
 pub fn backward_into(
     dy: &Tensor,
     mask: &[bool],
@@ -132,7 +123,8 @@ mod tests {
     fn backward_uses_same_mask() {
         let dy = Tensor::full(Shape::vector(3), 1.0);
         let mask = [false, true, false];
-        let dx = backward(&dy, &mask, 0.2).unwrap();
+        let mut dx = Tensor::full(dy.shape(), f32::NAN);
+        backward_into(&dy, &mask, 0.2, &mut dx).unwrap();
         assert_eq!(dx.data()[0], 0.0);
         assert!((dx.data()[1] - 1.25).abs() < 1e-6);
     }

@@ -3,18 +3,8 @@
 
 use crate::{Shape, Tensor, TensorError};
 
-/// Residual addition forward: `Y = A + B`.
-///
-/// # Errors
-///
-/// Returns an error on shape mismatch.
-pub fn add_forward(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    a.add(b)
-}
-
-/// Residual addition writing into a preallocated output (e.g. an arena
-/// view). Every element of `y` is overwritten; bit-exact with
-/// [`add_forward`].
+/// Residual addition forward, `Y = A + B`, writing into a preallocated
+/// output (e.g. an arena view). Every element of `y` is overwritten.
 ///
 /// # Errors
 ///
@@ -33,14 +23,9 @@ pub fn add_forward_into(a: &Tensor, b: &Tensor, y: &mut Tensor) -> Result<(), Te
     Ok(())
 }
 
-/// Residual addition backward: the gradient flows unchanged to both inputs.
-pub fn add_backward(dy: &Tensor) -> (Tensor, Tensor) {
-    (dy.clone(), dy.clone())
-}
-
-/// [`add_backward`] for one input, writing into a preallocated buffer (e.g.
-/// a planned arena side region). Every element of `dx` is overwritten;
-/// bit-exact with the corresponding [`add_backward`] output.
+/// Residual addition backward for one input: the gradient flows unchanged
+/// to both, so this copies `dy` into a preallocated buffer (e.g. a planned
+/// arena side region). Every element of `dx` is overwritten.
 ///
 /// # Panics
 ///
@@ -169,11 +154,12 @@ mod tests {
     fn add_roundtrip() {
         let a = Tensor::full(Shape::nchw(1, 1, 2, 2), 1.0);
         let b = Tensor::full(Shape::nchw(1, 1, 2, 2), 2.0);
-        let y = add_forward(&a, &b).unwrap();
+        let mut y = Tensor::full(a.shape(), f32::NAN);
+        add_forward_into(&a, &b, &mut y).unwrap();
         assert_eq!(y.data(), &[3.0; 4]);
-        let (da, db) = add_backward(&y);
+        let mut da = Tensor::full(a.shape(), f32::NAN);
+        add_backward_into(&y, &mut da);
         assert_eq!(da, y);
-        assert_eq!(db, y);
     }
 
     #[test]

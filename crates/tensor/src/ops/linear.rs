@@ -5,9 +5,9 @@
 //! input to form weight gradients, so FC inputs fall in the paper's "Others"
 //! stash category (DPR-eligible).
 
-use crate::ops::matmul::{matmul_a_bt_into, matmul_at_b};
 use crate::{ScratchPool, Shape, Tensor, TensorError};
 use gist_par::{parallel_chunks_mut, parallel_reduce};
+use gist_simd::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 
 /// Batch rows per parallel chunk — a pure function of the layer shape.
 fn batch_grain(n: usize, f: usize) -> usize {
@@ -88,33 +88,19 @@ pub struct LinearGrads {
 ///
 /// Returns an error on dimension mismatch.
 pub fn backward(x: &Tensor, weight: &Tensor, dy: &Tensor) -> Result<LinearGrads, TensorError> {
-    backward_with(x, weight, dy, &ScratchPool::new())
-}
-
-/// [`backward`] with the per-task bias-reduction partials leased from a
-/// caller-owned [`ScratchPool`] instead of heap-allocated per call.
-/// Bit-exact with [`backward`] at every thread count.
-///
-/// # Errors
-///
-/// As for [`backward`].
-pub fn backward_with(
-    x: &Tensor,
-    weight: &Tensor,
-    dy: &Tensor,
-    scratch: &ScratchPool,
-) -> Result<LinearGrads, TensorError> {
     let (n, f_in) = x.shape().as_matrix();
     let mut dx = Tensor::zeros(Shape::matrix(n, f_in));
-    let (dw, db) = backward_with_into(x, weight, dy, scratch, &mut dx)?;
+    let (dw, db) = backward_with_into(x, weight, dy, &ScratchPool::new(), &mut dx)?;
     Ok(LinearGrads { dx, dw, db })
 }
 
-/// [`backward_with`] landing `dx` in a preallocated buffer (e.g. a planned
-/// arena side region) instead of a fresh allocation; returns `(dw, db)`.
-/// `dx` may carry any shape that flattens to `[N, F_in]` (the producer's
-/// NCHW shape included); every element is overwritten by the matmul.
-/// Bit-exact with [`backward_with`].
+/// [`backward`] with the per-task bias-reduction partials leased from a
+/// caller-owned [`ScratchPool`] instead of heap-allocated per call, landing
+/// `dx` in a preallocated buffer (e.g. a planned arena side region) and
+/// returning `(dw, db)`. `dx` may carry any shape that flattens to
+/// `[N, F_in]` (the producer's NCHW shape included); every element is
+/// overwritten by the matmul. Bit-exact with [`backward`] at every thread
+/// count.
 ///
 /// # Errors
 ///
@@ -136,9 +122,10 @@ pub fn backward_with_into(
         return Err(TensorError::ShapeMismatch { left: dx.shape(), right: Shape::matrix(n, f_in) });
     }
     // dX[N, F_in] = dY[N, F_out] * W[F_out, F_in]
-    gist_simd::matmul_into(dy.data(), weight.data(), n, f_out, f_in, dx.data_mut());
+    matmul_into(dy.data(), weight.data(), n, f_out, f_in, dx.data_mut());
     // dW[F_out, F_in] = dY^T[F_out, N] * X[N, F_in]
-    let dw = matmul_at_b(dy.data(), x.data(), f_out, n, f_in);
+    let mut dw = Tensor::zeros(weight.shape());
+    matmul_at_b_into(dy.data(), x.data(), f_out, n, f_in, dw.data_mut());
     // db[j] = sum over batch rows of dy[n][j], combined along gist-par's
     // fixed pairwise tree so the result is thread-count invariant.
     let grain = batch_grain(n, f_out);
@@ -162,7 +149,7 @@ pub fn backward_with_into(
         },
     )
     .map_or_else(|| vec![0.0f32; f_out], |part| part.to_vec());
-    Ok((Tensor::from_vec(weight.shape(), dw)?, Tensor::from_vec(Shape::vector(f_out), db)?))
+    Ok((dw, Tensor::from_vec(Shape::vector(f_out), db)?))
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@ pub mod dropout;
 pub mod elementwise;
 pub mod linear;
 pub mod lrn;
-pub mod matmul;
 pub mod pool;
 pub mod relu;
 pub mod softmax;

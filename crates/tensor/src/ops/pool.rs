@@ -25,7 +25,19 @@ impl PoolParams {
         PoolParams { window, stride, pad }
     }
 
-    /// Output spatial size for an input of `(h, w)`.
+    /// Whether this geometry yields an output on an `h × w` input: window
+    /// and stride non-zero, window within the padded input. Everything that
+    /// takes a `PoolParams` from outside checks this before calling
+    /// [`PoolParams::out_hw`], which divides by the stride.
+    pub fn fits(&self, h: usize, w: usize) -> bool {
+        self.window != 0
+            && self.stride != 0
+            && h + 2 * self.pad >= self.window
+            && w + 2 * self.pad >= self.window
+    }
+
+    /// Output spatial size for an input of `(h, w)`; requires
+    /// [`PoolParams::fits`].
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
         let oh = (h + 2 * self.pad - self.window) / self.stride + 1;
         let ow = (w + 2 * self.pad - self.window) / self.stride + 1;
@@ -53,11 +65,7 @@ pub struct MaxPoolOutput {
 
 /// Rejects degenerate pooling geometry before any output-shape arithmetic.
 fn check_geometry(kind: &str, s: Shape, p: PoolParams) -> Result<(), TensorError> {
-    if p.window == 0
-        || p.stride == 0
-        || s.h() + 2 * p.pad < p.window
-        || s.w() + 2 * p.pad < p.window
-    {
+    if !p.fits(s.h(), s.w()) {
         return Err(TensorError::UnsupportedShape(format!(
             "{kind} window {}x{} stride {} pad {} on {s}",
             p.window, p.window, p.stride, p.pad
@@ -167,6 +175,7 @@ pub fn maxpool_backward_into(
     p: PoolParams,
     dx: &mut Tensor,
 ) -> Result<(), TensorError> {
+    check_geometry("maxpool", x_shape, p)?;
     let out = p.out_shape(x_shape);
     if dy.shape() != out {
         return Err(TensorError::ShapeMismatch { left: dy.shape(), right: out });
@@ -279,6 +288,7 @@ pub fn avgpool_backward_into(
     p: PoolParams,
     dx: &mut Tensor,
 ) -> Result<(), TensorError> {
+    check_geometry("avgpool", x_shape, p)?;
     let out = p.out_shape(x_shape);
     if dy.shape() != out {
         return Err(TensorError::ShapeMismatch { left: dy.shape(), right: out });

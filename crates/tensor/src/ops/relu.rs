@@ -54,20 +54,6 @@ pub fn backward(y: &Tensor, dy: &Tensor) -> Tensor {
     Tensor::from_vec(y.shape(), data).expect("same shape")
 }
 
-/// Backward pass from a 1-bit positivity mask instead of the full `Y`.
-///
-/// `mask[i]` is true iff `Y[i] > 0`; this is exactly what Gist's Binarize
-/// encoding stashes. Bit-exact equivalent of [`backward`].
-///
-/// # Panics
-///
-/// Panics if `mask.len() != dy.numel()`.
-pub fn backward_from_mask(mask: &[bool], dy: &Tensor) -> Tensor {
-    assert_eq!(mask.len(), dy.numel(), "mask length");
-    let data = mask.iter().zip(dy.data()).map(|(&m, &dv)| if m { dv } else { 0.0 }).collect();
-    Tensor::from_vec(dy.shape(), data).expect("same shape")
-}
-
 /// [`backward`] writing into a preallocated buffer (e.g. a planned arena
 /// side region). Every element of `dx` is overwritten; bit-exact with
 /// [`backward`].
@@ -118,13 +104,5 @@ mod tests {
         let y = Tensor::from_vec(Shape::vector(4), vec![0.0, 1.0, 0.0, 3.0]).unwrap();
         let dy = Tensor::from_vec(Shape::vector(4), vec![5.0, 6.0, 7.0, 8.0]).unwrap();
         assert_eq!(backward(&y, &dy).data(), &[0.0, 6.0, 0.0, 8.0]);
-    }
-
-    #[test]
-    fn backward_from_mask_is_bit_exact_with_backward() {
-        let y = Tensor::from_vec(Shape::vector(6), vec![0.0, 0.1, 2.5, 0.0, 9.0, 0.0]).unwrap();
-        let dy = Tensor::from_vec(Shape::vector(6), vec![1.0, -2.0, 3.0, -4.0, 5.0, -6.0]).unwrap();
-        let mask: Vec<bool> = y.data().iter().map(|&v| v > 0.0).collect();
-        assert_eq!(backward_from_mask(&mask, &dy), backward(&y, &dy));
     }
 }

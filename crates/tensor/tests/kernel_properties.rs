@@ -6,7 +6,7 @@ use gist_tensor::ops::conv::{self, ConvParams};
 use gist_tensor::ops::pool::{self, PoolParams};
 use gist_tensor::ops::{elementwise, linear, relu, softmax};
 use gist_tensor::{Shape, Tensor};
-use gist_testkit::prop::{map, vec_of, Strategy};
+use gist_testkit::prop::{boxed, just, map, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
 
 const CASES: u32 = 64;
@@ -40,6 +40,106 @@ fn conv_is_linear_in_input() {
             let yab = conv::forward(&a.add(b).unwrap(), &w, None, p).unwrap();
             let sum = ya.add(&yb).unwrap();
             assert!(yab.max_abs_diff(&sum) < 1e-3);
+        },
+    );
+}
+
+/// The naive direct convolution: seven loops, each output element summing
+/// its taps in ascending `(ci, kh, kw)` order from `0.0`, padding taps as
+/// `w · 0.0`, bias last — the order the im2col + GEMM lowering promises.
+fn conv_reference(x: &Tensor, w: &Tensor, bias: &Tensor, p: ConvParams) -> Tensor {
+    let (s, f) = (x.shape(), w.shape().n());
+    let mut y = Tensor::zeros(p.out_shape(s, f));
+    let out = y.shape();
+    for n in 0..s.n() {
+        for fi in 0..f {
+            for oh in 0..out.h() {
+                for ow in 0..out.w() {
+                    let mut acc = 0.0f32;
+                    for ci in 0..s.c() {
+                        for kh in 0..p.kernel {
+                            for kw in 0..p.kernel {
+                                let (ih, iw) = (oh * p.stride + kh, ow * p.stride + kw);
+                                let inside = (p.pad..s.h() + p.pad).contains(&ih)
+                                    && (p.pad..s.w() + p.pad).contains(&iw);
+                                let xv =
+                                    if inside { x.at(n, ci, ih - p.pad, iw - p.pad) } else { 0.0 };
+                                acc += w.at(fi, ci, kh, kw) * xv;
+                            }
+                        }
+                    }
+                    let at = ((n * f + fi) * out.h() + oh) * out.w() + ow;
+                    y.data_mut()[at] = acc + bias.data()[fi];
+                }
+            }
+        }
+    }
+    y
+}
+
+/// The one conv lowering against the naive loop, bit for bit, on dirty
+/// buffers: `im2col_into` must write every column cell (padding zeros
+/// included) and the GEMM every output cell. Kernels {1,3,5} × strides
+/// {1,2} × pads {0,1,2} on 1×1 to 9×9 inputs, so `out_c` and `oh·ow` land on
+/// both sides of the 8-lane strip boundary.
+#[test]
+fn conv_lowering_matches_naive_loop_on_poisoned_buffers() {
+    let kernel = || one_of(vec![boxed(just(1usize)), boxed(just(3usize)), boxed(just(5usize))]);
+    Runner::new("conv_lowering_matches_naive_loop_on_poisoned_buffers").cases(CASES).run(
+        &(
+            (kernel(), 1usize..3, 0usize..3),
+            (1usize..3, 1usize..4, 1usize..10),
+            1usize..12,
+            vec_of(-2.0f32..2.0, 64..65),
+        ),
+        |((k, stride, pad), (n, c, hw), f, base)| {
+            let (k, n, c, hw, f) = (*k, *n, *c, *hw, *f);
+            let p = ConvParams::new(k, *stride, *pad);
+            let tile = |shape: Shape, skip: usize| {
+                let v = base.iter().cycle().skip(skip).take(shape.numel()).copied().collect();
+                Tensor::from_vec(shape, v).unwrap()
+            };
+            let x = tile(Shape::nchw(n, c, hw, hw), 0);
+            let w = tile(Shape::nchw(f, c, k, k), 7);
+            let bias = tile(Shape::vector(f), 13);
+            if !p.fits(hw, hw) {
+                assert!(conv::forward(&x, &w, Some(&bias), p).is_err());
+                return;
+            }
+            let expect = conv_reference(&x, &w, &bias, p);
+            // One thread, so every image is lowered on this thread's column
+            // buffer — poisoned before each pass by a 1×1 conv over an
+            // all-NaN input larger than any case's column matrix (3·25·81
+            // cells).
+            let poison = || {
+                let nan = Tensor::full(Shape::nchw(1, 1, 80, 80), f32::NAN);
+                let one = Tensor::full(Shape::nchw(1, 1, 1, 1), 1.0);
+                conv::forward(&nan, &one, None, ConvParams::new(1, 1, 0)).unwrap();
+            };
+            gist_par::with_threads(1, || {
+                for lvl in gist_simd::available_levels() {
+                    gist_simd::with_level(lvl, || {
+                        poison();
+                        let mut y = Tensor::full(expect.shape(), f32::NAN);
+                        conv::forward_into(&x, &w, Some(&bias), p, &mut y).unwrap();
+                        let bits = |t: &Tensor| -> Vec<u32> {
+                            t.data().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(
+                            bits(&y),
+                            bits(&expect),
+                            "GIST_SIMD={lvl} {p:?} on {}",
+                            x.shape()
+                        );
+                        // Backward lowers into the same buffer and its dW
+                        // GEMM skips nothing: one unwritten cell would
+                        // surface as a NaN.
+                        poison();
+                        let g = conv::backward(&x, &w, &expect, p).unwrap();
+                        assert!(g.dw.data().iter().all(|v| v.is_finite()), "{lvl} {p:?}");
+                    });
+                }
+            });
         },
     );
 }

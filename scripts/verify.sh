@@ -55,7 +55,9 @@
 #      `ParamSet::tensors`, so no `NodeParams::` variant match may reappear
 #      under crates/ src/ tests/ examples/, and the FNV offset basis may
 #      appear in two files under crates/ only (the runtime's fingerprint
-#      and gist-testkit's seed hash)
+#      and gist-testkit's seed hash). And one convolution lowering: the
+#      direct 3x3 kernel (`conv3x3s1_image`, `Conv3Shape`) and the
+#      pass-through `ops::matmul::` wrapper layer stay deleted
 #
 # Run this before committing, and append a one-line summary of what
 # changed to CHANGES.md.
@@ -93,6 +95,12 @@ walks=$(grep -rn "NodeParams::" crates src tests examples || true)
 if [ -n "$walks" ]; then
     echo "a hand-written parameter walk reappeared (use ParamSet::tensors / bits / fingerprint):" >&2
     echo "$walks" >&2
+    exit 1
+fi
+forks=$(grep -rnE "conv3x3s1_image|Conv3Shape|ops::matmul::" crates src tests examples || true)
+if [ -n "$forks" ]; then
+    echo "a second conv lowering or the matmul wrapper layer reappeared (im2col + gist_simd::matmul_*_into):" >&2
+    echo "$forks" >&2
     exit 1
 fi
 fnv_files=$(grep -rl "0xcbf2_9ce4" crates | wc -l)

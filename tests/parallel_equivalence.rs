@@ -17,9 +17,10 @@ use gist::encodings::csr::SsdcConfig;
 use gist::encodings::dpr::DprBuffer;
 use gist::encodings::{BitMask, CsrMatrix, DprFormat, RoundingMode};
 use gist::par::with_threads;
+use gist::simd::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use gist::tensor::ops::conv::ConvParams;
 use gist::tensor::ops::lrn::LrnParams;
-use gist::tensor::ops::{batchnorm, conv, linear, lrn, matmul};
+use gist::tensor::ops::{batchnorm, conv, linear, lrn};
 use gist::tensor::{Shape, Tensor};
 use gist_testkit::prop::{boxed, just, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
@@ -88,11 +89,19 @@ fn matmul_kernels_are_thread_invariant() {
             let b = tile(base, k * n);
             let at = tile(base, k * m);
             let bt = tile(base, n * k);
+            // Each layout into a NaN-poisoned buffer: every kernel promises to
+            // overwrite all of `c`.
+            type Gemm = fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
+            let gemm = |f: Gemm, a: &[f32], b: &[f32]| {
+                let mut c = vec![f32::NAN; m * n];
+                f(a, b, m, k, n, &mut c);
+                c
+            };
             assert_thread_invariant(|| {
                 [
-                    bits(&matmul::matmul(&a, &b, m, k, n)),
-                    bits(&matmul::matmul_at_b(&at, &b, m, k, n)),
-                    bits(&matmul::matmul_a_bt(&a, &bt, m, k, n)),
+                    bits(&gemm(matmul_into, &a, &b)),
+                    bits(&gemm(matmul_at_b_into, &at, &b)),
+                    bits(&gemm(matmul_a_bt_into, &a, &bt)),
                 ]
             });
         },

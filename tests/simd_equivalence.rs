@@ -34,8 +34,9 @@ use gist::offload::{OffloadMode, SwapStrategy};
 use gist::par::{env_threads, with_threads};
 use gist::runtime::{AllocPolicy, ExecMode, ExecSpec, Executor, SyntheticImages};
 use gist::simd::{available_levels, canon_bits, with_level, Level};
+use gist::simd::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use gist::tensor::ops::conv::ConvParams;
-use gist::tensor::ops::{conv, linear, matmul};
+use gist::tensor::ops::{conv, linear};
 use gist::tensor::{Shape, Tensor};
 use gist_testkit::prop::{boxed, just, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
@@ -79,6 +80,17 @@ fn canon(v: &[f32]) -> Vec<u32> {
     v.iter().map(|&x| canon_bits(x)).collect()
 }
 
+/// One of the `gist-simd` GEMM layouts, `C[m × n]` into a preallocated `c`.
+type Gemm = fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
+
+/// Runs `gemm` into a NaN-poisoned buffer (every kernel promises to
+/// overwrite all of `c`) and returns it.
+fn gemm(gemm: Gemm, a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+    let mut c = vec![f32::NAN; m * n];
+    gemm(a, b, m, k, n, &mut c);
+    c
+}
+
 /// Runs `f` under the scalar level and under every available level and
 /// asserts all results are identical.
 fn assert_level_invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
@@ -111,9 +123,9 @@ fn matmul_kernels_match_scalar_at_every_level() {
             let bt = tile(base, n * k);
             assert_level_invariant(|| {
                 [
-                    canon(&matmul::matmul(&a, &b, m, k, n)),
-                    canon(&matmul::matmul_at_b(&at, &b, m, k, n)),
-                    canon(&matmul::matmul_a_bt(&a, &bt, m, k, n)),
+                    canon(&gemm(matmul_into, &a, &b, (m, k, n))),
+                    canon(&gemm(matmul_at_b_into, &at, &b, (m, k, n))),
+                    canon(&gemm(matmul_a_bt_into, &a, &bt, (m, k, n))),
                 ]
             });
         },
@@ -121,19 +133,20 @@ fn matmul_kernels_match_scalar_at_every_level() {
 }
 
 #[test]
-fn conv_direct_and_im2col_paths_match_scalar_at_every_level() {
-    // kernel 3 / stride 1 exercises the direct gist-simd conv; other
-    // kernels go through im2col + packed matmul. Both must be level-stable,
-    // forward and backward.
-    Runner::new("conv_direct_and_im2col_paths_match_scalar_at_every_level").cases(CASES).run(
+fn conv_lowering_matches_scalar_at_every_level_and_thread_count() {
+    // One lowering for every geometry — im2col + the packed GEMM family,
+    // forward and backward — so one property: kernels 1..3 (3×3/stride-1,
+    // the VGG/ResNet case, included) × strides 1..2, at every level × every
+    // thread count, against scalar on one thread.
+    Runner::new("conv_lowering_matches_scalar_at_every_level_and_thread_count").cases(CASES).run(
         &(
             (1usize..4, 1usize..4, 3usize..12),
-            (1usize..5, 1usize..4),
+            (1usize..5, 1usize..4, 1usize..3),
             vec_of(hostile_f32(), 16..257),
         ),
-        |((n, c, hw), (f, kernel), base)| {
+        |((n, c, hw), (f, kernel, stride), base)| {
             let (n, c, hw, f, kernel) = (*n, *c, *hw, *f, *kernel);
-            let p = ConvParams::new(kernel, 1, kernel / 2);
+            let p = ConvParams::new(kernel, *stride, kernel / 2);
             let x =
                 Tensor::from_vec(Shape::nchw(n, c, hw, hw), tile(base, n * c * hw * hw)).unwrap();
             let w = Tensor::from_vec(
@@ -144,11 +157,18 @@ fn conv_direct_and_im2col_paths_match_scalar_at_every_level() {
             let bias = Tensor::from_vec(Shape::vector(f), tile(base, f)).unwrap();
             let y = conv::forward(&x, &w, Some(&bias), p).unwrap();
             let dy = Tensor::from_vec(y.shape(), tile(base, y.numel())).unwrap();
-            assert_level_invariant(|| {
+            let run = || {
                 let y = conv::forward(&x, &w, Some(&bias), p).unwrap();
                 let g = conv::backward(&x, &w, &dy, p).unwrap();
                 [canon(y.data()), canon(g.dx.data()), canon(g.dw.data()), canon(g.db.data())]
-            });
+            };
+            let reference = with_level(Level::Scalar, || with_threads(1, run));
+            for lvl in available_levels() {
+                for t in thread_counts() {
+                    let got = with_level(lvl, || with_threads(t, run));
+                    assert_eq!(got, reference, "GIST_SIMD={lvl} threads={t} diverged");
+                }
+            }
         },
     );
 }
@@ -298,10 +318,10 @@ fn empty_and_one_element_inputs_at_every_level() {
     for lvl in available_levels() {
         with_level(lvl, || {
             // Kernels.
-            assert!(matmul::matmul(&[], &[], 0, 0, 1).is_empty(), "{lvl}");
-            assert_eq!(matmul::matmul(&[], &[], 1, 0, 5), vec![0.0; 5], "{lvl}");
-            assert_eq!(matmul::matmul(&[2.0], &[3.0], 1, 1, 1), vec![6.0], "{lvl}");
-            assert_eq!(matmul::matmul_a_bt(&[2.0], &[4.0], 1, 1, 1), vec![8.0], "{lvl}");
+            assert!(gemm(matmul_into, &[], &[], (0, 0, 1)).is_empty(), "{lvl}");
+            assert_eq!(gemm(matmul_into, &[], &[], (1, 0, 5)), vec![0.0; 5], "{lvl}");
+            assert_eq!(gemm(matmul_into, &[2.0], &[3.0], (1, 1, 1)), vec![6.0], "{lvl}");
+            assert_eq!(gemm(matmul_a_bt_into, &[2.0], &[4.0], (1, 1, 1)), vec![8.0], "{lvl}");
             // Codecs.
             let m = BitMask::encode(&[]);
             assert_eq!(m.len(), 0, "{lvl}");
