@@ -12,12 +12,18 @@
 //!
 //! Run with `cargo run --release -p gist-bench --bin bench_simd_kernels`;
 //! medians land in `results/bench_simd_{matmul,codecs}.json`, each
-//! recording the pool size it ran on in its `threads` meta.
+//! recording the pool size it ran on in its `threads` meta. The `relu` group
+//! (`results/bench_relu.json`) is the odd one out: ReLU forward is safe
+//! auto-vectorised Rust with no level dispatch, so it compares the two
+//! forward forms a step runs — the baseline's `forward_into` and every Gist
+//! arm's `forward_inplace` — on sign-mixed and all-positive maps.
 
 use gist_encodings::csr::SsdcConfig;
 use gist_encodings::dpr::DprBuffer;
 use gist_encodings::{BitMask, CsrMatrix, DprFormat};
 use gist_simd::{available_levels, matmul_a_bt_into, matmul_at_b_into, matmul_into, with_level};
+use gist_tensor::ops::relu;
+use gist_tensor::{Shape, Tensor};
 use gist_testkit::BenchGroup;
 use std::hint::black_box;
 
@@ -83,6 +89,10 @@ fn bench_codecs() {
             });
             let csr = CsrMatrix::encode(&y, SsdcConfig::default());
             g.bench(&format!("{lvl}_csr_decode"), || csr.decode());
+            let mut dx = vec![0.0f32; N];
+            g.bench(&format!("{lvl}_csr_relu_backward"), || {
+                csr.relu_backward_into(black_box(&dy), black_box(&mut dx))
+            });
             g.bench(&format!("{lvl}_dpr_encode_fp8"), || {
                 DprBuffer::encode(DprFormat::Fp8, black_box(&dy))
             });
@@ -93,7 +103,36 @@ fn bench_codecs() {
     g.finish();
 }
 
+fn bench_relu() {
+    let mut g = BenchGroup::new("relu");
+    g.meta("threads", gist_par::current_threads() as u64);
+    const N: usize = 1 << 18; // 1 MB FP32: one `train_stash` feature map
+    g.throughput_bytes((N * 4) as u64);
+    let shape = Shape::vector(N);
+    // A conv output before ReLU (~50% negative, signs uncorrelated) and an
+    // all-positive control on which a data-dependent store never fires.
+    for (label, data) in [
+        ("sparse50", filled(N, 10)),
+        ("positive", filled(N, 10).iter().map(|v| v.abs() + 0.5).collect()),
+    ] {
+        let x = Tensor::from_vec(shape, data).expect("N elements");
+        let mut y = Tensor::zeros(shape);
+        g.bench(&format!("forward_into_{label}"), || {
+            relu::forward_into(black_box(&x), black_box(&mut y))
+        });
+        // In-place ReLU consumes its input's signs, so each sample first
+        // restores them; `restore_` alone is the cost to subtract.
+        g.bench(&format!("restore_{label}"), || y.copy_from(black_box(&x)));
+        g.bench(&format!("restore_then_inplace_{label}"), || {
+            y.copy_from(black_box(&x));
+            relu::forward_inplace(black_box(&mut y))
+        });
+    }
+    g.finish();
+}
+
 fn main() {
     bench_matmul();
     bench_codecs();
+    bench_relu();
 }

@@ -15,6 +15,8 @@ use crate::bytes::{format_tag, put_f32, put_u32, tag_format, Reader};
 use crate::dpr::{DprBuffer, DprFormat};
 use crate::transfer::WireError;
 use gist_par::{parallel_chunks_mut, parallel_for, parallel_map, SendPtr};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Rows per parallel chunk for the CSR encode/decode loops — a pure
 /// function of the matrix shape.
@@ -114,7 +116,9 @@ impl CsrMatrix {
                     // SAFETY: rows own disjoint [row_ptr[r], row_ptr[r+1])
                     // slices of the output arrays, which outlive the
                     // dispatch; phase 1 counted exactly `n` non-zeros, so
-                    // the pack fills the slices completely.
+                    // the pack fills the slices completely — and it never
+                    // stores outside them, so rows filled concurrently
+                    // stay untouched.
                     let row_vals = unsafe { std::slice::from_raw_parts_mut(vals.get().add(lo), n) };
                     let filled = if config.narrow {
                         let cols = unsafe { std::slice::from_raw_parts_mut(c8.get().add(lo), n) };
@@ -188,29 +192,69 @@ impl CsrMatrix {
     pub fn decode_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.total_len, "decode_into length");
         out.fill(0.0);
-        let values: Vec<f32> = match &self.values {
-            Values::F32(v) => v.clone(),
-            Values::Dpr(b) => b.decode(),
-        };
-        // Rows scatter into disjoint `cols`-sized slices of the output via
-        // the gist-simd row scatter kernel (dense column runs become vector
-        // stores; bit-identical to the scalar sweep at every level).
-        let grain = csr_row_grain(self.rows, self.cols);
-        parallel_chunks_mut(out, grain * self.cols, |ci, chunk| {
-            let row0 = ci * grain;
-            for (i, dst) in chunk.chunks_mut(self.cols).enumerate() {
-                let r = row0 + i;
-                let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                match &self.col_idx {
-                    ColIndices::U8(v) => {
-                        gist_simd::csr_scatter_row_u8(&v[lo..hi], &values[lo..hi], dst)
-                    }
-                    ColIndices::U32(v) => {
-                        gist_simd::csr_scatter_row_u32(&v[lo..hi], &values[lo..hi], dst)
-                    }
-                }
+        let values = self.values_f32();
+        // Rows scatter through the gist-simd row scatter kernel (dense
+        // column runs become vector stores; bit-identical to the scalar
+        // sweep at every level).
+        self.par_rows(out, |_, dst, at| match &self.col_idx {
+            ColIndices::U8(v) => gist_simd::csr_scatter_row_u8(&v[at.clone()], &values[at], dst),
+            ColIndices::U32(v) => gist_simd::csr_scatter_row_u32(&v[at.clone()], &values[at], dst),
+        });
+    }
+
+    /// ReLU backward straight off the stash: `dx = dy ⊙ [y > 0]` for the
+    /// encoded map `y`, bit-exact with `relu::backward` over [`decode`]
+    /// but without materializing the dense map — each row is zero-filled and
+    /// only its stored elements are visited. Row-parallel on the same
+    /// shape-derived grain as [`decode_into`]; a DPR value array is decoded
+    /// once per stored non-zero, not per dense element.
+    ///
+    /// [`decode`]: Self::decode
+    /// [`decode_into`]: Self::decode_into
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy.len()` or `dx.len()` differs from `self.dense_len()`.
+    pub fn relu_backward_into(&self, dy: &[f32], dx: &mut [f32]) {
+        assert_eq!(dy.len(), self.total_len, "relu_backward_into gradient length");
+        assert_eq!(dx.len(), self.total_len, "relu_backward_into output length");
+        let values = self.values_f32();
+        self.par_rows(dx, |start, dx, at| {
+            let dy = &dy[start..][..dx.len()];
+            dx.fill(0.0);
+            // A select, not a guarded store: stored values are almost all
+            // positive, but a NaN or negative one must gate to 0.0 exactly
+            // like the dense kernel's `y > 0.0`.
+            let mut gate = |c: usize, y: f32| dx[c] = if y > 0.0 { dy[c] } else { 0.0 };
+            let ys = &values[at.clone()];
+            match &self.col_idx {
+                ColIndices::U8(v) => v[at].iter().zip(ys).for_each(|(&c, &y)| gate(c as usize, y)),
+                ColIndices::U32(v) => v[at].iter().zip(ys).for_each(|(&c, &y)| gate(c as usize, y)),
             }
         });
+    }
+
+    /// Runs `f(row's first dense index, row's slice of out, row's stored
+    /// range)` for every row of the dense buffer `out`. Rows own disjoint
+    /// `cols`-sized slices, so they run in parallel, chunked by a grain that
+    /// is a pure function of the matrix shape.
+    fn par_rows(&self, out: &mut [f32], f: impl Fn(usize, &mut [f32], Range<usize>) + Sync) {
+        let grain = csr_row_grain(self.rows, self.cols);
+        parallel_chunks_mut(out, grain * self.cols, |ci, chunk| {
+            for (i, dst) in chunk.chunks_mut(self.cols).enumerate() {
+                let r = ci * grain + i;
+                f(r * self.cols, dst, self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize);
+            }
+        });
+    }
+
+    /// The stored non-zero values as FP32: borrowed when they are kept
+    /// uncompressed, decoded (one value per stored non-zero) under DPR.
+    fn values_f32(&self) -> Cow<'_, [f32]> {
+        match &self.values {
+            Values::F32(v) => Cow::Borrowed(v),
+            Values::Dpr(b) => Cow::Owned(b.decode()),
+        }
     }
 
     /// Serializes the matrix for `transfer::Wire::to_bytes`. The shape

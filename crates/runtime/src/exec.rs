@@ -41,23 +41,6 @@ enum Stash {
 }
 
 impl Stash {
-    /// Dense stashes are borrowed in place — the backward pass only reads
-    /// them, so the old decode-by-clone was a needless full copy.
-    fn decoded(&self) -> Cow<'_, Tensor> {
-        match self {
-            Stash::Dense(t) => Cow::Borrowed(t),
-            Stash::Bits(_) => {
-                unreachable!("binarized stashes are consumed via relu_backward, never decoded")
-            }
-            Stash::Sparse(c, s) => {
-                Cow::Owned(Tensor::from_vec(*s, c.decode()).expect("csr decode length"))
-            }
-            Stash::Reduced(b, s) => {
-                Cow::Owned(Tensor::from_vec(*s, b.decode()).expect("dpr decode length"))
-            }
-        }
-    }
-
     fn encoded_bytes(&self) -> usize {
         match self {
             Stash::Dense(t) => t.numel() * 4,
@@ -732,15 +715,28 @@ impl Executor {
                 Some(Stash::Bits(mask)) => {
                     mask.relu_backward_into(dy().data(), contrib[0].data_mut())?;
                 }
-                Some(other) => {
-                    // Decode scratch here stays heap-allocated under both
-                    // policies: it has never been metered (it is part of
-                    // the backward compute, not a tracked buffer), so the
-                    // program reserves no region for it.
-                    let y = other.decoded();
-                    if let (true, Some(codec)) = (step.traced, other.codec_label()) {
-                        let (raw, enc) = ((y.numel() * 4) as u64, other.encoded_bytes() as u64);
-                        decodes.push((id, codec, raw, enc));
+                // Baseline: the dense stash is read in place.
+                Some(Stash::Dense(y)) => relu::backward_into(y, dy(), &mut contrib[0]),
+                // SSDC: the gate is read off the stored elements; no dense
+                // map is rebuilt. The trace still shows the stash being
+                // consumed, at the sizes a decode would have reported.
+                Some(Stash::Sparse(csr, _)) => {
+                    if step.traced {
+                        let (raw, enc) = (csr.dense_bytes() as u64, csr.encoded_bytes() as u64);
+                        decodes.push((id, "ssdc", raw, enc));
+                    }
+                    csr.relu_backward_into(dy().data(), contrib[0].data_mut());
+                }
+                // DPR is the one ReLU stash still decoded to a dense map,
+                // into a heap buffer under both policies: it lives only
+                // inside this backward computation, so the program reserves
+                // no region for it and neither the meter nor the predictor
+                // counts it.
+                Some(Stash::Reduced(dpr, shape)) => {
+                    let y = Tensor::from_vec(*shape, dpr.decode()).expect("dpr decode length");
+                    if step.traced {
+                        let (raw, enc) = ((y.numel() * 4) as u64, dpr.encoded_bytes() as u64);
+                        decodes.push((id, "dpr", raw, enc));
                     }
                     relu::backward_into(&y, dy(), &mut contrib[0]);
                 }

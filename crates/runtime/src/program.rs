@@ -326,7 +326,9 @@ impl Lowering<'_> {
             .collect();
         // Ops whose backward decodes an *encoded* producer stash into a
         // dense buffer; dense stashes are borrowed in place and leave no
-        // trace. (ReLU's own decode scratch has never been metered.)
+        // trace. (ReLU reads its *own* stash: SSDC gates straight off the
+        // CSR arrays, and only a DPR stash decodes — into an unmetered heap
+        // transient, see `backward_node`.)
         let decodes = node.op.reads_input_stash()
             && matches!(
                 self.encodings[node.inputs[0].index()],

@@ -7,10 +7,14 @@
 //! row-parallel structure and only the inner element sweeps change.
 //!
 //! The pack kernel keeps elements in ascending column order (a left-pack
-//! through a 256-entry permutation LUT indexed by the `!= 0.0` movemask),
-//! and copies exactly `popcount` results — never overstoring, because the
-//! destination slices of adjacent rows are contiguous and may be filled
-//! concurrently by other pool workers. The scatter kernel exploits that
+//! through a 256-entry permutation LUT indexed by the `!= 0.0` movemask).
+//! While at least 8 slots remain in the row's own output slices it stores
+//! the whole permuted 8-lane vector and all 8 column indices — the lanes
+//! past `popcount` are scratch that the row's later groups overwrite — and
+//! only the row's tail copies exactly `popcount` results. It never stores
+//! outside the row's slices, because the destination slices of adjacent rows
+//! are contiguous and may be filled concurrently by other pool workers. The
+//! scatter kernel exploits that
 //! dense runs of a sparse row have *consecutive* column indices: a group of
 //! 8 whose indices form a ramp becomes one vector store, anything else
 //! falls back to the scalar sweep for that group. Values move as raw bits
@@ -55,34 +59,25 @@ macro_rules! pack_row_impl {
         /// Writes the non-zero values of `row` (unordered `!= 0.0`: NaN is
         /// kept with its payload bits, both zeros are dropped) into the
         /// front of `vals` and their column indices into `cols`, in
-        /// ascending column order, returning the count. `vals`/`cols` must
-        /// hold at least that many elements; nothing past the count is
-        /// touched.
+        /// ascending column order, returning the count. Never stores
+        /// outside `vals`/`cols`, but may leave scratch in their slots past
+        /// the count — size them to the row's population to avoid any.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `vals` or `cols` is shorter than the count.
         pub fn $name(row: &[f32], vals: &mut [f32], cols: &mut [$col]) -> usize {
-            let lvl = crate::level();
-            let full = match lvl {
+            let full = match crate::level() {
                 Level::Avx2 => row.len() / 8 * 8,
                 _ => 0,
             };
             let mut k = 0usize;
-            let mut c = 0usize;
             #[cfg(target_arch = "x86_64")]
-            while c < full {
-                // SAFETY: AVX2 is detected at this level; 8 row elements at
-                // `c` are in range, and `vals`/`cols` have room at `k` for
-                // every non-zero the group contributes (the caller sized
-                // them for the whole row's population).
-                k += unsafe {
-                    x86::$kernel(
-                        row.as_ptr().add(c),
-                        c as u32,
-                        vals.as_mut_ptr().add(k),
-                        cols.as_mut_ptr().add(k),
-                    )
-                };
-                c += 8;
+            if full > 0 {
+                // SAFETY: `full > 0` only at the AVX2 level, which is
+                // detected before it is ever selected.
+                k = unsafe { x86::$kernel(&row[..full], vals, cols) };
             }
-            let _ = c;
             for (c, &v) in row.iter().enumerate().skip(full) {
                 if v != 0.0 {
                     vals[k] = v;
@@ -98,13 +93,13 @@ macro_rules! pack_row_impl {
 pack_row_impl!(
     csr_pack_row_u8,
     u8,
-    pack8_u8_avx2,
+    pack_groups_u8_avx2,
     "CSR encode fill for the narrow (≤256-column, 1-byte-index) layout."
 );
 pack_row_impl!(
     csr_pack_row_u32,
     u32,
-    pack8_u32_avx2,
+    pack_groups_u32_avx2,
     "CSR encode fill for the wide (4-byte-index) layout."
 );
 
@@ -175,63 +170,78 @@ mod x86 {
     use super::COMPACT;
     use std::arch::x86_64::*;
 
-    /// Left-packs the non-zero lanes of 8 values starting at column `base`.
-    /// Returns how many elements were written (never more; never a store
-    /// past them).
+    /// Stores the 8 column indices in `c` at `dst`.
     ///
     /// # Safety
     ///
-    /// AVX2 available; `src` valid for 8 reads; `vals`/`cols` valid for as
-    /// many writes as `src` has non-zeros.
+    /// AVX2 available; `dst` valid for 8 writes.
     #[target_feature(enable = "avx2")]
-    unsafe fn pack8_avx2(src: *const f32, vals: *mut f32) -> (usize, [u32; 8]) {
-        let v = _mm256_loadu_ps(src);
-        // Unordered not-equal: NaN lanes are kept, ±0.0 lanes dropped —
-        // exactly the scalar `v != 0.0` predicate.
-        let m = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, _mm256_setzero_ps()));
-        let mask = (m as u32 & 0xFF) as usize;
-        let perm = _mm256_loadu_si256(COMPACT[mask].as_ptr().cast());
-        let packed = _mm256_permutevar8x32_ps(v, perm);
-        let n = mask.count_ones() as usize;
-        let mut vtmp = [0f32; 8];
-        _mm256_storeu_ps(vtmp.as_mut_ptr(), packed);
-        std::ptr::copy_nonoverlapping(vtmp.as_ptr(), vals, n);
-        (n, COMPACT[mask])
+    unsafe fn store_cols_u32(dst: *mut u32, c: __m256i) {
+        _mm256_storeu_si256(dst.cast(), c);
     }
 
+    /// Stores the 8 column indices in `c`, each below 256, as bytes at `dst`.
+    ///
     /// # Safety
     ///
-    /// As [`pack8_avx2`]; every column fits in a byte (narrow layout).
+    /// AVX2 available; `dst` valid for 8 writes.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn pack8_u8_avx2(
-        src: *const f32,
-        base: u32,
-        vals: *mut f32,
-        cols: *mut u8,
-    ) -> usize {
-        let (n, lanes) = pack8_avx2(src, vals);
-        for (t, &l) in lanes.iter().take(n).enumerate() {
-            *cols.add(t) = (base + l) as u8;
-        }
-        n
+    unsafe fn store_cols_u8(dst: *mut u8, c: __m256i) {
+        let c16 = _mm_packus_epi32(_mm256_castsi256_si128(c), _mm256_extracti128_si256::<1>(c));
+        _mm_storel_epi64(dst.cast(), _mm_packus_epi16(c16, c16));
     }
 
-    /// # Safety
-    ///
-    /// As [`pack8_avx2`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn pack8_u32_avx2(
-        src: *const f32,
-        base: u32,
-        vals: *mut f32,
-        cols: *mut u32,
-    ) -> usize {
-        let (n, lanes) = pack8_avx2(src, vals);
-        for (t, &l) in lanes.iter().take(n).enumerate() {
-            *cols.add(t) = base + l;
-        }
-        n
+    macro_rules! pack_groups_impl {
+        ($name:ident, $col:ty, $store_cols:ident) => {
+            /// Left-packs every 8-lane group of `row` (a multiple of 8
+            /// long) into the front of `vals`/`cols` and returns the count:
+            /// full-width stores while 8 slots remain in both outputs, an
+            /// exact copy after that (see the module docs).
+            ///
+            /// # Safety
+            ///
+            /// AVX2 available.
+            #[target_feature(enable = "avx2")]
+            pub unsafe fn $name(row: &[f32], vals: &mut [f32], cols: &mut [$col]) -> usize {
+                let cap = vals.len().min(cols.len());
+                let mut k = 0usize;
+                for (g, group) in row.chunks_exact(8).enumerate() {
+                    let v = _mm256_loadu_ps(group.as_ptr());
+                    // Unordered not-equal: NaN lanes are kept, ±0.0 lanes
+                    // dropped — exactly the scalar `v != 0.0` predicate.
+                    let ne = _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, _mm256_setzero_ps());
+                    let mask = (_mm256_movemask_ps(ne) as u32 & 0xFF) as usize;
+                    let perm = _mm256_loadu_si256(COMPACT[mask].as_ptr().cast());
+                    let packed = _mm256_permutevar8x32_ps(v, perm);
+                    // The permuted lane ids are the packed elements' column
+                    // offsets within the group.
+                    let cols32 = _mm256_add_epi32(perm, _mm256_set1_epi32((g * 8) as i32));
+                    let n = mask.count_ones() as usize;
+                    if k + 8 <= cap {
+                        debug_assert!(k + 8 <= vals.len() && k + 8 <= cols.len());
+                        // SAFETY: `cap` is the shorter output's length, so
+                        // both slices have room for 8 elements at `k` and
+                        // the full-width stores stay within them.
+                        _mm256_storeu_ps(vals.as_mut_ptr().add(k), packed);
+                        $store_cols(cols.as_mut_ptr().add(k), cols32);
+                    } else {
+                        let (mut vtmp, mut ctmp) = ([0f32; 8], [0u32; 8]);
+                        _mm256_storeu_ps(vtmp.as_mut_ptr(), packed);
+                        _mm256_storeu_si256(ctmp.as_mut_ptr().cast(), cols32);
+                        vals[k..k + n].copy_from_slice(&vtmp[..n]);
+                        for (dst, &c) in cols[k..k + n].iter_mut().zip(&ctmp) {
+                            *dst = c as $col;
+                        }
+                    }
+                    k += n;
+                }
+                k
+            }
+        };
     }
+
+    pack_groups_impl!(pack_groups_u8_avx2, u8, store_cols_u8);
+    pack_groups_impl!(pack_groups_u32_avx2, u32, store_cols_u32);
 
     /// Stores 8 values at `dst + cols[0]` when the 8 columns are the
     /// consecutive ramp `cols[0]..cols[0]+8` (the dense-run fast path);
@@ -318,38 +328,75 @@ mod tests {
         (0..len).map(|i| HOSTILE[(i * stride) % HOSTILE.len()]).collect()
     }
 
+    /// Packs `row` into the middle of sentinel-filled buffers (so a store
+    /// on either side of the row's own slices is caught, not just one past
+    /// an allocation) and returns the packed `(value bits, columns)`.
+    fn pack_guarded<C: Copy + PartialEq + std::fmt::Debug>(
+        row: &[f32],
+        nnz: usize,
+        guard: C,
+        pack: impl Fn(&[f32], &mut [f32], &mut [C]) -> usize,
+    ) -> (Vec<u32>, Vec<C>) {
+        const PAD: usize = 16;
+        const SENTINEL: u32 = 0xDEAD_BEEF;
+        let mut vals = vec![f32::from_bits(SENTINEL); PAD + nnz + PAD];
+        let mut cols = vec![guard; PAD + nnz + PAD];
+        let got = pack(row, &mut vals[PAD..PAD + nnz], &mut cols[PAD..PAD + nnz]);
+        assert_eq!(got, nnz);
+        for side in [0..PAD, PAD + nnz..PAD + nnz + PAD] {
+            assert!(vals[side.clone()].iter().all(|v| v.to_bits() == SENTINEL), "vals {side:?}");
+            assert!(cols[side.clone()].iter().all(|&c| c == guard), "cols {side:?}");
+        }
+        (vals[PAD..PAD + nnz].iter().map(|v| v.to_bits()).collect(), cols[PAD..PAD + nnz].to_vec())
+    }
+
     #[test]
     fn pack_levels_agree_and_never_overstore() {
-        for len in [0usize, 1, 7, 8, 9, 31, 64, 255, 256] {
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 64, 255, 256] {
             for stride in [1usize, 5, 7] {
                 let row = hostile_row(len, stride);
                 let nnz = row.iter().filter(|&&v| v != 0.0).count();
                 let reference = with_level(crate::Level::Scalar, || {
-                    let mut vals = vec![0.0f32; nnz];
-                    let mut cols = vec![0u8; nnz];
-                    assert_eq!(csr_pack_row_u8(&row, &mut vals, &mut cols), nnz);
-                    (vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), cols)
+                    pack_guarded(&row, nnz, 0xA5u8, csr_pack_row_u8)
                 });
                 for lvl in available_levels() {
-                    // Exactly-sized outputs: any overstore is an OOB panic
-                    // under the slice bounds the guard below re-checks.
-                    let mut vals = vec![0.0f32; nnz];
-                    let mut cols = vec![0u8; nnz];
-                    let got = with_level(lvl, || csr_pack_row_u8(&row, &mut vals, &mut cols));
-                    assert_eq!(got, nnz, "{lvl} len={len} stride={stride}");
-                    let bits: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!((bits, cols), reference.clone(), "{lvl} len={len} stride={stride}");
-
-                    let mut vals = vec![0.0f32; nnz];
-                    let mut cols32 = vec![0u32; nnz];
-                    let got = with_level(lvl, || csr_pack_row_u32(&row, &mut vals, &mut cols32));
-                    assert_eq!(got, nnz);
+                    let got = with_level(lvl, || pack_guarded(&row, nnz, 0xA5u8, csr_pack_row_u8));
+                    assert_eq!(got, reference, "{lvl} len={len} stride={stride}");
+                    let (bits, cols32) = with_level(lvl, || {
+                        pack_guarded(&row, nnz, 0xA5A5_A5A5u32, csr_pack_row_u32)
+                    });
+                    assert_eq!(bits, reference.0, "{lvl} u32 len={len} stride={stride}");
                     assert_eq!(
                         cols32,
                         reference.1.iter().map(|&c| c as u32).collect::<Vec<_>>(),
                         "{lvl} u32 cols"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_leaves_an_already_filled_neighbour_row_intact() {
+        // The encode fills adjacent rows' contiguous slices in any order
+        // (and concurrently): pack row 1 first, then row 0 right before it.
+        // A full-width store from row 0's last groups would land on row 1.
+        for (len0, len1) in [(256usize, 256usize), (64, 9), (23, 40), (8, 8)] {
+            let (row0, row1) = (hostile_row(len0, 5), hostile_row(len1, 7));
+            let count = |r: &[f32]| r.iter().filter(|&&v| v != 0.0).count();
+            let (n0, n1) = (count(&row0), count(&row1));
+            let run = || {
+                let mut vals = vec![0.0f32; n0 + n1];
+                let mut cols = vec![0u8; n0 + n1];
+                for (row, at) in [(&row1, n0..n0 + n1), (&row0, 0..n0)] {
+                    let got = csr_pack_row_u8(row, &mut vals[at.clone()], &mut cols[at.clone()]);
+                    assert_eq!(got, at.len());
+                }
+                (vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), cols)
+            };
+            let reference = with_level(crate::Level::Scalar, run);
+            for lvl in available_levels() {
+                assert_eq!(with_level(lvl, run), reference, "{lvl} rows {len0}+{len1}");
             }
         }
     }

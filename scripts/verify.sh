@@ -41,9 +41,12 @@
 #      (`train --transport tcp --spawn-local 2`) whose printed fingerprint
 #      must equal the in-process `--replicas 2` run's, with garbage
 #      GIST_NET_TIMEOUT_MS warning and falling back (parse_or_warn policy)
-#  11. `cargo check` of the repo benchmark package (benchmark/): it sits
+#  11. a smoke run of the repo benchmark package (benchmark/): it sits
 #      outside the workspace and builds against the `gist` facade, so a
-#      facade API break would otherwise show only in the benchmark run
+#      facade API break would otherwise show only in the benchmark run —
+#      and a facade-compatible change can still fail one of its output
+#      checks at run time, so `train_stash` and `train_conv` each run for
+#      2 s and must end on `"correct": true` with `"failed": 0`
 #  12. the suffix-family tripwire: a training step is configured by one
 #      `ExecSpec` value and described by one lowered `StepProgram`, so no
 #      constructor or predictor per axis (`new_with_*`,
@@ -79,8 +82,17 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo check of the benchmark package (outside the workspace)"
-cargo check --offline --manifest-path benchmark/Cargo.toml
+echo "==> benchmark smoke run (outside the workspace; output checks must pass)"
+for workload in train_stash train_conv; do
+    # A failed check also exits non-zero; the last line says which, so
+    # report it instead of letting `set -e` stop silently here.
+    last=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 | tail -n 1) || true
+    if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0[,}]' <<<"$last"; then
+        echo "benchmark workload $workload failed its checks: $last" >&2
+        exit 1
+    fi
+    echo "$workload: ok"
+done
 
 echo "==> suffix-family tripwire (one ExecSpec, one StepProgram)"
 families=$(grep -rnE "fn (new_with_|predict_step_events|predicted_peak_bytes|predicted_replica_slab_bytes)" crates/ |

@@ -10,6 +10,8 @@ use gist::encodings::{BitMask, CsrMatrix, DprFormat, PoolIndexMap};
 use gist::graph::{DataClass, DataStructure, Interval, NodeId, TensorRole};
 use gist::memory::{peak_dynamic, plan_static, SharingPolicy};
 use gist::simd::{available_levels, with_level, Level};
+use gist::tensor::ops::relu;
+use gist::tensor::{Shape, Tensor};
 use gist_testkit::prop::{bools, boxed, just, one_of, vec_of, weighted, Strategy};
 use gist_testkit::Runner;
 
@@ -288,6 +290,70 @@ fn ssdc_with_dpr_zeros_stay_zero() {
             }
         }
     });
+}
+
+/// Every SSDC layout the runtime can stash a ReLU output in.
+fn ssdc_configs() -> impl Iterator<Item = SsdcConfig> {
+    let formats = [None, Some(DprFormat::Fp16), Some(DprFormat::Fp10), Some(DprFormat::Fp8)];
+    [true, false]
+        .into_iter()
+        .flat_map(move |narrow| formats.map(|value_format| SsdcConfig { narrow, value_format }))
+}
+
+/// `CsrMatrix::relu_backward_into` against the path it replaced — decode the
+/// stash to a dense map, then the dense FP32 kernel — as raw bits, over a
+/// poisoned output.
+fn assert_csr_relu_backward_matches_dense(y: &[f32], dy: &[f32]) {
+    let raw = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+    let shape = Shape::vector(y.len());
+    let dy_t = Tensor::from_vec(shape, dy.to_vec()).unwrap();
+    for config in ssdc_configs() {
+        let csr = CsrMatrix::encode(y, config);
+        let want = relu::backward(&Tensor::from_vec(shape, csr.decode()).unwrap(), &dy_t);
+        let mut dx = vec![f32::NAN; y.len()];
+        csr.relu_backward_into(dy, &mut dx);
+        assert_eq!(raw(&dx), raw(want.data()), "{config:?} len {}", y.len());
+    }
+}
+
+#[test]
+fn csr_relu_backward_equals_decode_then_dense_backward() {
+    // Stored values are whatever the map held — negative, NaN, infinite and
+    // subnormal ones included — so the gate has to be the dense kernel's
+    // `y > 0.0`, not "is stored"; lengths straddle the ragged last row.
+    let sparse = weighted(vec![(1, boxed(just(0.0f32))), (1, boxed(hostile_f32()))]);
+    Runner::new("csr_relu_backward_equals_decode_then_dense_backward").run(
+        &vec_of((sparse, hostile_f32()), 0..1500),
+        |pairs| {
+            let (y, dy): (Vec<f32>, Vec<f32>) = pairs.iter().cloned().unzip();
+            assert_csr_relu_backward_matches_dense(&y, &dy);
+        },
+    );
+}
+
+#[test]
+fn csr_relu_backward_edges() {
+    let dy = |len: usize| -> Vec<f32> { (0..len).map(|i| i as f32 - 300.5).collect() };
+    assert_csr_relu_backward_matches_dense(&[], &[]);
+    assert_csr_relu_backward_matches_dense(&[0.0; 700], &dy(700));
+    let dense: Vec<f32> =
+        (0..700).map(|i| if i % 3 == 0 { -1.5 } else { i as f32 + 0.25 }).collect();
+    assert_csr_relu_backward_matches_dense(&dense, &dy(700));
+    // 1000 = 3 full narrow rows + a ragged one of 232.
+    let ragged: Vec<f32> = (0..1000).map(|i| if i % 2 == 0 { 0.0 } else { i as f32 }).collect();
+    assert_csr_relu_backward_matches_dense(&ragged, &dy(1000));
+}
+
+#[test]
+fn csr_relu_backward_rejects_mismatched_lengths_like_decode_into() {
+    let csr = CsrMatrix::encode(&[0.0, 1.0, 0.0, 2.0], SsdcConfig::default());
+    let panics = |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+    assert!(panics(&|| csr.decode_into(&mut [0.0; 3])));
+    assert!(panics(&|| csr.relu_backward_into(&[1.0; 4], &mut [0.0; 3])));
+    assert!(panics(&|| csr.relu_backward_into(&[1.0; 5], &mut [0.0; 4])));
+    let mut dx = [f32::NAN; 4];
+    csr.relu_backward_into(&[5.0, 6.0, 7.0, 8.0], &mut dx);
+    assert_eq!(dx, [0.0, 6.0, 0.0, 8.0]);
 }
 
 #[test]

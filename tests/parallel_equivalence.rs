@@ -240,6 +240,30 @@ fn csr_codec_is_thread_invariant() {
 }
 
 #[test]
+fn csr_relu_backward_is_thread_invariant() {
+    // The row-parallel gate straight off the stash (plain and DPR values):
+    // rows own disjoint `dx` slices, so any chunking gives the same bits.
+    let sparse = one_of(vec![boxed(just(0.0f32)), boxed(just(0.0f32)), boxed(hostile_f32())]);
+    Runner::new("csr_relu_backward_is_thread_invariant").cases(CASES).run(
+        &(vec_of(sparse, 64..513), 1usize..CODEC_LEN),
+        |(base, extra)| {
+            let y = tile(base, CODEC_LEN / 2 + extra);
+            let dy: Vec<f32> = y.iter().rev().copied().collect();
+            for narrow in [true, false] {
+                for value_format in [None, Some(DprFormat::Fp8)] {
+                    assert_thread_invariant(|| {
+                        let csr = CsrMatrix::encode(&y, SsdcConfig { narrow, value_format });
+                        let mut dx = vec![f32::NAN; y.len()];
+                        csr.relu_backward_into(&dy, &mut dx);
+                        bits(&dx)
+                    });
+                }
+            }
+        },
+    );
+}
+
+#[test]
 fn dpr_codec_is_thread_invariant() {
     Runner::new("dpr_codec_is_thread_invariant").cases(CASES).run(
         &(vec_of(hostile_f32(), 16..257), 1usize..CODEC_LEN),

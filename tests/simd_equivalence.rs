@@ -236,6 +236,30 @@ fn csr_codec_matches_scalar_at_every_level() {
 }
 
 #[test]
+fn csr_relu_backward_matches_scalar_at_every_level() {
+    // The gate reads arrays the vector pack kernel filled (and, under DPR,
+    // the vector dequantizer decoded), so it is level-sensitive end to end.
+    let sparse = one_of(vec![boxed(just(0.0f32)), boxed(just(0.0f32)), boxed(hostile_f32())]);
+    Runner::new("csr_relu_backward_matches_scalar_at_every_level").cases(CASES).run(
+        &(vec_of(sparse, 64..513), 1usize..CODEC_LEN),
+        |(base, extra)| {
+            let y = tile(base, CODEC_LEN / 2 + extra);
+            let dy: Vec<f32> = y.iter().rev().copied().collect();
+            for narrow in [true, false] {
+                for value_format in [None, Some(DprFormat::Fp8)] {
+                    assert_level_invariant(|| {
+                        let csr = CsrMatrix::encode(&y, SsdcConfig { narrow, value_format });
+                        let mut dx = vec![f32::NAN; y.len()];
+                        csr.relu_backward_into(&dy, &mut dx);
+                        bits(&dx)
+                    });
+                }
+            }
+        },
+    );
+}
+
+#[test]
 fn csr_row_kernels_match_scalar_at_every_level() {
     use gist::simd::{csr_pack_row_u32, csr_pack_row_u8, csr_scatter_row_u32, csr_scatter_row_u8};
     let sparse = one_of(vec![boxed(just(0.0f32)), boxed(just(0.0f32)), boxed(hostile_f32())]);
