@@ -232,37 +232,53 @@ impl Msg {
         }
     }
 
-    /// Serializes to one complete frame, length prefix included.
-    pub fn to_frame(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(32);
-        body.extend_from_slice(&MAGIC);
-        body.push(PROTOCOL_VERSION);
-        body.push(self.kind());
+    /// The frame up to a [`Msg::Grad`]'s payload — all of the frame for the
+    /// other kinds — in an allocation with room for `spare` more bytes.
+    fn head(&self, spare: usize) -> Vec<u8> {
+        let fields = match self {
+            Msg::Hello { .. } | Msg::Grad { .. } => 16,
+            Msg::Stats { words, .. } => 8 + 4 * words.len(),
+        };
+        let mut out = Vec::with_capacity(10 + fields + spare);
+        put_u32(&mut out, (6 + fields + self.payload().len()) as u32);
+        out.extend_from_slice(&MAGIC);
+        out.push(PROTOCOL_VERSION);
+        out.push(self.kind());
         match self {
             Msg::Hello { rank, world, shards, policy_id } => {
-                put_u32(&mut body, *rank);
-                put_u32(&mut body, *world);
-                put_u32(&mut body, *shards);
-                put_u32(&mut body, *policy_id);
+                for v in [rank, world, shards, policy_id] {
+                    put_u32(&mut out, *v);
+                }
             }
             Msg::Grad { epoch, step, tensor, wire } => {
-                put_u32(&mut body, *epoch);
-                put_u32(&mut body, *step);
-                put_u32(&mut body, *tensor);
-                put_u32(&mut body, wire.len() as u32);
-                body.extend_from_slice(wire);
+                for v in [*epoch, *step, *tensor, wire.len() as u32] {
+                    put_u32(&mut out, v);
+                }
             }
             Msg::Stats { step, words } => {
-                put_u32(&mut body, *step);
-                put_u32(&mut body, words.len() as u32);
+                put_u32(&mut out, *step);
+                put_u32(&mut out, words.len() as u32);
                 for w in words {
-                    put_u32(&mut body, *w);
+                    put_u32(&mut out, *w);
                 }
             }
         }
-        let mut out = Vec::with_capacity(4 + body.len());
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
+        out
+    }
+
+    /// The payload that follows [`Self::head`] in the frame.
+    fn payload(&self) -> &[u8] {
+        match self {
+            Msg::Grad { wire, .. } => wire,
+            _ => &[],
+        }
+    }
+
+    /// Serializes to one complete frame, length prefix included, in a
+    /// single exact-capacity allocation.
+    pub fn to_frame(&self) -> Vec<u8> {
+        let mut out = self.head(self.payload().len());
+        out.extend_from_slice(self.payload());
         out
     }
 
@@ -273,7 +289,19 @@ impl Msg {
     /// A typed [`NetError`] on any truncation, bad magic/version/kind, or
     /// internal length inconsistency — malformed input never panics.
     pub fn from_body(body: &[u8]) -> Result<Msg, NetError> {
+        let (mut msg, payload) = Self::parse(body)?;
+        if let Msg::Grad { wire, .. } = &mut msg {
+            *wire = payload.to_vec();
+        }
+        Ok(msg)
+    }
+
+    /// The one body parser. A [`Msg::Grad`] comes back with `wire` empty
+    /// and its payload borrowed beside it: the caller decides where those
+    /// bytes live.
+    fn parse(body: &[u8]) -> Result<(Msg, &[u8]), NetError> {
         let mut r = Rd::new(body);
+        let mut payload: &[u8] = &[];
         let magic = r.bytes(4)?;
         if magic != MAGIC {
             return Err(NetError::BadMagic([magic[0], magic[1], magic[2], magic[3]]));
@@ -295,7 +323,8 @@ impl Msg {
                 let step = r.u32()?;
                 let tensor = r.u32()?;
                 let n = r.u32()? as usize;
-                Msg::Grad { epoch, step, tensor, wire: r.bytes(n)?.to_vec() }
+                payload = r.bytes(n)?;
+                Msg::Grad { epoch, step, tensor, wire: Vec::new() }
             }
             2 => {
                 let step = r.u32()?;
@@ -314,7 +343,7 @@ impl Msg {
                 r.remaining()
             )));
         }
-        Ok(msg)
+        Ok((msg, payload))
     }
 
     /// Parses one complete frame (length prefix included), rejecting
@@ -324,6 +353,27 @@ impl Msg {
     ///
     /// A typed [`NetError`]; see [`Msg::from_body`].
     pub fn from_frame(frame: &[u8]) -> Result<Msg, NetError> {
+        Msg::from_body(Self::body(frame)?)
+    }
+
+    /// [`Self::from_frame`] of a frame the caller owns: a [`Msg::Grad`]
+    /// keeps its payload in the frame's allocation, cut free of the fixed
+    /// fields in place.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`NetError`]; see [`Msg::from_body`].
+    pub fn from_owned_frame(mut frame: Vec<u8>) -> Result<Msg, NetError> {
+        let (mut msg, _) = Self::parse(Self::body(&frame)?)?;
+        if let Msg::Grad { wire, .. } = &mut msg {
+            frame.drain(..GRAD_FRAME_OVERHEAD as usize);
+            *wire = frame;
+        }
+        Ok(msg)
+    }
+
+    /// The body of one complete frame, its length prefix checked.
+    fn body(frame: &[u8]) -> Result<&[u8], NetError> {
         let mut r = Rd::new(frame);
         let len = r.u32()? as usize;
         if len > MAX_FRAME_BYTES {
@@ -339,7 +389,7 @@ impl Msg {
                 available - len
             )));
         }
-        Msg::from_body(r.bytes(len)?)
+        r.bytes(len)
     }
 }
 
@@ -358,36 +408,66 @@ fn io_err(peer: u32, op: &'static str, e: &std::io::Error) -> NetError {
     }
 }
 
-/// Writes one framed message to a stream. Returns the observed bytes that
-/// hit the stream (body plus the 4-byte length prefix).
+/// Writes one framed message to a stream: the fixed fields, then a
+/// [`Msg::Grad`]'s payload from the buffer the message owns. Returns the
+/// observed bytes that hit the stream (body plus the 4-byte length prefix).
 ///
 /// # Errors
 ///
 /// [`NetError::Disconnected`] when the peer is gone, [`NetError::Io`] on
 /// timeouts and other socket failures.
 pub fn write_frame(w: &mut impl Write, peer: u32, msg: &Msg) -> Result<u64, NetError> {
-    let frame = msg.to_frame();
-    w.write_all(&frame).map_err(|e| io_err(peer, "write", &e))?;
+    let head = msg.head(0);
+    for part in [&head[..], msg.payload()] {
+        w.write_all(part).map_err(|e| io_err(peer, "write", &e))?;
+    }
     w.flush().map_err(|e| io_err(peer, "write", &e))?;
-    Ok(frame.len() as u64)
+    Ok((head.len() + msg.payload().len()) as u64)
 }
 
 /// Reads one framed message from a stream. Returns the message plus the
 /// observed bytes consumed (body plus the 4-byte length prefix).
+///
+/// A [`Msg::Grad`] whose fixed fields are consistent with the length
+/// prefix has its payload read straight into the `Vec` the message owns;
+/// every other frame is read whole and parsed by [`Msg::from_body`].
 ///
 /// # Errors
 ///
 /// [`NetError::Disconnected`] on mid-frame EOF, [`NetError::Io`] on
 /// timeouts, and the [`Msg::from_body`] errors on malformed bodies.
 pub fn read_frame(r: &mut impl Read, peer: u32) -> Result<(Msg, u64), NetError> {
+    let fill =
+        |r: &mut dyn Read, buf: &mut [u8]| r.read_exact(buf).map_err(|e| io_err(peer, "read", &e));
     let mut prefix = [0u8; 4];
-    r.read_exact(&mut prefix).map_err(|e| io_err(peer, "read", &e))?;
+    fill(r, &mut prefix)?;
     let len = u32::from_le_bytes(prefix) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(NetError::FrameTooLarge { len, max: MAX_FRAME_BYTES });
     }
+    // What a Grad body holds before its payload: magic, version, kind (1),
+    // epoch, step, tensor, payload length.
+    const FIXED: usize = GRAD_FRAME_OVERHEAD as usize - 4;
+    let mut fixed = [0u8; FIXED];
+    let fixed = &mut fixed[..len.min(FIXED)];
+    fill(r, fixed)?;
+    let field = |at: usize| u32::from_le_bytes(fixed[at..at + 4].try_into().expect("4 bytes"));
+    if fixed.len() == FIXED
+        && fixed[..4] == MAGIC
+        && fixed[4..6] == [PROTOCOL_VERSION, 1]
+        && field(18) as usize == len - FIXED
+    {
+        let mut wire = Vec::with_capacity(len - FIXED);
+        let got = r.take((len - FIXED) as u64).read_to_end(&mut wire);
+        if got.map_err(|e| io_err(peer, "read", &e))? != len - FIXED {
+            return Err(NetError::Disconnected { peer });
+        }
+        let msg = Msg::Grad { epoch: field(6), step: field(10), tensor: field(14), wire };
+        return Ok((msg, 4 + len as u64));
+    }
     let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(|e| io_err(peer, "read", &e))?;
+    body[..fixed.len()].copy_from_slice(fixed);
+    fill(r, &mut body[fixed.len()..])?;
     Ok((Msg::from_body(&body)?, 4 + len as u64))
 }
 
@@ -527,6 +607,73 @@ mod tests {
                 let _ = Msg::from_frame(&frame);
                 frame[i] = orig;
             }
+        }
+    }
+
+    #[test]
+    fn write_frame_puts_the_bytes_of_to_frame_on_the_stream() {
+        let big = Msg::Grad {
+            epoch: 2,
+            step: 3,
+            tensor: 4,
+            wire: (0..70_000u32).map(|i| i as u8).collect(),
+        };
+        for msg in samples().into_iter().chain([big]) {
+            let frame = msg.to_frame();
+            assert_eq!(frame.capacity(), frame.len(), "to_frame sizes its one allocation exactly");
+            let mut stream = Vec::new();
+            assert_eq!(write_frame(&mut stream, 1, &msg).unwrap(), frame.len() as u64);
+            assert_eq!(stream, frame);
+            let (back, n) = read_frame(&mut &stream[..], 1).unwrap();
+            assert_eq!((back, n), (msg.clone(), frame.len() as u64));
+            assert_eq!(Msg::from_owned_frame(stream).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn every_cut_of_a_grad_frame_is_a_disconnect_on_the_stream() {
+        let msg = Msg::Grad { epoch: 0, step: 1, tensor: 2, wire: vec![0x5a; 100] };
+        let frame = msg.to_frame();
+        for cut in 0..frame.len() {
+            // Inside the prefix, the fixed fields or the payload alike.
+            let err = read_frame(&mut &frame[..cut], 2).expect_err("cut frame parsed");
+            assert_eq!(err, NetError::Disconnected { peer: 2 }, "cut {cut}");
+            let err = Msg::from_owned_frame(frame[..cut].to_vec()).expect_err("cut frame parsed");
+            assert_eq!(Some(err), Msg::from_frame(&frame[..cut]).err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn inconsistent_grad_headers_fail_as_the_body_parser_fails_them() {
+        let frame = Msg::Grad { epoch: 0, step: 1, tensor: 2, wire: vec![7; 40] }.to_frame();
+        let inner_at = GRAD_FRAME_OVERHEAD as usize - 4;
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut bad = frame.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        let cases = [
+            // The payload length field disagrees with the prefix, both ways.
+            (
+                patched(inner_at, &41u32.to_le_bytes()),
+                NetError::Truncated { needed: 41, available: 40 },
+            ),
+            (
+                patched(inner_at, &39u32.to_le_bytes()),
+                NetError::Protocol("1 trailing bytes after frame body".into()),
+            ),
+            (
+                patched(inner_at, &u32::MAX.to_le_bytes()),
+                NetError::Truncated { needed: u32::MAX as usize, available: 40 },
+            ),
+            (patched(4, b"GNT2"), NetError::BadMagic(*b"GNT2")),
+            (patched(8, &[PROTOCOL_VERSION + 1]), NetError::BadVersion(PROTOCOL_VERSION + 1)),
+            (patched(9, &[3]), NetError::BadKind(3)),
+        ];
+        for (bad, want) in cases {
+            assert_eq!(Msg::from_frame(&bad), Err(want.clone()));
+            assert_eq!(Msg::from_owned_frame(bad.clone()), Err(want.clone()));
+            assert_eq!(read_frame(&mut &bad[..], 0).map(|(msg, _)| msg), Err(want));
         }
     }
 

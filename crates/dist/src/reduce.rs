@@ -17,16 +17,17 @@
 //! Placement enters through one predicate only. Slot `s` lives on rank
 //! `s % world`, and a [`Placement`] says which ranks one side *owns*. An
 //! edge with both endpoints owned is [`combine_into`]; an edge with one
-//! owned endpoint frames the same `Wire::encode(policy.choose(payload))`
-//! bytes through the [`Transport`] and the receiver runs the same serial
-//! accumulation on the decoded values; an edge with none belongs to
+//! owned endpoint serializes the same `Wire::encode(policy.choose(payload))`
+//! bytes once ([`Wire::encode_to`]), frames them through the [`Transport`],
+//! and the receiver runs the same accumulation straight off the received
+//! bytes ([`WireRef::accumulate_into`]); an edge with none belongs to
 //! someone else. `Wire::to_bytes`/`from_bytes` round-trips exactly, so
 //! which branch an edge takes never moves a bit of the sum.
 
 use crate::frame::{Msg, NetError};
 use crate::trainer::DistError;
 use crate::transport::{NoPeers, Transport};
-use gist_encodings::{CodecPolicy, TransferCodec, Wire};
+use gist_encodings::{CodecPolicy, TransferCodec, Wire, WireRef};
 use gist_obs::Event;
 use std::ops::Range;
 use std::time::Instant;
@@ -243,35 +244,61 @@ impl<'a, T: Transport> Exchange<'a, T> {
         mut tree: GradReduceTree,
         tensor: u32,
     ) -> Result<Vec<f32>, DistError> {
-        self.reduce(&mut tree, tensor)?;
+        let sent = self.reduce(&mut tree, tensor)?;
         let GradReduceTree { mut slots, policy } = tree;
         // Rank 0 owns slot 0: it mean-scales *before* the broadcast
         // encode, and every rank — the root's own side included — decodes
         // that one wire, so a lossy codec perturbs identically everywhere.
-        let wire = if self.at.owns(0) {
-            let inv = 1.0f32 / slots.len() as f32;
-            let sum = slots[0].as_mut().expect("root slot");
-            for v in sum.iter_mut() {
-                *v *= inv;
-            }
-            let wire = Wire::encode(policy.choose(sum), sum);
-            for peer in self.at.unowned() {
-                self.send_grad(peer, tensor, &wire, format_args!("bcast{peer}"))?;
-            }
-            wire
-        } else {
+        if !self.at.owns(0) {
+            // The partial this rank sent up the tree has done its work;
+            // the mean is decoded into its buffer.
+            let mut mean = sent.expect("a rank without slot 0 sends its partial towards it");
             let me = self.at.owned.start;
-            self.recv_grad(0, tensor, format_args!("bcast{me}"))?
-        };
-        self.broadcast_bytes += wire.wire_bytes();
-        Ok(wire.decode())
+            self.broadcast_bytes += self.recv_grad(0, tensor, format_args!("bcast{me}"), |w| {
+                // A broadcast of another length stays `Tensor::from_vec`'s
+                // shape error downstream, as it was when this allocated.
+                mean.resize(w.len(), 0.0);
+                w.decode_into(&mut mean);
+                Ok(())
+            })?;
+            return Ok(mean);
+        }
+        let inv = 1.0f32 / slots.len() as f32;
+        let mut mean = slots[0].take().expect("root slot");
+        for v in mean.iter_mut() {
+            *v *= inv;
+        }
+        let codec = policy.choose(&mean);
+        if self.at.unowned().next().is_none() {
+            let wire = Wire::encode(codec, &mean);
+            self.broadcast_bytes += wire.wire_bytes();
+            return Ok(wire.decode());
+        }
+        // One serialization serves every peer, and a lossless codec would
+        // only decode the root's own copy back to the bits it already holds.
+        let mut bytes = Vec::new();
+        let priced = Wire::encode_to(codec, &mean, &mut bytes);
+        for peer in self.at.unowned() {
+            bytes = self.send_grad(peer, tensor, bytes, priced, format_args!("bcast{peer}"))?;
+        }
+        if !codec.is_lossless() {
+            WireRef::parse(&bytes).expect("own serialization parses").decode_into(&mut mean);
+        }
+        self.broadcast_bytes += priced;
+        Ok(mean)
     }
 
     /// The one walk over [`reduction_rounds`] that combines gradients,
-    /// leaving the sum in slot 0 on the side that owns it.
-    fn reduce(&mut self, tree: &mut GradReduceTree, tensor: u32) -> Result<(), DistError> {
+    /// leaving the sum in slot 0 on the side that owns it. Returns the
+    /// spent buffer of the partial this side sent last, if it sent any.
+    fn reduce(
+        &mut self,
+        tree: &mut GradReduceTree,
+        tensor: u32,
+    ) -> Result<Option<Vec<f32>>, DistError> {
         let GradReduceTree { slots, policy } = tree;
         let (rounds, world) = (self.rounds, self.at.world);
+        let mut sent = None;
         for (ri, round) in rounds.iter().enumerate() {
             for (ei, &(dst, src)) in round.iter().enumerate() {
                 let priced = match (self.at.owns(dst), self.at.owns(src)) {
@@ -283,28 +310,32 @@ impl<'a, T: Transport> Exchange<'a, T> {
                     }
                     (false, true) => {
                         let payload = slots[src].take().expect("source slot");
-                        let wire = Wire::encode(policy.choose(&payload), &payload);
-                        self.send_grad(dst % world, tensor, &wire, format_args!("r{ri}e{ei}"))?;
-                        wire.wire_bytes()
+                        let mut bytes = Vec::new();
+                        let priced = Wire::encode_to(policy.choose(&payload), &payload, &mut bytes);
+                        let leg = format_args!("r{ri}e{ei}");
+                        self.send_grad(dst % world, tensor, bytes, priced, leg)?;
+                        sent = Some(payload);
+                        priced
                     }
                     (true, false) => {
-                        let wire =
-                            self.recv_grad(src % world, tensor, format_args!("r{ri}e{ei}"))?;
                         let acc = slots[dst].as_mut().expect("destination slot");
-                        if wire.len() != acc.len() {
-                            return Err(protocol(format!(
-                                "tensor {tensor}: peer sent {} elements, expected {}",
-                                wire.len(),
-                                acc.len()
-                            )));
-                        }
-                        accumulate(acc, &wire)
+                        self.recv_grad(src % world, tensor, format_args!("r{ri}e{ei}"), |wire| {
+                            if wire.len() != acc.len() {
+                                return Err(protocol(format!(
+                                    "tensor {tensor}: peer sent {} elements, expected {}",
+                                    wire.len(),
+                                    acc.len()
+                                )));
+                            }
+                            wire.accumulate_into(acc);
+                            Ok(())
+                        })?
                     }
                 };
                 self.edge_bytes[ri][ei] += priced;
             }
         }
-        Ok(())
+        Ok(sent)
     }
 
     /// Completes the per-shard `[loss bits, correct, batch]` table: the
@@ -361,30 +392,36 @@ impl<'a, T: Transport> Exchange<'a, T> {
         self.t0.elapsed().as_nanos() as u64
     }
 
-    /// Frames `wire` to `peer` as this step's gradient for `tensor`.
+    /// Frames the serialized wire `bytes` (pricing `priced`) to `peer` as
+    /// this step's gradient for `tensor`, and hands the buffer back for
+    /// the next leg.
     fn send_grad(
         &mut self,
         peer: usize,
         tensor: u32,
-        wire: &Wire,
+        bytes: Vec<u8>,
+        priced: u64,
         leg: std::fmt::Arguments<'_>,
-    ) -> Result<(), DistError> {
-        let msg = Msg::Grad { epoch: EPOCH, step: self.step, tensor, wire: wire.to_bytes() };
+    ) -> Result<Vec<u8>, DistError> {
+        let msg = Msg::Grad { epoch: EPOCH, step: self.step, tensor, wire: bytes };
         let start = self.now_ns();
         let sent = self.at.peers().send(peer, &msg)?;
         let name = format!("allreduce.n{}.t{tensor}.{leg}", self.at.world);
-        self.record(name, peer, true, wire.wire_bytes(), sent, start);
-        Ok(())
+        self.record(name, peer, true, priced, sent, start);
+        let Msg::Grad { wire, .. } = msg else { unreachable!("built as a Grad above") };
+        Ok(wire)
     }
 
     /// Receives and validates `peer`'s frame as this step's gradient for
-    /// `tensor`, parsing its wire payload.
+    /// `tensor`, parses its wire payload in place and hands the view to
+    /// `sink`. Returns the wire's priced bytes.
     fn recv_grad(
         &mut self,
         peer: usize,
         tensor: u32,
         leg: std::fmt::Arguments<'_>,
-    ) -> Result<Wire, DistError> {
+        sink: impl FnOnce(&WireRef<'_>) -> Result<(), DistError>,
+    ) -> Result<u64, DistError> {
         let start = self.now_ns();
         let (msg, got) = self.at.peers().recv(peer)?;
         let Msg::Grad { epoch, step, tensor: sent_tensor, wire } = msg else {
@@ -397,10 +434,11 @@ impl<'a, T: Transport> Exchange<'a, T> {
                 self.step
             )));
         }
-        let wire = Wire::from_bytes(&wire).map_err(NetError::from)?;
+        let wire = WireRef::parse(&wire).map_err(NetError::from)?;
         let name = format!("allreduce.n{}.t{tensor}.{leg}", self.at.world);
         self.record(name, peer, false, wire.wire_bytes(), got, start);
-        Ok(wire)
+        sink(&wire)?;
+        Ok(wire.wire_bytes())
     }
 
     /// Books one gradient transfer: its observed bytes and its trace event.
@@ -528,6 +566,82 @@ mod tests {
                 "codec {codec}"
             );
             assert_eq!(ab, bb, "codec {codec}");
+        }
+    }
+
+    /// Shard `s`'s gradient for a tensor of `len` elements, one in `keep`
+    /// of them non-zero: ordinary values with a few hostile bit patterns,
+    /// sparse enough at `keep = 8` that `auto` ships SSDC.
+    fn shard_grad(s: usize, len: usize, keep: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| match (i * 31 + s * 7) % (97 * keep) {
+                0 => f32::NAN,
+                1 => -0.0,
+                2 => f32::INFINITY,
+                3 => -1e-42,
+                k if k % keep == 0 => (k as f32 - 40.0) * 0.013 * (s + 1) as f32,
+                _ => 0.0,
+            })
+            .collect()
+    }
+
+    /// All-reduces two tensors (one long and dense, one short and sparse)
+    /// over 8 shards on `at`, which brings the shards of the ranks it
+    /// owns. Returns the means' bits, the edge table and the broadcast
+    /// bytes.
+    fn allreduce_on<T: Transport>(
+        mut at: Placement<T>,
+        policy: CodecPolicy,
+    ) -> (Vec<Vec<u32>>, Vec<Vec<u64>>, u64) {
+        let rounds = reduction_rounds(8);
+        let mut ex = Exchange::new(&rounds, &mut at, 0, Instant::now());
+        let means = [(5000, 1), (600, 8)]
+            .iter()
+            .enumerate()
+            .map(|(tensor, &(len, keep))| {
+                let mut tree = GradReduceTree::new(8, policy);
+                for shard in (0..8).filter(|&shard| ex.at.owns(shard)) {
+                    tree.ingest(shard, shard_grad(shard, len, keep));
+                }
+                let mean = ex.allreduce(tree, tensor as u32).expect("allreduce");
+                mean.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        (means, ex.edge_bytes, ex.broadcast_bytes)
+    }
+
+    #[test]
+    fn four_rank_mesh_merges_to_the_bits_of_one_owner() {
+        // Slot `s` lives on rank `s % 4`: ranks 1 and 3 send two partials
+        // each, rank 2 receives two and sends two, the root combines its
+        // own (0, 4) edge in place.
+        for policy in [
+            CodecPolicy::Fixed(TransferCodec::None),
+            CodecPolicy::Fixed(TransferCodec::Ssdc),
+            CodecPolicy::Fixed(TransferCodec::Dpr(DprFormat::Fp8)),
+            CodecPolicy::Auto,
+        ] {
+            let (want, want_edges, want_bcast) = allreduce_on(Placement::from(4), policy);
+            let ranks: Vec<_> = crate::InProcess::mesh(4)
+                .into_iter()
+                .map(|tp| std::thread::spawn(move || allreduce_on(Placement::from(tp), policy)))
+                .collect();
+            let mut edges_seen = vec![vec![0u64; 4]; 3];
+            for (rank, h) in ranks.into_iter().enumerate() {
+                let (got, edges, bcast) = h.join().expect("rank thread");
+                assert_eq!(got, want, "{policy}: rank {rank} merged other bits");
+                assert_eq!(bcast, want_bcast, "{policy}: rank {rank} broadcast bytes");
+                for (ri, round) in edges.iter().enumerate() {
+                    for (ei, &bytes) in round.iter().enumerate() {
+                        // Both endpoints of a crossing edge price it alike.
+                        assert!(bytes == 0 || bytes == want_edges[ri][ei], "{policy}: r{ri}e{ei}");
+                        edges_seen[ri][ei] = edges_seen[ri][ei].max(bytes);
+                    }
+                }
+            }
+            for (seen, want) in edges_seen.iter().zip(&want_edges) {
+                assert_eq!(seen[..want.len()], want[..], "{policy}: edge table");
+            }
         }
     }
 

@@ -507,6 +507,42 @@ mod tests {
     }
 
     #[test]
+    fn a_peer_with_another_element_count_is_a_protocol_error_and_no_rank_moves() {
+        let ranks: Vec<_> = InProcess::mesh(2)
+            .into_iter()
+            .enumerate()
+            .map(|(rank, tp)| {
+                std::thread::spawn(move || {
+                    let (images, labels) = shard_data(8, 2);
+                    // Rank 1 trains a wider classifier: its `fc` gradients
+                    // hold 5/4 the elements rank 0's slots expect.
+                    let build = || {
+                        let g = gist_models::tiny_convnet(2, 4 + rank);
+                        Executor::new(g, ExecMode::Baseline, 42)
+                    };
+                    let mut t = NetTrainer::new(tp, 8, TransferCodec::None, build).unwrap();
+                    let before = fingerprint(t.replica(0));
+                    let err = t.step(&images, &labels, 0.05).expect_err("mismatched ranks stepped");
+                    assert_eq!(fingerprint(t.replica(0)), before, "rank {rank} moved parameters");
+                    err
+                })
+            })
+            .collect();
+        let errs: Vec<DistError> = ranks.into_iter().map(|h| h.join().expect("rank")).collect();
+        assert!(
+            matches!(&errs[0], DistError::Net(NetError::Protocol(m)) if m.contains("peer sent")),
+            "rank 0: {:?}",
+            errs[0]
+        );
+        // Rank 0 aborted its step, so rank 1's next receive finds it gone.
+        assert!(
+            matches!(errs[1], DistError::Net(NetError::Disconnected { peer: 0 })),
+            "{:?}",
+            errs[1]
+        );
+    }
+
+    #[test]
     fn undrained_trainer_holds_one_step_of_transfer_events() {
         let ranks: Vec<_> = InProcess::mesh(2)
             .into_iter()

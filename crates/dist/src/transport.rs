@@ -76,7 +76,9 @@ impl Transport for NoPeers {
 ///
 /// Frames are encoded to bytes on send and parsed on receive — the same
 /// code path TCP uses — so in-process and multi-process runs differ only
-/// in who carries the bytes.
+/// in who carries the bytes. The channel hands the frame over whole, so a
+/// gradient payload is copied once, into the frame, and parsed where it
+/// lies.
 #[derive(Debug)]
 pub struct InProcess {
     rank: usize,
@@ -152,7 +154,7 @@ impl Transport for InProcess {
             RecvTimeoutError::Disconnected => NetError::Disconnected { peer: peer as u32 },
         })?;
         let n = frame.len() as u64;
-        Ok((Msg::from_frame(&frame)?, n))
+        Ok((Msg::from_owned_frame(frame)?, n))
     }
 }
 

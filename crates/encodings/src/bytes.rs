@@ -14,9 +14,34 @@ pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends an `f32` bit-exactly (NaN payloads included).
-pub(crate) fn put_f32(out: &mut Vec<u8>, v: f32) {
-    put_u32(out, v.to_bits());
+/// Appends 4-byte values in little-endian order, a block at a time: each
+/// block is converted on the stack and lands in `out` as one
+/// `extend_from_slice`, so the destination is written exactly once.
+fn put_words<T: Copy>(out: &mut Vec<u8>, vs: &[T], le: impl Fn(T) -> [u8; 4]) {
+    const BLOCK: usize = 1024;
+    let mut block = [0u8; BLOCK * 4];
+    for chunk in vs.chunks(BLOCK) {
+        let bytes = &mut block[..chunk.len() * 4];
+        for (dst, &v) in bytes.chunks_exact_mut(4).zip(chunk) {
+            dst.copy_from_slice(&le(v));
+        }
+        out.extend_from_slice(bytes);
+    }
+}
+
+/// Appends `u32`s in little-endian order.
+pub(crate) fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
+    put_words(out, vs, u32::to_le_bytes);
+}
+
+/// Appends `f32`s bit-exactly (NaN payloads included).
+pub(crate) fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
+    put_words(out, vs, f32::to_le_bytes);
+}
+
+/// The little-endian `u32`s of `b` (a whole number of words), in order.
+pub(crate) fn le_u32s(b: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    b.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
 }
 
 /// Wire tag for a DPR format (`1` FP16, `2` FP10, `3` FP8; `0` is reserved
@@ -82,15 +107,18 @@ impl<'a> Reader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// The bytes of exactly `n` 4-byte words, borrowed.
+    pub(crate) fn words(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        self.take(n.checked_mul(4).ok_or(WireError::Corrupt("element count overflows"))?)
+    }
+
     /// Exactly `n` little-endian `u32`s.
     pub(crate) fn u32s(&mut self, n: usize) -> Result<Vec<u32>, WireError> {
-        let total = n.checked_mul(4).ok_or(WireError::Corrupt("element count overflows"))?;
-        let b = self.take(total)?;
-        Ok(b.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
+        Ok(le_u32s(self.words(n)?).collect())
     }
 
     /// Exactly `n` `f32`s, bit-exact.
     pub(crate) fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
-        Ok(self.u32s(n)?.into_iter().map(f32::from_bits).collect())
+        Ok(le_u32s(self.words(n)?).map(f32::from_bits).collect())
     }
 }

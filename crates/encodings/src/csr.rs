@@ -11,7 +11,7 @@
 //! sparsity. DPR can additionally be applied to the value array (not the
 //! index metadata, which "affects control").
 
-use crate::bytes::{format_tag, put_f32, put_u32, tag_format, Reader};
+use crate::bytes::{format_tag, put_f32s, put_u32, put_u32s, tag_format, Reader};
 use crate::dpr::{DprBuffer, DprFormat};
 use crate::transfer::WireError;
 use gist_par::{parallel_chunks_mut, parallel_for, parallel_map, SendPtr};
@@ -270,13 +270,13 @@ impl CsrMatrix {
         });
         put_u32(out, self.total_len as u32);
         put_u32(out, self.nnz() as u32);
-        self.row_ptr.iter().for_each(|&p| put_u32(out, p));
+        put_u32s(out, &self.row_ptr);
         match &self.col_idx {
             ColIndices::U8(v) => out.extend_from_slice(v),
-            ColIndices::U32(v) => v.iter().for_each(|&c| put_u32(out, c)),
+            ColIndices::U32(v) => put_u32s(out, v),
         }
         match &self.values {
-            Values::F32(v) => v.iter().for_each(|&x| put_f32(out, x)),
+            Values::F32(v) => put_f32s(out, v),
             Values::Dpr(b) => b.write_words(out),
         }
     }

@@ -220,7 +220,7 @@ impl DprFormat {
     /// The format geometry handed to `gist_simd`'s DPR kernels (which take
     /// [`Self::encode_one`]/[`Self::decode_one`] as the scalar reference,
     /// so the bit algorithm lives only here).
-    fn spec(&self) -> gist_simd::DprSpec {
+    pub(crate) fn spec(&self) -> gist_simd::DprSpec {
         gist_simd::DprSpec {
             e_bits: self.exp_bits(),
             m_bits: self.mant_bits(),
@@ -402,7 +402,7 @@ impl DprBuffer {
     /// Serializes just the packed words (format and length travel in the
     /// caller's header) for `transfer::Wire::to_bytes`.
     pub(crate) fn write_words(&self, out: &mut Vec<u8>) {
-        self.words.iter().for_each(|&w| crate::bytes::put_u32(out, w));
+        crate::bytes::put_u32s(out, &self.words);
     }
 
     /// Reads the packed words for `len` values of `format` back out of a

@@ -32,7 +32,9 @@ pub use binarize::{BitMask, PoolIndexMap};
 pub use bytes::Reader;
 pub use csr::{CsrMatrix, SsdcConfig};
 pub use dpr::{DprFormat, RoundingMode};
-pub use transfer::{auto_codec, max_wire_bytes, CodecPolicy, TransferCodec, Wire, WireError};
+pub use transfer::{
+    auto_codec, max_wire_bytes, CodecPolicy, TransferCodec, Wire, WireError, WireRef,
+};
 
 /// Errors from encoding/decoding operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -16,7 +16,7 @@
 //! by design — it is the paper's precision-reduction ablation — but its
 //! loss is a pure per-element function, so it is still deterministic.
 
-use crate::bytes::{format_tag, put_f32, put_u32, tag_format, Reader};
+use crate::bytes::{format_tag, le_u32s, put_f32s, put_u32, put_u32s, tag_format, Reader};
 use crate::csr::{self, CsrMatrix, SsdcConfig};
 use crate::dpr::{DprBuffer, DprFormat};
 
@@ -330,7 +330,7 @@ impl Wire {
     /// magic `GWR1`, codec tag, element count, codec payload, fixup list.
     /// [`Self::from_bytes`] round-trips it exactly.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_bytes() as usize + 32);
+        let mut out = Vec::new();
         self.write_bytes(&mut out);
         out
     }
@@ -338,24 +338,81 @@ impl Wire {
     /// Appends the [`Self::to_bytes`] serialization to `out` — for
     /// containers that frame several wires in one buffer.
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
-        assert!(self.len <= u32::MAX as usize, "wire length exceeds the u32 format field");
-        out.extend_from_slice(&MAGIC);
-        out.push(match self.codec() {
-            TransferCodec::None => 0,
-            TransferCodec::Ssdc => 1,
-            TransferCodec::Dpr(f) => 1 + format_tag(f),
-        });
-        put_u32(out, self.len as u32);
+        begin(out, self.codec(), self.len, self.wire_bytes());
         match &self.payload {
-            Payload::Dense(v) => v.iter().for_each(|&x| put_f32(out, x)),
+            Payload::Dense(v) => put_f32s(out, v),
             Payload::Ssdc(c) => c.write_bytes(out),
             Payload::Dpr(b) => b.write_words(out),
         }
         put_u32(out, self.fixups.len() as u32);
-        self.fixups.iter().for_each(|&i| put_u32(out, i));
+        put_u32s(out, &self.fixups);
     }
 
-    /// Deserializes a [`Self::to_bytes`] buffer, validating every structural
+    /// Appends the bytes of `Wire::encode(codec, data).to_bytes()` to `out`
+    /// and returns that wire's [`Self::wire_bytes`]. The dense codec is
+    /// written straight from `data`: the serialized buffer is the only
+    /// copy made.
+    pub fn encode_to(codec: TransferCodec, data: &[f32], out: &mut Vec<u8>) -> u64 {
+        if codec != TransferCodec::None {
+            let wire = Wire::encode(codec, data);
+            wire.write_bytes(out);
+            return wire.wire_bytes();
+        }
+        let priced = data.len() as u64 * 4;
+        begin(out, codec, data.len(), priced);
+        put_f32s(out, data);
+        put_u32(out, 0);
+        priced
+    }
+
+    /// Deserializes a [`Self::to_bytes`] buffer: [`WireRef::parse`], made
+    /// owned.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on any truncation, unknown tag, or inconsistency —
+    /// malformed input never panics.
+    pub fn from_bytes(buf: &[u8]) -> Result<Wire, WireError> {
+        Ok(WireRef::parse(buf)?.to_wire())
+    }
+}
+
+/// Starts one serialized wire in `out`: room for all of it (`wire_bytes`
+/// of payload and fixups under at most 32 bytes of header fields), then
+/// the magic, codec tag and element count.
+fn begin(out: &mut Vec<u8>, codec: TransferCodec, len: usize, wire_bytes: u64) {
+    assert!(len <= u32::MAX as usize, "wire length exceeds the u32 format field");
+    out.reserve(wire_bytes as usize + 32);
+    out.extend_from_slice(&MAGIC);
+    out.push(match codec {
+        TransferCodec::None => 0,
+        TransferCodec::Ssdc => 1,
+        TransferCodec::Dpr(f) => 1 + format_tag(f),
+    });
+    put_u32(out, len as u32);
+}
+
+/// The payload of a [`WireRef`]: the flat codecs stay little-endian bytes
+/// of the parsed buffer; SSDC is parsed into its (sparse) container.
+#[derive(Debug)]
+enum PayloadRef<'a> {
+    Dense(&'a [u8]),
+    Ssdc(CsrMatrix),
+    Dpr(DprFormat, &'a [u8]),
+}
+
+/// A validated view of one serialized [`Wire`], borrowing the buffer it
+/// was parsed from: a receiver decodes or accumulates straight off the
+/// received bytes, never materializing an owned dense payload.
+#[derive(Debug)]
+pub struct WireRef<'a> {
+    payload: PayloadRef<'a>,
+    fixups: Vec<u32>,
+    len: usize,
+}
+
+impl<'a> WireRef<'a> {
+    /// Parses a [`Wire::to_bytes`] buffer, validating every structural
     /// invariant the decode kernels rely on (row-pointer monotonicity,
     /// column indices inside their row, packed-word counts, fixup ordering)
     /// so that a successfully parsed wire can always decode without
@@ -365,25 +422,25 @@ impl Wire {
     ///
     /// [`WireError`] on any truncation, unknown tag, or inconsistency —
     /// malformed input never panics.
-    pub fn from_bytes(buf: &[u8]) -> Result<Wire, WireError> {
+    pub fn parse(buf: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(buf);
-        let magic = r.bytes(4)?;
+        let magic = r.take(4)?;
         if magic != MAGIC {
             return Err(WireError::BadMagic([magic[0], magic[1], magic[2], magic[3]]));
         }
         let tag = r.u8()?;
         let len = r.u32()? as usize;
         let payload = match tag {
-            0 => Payload::Dense(r.f32s(len)?),
+            0 => PayloadRef::Dense(r.words(len)?),
             1 => {
                 let c = CsrMatrix::read_bytes(&mut r)?;
                 if c.dense_len() != len {
                     return Err(WireError::Corrupt("csr dense length disagrees with wire header"));
                 }
-                Payload::Ssdc(c)
+                PayloadRef::Ssdc(c)
             }
             t => match tag_format(t - 1) {
-                Some(f) => Payload::Dpr(DprBuffer::read_words(f, len, &mut r)?),
+                Some(f) => PayloadRef::Dpr(f, r.words(len.div_ceil(f.values_per_word()))?),
                 None => return Err(WireError::BadTag { field: "codec", value: t }),
             },
         };
@@ -405,7 +462,90 @@ impl Wire {
         if r.remaining() != 0 {
             return Err(WireError::TrailingBytes(r.remaining()));
         }
-        Ok(Wire { payload, fixups, len })
+        Ok(WireRef { payload, fixups, len })
+    }
+
+    /// The owned [`Wire`] these bytes serialize.
+    pub fn to_wire(self) -> Wire {
+        let payload = match self.payload {
+            PayloadRef::Dense(b) => Payload::Dense(le_u32s(b).map(f32::from_bits).collect()),
+            PayloadRef::Ssdc(c) => Payload::Ssdc(c),
+            PayloadRef::Dpr(f, b) => Payload::Dpr(
+                DprBuffer::read_words(f, self.len, &mut Reader::new(b))
+                    .expect("parse took exactly this wire's words"),
+            ),
+        };
+        Wire { payload, fixups: self.fixups, len: self.len }
+    }
+
+    /// Element count of the dense buffer this wire carries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the wire carries zero elements.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Same value as the owned wire's [`Wire::wire_bytes`].
+    pub fn wire_bytes(&self) -> u64 {
+        let payload = match &self.payload {
+            PayloadRef::Dense(b) | PayloadRef::Dpr(_, b) => b.len(),
+            PayloadRef::Ssdc(c) => c.encoded_bytes(),
+        };
+        (payload + self.fixups.len() * 4) as u64
+    }
+
+    /// `out[i] = decode()[i]`, bit-exact with [`Wire::decode_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.len()`.
+    pub fn decode_into(&self, out: &mut [f32]) {
+        self.zip_into(out, |o, v| *o = v);
+    }
+
+    /// `acc[i] += decode()[i]`: the receiving half of a reduction edge in
+    /// one pass over `acc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc.len() != self.len()`.
+    pub fn accumulate_into(&self, acc: &mut [f32]) {
+        self.zip_into(acc, |a, v| *a += v);
+    }
+
+    /// Feeds `f` every element of `out` with its decoded value. Dense
+    /// values are read off the payload bytes, DPR words are decoded a
+    /// stack chunk (4 KB of words, at most 16 KB of values) at a time.
+    fn zip_into(&self, out: &mut [f32], f: impl Fn(&mut f32, f32)) {
+        assert_eq!(out.len(), self.len, "wire decode length");
+        match &self.payload {
+            PayloadRef::Dense(b) => {
+                out.iter_mut().zip(le_u32s(b)).for_each(|(o, w)| f(o, f32::from_bits(w)));
+            }
+            PayloadRef::Ssdc(c) => {
+                let mut dense = c.decode();
+                for &i in &self.fixups {
+                    dense[i as usize] = -0.0;
+                }
+                out.iter_mut().zip(dense).for_each(|(o, v)| f(o, v));
+            }
+            PayloadRef::Dpr(format, b) => {
+                const WORDS: usize = 1024;
+                let per = format.values_per_word();
+                let (mut words, mut vals) = ([0u32; WORDS], [0.0f32; WORDS * 4]);
+                for (b, out) in b.chunks(WORDS * 4).zip(out.chunks_mut(WORDS * per)) {
+                    let (words, vals) = (&mut words[..b.len() / 4], &mut vals[..out.len()]);
+                    words.iter_mut().zip(le_u32s(b)).for_each(|(w, le)| *w = le);
+                    gist_simd::dpr_decode_into(format.spec(), words, 0, vals, |code| {
+                        format.decode_one(code)
+                    });
+                    out.iter_mut().zip(&*vals).for_each(|(o, &v)| f(o, v));
+                }
+            }
+        }
     }
 }
 
@@ -546,6 +686,32 @@ mod tests {
                 let a: Vec<u32> = wire.decode().iter().map(|v| v.to_bits()).collect();
                 let b: Vec<u32> = back.decode().iter().map(|v| v.to_bits()).collect();
                 assert_eq!(a, b, "{codec} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn serialization_fits_its_one_reservation() {
+        // `begin` reserves `wire_bytes + 32` up front for every codec, so
+        // no serializer climbs a reallocation ladder.
+        let codecs = [
+            TransferCodec::None,
+            TransferCodec::Ssdc,
+            TransferCodec::Dpr(DprFormat::Fp10),
+            TransferCodec::Dpr(DprFormat::Fp8),
+        ];
+        for codec in codecs {
+            for len in [0usize, 1, 257, 5000] {
+                let wire = Wire::encode(codec, &hostile(len));
+                let room = wire.wire_bytes() as usize + 32;
+                assert!(wire.to_bytes().len() <= room, "{codec} len={len}");
+                let mut direct = Vec::new();
+                Wire::encode_to(codec, &hostile(len), &mut direct);
+                assert_eq!(direct, wire.to_bytes(), "{codec} len={len}");
+                assert!(
+                    direct.capacity() <= room.max(8),
+                    "{codec} len={len}: grew past the reserve"
+                );
             }
         }
     }

@@ -6,7 +6,9 @@
 
 use gist::encodings::csr::SsdcConfig;
 use gist::encodings::dpr::DprBuffer;
-use gist::encodings::{BitMask, CsrMatrix, DprFormat, PoolIndexMap};
+use gist::encodings::{
+    BitMask, CsrMatrix, DprFormat, PoolIndexMap, TransferCodec, Wire, WireError, WireRef,
+};
 use gist::graph::{DataClass, DataStructure, Interval, NodeId, TensorRole};
 use gist::memory::{peak_dynamic, plan_static, SharingPolicy};
 use gist::simd::{available_levels, with_level, Level};
@@ -372,5 +374,115 @@ fn fp16_agrees_with_rust_half_conversion_on_samples() {
     for (v, bits) in cases {
         assert_eq!(f.encode_one(v), bits, "encoding {v}");
         assert_eq!(f.decode_one(bits), v, "decoding {bits:#x}");
+    }
+}
+
+const WIRE_CODECS: [TransferCodec; 5] = [
+    TransferCodec::None,
+    TransferCodec::Ssdc,
+    TransferCodec::Dpr(DprFormat::Fp16),
+    TransferCodec::Dpr(DprFormat::Fp10),
+    TransferCodec::Dpr(DprFormat::Fp8),
+];
+
+/// Both sides of a narrow CSR row (256) and of the borrowed view's DPR
+/// stack chunk (1024 words: 2048, 3072 or 4096 values by format).
+const WIRE_LENS: [usize; 7] = [0, 1, 255, 256, 257, 1000, 4097];
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// What a receiving edge does with the bytes a peer sent.
+fn accumulate_wire(bytes: &[u8], acc: &mut [f32]) -> Result<(), WireError> {
+    WireRef::parse(bytes)?.accumulate_into(acc);
+    Ok(())
+}
+
+#[test]
+fn wire_view_decodes_and_accumulates_like_the_owned_wire() {
+    Runner::new("wire_view_decodes_and_accumulates_like_the_owned_wire").cases(24).run(
+        &vec_of((hostile_f32(), hostile_f32()), 4097..4098),
+        |pairs| {
+            let (data, held): (Vec<f32>, Vec<f32>) = pairs.iter().cloned().unzip();
+            for codec in WIRE_CODECS {
+                for len in WIRE_LENS {
+                    let (data, held) = (&data[..len], &held[..len]);
+                    let wire = Wire::encode(codec, data);
+                    let bytes = wire.to_bytes();
+                    // One serialization, appended where the caller wants it.
+                    let mut direct = vec![0xee];
+                    assert_eq!(Wire::encode_to(codec, data, &mut direct), wire.wire_bytes());
+                    assert_eq!(direct[1..], bytes[..], "{codec} len={len}: encode_to bytes");
+
+                    let decoded = Wire::from_bytes(&bytes).expect("own bytes parse").decode();
+                    let view = WireRef::parse(&bytes).expect("own bytes parse");
+                    assert_eq!((view.len(), view.is_empty()), (len, len == 0));
+                    assert_eq!(view.wire_bytes(), wire.wire_bytes(), "{codec} len={len}");
+                    let mut out = held.to_vec();
+                    view.decode_into(&mut out);
+                    assert_eq!(bits(&out), bits(&decoded), "{codec} len={len}: decode_into");
+                    let mut acc = held.to_vec();
+                    view.accumulate_into(&mut acc);
+                    let sum: Vec<f32> = held.iter().zip(&decoded).map(|(a, d)| a + d).collect();
+                    assert_eq!(bits(&acc), bits(&sum), "{codec} len={len}: accumulate_into");
+                    assert_eq!(view.to_wire().to_bytes(), bytes, "{codec} len={len}: to_wire");
+                }
+            }
+        },
+    );
+}
+
+#[test]
+fn malformed_wires_fail_the_view_as_they_fail_the_owned_parse() {
+    // Agreement of the two entry points on arbitrary damage, with the
+    // accumulator untouched on every rejection.
+    let agree = |bad: &[u8], what: &str| -> Option<WireError> {
+        let held: Vec<f32> = (0..257).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let mut acc = held.clone();
+        let owned = Wire::from_bytes(bad).map(|w| w.decode());
+        let viewed = WireRef::parse(bad).map(|v| {
+            let mut out = vec![f32::NAN; v.len()];
+            v.decode_into(&mut out);
+            out
+        });
+        assert_eq!(viewed.as_ref().map(|v| bits(v)), owned.as_ref().map(|v| bits(v)), "{what}");
+        let err = owned.err()?;
+        assert_eq!(accumulate_wire(bad, &mut acc).err(), Some(err.clone()), "{what}");
+        assert_eq!(bits(&acc), bits(&held), "{what}: a rejected wire touched the accumulator");
+        Some(err)
+    };
+    let data: Vec<f32> =
+        (0..257).map(|i| [1.5, 0.0, -0.0, f32::NAN, -2.25e-3, 0.0, 7.0][i % 7]).collect();
+    for codec in WIRE_CODECS {
+        let good = Wire::encode(codec, &data).to_bytes();
+        assert_eq!(agree(&good, "control"), None);
+        for cut in 0..good.len() {
+            let err = agree(&good[..cut], &format!("{codec} cut {cut}"));
+            // A cut lands in a field (truncation) or leaves the SSDC
+            // payload short of what its own header promised.
+            assert!(
+                matches!(err, Some(WireError::Truncated { .. } | WireError::Corrupt(_))),
+                "{codec} cut {cut}: {err:?}"
+            );
+        }
+        // Magic, codec tag, element count — and the CSR header behind them.
+        let header = if codec == TransferCodec::Ssdc { 19 } else { 9 };
+        for at in 0..header {
+            for mask in [0x01u8, 0x10, 0x80, 0xff] {
+                let mut bad = good.clone();
+                bad[at] ^= mask;
+                // Past the magic a flip may still be a wire (dpr:10 packs
+                // 256 and 257 values into the same 86 words): whatever it
+                // is, both entry points call it the same.
+                let err = agree(&bad, &format!("{codec} byte {at} ^ {mask:#x}"));
+                assert!(at >= 4 || matches!(err, Some(WireError::BadMagic(_))), "{err:?}");
+            }
+        }
+        for extra in [0u8, 1, 0xff] {
+            let mut bad = good.clone();
+            bad.push(extra);
+            assert_eq!(agree(&bad, "appended byte"), Some(WireError::TrailingBytes(1)));
+        }
     }
 }
