@@ -1,47 +1,48 @@
-//! Blocked, panel-packed matrix multiplication.
+//! Register-tiled matrix multiplication.
 //!
 //! Three layouts back the conv/linear kernels: `C = A·B`, `C = Aᵀ·B`, and
-//! `C = A·Bᵀ`. All share one vector strategy: pack B once per call into a
-//! strip-major panel (8 consecutive output columns per strip, contiguous
-//! per `p`), then sweep output rows in `gist-par` chunks, each row walking
-//! the packed panel in L2-sized strip blocks. The panel is packed **before**
-//! the parallel dispatch and shared read-only by every chunk.
+//! `C = A·Bᵀ`. All share one vector strategy: output rows are swept in
+//! `gist-par` chunks, and a chunk is cut into tiles of [`MR`] rows × two
+//! vectors of columns. A tile keeps its eight accumulators in registers,
+//! so each B vector is loaded once and used by four rows, and the eight
+//! add chains overlap each other's latency. Row-major B is read **in
+//! place** (column tiles outer, row blocks inner: the `k × 16` strip a
+//! tile column reads stays cache-resident across the chunk's row blocks);
+//! only transposed B is packed, once per call **before** the parallel
+//! dispatch, into strips the same tile reads.
 //!
 //! Bit-exactness rules (see DESIGN.md §11): lanes hold *independent output
 //! columns*, so each `C[i][j]` accumulates its `p` terms in exactly the
-//! serial ascending order — there is no lane reduction to reassociate.
-//! `matmul`/`matmul_at_b` skip `a == 0.0` terms (and the vector paths
-//! preserve the skip, because skipping changes results when B holds
-//! NaN/Inf: `0.0 × Inf = NaN`); `matmul_a_bt` never skips. Multiplies and
-//! adds stay separate instructions — FMA's fused rounding would diverge
-//! from the scalar reference. Tail columns (`n % 8`) are computed scalar,
-//! same element order, straight from the unpacked B. Outputs match the
-//! scalar level bit-for-bit except NaN payloads, which no compilation
-//! pins (see [`crate::canon_bits`]).
+//! serial ascending order — there is no lane reduction to reassociate,
+//! and how rows are grouped into tiles or chunks touches no sum.
+//! `matmul`/`matmul_at_b` skip `a == 0.0` terms (the skip is semantic,
+//! because skipping changes results when B holds NaN/Inf: `0.0 × Inf =
+//! NaN`); the tile keeps it as a mask on the *product*, `and(a·b, a != 0)`:
+//! an accumulator that starts at `+0.0` can never become `-0.0`, so adding
+//! the masked `+0.0` leaves every bit where the skip would. `matmul_a_bt`
+//! never skips. Multiplies and adds stay separate instructions — FMA's
+//! fused rounding would diverge from the scalar reference. Tail columns
+//! (fewer than one vector) are computed scalar, same element order,
+//! straight from the unpacked B. Outputs match the scalar level
+//! bit-for-bit except NaN payloads, which no compilation pins (see
+//! [`crate::canon_bits`]).
 
 use crate::Level;
 use gist_par::parallel_chunks_mut;
 use std::cell::Cell;
 
-/// Output columns per packed strip (AVX2 register width; SSE2 processes a
-/// strip as two 4-lane halves so both widths share one panel layout).
-const LANES: usize = 8;
+/// Output rows per register tile.
+const MR: usize = 4;
 
 /// Rows per parallel chunk: a pure function of the matrix shape (never of
 /// thread count or SIMD level), targeting enough work per chunk to
-/// amortize dispatch. Identical to the pre-SIMD grain, so chunk boundaries
-/// — and therefore the deterministic partition — are unchanged.
+/// amortize dispatch, rounded up to whole tiles so the rows of a chunk
+/// share their B loads. Chunks share no reduction, so where the partition
+/// falls moves no bit.
 pub fn row_grain(m: usize, k: usize, n: usize) -> usize {
     let flops_per_row = (2 * k * n).max(1);
     let rows_per_chunk = (1 << 16) / flops_per_row;
-    rows_per_chunk.clamp(1, m.max(1))
-}
-
-/// Strips per L2 block: the packed sub-panel a chunk's rows sweep before
-/// advancing. ~256 KiB of panel (`strips × k × 8 lanes × 4 bytes`) keeps
-/// the block cache-resident across rows. Pure function of `k`.
-fn block_strips(k: usize) -> usize {
-    ((1 << 16) / (LANES * k.max(1))).max(1)
+    rows_per_chunk.clamp(1, m.max(1)).next_multiple_of(MR)
 }
 
 thread_local! {
@@ -65,162 +66,242 @@ fn with_pack_buf<R>(len: usize, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
     })
 }
 
-/// Packs row-major `B[k × n]` full strips into strip-major panel layout:
-/// `panel[(s·k + p)·8 + l] = b[p·n + s·8 + l]`.
-fn pack_b_rowmajor(b: &[f32], k: usize, n: usize, nstrips: usize, panel: &mut [f32]) {
-    for p in 0..k {
-        let brow = &b[p * n..p * n + nstrips * LANES];
-        for s in 0..nstrips {
-            panel[(s * k + p) * LANES..][..LANES]
-                .copy_from_slice(&brow[s * LANES..(s + 1) * LANES]);
+/// Packs the first `ncols` rows of transposed `B[n × k]` (rows are output
+/// columns) into strips of two vectors of columns, the last one narrower:
+/// the strip starting at column `j0`, `w` wide, is the row-major `k × w`
+/// block at `panel[j0·k..]` — `panel[j0·k + p·w + l] = b[(j0 + l)·k + p]`.
+/// A pure relayout: AVX2 moves 8 × 8 blocks through registers, everything
+/// else (and the `k % 8` rows they leave) goes an element at a time.
+fn pack_b_transposed(lvl: Level, b: &[f32], k: usize, ncols: usize, panel: &mut [f32]) {
+    let nr = 2 * lvl.lanes();
+    let blocked = if lvl == Level::Avx2 { k - k % 8 } else { 0 };
+    for j0 in (0..ncols).step_by(nr) {
+        let w = nr.min(ncols - j0);
+        let rows = &b[j0 * k..(j0 + w) * k];
+        let strip = &mut panel[j0 * k..(j0 + w) * k];
+        #[cfg(target_arch = "x86_64")]
+        for p0 in (0..blocked).step_by(8) {
+            for l0 in (0..w).step_by(8) {
+                // SAFETY: `blocked` is non-zero only at the AVX2 level,
+                // whose strips are whole multiples of 8 columns.
+                unsafe {
+                    x86::transpose8_avx2(&rows[l0 * k + p0..], k, &mut strip[p0 * w + l0..], w)
+                };
+            }
         }
-    }
-}
-
-/// Packs transposed `B[n × k]` (rows are output columns) into the same
-/// strip-major layout: `panel[(s·k + p)·8 + l] = b[(s·8 + l)·k + p]`.
-fn pack_b_transposed(b: &[f32], k: usize, nstrips: usize, panel: &mut [f32]) {
-    for s in 0..nstrips {
-        for l in 0..LANES {
-            let brow = &b[(s * LANES + l) * k..][..k];
-            for (p, &v) in brow.iter().enumerate() {
-                panel[(s * k + p) * LANES + l] = v;
+        // `p` outer: each packed row is written once, whole, from `w`
+        // sequential read streams.
+        for (p, dst) in strip.chunks_exact_mut(w).enumerate().skip(blocked) {
+            for (l, d) in dst.iter_mut().enumerate() {
+                *d = rows[l * k + p];
             }
         }
     }
 }
 
-/// How tail columns (and nothing else) index the original B.
+/// How a chunk finds B: where the vector tiles load it, and how the scalar
+/// tail columns index the original.
 #[derive(Clone, Copy)]
-enum TailB {
-    /// `b[p·n + j]` — row-major B.
+enum BLayout {
+    /// `b[p·n + j]` — row-major B, read in place by tiles and tail alike.
     RowMajor,
-    /// `b[j·k + p]` — transposed B.
+    /// `b[j·k + p]` — transposed B; tiles read [`pack_b_transposed`]'s panel.
     Transposed,
+}
+
+/// One tile's operands, each slice starting at the tile's own origin.
+struct Tile<'a> {
+    /// `a[r · a_row_stride + p · a_step]` is row `r`'s term `p`.
+    a: &'a [f32],
+    a_row_stride: usize,
+    a_step: usize,
+    k: usize,
+    /// `b[p · ldb + v · W..][..W]` is vector `v` of B's row `p`.
+    b: &'a [f32],
+    ldb: usize,
+    /// Row `r` of the tile lands at `out[r · ldc..]`.
+    out: &'a mut [f32],
+    ldc: usize,
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::LANES;
+    use super::Tile;
     use std::arch::x86_64::*;
 
-    /// One output row × strips `[s0, s1)` of the packed panel, AVX2.
-    /// Each lane is an independent output column; `p` ascends exactly as
-    /// in the scalar sweep. Separate mul/add — never FMA.
+    /// Instantiates the one tile body at a vector width: `R` output rows ×
+    /// `NV` vectors of `W` independent output columns, all `R · NV`
+    /// accumulators live in registers across the `p` sweep. `p` ascends
+    /// exactly as in the scalar sweep; separate mul/add — never FMA. With
+    /// `SKIP`, a term whose `a` is `±0.0` contributes `+0.0` whatever B
+    /// holds (`cmpneq` is unordered: a NaN `a` is kept, as scalar keeps it).
+    macro_rules! tile {
+        ($name:ident, $feature:literal, $w:literal, $zero:ident, $set1:ident, $load:ident,
+         $store:ident, $mul:ident, $add:ident, $and:ident, $ne:expr) => {
+            /// # Safety
+            ///
+            /// The level's instructions must be available (the slices bound
+            /// every access).
+            #[target_feature(enable = $feature)]
+            pub unsafe fn $name<const SKIP: bool, const R: usize, const NV: usize>(t: Tile) {
+                let Tile { a, a_row_stride, a_step, k, b, ldb, out, ldc } = t;
+                assert!(k == 0 || (R - 1) * a_row_stride + (k - 1) * a_step < a.len());
+                assert!(k == 0 || (k - 1) * ldb + NV * $w <= b.len());
+                assert!((R - 1) * ldc + NV * $w <= out.len());
+                let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+                let mut acc = [[$zero(); NV]; R];
+                for p in 0..k {
+                    // SAFETY: the asserts above bound every `a`, `b` and
+                    // `out` address by its last one (`p = k - 1`, last
+                    // row, last vector).
+                    let mut bv = [$zero(); NV];
+                    for (v, bv) in bv.iter_mut().enumerate() {
+                        *bv = $load(b.add(p * ldb + v * $w));
+                    }
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        let av = $set1(*a.add(r * a_row_stride + p * a_step));
+                        for (acc, bv) in acc.iter_mut().zip(bv) {
+                            let prod = $mul(av, bv);
+                            let term = if SKIP { $and(prod, $ne(av, $zero())) } else { prod };
+                            *acc = $add(*acc, term);
+                        }
+                    }
+                }
+                for (r, acc) in acc.iter().enumerate() {
+                    for (v, acc) in acc.iter().enumerate() {
+                        $store(out.add(r * ldc + v * $w), *acc);
+                    }
+                }
+            }
+        };
+    }
+
+    /// `dst[c · ldd + r] = src[r · lds + c]` for `r, c < 8`: unpack, shuffle
+    /// and lane-permute only, so every bit pattern arrives as it left.
     ///
     /// # Safety
     ///
-    /// AVX2 must be available. `a` must be valid for reads at
-    /// `p * a_step` for `p < k`; `panel` covers strips `< s1`; `out` holds
-    /// at least `s1 * 8` elements.
+    /// AVX2 must be available (the slices bound every access).
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn row_strips_avx2<const SKIP: bool>(
-        a: *const f32,
-        a_step: usize,
-        k: usize,
-        panel: *const f32,
-        s0: usize,
-        s1: usize,
-        out: *mut f32,
-    ) {
-        for s in s0..s1 {
-            let pp = panel.add(s * k * LANES);
-            let mut acc = _mm256_setzero_ps();
-            for p in 0..k {
-                let av = *a.add(p * a_step);
-                if SKIP && av == 0.0 {
-                    continue;
-                }
-                let bv = _mm256_loadu_ps(pp.add(p * LANES));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), bv));
+    pub unsafe fn transpose8_avx2(src: &[f32], lds: usize, dst: &mut [f32], ldd: usize) {
+        assert!(7 * lds + 8 <= src.len() && 7 * ldd + 8 <= dst.len());
+        // SAFETY: rows `0..8` of 8 elements at strides `lds` / `ldd` end
+        // inside the slices by the assert above.
+        let r: [__m256; 8] = std::array::from_fn(|i| _mm256_loadu_ps(src.as_ptr().add(i * lds)));
+        // Pairs of rows interleaved: t[2i] / t[2i+1] hold columns {0,1,4,5} / {2,3,6,7}.
+        let t: [__m256; 8] = std::array::from_fn(|i| {
+            let (a, b) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+            if i % 2 == 0 {
+                _mm256_unpacklo_ps(a, b)
+            } else {
+                _mm256_unpackhi_ps(a, b)
             }
-            _mm256_storeu_ps(out.add(s * LANES), acc);
+        });
+        // Quads of rows: u[4h + c] holds column c (low lane) and c + 4 (high) of rows 4h..4h+4.
+        let u: [__m256; 8] = std::array::from_fn(|i| {
+            let (a, b) = (t[i / 4 * 4 + i % 4 / 2], t[i / 4 * 4 + 2 + i % 4 / 2]);
+            if i % 2 == 0 {
+                _mm256_shuffle_ps::<0x44>(a, b)
+            } else {
+                _mm256_shuffle_ps::<0xEE>(a, b)
+            }
+        });
+        for c in 0..8 {
+            let (lo, hi) = (u[c % 4], u[4 + c % 4]);
+            let v = if c < 4 {
+                _mm256_permute2f128_ps::<0x20>(lo, hi)
+            } else {
+                _mm256_permute2f128_ps::<0x31>(lo, hi)
+            };
+            _mm256_storeu_ps(dst.as_mut_ptr().add(c * ldd), v);
         }
     }
 
-    /// SSE2 twin of [`row_strips_avx2`]: each 8-wide strip is two 4-lane
-    /// halves. Lanes are still independent columns, so the arithmetic per
-    /// output element is identical to AVX2 and scalar.
-    ///
-    /// # Safety
-    ///
-    /// As for [`row_strips_avx2`] (SSE2 is the `x86_64` baseline).
-    #[target_feature(enable = "sse2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn row_strips_sse2<const SKIP: bool>(
-        a: *const f32,
-        a_step: usize,
-        k: usize,
-        panel: *const f32,
-        s0: usize,
-        s1: usize,
-        out: *mut f32,
-    ) {
-        for s in s0..s1 {
-            let pp = panel.add(s * k * LANES);
-            let mut lo = _mm_setzero_ps();
-            let mut hi = _mm_setzero_ps();
-            for p in 0..k {
-                let av = *a.add(p * a_step);
-                if SKIP && av == 0.0 {
-                    continue;
-                }
-                let va = _mm_set1_ps(av);
-                lo = _mm_add_ps(lo, _mm_mul_ps(va, _mm_loadu_ps(pp.add(p * LANES))));
-                hi = _mm_add_ps(hi, _mm_mul_ps(va, _mm_loadu_ps(pp.add(p * LANES + 4))));
-            }
-            _mm_storeu_ps(out.add(s * LANES), lo);
-            _mm_storeu_ps(out.add(s * LANES + 4), hi);
-        }
-    }
+    tile!(
+        tile_avx2,
+        "avx2",
+        8,
+        _mm256_setzero_ps,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_mul_ps,
+        _mm256_add_ps,
+        _mm256_and_ps,
+        _mm256_cmp_ps::<_CMP_NEQ_UQ>
+    );
+    tile!(
+        tile_sse2,
+        "sse2",
+        4,
+        _mm_setzero_ps,
+        _mm_set1_ps,
+        _mm_loadu_ps,
+        _mm_storeu_ps,
+        _mm_mul_ps,
+        _mm_add_ps,
+        _mm_and_ps,
+        _mm_cmpneq_ps
+    );
 }
 
-/// Dispatches one row × strip-range to the level's kernel.
+/// Dispatches one `rows × (nv · lanes)` tile to the level's instantiation.
 ///
 /// # Safety
 ///
-/// Pointer contracts as for the per-level kernels; `lvl` must be a vector
-/// level that [`crate::detected_level`] reported available.
-#[allow(clippy::too_many_arguments)]
-unsafe fn row_strips<const SKIP: bool>(
-    lvl: Level,
-    a: *const f32,
-    a_step: usize,
-    k: usize,
-    panel: *const f32,
-    s0: usize,
-    s1: usize,
-    out: *mut f32,
-) {
+/// `lvl` must be a vector level that [`crate::detected_level`] reported
+/// available.
+unsafe fn tile<const SKIP: bool>(lvl: Level, rows: usize, nv: usize, t: Tile) {
+    debug_assert!((1..=MR).contains(&rows) && (1..=2).contains(&nv) && lvl != Level::Scalar);
     #[cfg(target_arch = "x86_64")]
-    match lvl {
-        Level::Avx2 => x86::row_strips_avx2::<SKIP>(a, a_step, k, panel, s0, s1, out),
-        _ => x86::row_strips_sse2::<SKIP>(a, a_step, k, panel, s0, s1, out),
+    {
+        macro_rules! by_rows {
+            ($f:ident, $nv:literal) => {
+                match rows {
+                    4 => x86::$f::<SKIP, 4, $nv>(t),
+                    3 => x86::$f::<SKIP, 3, $nv>(t),
+                    2 => x86::$f::<SKIP, 2, $nv>(t),
+                    _ => x86::$f::<SKIP, 1, $nv>(t),
+                }
+            };
+        }
+        match (lvl, nv) {
+            (Level::Avx2, 2) => by_rows!(tile_avx2, 2),
+            (Level::Avx2, _) => by_rows!(tile_avx2, 1),
+            (_, 2) => by_rows!(tile_sse2, 2),
+            _ => by_rows!(tile_sse2, 1),
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (lvl, a, a_step, k, panel, s0, s1, out);
+        let _ = (rows, nv, t);
         unreachable!("vector matmul path requires x86_64");
     }
 }
 
-/// Shape/layout bundle for the shared vector row sweep.
+/// Shape/layout bundle for the shared vector chunk sweep.
 #[derive(Clone, Copy)]
 struct VecShape {
     lvl: Level,
     k: usize,
     n: usize,
-    nstrips: usize,
     /// `i * a_row_stride (+ p * a_step)` addresses `A`'s term for `(i, p)`.
     a_row_stride: usize,
     a_step: usize,
-    tail: TailB,
+    layout: BLayout,
 }
 
-/// Computes `rows` full output rows of one chunk: full strips via the
-/// vector kernel (blocked so the active panel slice stays in L2 across the
-/// chunk's rows), then scalar tails in ascending column order.
+impl VecShape {
+    /// Columns the vector tiles cover: whole vectors of the level's width.
+    fn vector_cols(&self) -> usize {
+        self.n - self.n % self.lvl.lanes()
+    }
+}
+
+/// Computes the full output rows of one chunk: column tiles outer and row
+/// blocks inner (so the B strip a tile column reads is reused from cache by
+/// every row block), then scalar tails in ascending column order. `panel`
+/// is the packed B under [`BLayout::Transposed`] and unused otherwise.
 fn vector_chunk<const SKIP: bool>(
     vs: VecShape,
     a: &[f32],
@@ -229,53 +310,56 @@ fn vector_chunk<const SKIP: bool>(
     row0: usize,
     cchunk: &mut [f32],
 ) {
-    let VecShape { lvl, k, n, nstrips, a_row_stride, a_step, tail } = vs;
+    let VecShape { lvl, k, n, a_row_stride, a_step, layout } = vs;
     let rows = cchunk.len() / n;
-    let sb = block_strips(k);
-    let cbase = cchunk.as_mut_ptr();
-    let mut s0 = 0;
-    while s0 < nstrips {
-        let s1 = (s0 + sb).min(nstrips);
-        for r in 0..rows {
-            let i = row0 + r;
-            // SAFETY: row `i < m` keeps every `a` access in bounds for all
-            // three layouts; the panel covers strips `< nstrips`; each row
-            // writes `[s0*8, s1*8) ⊂ [0, n)` of its own chunk-local row.
-            unsafe {
-                row_strips::<SKIP>(
-                    lvl,
-                    a.as_ptr().add(i * a_row_stride),
-                    a_step,
-                    k,
-                    panel.as_ptr(),
-                    s0,
-                    s1,
-                    cbase.add(r * n),
-                );
-            }
+    let (w, ncols) = (lvl.lanes(), vs.vector_cols());
+    let mut j0 = 0;
+    while j0 < ncols {
+        let nv = ((ncols - j0) / w).min(2);
+        let (tb, ldb) = match layout {
+            BLayout::RowMajor => (&b[j0..], n),
+            BLayout::Transposed => (&panel[j0 * k..], nv * w),
+        };
+        for r0 in (0..rows).step_by(MR) {
+            let tile_rows = MR.min(rows - r0);
+            // The tile's first output element to its last: rows of this
+            // chunk only, whatever the neighbouring chunks' workers write.
+            let out = &mut cchunk[r0 * n + j0..(r0 + tile_rows - 1) * n + j0 + nv * w];
+            let ta = &a[(row0 + r0) * a_row_stride..];
+            let t = Tile { a: ta, a_row_stride, a_step, k, b: tb, ldb, out, ldc: n };
+            // SAFETY: `lvl` is the ambient vector level, which dispatch
+            // only reports if detected.
+            unsafe { tile::<SKIP>(lvl, tile_rows, nv, t) };
         }
-        s0 = s1;
+        j0 += nv * w;
     }
     // Tail columns: scalar, same per-element `p` order, from unpacked B.
     for r in 0..rows {
         let i = row0 + r;
         let crow = &mut cchunk[r * n..(r + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate().skip(nstrips * LANES) {
+        for (j, cv) in crow.iter_mut().enumerate().skip(ncols) {
             let mut acc = 0.0f32;
             for p in 0..k {
                 let av = a[i * a_row_stride + p * a_step];
                 if SKIP && av == 0.0 {
                     continue;
                 }
-                let bv = match tail {
-                    TailB::RowMajor => b[p * n + j],
-                    TailB::Transposed => b[j * k + p],
+                let bv = match layout {
+                    BLayout::RowMajor => b[p * n + j],
+                    BLayout::Transposed => b[j * k + p],
                 };
                 acc += av * bv;
             }
             *cv = acc;
         }
     }
+}
+
+/// Whether a product takes the scalar sweep: the level is forced or
+/// undetected, or there is no vector tile to run (`n` narrower than one
+/// vector, or no terms at all).
+fn scalar_sweep(lvl: Level, k: usize, n: usize) -> bool {
+    lvl == Level::Scalar || n < lvl.lanes() || k == 0
 }
 
 /// `C[m × n] = A[m × k] · B[k × n]`, row-major, into a preallocated `c`.
@@ -292,8 +376,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [
     assert_eq!(c.len(), m * n, "out length");
     let lvl = crate::level();
     let grain = row_grain(m, k, n);
-    let nstrips = n / LANES;
-    if lvl == Level::Scalar || nstrips == 0 {
+    if scalar_sweep(lvl, k, n) {
         parallel_chunks_mut(c, grain * n, |ci, cchunk| {
             cchunk.fill(0.0);
             let row0 = ci * grain;
@@ -313,13 +396,9 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [
         });
         return;
     }
-    let vs = VecShape { lvl, k, n, nstrips, a_row_stride: k, a_step: 1, tail: TailB::RowMajor };
-    with_pack_buf(nstrips * k * LANES, |panel| {
-        pack_b_rowmajor(b, k, n, nstrips, panel);
-        let panel = &*panel;
-        parallel_chunks_mut(c, grain * n, |ci, cchunk| {
-            vector_chunk::<true>(vs, a, b, panel, ci * grain, cchunk);
-        });
+    let vs = VecShape { lvl, k, n, a_row_stride: k, a_step: 1, layout: BLayout::RowMajor };
+    parallel_chunks_mut(c, grain * n, |ci, cchunk| {
+        vector_chunk::<true>(vs, a, b, &[], ci * grain, cchunk);
     });
 }
 
@@ -335,8 +414,7 @@ pub fn matmul_at_b_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &
     assert_eq!(c.len(), m * n, "out length");
     let lvl = crate::level();
     let grain = row_grain(m, k, n);
-    let nstrips = n / LANES;
-    if lvl == Level::Scalar || nstrips == 0 {
+    if scalar_sweep(lvl, k, n) {
         parallel_chunks_mut(c, grain * n, |ci, cchunk| {
             cchunk.fill(0.0);
             let row0 = ci * grain;
@@ -356,13 +434,9 @@ pub fn matmul_at_b_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &
         });
         return;
     }
-    let vs = VecShape { lvl, k, n, nstrips, a_row_stride: 1, a_step: m, tail: TailB::RowMajor };
-    with_pack_buf(nstrips * k * LANES, |panel| {
-        pack_b_rowmajor(b, k, n, nstrips, panel);
-        let panel = &*panel;
-        parallel_chunks_mut(c, grain * n, |ci, cchunk| {
-            vector_chunk::<true>(vs, a, b, panel, ci * grain, cchunk);
-        });
+    let vs = VecShape { lvl, k, n, a_row_stride: 1, a_step: m, layout: BLayout::RowMajor };
+    parallel_chunks_mut(c, grain * n, |ci, cchunk| {
+        vector_chunk::<true>(vs, a, b, &[], ci * grain, cchunk);
     });
 }
 
@@ -380,8 +454,7 @@ pub fn matmul_a_bt_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &
     assert_eq!(c.len(), m * n, "out length");
     let lvl = crate::level();
     let grain = row_grain(m, k, n);
-    let nstrips = n / LANES;
-    if lvl == Level::Scalar || nstrips == 0 {
+    if scalar_sweep(lvl, k, n) {
         parallel_chunks_mut(c, grain * n, |ci, cchunk| {
             let row0 = ci * grain;
             for (r, crow) in cchunk.chunks_mut(n).enumerate() {
@@ -399,9 +472,9 @@ pub fn matmul_a_bt_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &
         });
         return;
     }
-    let vs = VecShape { lvl, k, n, nstrips, a_row_stride: k, a_step: 1, tail: TailB::Transposed };
-    with_pack_buf(nstrips * k * LANES, |panel| {
-        pack_b_transposed(b, k, nstrips, panel);
+    let vs = VecShape { lvl, k, n, a_row_stride: k, a_step: 1, layout: BLayout::Transposed };
+    with_pack_buf(vs.vector_cols() * k, |panel| {
+        pack_b_transposed(lvl, b, k, vs.vector_cols(), panel);
         let panel = &*panel;
         parallel_chunks_mut(c, grain * n, |ci, cchunk| {
             vector_chunk::<false>(vs, a, b, panel, ci * grain, cchunk);
@@ -437,18 +510,39 @@ mod tests {
 
     #[test]
     fn levels_agree_on_hostile_inputs() {
-        // Shapes straddle the 8-lane strip boundary; values include the
-        // NaN/Inf interactions that make the zero-skip semantic.
+        // Shapes straddle both edges of the 4 × 16 tile (and its one-vector
+        // and scalar-tail remainders at either width); values include the
+        // NaN/Inf interactions that make the zero-skip semantic, and
+        // subnormal pairs whose product underflows to -0.0.
         let specials =
-            [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1e-40, f32::MAX, -2.5];
-        for (m, k, n) in [(1, 1, 1), (3, 5, 7), (4, 9, 8), (5, 3, 17), (2, 16, 33)] {
-            let a: Vec<f32> = (0..m * k).map(|i| specials[i % specials.len()]).collect();
-            let b: Vec<f32> = (0..k * n).map(|i| specials[(i + 3) % specials.len()]).collect();
-            let bt: Vec<f32> = (0..n * k).map(|i| specials[(i + 5) % specials.len()]).collect();
+            [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1e-40, f32::MAX, -2.5, -1e-40];
+        let mut shapes = vec![(1, 1, 1), (3, 5, 7), (4, 9, 8), (5, 3, 17), (2, 16, 33)];
+        for m in [1, 3, 4, 5, 9] {
+            for n in [15, 16, 17, 31, 32, 33, 48] {
+                shapes.extend([1, 7, 64].map(|k| (m, k, n)));
+            }
+        }
+        for (m, k, n) in shapes {
+            // Every third row of A is all ±0.0, against a B full of Inf/NaN.
+            let a: Vec<f32> = (0..m * k)
+                .map(|i| if i / k % 3 == 0 { [0.0, -0.0][i % 2] } else { specials[i % 9] })
+                .collect();
+            let b: Vec<f32> = (0..k * n).map(|i| specials[(i + 3) % 9]).collect();
+            let bt: Vec<f32> = (0..n * k).map(|i| specials[(i + 5) % 9]).collect();
             let reference = with_level(Level::Scalar, || run_all(&a, &b, &bt, m, k, n));
             for lvl in available_levels() {
                 let got = with_level(lvl, || run_all(&a, &b, &bt, m, k, n));
                 assert_eq!(got, reference, "{lvl} diverged at m={m} k={k} n={n}");
+                // The mask is the skip: a zero row of A yields +0.0 exactly,
+                // whatever B holds, in both skipping layouts.
+                for zero_row in (0..m).step_by(3) {
+                    let row = zero_row * n..(zero_row + 1) * n;
+                    assert!(
+                        got[0][row.clone()].iter().all(|&c| c == 0),
+                        "{lvl} matmul {m}x{k}x{n}"
+                    );
+                    assert!(got[1][row].iter().all(|&c| c == 0), "{lvl} at_b {m}x{k}x{n}");
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! 2-D convolution: every geometry is lowered per image to an im2col
-//! column matrix and the packed `gist-simd` GEMM family, forward and
+//! column matrix and the register-tiled `gist-simd` GEMM family, forward and
 //! backward.
 //!
 //! The convolution backward pass needs its stashed *input* feature map to
@@ -68,8 +68,8 @@ thread_local! {
     /// This thread's column matrix, forward and backward: grown to the
     /// largest image it has lowered and never shrunk, so a steady-state step
     /// allocates none. `take`/`set` rather than a held borrow, as for
-    /// gist-simd's pack buffer (a separate slot: the matmul packs while the
-    /// columns are live).
+    /// gist-simd's pack buffer (a separate slot: the dW matmul packs while
+    /// the columns are live).
     static COLS_BUF: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
@@ -87,6 +87,14 @@ fn with_cols_buf<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     })
 }
 
+/// Output columns `[lo, hi)` whose tap `kw` reads inside a `w`-wide input
+/// row; the rest of each output row is padding.
+fn tap_cols(p: ConvParams, kw: usize, w: usize, ow: usize) -> (usize, usize) {
+    let lo = p.pad.saturating_sub(kw).div_ceil(p.stride).min(ow);
+    let hi = (w + p.pad).saturating_sub(kw).div_ceil(p.stride).clamp(lo, ow);
+    (lo, hi)
+}
+
 /// Lowers image `n` of `x` into the im2col matrix `[C*K*K, OH*OW]`
 /// (row-major). Every cell of `cols` is written, padding cells with `0.0`,
 /// so the buffer may hold anything on entry.
@@ -97,9 +105,7 @@ fn im2col_into(x: &Tensor, n: usize, p: ConvParams, oh: usize, ow: usize, cols: 
     let xn = &x.data()[n * c * h * w..(n + 1) * c * h * w];
     for (row, plane) in cols.chunks_exact_mut(oh * ow).enumerate() {
         let (ci, kh, kw) = (row / (k * k), row / k % k, row % k);
-        // Output columns [lo, hi) read x; the rest of each row is padding.
-        let lo = p.pad.saturating_sub(kw).div_ceil(p.stride).min(ow);
-        let hi = (w + p.pad).saturating_sub(kw).div_ceil(p.stride).clamp(lo, ow);
+        let (lo, hi) = tap_cols(p, kw, w, ow);
         if lo == hi {
             plane.fill(0.0);
             continue;
@@ -113,34 +119,41 @@ fn im2col_into(x: &Tensor, n: usize, p: ConvParams, oh: usize, ow: usize, cols: 
             dst[..lo].fill(0.0);
             dst[hi..].fill(0.0);
             let src = &xn[(ci * h + ih - p.pad) * w + lo * p.stride + kw - p.pad..];
-            for (d, v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(p.stride)) {
-                *d = *v;
+            if p.stride == 1 {
+                dst[lo..hi].copy_from_slice(&src[..hi - lo]);
+            } else {
+                for (d, v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(p.stride)) {
+                    *d = *v;
+                }
             }
         }
     }
 }
 
 /// Scatters an im2col matrix back into one image's `dx` slice (transpose
-/// of [`im2col_into`]), accumulating overlaps.
+/// of [`im2col_into`]: the same rows and the same `[lo, hi)` columns, so
+/// every destination accumulates in `(ci, kh, kw, ohi, owi)` order).
 fn col2im_slice(cols: &[f32], dst: &mut [f32], s: Shape, p: ConvParams, oh: usize, ow: usize) {
-    let (c, k) = (s.c(), p.kernel);
-    for ci in 0..c {
-        for kh in 0..k {
-            for kw in 0..k {
-                let row = (ci * k + kh) * k + kw;
-                for ohi in 0..oh {
-                    let ih = (ohi * p.stride + kh) as isize - p.pad as isize;
-                    if ih < 0 || ih >= s.h() as isize {
-                        continue;
-                    }
-                    for owi in 0..ow {
-                        let iw = (owi * p.stride + kw) as isize - p.pad as isize;
-                        if iw < 0 || iw >= s.w() as isize {
-                            continue;
-                        }
-                        let idx = (ci * s.h() + ih as usize) * s.w() + iw as usize;
-                        dst[idx] += cols[row * oh * ow + ohi * ow + owi];
-                    }
+    let (h, w, k) = (s.h(), s.w(), p.kernel);
+    for (row, plane) in cols.chunks_exact(oh * ow).enumerate() {
+        let (ci, kh, kw) = (row / (k * k), row / k % k, row % k);
+        let (lo, hi) = tap_cols(p, kw, w, ow);
+        if lo == hi {
+            continue;
+        }
+        for (ohi, src) in plane.chunks_exact(ow).enumerate() {
+            let ih = ohi * p.stride + kh;
+            if ih < p.pad || ih >= h + p.pad {
+                continue;
+            }
+            let drow = &mut dst[(ci * h + ih - p.pad) * w + lo * p.stride + kw - p.pad..];
+            if p.stride == 1 {
+                for (d, v) in drow.iter_mut().zip(&src[lo..hi]) {
+                    *d += v;
+                }
+            } else {
+                for (d, v) in drow.iter_mut().step_by(p.stride).zip(&src[lo..hi]) {
+                    *d += v;
                 }
             }
         }
@@ -468,6 +481,61 @@ mod tests {
                 "dw reduction order changed at {threads} threads"
             );
             assert_eq!(g.db.data()[0].to_bits(), reference.db.data()[0].to_bits());
+        }
+    }
+
+    /// `im2col_into` and `col2im_slice` move whole row slices; the
+    /// references below visit one element at a time with signed bounds
+    /// tests, in the same `(ci, kh, kw, ohi, owi)` order, so every cell of
+    /// the column matrix and every accumulated `dx` sum must agree bit for
+    /// bit — magnitudes are mixed so a reordered sum would round differently.
+    #[test]
+    fn im2col_and_col2im_match_per_element_reference() {
+        for (kernel, stride, pad) in
+            (0..27).map(|i| ([1, 3, 5][i / 9], [1, 2, 3][i / 3 % 3], [0, 1, 2][i % 3]))
+        {
+            let p = ConvParams::new(kernel, stride, pad);
+            for (h, w) in [(5, 9), (8, 6), (7, 7)] {
+                if !p.fits(h, w) {
+                    continue;
+                }
+                let s = Shape::nchw(2, 3, h, w);
+                let (oh, ow) = p.out_hw(h, w);
+                let (c, len) = (s.c(), s.c() * kernel * kernel * oh * ow);
+                let mut x =
+                    crate::init::uniform(s, -1.0, 1.0, (kernel * 100 + stride * 10 + pad) as u64);
+                for (i, v) in x.data_mut().iter_mut().enumerate() {
+                    *v *= [1.0, 1e8, 1e-8, -3.0][i % 4];
+                }
+                let at = |ohi: usize, owi: usize, kh: usize, kw: usize| {
+                    let ih = (ohi * stride + kh) as isize - pad as isize;
+                    let iw = (owi * stride + kw) as isize - pad as isize;
+                    let inside = ih >= 0 && ih < h as isize && iw >= 0 && iw < w as isize;
+                    inside.then(|| ih as usize * w + iw as usize)
+                };
+                for n in 0..s.n() {
+                    let xn = &x.data()[n * c * h * w..(n + 1) * c * h * w];
+                    let mut cols = vec![f32::NAN; len];
+                    im2col_into(&x, n, p, oh, ow, &mut cols);
+                    let mut want_cols = vec![0.0f32; len];
+                    let mut want_dx = vec![0.0f32; c * h * w];
+                    for (i, want) in want_cols.iter_mut().enumerate() {
+                        let (row, ohi, owi) = (i / (oh * ow), i / ow % oh, i % ow);
+                        let (ci, kh, kw) =
+                            (row / (kernel * kernel), row / kernel % kernel, row % kernel);
+                        if let Some(idx) = at(ohi, owi, kh, kw) {
+                            *want = xn[ci * h * w + idx];
+                            // Scatter the lowered image straight back.
+                            want_dx[ci * h * w + idx] += *want;
+                        }
+                    }
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&cols), bits(&want_cols), "im2col {p:?} on {h}x{w}");
+                    let mut dx = vec![0.0f32; c * h * w];
+                    col2im_slice(&cols, &mut dx, s, p, oh, ow);
+                    assert_eq!(bits(&dx), bits(&want_dx), "col2im {p:?} on {h}x{w}");
+                }
+            }
         }
     }
 

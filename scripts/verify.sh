@@ -63,6 +63,11 @@
 #      and gist-testkit's seed hash). And one convolution lowering: the
 #      direct 3x3 kernel (`conv3x3s1_image`, `Conv3Shape`) and the
 #      pass-through `ops::matmul::` wrapper layer stay deleted
+#  13. the perf ledger: the newest root `BENCH_<pr>.json` (a change-side
+#      sweep of the repo benchmark folded by `bench_ledger`) against the
+#      one before it, row by row under BENCHMARK.json's bounds — a row
+#      whose spread exceeds its bound, or whose two files name different
+#      hosts, reads `unresolved` and passes; a `worse` row fails the gate
 #
 # Run this before committing, and append a one-line summary of what
 # changed to CHANGES.md.
@@ -95,6 +100,15 @@ for workload in train_stash train_conv exchange_mlp; do
     fi
     echo "$workload: ok"
 done
+
+echo "==> perf ledger (latest BENCH_<pr>.json against the one before it)"
+mapfile -t ledger < <(ls BENCH_*.json | sort -V | tail -n 2)
+if [ "${#ledger[@]}" -eq 2 ]; then
+    # `unresolved` (a spread wider than the bound, or another host) passes;
+    # a `worse` row exits non-zero and stops the gate here.
+    cargo run --release -q --offline -p gist-bench --bin bench_ledger -- \
+        compare "${ledger[0]}" "${ledger[1]}"
+fi
 
 echo "==> suffix-family tripwire (one ExecSpec, one StepProgram)"
 families=$(grep -rnE "fn (new_with_|predict_step_events|predicted_peak_bytes|predicted_replica_slab_bytes)" crates/ |

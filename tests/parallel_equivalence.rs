@@ -78,11 +78,15 @@ fn assert_thread_invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
 
 #[test]
 fn matmul_kernels_are_thread_invariant() {
-    // Dims up to 64x64x64 push past the row-grain so several chunks really
-    // dispatch; small dims cover the degenerate single-chunk path.
-    let dim = || one_of(vec![boxed(1usize..8), boxed(32usize..65)]);
+    // Dims up to 70 push past the row-grain so several chunks really
+    // dispatch, some ending mid-tile; small dims cover the degenerate
+    // single-chunk path, and the conv shape (16, 144, 1024) is four
+    // four-row chunks where it used to be sixteen one-row ones.
+    let dim = || one_of(vec![boxed(1usize..8), boxed(32usize..71)]);
+    let k_dim = || one_of(vec![boxed(1usize..8), boxed(32usize..65)]);
+    let shape = || one_of(vec![boxed((dim(), k_dim(), dim())), boxed(just((16, 144, 1024)))]);
     Runner::new("matmul_kernels_are_thread_invariant").cases(CASES).run(
-        &((dim(), dim(), dim()), vec_of(hostile_f32(), 16..257)),
+        &(shape(), vec_of(hostile_f32(), 16..257)),
         |((m, k, n), base)| {
             let (m, k, n) = (*m, *k, *n);
             let a = tile(base, m * k);
