@@ -178,7 +178,7 @@ pub struct BitmapMatrix {
 impl BitmapMatrix {
     /// Encodes a flat buffer.
     pub fn encode(data: &[f32]) -> Self {
-        let mut mask = vec![0u32; data.len().div_ceil(32)];
+        let mut mask = vec![0u32; gist_encodings::BitMask::bytes_for(data.len()) / 4];
         let mut values = Vec::new();
         for (i, &v) in data.iter().enumerate() {
             if v != 0.0 {

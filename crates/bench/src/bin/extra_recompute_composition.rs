@@ -57,7 +57,7 @@ fn main() {
     println!("-- executed plan (virtual clock over the runtime's sqrt-N segments) --");
     println!("{:<10} {:>10} {:>12} {:>14}", "model", "segments", "replayed ops", "exec rec ovh%");
     for graph in gist_models::paper_suite(PAPER_BATCH) {
-        let enc = vec![gist_core::Encoding::None; graph.len()];
+        let enc = vec![gist_encodings::StashCodec::Dense; graph.len()];
         let plan = OffloadPlan::plan(&graph, &enc, OffloadMode::Recompute).expect("plan");
         let replayed: usize = plan.segments.iter().map(|s| s.replay.len()).sum();
         let sim = simulate(&graph, &plan, &gpu).expect("sim");

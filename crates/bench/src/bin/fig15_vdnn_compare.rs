@@ -19,7 +19,7 @@ use gist_offload::{simulate, OffloadMode, OffloadPlan};
 use gist_perf::{gist_overhead, swap_overhead, GpuModel, SwapStrategy};
 
 fn swap_plan(graph: &gist_graph::Graph, strategy: SwapStrategy) -> OffloadPlan {
-    let enc = vec![gist_core::Encoding::None; graph.len()];
+    let enc = vec![gist_encodings::StashCodec::Dense; graph.len()];
     OffloadPlan::plan(graph, &enc, OffloadMode::Swap(strategy)).expect("plan")
 }
 

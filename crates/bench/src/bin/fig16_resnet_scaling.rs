@@ -42,7 +42,7 @@ fn main() {
     for depth in [509usize, 851, 1202] {
         let graph = gist_models::resnet_deep(depth, 4);
         let name = graph.name().to_string();
-        let enc = vec![gist_core::Encoding::None; graph.len()];
+        let enc = vec![gist_encodings::StashCodec::Dense; graph.len()];
         let rec = OffloadPlan::plan(&graph, &enc, OffloadMode::Recompute).expect("plan");
         let rec_sim = simulate(&graph, &rec, &gpu).expect("sim");
         let swp =

@@ -3,7 +3,8 @@
 
 use crate::config::{AllocationMode, GistConfig};
 use crate::policy::{assign, Assignment, Encoding};
-use gist_encodings::csr::{predicted_bytes, SsdcConfig};
+use gist_encodings::csr::predicted_bytes;
+use gist_encodings::StashCodec;
 use gist_graph::{
     DataClass, DataStructure, Graph, GraphError, Interval, NodeId, OpKind, Schedule, TensorRole,
 };
@@ -136,16 +137,17 @@ impl ScheduleBuilder {
                     });
                     let first_bwd = (*users.iter().min().expect("nonempty")).max(last_fwd_use);
                     let last_bwd = (*users.iter().max().expect("nonempty")).max(last_fwd_use);
-                    let (tag, enc_bytes, needs_decode) = match enc {
-                        Encoding::Binarize => ("binarize", numel.div_ceil(32) * 4, false),
-                        Encoding::Ssdc { assumed_sparsity } => {
-                            let cfg = SsdcConfig { narrow: true, value_format: self.config.dpr };
-                            ("ssdc", predicted_bytes(numel, *assumed_sparsity, cfg), true)
+                    let codec = enc.codec(&self.config);
+                    let tag = codec.label().expect("dense stashes are handled above");
+                    // A shape-only size is the codec's bound; SSDC is
+                    // planned at its assumed sparsity, not its worst case.
+                    let enc_bytes = match (enc, codec) {
+                        (Encoding::Ssdc { assumed_sparsity }, StashCodec::Ssdc(layout)) => {
+                            predicted_bytes(numel, *assumed_sparsity, layout)
                         }
-                        Encoding::Dpr(f) => ("dpr", numel.div_ceil(f.values_per_word()) * 4, true),
-                        Encoding::None => unreachable!("handled above"),
+                        _ => codec.bound(numel),
                     };
-                    let decode = needs_decode && !self.config.optimized_software;
+                    let decode = codec.decodes() && !self.config.optimized_software;
                     // ...the encoded form spans the temporal gap...
                     let enc_end = if decode { first_bwd } else { last_bwd };
                     inventory.push(DataStructure {

@@ -1,7 +1,7 @@
 //! Encoding selection policy — the executable form of the paper's Table I.
 
 use crate::config::GistConfig;
-use gist_encodings::DprFormat;
+use gist_encodings::{DprFormat, SsdcConfig, StashCodec};
 use gist_graph::{Graph, NodeId, PairKind};
 
 /// The encoding chosen for one stashed feature map.
@@ -29,6 +29,21 @@ impl Encoding {
             Encoding::Ssdc { .. } => "ssdc",
             Encoding::Dpr(_) => "dpr",
             Encoding::None => "fp32",
+        }
+    }
+
+    /// The stash codec that realizes this decision under `config` — the
+    /// one place a policy choice becomes a byte layout. SSDC always takes
+    /// the Narrow Value Optimization and, in lossy mode, DPR on its value
+    /// array.
+    pub fn codec(&self, config: &GistConfig) -> StashCodec {
+        match *self {
+            Encoding::Binarize => StashCodec::Binarize,
+            Encoding::Ssdc { .. } => {
+                StashCodec::Ssdc(SsdcConfig { narrow: true, value_format: config.dpr })
+            }
+            Encoding::Dpr(format) => StashCodec::Dpr(format, config.rounding),
+            Encoding::None => StashCodec::Dense,
         }
     }
 }

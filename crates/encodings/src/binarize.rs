@@ -28,12 +28,18 @@ impl BitMask {
     /// (`NaN > 0.0` is false in both the scalar comparison and the ordered
     /// vector predicate).
     pub fn encode(y: &[f32]) -> Self {
-        let mut words = vec![0u32; y.len().div_ceil(32)];
+        let mut words = vec![0u32; Self::bytes_for(y.len()) / 4];
         const GRAIN: usize = 1 << 11;
         parallel_chunks_mut(&mut words, GRAIN, |ci, chunk| {
             gist_simd::pack_gt_zero_words(y, ci * GRAIN, chunk);
         });
         BitMask { words, len: y.len() }
+    }
+
+    /// Encoded size in bytes of a mask over `len` elements: one bit each,
+    /// in whole 32-bit words.
+    pub fn bytes_for(len: usize) -> usize {
+        len.div_ceil(32) * 4
     }
 
     /// Number of encoded elements.

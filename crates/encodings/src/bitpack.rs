@@ -13,7 +13,7 @@ const PACK_GRAIN: usize = 1 << 11;
 
 /// Packs a slice of booleans into `u32` words, LSB-first.
 pub fn pack_bits(flags: &[bool]) -> Vec<u32> {
-    let mut words = vec![0u32; flags.len().div_ceil(32)];
+    let mut words = vec![0u32; crate::BitMask::bytes_for(flags.len()) / 4];
     parallel_chunks_mut(&mut words, PACK_GRAIN, |ci, chunk| {
         gist_simd::pack_bools_into_words(flags, ci * PACK_GRAIN, chunk);
     });

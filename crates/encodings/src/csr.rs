@@ -364,16 +364,9 @@ pub fn predicted_bytes(len: usize, sparsity: f64, config: SsdcConfig) -> usize {
 pub fn encoded_bytes_for(len: usize, nnz: usize, config: SsdcConfig) -> usize {
     let cols = if config.narrow { NARROW_COLS } else { len.max(1) };
     let rows = len.div_ceil(cols).max(1);
-    let value_bits = match config.value_format {
-        Some(f) => {
-            // Packing: values_per_word values per 32-bit word.
-            let words = nnz.div_ceil(f.values_per_word());
-            words * 32
-        }
-        None => nnz * 32,
-    };
+    let value_bytes = config.value_format.map_or(nnz * 4, |f| f.packed_bytes(nnz));
     let idx_bytes = if config.narrow { nnz } else { nnz * 4 };
-    value_bits / 8 + idx_bytes + (rows + 1) * 4
+    value_bytes + idx_bytes + (rows + 1) * 4
 }
 
 #[cfg(test)]

@@ -57,6 +57,12 @@ impl DprFormat {
         }
     }
 
+    /// Packed size in bytes of `len` values: whole 4-byte words of
+    /// [`Self::values_per_word`] values each.
+    pub fn packed_bytes(&self, len: usize) -> usize {
+        len.div_ceil(self.values_per_word()) * 4
+    }
+
     /// Exponent bias.
     pub fn bias(&self) -> i32 {
         (1 << (self.exp_bits() - 1)) - 1
@@ -333,7 +339,7 @@ impl DprBuffer {
     pub fn encode_with(format: DprFormat, values: &[f32], mode: RoundingMode) -> Self {
         let per = format.values_per_word();
         let bits = format.bits();
-        let mut words = vec![0u32; values.len().div_ceil(per)];
+        let mut words = vec![0u32; format.packed_bytes(values.len()) / 4];
         const GRAIN: usize = 1 << 12;
         if mode == RoundingMode::Nearest {
             // Convert in word-groups: a stack buffer of codes feeds the
@@ -413,7 +419,7 @@ impl DprBuffer {
         len: usize,
         r: &mut crate::bytes::Reader,
     ) -> Result<DprBuffer, crate::transfer::WireError> {
-        let words = r.u32s(len.div_ceil(format.values_per_word()))?;
+        let words = r.u32s(format.packed_bytes(len) / 4)?;
         Ok(DprBuffer { format, words, len })
     }
 

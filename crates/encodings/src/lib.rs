@@ -18,20 +18,24 @@
 //!   *after* its forward-pass use, keeping the forward pass error-free.
 //!
 //! All encoders return self-describing containers that know their encoded
-//! byte size (driving the memory planner in `gist-core`) and can decode
-//! themselves (driving the runtime executor in `gist-runtime`).
+//! byte size and can decode themselves. [`stash`] is the one seam the
+//! planner (`gist-core`), the lowering and the executor (`gist-runtime`)
+//! and the offload planner reach them through: a [`StashCodec`] sizes and
+//! encodes a stashed feature map, a [`Stash`] decodes or gates with it.
 
 pub mod binarize;
 pub mod bitpack;
 mod bytes;
 pub mod csr;
 pub mod dpr;
+pub mod stash;
 pub mod transfer;
 
 pub use binarize::{BitMask, PoolIndexMap};
 pub use bytes::Reader;
 pub use csr::{CsrMatrix, SsdcConfig};
 pub use dpr::{DprFormat, RoundingMode};
+pub use stash::{Stash, StashCodec};
 pub use transfer::{
     auto_codec, max_wire_bytes, CodecPolicy, TransferCodec, Wire, WireError, WireRef,
 };

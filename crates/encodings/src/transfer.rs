@@ -440,7 +440,7 @@ impl<'a> WireRef<'a> {
                 PayloadRef::Ssdc(c)
             }
             t => match tag_format(t - 1) {
-                Some(f) => PayloadRef::Dpr(f, r.words(len.div_ceil(f.values_per_word()))?),
+                Some(f) => PayloadRef::Dpr(f, r.take(f.packed_bytes(len))?),
                 None => return Err(WireError::BadTag { field: "codec", value: t }),
             },
         };
@@ -558,7 +558,7 @@ pub fn max_wire_bytes(len: usize, codec: TransferCodec) -> u64 {
     match codec {
         TransferCodec::None => len as u64 * 4,
         TransferCodec::Ssdc => csr::max_encoded_bytes(len, SsdcConfig::default()) as u64,
-        TransferCodec::Dpr(format) => (len.div_ceil(format.values_per_word()) * 4) as u64,
+        TransferCodec::Dpr(format) => format.packed_bytes(len) as u64,
     }
 }
 

@@ -215,10 +215,10 @@ pub fn simulate_observed(
 mod tests {
     use super::*;
     use crate::plan::OffloadPlan;
-    use gist_core::Encoding;
+    use gist_encodings::StashCodec;
 
     fn plan_for(graph: &Graph, mode: OffloadMode) -> OffloadPlan {
-        let enc = vec![Encoding::None; graph.len()];
+        let enc = vec![StashCodec::Dense; graph.len()];
         OffloadPlan::plan(graph, &enc, mode).unwrap()
     }
 

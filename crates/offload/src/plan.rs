@@ -9,7 +9,7 @@
 //! `{node}.ry{segment}`, `{node}.sin`); the lowering interns those names
 //! as the program's buffers.
 
-use gist_core::Encoding;
+use gist_encodings::StashCodec;
 use gist_graph::class::is_stashed;
 use gist_graph::{Graph, GraphError, NodeId, OpKind, Schedule};
 use gist_perf::SwapStrategy;
@@ -118,16 +118,15 @@ pub struct OffloadPlan {
 }
 
 impl OffloadPlan {
-    /// Plans offload for `graph` under the given per-node stash encodings
-    /// (from `gist_core::policy::assign`, `Encoding::None` everywhere for
-    /// baseline).
+    /// Plans offload for `graph` under the given per-node stash codecs
+    /// ([`StashCodec::Dense`] everywhere for baseline).
     ///
     /// # Errors
     ///
     /// Propagates shape-inference failures.
     pub fn plan(
         graph: &Graph,
-        encodings: &[Encoding],
+        codecs: &[StashCodec],
         mode: OffloadMode,
     ) -> Result<OffloadPlan, GraphError> {
         let n = graph.len();
@@ -161,7 +160,7 @@ impl OffloadPlan {
 
         // Only stashes the encodings left dense are offload candidates.
         let dense_stashed: Vec<bool> = (0..n)
-            .map(|i| is_stashed(graph, NodeId::new(i)) && matches!(encodings[i], Encoding::None))
+            .map(|i| is_stashed(graph, NodeId::new(i)) && codecs[i] == StashCodec::Dense)
             .collect();
 
         let mut plan = OffloadPlan {
@@ -383,8 +382,8 @@ impl OffloadPlan {
 mod tests {
     use super::*;
 
-    fn baseline_encodings(graph: &Graph) -> Vec<Encoding> {
-        vec![Encoding::None; graph.len()]
+    fn baseline_encodings(graph: &Graph) -> Vec<StashCodec> {
+        vec![StashCodec::Dense; graph.len()]
     }
 
     #[test]

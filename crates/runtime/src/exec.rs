@@ -9,10 +9,7 @@ use crate::program::{
 };
 use crate::spec::{AllocPolicy, ExecMode, ExecSpec};
 use crate::RuntimeError;
-use gist_core::Encoding;
-use gist_encodings::csr::SsdcConfig;
-use gist_encodings::dpr::DprBuffer;
-use gist_encodings::{BitMask, CsrMatrix, EncodingError, TransferCodec, Wire};
+use gist_encodings::{EncodingError, Stash, StashCodec, TransferCodec, Wire};
 use gist_graph::{Graph, Node, NodeId, OpKind};
 use gist_memory::{Arena, PlanGranularity};
 use gist_obs::{Event, NullRecorder, Phase, Recorder};
@@ -26,40 +23,10 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// A stashed feature map in whatever form the mode selected.
-///
-/// Under [`AllocPolicy::Arena`] a `Dense` stash is a view of the node's
-/// planned `.stash` region. Encoded stashes keep their compact payload in
-/// the codec structs; the arena still reserves their planned region, so the
-/// accounting (and the plan the oracle checks) covers them either way.
-#[derive(Debug, Clone)]
-enum Stash {
-    Dense(Tensor),
-    Bits(BitMask),
-    Sparse(CsrMatrix, Shape),
-    Reduced(DprBuffer, Shape),
-}
-
-impl Stash {
-    fn encoded_bytes(&self) -> usize {
-        match self {
-            Stash::Dense(t) => t.numel() * 4,
-            Stash::Bits(m) => m.encoded_bytes(),
-            Stash::Sparse(c, _) => c.encoded_bytes(),
-            Stash::Reduced(b, _) => b.encoded_bytes(),
-        }
-    }
-
-    /// Codec label for trace events; `None` for the dense (uncompressed)
-    /// representation.
-    fn codec_label(&self) -> Option<&'static str> {
-        match self {
-            Stash::Dense(_) => None,
-            Stash::Bits(_) => Some("binarize"),
-            Stash::Sparse(_, _) => Some("ssdc"),
-            Stash::Reduced(_, _) => Some("dpr"),
-        }
-    }
+/// A [`BwdOut::decodes`] entry for stash `s` of `node`.
+fn consumed(node: NodeId, s: &Stash) -> (NodeId, &'static str, u64, u64) {
+    let codec = s.codec().label().expect("an encoded stash has a codec");
+    (node, codec, s.dense_bytes() as u64, s.encoded_bytes() as u64)
 }
 
 /// Nanoseconds since the step's epoch, as recorded in span events.
@@ -405,13 +372,6 @@ impl Executor {
         self.host.as_ref().map_or(0, |h| h.lock().expect("host store lock").pinned_bytes())
     }
 
-    /// Cumulative scratch-pool counters `(leases, fresh allocations)`: the
-    /// difference is how many per-step backward scratch allocations the
-    /// pool absorbed.
-    pub fn scratch_counters(&self) -> (u64, u64) {
-        self.scratch.counters()
-    }
-
     /// The codec swapped stashes ride through on the (virtual) bus. `None`
     /// for dense swap strategies; the executed cDMA path SSDC-encodes each
     /// stash on its way to the host store and decodes it — bit-exactly —
@@ -460,32 +420,6 @@ impl Executor {
         }
     }
 
-    fn make_stash(
-        &self,
-        st: &StepState,
-        id: NodeId,
-        buf: BufId,
-        y: &Tensor,
-    ) -> Result<Stash, RuntimeError> {
-        Ok(match (&self.spec.mode, self.program.encodings[id.index()]) {
-            (ExecMode::Gist(_), Encoding::Binarize) => Stash::Bits(BitMask::encode(y.data())),
-            (ExecMode::Gist(cfg), Encoding::Ssdc { .. }) => {
-                let ssdc = SsdcConfig { narrow: true, value_format: cfg.dpr };
-                Stash::Sparse(CsrMatrix::encode(y.data(), ssdc), y.shape())
-            }
-            (ExecMode::Gist(cfg), Encoding::Dpr(f)) => {
-                Stash::Reduced(DprBuffer::encode_with(f, y.data(), cfg.rounding), y.shape())
-            }
-            _ => Stash::Dense(match self.view(st, buf, y.shape())? {
-                Some(mut v) => {
-                    v.copy_from(y);
-                    v
-                }
-                None => y.clone(),
-            }),
-        })
-    }
-
     /// Materializes a stashed producer for a backward read. Dense stashes
     /// are borrowed in place (zero copy, no decode buffer); encoded stashes
     /// decode into the consuming item's `dec` buffer, noting the decode in
@@ -498,23 +432,14 @@ impl Executor {
         decodes: Option<&mut Vec<(NodeId, &'static str, u64, u64)>>,
     ) -> Result<Cow<'s, Tensor>, RuntimeError> {
         let s = st.stashes[pid.index()].as_ref().expect("stash present for backward");
-        let shape = match s {
-            Stash::Dense(t) => return Ok(Cow::Borrowed(t)),
-            Stash::Sparse(_, sh) | Stash::Reduced(_, sh) => *sh,
-            Stash::Bits(..) => {
-                unreachable!("binarized stashes are consumed via relu_backward, never decoded")
-            }
-        };
-        let dec = dec.expect("lowering plans a decode buffer for every encoded read");
-        let mut t = self.buffer(st, dec, shape)?;
-        match s {
-            Stash::Sparse(c, _) => c.decode_into(t.data_mut()),
-            Stash::Reduced(b, _) => b.decode_into(t.data_mut()),
-            _ => unreachable!(),
+        if let Some(t) = s.as_dense() {
+            return Ok(Cow::Borrowed(t));
         }
+        let dec = dec.expect("lowering plans a decode buffer for every encoded read");
+        let mut t = self.buffer(st, dec, s.shape())?;
+        s.decode_into(t.data_mut())?;
         if let Some(decodes) = decodes {
-            let codec = s.codec_label().expect("encoded stash has a codec");
-            decodes.push((pid, codec, (t.numel() * 4) as u64, s.encoded_bytes() as u64));
+            decodes.push(consumed(pid, s));
         }
         Ok(Cow::Owned(t))
     }
@@ -535,8 +460,17 @@ impl Executor {
         match site {
             StashSite::None => {}
             StashSite::Resident(buf) => {
-                let stash = self.make_stash(st, id, buf, y)?;
-                if let Some(codec) = stash.codec_label() {
+                // Only a dense stash lives in its planned region (a view
+                // of it under the arena policy). Encoded payloads stay in
+                // their codec containers; the arena still reserves their
+                // region, so the accounting covers them either way.
+                let codec = self.program.codecs[id.index()];
+                let region = match codec {
+                    StashCodec::Dense => self.view(st, buf, y.shape())?,
+                    _ => None,
+                };
+                let stash = codec.encode(y, region);
+                if let Some(codec) = codec.label() {
                     cx.emit(|| Event::Encode {
                         name: name.clone(),
                         codec: codec.to_string(),
@@ -710,38 +644,16 @@ impl Executor {
                     linear::backward_with_into(&x, &p.main, &dy2, &self.scratch, &mut contrib[0])?;
                 pgrads = Some(ParamGrads { main: dw, secondary: Some(db) });
             }
-            OpKind::Relu => match st.stashes[id.index()].as_ref() {
-                // Binarize: backward directly on the 1-bit mask.
-                Some(Stash::Bits(mask)) => {
-                    mask.relu_backward_into(dy().data(), contrib[0].data_mut())?;
+            OpKind::Relu => {
+                // The node's own stash is the gate, in whatever form it is
+                // held. Where another reader would decode it, the trace
+                // shows it consumed at the sizes that decode reports.
+                let s = st.stashes[id.index()].as_ref().expect("relu output is always stashed");
+                if step.traced && s.codec().decodes() {
+                    decodes.push(consumed(id, s));
                 }
-                // Baseline: the dense stash is read in place.
-                Some(Stash::Dense(y)) => relu::backward_into(y, dy(), &mut contrib[0]),
-                // SSDC: the gate is read off the stored elements; no dense
-                // map is rebuilt. The trace still shows the stash being
-                // consumed, at the sizes a decode would have reported.
-                Some(Stash::Sparse(csr, _)) => {
-                    if step.traced {
-                        let (raw, enc) = (csr.dense_bytes() as u64, csr.encoded_bytes() as u64);
-                        decodes.push((id, "ssdc", raw, enc));
-                    }
-                    csr.relu_backward_into(dy().data(), contrib[0].data_mut());
-                }
-                // DPR is the one ReLU stash still decoded to a dense map,
-                // into a heap buffer under both policies: it lives only
-                // inside this backward computation, so the program reserves
-                // no region for it and neither the meter nor the predictor
-                // counts it.
-                Some(Stash::Reduced(dpr, shape)) => {
-                    let y = Tensor::from_vec(*shape, dpr.decode()).expect("dpr decode length");
-                    if step.traced {
-                        let (raw, enc) = ((y.numel() * 4) as u64, dpr.encoded_bytes() as u64);
-                        decodes.push((id, "dpr", raw, enc));
-                    }
-                    relu::backward_into(&y, dy(), &mut contrib[0]);
-                }
-                None => unreachable!("relu output is always stashed"),
-            },
+                s.relu_backward_into(dy().data(), contrib[0].data_mut())?;
+            }
             OpKind::MaxPool(p) => {
                 let argmax = st.argmaxes[id.index()].as_ref().expect("maxpool ran forward");
                 let x_shape = self.shape(node.inputs[0]);
@@ -946,9 +858,9 @@ impl Executor {
             .graph
             .nodes()
             .iter()
-            .filter_map(|nd| match &st.stashes[nd.id.index()] {
-                Some(Stash::Sparse(c, _)) => Some((nd.name.clone(), c.compression_ratio())),
-                _ => None,
+            .filter_map(|nd| {
+                let s = st.stashes[nd.id.index()].as_ref().filter(|s| !s.codec().is_exact())?;
+                Some((nd.name.clone(), s.dense_bytes() as f64 / s.encoded_bytes() as f64))
             })
             .collect();
         for block in backward {
@@ -1181,7 +1093,7 @@ impl Executor {
             ts_ns,
             dur_ns: elapsed_ns(&cx.batch.epoch).saturating_sub(ts_ns),
         });
-        st.stashes[vi] = Some(Stash::Dense(t));
+        st.stashes[vi] = Some(Stash::dense(t));
         Ok(())
     }
 
@@ -1207,8 +1119,7 @@ impl Executor {
             st.rmaps = vec![None; self.graph.len()];
             for &e in &seg.externals {
                 st.rmaps[e.index()] = Some(match &st.stashes[e.index()] {
-                    Some(Stash::Dense(t)) => t.clone(),
-                    Some(_) => unreachable!("replay externals are dense stashes"),
+                    Some(s) => s.as_dense().expect("replay externals are dense stashes").clone(),
                     None => {
                         debug_assert!(matches!(self.graph.node(e).op, OpKind::Input(_)));
                         cx.batch.images.clone()
@@ -1231,7 +1142,7 @@ impl Executor {
             // Under the arena policy, a second view of the planned region
             // the kernel just wrote — reads only from here on.
             let stash = self.view(st, buf, y.shape())?.unwrap_or_else(|| y.clone());
-            st.stashes[rs.node.index()] = Some(Stash::Dense(stash));
+            st.stashes[rs.node.index()] = Some(Stash::dense(stash));
         }
         st.rmaps[rs.node.index()] = Some(y);
         if index + 1 == seg.replay.len() {
@@ -1253,10 +1164,9 @@ impl Executor {
         let bufs = &self.program.bufs;
         let bytes_of = |st: &StepState, b: BufId| match bufs[b].bytes {
             Bytes::Fixed(bytes) => bytes,
-            Bytes::Ssdc(node) => {
+            Bytes::Observed(node) => {
                 let stash = st.stashes[node.index()].as_ref();
-                stash.expect("an SSDC stash is held while its buffer is live").encoded_bytes()
-                    as u64
+                stash.expect("a stash is held while its buffer is live").encoded_bytes() as u64
             }
         };
         match op {

@@ -25,17 +25,17 @@
 //! the predictor *folds* it for bytes ([`StepProgram::events`],
 //! [`StepProgram::wave_groups`], [`StepProgram::peak_bytes`]), and
 //! `gist_memory::Arena::from_events_granular` packs the slab from that
-//! fold. Sizes are resolved at lowering time — [`align_arena`]-rounded
-//! reservations under the arena policy, SSDC stashes at their
-//! data-independent worst case — with one exception: a heap-policy SSDC
-//! stash is as large as the values make it, so it lowers to a
-//! `Bytes::Ssdc` placeholder the executor fills from the encoded stash
-//! and the predictor from observed sizes ([`crate::ssdc_stash_sizes`]).
+//! fold. Sizes are resolved at lowering time — a stash is its codec's
+//! [`StashCodec::bound`], [`align_arena`]-rounded under the arena policy —
+//! with one exception: a heap-policy stash whose codec is not
+//! [`StashCodec::is_exact`] (SSDC) is as large as the values make it, so it
+//! lowers to a `Bytes::Observed` placeholder the executor fills from the
+//! encoded stash and the predictor from observed sizes
+//! ([`crate::ssdc_stash_sizes`]).
 
 use crate::spec::{AllocPolicy, ExecMode, ExecSpec};
 use crate::RuntimeError;
-use gist_core::Encoding;
-use gist_encodings::csr::{max_encoded_bytes, SsdcConfig};
+use gist_encodings::StashCodec;
 use gist_graph::class::is_stashed;
 use gist_graph::{Graph, Node, NodeId, OpKind, Schedule};
 use gist_memory::{align_arena, PlanGranularity};
@@ -51,9 +51,9 @@ pub(crate) type BufId = usize;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Bytes {
     Fixed(u64),
-    /// The encoded size of this node's heap-policy SSDC stash, known only
-    /// once its values have been encoded.
-    Ssdc(NodeId),
+    /// The encoded size of this node's heap-policy stash under a codec
+    /// whose size depends on the values, known only once they are encoded.
+    Observed(NodeId),
 }
 
 /// The per-step slot holding a buffer's tensor — what the executor drops
@@ -199,8 +199,8 @@ pub struct StepProgram {
     pub(crate) backward_start: usize,
     /// Inferred output shape of every node.
     pub(crate) shapes: Vec<Shape>,
-    /// Stash encoding of every node (`None` outside `ExecMode::Gist`).
-    pub(crate) encodings: Vec<Encoding>,
+    /// Stash codec of every node (`Dense` outside `ExecMode::Gist`).
+    pub(crate) codecs: Vec<StashCodec>,
     /// The offload plan, present only when it changes something relative
     /// to fully-resident execution.
     pub(crate) oplan: Option<OffloadPlan>,
@@ -212,28 +212,12 @@ pub struct StepProgram {
     wave_planned: bool,
 }
 
-/// Data-independent stash size for a node of `ne` elements: exact for
-/// Binarize/DPR/dense (their encoded size is shape-only), the worst-case
-/// bound for SSDC (whose actual size depends on the values). This is what
-/// the arena reserves, so a step can never outgrow its planned region.
-fn static_stash_bytes(ne: u64, mode: &ExecMode, enc: Encoding) -> u64 {
-    match (mode, enc) {
-        (ExecMode::Gist(_), Encoding::Binarize) => ne.div_ceil(32) * 4,
-        (ExecMode::Gist(cfg), Encoding::Ssdc { .. }) => {
-            max_encoded_bytes(ne as usize, SsdcConfig { narrow: true, value_format: cfg.dpr })
-                as u64
-        }
-        (ExecMode::Gist(_), Encoding::Dpr(f)) => ne.div_ceil(f.values_per_word() as u64) * 4,
-        _ => ne * 4,
-    }
-}
-
 /// Buffer interning and sizing during a lowering.
 struct Lowering<'a> {
     graph: &'a Graph,
     spec: &'a ExecSpec,
     shapes: &'a [Shape],
-    encodings: &'a [Encoding],
+    codecs: &'a [StashCodec],
     plan: Option<&'a OffloadPlan>,
     bufs: Vec<Buf>,
     index: HashMap<String, BufId>,
@@ -284,14 +268,16 @@ impl Lowering<'_> {
             StashDisposition::Dropped => StashSite::None,
             StashDisposition::Swapped => StashSite::Swap,
             StashDisposition::Resident => {
-                let (mode, enc) = (&self.spec.mode, self.encodings[id.index()]);
-                let ne = self.shapes[id.index()].numel() as u64;
+                // The arena reserves the codec's data-independent bound,
+                // so a step can never outgrow its planned region.
+                let codec = self.codecs[id.index()];
+                let bound = codec.bound(self.shapes[id.index()].numel()) as u64;
                 let bytes = if self.arena() {
-                    Bytes::Fixed(align_arena(static_stash_bytes(ne, mode, enc)))
-                } else if matches!((mode, enc), (ExecMode::Gist(_), Encoding::Ssdc { .. })) {
-                    Bytes::Ssdc(id)
+                    Bytes::Fixed(align_arena(bound))
+                } else if codec.is_exact() {
+                    Bytes::Fixed(bound)
                 } else {
-                    Bytes::Fixed(static_stash_bytes(ne, mode, enc))
+                    Bytes::Observed(id)
                 };
                 let name = format!("{}.stash", self.name(id));
                 StashSite::Resident(self.intern(name, bytes, Slot::Stash(id)))
@@ -326,14 +312,9 @@ impl Lowering<'_> {
             .collect();
         // Ops whose backward decodes an *encoded* producer stash into a
         // dense buffer; dense stashes are borrowed in place and leave no
-        // trace. (ReLU reads its *own* stash: SSDC gates straight off the
-        // CSR arrays, and only a DPR stash decodes — into an unmetered heap
-        // transient, see `backward_node`.)
-        let decodes = node.op.reads_input_stash()
-            && matches!(
-                self.encodings[node.inputs[0].index()],
-                Encoding::Ssdc { .. } | Encoding::Dpr(_)
-            );
+        // trace. (ReLU reads its *own* stash through
+        // `Stash::relu_backward_into`, which needs no planned buffer.)
+        let decodes = node.op.reads_input_stash() && self.codecs[node.inputs[0].index()].decodes();
         let dec = decodes
             .then(|| self.dense(format!("{}.dec", node.name), node.inputs[0], Slot::Scratch));
         (dec, targets)
@@ -364,16 +345,17 @@ impl StepProgram {
     pub fn lower(graph: &Graph, spec: &ExecSpec) -> Result<StepProgram, RuntimeError> {
         let n = graph.len();
         let shapes = graph.infer_shapes()?;
-        let mut encodings = vec![Encoding::None; n];
+        let mut codecs = vec![StashCodec::Dense; n];
         if let ExecMode::Gist(cfg) = &spec.mode {
             for a in gist_core::policy::assign(graph, cfg) {
-                encodings[a.node.index()] = a.encoding;
+                codecs[a.node.index()] = a.encoding.codec(cfg);
             }
         }
         let oplan = match spec.offload {
             OffloadMode::None => None,
-            mode => Some(OffloadPlan::plan(graph, &encodings, mode)?)
-                .filter(OffloadPlan::has_offload_work),
+            mode => {
+                Some(OffloadPlan::plan(graph, &codecs, mode)?).filter(OffloadPlan::has_offload_work)
+            }
         };
         let input = find_node(graph, "input node", |op| matches!(op, OpKind::Input(_)))?.id;
         let logits =
@@ -390,7 +372,7 @@ impl StepProgram {
             graph,
             spec,
             shapes: &shapes,
-            encodings: &encodings,
+            codecs: &codecs,
             plan: oplan.as_ref(),
             bufs: Vec::new(),
             index: HashMap::new(),
@@ -650,7 +632,7 @@ impl StepProgram {
             blocks,
             backward_start,
             shapes,
-            encodings,
+            codecs,
             oplan,
             input,
             logits,
@@ -659,13 +641,13 @@ impl StepProgram {
     }
 
     /// The memory event `op` stands for. `ssdc` maps node names to observed
-    /// SSDC stash sizes; it is only consulted for [`Bytes::Ssdc`] buffers.
+    /// SSDC stash sizes; it is only consulted for [`Bytes::Observed`] buffers.
     fn event(&self, op: MemOp, ssdc: &HashMap<String, u64>) -> Result<Event, RuntimeError> {
         let name = |b: BufId| self.bufs[b].name.clone();
         let bytes = |b: BufId| match self.bufs[b].bytes {
             Bytes::Fixed(bytes) => Ok(bytes),
             // The placeholder only ever sizes a `{node}.stash` buffer.
-            Bytes::Ssdc(_) => {
+            Bytes::Observed(_) => {
                 let node = self.bufs[b].name.strip_suffix(".stash").unwrap_or_default();
                 ssdc.get(node).copied().ok_or_else(|| {
                     RuntimeError::Trace(format!("no observed SSDC stash size for node {node}"))

@@ -62,7 +62,13 @@
 #      appear in two files under crates/ only (the runtime's fingerprint
 #      and gist-testkit's seed hash). And one convolution lowering: the
 #      direct 3x3 kernel (`conv3x3s1_image`, `Conv3Shape`) and the
-#      pass-through `ops::matmul::` wrapper layer stay deleted
+#      pass-through `ops::matmul::` wrapper layer stay deleted. And one
+#      stash seam: codecs are named in `gist-encodings` (`stash.rs`) and
+#      chosen in `gist-core::policy`, nowhere else on the executed path —
+#      outside `#[cfg(test)]` modules, crates/runtime/src and
+#      crates/offload/src name no codec container and match on no
+#      `Encoding` variant, and the executor's private stash enum and the
+#      lowering's size table (`static_stash_bytes`) stay deleted
 #  13. the perf ledger: the newest root `BENCH_<pr>.json` (a change-side
 #      sweep of the repo benchmark folded by `bench_ledger`) against the
 #      one before it, row by row under BENCHMARK.json's bounds — a row
@@ -129,6 +135,18 @@ forks=$(grep -rnE "conv3x3s1_image|Conv3Shape|ops::matmul::" crates src tests ex
 if [ -n "$forks" ]; then
     echo "a second conv lowering or the matmul wrapper layer reappeared (im2col + gist_simd::matmul_*_into):" >&2
     echo "$forks" >&2
+    exit 1
+fi
+codecs=$(
+    for f in crates/runtime/src/*.rs crates/offload/src/*.rs; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            /BitMask|CsrMatrix|DprBuffer|SsdcConfig|Encoding::(Binarize|Ssdc|Dpr)/ { print f ":" FNR ":" $0 }' "$f"
+    done
+    grep -rnE "static_stash_bytes|enum Stash\b" crates/runtime || true
+)
+if [ -n "$codecs" ]; then
+    echo "a codec is named outside the stash seam (gist_encodings::{StashCodec, Stash}; chosen in gist-core::policy):" >&2
+    echo "$codecs" >&2
     exit 1
 fi
 fnv_files=$(grep -rl "0xcbf2_9ce4" crates | wc -l)

@@ -7,7 +7,8 @@
 use gist::encodings::csr::SsdcConfig;
 use gist::encodings::dpr::DprBuffer;
 use gist::encodings::{
-    BitMask, CsrMatrix, DprFormat, PoolIndexMap, TransferCodec, Wire, WireError, WireRef,
+    BitMask, CsrMatrix, DprFormat, EncodingError, PoolIndexMap, RoundingMode, StashCodec,
+    TransferCodec, Wire, WireError, WireRef,
 };
 use gist::graph::{DataClass, DataStructure, Interval, NodeId, TensorRole};
 use gist::memory::{peak_dynamic, plan_static, SharingPolicy};
@@ -356,6 +357,103 @@ fn csr_relu_backward_rejects_mismatched_lengths_like_decode_into() {
     let mut dx = [f32::NAN; 4];
     csr.relu_backward_into(&[5.0, 6.0, 7.0, 8.0], &mut dx);
     assert_eq!(dx, [0.0, 6.0, 0.0, 8.0]);
+}
+
+/// Every codec the policy can put a stash under: dense, the mask, SSDC in
+/// every layout, DPR in every format (and one stochastic rounding).
+fn stash_codecs() -> Vec<StashCodec> {
+    let mut codecs = vec![StashCodec::Dense, StashCodec::Binarize];
+    codecs.extend(ssdc_configs().map(StashCodec::Ssdc));
+    codecs.extend(
+        [DprFormat::Fp16, DprFormat::Fp10, DprFormat::Fp8]
+            .map(|f| StashCodec::Dpr(f, RoundingMode::Nearest)),
+    );
+    codecs.push(StashCodec::Dpr(DprFormat::Fp8, RoundingMode::Stochastic { seed: 7 }));
+    codecs
+}
+
+/// The stash seam's whole contract for one codec over one `(y, dy)`: the
+/// payload fits the reservation the lowering makes from the same function,
+/// decode and the ReLU gate are bit-equal to the containers and the dense
+/// kernel, and a wrong length is a typed error before the first write.
+fn assert_stash_contract(codec: StashCodec, y: &[f32], dy: &[f32]) {
+    let ne = y.len();
+    let shape = Shape::vector(ne);
+    let stash = codec.encode(&Tensor::from_vec(shape, y.to_vec()).unwrap(), None);
+    let what = format!("{codec:?} at {ne} elements");
+    assert_eq!((stash.codec(), stash.shape(), stash.dense_bytes()), (codec, shape, ne * 4));
+
+    // Reservation and payload: never above the bound; equal to it exactly
+    // when the size is shape-only, and — for a data-dependent codec — only
+    // when no element could be dropped.
+    let (held, bound) = (stash.encoded_bytes(), codec.bound(ne));
+    assert!(held <= bound, "{what}: {held} bytes held, {bound} reserved");
+    let full = codec.is_exact() || y.iter().all(|&v| v != 0.0);
+    assert_eq!(held == bound, full, "{what}: {held} held vs {bound} reserved");
+
+    // The dense map a backward reader sees: the container's own decode.
+    let decoded = match codec {
+        StashCodec::Dense | StashCodec::Binarize => y.to_vec(),
+        StashCodec::Ssdc(config) => CsrMatrix::encode(y, config).decode(),
+        StashCodec::Dpr(f, rounding) => DprBuffer::encode_with(f, y, rounding).decode(),
+    };
+    const POISON: f32 = -7.25;
+    assert_eq!(
+        stash.as_dense().map(|t| bits(t.data())),
+        (codec == StashCodec::Dense).then(|| bits(y))
+    );
+    if codec != StashCodec::Binarize {
+        let mut dst = vec![POISON; ne];
+        stash.decode_into(&mut dst).unwrap();
+        assert_eq!(bits(&dst), bits(&decoded), "{what}: decode_into");
+    }
+
+    // The gate: the dense kernel over that map, ±0.0 / NaN / subnormals
+    // included (Binarize never had the map; its reference is `y` itself).
+    let tensor = |v: &[f32]| Tensor::from_vec(shape, v.to_vec()).unwrap();
+    let mut want = Tensor::full(shape, POISON);
+    relu::backward_into(&tensor(&decoded), &tensor(dy), &mut want);
+    let mut dx = vec![POISON; ne];
+    stash.relu_backward_into(dy, &mut dx).unwrap();
+    assert_eq!(bits(&dx), bits(want.data()), "{what}: relu_backward_into");
+
+    // One length contract: typed, and checked before anything is written.
+    for wrong in [ne + 1, ne.saturating_sub(1)].into_iter().filter(|&w| w != ne) {
+        let err = Err(EncodingError::LengthMismatch { expected: ne, actual: wrong });
+        let mut dx = vec![POISON; ne];
+        assert_eq!(stash.relu_backward_into(&vec![1.0; wrong], &mut dx), err, "{what}: dy");
+        assert_eq!(bits(&dx), bits(&vec![POISON; ne]), "{what}: dx written before the dy check");
+        let mut short = vec![POISON; wrong];
+        assert_eq!(stash.relu_backward_into(dy, &mut short), err, "{what}: dx");
+        assert_eq!(stash.decode_into(&mut short), err, "{what}: dst");
+        assert_eq!(bits(&short), bits(&vec![POISON; wrong]), "{what}: written before the check");
+    }
+}
+
+#[test]
+fn every_stash_codec_honours_the_seam_contract() {
+    // Lengths straddle the mask word, the DPR word, the narrow CSR row and
+    // the parallel grains; a generated hostile block is tiled to each.
+    const LENGTHS: [usize; 7] = [0, 1, 255, 256, 257, 1000, 70_000];
+    let sparse = weighted(vec![(1, boxed(just(0.0f32))), (1, boxed(hostile_f32()))]);
+    Runner::new("every_stash_codec_honours_the_seam_contract")
+        .regressions_file("tests/encoding_properties.testkit-regressions")
+        .run(&(vec_of((sparse, hostile_f32()), 1..300), 0..LENGTHS.len()), |(block, at)| {
+            let (y, dy): (Vec<f32>, Vec<f32>) =
+                block.iter().cycle().take(LENGTHS[*at]).cloned().unzip();
+            for codec in stash_codecs() {
+                assert_stash_contract(codec, &y, &dy);
+            }
+        });
+    // The all-stored and all-dropped extremes of the data-dependent bound.
+    for len in LENGTHS {
+        let dy: Vec<f32> = (0..len).map(|i| i as f32 - 300.5).collect();
+        for y in [vec![0.0f32; len], (0..len).map(|i| i as f32 + 0.5).collect()] {
+            for codec in stash_codecs() {
+                assert_stash_contract(codec, &y, &dy);
+            }
+        }
+    }
 }
 
 #[test]

@@ -170,7 +170,7 @@ fn build_chain(choices: &[LayerChoice]) -> Graph {
 }
 
 fn plan_for(graph: &Graph, mode: OffloadMode) -> gist::offload::OffloadPlan {
-    let enc = vec![gist::core::Encoding::None; graph.len()];
+    let enc = vec![gist::encodings::StashCodec::Dense; graph.len()];
     gist::offload::OffloadPlan::plan(graph, &enc, mode).expect("plan")
 }
 

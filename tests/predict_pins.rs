@@ -13,7 +13,10 @@
 //! the full-size zoo the predictions are held to the structural invariants
 //! alone (no execution — vgg16 at batch 64 is not a unit test).
 
-use gist::obs::{MemoryAccountant, TraceSink};
+use gist::encodings::StashCodec;
+use gist::graph::TensorRole;
+use gist::memory::align_arena;
+use gist::obs::{Event, MemoryAccountant, TraceSink};
 use gist::prelude::*;
 use gist::runtime::{predicted_param_wire_bytes, ssdc_stash_sizes, PlanGranularity, StepProgram};
 use gist::serve::parse_exec_mode;
@@ -103,6 +106,72 @@ fn predicted_peak_matches_observed_for_small_zoo_both_policies() {
                 heap_peak <= predicted_arena,
                 "{net}/{label}: heap peak {heap_peak} exceeds arena lease {predicted_arena}"
             );
+        }
+    }
+}
+
+/// "Reservation and payload come from the same function", held against
+/// the two consumers that used to keep their own size tables: every
+/// `.stash` buffer the lowering plans is its codec's `bound` (aligned under
+/// the arena; the observed payload, within the bound, where a heap stash's
+/// size is data-dependent), and every shape-only `.enc.*` entry of
+/// `gist-core`'s static inventory is that same number.
+#[test]
+fn stash_reservations_and_inventory_sizes_are_the_codec_bound() {
+    for (net, graph) in small_zoo() {
+        let shapes = graph.infer_shapes().expect("shapes");
+        for (label, mode) in modes() {
+            let mut codecs = vec![StashCodec::Dense; graph.len()];
+            if let ExecMode::Gist(cfg) = &mode {
+                for a in gist::core::policy::assign(&graph, cfg) {
+                    codecs[a.node.index()] = a.encoding.codec(cfg);
+                }
+            }
+            let bound_of = |id: NodeId| codecs[id.index()].bound(shapes[id.index()].numel()) as u64;
+
+            for arena in [false, true] {
+                let heap = ExecSpec::from(mode.clone());
+                let spec = if arena { heap.arena() } else { heap };
+                let (_, _, observed) = observe(&graph, &spec);
+                let program = StepProgram::lower(&graph, &spec).expect("lowering");
+                let mut stashes = 0;
+                for event in program.events(&observed).expect("events") {
+                    let Event::Alloc { name, bytes } = event else { continue };
+                    let Some(node) = name.strip_suffix(".stash") else { continue };
+                    let id =
+                        graph.nodes().iter().find(|n| n.name == node).expect("stash of a node").id;
+                    let (codec, bound) = (codecs[id.index()], bound_of(id));
+                    let what = format!("{net}/{label}/arena={arena}: {name} under {codec:?}");
+                    if arena {
+                        assert_eq!(bytes, align_arena(bound), "{what}");
+                    } else if codec.is_exact() {
+                        assert_eq!(bytes, bound, "{what}");
+                    } else {
+                        assert!(bytes <= bound, "{what}: {bytes} held, {bound} reservable");
+                    }
+                    stashes += 1;
+                }
+                assert!(stashes > 0, "{net}/{label}: no stash planned");
+            }
+
+            let ExecMode::Gist(cfg) = &mode else { continue };
+            let inventory = ScheduleBuilder::new(*cfg).build(&graph).expect("inventory").inventory;
+            let mut exact = 0;
+            for d in &inventory {
+                let TensorRole::Encoded { node, encoding } = d.role else { continue };
+                let codec = codecs[node.index()];
+                if codec.label() != Some(encoding) {
+                    continue; // dropout masks and pool index maps
+                }
+                let what = format!("{net}/{label}: {} under {codec:?}", d.name);
+                if codec.is_exact() {
+                    assert_eq!(d.bytes as u64, bound_of(node), "{what}");
+                    exact += 1;
+                } else {
+                    assert!(d.bytes as u64 <= bound_of(node), "{what}");
+                }
+            }
+            assert!(exact > 0, "{net}/{label}: no shape-only encoded stash in the inventory");
         }
     }
 }

@@ -6,28 +6,53 @@
 //! where it lies and accumulated straight off the received bytes; this
 //! test pins that at the only place a copy cannot hide — every copy of a
 //! gradient-sized tensor needs a gradient-sized allocation.
+//!
+//! The same armed allocator also counts requests of any size, for the two
+//! per-step guarantees of the executor itself: a disabled recorder adds no
+//! allocation to a step, and the arena policy's steady state allocates less
+//! per step than the heap policy's. The arming flag and the counters are
+//! process-wide, so the cases take turns on `SERIAL`; the any-size count is
+//! additionally confined to the thread that armed it, so the test harness
+//! reporting on its own thread cannot leak into an exact comparison.
 
-use gist::encodings::TransferCodec;
+use gist::core::GistConfig;
+use gist::encodings::{DprFormat, TransferCodec};
 use gist::graph::Graph;
 use gist::net::{InProcess, NetTrainer};
-use gist::runtime::{ExecMode, Executor, SyntheticImages};
+use gist::obs::NullRecorder;
+use gist::runtime::{ExecMode, ExecSpec, Executor, SyntheticImages};
 use gist::tensor::Shape;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// `fc1`'s weight: 256 inputs x 1024 outputs, exactly 1 MiB of `f32`.
 const WEIGHT_BYTES: usize = 256 * 1024 * 4;
 
+static SERIAL: Mutex<()> = Mutex::new(());
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static ALL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
-/// Counts, while armed, every request for at least half the weight's bytes.
+thread_local! {
+    /// Whether this is the thread that armed the counters (const-initialized
+    /// and without a destructor, so reading it inside the allocator is safe).
+    static ARMED_HERE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts, while armed, every request for at least half the weight's bytes
+/// — and every request of any size the arming thread itself makes.
 struct CountBig;
 
 fn note(size: usize) {
-    if size >= WEIGHT_BYTES / 2 && COUNTING.load(Ordering::SeqCst) {
-        BIG_ALLOCS.fetch_add(1, Ordering::SeqCst);
+    if COUNTING.load(Ordering::SeqCst) {
+        if ARMED_HERE.try_with(Cell::get).unwrap_or(false) {
+            ALL_ALLOCS.fetch_add(1, Ordering::SeqCst);
+        }
+        if size >= WEIGHT_BYTES / 2 {
+            BIG_ALLOCS.fetch_add(1, Ordering::SeqCst);
+        }
     }
 }
 
@@ -64,17 +89,79 @@ fn wide_net(batch: usize) -> Graph {
     g
 }
 
-/// Big allocations made while `f` runs, on any thread.
-fn count_big(f: impl FnOnce()) -> usize {
+/// Allocations made while `f` runs: `(any size, on this thread; big, on any
+/// thread)`.
+fn count(f: impl FnOnce()) -> (usize, usize) {
     BIG_ALLOCS.store(0, Ordering::SeqCst);
+    ALL_ALLOCS.store(0, Ordering::SeqCst);
+    ARMED_HERE.set(true);
     COUNTING.store(true, Ordering::SeqCst);
     f();
     COUNTING.store(false, Ordering::SeqCst);
-    BIG_ALLOCS.load(Ordering::SeqCst)
+    ARMED_HERE.set(false);
+    (ALL_ALLOCS.load(Ordering::SeqCst), BIG_ALLOCS.load(Ordering::SeqCst))
+}
+
+/// Big allocations made while `f` runs, on any thread.
+fn count_big(f: impl FnOnce()) -> usize {
+    count(f).1
+}
+
+type Batch = (gist::tensor::Tensor, Vec<usize>);
+
+/// Allocations of any size made by the small-VGG step `run` drives, the
+/// executor's second: the first grows kernel-internal thread-local scratch
+/// and the encoded containers to their steady state. On a one-thread pool —
+/// with workers, which task pops which recycled scratch buffer depends on
+/// interleaving, and the counts differ by that noise.
+fn step_allocs(spec: ExecSpec, run: impl Fn(&mut Executor, &Batch)) -> usize {
+    let mut ds = SyntheticImages::new(4, 16, 0.3, 42);
+    let batch = ds.minibatch(8);
+    gist::par::with_threads(1, || {
+        let mut exec = Executor::new(gist::models::small_vgg(8, 4), spec, 7).expect("executor");
+        exec.step(&batch.0, &batch.1, 0.01).expect("warm-up");
+        count(|| run(&mut exec, &batch)).0
+    })
+}
+
+fn plain_step(exec: &mut Executor, (x, y): &Batch) {
+    exec.step(x, y, 0.01).expect("step");
+}
+
+#[test]
+fn a_disabled_recorder_adds_no_allocation_to_a_step() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Identically seeded executors: execution is deterministic, so the
+    // counts differ only if the traced entry point allocates where the
+    // plain one does not.
+    let plain = step_allocs(ExecMode::Baseline.into(), plain_step);
+    let traced = step_allocs(ExecMode::Baseline.into(), |exec, (x, y)| {
+        exec.step_traced(x, y, 0.01, &NullRecorder).expect("step");
+    });
+    assert!(plain > 0, "the armed allocator saw the step");
+    assert_eq!(traced, plain, "step_traced under a disabled recorder vs step");
+}
+
+#[test]
+fn arena_steady_state_allocates_less_per_step_than_heap() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for mode in [
+        ExecMode::Baseline,
+        ExecMode::Gist(GistConfig::lossless()),
+        ExecMode::Gist(GistConfig::lossy(DprFormat::Fp8)),
+    ] {
+        let heap = step_allocs(mode.clone().into(), plain_step);
+        let arena = step_allocs(ExecSpec::from(mode.clone()).arena(), plain_step);
+        assert!(
+            arena < heap,
+            "{mode:?}: arena steady state must allocate less than heap ({arena} vs {heap})"
+        );
+    }
 }
 
 #[test]
 fn a_crossing_tensor_costs_at_most_three_big_allocations_per_rank() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const RANKS: usize = 2;
     let build = || Executor::new(wide_net(2), ExecMode::Baseline, 5);
     let mut ds = SyntheticImages::new(4, 16, 0.3, 99);
