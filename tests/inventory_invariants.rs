@@ -4,6 +4,7 @@
 
 use gist::core::{GistConfig, ScheduleBuilder};
 use gist::encodings::DprFormat;
+use gist::graph::class::{baseline_inventory, WorkspaceMode};
 use gist::graph::{DataClass, Graph, TensorRole};
 
 fn models() -> Vec<Graph> {
@@ -11,6 +12,15 @@ fn models() -> Vec<Graph> {
     v.push(gist::models::resnet_cifar(2, 4));
     v.push(gist::models::resnet50(2));
     v.push(gist::models::alexnet_classic(4));
+    v
+}
+
+/// `models()` plus the small and branchy nets the executed tests train.
+fn zoo() -> Vec<Graph> {
+    let mut v = models();
+    v.push(gist::models::densenet_cifar(2, 4, 2));
+    v.push(gist::models::small_vgg(4, 3));
+    v.push(gist::models::tiny_classic(2, 3));
     v
 }
 
@@ -151,4 +161,68 @@ fn weights_and_workspace_are_untouched_by_encodings() {
             );
         }
     }
+}
+
+/// With nothing to encode the Schedule Builder's rewrite changes nothing:
+/// its output is the baseline class analysis element for element — name,
+/// role, class, bytes, interval and order.
+#[test]
+fn baseline_rewrite_is_the_identity() {
+    for graph in zoo() {
+        let built = ScheduleBuilder::new(GistConfig::baseline()).build(&graph).unwrap();
+        let base = baseline_inventory(&graph, WorkspaceMode::MemoryOptimal).unwrap();
+        assert_eq!(built.inventory, base, "{}", graph.name());
+    }
+}
+
+/// FNV-1a over `(name, class, bytes, interval)` of every structure, in
+/// inventory order, across the zoo. Order is part of the contract:
+/// `plan_static` breaks size ties by input order.
+fn inventory_hash(config: GistConfig) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for graph in zoo() {
+        let t = ScheduleBuilder::new(config).build(&graph).unwrap();
+        for d in &t.inventory {
+            eat(d.name.as_bytes());
+            eat(&[0]);
+            eat(d.class.label().as_bytes());
+            eat(&[0]);
+            for v in [d.bytes, d.interval.start, d.interval.end] {
+                eat(&(v as u64).to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// Every rewritten inventory, pinned. The values were recorded before the
+/// builder became a rewrite of `baseline_inventory` and are never edited.
+#[test]
+fn inventories_are_pinned() {
+    let base = GistConfig::baseline();
+    let pins = [
+        ("baseline", base, 0xe76a_3a46_f89b_1bcbu64),
+        ("lossless", GistConfig::lossless(), 0x8169_4cd7_5d31_49d9),
+        ("lossy fp8", GistConfig::lossy(DprFormat::Fp8), 0x9797_6fc4_6f4c_4612),
+        (
+            "lossy fp16 + optimized software",
+            GistConfig::lossy(DprFormat::Fp16).with_optimized_software(),
+            0xd2cd_f12f_3ce8_a3ae,
+        ),
+        ("inplace only", GistConfig { inplace: true, ..base }, 0x9783_1dfa_6020_3f48),
+        ("binarize only", GistConfig { binarize: true, ..base }, 0x362b_6307_9642_3dd2),
+    ];
+    let moved: Vec<String> = pins
+        .into_iter()
+        .map(|(label, config, pin)| (label, inventory_hash(config), pin))
+        .filter(|(_, h, pin)| h != pin)
+        .map(|(label, h, pin)| format!("{label}: {h:#018x} != pinned {pin:#018x}"))
+        .collect();
+    assert!(moved.is_empty(), "inventories moved:\n{}", moved.join("\n"));
 }
