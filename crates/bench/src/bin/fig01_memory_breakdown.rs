@@ -7,7 +7,7 @@
 //! are a small fraction — the opposite of inference.
 
 use gist_bench::{banner, gb, PAPER_BATCH};
-use gist_graph::class::{baseline_inventory, class_totals, WorkspaceMode};
+use gist_graph::class::{baseline_inventory, class_totals};
 use gist_graph::DataClass;
 
 fn main() {
@@ -17,8 +17,7 @@ fn main() {
         "model", "weights", "wgrads", "stashed", "immed", "gradmaps", "wkspace", "total", "s+i%"
     );
     for graph in gist_models::paper_suite(PAPER_BATCH) {
-        let inv = baseline_inventory(&graph, WorkspaceMode::MemoryOptimal)
-            .expect("paper models infer shapes");
+        let inv = baseline_inventory(&graph).expect("paper models infer shapes");
         let totals = class_totals(&inv);
         let get =
             |c: DataClass| totals.iter().find(|(cc, _)| *cc == c).map(|(_, b)| *b).unwrap_or(0);

@@ -11,7 +11,7 @@
 //! ```
 
 use gist_core::{plan::stash_breakdown, Gist, GistConfig};
-use gist_graph::class::{baseline_inventory, WorkspaceMode};
+use gist_graph::class::baseline_inventory;
 use gist_graph::Graph;
 use gist_memory::FootprintReport;
 use gist_runtime::{ExecMode, ExecSpec};
@@ -260,8 +260,7 @@ fn run(args: Args) -> Result<(), String> {
             }
         }
         "breakdown" => {
-            let inv = baseline_inventory(&graph, WorkspaceMode::MemoryOptimal)
-                .map_err(|e| e.to_string())?;
+            let inv = baseline_inventory(&graph).map_err(|e| e.to_string())?;
             print!("{}", FootprintReport::from_inventory(graph.name(), &inv).to_table());
         }
         "stashes" => {

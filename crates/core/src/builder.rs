@@ -5,6 +5,7 @@ use crate::config::{AllocationMode, GistConfig};
 use crate::policy::{assign, Assignment, Encoding};
 use gist_encodings::csr::predicted_bytes;
 use gist_encodings::StashCodec;
+use gist_graph::class::baseline_inventory;
 use gist_graph::{
     DataClass, DataStructure, Graph, GraphError, Interval, NodeId, OpKind, Schedule, TensorRole,
 };
@@ -41,13 +42,15 @@ impl ScheduleBuilder {
         &self.config
     }
 
-    /// Rewrites the inventory of `graph`.
+    /// Rewrites the baseline inventory of `graph` ([`baseline_inventory`]):
+    /// only feature maps change, and encode/decode stashes and pool maps
+    /// are inserted right after the map they belong to.
     ///
     /// # Errors
     ///
     /// Propagates shape-inference failures.
     pub fn build(&self, graph: &Graph) -> Result<TransformedGraph, GraphError> {
-        let shapes = graph.infer_shapes()?;
+        let baseline = baseline_inventory(graph)?;
         let sched = Schedule::of(graph);
         let assignments = assign(graph, &self.config);
         let encoding_of = |id: NodeId| -> Encoding {
@@ -80,70 +83,65 @@ impl ScheduleBuilder {
             users
         };
 
-        let mut inventory: Vec<DataStructure> = Vec::new();
+        let mut inventory: Vec<DataStructure> = Vec::with_capacity(baseline.len());
         // Feature-map structure index per node, for the inplace pass.
         let mut fmap_index: Vec<Option<usize>> = vec![None; graph.len()];
 
-        for node in graph.nodes() {
-            let id = node.id;
-            let shape = shapes[id.index()];
-            let fwd = sched.forward_step(id);
-            let consumers = graph.consumers(id);
+        for y in baseline {
+            // Gradient maps, weights, weight gradients, workspace and
+            // dropout masks are the baseline's, passed through: the rewrite
+            // only touches feature maps.
+            let TensorRole::FeatureMap(id) = y.role else {
+                inventory.push(y);
+                continue;
+            };
+            let node = graph.node(id);
+            let fwd = y.interval.start;
             let last_fwd_use =
-                consumers.iter().map(|&c| sched.forward_step(c)).max().unwrap_or(fwd);
+                graph.consumers(id).iter().map(|&c| sched.forward_step(c)).max().unwrap_or(fwd);
             let users = stash_users(id);
-            let encoding = encoding_of(id);
+            let fp32_bytes = y.bytes;
+            let numel = fp32_bytes / std::mem::size_of::<f32>();
+            fmap_index[id.index()] = Some(inventory.len());
 
-            let numel = shape.numel();
-            let fp32_bytes = shape.bytes_fp32();
-
-            match (&encoding, users.is_empty()) {
-                (_, true) => {
+            match (users.iter().min().zip(users.iter().max()), encoding_of(id)) {
+                (None, _) => {
                     // Plain immediately-consumed feature map — either never
                     // stashed, or its backward need disappeared because a
                     // pool Y→X map replaced it (in which case any encoding
                     // the policy assigned is moot: there is nothing left to
                     // stash).
-                    fmap_index[id.index()] = Some(inventory.len());
                     inventory.push(DataStructure {
-                        name: format!("{}.y", node.name),
-                        role: TensorRole::FeatureMap(id),
                         class: DataClass::ImmediateFmap,
-                        bytes: fp32_bytes,
                         interval: Interval::new(fwd, last_fwd_use),
+                        ..y
                     });
                 }
-                (Encoding::None, false) => {
-                    // Unencoded stash (baseline behaviour).
-                    let death = *users.iter().max().expect("nonempty");
-                    fmap_index[id.index()] = Some(inventory.len());
+                (Some((_, &death)), Encoding::None) => {
+                    // Unencoded stash (baseline behaviour), alive until the
+                    // last backward reader the pool maps left it.
                     inventory.push(DataStructure {
-                        name: format!("{}.y", node.name),
-                        role: TensorRole::FeatureMap(id),
                         class: DataClass::StashedFmap,
-                        bytes: fp32_bytes,
                         interval: Interval::new(fwd, death.max(fwd)),
+                        ..y
                     });
                 }
-                (enc, false) => {
+                (Some((&first, &last)), enc) => {
                     // Encoded stash: FP32 lives only for the forward use...
-                    fmap_index[id.index()] = Some(inventory.len());
                     inventory.push(DataStructure {
-                        name: format!("{}.y", node.name),
-                        role: TensorRole::FeatureMap(id),
                         class: DataClass::ImmediateFmap,
-                        bytes: fp32_bytes,
                         interval: Interval::new(fwd, last_fwd_use),
+                        ..y
                     });
-                    let first_bwd = (*users.iter().min().expect("nonempty")).max(last_fwd_use);
-                    let last_bwd = (*users.iter().max().expect("nonempty")).max(last_fwd_use);
+                    let first_bwd = first.max(last_fwd_use);
+                    let last_bwd = last.max(last_fwd_use);
                     let codec = enc.codec(&self.config);
                     let tag = codec.label().expect("dense stashes are handled above");
                     // A shape-only size is the codec's bound; SSDC is
                     // planned at its assumed sparsity, not its worst case.
                     let enc_bytes = match (enc, codec) {
                         (Encoding::Ssdc { assumed_sparsity }, StashCodec::Ssdc(layout)) => {
-                            predicted_bytes(numel, *assumed_sparsity, layout)
+                            predicted_bytes(numel, assumed_sparsity, layout)
                         }
                         _ => codec.bound(numel),
                     };
@@ -170,19 +168,8 @@ impl ScheduleBuilder {
                 }
             }
 
-            // Dropout keep mask (bit-packed auxiliary stash, unchanged by
-            // Gist's encodings).
-            if matches!(node.op, OpKind::Dropout { .. }) {
-                inventory.push(DataStructure {
-                    name: format!("{}.mask", node.name),
-                    role: TensorRole::Encoded { node: id, encoding: "dropmask" },
-                    class: DataClass::StashedFmap,
-                    bytes: numel.div_ceil(8),
-                    interval: Interval::new(fwd, sched.backward_step(id)),
-                });
-            }
-
-            // Pool Y→X index map: 4 bits per pool-output element.
+            // Pool Y→X index map: 4 bits per pool-output element. (A pool
+            // is never a dropout, so no `.mask` sits between the two.)
             if pool_has_map.contains(&id) {
                 inventory.push(DataStructure {
                     name: format!("{}.enc.poolmap", node.name),
@@ -190,66 +177,6 @@ impl ScheduleBuilder {
                     class: DataClass::StashedFmap,
                     bytes: numel.div_ceil(2),
                     interval: Interval::new(fwd, sched.backward_step(id)),
-                });
-            }
-
-            // Gradient map (unchanged from baseline).
-            if !matches!(node.op, OpKind::Input(_)) {
-                let own_bwd = sched.backward_step(id);
-                let birth =
-                    consumers.iter().map(|&c| sched.backward_step(c)).min().unwrap_or(own_bwd);
-                inventory.push(DataStructure {
-                    name: format!("{}.dy", node.name),
-                    role: TensorRole::GradientMap(id),
-                    class: DataClass::GradientMap,
-                    bytes: fp32_bytes,
-                    interval: Interval::new(birth.min(own_bwd), own_bwd),
-                });
-            }
-
-            // Weights / weight gradients (unchanged from baseline).
-            if let Some(ws) = graph.weight_shape(id, &shapes) {
-                let bias_bytes = match &node.op {
-                    OpKind::Conv { out_channels, bias: true, .. } => out_channels * 4,
-                    OpKind::Linear { out_features, bias: true, .. } => out_features * 4,
-                    _ => 0,
-                };
-                let bytes = ws.bytes_fp32() + bias_bytes;
-                inventory.push(DataStructure {
-                    name: format!("{}.w", node.name),
-                    role: TensorRole::Weight(id),
-                    class: DataClass::Weight,
-                    bytes,
-                    interval: Interval::new(0, sched.num_steps() - 1),
-                });
-                inventory.push(DataStructure {
-                    name: format!("{}.dw", node.name),
-                    role: TensorRole::WeightGrad(id),
-                    class: DataClass::WeightGrad,
-                    bytes,
-                    interval: Interval::new(sched.backward_step(id), sched.num_steps() - 1),
-                });
-            }
-
-            // Workspace for convolutions (memory-optimal model, as in the
-            // paper's baseline).
-            if let OpKind::Conv { params, .. } = &node.op {
-                let in_shape = shapes[node.inputs[0].index()];
-                let ws_bytes = in_shape.c() * params.kernel * params.kernel * shape.w() * 4;
-                inventory.push(DataStructure {
-                    name: format!("{}.ws.fwd", node.name),
-                    role: TensorRole::Workspace { node: id, backward: false },
-                    class: DataClass::Workspace,
-                    bytes: ws_bytes,
-                    interval: Interval::new(fwd, fwd),
-                });
-                let b = sched.backward_step(id);
-                inventory.push(DataStructure {
-                    name: format!("{}.ws.bwd", node.name),
-                    role: TensorRole::Workspace { node: id, backward: true },
-                    class: DataClass::Workspace,
-                    bytes: ws_bytes,
-                    interval: Interval::new(b, b),
                 });
             }
         }
@@ -319,24 +246,10 @@ pub fn footprint_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gist_graph::class::WorkspaceMode;
     use gist_memory::SharingPolicy;
 
     fn find<'a>(inv: &'a [DataStructure], name: &str) -> &'a DataStructure {
         inv.iter().find(|d| d.name == name).unwrap_or_else(|| panic!("missing {name}"))
-    }
-
-    #[test]
-    fn baseline_build_matches_class_analysis() {
-        let g = gist_models::alexnet(2);
-        let t = ScheduleBuilder::new(GistConfig::baseline()).build(&g).unwrap();
-        let base = gist_graph::class::baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
-        // Same stashed-fmap byte totals as the independent baseline analysis.
-        let sum = |inv: &[DataStructure], c: DataClass| -> usize {
-            inv.iter().filter(|d| d.class == c).map(|d| d.bytes).sum()
-        };
-        assert_eq!(sum(&t.inventory, DataClass::StashedFmap), sum(&base, DataClass::StashedFmap));
-        assert_eq!(sum(&t.inventory, DataClass::GradientMap), sum(&base, DataClass::GradientMap));
     }
 
     #[test]

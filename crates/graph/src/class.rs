@@ -87,30 +87,11 @@ pub struct DataStructure {
     pub interval: Interval,
 }
 
-/// How much scratch the convolution implementation needs.
-///
-/// The paper uses cuDNN's *memory-optimal* configuration as its baseline and
-/// mentions the performance-optimal alternative trades workspace for speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorkspaceMode {
-    /// Tiled implicit-GEMM scratch: one output row of the im2col matrix.
-    #[default]
-    MemoryOptimal,
-    /// Full im2col lowering buffer.
-    PerformanceOptimal,
-}
-
-fn conv_workspace_bytes(
-    mode: WorkspaceMode,
-    in_shape: Shape,
-    out_shape: Shape,
-    kernel: usize,
-) -> usize {
-    let ckk = in_shape.c() * kernel * kernel;
-    match mode {
-        WorkspaceMode::MemoryOptimal => ckk * out_shape.w() * 4,
-        WorkspaceMode::PerformanceOptimal => ckk * out_shape.h() * out_shape.w() * 4,
-    }
+/// Scratch a convolution needs: one output row of the im2col matrix
+/// (tiled implicit GEMM) — cuDNN's *memory-optimal* configuration, which
+/// the paper uses as its baseline.
+fn conv_workspace_bytes(in_shape: Shape, out_shape: Shape, kernel: usize) -> usize {
+    in_shape.c() * kernel * kernel * out_shape.w() * 4
 }
 
 /// Whether the output feature map of `id` must be stashed for the backward
@@ -129,10 +110,7 @@ pub fn is_stashed(graph: &Graph, id: NodeId) -> bool {
 /// # Errors
 ///
 /// Propagates shape-inference failures.
-pub fn baseline_inventory(
-    graph: &Graph,
-    workspace: WorkspaceMode,
-) -> Result<Vec<DataStructure>, GraphError> {
+pub fn baseline_inventory(graph: &Graph) -> Result<Vec<DataStructure>, GraphError> {
     let shapes = graph.infer_shapes()?;
     let sched = Schedule::of(graph);
     let mut out = Vec::new();
@@ -222,24 +200,22 @@ pub fn baseline_inventory(
         // --- Workspace ---
         if let OpKind::Conv { params, .. } = &node.op {
             let in_shape = shapes[node.inputs[0].index()];
-            let bytes = conv_workspace_bytes(workspace, in_shape, shape, params.kernel);
-            if bytes > 0 {
-                out.push(DataStructure {
-                    name: format!("{}.ws.fwd", node.name),
-                    role: TensorRole::Workspace { node: id, backward: false },
-                    class: DataClass::Workspace,
-                    bytes,
-                    interval: Interval::new(fwd, fwd),
-                });
-                let b = sched.backward_step(id);
-                out.push(DataStructure {
-                    name: format!("{}.ws.bwd", node.name),
-                    role: TensorRole::Workspace { node: id, backward: true },
-                    class: DataClass::Workspace,
-                    bytes,
-                    interval: Interval::new(b, b),
-                });
-            }
+            let bytes = conv_workspace_bytes(in_shape, shape, params.kernel);
+            out.push(DataStructure {
+                name: format!("{}.ws.fwd", node.name),
+                role: TensorRole::Workspace { node: id, backward: false },
+                class: DataClass::Workspace,
+                bytes,
+                interval: Interval::new(fwd, fwd),
+            });
+            let b = sched.backward_step(id);
+            out.push(DataStructure {
+                name: format!("{}.ws.bwd", node.name),
+                role: TensorRole::Workspace { node: id, backward: true },
+                class: DataClass::Workspace,
+                bytes,
+                interval: Interval::new(b, b),
+            });
         }
     }
     Ok(out)
@@ -284,7 +260,7 @@ mod tests {
     #[test]
     fn relu_output_is_stashed_conv_output_is_not() {
         let g = tiny();
-        let inv = baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
+        let inv = baseline_inventory(&g).unwrap();
         // conv output feeds relu; relu does not need its input -> immediate...
         // except baseline maxpool stashes its own input, and relu's OUTPUT is
         // the pool's input. conv output itself is consumed by relu only.
@@ -300,7 +276,7 @@ mod tests {
     fn stashed_lifetime_spans_to_backward_use() {
         let g = tiny();
         let sched = Schedule::of(&g);
-        let inv = baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
+        let inv = baseline_inventory(&g).unwrap();
         let relu_id = g.nodes()[2].id;
         let pool_id = g.nodes()[3].id;
         let r = find(&inv, "r1.y");
@@ -314,7 +290,7 @@ mod tests {
     #[test]
     fn immediate_fmap_dies_after_forward_consumer() {
         let g = tiny();
-        let inv = baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
+        let inv = baseline_inventory(&g).unwrap();
         let c = find(&inv, "c1.y");
         assert_eq!(c.interval, Interval::new(1, 2)); // born at conv, dies at relu
     }
@@ -323,7 +299,7 @@ mod tests {
     fn gradient_maps_live_within_backward() {
         let g = tiny();
         let sched = Schedule::of(&g);
-        let inv = baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
+        let inv = baseline_inventory(&g).unwrap();
         let dy = find(&inv, "r1.dy");
         let relu_id = g.nodes()[2].id;
         let pool_id = g.nodes()[3].id;
@@ -338,7 +314,7 @@ mod tests {
     fn weights_live_forever_grads_from_backward() {
         let g = tiny();
         let sched = Schedule::of(&g);
-        let inv = baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
+        let inv = baseline_inventory(&g).unwrap();
         let w = find(&inv, "c1.w");
         assert_eq!(w.interval, Interval::new(0, sched.num_steps() - 1));
         // conv weight: 4*3*3*3 floats + 4 bias floats
@@ -350,23 +326,12 @@ mod tests {
     #[test]
     fn class_totals_cover_all_structures() {
         let g = tiny();
-        let inv = baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
+        let inv = baseline_inventory(&g).unwrap();
         let totals = class_totals(&inv);
         let sum: usize = totals.iter().map(|(_, b)| b).sum();
         assert_eq!(sum, inv.iter().map(|d| d.bytes).sum::<usize>());
         let stashed = totals.iter().find(|(c, _)| *c == DataClass::StashedFmap).unwrap().1;
         assert!(stashed > 0);
-    }
-
-    #[test]
-    fn performance_optimal_workspace_is_larger() {
-        let g = tiny();
-        let mem = baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
-        let perf = baseline_inventory(&g, WorkspaceMode::PerformanceOptimal).unwrap();
-        let ws = |inv: &[DataStructure]| -> usize {
-            inv.iter().filter(|d| d.class == DataClass::Workspace).map(|d| d.bytes).sum()
-        };
-        assert!(ws(&perf) > ws(&mem));
     }
 
     #[test]
@@ -379,7 +344,7 @@ mod tests {
         let p = g.avg_pool(r, PoolParams::new(2, 2, 0), "ap");
         let p2 = g.avg_pool(r, PoolParams::new(2, 2, 0), "ap2");
         g.add(p, p2, "sum");
-        let inv = baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
+        let inv = baseline_inventory(&g).unwrap();
         assert_eq!(find(&inv, "ap.y").class, DataClass::ImmediateFmap);
         // relu output: avgpool consumers don't need it, relu needs own output
         assert_eq!(find(&inv, "r.y").class, DataClass::StashedFmap);

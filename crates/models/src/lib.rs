@@ -456,11 +456,11 @@ pub fn by_name(name: &str, batch: usize) -> Option<Graph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gist_graph::class::{baseline_inventory, class_totals, WorkspaceMode};
+    use gist_graph::class::{baseline_inventory, class_totals};
     use gist_graph::DataClass;
 
     fn stashed_gb(g: &Graph) -> f64 {
-        let inv = baseline_inventory(g, WorkspaceMode::MemoryOptimal).unwrap();
+        let inv = baseline_inventory(g).unwrap();
         let t = class_totals(&inv);
         t.iter().find(|(c, _)| *c == DataClass::StashedFmap).unwrap().1 as f64 / (1u64 << 30) as f64
     }
@@ -558,7 +558,7 @@ mod tests {
         let g = vgg16(64);
         let stashed = stashed_gb(&g);
         assert!(stashed > 2.0, "VGG16 stashed fmaps should be > 2 GB, got {stashed:.2}");
-        let inv = baseline_inventory(&g, WorkspaceMode::MemoryOptimal).unwrap();
+        let inv = baseline_inventory(&g).unwrap();
         let totals = class_totals(&inv);
         let get = |c: DataClass| totals.iter().find(|(cc, _)| *cc == c).unwrap().1;
         let stashed_b = get(DataClass::StashedFmap);

@@ -231,7 +231,8 @@ impl OffloadPlan {
         candidates.sort_by_key(|&i| pos[i]);
         let m = candidates.len();
         if m <= 2 {
-            // Mirrors `gist_perf::apply_sqrt_recompute`: nothing to split.
+            // ceil(sqrt(m)) >= m: every candidate would be its own
+            // checkpoint, so there is nothing to drop (and m = 0 has no k).
             return;
         }
         let k = (m as f64).sqrt().ceil() as usize;
@@ -446,8 +447,8 @@ mod tests {
 
     #[test]
     fn tiny_graphs_pass_through() {
-        // tiny_classic has few dense stashes; if <= 2 candidates, recompute
-        // must mirror apply_sqrt_recompute's passthrough.
+        // With <= 2 read dense stashes sqrt-N has nothing to split: the
+        // plan must keep every stash resident and replay nothing.
         let mut g = Graph::new("two");
         let x = g.input(gist_tensor::Shape::nchw(2, 1, 4, 4));
         let f = g.linear(x, 3, true, "fc");

@@ -1,7 +1,8 @@
-//! CPU↔GPU swapping models: naive and vDNN-style prefetch (Figure 15).
+//! The swap strategies `gist-offload` plans and prices (Figure 15), and the
+//! PCIe contention they cause in data-parallel training (Section VI).
 
 use crate::gpu::{estimate_time, GpuModel};
-use gist_graph::class::{baseline_inventory, WorkspaceMode};
+use gist_graph::class::baseline_inventory;
 use gist_graph::{DataClass, Graph, GraphError};
 
 /// Which swapping scheme to model.
@@ -20,89 +21,6 @@ pub enum SwapStrategy {
         /// Compression ratio applied to PCIe traffic (e.g. 2.5).
         compression: f64,
     },
-}
-
-/// Performance overhead (percent) of swapping stashed feature maps to host
-/// memory instead of keeping them resident.
-///
-/// # Errors
-///
-/// Propagates shape-inference failures.
-pub fn swap_overhead(
-    graph: &Graph,
-    strategy: SwapStrategy,
-    gpu: &GpuModel,
-) -> Result<f64, GraphError> {
-    let time = estimate_time(graph, gpu)?;
-    let inv = baseline_inventory(graph, WorkspaceMode::MemoryOptimal)?;
-    let stashed_bytes: usize =
-        inv.iter().filter(|d| d.class == DataClass::StashedFmap).map(|d| d.bytes).sum();
-    let transfer_one_way = gpu.pcie_time(stashed_bytes as f64);
-    let baseline = time.total_s();
-    let with_swap = match strategy {
-        SwapStrategy::Naive => baseline + 2.0 * transfer_one_way,
-        SwapStrategy::Vdnn => {
-            // Offload overlaps the forward pass (writes may lag compute, so
-            // the pass ends when the slower of the two finishes)...
-            let forward = time.forward_s.max(transfer_one_way);
-            // ...but prefetch has per-layer deadlines: a layer's stash must
-            // be resident before its backward kernel starts, and the PCIe
-            // link fetches stashes serially in backward-use order. Pipeline
-            // simulation: compute at each layer waits for its prefetch.
-            let backward = vdnn_backward_pipeline(graph, gpu, &time.per_node, 1.0)?;
-            forward + backward
-        }
-        SwapStrategy::Cdma { compression } => {
-            let c = compression.max(1.0);
-            let forward = time.forward_s.max(transfer_one_way / c);
-            let backward = vdnn_backward_pipeline(graph, gpu, &time.per_node, c)?;
-            forward + backward
-        }
-    };
-    Ok((with_swap / baseline - 1.0) * 100.0)
-}
-
-/// Simulates the vDNN backward pass: stashes are prefetched over PCIe in
-/// the order their backward uses occur; each layer's backward kernel stalls
-/// until its stash has arrived.
-fn vdnn_backward_pipeline(
-    graph: &Graph,
-    gpu: &GpuModel,
-    per_node: &[(f64, f64)],
-    compression: f64,
-) -> Result<f64, GraphError> {
-    let shapes = graph.infer_shapes()?;
-    // Bytes that must arrive before each node's backward step: its stashed
-    // input (if its backward needs it) and its stashed output (if needed),
-    // counted at the stash's FIRST backward use only.
-    let n = graph.len();
-    let mut first_use: Vec<Option<usize>> = vec![None; n]; // stash producer -> backward consumer index
-    for node in graph.nodes().iter().rev() {
-        if node.op.needs_output_in_backward() {
-            first_use[node.id.index()].get_or_insert(node.id.index());
-        }
-        if node.op.needs_input_in_backward() {
-            for &inp in &node.inputs {
-                // Later-scheduled nodes run EARLIER in backward; iterate in
-                // reverse topo order so the first assignment wins.
-                first_use[inp.index()].get_or_insert(node.id.index());
-            }
-        }
-    }
-    let mut arrive_bytes = vec![0f64; n];
-    for (producer, user) in first_use.iter().enumerate() {
-        if let Some(u) = user {
-            arrive_bytes[*u] += shapes[producer].bytes_fp32() as f64;
-        }
-    }
-    let mut pcie_done = 0.0f64;
-    let mut compute_done = 0.0f64;
-    for node in graph.nodes().iter().rev() {
-        let i = node.id.index();
-        pcie_done += gpu.pcie_time(arrive_bytes[i] / compression);
-        compute_done = compute_done.max(pcie_done) + per_node[i].1;
-    }
-    Ok(compute_done)
 }
 
 /// Distributed-training PCIe contention (Section VI): data-parallel
@@ -127,7 +45,7 @@ pub fn distributed_overhead(
     gpu: &GpuModel,
 ) -> Result<f64, GraphError> {
     let time = estimate_time(graph, gpu)?;
-    let inv = baseline_inventory(graph, WorkspaceMode::MemoryOptimal)?;
+    let inv = baseline_inventory(graph)?;
     let bytes_of = |class: DataClass| -> f64 {
         inv.iter().filter(|d| d.class == class).map(|d| d.bytes as f64).sum()
     };
@@ -157,38 +75,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn naive_is_worse_than_vdnn() {
-        let gpu = GpuModel::titan_x();
-        for g in gist_models::paper_suite(64) {
-            let naive = swap_overhead(&g, SwapStrategy::Naive, &gpu).unwrap();
-            let vdnn = swap_overhead(&g, SwapStrategy::Vdnn, &gpu).unwrap();
-            assert!(naive >= vdnn, "{}: naive {naive:.1}% vs vdnn {vdnn:.1}%", g.name());
-            assert!(naive > 0.0);
-            assert!(vdnn >= 0.0);
-        }
-    }
-
-    #[test]
-    fn cdma_compression_helps_where_vdnn_stalls() {
-        let gpu = GpuModel::titan_x();
-        // Inception is the vDNN worst case (cheap compute per stashed byte).
-        let g = gist_models::inception(64);
-        let vdnn = swap_overhead(&g, SwapStrategy::Vdnn, &gpu).unwrap();
-        let cdma = swap_overhead(&g, SwapStrategy::Cdma { compression: 2.5 }, &gpu).unwrap();
-        assert!(cdma < vdnn, "cdma {cdma:.1}% should beat vdnn {vdnn:.1}%");
-        assert!(cdma >= 0.0);
-    }
-
-    #[test]
-    fn cdma_with_unit_compression_equals_vdnn() {
-        let gpu = GpuModel::titan_x();
-        let g = gist_models::alexnet(32);
-        let vdnn = swap_overhead(&g, SwapStrategy::Vdnn, &gpu).unwrap();
-        let cdma = swap_overhead(&g, SwapStrategy::Cdma { compression: 1.0 }, &gpu).unwrap();
-        assert!((vdnn - cdma).abs() < 1e-9);
-    }
-
-    #[test]
     fn swapping_contends_with_allreduce_in_distributed_training() {
         let gpu = GpuModel::titan_x();
         for g in gist_models::paper_suite(64) {
@@ -211,26 +97,5 @@ mod tests {
         )
         .unwrap();
         assert!(cdma < worst);
-    }
-
-    #[test]
-    fn overheads_are_in_the_papers_ballpark() {
-        // Figure 15: naive averages ~30%, vDNN ~15% (max 27%).
-        let gpu = GpuModel::titan_x();
-        let mut naive_sum = 0.0;
-        let mut vdnn_sum = 0.0;
-        let suite = gist_models::paper_suite(64);
-        for g in &suite {
-            naive_sum += swap_overhead(g, SwapStrategy::Naive, &gpu).unwrap();
-            vdnn_sum += swap_overhead(g, SwapStrategy::Vdnn, &gpu).unwrap();
-        }
-        let n = suite.len() as f64;
-        let naive_avg = naive_sum / n;
-        let vdnn_avg = vdnn_sum / n;
-        assert!(
-            naive_avg > 10.0 && naive_avg < 100.0,
-            "naive average {naive_avg:.1}% should be tens of percent"
-        );
-        assert!(vdnn_avg < naive_avg);
     }
 }

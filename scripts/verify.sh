@@ -68,12 +68,27 @@
 #      outside `#[cfg(test)]` modules, crates/runtime/src and
 #      crates/offload/src name no codec container and match on no
 #      `Encoding` variant, and the executor's private stash enum and the
-#      lowering's size table (`static_stash_bytes`) stay deleted
+#      lowering's size table (`static_stash_bytes`) stay deleted. And one
+#      model per question on the static side: the closed-form swap and
+#      recompute models and the workspace knob stay deleted
+#      (`gist-offload` plans and prices what runs), and `.dw` structures
+#      are built in one file under crates/ (the baseline class analysis;
+#      the Schedule Builder rewrites that inventory, it does not re-derive
+#      it)
 #  13. the perf ledger: the newest root `BENCH_<pr>.json` (a change-side
 #      sweep of the repo benchmark folded by `bench_ledger`) against the
 #      one before it, row by row under BENCHMARK.json's bounds — a row
 #      whose spread exceeds its bound, or whose two files name different
 #      hosts, reads `unresolved` and passes; a `worse` row fails the gate
+#
+#  14. the figure goldens: every deterministic figure/table/extension
+#      harness is re-run and diffed against its committed
+#      `results/<bin>.txt`, so the evidence EXPERIMENTS.md cites cannot
+#      drift from the code. Two of them are also gates that exit non-zero
+#      by themselves — `extra_runtime_validation` (step 5's memory
+#      oracle) and `extra_offload_validation` (step 6's differential).
+#      Not covered: `fig11` (wall-clock timings) and the trained curves
+#      `fig12` / `fig14`
 #
 # Run this before committing, and append a one-line summary of what
 # changed to CHANGES.md.
@@ -149,6 +164,19 @@ if [ -n "$codecs" ]; then
     echo "$codecs" >&2
     exit 1
 fi
+twins=$(grep -rnE "\bswap_overhead\b|vdnn_backward_pipeline|apply_sqrt_recompute|composition_report|WorkspaceMode" \
+    crates src tests examples || true)
+if [ -n "$twins" ]; then
+    echo "a second static model reappeared (price gist_offload::{OffloadPlan::plan, simulate}; baseline_inventory(graph)):" >&2
+    echo "$twins" >&2
+    exit 1
+fi
+dw_files=$(grep -rlF '"{}.dw"' crates)
+if [ "$dw_files" != "crates/graph/src/class.rs" ]; then
+    echo "weight-gradient structures are built outside gist_graph::class::baseline_inventory:" >&2
+    echo "$dw_files" >&2
+    exit 1
+fi
 fnv_files=$(grep -rl "0xcbf2_9ce4" crates | wc -l)
 if [ "$fnv_files" -gt 2 ]; then
     echo "FNV-1a is spelled in $fnv_files files under crates/ (use ParamSet::fingerprint):" >&2
@@ -156,11 +184,19 @@ if [ "$fnv_files" -gt 2 ]; then
     exit 1
 fi
 
-echo "==> memory oracle gate (traced step vs static planner)"
-cargo run --release -q --offline -p gist-bench --bin extra_runtime_validation
-
-echo "==> offload differential gate (executed recompute/swap vs resident)"
-cargo run --release -q --offline -p gist-bench --bin extra_offload_validation
+echo "==> figure goldens (deterministic harnesses vs results/, incl. the memory oracle and offload gates)"
+for bin in extra_runtime_validation extra_offload_validation \
+    fig01_memory_breakdown fig02_lifetime_timeline fig03_stashed_breakdown table1_techniques \
+    fig08_end_to_end_mfr fig09_perf_overhead fig10_lossless_isolation fig13_dpr_mfr \
+    fig15_vdnn_compare fig16_resnet_scaling fig17_dynamic_alloc \
+    extra_minibatch_sweep extra_distributed_pcie extra_recompute_composition extra_allocator_ablation; do
+    out=$(cargo run --release -q --offline -p gist-bench --bin "$bin")
+    if ! diff <(echo "$out") "results/$bin.txt"; then
+        echo "$bin no longer prints results/$bin.txt (regenerate it and the prose that cites it)" >&2
+        exit 1
+    fi
+    echo "$bin: ok"
+done
 
 echo "==> CLI offload smoke (slab capacity + simulated stall must print)"
 out=$(cargo run --release -q --offline -p gist-cli -- \

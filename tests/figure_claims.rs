@@ -4,7 +4,9 @@
 
 use gist::core::{Gist, GistConfig};
 use gist::encodings::DprFormat;
-use gist::perf::{gist_overhead, swap_overhead, GpuModel, SwapStrategy};
+use gist::graph::Graph;
+use gist::offload::{simulate, OffloadMode, OffloadPlan};
+use gist::perf::{gist_overhead, GpuModel, SwapStrategy};
 
 fn accuracy_safe_format(model: &str) -> DprFormat {
     match model {
@@ -45,18 +47,46 @@ fn figure9_overhead_band() {
     }
 }
 
-/// Figure 15: the ordering naive > vDNN >= Gist holds for every network.
+/// Overhead (percent) of the swap plan the runtime would execute for
+/// `graph`, priced on the virtual clock.
+fn executed_swap_pct(graph: &Graph, strategy: SwapStrategy, gpu: &GpuModel) -> f64 {
+    let dense = vec![gist::encodings::StashCodec::Dense; graph.len()];
+    let plan = OffloadPlan::plan(graph, &dense, OffloadMode::Swap(strategy)).unwrap();
+    simulate(graph, &plan, gpu).unwrap().overhead_pct()
+}
+
+/// Figure 15: the ordering naive > vDNN and naive > Gist holds for every
+/// network, naive swapping costs tens of percent on average, and cDMA's
+/// compression helps wherever vDNN stalls.
 #[test]
 fn figure15_ordering() {
     let gpu = GpuModel::titan_x();
-    for g in gist::models::paper_suite(64) {
-        let naive = swap_overhead(&g, SwapStrategy::Naive, &gpu).unwrap();
-        let vdnn = swap_overhead(&g, SwapStrategy::Vdnn, &gpu).unwrap();
+    let suite = gist::models::paper_suite(64);
+    let mut naive_sum = 0.0;
+    let mut vdnn_sum = 0.0;
+    for g in &suite {
+        let naive = executed_swap_pct(g, SwapStrategy::Naive, &gpu);
+        let vdnn = executed_swap_pct(g, SwapStrategy::Vdnn, &gpu);
         let gist =
-            gist_overhead(&g, &GistConfig::lossy(DprFormat::Fp16), &gpu).unwrap().overhead_pct();
+            gist_overhead(g, &GistConfig::lossy(DprFormat::Fp16), &gpu).unwrap().overhead_pct();
         assert!(naive > vdnn, "{}: naive {naive:.1} <= vdnn {vdnn:.1}", g.name());
         assert!(naive > gist, "{}: naive {naive:.1} <= gist {gist:.1}", g.name());
+        // Compressing by 1.0 is vDNN; compressing by 2.5 never hurts, and
+        // helps wherever vDNN stalls (Inception above all: cheap compute
+        // per stashed byte).
+        let cdma = |c: f64| executed_swap_pct(g, SwapStrategy::Cdma { compression: c }, &gpu);
+        assert!((vdnn - cdma(1.0)).abs() < 1e-9, "{}: cdma(1.0) vs vdnn {vdnn}", g.name());
+        let cdma = cdma(2.5);
+        assert!((0.0..=vdnn).contains(&cdma), "{}: cdma {cdma:.1} vs vdnn {vdnn:.1}", g.name());
+        assert!(vdnn < 1.0 || cdma < vdnn, "{}: cdma {cdma:.1} vs vdnn {vdnn:.1}", g.name());
+        naive_sum += naive;
+        vdnn_sum += vdnn;
     }
+    // Paper: naive averages ~30%, vDNN ~15%.
+    let n = suite.len() as f64;
+    let (naive_avg, vdnn_avg) = (naive_sum / n, vdnn_sum / n);
+    assert!(naive_avg > 10.0 && naive_avg < 100.0, "naive average {naive_avg:.1}%");
+    assert!(vdnn_avg < naive_avg);
 }
 
 /// Figure 16: speedup from larger minibatches grows with ResNet depth.

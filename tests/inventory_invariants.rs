@@ -4,7 +4,7 @@
 
 use gist::core::{GistConfig, ScheduleBuilder};
 use gist::encodings::DprFormat;
-use gist::graph::class::{baseline_inventory, WorkspaceMode};
+use gist::graph::class::baseline_inventory;
 use gist::graph::{DataClass, Graph, TensorRole};
 
 fn models() -> Vec<Graph> {
@@ -170,7 +170,7 @@ fn weights_and_workspace_are_untouched_by_encodings() {
 fn baseline_rewrite_is_the_identity() {
     for graph in zoo() {
         let built = ScheduleBuilder::new(GistConfig::baseline()).build(&graph).unwrap();
-        let base = baseline_inventory(&graph, WorkspaceMode::MemoryOptimal).unwrap();
+        let base = baseline_inventory(&graph).unwrap();
         assert_eq!(built.inventory, base, "{}", graph.name());
     }
 }

@@ -1,11 +1,13 @@
-//! Integration tests for the analytic performance model: the orderings and
-//! monotonicities the Figure 9/15/16 results depend on.
+//! Integration tests for the analytic performance model, and for the
+//! executed offload plans priced on it: the orderings and monotonicities
+//! the Figure 9/15/16 results depend on.
 
 use gist::core::GistConfig;
-use gist::encodings::DprFormat;
-use gist::perf::{
-    distributed_overhead, gist_overhead, max_batch_fitting, swap_overhead, GpuModel, SwapStrategy,
-};
+use gist::encodings::{DprFormat, StashCodec};
+use gist::offload::{simulate, OffloadMode, OffloadPlan};
+use gist::perf::{distributed_overhead, gist_overhead, max_batch_fitting, GpuModel, SwapStrategy};
+use gist::runtime::{ExecMode, ExecSpec, StepProgram};
+use std::collections::HashMap;
 
 #[test]
 fn estimated_time_scales_with_minibatch() {
@@ -39,15 +41,40 @@ fn overhead_model_is_internally_consistent() {
 
 #[test]
 fn swap_overheads_scale_with_pcie_bandwidth() {
-    // Halving PCIe bandwidth must not make any swap scheme cheaper.
+    // Halving PCIe bandwidth must not make any swap scheme cheaper, and
+    // doubles what a fully serialized one costs.
     let fast = GpuModel::titan_x();
     let slow = GpuModel { pcie_bw: fast.pcie_bw / 2.0, ..fast };
+    let g = gist::models::vgg16(32);
+    let dense = vec![StashCodec::Dense; g.len()];
     for strategy in [SwapStrategy::Naive, SwapStrategy::Vdnn] {
-        let g = gist::models::vgg16(32);
-        let f = swap_overhead(&g, strategy, &fast).unwrap();
-        let s = swap_overhead(&g, strategy, &slow).unwrap();
+        let plan = OffloadPlan::plan(&g, &dense, OffloadMode::Swap(strategy)).unwrap();
+        let f = simulate(&g, &plan, &fast).unwrap().overhead_pct();
+        let s = simulate(&g, &plan, &slow).unwrap().overhead_pct();
         assert!(s >= f, "{strategy:?}: slower PCIe gave lower overhead ({s:.1} < {f:.1})");
+        if strategy == SwapStrategy::Naive {
+            assert!((s / f - 2.0).abs() < 0.01, "naive is pure transfer: {f:.2} -> {s:.2}");
+        }
     }
+}
+
+#[test]
+fn recompute_reduces_footprint_for_a_time_cost() {
+    // The step program the runtime would execute, and the sqrt-N plan
+    // inside it priced on the virtual clock.
+    let g = gist::models::vgg16(8);
+    let peak = |offload: OffloadMode| {
+        let spec = ExecSpec { offload, ..ExecSpec::from(ExecMode::Baseline).arena() };
+        StepProgram::lower(&g, &spec).unwrap().peak_bytes(&HashMap::new()).unwrap()
+    };
+    let (resident, recompute) = (peak(OffloadMode::None), peak(OffloadMode::Recompute));
+    assert!(recompute < resident, "recompute {recompute} vs resident {resident}");
+    let dense = vec![StashCodec::Dense; g.len()];
+    let plan = OffloadPlan::plan(&g, &dense, OffloadMode::Recompute).unwrap();
+    let overhead = simulate(&g, &plan, &GpuModel::titan_x()).unwrap().overhead_pct();
+    // Recomputation costs at most about one extra forward pass (~33% of
+    // fwd+bwd when bwd ~ 2x fwd).
+    assert!(overhead > 0.0 && overhead < 60.0, "{overhead:.1}%");
 }
 
 #[test]
