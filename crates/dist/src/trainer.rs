@@ -230,8 +230,8 @@ impl<T: Transport> Trainer<T> {
     ///
     /// [`DistError::Config`] unless there is exactly one equally shaped
     /// entry per shard; executor failures are [`DistError::Runtime`],
-    /// transport and protocol failures [`DistError::Net`]. Parameters are
-    /// untouched on every error.
+    /// transport and protocol failures [`DistError::Net`]. Parameters and
+    /// step epochs are untouched on every error.
     pub fn step(
         &mut self,
         images: &[Tensor],
@@ -249,12 +249,32 @@ impl<T: Transport> Trainer<T> {
         if images.windows(2).any(|w| w[0].shape() != w[1].shape()) {
             return Err(DistError::Config("shard minibatch shapes differ".into()));
         }
+        // Shard `i` draws its dropout masks at epoch `epoch + i` — what one
+        // replica running every shard in order would use — whichever rank
+        // runs it; every replica then moves on to `epoch + S` together.
+        let epoch = self.execs[0].steps_executed();
+        let stepped = self.step_at(epoch, images, labels, lr);
+        let next = if stepped.is_ok() { epoch + s as u64 } else { epoch };
+        self.execs.iter_mut().for_each(|exec| exec.set_steps_executed(next));
+        stepped
+    }
+
+    /// [`Self::step`] after its input checks, with shard `i`'s dropout
+    /// epoch at `epoch + i`.
+    fn step_at(
+        &mut self,
+        epoch: u64,
+        images: &[Tensor],
+        labels: &[Vec<usize>],
+        lr: f32,
+    ) -> Result<StepReport, DistError> {
+        let s = self.shards;
         self.events.clear();
         let t0 = Instant::now();
 
         // Phase 1: every owned rank's shards, in rank-major arrival order
         // (for several ranks NOT shard order — the tree does not care).
-        let mut outs = self.run_owned(images, labels)?;
+        let mut outs = self.run_owned(epoch, images, labels)?;
 
         // Phase 2: per-tensor fixed-tree reduce, mean-scale, broadcast.
         // Tensor ids are positions in the canonical walk of the gradient
@@ -344,6 +364,7 @@ impl<T: Transport> Trainer<T> {
     /// thread-count-invariant.
     fn run_owned(
         &mut self,
+        epoch: u64,
         images: &[Tensor],
         labels: &[Vec<usize>],
     ) -> Result<Vec<ShardOut>, RuntimeError> {
@@ -352,6 +373,7 @@ impl<T: Transport> Trainer<T> {
             (rank..s)
                 .step_by(world)
                 .map(|shard| {
+                    exec.set_steps_executed(epoch + shard as u64);
                     let (stats, grads) = exec.forward_backward(&images[shard], &labels[shard])?;
                     Ok((shard, stats, grads))
                 })
@@ -418,6 +440,58 @@ mod tests {
         for fp in &fps[1..] {
             assert_eq!(*fp, fps[0]);
         }
+    }
+
+    /// Dropout masks follow the shard, not the replica that runs it: shard
+    /// `i` draws them at the epoch one replica running every shard in order
+    /// would use, and every replica moves on by `S` together.
+    #[test]
+    fn dropout_nets_merge_the_same_gradients_at_every_replica_count() {
+        let graph = gist_models::tiny_classic(2, 4);
+        let mut data = gist_runtime::SyntheticImages::for_graph(&graph, 0.1, 1234).unwrap();
+        let (images, labels): (Vec<Tensor>, Vec<Vec<usize>>) =
+            (0..8).map(|_| data.minibatch(2)).unzip();
+        let build = || Executor::new(graph.clone(), ExecMode::Baseline, 42);
+        let mut merged = Vec::new();
+        for n in [1usize, 2, 4] {
+            let mut t = DistTrainer::new(n, 8, TransferCodec::None, build).unwrap();
+            let mut bits = Vec::new();
+            for step in 1..=2 {
+                let rep = t.step(&images, &labels, 0.05).unwrap();
+                bits.extend(
+                    tensors(&rep.merged).flat_map(|g| g.data().iter().map(|v| v.to_bits())),
+                );
+                for r in 0..n {
+                    assert_eq!(t.replica(r).steps_executed(), 8 * step, "replica {r} of {n}");
+                }
+            }
+            merged.push(bits);
+        }
+        assert_eq!(merged[1], merged[0], "2 replicas merged other gradients than 1");
+        assert_eq!(merged[2], merged[0], "4 replicas merged other gradients than 1");
+    }
+
+    /// A step that fails — in a shard's pass or in the exchange — leaves
+    /// every replica's step epoch where it was.
+    #[test]
+    fn a_failed_step_leaves_every_step_epoch_unchanged() {
+        let (images, labels) = shard_data(8, 2);
+        let mut short_labels = labels.clone();
+        short_labels[5].pop();
+        let mut all = DistTrainer::new(4, 8, TransferCodec::None, build_exec).unwrap();
+        all.step(&images, &labels, 0.05).unwrap();
+        all.step(&images, &short_labels, 0.05).expect_err("shard 5 is one label short");
+        for r in 0..4 {
+            assert_eq!(all.replica(r).steps_executed(), 8, "replica {r}");
+        }
+
+        let mut mesh = InProcess::mesh(2);
+        drop(mesh.pop()); // rank 1 never joins
+        let rank0 = mesh.pop().expect("rank 0");
+        let mut t = NetTrainer::new(rank0, 8, TransferCodec::None, build_exec).unwrap();
+        let err = t.step(&images, &labels, 0.05).expect_err("stepped without its peer");
+        assert!(matches!(err, DistError::Net(_)), "{err:?}");
+        assert_eq!(t.replica(0).steps_executed(), 0);
     }
 
     #[test]

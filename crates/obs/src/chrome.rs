@@ -300,6 +300,15 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_of_an_exported_trace_is_an_error() {
+        let doc = export_chrome(&sample());
+        let doc = doc.trim_end();
+        for cut in (0..doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
+            assert!(parse_chrome(&doc[..cut]).is_err(), "a {cut}-byte prefix parsed");
+        }
+    }
+
+    #[test]
     fn empty_stream_round_trips() {
         assert_eq!(parse_chrome(&export_chrome(&[])).unwrap(), vec![]);
     }

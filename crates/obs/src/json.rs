@@ -81,26 +81,34 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a complete JSON document.
+/// Deepest nesting of arrays and objects [`parse`] accepts — far beyond
+/// any document this workspace writes, and shallow enough that the
+/// recursive descent cannot exhaust a thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document, in time linear in its length.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] on malformed input or trailing garbage.
+/// Returns a [`JsonError`] on malformed input, trailing garbage, or arrays
+/// and objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -138,8 +146,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -240,12 +255,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a char boundary of the
+                    // (already valid UTF-8) text.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -274,8 +291,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>().map(Value::Num).map_err(|_| self.err("bad number"))
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map(Value::Num)
+            .map_err(|_| self.err("bad number"))
     }
 }
 
@@ -338,5 +357,25 @@ mod tests {
     fn empty_containers() {
         assert_eq!(parse("[]").unwrap(), Value::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), Value::Object(vec![]));
+    }
+
+    #[test]
+    fn a_four_megabyte_string_parses() {
+        let body = "plain ascii, ünïcödé ✓, \\\"escaped\\\" \\n ".repeat(100_000);
+        assert!(body.len() > 4 << 20);
+        let v = parse(&format!("{{\"s\": \"{body}\"}}")).unwrap();
+        let s = v.get("s").and_then(Value::as_str).unwrap();
+        assert!(s.starts_with("plain ascii, ünïcödé ✓, \"escaped\" \n "));
+        assert_eq!(s.matches('✓').count(), 100_000);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\": ".repeat(200_000)).is_err());
     }
 }

@@ -314,6 +314,13 @@ impl Executor {
         self.step_counter
     }
 
+    /// Sets the step epoch that salts the next pass's dropout masks. A
+    /// data-parallel trainer sets it per shard, so a shard's masks do not
+    /// depend on which replica runs it.
+    pub fn set_steps_executed(&mut self, steps: u64) {
+        self.step_counter = steps;
+    }
+
     /// Captures the cross-step train state: every parameter tensor encoded
     /// under `codec`, and the step epoch. Restored into an executor of the
     /// same graph **and seed** (the seed salts the dropout masks too),

@@ -7,8 +7,15 @@
 #      kernels (GIST_THREADS=1 GIST_SIMD=scalar) and once on the default
 #      gist-par pool with runtime-detected SIMD — the two runs must both
 #      pass, so any thread-count- or vector-width-dependent behaviour fails
-#      the gate. tests/simd_equivalence.rs additionally crosses every
-#      available GIST_SIMD level in-process and bit-compares against scalar
+#      the gate. The equivalence matrix (tests/matrix/mod.rs, linked by
+#      tests/equivalence_matrix.rs and the per-axis suites that keep their
+#      train-step test names as its views, each the full cross of the axes
+#      it names) additionally crosses every
+#      available GIST_SIMD level, thread count, alloc policy, plan
+#      granularity, offload, mode, model, replica count, transport and grad
+#      codec pairwise in-process, every training step bit-compared against
+#      one reference per (model, numeric class); `wc -l tests/*.rs`, with
+#      and without the harness in tests/matrix/, is printed into every log
 #   3. rustfmt conformance (rustfmt.toml at the repo root)
 #   4. clippy over every workspace crate and all targets, warnings denied
 #   5. the memory oracle gate: a traced training step per small net x stash
@@ -19,24 +26,28 @@
 #      bit-identical to resident execution and match the offload-aware
 #      static prediction event-for-event, plus a CLI smoke of
 #      `train --offload recompute|swap`
-#   7. the replica-determinism gate (tests/dist_equivalence.rs, run twice
-#      by step 2): merged updates bitwise-invariant across replica counts,
-#      codecs on every wire, executed-cDMA bytes priced exactly — plus a
-#      CLI smoke of `train --replicas N --grad-codec ssdc|dpr:8`
+#   7. the replica-determinism gate (the matrix's trainer cells, run
+#      twice by step 2): merged updates bitwise-invariant across replica
+#      counts with codecs on every wire (DPR trajectories FNV-pinned in
+#      tests/dist_equivalence.rs, with executed-cDMA bytes priced exactly)
+#      — plus a CLI smoke of `train --replicas N --grad-codec ssdc|dpr:8`
 #   8. the serve gate (tests/serve_equivalence.rs, run twice by step 2):
 #      every job in a concurrent mix fingerprints bitwise-identical to its
 #      solo run across interleavings/threads/alloc, the budget oracle holds
 #      on 64+ random mixes, park/resume is invisible — plus a CLI smoke of
 #      `serve` running a scripted 4-job mix under a tight --mem-budget
-#   9. the plan-granularity gate: arena training crossed over
+#   9. the plan-granularity gate (the matrix's `plan=wave` cells, run
+#      twice by step 2, crossed with threads, SIMD, offload and every
+#      model), plus a release CLI smoke: arena training crossed over
 #      `--plan event|wave` x GIST_THREADS={1,2} must print one identical
 #      train fingerprint (per-step loss bits + all trained weight bits)
 #      across all four runs — wave-concurrent arena execution is only
 #      allowed to change the slab, never a bit of the training
-#  10. the placement gate (tests/net_equivalence.rs, run twice by step
-#      2): the one data-parallel step, run by trainers that each own one
-#      rank over channel-mesh and loopback-TCP transports, bitwise-identical
-#      to the trainer that owns every rank across worlds x codecs — plus a
+#  10. the placement gate (the matrix's `transport=mesh|tcp` cells, run
+#      twice by step 2): the one data-parallel step, run by trainers that
+#      each own one rank over channel-mesh and loopback-TCP transports,
+#      bitwise-identical to the trainer that owns every rank, every
+#      transfer paired sender-to-receiver and priced per edge — plus a
 #      CLI smoke forking a real 2-process loopback world
 #      (`train --transport tcp --spawn-local 2`) whose printed fingerprint
 #      must equal the in-process `--replicas 2` run's, with garbage
@@ -74,7 +85,9 @@
 #      (`gist-offload` plans and prices what runs), and `.dw` structures
 #      are built in one file under crates/ (the baseline class analysis;
 #      the Schedule Builder rewrites that inventory, it does not re-derive
-#      it)
+#      it). And one equivalence matrix: a train-step fingerprint helper
+#      (`fn train_fingerprint` and its `run_`/`dist_`/`net_` twins) is
+#      defined nowhere but tests/matrix/mod.rs
 #  13. the perf ledger: the newest root `BENCH_<pr>.json` (a change-side
 #      sweep of the repo benchmark folded by `bench_ledger`) against the
 #      one before it, row by row under BENCHMARK.json's bounds — a row
@@ -177,6 +190,15 @@ if [ "$dw_files" != "crates/graph/src/class.rs" ]; then
     echo "$dw_files" >&2
     exit 1
 fi
+helpers=$(grep -rnE "fn (train|run|dist|net)_fingerprint" crates src tests examples |
+    grep -v "^tests/matrix/mod.rs:" || true)
+if [ -n "$helpers" ]; then
+    echo "a train-step fingerprint helper reappeared outside the equivalence matrix (add a matrix::views! entry instead):" >&2
+    echo "$helpers" >&2
+    exit 1
+fi
+wc -l tests/*.rs | tail -1
+wc -l tests/*.rs tests/matrix/*.rs | tail -1
 fnv_files=$(grep -rl "0xcbf2_9ce4" crates | wc -l)
 if [ "$fnv_files" -gt 2 ]; then
     echo "FNV-1a is spelled in $fnv_files files under crates/ (use ParamSet::fingerprint):" >&2

@@ -3,19 +3,19 @@
 //! `AllocPolicy::Arena` promises that executing out of the pre-planned slab
 //! is **observationally invisible**: every loss, every gradient, every
 //! updated weight is bit-for-bit the value the heap executor produces, at
-//! every thread count, for every execution mode, on straight-line and
-//! branchy graphs alike. These tests check that promise the only way that
-//! counts — raw bits.
+//! every thread count, plan granularity and execution mode, on
+//! straight-line and branchy graphs alike. Those train-step crosses are
+//! views of the equivalence matrix (`tests/matrix/mod.rs`).
 //!
-//! The second half attacks the mechanism underneath: `_into` kernels
-//! writing into NaN-poisoned storage views (exactly what a debug-mode arena
-//! hands them) must fully overwrite the region and match their owned-output
-//! twins bit-for-bit even on hostile inputs. That full-overwrite property
-//! is what makes the arena's poison-then-reuse discipline sound.
+//! The rest attacks the mechanism underneath: `_into` kernels writing into
+//! NaN-poisoned storage views (exactly what a debug-mode arena hands them)
+//! must fully overwrite the region and match their owned-output twins
+//! bit-for-bit even on hostile inputs. That full-overwrite property is what
+//! makes the arena's poison-then-reuse discipline sound.
 
-use gist::par::with_threads;
+mod matrix;
+
 use gist::prelude::*;
-use gist::runtime::{AllocPolicy, PlanGranularity};
 use gist::tensor::ops::conv::ConvParams;
 use gist::tensor::ops::lrn::LrnParams;
 use gist::tensor::ops::pool::PoolParams;
@@ -24,154 +24,17 @@ use gist::tensor::Storage;
 use gist_testkit::prop::{boxed, just, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
 
-const BATCH: usize = 4;
-const CLASSES: usize = 3;
-const STEPS: usize = 3;
-
-fn modes() -> Vec<(&'static str, ExecMode)> {
-    vec![
-        ("baseline", ExecMode::Baseline),
-        ("lossless", ExecMode::Gist(GistConfig::lossless())),
-        ("lossy_fp16", ExecMode::Gist(GistConfig::lossy(DprFormat::Fp16))),
-        ("lossy_fp8", ExecMode::Gist(GistConfig::lossy(DprFormat::Fp8))),
-    ]
-}
-
-/// Every trainable scalar plus the per-step loss, as raw bit patterns: the
-/// only fingerprint that catches a single flipped rounding anywhere in the
-/// step.
-fn train_fingerprint(graph: &Graph, mode: &ExecMode, policy: AllocPolicy) -> Vec<u32> {
-    train_fingerprint_on(graph, mode, policy, SyntheticImages::new(CLASSES, 16, 0.35, 23))
-}
-
-fn train_fingerprint_on(
-    graph: &Graph,
-    mode: &ExecMode,
-    policy: AllocPolicy,
-    ds: SyntheticImages,
-) -> Vec<u32> {
-    train_fingerprint_gran(graph, mode, policy, PlanGranularity::Event, ds)
-}
-
-fn train_fingerprint_gran(
-    graph: &Graph,
-    mode: &ExecMode,
-    policy: AllocPolicy,
-    granularity: PlanGranularity,
-    mut ds: SyntheticImages,
-) -> Vec<u32> {
-    let spec = ExecSpec { alloc: policy, plan: granularity, ..mode.clone().into() };
-    let mut exec = Executor::new(graph.clone(), spec, 9).expect("executor");
-    let mut fp = Vec::new();
-    for _ in 0..STEPS {
-        let (x, y) = ds.minibatch(BATCH);
-        let stats = exec.step(&x, &y, 0.05).expect("step");
-        fp.push(stats.loss.to_bits());
-    }
-    fp.extend(exec.params.bits());
-    fp
-}
-
-/// The tentpole differential: train-step fingerprints are byte-identical
-/// across `AllocPolicy x thread count x ExecMode`. The heap single-thread
-/// run is the reference; every other cell of the matrix must match it.
-#[test]
-fn train_fingerprints_match_across_policy_threads_and_modes() {
-    let graph = gist::models::tiny_convnet(BATCH, CLASSES);
-    let max_threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    for (name, mode) in modes() {
-        let reference = with_threads(1, || train_fingerprint(&graph, &mode, AllocPolicy::Heap));
-        for threads in [1, 2, max_threads] {
-            for policy in [AllocPolicy::Heap, AllocPolicy::Arena] {
-                let fp = with_threads(threads, || train_fingerprint(&graph, &mode, policy));
-                assert_eq!(
-                    fp, reference,
-                    "{name}: {policy:?} at {threads} threads diverged from heap/1"
-                );
-            }
-        }
-    }
-}
-
-/// The PR 9 headline gate: train-step fingerprints are byte-identical
-/// across plan granularity x thread count x alloc policy x SIMD level.
-/// `PlanGranularity::Wave` lets the arena executor run multi-node waves on
-/// the thread pool (buffers of a wave are planned concurrently live), so
-/// this matrix is the proof that wave-granular plans change *where* results
-/// are computed — never *what* is computed.
-#[test]
-fn train_fingerprints_match_across_granularity_threads_policies_and_simd() {
-    use gist::simd::{available_levels, with_level, Level};
-    let graph = gist::models::tiny_convnet(BATCH, CLASSES);
-    let mode = ExecMode::Gist(GistConfig::lossless());
-    let ds = || SyntheticImages::new(CLASSES, 16, 0.35, 23);
-    let max_threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let reference = with_level(Level::Scalar, || {
-        with_threads(1, || {
-            train_fingerprint_gran(&graph, &mode, AllocPolicy::Heap, PlanGranularity::Event, ds())
-        })
-    });
-    assert!(reference.len() > 100, "fingerprint covers real state");
-    for granularity in [PlanGranularity::Event, PlanGranularity::Wave] {
-        for lvl in available_levels() {
-            for threads in [1, 2, max_threads] {
-                for policy in [AllocPolicy::Heap, AllocPolicy::Arena] {
-                    let fp = with_level(lvl, || {
-                        with_threads(threads, || {
-                            train_fingerprint_gran(&graph, &mode, policy, granularity, ds())
-                        })
-                    });
-                    assert_eq!(
-                        fp, reference,
-                        "plan={granularity:?} policy={policy:?} threads={threads} \
-                         GIST_SIMD={lvl}: diverged from heap/event/scalar/1"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Wave-granular planning on branchy graphs: `Add`/`Concat` fan-in means
-/// several same-wave nodes contribute to one upstream gradient map, whose
-/// single wave-lifetime alloc and fixed-order serial merge are exactly the
-/// machinery this PR added. Both granularities must reproduce the heap
-/// fingerprint bit-for-bit.
-#[test]
-fn branchy_graphs_match_across_granularities() {
-    let nets: Vec<(&str, Graph)> = vec![
-        ("resnet_cifar", gist::models::resnet_cifar(1, BATCH)),
-        ("densenet_cifar", gist::models::densenet_cifar(1, 4, BATCH)),
-    ];
-    let mode = ExecMode::Gist(GistConfig::lossless());
-    for (net, graph) in nets {
-        let ds = || SyntheticImages::rgb(10, 32, 0.35, 23);
-        let heap = train_fingerprint_on(&graph, &mode, AllocPolicy::Heap, ds());
-        for granularity in [PlanGranularity::Event, PlanGranularity::Wave] {
-            let fp = train_fingerprint_gran(&graph, &mode, AllocPolicy::Arena, granularity, ds());
-            assert_eq!(fp, heap, "{net}: arena/{granularity:?} diverged from heap");
-        }
-    }
-}
-
-/// Branchy graphs stress the arena paths a chain never reaches: `Add`
-/// fan-in (residual blocks) and `Concat` fan-in (dense blocks) allocate one
-/// upstream gradient per target and merge contributions into arena views.
-#[test]
-fn branchy_graphs_match_across_policies() {
-    let nets: Vec<(&str, Graph)> = vec![
-        ("resnet_cifar", gist::models::resnet_cifar(1, BATCH)),
-        ("densenet_cifar", gist::models::densenet_cifar(1, 4, BATCH)),
-    ];
-    for (net, graph) in nets {
-        for (name, mode) in modes() {
-            // CIFAR-shaped nets: 10 classes, 3x32x32 images.
-            let ds = || SyntheticImages::rgb(10, 32, 0.35, 23);
-            let heap = train_fingerprint_on(&graph, &mode, AllocPolicy::Heap, ds());
-            let arena = train_fingerprint_on(&graph, &mode, AllocPolicy::Arena, ds());
-            assert_eq!(heap, arena, "{net}/{name}: arena diverged from heap");
-        }
-    }
+matrix::views! {
+    train_fingerprints_match_across_policy_threads_and_modes: ["mode=* alloc=* threads=* steps=3"],
+    train_fingerprints_match_across_granularity_threads_policies_and_simd: [
+        "mode=lossless plan=* simd=* threads=* alloc=* steps=3",
+    ],
+    branchy_graphs_match_across_granularities: [
+        "model=resnet_cifar|densenet_cifar mode=lossless alloc=arena plan=* steps=3 batch=4",
+    ],
+    branchy_graphs_match_across_policies: [
+        "model=resnet_cifar|densenet_cifar mode=* alloc=* steps=3 batch=4",
+    ],
 }
 
 // ---------------------------------------------------------------------------

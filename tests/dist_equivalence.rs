@@ -6,75 +6,23 @@
 //! 1, 2, 4 or 8 replicas computed the shards — at every thread count,
 //! under both allocation policies, at every `GIST_SIMD` level, and with
 //! every `GradCodec` on the wire (SSDC bitwise-lossless, DPR lossy but
-//! placement-independent and pinned). The executed cDMA swap path is held
-//! to the acceptance criterion directly: the encoded bytes the executor
-//! *observes* on each swap transfer must be priced by the virtual-clock
-//! engine exactly, bit-for-bit in the `f64` transfer records.
+//! placement-independent and pinned). Those train-step crosses are views of
+//! the equivalence matrix (`tests/matrix/mod.rs`). The executed cDMA swap
+//! path is held to the acceptance criterion directly: the encoded bytes the
+//! executor *observes* on each swap transfer must be priced by the
+//! virtual-clock engine exactly, bit-for-bit in the `f64` transfer records.
 
-use gist::dist::{reduction_rounds, simulate_allreduce, DistTrainer, GradCodec, GradReduceTree};
+mod matrix;
+
+use gist::dist::{reduction_rounds, simulate_allreduce, GradCodec, GradReduceTree};
 use gist::encodings::DprFormat;
 use gist::offload::{simulate_observed, OffloadMode, SwapStrategy};
-use gist::par::{env_threads, with_threads};
 use gist::perf::GpuModel;
-use gist::runtime::{AllocPolicy, ExecMode, ExecSpec, Executor, SyntheticImages};
-use gist::simd::{available_levels, with_level, Level};
-use gist::tensor::Tensor;
+use gist::runtime::{ExecMode, ExecSpec, Executor, SyntheticImages};
 use gist_testkit::prop::{boxed, just, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
 
 const SHARDS: usize = 8;
-const SHARD_BATCH: usize = 2;
-const STEPS: usize = 2;
-const LR: f32 = 0.05;
-
-fn shard_data() -> (Vec<Tensor>, Vec<Vec<usize>>) {
-    let mut ds = SyntheticImages::new(4, 16, 0.3, 1234);
-    let mut images = Vec::with_capacity(SHARDS);
-    let mut labels = Vec::with_capacity(SHARDS);
-    for _ in 0..SHARDS {
-        let (x, y) = ds.minibatch(SHARD_BATCH);
-        images.push(x);
-        labels.push(y);
-    }
-    (images, labels)
-}
-
-/// Bit-level snapshot of one distributed run: every step's loss, the last
-/// step's merged (applied) gradient, and replica 0's final parameters.
-fn run_fingerprint(replicas: usize, codec: GradCodec, alloc: AllocPolicy) -> Vec<u32> {
-    let (images, labels) = shard_data();
-    let mut trainer = DistTrainer::new(replicas, SHARDS, codec, || {
-        let spec = ExecSpec { alloc, ..ExecMode::Baseline.into() };
-        Executor::new(gist::models::tiny_convnet(SHARD_BATCH, 4), spec, 7)
-    })
-    .expect("trainer");
-    let mut fp = Vec::new();
-    for _ in 0..STEPS {
-        let rep = trainer.step(&images, &labels, LR).expect("step");
-        fp.push(rep.loss.to_bits());
-        for st in &rep.shard_stats {
-            fp.push(st.loss.to_bits());
-        }
-        for g in rep.merged.iter().flatten() {
-            fp.extend(g.main.data().iter().map(|v| v.to_bits()));
-            if let Some(sec) = &g.secondary {
-                fp.extend(sec.data().iter().map(|v| v.to_bits()));
-            }
-        }
-    }
-    // Every replica must be in lockstep; fingerprint replica 0 and check
-    // the rest against it.
-    let p0 = param_bits(trainer.replica(0));
-    for r in 1..replicas {
-        assert_eq!(param_bits(trainer.replica(r)), p0, "replica {r} of {replicas} diverged");
-    }
-    fp.extend(p0);
-    fp
-}
-
-fn param_bits(exec: &Executor) -> Vec<u32> {
-    exec.params.bits().collect()
-}
 
 /// FNV-1a over the fingerprint words — the committed regression pin.
 fn fnv64(fp: &[u32]) -> u64 {
@@ -89,88 +37,24 @@ fn fnv64(fp: &[u32]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Replica-count / thread / alloc / SIMD invariance
+// Replica-count / thread / alloc / SIMD invariance, codecs on every edge
 // ---------------------------------------------------------------------------
 
-#[test]
-fn merged_update_is_replica_count_invariant() {
-    let reference = run_fingerprint(1, GradCodec::None, AllocPolicy::Heap);
-    assert!(!reference.is_empty());
-    for n in [2, 4, 8] {
-        assert_eq!(
-            run_fingerprint(n, GradCodec::None, AllocPolicy::Heap),
-            reference,
-            "{n} replicas diverged from 1"
-        );
-    }
-}
-
-#[test]
-fn merged_update_is_thread_count_invariant() {
-    let reference = with_threads(1, || run_fingerprint(2, GradCodec::None, AllocPolicy::Heap));
-    let mut counts = vec![2, env_threads().max(4)];
-    counts.dedup();
-    for t in counts {
-        assert_eq!(
-            with_threads(t, || run_fingerprint(2, GradCodec::None, AllocPolicy::Heap)),
-            reference,
-            "GIST_THREADS={t} diverged"
-        );
-    }
-}
-
-#[test]
-fn merged_update_is_alloc_policy_invariant() {
-    for n in [1, 4] {
-        assert_eq!(
-            run_fingerprint(n, GradCodec::None, AllocPolicy::Arena),
-            run_fingerprint(n, GradCodec::None, AllocPolicy::Heap),
-            "arena diverged from heap at {n} replicas"
-        );
-    }
-}
-
-#[test]
-fn merged_update_is_simd_level_invariant() {
-    let reference =
-        with_level(Level::Scalar, || run_fingerprint(2, GradCodec::None, AllocPolicy::Arena));
-    for lvl in available_levels() {
-        assert_eq!(
-            with_level(lvl, || run_fingerprint(2, GradCodec::None, AllocPolicy::Arena)),
-            reference,
-            "GIST_SIMD={lvl} diverged"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Codec-on-transfer semantics
-// ---------------------------------------------------------------------------
-
-#[test]
-fn ssdc_grad_codec_is_bitwise_lossless() {
-    for n in [1, 2] {
-        assert_eq!(
-            run_fingerprint(n, GradCodec::Ssdc, AllocPolicy::Heap),
-            run_fingerprint(n, GradCodec::None, AllocPolicy::Heap),
-            "SSDC wire round-trip changed bits at {n} replicas"
-        );
-    }
+matrix::views! {
+    merged_update_is_replica_count_invariant: ["replicas=1|2|4|8"],
+    merged_update_is_thread_count_invariant: ["replicas=2 threads=*"],
+    merged_update_is_alloc_policy_invariant: ["replicas=1|4 alloc=*"],
+    merged_update_is_simd_level_invariant: ["replicas=2 alloc=arena simd=*"],
+    ssdc_grad_codec_is_bitwise_lossless: ["replicas=1|2 codec=ssdc"],
 }
 
 #[test]
 fn dpr_grad_codec_is_replica_count_invariant_and_pinned() {
     // Lossy wire formats still may not care about placement: the codec
     // runs on every tree edge whether or not it crosses a link.
-    let fp8 = run_fingerprint(1, GradCodec::Dpr(DprFormat::Fp8), AllocPolicy::Heap);
-    for n in [4, 8] {
-        assert_eq!(
-            run_fingerprint(n, GradCodec::Dpr(DprFormat::Fp8), AllocPolicy::Heap),
-            fp8,
-            "DPR fp8 diverged at {n} replicas"
-        );
-    }
-    let fp16 = run_fingerprint(2, GradCodec::Dpr(DprFormat::Fp16), AllocPolicy::Heap);
+    matrix::run_view(&["replicas=1|4|8 codec=dpr:8"]);
+    let fp8 = matrix::values_of("replicas=1 codec=dpr:8");
+    let fp16 = matrix::values_of("replicas=2 codec=dpr:16");
     // Committed regression pins: these exact training trajectories were
     // recorded from the run that landed the subsystem. The executor, the
     // synthetic dataset, the tree schedule and the DPR tables are all
@@ -179,7 +63,7 @@ fn dpr_grad_codec_is_replica_count_invariant_and_pinned() {
     assert_eq!(fnv64(&fp8), PIN_DPR_FP8, "DPR fp8 trajectory drifted");
     assert_eq!(fnv64(&fp16), PIN_DPR_FP16, "DPR fp16 trajectory drifted");
     // And the lossy formats genuinely differ from lossless training.
-    let raw = run_fingerprint(1, GradCodec::None, AllocPolicy::Heap);
+    let raw = matrix::values_of("replicas=1");
     assert_ne!(fnv64(&raw), fnv64(&fp8));
 }
 

@@ -4,124 +4,32 @@
 //! flow*: a training run under `OffloadMode::Recompute` or
 //! `OffloadMode::Swap(_)` must produce bit-for-bit the losses and updated
 //! weights of fully-resident execution, across every execution mode,
-//! allocation policy, and thread count. These tests check that promise the
-//! only way that counts — raw bits — and then attack the virtual-clock
-//! transfer engine's core invariant on randomly generated architectures:
-//! no swap-in is ever consumed before it has fully arrived, and no stash is
-//! fetched before it finished leaving the device.
+//! allocation policy, and thread count. Views of the equivalence matrix
+//! (`tests/matrix/mod.rs`) check that promise the only way that counts —
+//! raw bits; the properties below attack the virtual-clock transfer
+//! engine's core invariant on randomly generated architectures: no swap-in
+//! is ever consumed before it has fully arrived, and no stash is fetched
+//! before it finished leaving the device.
+
+mod matrix;
 
 use gist::graph::Graph;
-use gist::par::with_threads;
 use gist::perf::GpuModel;
 use gist::prelude::*;
-use gist::runtime::AllocPolicy;
 use gist::tensor::ops::conv::ConvParams;
 use gist::tensor::ops::pool::PoolParams;
 use gist_testkit::prop::{boxed, just, map, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
 
-const BATCH: usize = 4;
-const CLASSES: usize = 3;
-const STEPS: usize = 2;
-
-fn modes() -> Vec<(&'static str, ExecMode)> {
-    vec![
-        ("baseline", ExecMode::Baseline),
-        ("lossless", ExecMode::Gist(GistConfig::lossless())),
-        ("lossy_fp16", ExecMode::Gist(GistConfig::lossy(DprFormat::Fp16))),
-    ]
-}
-
-fn offloads() -> Vec<(&'static str, OffloadMode)> {
-    vec![
-        ("recompute", OffloadMode::Recompute),
-        ("swap_naive", OffloadMode::Swap(SwapStrategy::Naive)),
-        ("swap_vdnn", OffloadMode::Swap(SwapStrategy::Vdnn)),
-    ]
-}
-
-/// Every per-step loss plus every trainable scalar, as raw bit patterns.
-fn train_fingerprint(
-    graph: &Graph,
-    mode: &ExecMode,
-    policy: AllocPolicy,
-    offload: OffloadMode,
-    mut ds: SyntheticImages,
-) -> Vec<u32> {
-    let spec = ExecSpec { alloc: policy, offload, ..mode.clone().into() };
-    let mut exec = Executor::new(graph.clone(), spec, 9).expect("executor");
-    let mut fp = Vec::new();
-    for _ in 0..STEPS {
-        let (x, y) = ds.minibatch(BATCH);
-        let stats = exec.step(&x, &y, 0.05).expect("step");
-        fp.push(stats.loss.to_bits());
-    }
-    fp.extend(exec.params.bits());
-    fp
-}
-
-fn vgg_ds() -> SyntheticImages {
-    SyntheticImages::new(CLASSES, 16, 0.35, 23)
-}
-
-/// The tentpole differential: fingerprints are byte-identical across
-/// `OffloadMode x AllocPolicy x thread count x ExecMode`. The resident
-/// heap single-thread run is the reference; every offloaded cell must
-/// match it.
-#[test]
-fn offloaded_training_is_bitwise_identical_to_resident() {
-    let graph = gist::models::small_vgg(BATCH, CLASSES);
-    for (mode_name, mode) in modes() {
-        let reference = with_threads(1, || {
-            train_fingerprint(&graph, &mode, AllocPolicy::Heap, OffloadMode::None, vgg_ds())
-        });
-        for (off_name, offload) in offloads() {
-            for threads in [1, 2] {
-                for policy in [AllocPolicy::Heap, AllocPolicy::Arena] {
-                    let fp = with_threads(threads, || {
-                        train_fingerprint(&graph, &mode, policy, offload, vgg_ds())
-                    });
-                    assert_eq!(
-                        fp, reference,
-                        "{mode_name}/{off_name}: {policy:?} at {threads} threads \
-                         diverged from resident heap/1"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Branchy graphs exercise plans a chain never builds: residual `Add`
-/// fan-in makes recompute segments with multi-reader intermediates, and
-/// dense-block `Concat` stashes many convs per wave.
-#[test]
-fn branchy_graphs_match_resident_under_offload() {
-    let nets: Vec<(&str, Graph)> = vec![
-        ("resnet_cifar", gist::models::resnet_cifar(1, BATCH)),
-        ("densenet_cifar", gist::models::densenet_cifar(1, 4, BATCH)),
-    ];
-    for (net, graph) in nets {
-        for (mode_name, mode) in
-            [("baseline", ExecMode::Baseline), ("lossless", ExecMode::Gist(GistConfig::lossless()))]
-        {
-            let ds = || SyntheticImages::rgb(10, 32, 0.35, 23);
-            let reference =
-                train_fingerprint(&graph, &mode, AllocPolicy::Heap, OffloadMode::None, ds());
-            for (off_name, offload) in [
-                ("recompute", OffloadMode::Recompute),
-                ("swap", OffloadMode::Swap(SwapStrategy::Vdnn)),
-            ] {
-                for policy in [AllocPolicy::Heap, AllocPolicy::Arena] {
-                    let fp = train_fingerprint(&graph, &mode, policy, offload, ds());
-                    assert_eq!(
-                        fp, reference,
-                        "{net}/{mode_name}/{off_name}: {policy:?} diverged from resident"
-                    );
-                }
-            }
-        }
-    }
+matrix::views! {
+    offloaded_training_is_bitwise_identical_to_resident: [
+        "model=small_vgg mode=baseline|lossless|fp16 offload=recompute|swap:naive|swap:vdnn \
+         threads=1|2 alloc=*",
+    ],
+    branchy_graphs_match_resident_under_offload: [
+        "model=resnet_cifar|densenet_cifar mode=baseline|lossless offload=recompute|swap:vdnn \
+         alloc=* batch=4",
+    ],
 }
 
 // ---------------------------------------------------------------------------

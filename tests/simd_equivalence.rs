@@ -23,16 +23,16 @@
 //!
 //! Inputs are adversarial on purpose: NaN, both infinities, both zeros,
 //! subnormals, extreme normals, shapes that straddle the 8-lane strip
-//! boundary, and empty/one-element tensors.
+//! boundary, and empty/one-element tensors. Whole training steps at every
+//! level are views of the equivalence matrix (`tests/matrix/mod.rs`).
 
-use gist::core::GistConfig;
+mod matrix;
+
 use gist::encodings::bitpack;
 use gist::encodings::csr::SsdcConfig;
 use gist::encodings::dpr::DprBuffer;
 use gist::encodings::{BitMask, CsrMatrix, DprFormat, RoundingMode};
-use gist::offload::{OffloadMode, SwapStrategy};
 use gist::par::{env_threads, with_threads};
-use gist::runtime::{AllocPolicy, ExecMode, ExecSpec, Executor, SyntheticImages};
 use gist::simd::{available_levels, canon_bits, with_level, Level};
 use gist::simd::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use gist::tensor::ops::conv::ConvParams;
@@ -99,6 +99,13 @@ fn assert_level_invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
         let got = with_level(lvl, &f);
         assert_eq!(got, reference, "GIST_SIMD={lvl} diverged from scalar");
     }
+}
+
+/// Thread counts the kernel properties cross with every level.
+fn thread_counts() -> Vec<usize> {
+    let mut counts = vec![1, 2, env_threads().max(2)];
+    counts.dedup();
+    counts
 }
 
 // ---------------------------------------------------------------------------
@@ -370,84 +377,15 @@ fn empty_and_one_element_inputs_at_every_level() {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-training-step fingerprints
+// Whole-training-step fingerprints: views of the equivalence matrix
 // ---------------------------------------------------------------------------
 
-/// Two training steps fingerprinted bit-for-bit (losses, peak bytes, all
-/// gradients, all updated weights) — the `tests/step_determinism.rs`
-/// machinery pointed at the SIMD axis.
-fn run_fingerprint_full(policy: AllocPolicy, mode: ExecMode, offload: OffloadMode) -> Vec<u32> {
-    let g = gist::models::resnet_cifar(1, 2);
-    let mut e = Executor::new(g, ExecSpec { alloc: policy, offload, ..mode.into() }, 17).unwrap();
-    let mut ds = SyntheticImages::rgb(4, 32, 0.2, 23);
-    let mut bits = Vec::new();
-    for _ in 0..2 {
-        let (x, y) = ds.minibatch(2);
-        let (stats, grads) = e.forward_backward(&x, &y).unwrap();
-        bits.push(stats.loss.to_bits());
-        bits.push(stats.peak_live_bytes as u32);
-        for g in grads.iter().flatten() {
-            bits.extend(g.main.data().iter().map(|v| v.to_bits()));
-            if let Some(s) = &g.secondary {
-                bits.extend(s.data().iter().map(|v| v.to_bits()));
-            }
-        }
-        e.step(&x, &y, 0.05).unwrap();
-    }
-    bits.extend(e.params.bits());
-    bits
-}
-
-fn run_fingerprint(policy: AllocPolicy) -> Vec<u32> {
-    run_fingerprint_full(policy, ExecMode::Gist(GistConfig::lossless()), OffloadMode::None)
-}
-
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, env_threads().max(2)];
-    counts.dedup();
-    counts
-}
-
-#[test]
-fn training_steps_are_byte_identical_across_levels_threads_and_policies() {
-    // Training data is finite, so the fingerprint comparison is strict —
-    // no NaN canonicalisation. Any level/thread/policy combination that
-    // perturbs one rounding step diverges in some weight bit.
-    for policy in [AllocPolicy::Heap, AllocPolicy::Arena] {
-        let reference = with_level(Level::Scalar, || with_threads(1, || run_fingerprint(policy)));
-        assert!(reference.len() > 1000, "fingerprint covers real state");
-        for lvl in available_levels() {
-            for t in thread_counts() {
-                let fp = with_level(lvl, || with_threads(t, || run_fingerprint(policy)));
-                assert_eq!(fp, reference, "GIST_SIMD={lvl} threads={t} policy={policy:?} diverged");
-            }
-        }
-    }
-}
-
-#[test]
-fn training_steps_are_byte_identical_across_levels_modes_and_offloads() {
-    // The remaining execution axes: every stash mode and offload plan must
-    // be level-invariant too (offload replays forward kernels, so a
-    // level-dependent kernel would surface here even if the resident path
-    // were bit-stable). Arena policy — the production configuration.
-    let modes = [ExecMode::Baseline, ExecMode::Gist(GistConfig::lossless())];
-    let offloads =
-        [OffloadMode::None, OffloadMode::Recompute, OffloadMode::Swap(SwapStrategy::Vdnn)];
-    for mode in &modes {
-        for offload in &offloads {
-            let reference = with_level(Level::Scalar, || {
-                run_fingerprint_full(AllocPolicy::Arena, mode.clone(), *offload)
-            });
-            for lvl in available_levels() {
-                let fp = with_level(lvl, || {
-                    run_fingerprint_full(AllocPolicy::Arena, mode.clone(), *offload)
-                });
-                assert_eq!(
-                    fp, reference,
-                    "GIST_SIMD={lvl} mode={mode:?} offload={offload:?} diverged"
-                );
-            }
-        }
-    }
+matrix::views! {
+    training_steps_are_byte_identical_across_levels_threads_and_policies: [
+        "model=resnet_cifar mode=lossless simd=* threads=* alloc=*",
+    ],
+    training_steps_are_byte_identical_across_levels_modes_and_offloads: [
+        "model=resnet_cifar alloc=arena mode=baseline|lossless offload=none|recompute|swap:vdnn \
+         simd=*",
+    ],
 }

@@ -4,68 +4,28 @@
 //! repeated runs. This is the end-to-end counterpart of the per-kernel
 //! differential suite in `parallel_equivalence.rs`: if any kernel, codec,
 //! or the wavefront executor let thread count leak into a single rounding
-//! step, two training steps would already diverge in some weight bit.
+//! step, two training steps would already diverge in some weight bit. Those
+//! crosses are views of the equivalence matrix (`tests/matrix/mod.rs`); a
+//! restart from a snapshot is not a cross and stays here.
+
+mod matrix;
 
 use gist::core::GistConfig;
-use gist::par::{env_threads, with_threads};
 use gist::runtime::{ExecMode, Executor, SyntheticImages};
 
-/// Runs two training steps and fingerprints everything the executor
-/// produced: per-step losses, the final gradients, and the updated weights.
-fn run_fingerprint(mode: ExecMode) -> Vec<u32> {
-    let g = gist::models::resnet_cifar(1, 2);
-    let mut e = Executor::new(g, mode, 17).unwrap();
-    let mut ds = SyntheticImages::rgb(4, 32, 0.2, 23);
-    let mut bits = Vec::new();
-    for _ in 0..2 {
-        let (x, y) = ds.minibatch(2);
-        let (stats, grads) = e.forward_backward(&x, &y).unwrap();
-        bits.push(stats.loss.to_bits());
-        bits.push(stats.peak_live_bytes as u32);
-        for g in grads.iter().flatten() {
-            bits.extend(g.main.data().iter().map(|v| v.to_bits()));
-            if let Some(s) = &g.secondary {
-                bits.extend(s.data().iter().map(|v| v.to_bits()));
-            }
-        }
-        e.step(&x, &y, 0.05).unwrap();
-    }
-    bits.extend(e.params.bits());
-    bits
+matrix::views! {
+    resnet_steps_are_byte_identical_across_thread_counts_baseline: ["model=resnet_cifar threads=*"],
+    resnet_steps_are_byte_identical_across_thread_counts_gist: [
+        "model=resnet_cifar mode=lossless threads=*",
+    ],
 }
 
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, env_threads().max(2)];
-    counts.dedup();
-    counts
-}
-
-#[test]
-fn resnet_steps_are_byte_identical_across_thread_counts_baseline() {
-    let reference = with_threads(1, || run_fingerprint(ExecMode::Baseline));
-    assert!(reference.len() > 1000, "fingerprint covers real state");
-    for t in thread_counts() {
-        let fp = with_threads(t, || run_fingerprint(ExecMode::Baseline));
-        assert_eq!(fp, reference, "threads={t} diverged");
-    }
-}
-
-#[test]
-fn resnet_steps_are_byte_identical_across_thread_counts_gist() {
-    let reference = with_threads(1, || run_fingerprint(ExecMode::Gist(GistConfig::lossless())));
-    for t in thread_counts() {
-        let fp = with_threads(t, || run_fingerprint(ExecMode::Gist(GistConfig::lossless())));
-        assert_eq!(fp, reference, "threads={t} diverged");
-    }
-}
-
+/// Same thread count, repeated runs: no hidden per-run state (ambient RNG,
+/// time, allocation addresses) may reach a result bit.
 #[test]
 fn repeated_runs_are_byte_identical() {
-    // Same thread count, repeated runs: no hidden per-run state (ambient
-    // RNG, time, allocation addresses) may reach a result bit.
-    let a = with_threads(4, || run_fingerprint(ExecMode::Baseline));
-    let b = with_threads(4, || run_fingerprint(ExecMode::Baseline));
-    assert_eq!(a, b);
+    let cell = "model=resnet_cifar threads=max";
+    assert_eq!(matrix::values_of(cell), matrix::values_of(cell));
 }
 
 /// A run restarted from written-down state is the uninterrupted run.
