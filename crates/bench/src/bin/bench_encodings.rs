@@ -29,11 +29,16 @@ fn bench_binarize() {
     let dy: Vec<f32> = (0..N).map(|i| i as f32 * 0.001).collect();
     g.bench("encode", || BitMask::encode(black_box(&y)));
     let mask = BitMask::encode(&y);
-    g.bench("relu_backward_mask", || mask.relu_backward(black_box(&dy)).unwrap());
-    let yt = gist_tensor::Tensor::from_vec(gist_tensor::Shape::vector(N), y.clone()).unwrap();
-    let dyt = gist_tensor::Tensor::from_vec(gist_tensor::Shape::vector(N), dy).unwrap();
+    let mut dx = vec![0.0f32; N];
+    g.bench("relu_backward_mask", || {
+        mask.relu_backward_into(black_box(&dy), black_box(&mut dx)).unwrap()
+    });
+    let shape = gist_tensor::Shape::vector(N);
+    let yt = gist_tensor::Tensor::from_vec(shape, y.clone()).unwrap();
+    let dyt = gist_tensor::Tensor::from_vec(shape, dy).unwrap();
+    let mut dxt = gist_tensor::Tensor::zeros(shape);
     g.bench("relu_backward_fp32", || {
-        gist_tensor::ops::relu::backward(black_box(&yt), black_box(&dyt))
+        gist_tensor::ops::relu::backward_into(black_box(&yt), black_box(&dyt), black_box(&mut dxt))
     });
     g.finish();
 }

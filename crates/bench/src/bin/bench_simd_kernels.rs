@@ -81,15 +81,15 @@ fn bench_codecs() {
         with_level(lvl, || {
             g.bench(&format!("{lvl}_binarize_encode"), || BitMask::encode(black_box(&y)));
             let mask = BitMask::encode(&y);
+            let mut dx = vec![0.0f32; N];
             g.bench(&format!("{lvl}_binarize_select"), || {
-                mask.relu_backward(black_box(&dy)).unwrap()
+                mask.relu_backward_into(black_box(&dy), black_box(&mut dx)).unwrap()
             });
             g.bench(&format!("{lvl}_csr_encode"), || {
                 CsrMatrix::encode(black_box(&y), SsdcConfig::default())
             });
             let csr = CsrMatrix::encode(&y, SsdcConfig::default());
             g.bench(&format!("{lvl}_csr_decode"), || csr.decode());
-            let mut dx = vec![0.0f32; N];
             g.bench(&format!("{lvl}_csr_relu_backward"), || {
                 csr.relu_backward_into(black_box(&dy), black_box(&mut dx))
             });

@@ -10,7 +10,7 @@
 //!    plan's swap-ins and replays exactly as lowered;
 //! 2. the runtime accountant's observed peak equals the executor's own
 //!    meter (`StepStats::peak_live_bytes`) exactly;
-//! 3. the arena layout honors every observed lifetime (`verify_offsets`)
+//! 3. the arena layout honors every observed lifetime (`check_no_overlap_waves`)
 //!    and the observed peak fits the planned slab;
 //! 4. the offloaded step's loss is bit-identical to fully-resident heap
 //!    execution — offload moves bytes, never values;
@@ -101,7 +101,7 @@ fn check(
 
     // (3) every observed lifetime fits its planned region; peak fits slab.
     let arena = exec.arena().expect("arena policy implies an arena");
-    if let Err(e) = acc.verify_offsets(|name| arena.region(name)) {
+    if let Err(e) = gist_memory::check_no_overlap_waves(&acc, &[], |name| arena.region(name)) {
         return fail(format!("arena layout violates observed trace: {e}"));
     }
     if acc.peak_bytes() as usize > arena.capacity_bytes() {

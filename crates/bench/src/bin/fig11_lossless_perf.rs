@@ -21,18 +21,21 @@ fn measured_relu_backward_ratio() -> f64 {
     let yt = gist_tensor::Tensor::from_vec(gist_tensor::Shape::vector(n), y.clone()).unwrap();
     let dyt = gist_tensor::Tensor::from_vec(gist_tensor::Shape::vector(n), dy.clone()).unwrap();
     let mask = gist_encodings::BitMask::encode(&y);
+    // Outputs allocated (and first touched) outside both timed loops.
+    let mut dxt = gist_tensor::Tensor::full(yt.shape(), 1.0);
+    let mut dx = vec![1.0f32; n];
 
     let t0 = Instant::now();
     let mut sink = 0.0f32;
     for _ in 0..8 {
-        let dx = gist_tensor::ops::relu::backward(&yt, &dyt);
-        sink += dx.data()[0];
+        gist_tensor::ops::relu::backward_into(&yt, &dyt, &mut dxt);
+        sink += dxt.data()[0];
     }
     let fp32_time = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
     for _ in 0..8 {
-        let dx = mask.relu_backward(&dy).unwrap();
+        mask.relu_backward_into(&dy, &mut dx).unwrap();
         sink += dx[0];
     }
     let mask_time = t1.elapsed().as_secs_f64();

@@ -119,6 +119,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--batch" => {
                 let v = it.next().ok_or("--batch needs a value")?;
                 args.batch = v.parse().map_err(|_| format!("bad batch size: {v}"))?;
+                if args.batch == 0 {
+                    return Err("--batch must be at least 1".into());
+                }
             }
             "--mode" => {
                 args.mode = it.next().ok_or("--mode needs a value")?.clone();
@@ -688,6 +691,9 @@ mod tests {
         assert!(cli("").is_err());
         assert!(cli("plan --batch").is_err());
         assert!(cli("plan --bogus").is_err());
+        // A zero batch trains on nothing: every loss would be NaN.
+        assert!(cli("plan vgg16 --batch 0").is_err());
+        assert!(cli("train tiny-convnet --batch 0 --steps 2").is_err());
         assert!(run(cli("plan nosuchmodel").unwrap()).is_err());
         assert!(run(cli("frobnicate vgg16").unwrap()).is_err());
     }

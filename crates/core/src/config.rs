@@ -131,11 +131,6 @@ impl GistConfig {
         self.rounding = RoundingMode::Stochastic { seed };
         self
     }
-
-    /// Whether any encoding is enabled.
-    pub fn any_encoding(&self) -> bool {
-        self.binarize || self.ssdc || self.dpr.is_some()
-    }
 }
 
 impl Default for GistConfig {
@@ -151,7 +146,7 @@ mod tests {
     #[test]
     fn presets_match_paper_modes() {
         let b = GistConfig::baseline();
-        assert!(!b.any_encoding() && !b.inplace);
+        assert!(!b.binarize && !b.ssdc && b.dpr.is_none() && !b.inplace);
         let ll = GistConfig::lossless();
         assert!(ll.binarize && ll.ssdc && ll.inplace && ll.dpr.is_none());
         let ly = GistConfig::lossy(DprFormat::Fp8);

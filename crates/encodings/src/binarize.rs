@@ -62,30 +62,17 @@ impl BitMask {
         bitpack::get_bit(&self.words, i)
     }
 
-    /// ReLU backward pass directly on the encoded mask:
-    /// `dx[i] = dy[i] if mask[i] else 0`. Bit-exact with the FP32 version
-    /// at every `GIST_SIMD` level — passing lanes copy `dy`'s bits
-    /// untouched (NaN payloads included), masked lanes produce `+0.0`.
+    /// ReLU backward pass directly on the encoded mask,
+    /// `dx[i] = dy[i] if mask[i] else 0`, writing into a preallocated
+    /// buffer (e.g. a planned arena side region). Every element of `dx` is
+    /// overwritten. Bit-exact with the FP32 kernel at every `GIST_SIMD`
+    /// level — passing lanes copy `dy`'s bits untouched (NaN payloads
+    /// included), masked lanes produce `+0.0`.
     ///
     /// # Errors
     ///
-    /// Returns [`EncodingError::LengthMismatch`] if `dy.len() != self.len()`.
-    pub fn relu_backward(&self, dy: &[f32]) -> Result<Vec<f32>, EncodingError> {
-        if dy.len() != self.len {
-            return Err(EncodingError::LengthMismatch { expected: self.len, actual: dy.len() });
-        }
-        let mut dx = vec![0.0f32; dy.len()];
-        self.relu_backward_into(dy, &mut dx)?;
-        Ok(dx)
-    }
-
-    /// [`Self::relu_backward`] writing into a preallocated buffer (e.g. a
-    /// planned arena side region). Every element of `dx` is overwritten;
-    /// bit-exact with [`Self::relu_backward`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::relu_backward`], plus a mismatch on `dx.len()`.
+    /// Returns [`EncodingError::LengthMismatch`] if `dy.len()` or
+    /// `dx.len()` differs from `self.len()`.
     pub fn relu_backward_into(&self, dy: &[f32], dx: &mut [f32]) -> Result<(), EncodingError> {
         if dy.len() != self.len {
             return Err(EncodingError::LengthMismatch { expected: self.len, actual: dy.len() });
@@ -114,7 +101,7 @@ pub struct PoolIndexMap {
 
 impl PoolIndexMap {
     /// Encodes a max-pool argmax array (one window index per output
-    /// element, as produced by `gist_tensor::ops::pool::maxpool_forward`).
+    /// element, as produced by `gist_tensor::ops::pool::maxpool_forward_into`).
     ///
     /// # Errors
     ///
@@ -184,7 +171,8 @@ mod tests {
         let y: Vec<f32> = vec![0.0, 2.0, -3.0, 4.0, 0.5, 0.0];
         let dy: Vec<f32> = vec![1.0, -1.0, 2.0, -2.0, 3.0, -3.0];
         let m = BitMask::encode(&y);
-        let dx = m.relu_backward(&dy).unwrap();
+        let mut dx = vec![f32::NAN; y.len()];
+        m.relu_backward_into(&dy, &mut dx).unwrap();
         let reference: Vec<f32> =
             y.iter().zip(&dy).map(|(&yv, &dv)| if yv > 0.0 { dv } else { 0.0 }).collect();
         assert_eq!(dx, reference);
@@ -193,7 +181,8 @@ mod tests {
     #[test]
     fn relu_backward_length_checked() {
         let m = BitMask::encode(&[1.0, 2.0]);
-        assert!(m.relu_backward(&[1.0]).is_err());
+        assert!(m.relu_backward_into(&[1.0], &mut [0.0; 2]).is_err());
+        assert!(m.relu_backward_into(&[1.0; 2], &mut [0.0; 3]).is_err());
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl CsrMatrix {
     }
 
     /// ReLU backward straight off the stash: `dx = dy ⊙ [y > 0]` for the
-    /// encoded map `y`, bit-exact with `relu::backward` over [`decode`]
+    /// encoded map `y`, bit-exact with `relu::backward_into` over [`decode`]
     /// but without materializing the dense map — each row is zero-filled and
     /// only its stored elements are visited. Row-parallel on the same
     /// shape-derived grain as [`decode_into`]; a DPR value array is decoded

@@ -106,11 +106,6 @@ impl OpKind {
         matches!(self, OpKind::Relu | OpKind::MaxPool(_))
     }
 
-    /// Whether the op owns learned parameters.
-    pub fn has_weights(&self) -> bool {
-        matches!(self, OpKind::Conv { .. } | OpKind::Linear { .. } | OpKind::BatchNorm)
-    }
-
     /// Short lowercase tag used in display output.
     pub fn tag(&self) -> &'static str {
         match self {
@@ -561,11 +556,11 @@ mod tests {
             let (cp, pp) = (ConvParams::new(k, stride, pad), PoolParams::new(k, stride, pad));
 
             let w = Tensor::zeros(Shape::nchw(3, 2, k, k));
-            unsupported(conv::forward(&x, &w, None, cp).map(drop));
+            unsupported(conv::forward_into(&x, &w, None, cp, &mut out));
             let scratch = ScratchPool::new();
             unsupported(conv::backward_with_into(&x, &w, &x, cp, &scratch, &mut out).map(drop));
-            unsupported(pool::maxpool_forward(&x, pp).map(drop));
-            unsupported(pool::avgpool_forward(&x, pp).map(drop));
+            unsupported(pool::maxpool_forward_into(&x, pp, &mut out).map(drop));
+            unsupported(pool::avgpool_forward_into(&x, pp, &mut out));
             unsupported(pool::maxpool_backward_into(x.shape(), &[], &x, pp, &mut out));
             unsupported(pool::avgpool_backward_into(x.shape(), &x, pp, &mut out));
 

@@ -105,12 +105,6 @@ impl Schedule {
     pub fn backward_step(&self, id: NodeId) -> usize {
         2 * self.num_nodes - 1 - id.index()
     }
-
-    /// The temporal gap (in steps) between a node's forward and backward
-    /// execution — the window during which Gist keeps the encoded form.
-    pub fn stash_gap(&self, id: NodeId) -> usize {
-        self.backward_step(id) - self.forward_step(id)
-    }
 }
 
 #[cfg(test)]
@@ -173,19 +167,5 @@ mod tests {
         let s = Schedule::of(&g);
         assert_eq!(s.waves().len(), 6);
         assert!(s.waves().iter().all(|w| w.len() == 1));
-    }
-
-    #[test]
-    fn earlier_layers_have_longer_stash_gaps() {
-        let mut g = Graph::new("s");
-        let mut prev = g.input(Shape::vector(1));
-        for i in 0..10 {
-            prev = g.relu(prev, format!("r{i}"));
-        }
-        let s = Schedule::of(&g);
-        let gaps: Vec<usize> = g.nodes().iter().map(|n| s.stash_gap(n.id)).collect();
-        for w in gaps.windows(2) {
-            assert!(w[0] > w[1], "gaps strictly decrease with depth");
-        }
     }
 }

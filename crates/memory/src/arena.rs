@@ -167,7 +167,7 @@ impl Arena {
     }
 
     /// The placed `(byte_offset, bytes)` range of a buffer, if any. This is
-    /// the lookup [`gist_obs::MemoryAccountant::verify_offsets`] consumes.
+    /// the lookup [`crate::check_no_overlap_waves`] consumes.
     pub fn region(&self, name: &str) -> Option<(usize, usize)> {
         self.regions.get(name).copied()
     }

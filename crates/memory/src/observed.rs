@@ -11,7 +11,7 @@
 //! asserted in tests here and exercised end-to-end by the memory oracle.
 
 use crate::granularity::{coarsen_lifetimes, PlanGranularity};
-use crate::{peak_dynamic, plan_offsets, OffsetPlan};
+use crate::{peak_dynamic, plan_offsets, OffsetPlan, Placement};
 use gist_graph::{DataClass, DataStructure, Interval, NodeId, TensorRole};
 use gist_obs::MemoryAccountant;
 
@@ -87,24 +87,56 @@ pub fn check_no_overlap(acc: &MemoryAccountant) -> Result<OffsetPlan, (String, S
     Ok(plan)
 }
 
-/// The wave-liveness end of the oracle: verifies an *executed* address
-/// assignment (`region`, e.g. an arena handle table) against the observed
-/// lifetimes **coarsened to the wave groups** — any two buffers live in
-/// the same wave must occupy disjoint ranges, even if their event-time
+/// The runtime end of the memory oracle: verifies an *executed* address
+/// assignment against the observed lifetimes, where the planner's
+/// [`OffsetPlan::verify`] checks a plan against *predicted* ones. `region`
+/// maps each buffer name to its placed `(byte_offset, bytes)` range (e.g.
+/// an arena's handle table); a region may be larger than the observed
+/// buffer (a worst-case stash reservation) but never smaller, and any two
+/// buffers live together must occupy disjoint ranges.
+///
+/// Liveness is **coarsened to the wave `groups`** (sorted, disjoint,
+/// inclusive tick ranges; empty means tick-exact): any two buffers live in
+/// the same wave count as live together, even if their event-time
 /// lifetimes were back-to-back. An event-granular plan run against a
 /// genuinely multi-node wave fails here; that failure is precisely the
-/// race the wave plan exists to exclude.
+/// race the wave plan exists to exclude. The sweep is
+/// [`OffsetPlan::verify`]'s, over the placed regions.
 ///
 /// # Errors
 ///
-/// A description of the first violation, as for
-/// [`MemoryAccountant::verify_offsets`].
+/// A human-readable description of the first violation: an unplaced
+/// buffer, a region smaller than its buffer, or two buffers live together
+/// with overlapping ranges.
 pub fn check_no_overlap_waves(
     acc: &MemoryAccountant,
     groups: &[(usize, usize)],
     region: impl Fn(&str) -> Option<(usize, usize)>,
 ) -> Result<(), String> {
-    acc.verify_offsets_grouped(region, groups)
+    let mut items = coarsen_lifetimes(&observed_inventory(acc), PlanGranularity::Wave, groups);
+    let mut placements = Vec::with_capacity(items.len());
+    for (item, d) in items.iter_mut().enumerate() {
+        let (offset, bytes) =
+            region(&d.name).ok_or_else(|| format!("buffer {} has no placed region", d.name))?;
+        if bytes < d.bytes {
+            return Err(format!(
+                "buffer {}: region holds {bytes} bytes but {} were observed",
+                d.name, d.bytes
+            ));
+        }
+        // The whole placed region is what must stay disjoint.
+        d.bytes = bytes;
+        placements.push(Placement { item, offset });
+    }
+    // `verify` reads only the placements.
+    let plan = OffsetPlan { placements, total_bytes: 0 };
+    plan.verify(&items).map_err(|(a, b)| {
+        let at = |i: usize| {
+            let (d, off) = (&items[i], plan.placements[i].offset);
+            format!("{} [{off}, {})", d.name, off + d.bytes)
+        };
+        format!("{} and {} overlap while both live", at(a), at(b))
+    })
 }
 
 /// Observed peak under wave-coarsened lifetimes: what the slab must hold
@@ -186,5 +218,68 @@ mod tests {
         let plan = check_no_overlap(&acc).unwrap();
         // a.y and c.y have disjoint lifetimes: first-fit reuses the region.
         assert!(plan.total_bytes <= 150, "packing should share: {}", plan.total_bytes);
+    }
+
+    #[test]
+    fn executed_offsets_accept_disjoint_and_time_shared_layouts() {
+        // x and y live together; z reuses x's region after x is freed.
+        let acc = folded(&[alloc("x", 8), alloc("y", 4), free("x", 8), alloc("z", 8)]);
+        let layout = |name: &str| match name {
+            "x" | "z" => Some((0usize, 8usize)),
+            "y" => Some((64, 4)),
+            _ => None,
+        };
+        check_no_overlap_waves(&acc, &[], layout).unwrap();
+    }
+
+    #[test]
+    fn executed_offsets_reject_overlap_small_region_and_missing_placement() {
+        let acc = folded(&[alloc("x", 8), alloc("y", 4)]);
+        let check = |layout: &dyn Fn(&str) -> Option<(usize, usize)>| {
+            check_no_overlap_waves(&acc, &[], layout).unwrap_err()
+        };
+        let err = check(&|n| if n == "x" { Some((0, 8)) } else { Some((4, 4)) });
+        assert!(err.contains("overlap"), "{err}");
+        let err = check(&|n| if n == "x" { Some((0, 2)) } else { Some((64, 4)) });
+        assert!(err.contains("region holds"), "{err}");
+        let err = check(&|n| if n == "x" { Some((0, 8)) } else { None });
+        assert!(err.contains("no placed region"), "{err}");
+    }
+
+    #[test]
+    fn executed_offsets_allow_oversized_regions_and_transients() {
+        let acc = folded(&[
+            alloc("x", 10),
+            Event::Transient { name: "d".into(), bytes: 7 },
+            free("x", 10),
+        ]);
+        // Stash-style worst-case reservation: region larger than observed.
+        let layout = |n: &str| match n {
+            "x" => Some((0, 64)),
+            "d" => Some((64, 64)),
+            _ => None,
+        };
+        check_no_overlap_waves(&acc, &[], layout).unwrap();
+        // The transient is live during x's lifetime, so sharing x's region
+        // is a violation.
+        let err = check_no_overlap_waves(&acc, &[], |_| Some((0, 64))).unwrap_err();
+        assert!(err.contains("overlap"), "{err}");
+    }
+
+    #[test]
+    fn wave_check_catches_same_wave_region_sharing() {
+        // x freed at tick 1, z allocated at tick 2: event-disjoint, so the
+        // shared region passes the tick-exact check — but ticks 0..=3 are
+        // one wave, so under wave liveness the same layout is a race.
+        let acc = folded(&[alloc("x", 8), free("x", 8), alloc("z", 8), free("z", 8)]);
+        let shared = |_: &str| Some((0usize, 8usize));
+        check_no_overlap_waves(&acc, &[], shared).unwrap();
+        let err = check_no_overlap_waves(&acc, &[(0, 3)], shared).unwrap_err();
+        assert!(err.contains("overlap"), "{err}");
+        // Disjoint placements satisfy the wave check.
+        let disjoint = |n: &str| if n == "x" { Some((0, 8)) } else { Some((64, 8)) };
+        check_no_overlap_waves(&acc, &[(0, 3)], disjoint).unwrap();
+        // A group that covers only one of the lifetimes changes nothing.
+        check_no_overlap_waves(&acc, &[(0, 1)], shared).unwrap();
     }
 }

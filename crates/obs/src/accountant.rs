@@ -9,7 +9,9 @@
 //! exactly its own tick. Peak candidates occur only at alloc/transient
 //! ticks (frees can only lower the live sum), so the running peak computed
 //! here equals `gist-memory`'s `peak_dynamic` over the extracted intervals
-//! — that equality is the bridge the planner cross-check walks.
+//! — that equality is the bridge the planner cross-check walks, and
+//! `gist-memory`'s `check_no_overlap_waves` verifies executed offsets
+//! against the same intervals.
 
 use crate::event::Event;
 use std::collections::HashMap;
@@ -211,122 +213,6 @@ impl MemoryAccountant {
         names.sort_unstable();
         names
     }
-
-    /// Verifies an *actual* address assignment against the observed
-    /// lifetimes: `region` maps each buffer name to its placed
-    /// `(byte_offset, bytes)` range (e.g. an arena's handle table), and any
-    /// two buffers live during overlapping ticks must occupy disjoint byte
-    /// ranges. Regions may also be larger than the observed buffer (a
-    /// worst-case stash reservation) but never smaller.
-    ///
-    /// This is the runtime end of the memory oracle: the planner's
-    /// `OffsetPlan::verify` checks the plan against *predicted* lifetimes,
-    /// while this checks the executed offsets against what the fold
-    /// actually saw.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first violation: an unplaced
-    /// buffer, a region smaller than its buffer, or two concurrently-live
-    /// buffers with overlapping ranges.
-    pub fn verify_offsets(
-        &self,
-        region: impl Fn(&str) -> Option<(usize, usize)>,
-    ) -> Result<(), String> {
-        self.verify_offsets_grouped(region, &[])
-    }
-
-    /// [`Self::verify_offsets`] under **wave-coarsened** liveness: before
-    /// the sweep, every lifetime is widened to the boundaries of the wave
-    /// `groups` (sorted, disjoint, inclusive tick ranges) it intersects, so
-    /// any two buffers live in the same wave count as concurrently live
-    /// even if their event-time lifetimes were back-to-back. This is the
-    /// check that actually catches a racy arena plan: an event-granular
-    /// layout that shares a region between a buffer freed and a buffer
-    /// allocated inside one concurrent wave passes the plain verifier but
-    /// fails here. Empty `groups` degenerates to [`Self::verify_offsets`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::verify_offsets`], with same-wave overlaps included.
-    pub fn verify_offsets_grouped(
-        &self,
-        region: impl Fn(&str) -> Option<(usize, usize)>,
-        groups: &[(usize, usize)],
-    ) -> Result<(), String> {
-        use std::collections::BTreeMap;
-        debug_assert!(groups.windows(2).all(|w| w[0].1 < w[1].0), "groups sorted, disjoint");
-        let last_tick = self.ticks.saturating_sub(1);
-        // Mirrors `gist_memory::coarsen_interval` (the observation layer
-        // stays planner-independent): liveness is contiguous and groups are
-        // disjoint, so stretching to the first/last intersected group's
-        // bounds covers every group in between.
-        let coarsen = |start: usize, end: usize| -> (usize, usize) {
-            let lo = groups.partition_point(|&(_, g_last)| g_last < start);
-            let hi = groups.partition_point(|&(g_first, _)| g_first <= end);
-            if lo >= hi {
-                (start, end)
-            } else {
-                (start.min(groups[lo].0), end.max(groups[hi - 1].1))
-            }
-        };
-        // Resolve every life to its placed range up front.
-        let mut placed: Vec<(usize, usize, &BufferLife)> = Vec::with_capacity(self.lives.len());
-        for life in &self.lives {
-            let (off, sz) = region(&life.name)
-                .ok_or_else(|| format!("buffer {} has no placed region", life.name))?;
-            if (sz as u64) < life.bytes {
-                return Err(format!(
-                    "buffer {}: region holds {sz} bytes but {} were observed",
-                    life.name, life.bytes
-                ));
-            }
-            if sz > 0 {
-                placed.push((off, sz, life));
-            }
-        }
-        // Interval sweep over tick boundaries (see `OffsetPlan::verify_aligned`
-        // in gist-memory — same algorithm, kept separate so the observation
-        // layer stays planner-independent). Removals before additions at the
-        // same tick let back-to-back lifetimes share a region.
-        let mut edges: Vec<(usize, u8, usize)> = Vec::with_capacity(placed.len() * 2);
-        for (i, (_, _, life)) in placed.iter().enumerate() {
-            let (start, end) = coarsen(life.start, life.end_or(last_tick));
-            edges.push((start, 1, i));
-            edges.push((end + 1, 0, i));
-        }
-        edges.sort_unstable();
-        let mut live: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        for (_, kind, i) in edges {
-            let (off, sz, life) = placed[i];
-            if kind == 0 {
-                live.remove(&(off, i));
-                continue;
-            }
-            let overlap_err = |j: usize| {
-                let (qo, qs, other) = placed[j];
-                format!(
-                    "{} [{qo}, {}) and {} [{off}, {}) overlap while both live",
-                    other.name,
-                    qo + qs,
-                    life.name,
-                    off + sz
-                )
-            };
-            if let Some((&(_, j), &q_end)) = live.range(..=(off, usize::MAX)).next_back() {
-                if q_end > off {
-                    return Err(overlap_err(j));
-                }
-            }
-            if let Some((&(q_off, j), _)) = live.range((off + 1, 0)..).next() {
-                if q_off < off + sz {
-                    return Err(overlap_err(j));
-                }
-            }
-            live.insert((off, i), off + sz);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -415,76 +301,6 @@ mod tests {
             a.fold(&Event::Reuse { from: "y".into(), into: "x".into() }),
             Err(AccountantError::ReuseCollision("x".into()))
         );
-    }
-
-    #[test]
-    fn verify_offsets_accepts_disjoint_and_time_shared_layouts() {
-        let mut a = MemoryAccountant::new();
-        // x and y live together; z reuses x's region after x is freed.
-        a.fold_all(&[alloc("x", 8), alloc("y", 4), free("x", 8), alloc("z", 8)]).unwrap();
-        let layout = |name: &str| match name {
-            "x" | "z" => Some((0usize, 8usize)),
-            "y" => Some((64, 4)),
-            _ => None,
-        };
-        a.verify_offsets(layout).unwrap();
-    }
-
-    #[test]
-    fn verify_offsets_rejects_overlap_small_region_and_missing_placement() {
-        let mut a = MemoryAccountant::new();
-        a.fold_all(&[alloc("x", 8), alloc("y", 4)]).unwrap();
-        let err =
-            a.verify_offsets(|n| if n == "x" { Some((0, 8)) } else { Some((4, 4)) }).unwrap_err();
-        assert!(err.contains("overlap"), "{err}");
-        let err =
-            a.verify_offsets(|n| if n == "x" { Some((0, 2)) } else { Some((64, 4)) }).unwrap_err();
-        assert!(err.contains("region holds"), "{err}");
-        let err = a.verify_offsets(|n| if n == "x" { Some((0, 8)) } else { None }).unwrap_err();
-        assert!(err.contains("no placed region"), "{err}");
-    }
-
-    #[test]
-    fn verify_offsets_allows_oversized_regions_and_transients() {
-        let mut a = MemoryAccountant::new();
-        a.fold_all(&[
-            alloc("x", 10),
-            Event::Transient { name: "d".into(), bytes: 7 },
-            free("x", 10),
-        ])
-        .unwrap();
-        // Stash-style worst-case reservation: region larger than observed.
-        a.verify_offsets(|n| match n {
-            "x" => Some((0, 64)),
-            "d" => Some((64, 64)),
-            _ => None,
-        })
-        .unwrap();
-        // The transient is live during x's lifetime, so sharing x's region
-        // is a violation.
-        let err = a.verify_offsets(|_| Some((0, 64))).unwrap_err();
-        assert!(err.contains("overlap"), "{err}");
-    }
-
-    #[test]
-    fn grouped_verify_catches_same_wave_region_sharing() {
-        // x freed at tick 1, z allocated at tick 2: event-disjoint, so the
-        // shared region passes the plain verifier — but ticks 0..=3 are one
-        // wave, so under wave liveness the same layout is a race.
-        let mut a = MemoryAccountant::new();
-        a.fold_all(&[alloc("x", 8), free("x", 8), alloc("z", 8), free("z", 8)]).unwrap();
-        let shared = |_: &str| Some((0usize, 8usize));
-        a.verify_offsets(shared).unwrap();
-        let err = a.verify_offsets_grouped(shared, &[(0, 3)]).unwrap_err();
-        assert!(err.contains("overlap"), "{err}");
-        // Disjoint placements satisfy the wave check.
-        a.verify_offsets_grouped(
-            |n| if n == "x" { Some((0, 8)) } else { Some((64, 8)) },
-            &[(0, 3)],
-        )
-        .unwrap();
-        // A group that covers only one of the lifetimes changes nothing.
-        a.verify_offsets_grouped(shared, &[(0, 1)]).unwrap();
     }
 
     #[test]

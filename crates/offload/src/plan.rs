@@ -365,18 +365,6 @@ impl OffloadPlan {
     pub fn pinned_bytes(&self) -> u64 {
         self.host_slots.iter().map(|&ne| ne as u64 * 4).sum()
     }
-
-    /// Device bytes the plan removes from the stash working set: dense
-    /// stash bytes that are dropped or swapped out instead of held across
-    /// the forward→backward gap.
-    pub fn offloaded_stash_bytes(&self) -> u64 {
-        self.disposition
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| **d != StashDisposition::Resident)
-            .map(|(i, _)| self.numel[i] as u64 * 4)
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -413,8 +413,8 @@ impl Executor {
 
     /// The tensor a kernel writes `buf` through: its planned region under
     /// the arena policy (which may hold poison or a previous step's bytes —
-    /// every `_into` kernel fully overwrites), a fresh allocation on the
-    /// heap (what the alloc-returning kernels do internally anyway).
+    /// every `_into` kernel fully overwrites), a fresh zeroed allocation on
+    /// the heap.
     fn buffer(&self, st: &StepState, buf: BufId, shape: Shape) -> Result<Tensor, RuntimeError> {
         Ok(self.view(st, buf, shape)?.unwrap_or_else(|| Tensor::zeros(shape)))
     }

@@ -16,11 +16,15 @@
 //! correctness (e.g., that Gist's lossless encodings are bit-exact and that
 //! delayed precision reduction does not perturb the forward pass).
 //!
+//! Every kernel writes into a caller-provided output (`_into`), the buffer
+//! a planned arena region or a heap tensor alike:
+//!
 //! ```
 //! use gist_tensor::{Tensor, Shape};
 //!
 //! let x = Tensor::from_vec(Shape::nchw(1, 1, 2, 2), vec![1.0, -2.0, 3.0, -4.0]).unwrap();
-//! let y = gist_tensor::ops::relu::forward(&x);
+//! let mut y = Tensor::zeros(x.shape());
+//! gist_tensor::ops::relu::forward_into(&x, &mut y);
 //! assert_eq!(y.data(), &[1.0, 0.0, 3.0, 0.0]);
 //! ```
 

@@ -17,29 +17,14 @@ pub struct BatchNormCache {
     pub inv_std: Vec<f32>,
 }
 
-/// Forward pass with learned per-channel scale (`gamma`) and shift (`beta`).
+/// Forward pass with learned per-channel scale (`gamma`) and shift
+/// (`beta`), writing into a preallocated output (e.g. an arena view) and
+/// returning the saved statistics. Every element of `y` is overwritten.
 ///
 /// # Errors
 ///
-/// Returns an error if `gamma`/`beta` length differs from the channel count.
-pub fn forward(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    eps: f32,
-) -> Result<(Tensor, BatchNormCache), TensorError> {
-    let mut y = Tensor::zeros(x.shape());
-    let cache = forward_into(x, gamma, beta, eps, &mut y)?;
-    Ok((y, cache))
-}
-
-/// Forward pass writing into a preallocated output (e.g. an arena view),
-/// returning the saved statistics. Every element of `y` is overwritten;
-/// bit-exact with [`forward`].
-///
-/// # Errors
-///
-/// As for [`forward`], plus a shape mismatch on `y`.
+/// Returns an error if `gamma`/`beta` length differs from the channel
+/// count, or on a shape mismatch on `y`.
 pub fn forward_into(
     x: &Tensor,
     gamma: &Tensor,
@@ -102,41 +87,14 @@ pub fn forward_into(
     Ok(BatchNormCache { mean, inv_std })
 }
 
-/// Gradients from the batch-norm backward pass.
-#[derive(Debug, Clone)]
-pub struct BatchNormGrads {
-    /// Gradient w.r.t. the input.
-    pub dx: Tensor,
-    /// Gradient w.r.t. `gamma`.
-    pub dgamma: Tensor,
-    /// Gradient w.r.t. `beta`.
-    pub dbeta: Tensor,
-}
-
-/// Backward pass using the stashed input and forward statistics.
+/// Backward pass using the stashed input and forward statistics, landing
+/// `dx` in a preallocated buffer (e.g. a planned arena side region) and
+/// returning `(dgamma, dbeta)`. Every element of `dx` is overwritten by the
+/// elementwise pass.
 ///
 /// # Errors
 ///
-/// Returns an error on shape mismatch.
-pub fn backward(
-    x: &Tensor,
-    gamma: &Tensor,
-    cache: &BatchNormCache,
-    dy: &Tensor,
-) -> Result<BatchNormGrads, TensorError> {
-    let mut dx = Tensor::zeros(x.shape());
-    let (dgamma, dbeta) = backward_into(x, gamma, cache, dy, &mut dx)?;
-    Ok(BatchNormGrads { dx, dgamma, dbeta })
-}
-
-/// [`backward`] landing `dx` in a preallocated buffer (e.g. a planned
-/// arena side region) instead of a fresh allocation; returns
-/// `(dgamma, dbeta)`. Every element of `dx` is overwritten by the
-/// elementwise pass. Bit-exact with [`backward`].
-///
-/// # Errors
-///
-/// As for [`backward`], plus a shape mismatch on `dx`.
+/// Returns an error on shape mismatch, `dx`'s included.
 pub fn backward_into(
     x: &Tensor,
     gamma: &Tensor,
@@ -155,7 +113,7 @@ pub fn backward_into(
     let (sn, sh, sw) = (s.n(), s.h(), s.w());
     let per = (sn * sh * sw) as f32;
     // Per-channel gradient statistics, each accumulated in serial (n, h, w)
-    // order — see the determinism note in `forward`.
+    // order — see the determinism note in `forward_into`.
     let stats: Vec<(f32, f32, f32)> = parallel_map(c, 1, |ci| {
         let mut dgamma = 0.0f32;
         let mut dbeta = 0.0f32;
@@ -201,7 +159,8 @@ mod tests {
         let x = crate::init::uniform(Shape::nchw(4, 2, 3, 3), -5.0, 5.0, 21);
         let gamma = Tensor::full(Shape::vector(2), 1.0);
         let beta = Tensor::zeros(Shape::vector(2));
-        let (y, _) = forward(&x, &gamma, &beta, 1e-5).unwrap();
+        let mut y = Tensor::full(x.shape(), f32::NAN);
+        forward_into(&x, &gamma, &beta, 1e-5, &mut y).unwrap();
         // Per-channel mean ~0, var ~1.
         let s = y.shape();
         for ci in 0..2 {
@@ -234,7 +193,8 @@ mod tests {
         let x = crate::init::uniform(Shape::nchw(2, 1, 2, 2), -1.0, 1.0, 3);
         let gamma = Tensor::full(Shape::vector(1), 2.0);
         let beta = Tensor::full(Shape::vector(1), 10.0);
-        let (y, _) = forward(&x, &gamma, &beta, 1e-5).unwrap();
+        let mut y = Tensor::full(x.shape(), f32::NAN);
+        forward_into(&x, &gamma, &beta, 1e-5, &mut y).unwrap();
         let mean: f32 = y.data().iter().sum::<f32>() / y.numel() as f32;
         assert!((mean - 10.0).abs() < 1e-4);
     }
@@ -246,11 +206,14 @@ mod tests {
         let beta = Tensor::from_vec(Shape::vector(2), vec![0.1, -0.2]).unwrap();
         let eps_bn = 1e-5;
         let loss = |x: &Tensor| -> f64 {
-            let (y, _) = forward(x, &gamma, &beta, eps_bn).unwrap();
+            let mut y = Tensor::zeros(x.shape());
+            forward_into(x, &gamma, &beta, eps_bn, &mut y).unwrap();
             y.data().iter().map(|&v| (v as f64).powi(2) / 2.0).sum()
         };
-        let (y, cache) = forward(&x, &gamma, &beta, eps_bn).unwrap();
-        let g = backward(&x, &gamma, &cache, &y).unwrap();
+        let mut y = Tensor::zeros(x.shape());
+        let cache = forward_into(&x, &gamma, &beta, eps_bn, &mut y).unwrap();
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        backward_into(&x, &gamma, &cache, &y, &mut dx).unwrap();
         let eps = 1e-3f32;
         for idx in [0usize, 3, 7, 12, 15] {
             let mut xp = x.clone();
@@ -258,7 +221,7 @@ mod tests {
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
             let num = (loss(&xp) - loss(&xm)) / (2.0 * eps as f64);
-            let ana = g.dx.data()[idx] as f64;
+            let ana = dx.data()[idx] as f64;
             assert!((num - ana).abs() < 2e-2, "dx[{idx}]: {num} vs {ana}");
         }
     }
@@ -268,6 +231,7 @@ mod tests {
         let x = Tensor::zeros(Shape::nchw(1, 3, 2, 2));
         let bad = Tensor::zeros(Shape::vector(2));
         let good = Tensor::zeros(Shape::vector(3));
-        assert!(forward(&x, &bad, &good, 1e-5).is_err());
+        let mut y = Tensor::zeros(x.shape());
+        assert!(forward_into(&x, &bad, &good, 1e-5, &mut y).is_err());
     }
 }

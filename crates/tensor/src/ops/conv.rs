@@ -160,32 +160,23 @@ fn col2im_slice(cols: &[f32], dst: &mut [f32], s: Shape, p: ConvParams, oh: usiz
     }
 }
 
-/// Convolution forward pass.
+/// Convolution forward pass, writing into a preallocated output (e.g. an
+/// arena view). Every element of `y` is overwritten.
 ///
 /// `x` is `[N, C, H, W]`, `weight` is `[K, C, R, R]` (K filters), `bias` is
 /// `[K]` or `None`.
 ///
 /// # Errors
 ///
-/// Returns an error if channel counts or kernel geometry are inconsistent.
-pub fn forward(
+/// Returns an error if channel counts or kernel geometry are inconsistent
+/// (checked before any output-shape arithmetic), or on a shape mismatch on
+/// `y`.
+pub fn forward_into(
     x: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     p: ConvParams,
-) -> Result<Tensor, TensorError> {
-    check_forward_shapes(x, weight, bias, p)?;
-    let mut y = Tensor::zeros(p.out_shape(x.shape(), weight.shape().n()));
-    forward_into(x, weight, bias, p, &mut y)?;
-    Ok(y)
-}
-
-/// Validates forward-pass operand shapes before any output-shape arithmetic.
-fn check_forward_shapes(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: ConvParams,
+    y: &mut Tensor,
 ) -> Result<(), TensorError> {
     let s = x.shape();
     let ws = weight.shape();
@@ -205,26 +196,6 @@ fn check_forward_shapes(
             });
         }
     }
-    Ok(())
-}
-
-/// Forward pass writing into a preallocated output (e.g. an arena view).
-/// Every element of `y` is overwritten; bit-exact with [`forward`].
-///
-/// # Errors
-///
-/// As for [`forward`], plus a shape mismatch on `y`.
-pub fn forward_into(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: ConvParams,
-    y: &mut Tensor,
-) -> Result<(), TensorError> {
-    check_forward_shapes(x, weight, bias, p)?;
-    let s = x.shape();
-    let ws = weight.shape();
-    let out_c = ws.n();
     let out = p.out_shape(s, out_c);
     if y.shape() != out {
         return Err(TensorError::ShapeMismatch { left: y.shape(), right: out });
@@ -251,48 +222,21 @@ pub fn forward_into(
     Ok(())
 }
 
-/// Gradients produced by the convolution backward pass.
-#[derive(Debug, Clone)]
-pub struct ConvGrads {
-    /// Gradient w.r.t. the input feature map.
-    pub dx: Tensor,
-    /// Gradient w.r.t. the weights.
-    pub dw: Tensor,
-    /// Gradient w.r.t. the bias (per output channel).
-    pub db: Tensor,
-}
-
-/// Convolution backward pass.
-///
-/// Requires the stashed input `x` — the dependency that motivates SSDC.
-///
-/// # Errors
-///
-/// Returns an error if `dy`'s shape is inconsistent with `x`/`weight`/`p`.
-pub fn backward(
-    x: &Tensor,
-    weight: &Tensor,
-    dy: &Tensor,
-    p: ConvParams,
-) -> Result<ConvGrads, TensorError> {
-    let mut dx = Tensor::zeros(x.shape());
-    let (dw, db) = backward_with_into(x, weight, dy, p, &ScratchPool::new(), &mut dx)?;
-    Ok(ConvGrads { dx, dw, db })
-}
-
-/// [`backward`] with its per-image scratch (the dW/dX matmul temporaries
-/// and the per-task reduction partials) leased from a
-/// caller-owned [`ScratchPool`] instead of heap-allocated per call, landing
-/// `dx` in a preallocated buffer (e.g. a planned arena side region) and
-/// returning `(dw, db)`. Every element of `dx` is overwritten — it is
+/// Convolution backward pass from the stashed input `x` — the dependency
+/// that motivates SSDC. Its per-image scratch (the dW/dX matmul
+/// temporaries and the per-task reduction partials) is leased from a
+/// caller-owned [`ScratchPool`] instead of heap-allocated per call; `dx`
+/// lands in a preallocated buffer (e.g. a planned arena side region) and
+/// `(dw, db)` is returned. Every element of `dx` is overwritten — it is
 /// zero-filled first, then accumulated into by the col2im scatter — so a
-/// poisoned view is fine. Bit-exact with [`backward`] at every thread
-/// count: the accumulators lease zero-filled, every other lease is fully
-/// overwritten, and the merge tree is unchanged.
+/// poisoned view is fine. Bit-identical at every thread count and however
+/// the pool is reused: the accumulators lease zero-filled, every other
+/// lease is fully overwritten, and the merge tree is fixed.
 ///
 /// # Errors
 ///
-/// As for [`backward`], plus a shape mismatch on `dx`.
+/// Returns an error if `dy`'s shape is inconsistent with `x`/`weight`/`p`,
+/// or on a shape mismatch on `dx`.
 pub fn backward_with_into(
     x: &Tensor,
     weight: &Tensor,
@@ -382,7 +326,8 @@ mod tests {
         // 1x1 kernel with weight 1.0 is identity.
         let x = Tensor::from_vec(Shape::nchw(1, 1, 2, 2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let w = Tensor::from_vec(Shape::nchw(1, 1, 1, 1), vec![1.0]).unwrap();
-        let y = forward(&x, &w, None, ConvParams::new(1, 1, 0)).unwrap();
+        let mut y = Tensor::full(x.shape(), f32::NAN);
+        forward_into(&x, &w, None, ConvParams::new(1, 1, 0), &mut y).unwrap();
         assert_eq!(y.data(), x.data());
     }
 
@@ -392,7 +337,8 @@ mod tests {
         let x =
             Tensor::from_vec(Shape::nchw(1, 1, 3, 3), (1..=9).map(|v| v as f32).collect()).unwrap();
         let w = Tensor::full(Shape::nchw(1, 1, 3, 3), 1.0);
-        let y = forward(&x, &w, None, ConvParams::new(3, 1, 0)).unwrap();
+        let mut y = Tensor::full(Shape::nchw(1, 1, 1, 1), f32::NAN);
+        forward_into(&x, &w, None, ConvParams::new(3, 1, 0), &mut y).unwrap();
         assert_eq!(y.data(), &[45.0]);
     }
 
@@ -401,8 +347,8 @@ mod tests {
         let x = Tensor::full(Shape::nchw(1, 1, 2, 2), 0.0);
         let w = Tensor::full(Shape::nchw(2, 1, 1, 1), 1.0);
         let b = Tensor::from_vec(Shape::vector(2), vec![0.5, -1.5]).unwrap();
-        let y = forward(&x, &w, Some(&b), ConvParams::new(1, 1, 0)).unwrap();
-        assert_eq!(y.shape(), Shape::nchw(1, 2, 2, 2));
+        let mut y = Tensor::full(Shape::nchw(1, 2, 2, 2), f32::NAN);
+        forward_into(&x, &w, Some(&b), ConvParams::new(1, 1, 0), &mut y).unwrap();
         assert_eq!(&y.data()[..4], &[0.5; 4]);
         assert_eq!(&y.data()[4..], &[-1.5; 4]);
     }
@@ -411,8 +357,9 @@ mod tests {
     fn padding_preserves_spatial_size() {
         let x = Tensor::full(Shape::nchw(2, 3, 8, 8), 1.0);
         let w = Tensor::full(Shape::nchw(4, 3, 3, 3), 0.1);
-        let y = forward(&x, &w, None, ConvParams::new(3, 1, 1)).unwrap();
-        assert_eq!(y.shape(), Shape::nchw(2, 4, 8, 8));
+        let mut y = Tensor::zeros(Shape::nchw(2, 4, 8, 8));
+        forward_into(&x, &w, None, ConvParams::new(3, 1, 1), &mut y).unwrap();
+        assert!(forward_into(&x, &w, None, ConvParams::new(3, 1, 0), &mut y).is_err());
     }
 
     /// Numerical gradient check: perturb each input/weight element and compare
@@ -422,11 +369,14 @@ mod tests {
         let p = ConvParams::new(3, 1, 1);
         let x = crate::init::uniform(Shape::nchw(1, 2, 4, 4), -1.0, 1.0, 11);
         let w = crate::init::uniform(Shape::nchw(3, 2, 3, 3), -0.5, 0.5, 13);
-        let y = forward(&x, &w, None, p).unwrap();
+        let mut y = Tensor::zeros(p.out_shape(x.shape(), 3));
+        forward_into(&x, &w, None, p, &mut y).unwrap();
         // loss = sum(y^2)/2, dy = y
-        let grads = backward(&x, &w, &y, p).unwrap();
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        let (dw, _) = backward_with_into(&x, &w, &y, p, &ScratchPool::new(), &mut dx).unwrap();
         let loss = |x: &Tensor, w: &Tensor| -> f64 {
-            let y = forward(x, w, None, p).unwrap();
+            let mut y = Tensor::zeros(p.out_shape(x.shape(), 3));
+            forward_into(x, w, None, p, &mut y).unwrap();
             y.data().iter().map(|&v| (v as f64) * (v as f64) / 2.0).sum()
         };
         let eps = 1e-3f32;
@@ -436,7 +386,7 @@ mod tests {
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
             let num = (loss(&xp, &w) - loss(&xm, &w)) / (2.0 * eps as f64);
-            let ana = grads.dx.data()[idx] as f64;
+            let ana = dx.data()[idx] as f64;
             assert!((num - ana).abs() < 1e-2, "dx[{idx}]: num {num} vs ana {ana}");
         }
         for idx in [0usize, 9, 26, 53] {
@@ -445,7 +395,7 @@ mod tests {
             let mut wm = w.clone();
             wm.data_mut()[idx] -= eps;
             let num = (loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps as f64);
-            let ana = grads.dw.data()[idx] as f64;
+            let ana = dw.data()[idx] as f64;
             assert!((num - ana).abs() < 1e-2, "dw[{idx}]: num {num} vs ana {ana}");
         }
     }
@@ -456,8 +406,9 @@ mod tests {
         let x = Tensor::full(Shape::nchw(2, 1, 2, 2), 1.0);
         let w = Tensor::full(Shape::nchw(1, 1, 1, 1), 1.0);
         let dy = Tensor::full(Shape::nchw(2, 1, 2, 2), 0.5);
-        let g = backward(&x, &w, &dy, p).unwrap();
-        assert_eq!(g.db.data(), &[4.0]); // 8 positions * 0.5
+        let mut dx = Tensor::zeros(x.shape());
+        let (_, db) = backward_with_into(&x, &w, &dy, p, &ScratchPool::new(), &mut dx).unwrap();
+        assert_eq!(db.data(), &[4.0]); // 8 positions * 0.5
     }
 
     /// Pins the dW merge order to gist-par's fixed pairwise tree. With
@@ -471,16 +422,21 @@ mod tests {
         let x = Tensor::full(Shape::nchw(3, 1, 1, 1), 1.0);
         let w = Tensor::full(Shape::nchw(1, 1, 1, 1), 1.0);
         let dy = Tensor::from_vec(Shape::nchw(3, 1, 1, 1), vec![1e8, 1.0, -1e8]).unwrap();
-        let reference = backward(&x, &w, &dy, p).unwrap();
-        assert_eq!(reference.dw.data(), &[0.0], "dw must follow the fixed pairwise tree");
+        let scratch = ScratchPool::new();
+        let grads = || {
+            let mut dx = Tensor::zeros(x.shape());
+            backward_with_into(&x, &w, &dy, p, &scratch, &mut dx).unwrap()
+        };
+        let (dw_ref, db_ref) = grads();
+        assert_eq!(dw_ref.data(), &[0.0], "dw must follow the fixed pairwise tree");
         for threads in [1usize, 2, 3, 4] {
-            let g = gist_par::with_threads(threads, || backward(&x, &w, &dy, p).unwrap());
+            let (dw, db) = gist_par::with_threads(threads, grads);
             assert_eq!(
-                g.dw.data()[0].to_bits(),
-                reference.dw.data()[0].to_bits(),
+                dw.data()[0].to_bits(),
+                dw_ref.data()[0].to_bits(),
                 "dw reduction order changed at {threads} threads"
             );
-            assert_eq!(g.db.data()[0].to_bits(), reference.db.data()[0].to_bits());
+            assert_eq!(db.data()[0].to_bits(), db_ref.data()[0].to_bits());
         }
     }
 
@@ -543,7 +499,8 @@ mod tests {
     fn rejects_channel_mismatch() {
         let x = Tensor::zeros(Shape::nchw(1, 3, 4, 4));
         let w = Tensor::zeros(Shape::nchw(2, 4, 3, 3));
-        assert!(forward(&x, &w, None, ConvParams::new(3, 1, 1)).is_err());
+        let mut y = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
+        assert!(forward_into(&x, &w, None, ConvParams::new(3, 1, 1), &mut y).is_err());
     }
 
     #[test]

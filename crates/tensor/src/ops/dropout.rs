@@ -24,31 +24,14 @@ pub fn keep_mask(len: usize, drop_p: f32, seed: u64) -> Vec<bool> {
         .collect()
 }
 
-/// Forward pass: `y[i] = mask[i] ? x[i] / (1 - p) : 0` (inverted dropout,
-/// so inference needs no rescaling).
+/// Forward pass `y[i] = mask[i] ? x[i] / (1 - p) : 0` (inverted dropout,
+/// so inference needs no rescaling), writing into a preallocated output
+/// (e.g. an arena view). Every element of `y` is overwritten.
 ///
 /// # Errors
 ///
-/// Returns an error if the mask length differs from the tensor, or `p` is
-/// outside `[0, 1)`.
-pub fn forward(x: &Tensor, mask: &[bool], drop_p: f32) -> Result<Tensor, TensorError> {
-    if !(0.0..1.0).contains(&drop_p) {
-        return Err(TensorError::UnsupportedShape(format!("dropout p {drop_p} outside [0,1)")));
-    }
-    if mask.len() != x.numel() {
-        return Err(TensorError::LengthMismatch { expected: x.numel(), actual: mask.len() });
-    }
-    let mut y = Tensor::zeros(x.shape());
-    forward_into(x, mask, drop_p, &mut y)?;
-    Ok(y)
-}
-
-/// Forward pass writing into a preallocated output (e.g. an arena view).
-/// Every element of `y` is overwritten; bit-exact with [`forward`].
-///
-/// # Errors
-///
-/// As for [`forward`], plus a shape mismatch on `y`.
+/// Returns an error if the mask length differs from the tensor, `p` is
+/// outside `[0, 1)`, or `y`'s shape differs from `x`'s.
 pub fn forward_into(
     x: &Tensor,
     mask: &[bool],
@@ -78,7 +61,7 @@ pub fn forward_into(
 ///
 /// # Errors
 ///
-/// As for [`forward`], plus a shape mismatch on `dx`.
+/// As for [`forward_into`], with `dy` and `dx` in place of `x` and `y`.
 pub fn backward_into(
     dy: &Tensor,
     mask: &[bool],
@@ -115,7 +98,8 @@ mod tests {
     fn forward_scales_kept_elements() {
         let x = Tensor::full(Shape::vector(4), 2.0);
         let mask = [true, false, true, false];
-        let y = forward(&x, &mask, 0.5).unwrap();
+        let mut y = Tensor::full(x.shape(), f32::NAN);
+        forward_into(&x, &mask, 0.5, &mut y).unwrap();
         assert_eq!(y.data(), &[4.0, 0.0, 4.0, 0.0]);
     }
 
@@ -134,7 +118,8 @@ mod tests {
         // Inverted dropout: E[y] == x.
         let x = Tensor::full(Shape::vector(50_000), 1.0);
         let mask = keep_mask(x.numel(), 0.3, 11);
-        let y = forward(&x, &mask, 0.3).unwrap();
+        let mut y = Tensor::zeros(x.shape());
+        forward_into(&x, &mask, 0.3, &mut y).unwrap();
         let mean: f32 = y.data().iter().sum::<f32>() / y.numel() as f32;
         assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
     }
@@ -142,8 +127,10 @@ mod tests {
     #[test]
     fn invalid_inputs_rejected() {
         let x = Tensor::zeros(Shape::vector(4));
-        assert!(forward(&x, &[true; 3], 0.5).is_err());
-        assert!(forward(&x, &[true; 4], 1.0).is_err());
-        assert!(forward(&x, &[true; 4], -0.1).is_err());
+        let mut y = x.clone();
+        assert!(forward_into(&x, &[true; 3], 0.5, &mut y).is_err());
+        assert!(forward_into(&x, &[true; 4], 1.0, &mut y).is_err());
+        assert!(forward_into(&x, &[true; 4], -0.1, &mut y).is_err());
+        assert!(forward_into(&x, &[true; 4], 0.5, &mut Tensor::zeros(Shape::vector(5))).is_err());
     }
 }

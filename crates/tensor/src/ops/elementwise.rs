@@ -35,24 +35,9 @@ pub fn add_backward_into(dy: &Tensor, dx: &mut Tensor) {
     dx.data_mut().copy_from_slice(dy.data());
 }
 
-/// Concatenation of tensors along the channel dimension.
-///
-/// # Errors
-///
-/// Returns an error if inputs disagree on N/H/W or the list is empty.
-pub fn concat_forward(inputs: &[&Tensor]) -> Result<Tensor, TensorError> {
-    let first = inputs
-        .first()
-        .ok_or_else(|| TensorError::UnsupportedShape("concat of zero tensors".into()))?;
-    let s0 = first.shape();
-    let total_c = inputs.iter().map(|t| t.shape().c()).sum();
-    let mut y = Tensor::zeros(Shape::nchw(s0.n(), total_c, s0.h(), s0.w()));
-    concat_forward_into(inputs, &mut y)?;
-    Ok(y)
-}
-
-/// Concatenation writing into a preallocated output (e.g. an arena view).
-/// Every element of `y` is overwritten; bit-exact with [`concat_forward`].
+/// Concatenation of tensors along the channel dimension, writing into a
+/// preallocated output (e.g. an arena view). Every element of `y` is
+/// overwritten.
 ///
 /// # Errors
 ///
@@ -89,28 +74,14 @@ pub fn concat_forward_into(inputs: &[&Tensor], y: &mut Tensor) -> Result<(), Ten
     Ok(())
 }
 
-/// Concatenation backward: splits `dy` back into per-input gradients.
+/// Concatenation backward: splits `dy` back into per-input gradients, each
+/// written into a preallocated buffer (e.g. planned arena side regions).
+/// Every element of every output is overwritten.
 ///
 /// # Errors
 ///
-/// Returns an error if the channel sum of `input_shapes` differs from `dy`.
-pub fn concat_backward(dy: &Tensor, input_shapes: &[Shape]) -> Result<Vec<Tensor>, TensorError> {
-    let mut grads: Vec<Tensor> = input_shapes.iter().map(|&sh| Tensor::zeros(sh)).collect();
-    {
-        let mut views: Vec<&mut Tensor> = grads.iter_mut().collect();
-        concat_backward_into(dy, input_shapes, &mut views)?;
-    }
-    Ok(grads)
-}
-
-/// [`concat_backward`] writing each per-input gradient into a preallocated
-/// buffer (e.g. planned arena side regions). Every element of every output
-/// is overwritten; bit-exact with [`concat_backward`].
-///
-/// # Errors
-///
-/// As for [`concat_backward`], plus a mismatch if any output's element count
-/// differs from its input shape.
+/// Returns an error if the channel sum of `input_shapes` differs from `dy`,
+/// or if any output's element count differs from its input shape.
 pub fn concat_backward_into(
     dy: &Tensor,
     input_shapes: &[Shape],
@@ -166,18 +137,20 @@ mod tests {
     fn concat_then_split_is_identity() {
         let a = crate::init::uniform(Shape::nchw(2, 3, 4, 4), -1.0, 1.0, 1);
         let b = crate::init::uniform(Shape::nchw(2, 5, 4, 4), -1.0, 1.0, 2);
-        let y = concat_forward(&[&a, &b]).unwrap();
-        assert_eq!(y.shape(), Shape::nchw(2, 8, 4, 4));
-        let parts = concat_backward(&y, &[a.shape(), b.shape()]).unwrap();
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
+        let mut y = Tensor::full(Shape::nchw(2, 8, 4, 4), f32::NAN);
+        concat_forward_into(&[&a, &b], &mut y).unwrap();
+        let (mut da, mut db) = (Tensor::full(a.shape(), f32::NAN), Tensor::full(b.shape(), 0.5));
+        concat_backward_into(&y, &[a.shape(), b.shape()], &mut [&mut da, &mut db]).unwrap();
+        assert_eq!(da, a);
+        assert_eq!(db, b);
     }
 
     #[test]
     fn concat_preserves_channel_order() {
         let a = Tensor::full(Shape::nchw(1, 1, 1, 2), 1.0);
         let b = Tensor::full(Shape::nchw(1, 2, 1, 2), 2.0);
-        let y = concat_forward(&[&a, &b]).unwrap();
+        let mut y = Tensor::full(Shape::nchw(1, 3, 1, 2), f32::NAN);
+        concat_forward_into(&[&a, &b], &mut y).unwrap();
         assert_eq!(y.data(), &[1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -185,13 +158,15 @@ mod tests {
     fn concat_rejects_spatial_mismatch_and_empty() {
         let a = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
         let b = Tensor::zeros(Shape::nchw(1, 1, 3, 3));
-        assert!(concat_forward(&[&a, &b]).is_err());
-        assert!(concat_forward(&[]).is_err());
+        let mut y = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
+        assert!(concat_forward_into(&[&a, &b], &mut y).is_err());
+        assert!(concat_forward_into(&[], &mut y).is_err());
     }
 
     #[test]
     fn concat_backward_validates_channels() {
         let dy = Tensor::zeros(Shape::nchw(1, 4, 2, 2));
-        assert!(concat_backward(&dy, &[Shape::nchw(1, 1, 2, 2)]).is_err());
+        let mut dx = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
+        assert!(concat_backward_into(&dy, &[dx.shape()], &mut [&mut dx]).is_err());
     }
 }

@@ -14,26 +14,14 @@ fn batch_grain(n: usize, f: usize) -> usize {
     ((1 << 12) / f.max(1)).clamp(1, n.max(1))
 }
 
-/// Forward pass: `Y[N, F_out] = X[N, F_in] * W^T + b`.
+/// Forward pass `Y[N, F_out] = X[N, F_in] * W^T + b`, writing into a
+/// preallocated output (e.g. an arena view). Every element of `y` is
+/// overwritten.
 ///
 /// # Errors
 ///
-/// Returns an error if `x`'s flattened feature count differs from `F_in` or
-/// the bias length differs from `F_out`.
-pub fn forward(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>) -> Result<Tensor, TensorError> {
-    let (n, _) = x.shape().as_matrix();
-    let (f_out, _) = weight.shape().as_matrix();
-    let mut y = Tensor::zeros(Shape::matrix(n, f_out));
-    forward_into(x, weight, bias, &mut y)?;
-    Ok(y)
-}
-
-/// Forward pass writing into a preallocated output (e.g. an arena view).
-/// Every element of `y` is overwritten; bit-exact with [`forward`].
-///
-/// # Errors
-///
-/// As for [`forward`], plus a shape mismatch if `y` does not flatten to
+/// Returns an error if `x`'s flattened feature count differs from `F_in`,
+/// the bias length differs from `F_out`, or `y` does not flatten to
 /// `[N, F_out]`.
 pub fn forward_into(
     x: &Tensor,
@@ -71,40 +59,17 @@ pub fn forward_into(
     Ok(())
 }
 
-/// Gradients from the fully-connected backward pass.
-#[derive(Debug, Clone)]
-pub struct LinearGrads {
-    /// Gradient w.r.t. the input.
-    pub dx: Tensor,
-    /// Gradient w.r.t. the weight matrix.
-    pub dw: Tensor,
-    /// Gradient w.r.t. the bias.
-    pub db: Tensor,
-}
-
-/// Backward pass. `x` is the stashed input, `dy` is `[N, F_out]`.
+/// Backward pass from the stashed input `x` and `dy` (`[N, F_out]`), with
+/// the per-task bias-reduction partials leased from a caller-owned
+/// [`ScratchPool`] instead of heap-allocated per call, landing `dx` in a
+/// preallocated buffer (e.g. a planned arena side region) and returning
+/// `(dw, db)`. `dx` may carry any shape that flattens to `[N, F_in]` (the
+/// producer's NCHW shape included); every element is overwritten by the
+/// matmul. Bit-identical at every thread count.
 ///
 /// # Errors
 ///
-/// Returns an error on dimension mismatch.
-pub fn backward(x: &Tensor, weight: &Tensor, dy: &Tensor) -> Result<LinearGrads, TensorError> {
-    let (n, f_in) = x.shape().as_matrix();
-    let mut dx = Tensor::zeros(Shape::matrix(n, f_in));
-    let (dw, db) = backward_with_into(x, weight, dy, &ScratchPool::new(), &mut dx)?;
-    Ok(LinearGrads { dx, dw, db })
-}
-
-/// [`backward`] with the per-task bias-reduction partials leased from a
-/// caller-owned [`ScratchPool`] instead of heap-allocated per call, landing
-/// `dx` in a preallocated buffer (e.g. a planned arena side region) and
-/// returning `(dw, db)`. `dx` may carry any shape that flattens to
-/// `[N, F_in]` (the producer's NCHW shape included); every element is
-/// overwritten by the matmul. Bit-exact with [`backward`] at every thread
-/// count.
-///
-/// # Errors
-///
-/// As for [`backward`], plus a shape mismatch on `dx`.
+/// Returns an error on dimension mismatch, `dx`'s included.
 pub fn backward_with_into(
     x: &Tensor,
     weight: &Tensor,
@@ -162,7 +127,8 @@ mod tests {
         let x = Tensor::from_vec(Shape::matrix(1, 2), vec![1.0, 2.0]).unwrap();
         let w = Tensor::from_vec(Shape::matrix(3, 2), vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
         let b = Tensor::from_vec(Shape::vector(3), vec![0.5; 3]).unwrap();
-        let y = forward(&x, &w, Some(&b)).unwrap();
+        let mut y = Tensor::full(Shape::matrix(1, 3), f32::NAN);
+        forward_into(&x, &w, Some(&b), &mut y).unwrap();
         assert_eq!(y.data(), &[1.5, 2.5, 3.5]);
     }
 
@@ -171,17 +137,24 @@ mod tests {
         // Conv output [1, 2, 1, 1] flattens to 2 features.
         let x = Tensor::from_vec(Shape::nchw(1, 2, 1, 1), vec![3.0, 4.0]).unwrap();
         let w = Tensor::from_vec(Shape::matrix(1, 2), vec![1.0, 1.0]).unwrap();
-        assert_eq!(forward(&x, &w, None).unwrap().data(), &[7.0]);
+        let mut y = Tensor::full(Shape::matrix(1, 1), f32::NAN);
+        forward_into(&x, &w, None, &mut y).unwrap();
+        assert_eq!(y.data(), &[7.0]);
     }
 
     #[test]
     fn gradient_check() {
         let x = crate::init::uniform(Shape::matrix(3, 4), -1.0, 1.0, 5);
         let w = crate::init::uniform(Shape::matrix(2, 4), -1.0, 1.0, 6);
-        let y = forward(&x, &w, None).unwrap();
-        let g = backward(&x, &w, &y).unwrap(); // loss = sum(y^2)/2
+        let mut y = Tensor::zeros(Shape::matrix(3, 2));
+        forward_into(&x, &w, None, &mut y).unwrap();
+        // loss = sum(y^2)/2, so dy = y
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        let (dw, _) = backward_with_into(&x, &w, &y, &ScratchPool::new(), &mut dx).unwrap();
         let loss = |x: &Tensor, w: &Tensor| -> f64 {
-            forward(x, w, None).unwrap().data().iter().map(|&v| (v as f64).powi(2) / 2.0).sum()
+            let mut y = Tensor::zeros(Shape::matrix(3, 2));
+            forward_into(x, w, None, &mut y).unwrap();
+            y.data().iter().map(|&v| (v as f64).powi(2) / 2.0).sum()
         };
         let eps = 1e-3f32;
         for idx in 0..x.numel() {
@@ -190,7 +163,7 @@ mod tests {
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
             let num = (loss(&xp, &w) - loss(&xm, &w)) / (2.0 * eps as f64);
-            assert!((num - g.dx.data()[idx] as f64).abs() < 1e-2);
+            assert!((num - dx.data()[idx] as f64).abs() < 1e-2);
         }
         for idx in 0..w.numel() {
             let mut wp = w.clone();
@@ -198,7 +171,7 @@ mod tests {
             let mut wm = w.clone();
             wm.data_mut()[idx] -= eps;
             let num = (loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps as f64);
-            assert!((num - g.dw.data()[idx] as f64).abs() < 1e-2);
+            assert!((num - dw.data()[idx] as f64).abs() < 1e-2);
         }
     }
 
@@ -207,15 +180,19 @@ mod tests {
         let x = Tensor::full(Shape::matrix(4, 2), 1.0);
         let w = Tensor::full(Shape::matrix(3, 2), 1.0);
         let dy = Tensor::full(Shape::matrix(4, 3), 1.0);
-        let g = backward(&x, &w, &dy).unwrap();
-        assert_eq!(g.db.data(), &[4.0, 4.0, 4.0]);
+        let mut dx = Tensor::zeros(x.shape());
+        let (_, db) = backward_with_into(&x, &w, &dy, &ScratchPool::new(), &mut dx).unwrap();
+        assert_eq!(db.data(), &[4.0, 4.0, 4.0]);
     }
 
     #[test]
     fn rejects_feature_mismatch() {
         let x = Tensor::zeros(Shape::matrix(1, 3));
         let w = Tensor::zeros(Shape::matrix(2, 4));
-        assert!(forward(&x, &w, None).is_err());
-        assert!(backward(&x, &w, &Tensor::zeros(Shape::matrix(1, 2))).is_err());
+        let mut out = Tensor::zeros(Shape::matrix(1, 2));
+        assert!(forward_into(&x, &w, None, &mut out).is_err());
+        let dy = Tensor::zeros(Shape::matrix(1, 2));
+        let mut dx = Tensor::zeros(x.shape());
+        assert!(backward_with_into(&x, &w, &dy, &ScratchPool::new(), &mut dx).is_err());
     }
 }

@@ -60,23 +60,13 @@ fn denominators(x: &Tensor, p: LrnParams) -> Vec<f32> {
     den
 }
 
-/// Forward pass.
-///
-/// # Errors
-///
-/// Returns an error if `size` is zero or the input has no channels.
-pub fn forward(x: &Tensor, p: LrnParams) -> Result<Tensor, TensorError> {
-    let mut y = Tensor::zeros(x.shape());
-    forward_into(x, p, &mut y)?;
-    Ok(y)
-}
-
 /// Forward pass writing into a preallocated output (e.g. an arena view).
-/// Every element of `y` is overwritten; bit-exact with [`forward`].
+/// Every element of `y` is overwritten.
 ///
 /// # Errors
 ///
-/// As for [`forward`], plus a shape mismatch on `y`.
+/// Returns an error if `size` is zero or the input has no channels, or on
+/// a shape mismatch on `y`.
 pub fn forward_into(x: &Tensor, p: LrnParams, y: &mut Tensor) -> Result<(), TensorError> {
     if p.size == 0 || x.shape().c() == 0 {
         return Err(TensorError::UnsupportedShape(format!("lrn size {} on {}", p.size, x.shape())));
@@ -94,27 +84,16 @@ pub fn forward_into(x: &Tensor, p: LrnParams, y: &mut Tensor) -> Result<(), Tens
     Ok(())
 }
 
-/// Backward pass from the stashed input.
+/// Backward pass from the stashed input, landing `dx` in a preallocated
+/// buffer (e.g. a planned arena side region). Every element of `dx` is
+/// overwritten.
 ///
 /// `dx[i] = dy[i]*s[i]^-beta - (2*alpha*beta/size) * x[i] *
 ///          sum_{c in win(i)} dy[c]*y[c]/s[c]`
 ///
 /// # Errors
 ///
-/// Returns an error on shape mismatch.
-pub fn backward(x: &Tensor, dy: &Tensor, p: LrnParams) -> Result<Tensor, TensorError> {
-    let mut dx = Tensor::zeros(x.shape());
-    backward_into(x, dy, p, &mut dx)?;
-    Ok(dx)
-}
-
-/// [`backward`] landing `dx` in a preallocated buffer (e.g. a planned arena
-/// side region). Every element of `dx` is overwritten; bit-exact with
-/// [`backward`].
-///
-/// # Errors
-///
-/// As for [`backward`], plus a shape mismatch on `dx`.
+/// Returns an error on shape mismatch, `dx`'s included.
 pub fn backward_into(
     x: &Tensor,
     dy: &Tensor,
@@ -167,7 +146,8 @@ mod tests {
     #[test]
     fn forward_normalizes_toward_smaller_magnitudes() {
         let x = Tensor::full(Shape::nchw(1, 8, 2, 2), 10.0);
-        let y = forward(&x, LrnParams::alexnet()).unwrap();
+        let mut y = Tensor::full(x.shape(), f32::NAN);
+        forward_into(&x, LrnParams::alexnet(), &mut y).unwrap();
         assert!(y.data().iter().all(|&v| v > 0.0 && v < 10.0));
     }
 
@@ -176,7 +156,8 @@ mod tests {
         // With tiny activations the denominator is ~k^beta, a constant.
         let x = Tensor::full(Shape::nchw(1, 4, 1, 1), 1e-3);
         let p = LrnParams::alexnet();
-        let y = forward(&x, p).unwrap();
+        let mut y = Tensor::full(x.shape(), f32::NAN);
+        forward_into(&x, p, &mut y).unwrap();
         let expected = 1e-3 / p.k.powf(p.beta);
         for &v in y.data() {
             assert!((v - expected).abs() < 1e-9);
@@ -187,10 +168,14 @@ mod tests {
     fn gradient_check() {
         let p = LrnParams { size: 3, alpha: 0.1, beta: 0.75, k: 1.0 };
         let x = crate::init::uniform(Shape::nchw(1, 5, 2, 2), 0.2, 1.5, 77);
-        let y = forward(&x, p).unwrap();
-        let dx = backward(&x, &y, p).unwrap(); // loss = sum(y^2)/2
+        let mut y = Tensor::zeros(x.shape());
+        forward_into(&x, p, &mut y).unwrap();
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        backward_into(&x, &y, p, &mut dx).unwrap(); // loss = sum(y^2)/2
         let loss = |x: &Tensor| -> f64 {
-            forward(x, p).unwrap().data().iter().map(|&v| (v as f64).powi(2) / 2.0).sum()
+            let mut y = Tensor::zeros(x.shape());
+            forward_into(x, p, &mut y).unwrap();
+            y.data().iter().map(|&v| (v as f64).powi(2) / 2.0).sum()
         };
         let eps = 1e-3f32;
         for idx in [0usize, 4, 9, 13, 19] {
@@ -214,6 +199,7 @@ mod tests {
     #[test]
     fn rejects_zero_window() {
         let x = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
-        assert!(forward(&x, LrnParams { size: 0, alpha: 1.0, beta: 1.0, k: 1.0 }).is_err());
+        let p = LrnParams { size: 0, alpha: 1.0, beta: 1.0, k: 1.0 };
+        assert!(forward_into(&x, p, &mut x.clone()).is_err());
     }
 }

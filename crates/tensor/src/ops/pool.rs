@@ -51,18 +51,6 @@ impl PoolParams {
     }
 }
 
-/// Result of a max-pool forward pass: the output and the Y→X window-index map.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaxPoolOutput {
-    /// Pooled output `Y`.
-    pub y: Tensor,
-    /// For each output element, the linear index within its pooling window
-    /// (`row * window + col`) of the selected input element. One entry per
-    /// output element; values are `< window * window` so they fit in 4 bits
-    /// for windows up to 3x3.
-    pub argmax: Vec<u8>,
-}
-
 /// Rejects degenerate pooling geometry before any output-shape arithmetic.
 fn check_geometry(kind: &str, s: Shape, p: PoolParams) -> Result<(), TensorError> {
     if !p.fits(s.h(), s.w()) {
@@ -74,24 +62,14 @@ fn check_geometry(kind: &str, s: Shape, p: PoolParams) -> Result<(), TensorError
     Ok(())
 }
 
-/// Max-pool forward pass.
+/// Max-pool forward pass writing into a preallocated output (e.g. an arena
+/// view), returning the Y→X window-index map: for each output element, the
+/// linear index within its pooling window (`row * window + col`) of the
+/// selected input element — `< window * window`, so 4 bits for windows up
+/// to 3x3. Every element of `y` is overwritten.
 ///
 /// Padding positions are treated as `-inf` (never selected unless the whole
 /// window is padding, which valid geometries do not produce).
-///
-/// # Errors
-///
-/// Returns [`TensorError::UnsupportedShape`] if the window does not fit.
-pub fn maxpool_forward(x: &Tensor, p: PoolParams) -> Result<MaxPoolOutput, TensorError> {
-    check_geometry("maxpool", x.shape(), p)?;
-    let mut y = Tensor::zeros(p.out_shape(x.shape()));
-    let argmax = maxpool_forward_into(x, p, &mut y)?;
-    Ok(MaxPoolOutput { y, argmax })
-}
-
-/// Max-pool forward pass writing into a preallocated output (e.g. an arena
-/// view), returning the Y→X window-index map. Every element of `y` is
-/// overwritten; bit-exact with [`maxpool_forward`].
 ///
 /// # Errors
 ///
@@ -140,34 +118,20 @@ pub fn maxpool_forward_into(
     Ok(argmax)
 }
 
-/// Max-pool backward pass using only the Y→X map (no stashed `X` or `Y`).
-///
-/// Routes each `dY` element to the input position its window index recorded.
-/// Overlapping windows accumulate.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `dy` does not match the output
-/// shape implied by `x_shape` and `p`.
-pub fn maxpool_backward(
-    x_shape: Shape,
-    argmax: &[u8],
-    dy: &Tensor,
-    p: PoolParams,
-) -> Result<Tensor, TensorError> {
-    let mut dx = Tensor::zeros(x_shape);
-    maxpool_backward_into(x_shape, argmax, dy, p, &mut dx)?;
-    Ok(dx)
-}
-
-/// [`maxpool_backward`] landing `dx` in a preallocated buffer (e.g. a
-/// planned arena side region). Every element of `dx` is overwritten — the
-/// buffer is zero-filled, then the scatter accumulates — so a poisoned
-/// view is fine. Bit-exact with [`maxpool_backward`].
+/// Max-pool backward pass using only the Y→X map (no stashed `X` or `Y`),
+/// landing `dx` in a preallocated buffer (e.g. a planned arena side
+/// region). Routes each `dY` element to the input position its window
+/// index recorded; overlapping windows accumulate. Every element of `dx` is
+/// overwritten — the buffer is zero-filled, then the scatter accumulates —
+/// so a poisoned view is fine.
 ///
 /// # Errors
 ///
-/// As for [`maxpool_backward`], plus a shape mismatch on `dx`.
+/// Returns [`TensorError::UnsupportedShape`] if the window does not fit,
+/// [`TensorError::ShapeMismatch`] if `dy` does not match the output shape
+/// implied by `x_shape` and `p` or `dx` does not match `x_shape`, and
+/// [`TensorError::LengthMismatch`] if `argmax` holds other than one entry
+/// per output element — each leaving `dx` untouched.
 pub fn maxpool_backward_into(
     x_shape: Shape,
     argmax: &[u8],
@@ -182,6 +146,9 @@ pub fn maxpool_backward_into(
     }
     if dx.shape() != x_shape {
         return Err(TensorError::ShapeMismatch { left: dx.shape(), right: x_shape });
+    }
+    if argmax.len() != out.numel() {
+        return Err(TensorError::LengthMismatch { expected: out.numel(), actual: argmax.len() });
     }
     dx.data_mut().fill(0.0);
     let mut oi = 0usize;
@@ -210,25 +177,14 @@ pub fn maxpool_backward_into(
     Ok(())
 }
 
-/// Average-pool forward pass (used by Inception and ResNet heads).
+/// Average-pool forward pass (used by Inception and ResNet heads), writing
+/// into a preallocated output (e.g. an arena view). Every element of `y`
+/// is overwritten.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::UnsupportedShape`] if the window does not fit.
-pub fn avgpool_forward(x: &Tensor, p: PoolParams) -> Result<Tensor, TensorError> {
-    check_geometry("avgpool", x.shape(), p)?;
-    let mut y = Tensor::zeros(p.out_shape(x.shape()));
-    avgpool_forward_into(x, p, &mut y)?;
-    Ok(y)
-}
-
-/// Average-pool forward pass writing into a preallocated output (e.g. an
-/// arena view). Every element of `y` is overwritten; bit-exact with
-/// [`avgpool_forward`].
-///
-/// # Errors
-///
-/// As for [`avgpool_forward`], plus a shape mismatch on `y`.
+/// Returns [`TensorError::UnsupportedShape`] if the window does not fit, or
+/// a shape mismatch on `y`.
 pub fn avgpool_forward_into(x: &Tensor, p: PoolParams, y: &mut Tensor) -> Result<(), TensorError> {
     let s = x.shape();
     check_geometry("avgpool", s, p)?;
@@ -262,26 +218,16 @@ pub fn avgpool_forward_into(x: &Tensor, p: PoolParams, y: &mut Tensor) -> Result
     Ok(())
 }
 
-/// Average-pool backward pass: distributes `dY / area` over each window.
+/// Average-pool backward pass, distributing `dY / area` over each window,
+/// landing `dx` in a preallocated buffer (e.g. a planned arena side
+/// region). Every element of `dx` is overwritten — the buffer is
+/// zero-filled, then the spread accumulates — so a poisoned view is fine.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `dy` does not match the implied
-/// output shape.
-pub fn avgpool_backward(x_shape: Shape, dy: &Tensor, p: PoolParams) -> Result<Tensor, TensorError> {
-    let mut dx = Tensor::zeros(x_shape);
-    avgpool_backward_into(x_shape, dy, p, &mut dx)?;
-    Ok(dx)
-}
-
-/// [`avgpool_backward`] landing `dx` in a preallocated buffer (e.g. a
-/// planned arena side region). Every element of `dx` is overwritten — the
-/// buffer is zero-filled, then the spread accumulates — so a poisoned view
-/// is fine. Bit-exact with [`avgpool_backward`].
-///
-/// # Errors
-///
-/// As for [`avgpool_backward`], plus a shape mismatch on `dx`.
+/// Returns [`TensorError::UnsupportedShape`] if the window does not fit, or
+/// [`TensorError::ShapeMismatch`] if `dy` does not match the implied output
+/// shape or `dx` does not match `x_shape`.
 pub fn avgpool_backward_into(
     x_shape: Shape,
     dy: &Tensor,
@@ -337,21 +283,24 @@ mod tests {
     #[test]
     fn maxpool_2x2_stride2() {
         let x = t4(4, 4, (0..16).map(|i| i as f32).collect());
-        let out = maxpool_forward(&x, PoolParams::new(2, 2, 0)).unwrap();
-        assert_eq!(out.y.data(), &[5.0, 7.0, 13.0, 15.0]);
+        let mut y = Tensor::full(Shape::nchw(1, 1, 2, 2), f32::NAN);
+        let argmax = maxpool_forward_into(&x, PoolParams::new(2, 2, 0), &mut y).unwrap();
+        assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
         // max is always bottom-right of the window: index 3
-        assert_eq!(out.argmax, vec![3, 3, 3, 3]);
+        assert_eq!(argmax, vec![3, 3, 3, 3]);
     }
 
     #[test]
     fn maxpool_backward_routes_by_argmax() {
         let x = t4(2, 2, vec![1.0, 9.0, 3.0, 2.0]);
         let p = PoolParams::new(2, 2, 0);
-        let out = maxpool_forward(&x, p).unwrap();
-        assert_eq!(out.y.data(), &[9.0]);
-        assert_eq!(out.argmax, vec![1]); // top-right
+        let mut y = Tensor::full(Shape::nchw(1, 1, 1, 1), f32::NAN);
+        let argmax = maxpool_forward_into(&x, p, &mut y).unwrap();
+        assert_eq!(y.data(), &[9.0]);
+        assert_eq!(argmax, vec![1]); // top-right
         let dy = t4(1, 1, vec![5.0]);
-        let dx = maxpool_backward(x.shape(), &out.argmax, &dy, p).unwrap();
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        maxpool_backward_into(x.shape(), &argmax, &dy, p, &mut dx).unwrap();
         assert_eq!(dx.data(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
@@ -361,45 +310,68 @@ mod tests {
         // shared by multiple windows.
         let x = t4(3, 3, vec![0.0, 0.0, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0]);
         let p = PoolParams::new(2, 1, 0);
-        let out = maxpool_forward(&x, p).unwrap();
-        assert_eq!(out.y.data(), &[9.0, 9.0, 9.0, 9.0]);
+        let mut y = Tensor::full(Shape::nchw(1, 1, 2, 2), f32::NAN);
+        let argmax = maxpool_forward_into(&x, p, &mut y).unwrap();
+        assert_eq!(y.data(), &[9.0, 9.0, 9.0, 9.0]);
         let dy = t4(2, 2, vec![1.0, 1.0, 1.0, 1.0]);
-        let dx = maxpool_backward(x.shape(), &out.argmax, &dy, p).unwrap();
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        maxpool_backward_into(x.shape(), &argmax, &dy, p, &mut dx).unwrap();
         assert_eq!(dx.at(0, 0, 1, 1), 4.0);
         assert_eq!(dx.data().iter().sum::<f32>(), 4.0);
+    }
+
+    /// A map with other than one entry per output element is a typed error
+    /// that leaves `dx` untouched — never an out-of-bounds index.
+    #[test]
+    fn maxpool_backward_rejects_wrong_length_maps() {
+        let p = PoolParams::new(2, 2, 0);
+        let x_shape = Shape::nchw(1, 2, 4, 4);
+        let dy = Tensor::full(p.out_shape(x_shape), 1.0);
+        for len in [0, 7, 9] {
+            let mut dx = Tensor::full(x_shape, 7.5);
+            let r = maxpool_backward_into(x_shape, &vec![0; len], &dy, p, &mut dx);
+            assert_eq!(r, Err(TensorError::LengthMismatch { expected: 8, actual: len }));
+            assert!(dx.data().iter().all(|&v| v == 7.5), "len {len}: dx was written");
+        }
     }
 
     #[test]
     fn argmax_fits_in_4_bits_for_3x3_windows() {
         let x = crate::init::uniform(Shape::nchw(2, 3, 9, 9), -1.0, 1.0, 3);
-        let out = maxpool_forward(&x, PoolParams::new(3, 2, 0)).unwrap();
-        assert!(out.argmax.iter().all(|&a| a < 9), "3x3 window indices < 9 < 16");
+        let p = PoolParams::new(3, 2, 0);
+        let mut y = Tensor::zeros(p.out_shape(x.shape()));
+        let argmax = maxpool_forward_into(&x, p, &mut y).unwrap();
+        assert!(argmax.iter().all(|&a| a < 9), "3x3 window indices < 9 < 16");
     }
 
     #[test]
     fn maxpool_with_padding() {
         let x = t4(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         // window 3 pad 1 stride 2 -> 1x1 output covering everything
-        let out = maxpool_forward(&x, PoolParams::new(3, 2, 1)).unwrap();
-        assert_eq!(out.y.data(), &[4.0]);
+        let mut y = Tensor::full(Shape::nchw(1, 1, 1, 1), f32::NAN);
+        maxpool_forward_into(&x, PoolParams::new(3, 2, 1), &mut y).unwrap();
+        assert_eq!(y.data(), &[4.0]);
     }
 
     #[test]
     fn avgpool_roundtrip() {
         let x = t4(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let p = PoolParams::new(2, 2, 0);
-        let y = avgpool_forward(&x, p).unwrap();
+        let mut y = Tensor::full(Shape::nchw(1, 1, 1, 1), f32::NAN);
+        avgpool_forward_into(&x, p, &mut y).unwrap();
         assert_eq!(y.data(), &[2.5]);
         let dy = t4(1, 1, vec![4.0]);
-        let dx = avgpool_backward(x.shape(), &dy, p).unwrap();
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        avgpool_backward_into(x.shape(), &dy, p, &mut dx).unwrap();
         assert_eq!(dx.data(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn invalid_geometry_is_rejected() {
         let x = t4(2, 2, vec![0.0; 4]);
-        assert!(maxpool_forward(&x, PoolParams::new(5, 2, 0)).is_err());
-        assert!(avgpool_forward(&x, PoolParams::new(0, 1, 0)).is_err());
+        let mut y = Tensor::zeros(x.shape());
+        assert!(maxpool_forward_into(&x, PoolParams::new(5, 2, 0), &mut y).is_err());
+        assert!(avgpool_forward_into(&x, PoolParams::new(0, 1, 0), &mut y).is_err());
     }
 
     #[test]

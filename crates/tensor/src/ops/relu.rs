@@ -7,16 +7,9 @@
 
 use crate::Tensor;
 
-/// Forward pass: `Y = max(X, 0)`.
-pub fn forward(x: &Tensor) -> Tensor {
-    let mut y = Tensor::zeros(x.shape());
-    forward_into(x, &mut y);
-    y
-}
-
-/// Forward pass writing into a preallocated output (e.g. an arena view).
-/// Every element of `y` is overwritten. Bit-exact with [`forward`]: `-0.0`
-/// inputs map to `+0.0`, unlike [`forward_inplace`] which preserves them.
+/// Forward pass `Y = max(X, 0)`, writing into a preallocated output (e.g.
+/// an arena view). Every element of `y` is overwritten: `-0.0` inputs map
+/// to `+0.0`, unlike [`forward_inplace`] which preserves them.
 ///
 /// # Panics
 ///
@@ -45,21 +38,9 @@ pub fn forward_inplace(x: &mut Tensor) {
     }
 }
 
-/// Backward pass from the stashed output: `dX = dY ⊙ [Y > 0]`.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn backward(y: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(y.shape(), dy.shape(), "relu backward shapes");
-    let data =
-        y.data().iter().zip(dy.data()).map(|(&yv, &dv)| if yv > 0.0 { dv } else { 0.0 }).collect();
-    Tensor::from_vec(y.shape(), data).expect("same shape")
-}
-
-/// [`backward`] writing into a preallocated buffer (e.g. a planned arena
-/// side region). Every element of `dx` is overwritten; bit-exact with
-/// [`backward`].
+/// Backward pass from the stashed output, `dX = dY ⊙ [Y > 0]`, writing
+/// into a preallocated buffer (e.g. a planned arena side region). Every
+/// element of `dx` is overwritten.
 ///
 /// # Panics
 ///
@@ -80,7 +61,9 @@ mod tests {
     #[test]
     fn forward_clamps_negatives() {
         let x = Tensor::from_vec(Shape::vector(4), vec![-1.0, 0.0, 2.0, -0.5]).unwrap();
-        assert_eq!(forward(&x).data(), &[0.0, 0.0, 2.0, 0.0]);
+        let mut y = Tensor::zeros(x.shape());
+        forward_into(&x, &mut y);
+        assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
     #[test]
@@ -88,15 +71,16 @@ mod tests {
         let x = Tensor::from_vec(Shape::vector(4), vec![-1.0, -0.0, 2.0, f32::MIN]).unwrap();
         let mut y = Tensor::full(Shape::vector(4), f32::NAN);
         forward_into(&x, &mut y);
-        assert_eq!(y, forward(&x));
-        // -0.0 normalizes to +0.0, matching `forward` exactly.
+        assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
+        // -0.0 normalizes to +0.0.
         assert!(y.data()[1].is_sign_positive());
     }
 
     #[test]
-    fn forward_inplace_matches_forward() {
+    fn forward_inplace_matches_forward_into() {
         let x = Tensor::from_vec(Shape::vector(5), vec![-1.0, 3.0, 0.0, -7.0, 0.25]).unwrap();
-        let y = forward(&x);
+        let mut y = Tensor::zeros(x.shape());
+        forward_into(&x, &mut y);
         let mut xi = x;
         forward_inplace(&mut xi);
         assert_eq!(xi, y);
@@ -136,6 +120,8 @@ mod tests {
     fn backward_masks_by_positive_output() {
         let y = Tensor::from_vec(Shape::vector(4), vec![0.0, 1.0, 0.0, 3.0]).unwrap();
         let dy = Tensor::from_vec(Shape::vector(4), vec![5.0, 6.0, 7.0, 8.0]).unwrap();
-        assert_eq!(backward(&y, &dy).data(), &[0.0, 6.0, 0.0, 8.0]);
+        let mut dx = Tensor::full(dy.shape(), f32::NAN);
+        backward_into(&y, &dy, &mut dx);
+        assert_eq!(dx.data(), &[0.0, 6.0, 0.0, 8.0]);
     }
 }

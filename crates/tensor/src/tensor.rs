@@ -132,18 +132,6 @@ impl Tensor {
         self.data_mut().copy_from_slice(src.data());
     }
 
-    /// Consumes the tensor, returning its elements as an owned vector
-    /// (copies if this is a view).
-    pub fn into_vec(self) -> Vec<f32> {
-        match self.buf {
-            Buf::Owned(v) => v,
-            // SAFETY: as in `data`.
-            Buf::View { storage, offset } => unsafe {
-                storage.slice(offset, self.shape.numel()).to_vec()
-            },
-        }
-    }
-
     /// Element at NCHW coordinates.
     #[inline]
     pub fn at(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
@@ -328,13 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn view_copy_from_and_into_vec() {
+    fn view_copy_from() {
         let s = Storage::new(4);
         let src = Tensor::from_vec(Shape::nchw(1, 1, 2, 2), vec![5.0, 6.0, 7.0, 8.0]).unwrap();
         let mut v = Tensor::view(Arc::clone(&s), 0, Shape::vector(4)).unwrap();
         // Equal numel, different shape: allowed by design.
         v.copy_from(&src);
-        assert_eq!(v.into_vec(), vec![5.0, 6.0, 7.0, 8.0]);
+        assert_eq!(v.data(), &[5.0, 6.0, 7.0, 8.0]);
     }
 
     #[test]

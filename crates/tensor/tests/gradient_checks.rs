@@ -5,6 +5,11 @@
 //! analytic gradient is just `backward(..., dy = r)`, and compares it
 //! element-wise against central differences accumulated in f64.
 //!
+//! The kernels run as the executor runs them: every output lands in a
+//! caller-provided buffer (NaN-poisoned where the kernel promises to
+//! overwrite it), and the conv/linear backward passes lease their scratch
+//! from one `ScratchPool` shared by every case.
+//!
 //! A second group feeds hostile f32 values (NaN, infinities, subnormals,
 //! extreme normals) through the same forward/backward pairs: finite
 //! differences are meaningless there, but the kernels must still return
@@ -13,7 +18,7 @@
 use gist_tensor::ops::conv::{self, ConvParams};
 use gist_tensor::ops::lrn::{self, LrnParams};
 use gist_tensor::ops::{batchnorm, linear};
-use gist_tensor::{Shape, Tensor};
+use gist_tensor::{ScratchPool, Shape, Tensor};
 use gist_testkit::prop::{boxed, just, map, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
 
@@ -34,15 +39,22 @@ fn loss(y: &Tensor, r: &Tensor) -> f64 {
     y.data().iter().zip(r.data()).map(|(a, b)| f64::from(*a) * f64::from(*b)).sum()
 }
 
-/// Central-difference gradient of `f` w.r.t. every element of `param`.
-fn fd_grad(param: &Tensor, f: impl Fn(&Tensor) -> f64) -> Vec<f64> {
+/// Central-difference gradient of `L = sum(y * r)` w.r.t. every element of
+/// `param`, where `forward` writes `y` for a perturbed parameter into one
+/// output buffer reused across perturbations.
+fn fd_grad(param: &Tensor, r: &Tensor, forward: impl Fn(&Tensor, &mut Tensor)) -> Vec<f64> {
+    let mut y = Tensor::full(r.shape(), f32::NAN);
+    let mut loss_at = |p: &Tensor| {
+        forward(p, &mut y);
+        loss(&y, r)
+    };
     (0..param.numel())
         .map(|i| {
             let mut p = param.clone();
             p.data_mut()[i] += EPS;
-            let lp = f(&p);
+            let lp = loss_at(&p);
             p.data_mut()[i] -= 2.0 * EPS;
-            let lm = f(&p);
+            let lm = loss_at(&p);
             (lp - lm) / (2.0 * f64::from(EPS))
         })
         .collect()
@@ -66,25 +78,17 @@ fn conv_backward_matches_finite_differences() {
     let xs = tame_tensor(Shape::nchw(1, 2, 5, 5), -1.5, 1.5);
     let ws = tame_tensor(Shape::nchw(2, 2, 3, 3), -0.8, 0.8);
     let bs = tame_tensor(Shape::vector(2), -0.5, 0.5);
+    let scratch = ScratchPool::new();
     Runner::new("conv_backward_fd").cases(CASES).run(&(xs, ws, bs), |(x, w, b)| {
-        let y = conv::forward(x, w, Some(b), p).unwrap();
-        let r = gist_tensor::init::uniform(y.shape(), -1.0, 1.0, 9);
-        let grads = conv::backward(x, w, &r, p).unwrap();
-        assert_grads_close(
-            &grads.dx,
-            &fd_grad(x, |xp| loss(&conv::forward(xp, w, Some(b), p).unwrap(), &r)),
-            "conv dx",
-        );
-        assert_grads_close(
-            &grads.dw,
-            &fd_grad(w, |wp| loss(&conv::forward(x, wp, Some(b), p).unwrap(), &r)),
-            "conv dw",
-        );
-        assert_grads_close(
-            &grads.db,
-            &fd_grad(b, |bp| loss(&conv::forward(x, w, Some(bp), p).unwrap(), &r)),
-            "conv db",
-        );
+        let r = gist_tensor::init::uniform(p.out_shape(x.shape(), 2), -1.0, 1.0, 9);
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        let (dw, db) = conv::backward_with_into(x, w, &r, p, &scratch, &mut dx).unwrap();
+        let fwd = |x: &Tensor, w: &Tensor, b: &Tensor, y: &mut Tensor| {
+            conv::forward_into(x, w, Some(b), p, y).unwrap();
+        };
+        assert_grads_close(&dx, &fd_grad(x, &r, |xp, y| fwd(xp, w, b, y)), "conv dx");
+        assert_grads_close(&dw, &fd_grad(w, &r, |wp, y| fwd(x, wp, b, y)), "conv dw");
+        assert_grads_close(&db, &fd_grad(b, &r, |bp, y| fwd(x, w, bp, y)), "conv db");
     });
 }
 
@@ -92,28 +96,20 @@ fn conv_backward_matches_finite_differences() {
 fn linear_backward_matches_finite_differences() {
     let xs = tame_tensor(Shape::matrix(3, 6), -1.5, 1.5);
     let ws = tame_tensor(Shape::matrix(4, 6), -0.8, 0.8);
+    let scratch = ScratchPool::new();
     Runner::new("linear_backward_fd").cases(CASES).run(&(xs, ws), |(x, w)| {
-        let y = linear::forward(x, w, None).unwrap();
-        let r = gist_tensor::init::uniform(y.shape(), -1.0, 1.0, 9);
-        let grads = linear::backward(x, w, &r).unwrap();
-        assert_grads_close(
-            &grads.dx,
-            &fd_grad(x, |xp| loss(&linear::forward(xp, w, None).unwrap(), &r)),
-            "linear dx",
-        );
-        assert_grads_close(
-            &grads.dw,
-            &fd_grad(w, |wp| loss(&linear::forward(x, wp, None).unwrap(), &r)),
-            "linear dw",
-        );
+        let r = gist_tensor::init::uniform(Shape::matrix(3, 4), -1.0, 1.0, 9);
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        let (dw, db) = linear::backward_with_into(x, w, &r, &scratch, &mut dx).unwrap();
+        let fwd = |x: &Tensor, w: &Tensor, b: Option<&Tensor>, y: &mut Tensor| {
+            linear::forward_into(x, w, b, y).unwrap();
+        };
+        assert_grads_close(&dx, &fd_grad(x, &r, |xp, y| fwd(xp, w, None, y)), "linear dx");
+        assert_grads_close(&dw, &fd_grad(w, &r, |wp, y| fwd(x, wp, None, y)), "linear dw");
         // db = column sums of dy, independent of x and w; differentiate the
         // biased forward w.r.t. a zero bias instead.
         let b = Tensor::zeros(Shape::vector(4));
-        assert_grads_close(
-            &grads.db,
-            &fd_grad(&b, |bp| loss(&linear::forward(x, w, Some(bp)).unwrap(), &r)),
-            "linear db",
-        );
+        assert_grads_close(&db, &fd_grad(&b, &r, |bp, y| fwd(x, w, Some(bp), y)), "linear db");
     });
 }
 
@@ -124,26 +120,19 @@ fn batchnorm_backward_matches_finite_differences() {
     let gs = tame_tensor(Shape::vector(2), 0.5, 1.5);
     let bs = tame_tensor(Shape::vector(2), -0.5, 0.5);
     Runner::new("batchnorm_backward_fd").cases(CASES).run(&(xs, gs, bs), |(x, g, b)| {
-        let (y, cache) = batchnorm::forward(x, g, b, eps).unwrap();
-        let r = gist_tensor::init::uniform(y.shape(), -1.0, 1.0, 9);
-        let grads = batchnorm::backward(x, g, &cache, &r).unwrap();
+        let r = gist_tensor::init::uniform(x.shape(), -1.0, 1.0, 9);
+        let mut y = Tensor::full(x.shape(), f32::NAN);
+        let cache = batchnorm::forward_into(x, g, b, eps, &mut y).unwrap();
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        let (dgamma, dbeta) = batchnorm::backward_into(x, g, &cache, &r, &mut dx).unwrap();
         // dx flows through the batch statistics too: the finite-difference
         // loss recomputes mean and variance for every perturbation.
-        assert_grads_close(
-            &grads.dx,
-            &fd_grad(x, |xp| loss(&batchnorm::forward(xp, g, b, eps).unwrap().0, &r)),
-            "batchnorm dx",
-        );
-        assert_grads_close(
-            &grads.dgamma,
-            &fd_grad(g, |gp| loss(&batchnorm::forward(x, gp, b, eps).unwrap().0, &r)),
-            "batchnorm dgamma",
-        );
-        assert_grads_close(
-            &grads.dbeta,
-            &fd_grad(b, |bp| loss(&batchnorm::forward(x, g, bp, eps).unwrap().0, &r)),
-            "batchnorm dbeta",
-        );
+        let fwd = |x: &Tensor, g: &Tensor, b: &Tensor, y: &mut Tensor| {
+            batchnorm::forward_into(x, g, b, eps, y).unwrap();
+        };
+        assert_grads_close(&dx, &fd_grad(x, &r, |xp, y| fwd(xp, g, b, y)), "batchnorm dx");
+        assert_grads_close(&dgamma, &fd_grad(g, &r, |gp, y| fwd(x, gp, b, y)), "batchnorm dgamma");
+        assert_grads_close(&dbeta, &fd_grad(b, &r, |bp, y| fwd(x, g, bp, y)), "batchnorm dbeta");
     });
 }
 
@@ -154,14 +143,11 @@ fn lrn_backward_matches_finite_differences() {
     let p = LrnParams { size: 3, alpha: 0.5, beta: 0.75, k: 2.0 };
     let xs = tame_tensor(Shape::nchw(1, 4, 3, 3), -1.5, 1.5);
     Runner::new("lrn_backward_fd").cases(CASES).run(&xs, |x| {
-        let y = lrn::forward(x, p).unwrap();
-        let r = gist_tensor::init::uniform(y.shape(), -1.0, 1.0, 9);
-        let dx = lrn::backward(x, &r, p).unwrap();
-        assert_grads_close(
-            &dx,
-            &fd_grad(x, |xp| loss(&lrn::forward(xp, p).unwrap(), &r)),
-            "lrn dx",
-        );
+        let r = gist_tensor::init::uniform(x.shape(), -1.0, 1.0, 9);
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
+        lrn::backward_into(x, &r, p, &mut dx).unwrap();
+        let fd = fd_grad(x, &r, |xp, y| lrn::forward_into(xp, p, y).unwrap());
+        assert_grads_close(&dx, &fd, "lrn dx");
     });
 }
 
@@ -198,30 +184,32 @@ fn backward_kernels_survive_hostile_inputs() {
     let lp = LrnParams::alexnet();
     let xs = hostile_tensor(Shape::nchw(1, 2, 5, 5));
     let ws = hostile_tensor(Shape::nchw(2, 2, 3, 3));
+    let scratch = ScratchPool::new();
     Runner::new("backward_hostile").cases(64).run(&(xs, ws), |(x, w)| {
+        // One dx buffer for every op over `x`, as an arena side region is
+        // reused: each kernel must overwrite what the last one left.
+        let mut dx = Tensor::full(x.shape(), f32::NAN);
         let dy = gist_tensor::init::uniform(p.out_shape(x.shape(), 2), -1.0, 1.0, 3);
-        let g = conv::backward(x, w, &dy, p).unwrap();
-        assert_eq!(g.dx.shape(), x.shape());
-        assert_eq!(g.dw.shape(), w.shape());
-        assert_eq!(g.db.numel(), 2);
+        let (dw, db) = conv::backward_with_into(x, w, &dy, p, &scratch, &mut dx).unwrap();
+        assert_eq!(dw.shape(), w.shape());
+        assert_eq!(db.numel(), 2);
 
         let flat = Tensor::from_vec(Shape::matrix(5, 10), x.data().to_vec()).unwrap();
         let wm = Tensor::from_vec(Shape::matrix(2, 10), w.data()[..20].to_vec()).unwrap();
         let dym = gist_tensor::init::uniform(Shape::matrix(5, 2), -1.0, 1.0, 3);
-        let lg = linear::backward(&flat, &wm, &dym).unwrap();
-        assert_eq!(lg.dx.shape(), flat.shape());
-        assert_eq!(lg.dw.shape(), wm.shape());
+        let mut flat_dx = Tensor::full(flat.shape(), f32::NAN);
+        let (lw, _) = linear::backward_with_into(&flat, &wm, &dym, &scratch, &mut flat_dx).unwrap();
+        assert_eq!(lw.shape(), wm.shape());
 
         let gamma = Tensor::from_vec(Shape::vector(2), vec![1.0, 1.0]).unwrap();
         let beta = Tensor::zeros(Shape::vector(2));
         let dyx = gist_tensor::init::uniform(x.shape(), -1.0, 1.0, 3);
-        let (_, cache) = batchnorm::forward(x, &gamma, &beta, 1e-5).unwrap();
-        let bg = batchnorm::backward(x, &gamma, &cache, &dyx).unwrap();
-        assert_eq!(bg.dx.shape(), x.shape());
-        assert_eq!(bg.dgamma.numel(), 2);
-        assert_eq!(bg.dbeta.numel(), 2);
+        let mut y = Tensor::full(x.shape(), f32::NAN);
+        let cache = batchnorm::forward_into(x, &gamma, &beta, 1e-5, &mut y).unwrap();
+        let (dgamma, dbeta) = batchnorm::backward_into(x, &gamma, &cache, &dyx, &mut dx).unwrap();
+        assert_eq!(dgamma.numel(), 2);
+        assert_eq!(dbeta.numel(), 2);
 
-        let ld = lrn::backward(x, &dyx, lp).unwrap();
-        assert_eq!(ld.shape(), x.shape());
+        lrn::backward_into(x, &dyx, lp, &mut dx).unwrap();
     });
 }

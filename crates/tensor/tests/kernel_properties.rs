@@ -1,11 +1,13 @@
 //! Property-based tests for the tensor kernels: algebraic identities that
 //! must hold for arbitrary inputs, independent of the specific values.
 //! Each property runs 64 generated cases, matching the proptest-era count.
+//! Every kernel writes into a caller-provided output, as the executor runs
+//! it.
 
 use gist_tensor::ops::conv::{self, ConvParams};
 use gist_tensor::ops::pool::{self, PoolParams};
 use gist_tensor::ops::{elementwise, linear, relu, softmax};
-use gist_tensor::{Shape, Tensor};
+use gist_tensor::{ScratchPool, Shape, Tensor};
 use gist_testkit::prop::{boxed, just, map, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
 
@@ -21,9 +23,11 @@ fn small_tensor(n: usize, c: usize, h: usize, w: usize) -> impl Strategy<Value =
 #[test]
 fn relu_idempotent() {
     Runner::new("relu_idempotent").cases(CASES).run(&small_tensor(1, 2, 4, 4), |x| {
-        let y = relu::forward(x);
+        let [mut y, mut yy] = [(); 2].map(|_| Tensor::full(x.shape(), f32::NAN));
+        relu::forward_into(x, &mut y);
         assert!(y.data().iter().all(|&v| v >= 0.0));
-        assert_eq!(relu::forward(&y), y);
+        relu::forward_into(&y, &mut yy);
+        assert_eq!(yy, y);
     });
 }
 
@@ -35,9 +39,11 @@ fn conv_is_linear_in_input() {
         |(a, b)| {
             let w = gist_tensor::init::uniform(Shape::nchw(3, 2, 3, 3), -1.0, 1.0, 7);
             let p = ConvParams::new(3, 1, 1);
-            let ya = conv::forward(a, &w, None, p).unwrap();
-            let yb = conv::forward(b, &w, None, p).unwrap();
-            let yab = conv::forward(&a.add(b).unwrap(), &w, None, p).unwrap();
+            let out = p.out_shape(a.shape(), 3);
+            let [mut ya, mut yb, mut yab] = [(); 3].map(|_| Tensor::full(out, f32::NAN));
+            conv::forward_into(a, &w, None, p, &mut ya).unwrap();
+            conv::forward_into(b, &w, None, p, &mut yb).unwrap();
+            conv::forward_into(&a.add(b).unwrap(), &w, None, p, &mut yab).unwrap();
             let sum = ya.add(&yb).unwrap();
             assert!(yab.max_abs_diff(&sum) < 1e-3);
         },
@@ -103,7 +109,8 @@ fn conv_lowering_matches_naive_loop_on_poisoned_buffers() {
             let w = tile(Shape::nchw(f, c, k, k), 7);
             let bias = tile(Shape::vector(f), 13);
             if !p.fits(hw, hw) {
-                assert!(conv::forward(&x, &w, Some(&bias), p).is_err());
+                let mut y = Tensor::zeros(x.shape());
+                assert!(conv::forward_into(&x, &w, Some(&bias), p, &mut y).is_err());
                 return;
             }
             let expect = conv_reference(&x, &w, &bias, p);
@@ -114,8 +121,10 @@ fn conv_lowering_matches_naive_loop_on_poisoned_buffers() {
             let poison = || {
                 let nan = Tensor::full(Shape::nchw(1, 1, 80, 80), f32::NAN);
                 let one = Tensor::full(Shape::nchw(1, 1, 1, 1), 1.0);
-                conv::forward(&nan, &one, None, ConvParams::new(1, 1, 0)).unwrap();
+                let mut y = Tensor::zeros(nan.shape());
+                conv::forward_into(&nan, &one, None, ConvParams::new(1, 1, 0), &mut y).unwrap();
             };
+            let scratch = ScratchPool::new();
             gist_par::with_threads(1, || {
                 for lvl in gist_simd::available_levels() {
                     gist_simd::with_level(lvl, || {
@@ -135,8 +144,11 @@ fn conv_lowering_matches_naive_loop_on_poisoned_buffers() {
                         // GEMM skips nothing: one unwritten cell would
                         // surface as a NaN.
                         poison();
-                        let g = conv::backward(&x, &w, &expect, p).unwrap();
-                        assert!(g.dw.data().iter().all(|v| v.is_finite()), "{lvl} {p:?}");
+                        let mut dx = Tensor::full(x.shape(), f32::NAN);
+                        let (dw, _) =
+                            conv::backward_with_into(&x, &w, &expect, p, &scratch, &mut dx)
+                                .unwrap();
+                        assert!(dw.data().iter().all(|v| v.is_finite()), "{lvl} {p:?}");
                     });
                 }
             });
@@ -152,13 +164,15 @@ fn maxpool_translation_equivariant() {
         &(small_tensor(1, 1, 6, 6), -5.0f32..5.0),
         |(x, shift)| {
             let p = PoolParams::new(2, 2, 0);
-            let base = pool::maxpool_forward(x, p).unwrap();
+            let mut base = Tensor::full(p.out_shape(x.shape()), f32::NAN);
+            pool::maxpool_forward_into(x, p, &mut base).unwrap();
             let mut shifted = x.clone();
             for v in shifted.data_mut() {
                 *v += shift;
             }
-            let shifted_out = pool::maxpool_forward(&shifted, p).unwrap();
-            for (a, b) in base.y.data().iter().zip(shifted_out.y.data()) {
+            let mut shifted_out = Tensor::full(base.shape(), f32::NAN);
+            pool::maxpool_forward_into(&shifted, p, &mut shifted_out).unwrap();
+            for (a, b) in base.data().iter().zip(shifted_out.data()) {
                 assert!((a + shift - b).abs() < 1e-4);
             }
         },
@@ -173,9 +187,11 @@ fn maxpool_backward_conserves_mass() {
         &small_tensor(1, 2, 4, 4),
         |x| {
             let p = PoolParams::new(2, 2, 0);
-            let out = pool::maxpool_forward(x, p).unwrap();
-            let dy = gist_tensor::init::uniform(out.y.shape(), -1.0, 1.0, 3);
-            let dx = pool::maxpool_backward(x.shape(), &out.argmax, &dy, p).unwrap();
+            let mut y = Tensor::full(p.out_shape(x.shape()), f32::NAN);
+            let argmax = pool::maxpool_forward_into(x, p, &mut y).unwrap();
+            let dy = gist_tensor::init::uniform(y.shape(), -1.0, 1.0, 3);
+            let mut dx = Tensor::full(x.shape(), f32::NAN);
+            pool::maxpool_backward_into(x.shape(), &argmax, &dy, p, &mut dx).unwrap();
             let sum_dy: f32 = dy.data().iter().sum();
             let sum_dx: f32 = dx.data().iter().sum();
             assert!((sum_dy - sum_dx).abs() < 1e-3);
@@ -190,9 +206,9 @@ fn avgpool_backward_conserves_mass() {
         &small_tensor(1, 1, 4, 4),
         |x| {
             let p = PoolParams::new(2, 2, 0);
-            let y = pool::avgpool_forward(x, p).unwrap();
-            let dy = gist_tensor::init::uniform(y.shape(), -1.0, 1.0, 5);
-            let dx = pool::avgpool_backward(x.shape(), &dy, p).unwrap();
+            let dy = gist_tensor::init::uniform(p.out_shape(x.shape()), -1.0, 1.0, 5);
+            let mut dx = Tensor::full(x.shape(), f32::NAN);
+            pool::avgpool_backward_into(x.shape(), &dy, p, &mut dx).unwrap();
             let sum_dy: f32 = dy.data().iter().sum();
             let sum_dx: f32 = dx.data().iter().sum();
             assert!((sum_dy - sum_dx).abs() < 1e-3);
@@ -241,12 +257,13 @@ fn linear_homogeneous() {
         &(small_tensor(2, 1, 1, 6), -3.0f32..3.0),
         |(x, k)| {
             let w = gist_tensor::init::uniform(Shape::matrix(4, 6), -1.0, 1.0, 9);
-            let y = linear::forward(x, &w, None).unwrap();
+            let [mut y, mut ky] = [(); 2].map(|_| Tensor::full(Shape::matrix(2, 4), f32::NAN));
+            linear::forward_into(x, &w, None, &mut y).unwrap();
             let mut kx = x.clone();
             for v in kx.data_mut() {
                 *v *= k;
             }
-            let ky = linear::forward(&kx, &w, None).unwrap();
+            linear::forward_into(&kx, &w, None, &mut ky).unwrap();
             for (a, b) in y.data().iter().zip(ky.data()) {
                 assert!((a * k - b).abs() < 1e-2);
             }
@@ -254,15 +271,18 @@ fn linear_homogeneous() {
     );
 }
 
-/// concat_backward(concat_forward(xs)) recovers each input exactly.
+/// Concat backward of concat forward recovers each input exactly.
 #[test]
 fn concat_roundtrip() {
     Runner::new("concat_roundtrip").cases(CASES).run(
         &(small_tensor(1, 2, 3, 3), small_tensor(1, 3, 3, 3), small_tensor(1, 1, 3, 3)),
         |(a, b, c)| {
-            let y = elementwise::concat_forward(&[a, b, c]).unwrap();
-            let parts =
-                elementwise::concat_backward(&y, &[a.shape(), b.shape(), c.shape()]).unwrap();
+            let mut y = Tensor::full(Shape::nchw(1, 6, 3, 3), f32::NAN);
+            elementwise::concat_forward_into(&[a, b, c], &mut y).unwrap();
+            let shapes = [a.shape(), b.shape(), c.shape()];
+            let mut parts = shapes.map(|s| Tensor::full(s, f32::NAN));
+            let [pa, pb, pc] = &mut parts;
+            elementwise::concat_backward_into(&y, &shapes, &mut [pa, pb, pc]).unwrap();
             assert_eq!(&parts[0], a);
             assert_eq!(&parts[1], b);
             assert_eq!(&parts[2], c);

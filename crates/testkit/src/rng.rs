@@ -50,12 +50,6 @@ impl Rng {
         result
     }
 
-    /// Next raw 32-bit output (upper half of the 64-bit step).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f32` in `[0, 1)` using the top 24 bits.
     #[inline]
     pub fn gen_f32(&mut self) -> f32 {

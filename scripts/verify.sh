@@ -87,7 +87,13 @@
 #      the Schedule Builder rewrites that inventory, it does not re-derive
 #      it). And one equivalence matrix: a train-step fingerprint helper
 #      (`fn train_fingerprint` and its `run_`/`dist_`/`net_` twins) is
-#      defined nowhere but tests/matrix/mod.rs
+#      defined nowhere but tests/matrix/mod.rs. And one entry point per
+#      kernel: gist-tensor's alloc-returning wrappers (`pub fn forward(`,
+#      `maxpool_backward(`, … under crates/tensor/src/ops), their result
+#      structs, `BitMask::relu_backward` and the accountant's second
+#      offset sweep (`fn verify_offsets` under crates/obs) stay deleted —
+#      and the non-test line count of crates/*/src (lines before each
+#      file's first `#[cfg(test)]`) is printed into every log
 #  13. the perf ledger: the newest root `BENCH_<pr>.json` (a change-side
 #      sweep of the repo benchmark folded by `bench_ledger`) against the
 #      one before it, row by row under BENCHMARK.json's bounds — a row
@@ -197,6 +203,20 @@ if [ -n "$helpers" ]; then
     echo "$helpers" >&2
     exit 1
 fi
+wrappers=$(
+    grep -rnE "^pub fn (forward|backward|maxpool_forward|maxpool_backward|avgpool_forward|avgpool_backward|concat_forward|concat_backward)\(" \
+        crates/tensor/src/ops || true
+    grep -rnE "\b(ConvGrads|LinearGrads|BatchNormGrads|MaxPoolOutput)\b|fn relu_backward\(" \
+        crates src tests examples || true
+    grep -rn "fn verify_offsets" crates/obs || true
+)
+if [ -n "$wrappers" ]; then
+    echo "a second entry point reappeared (call the _into kernel; check offsets with gist_memory::check_no_overlap_waves):" >&2
+    echo "$wrappers" >&2
+    exit 1
+fi
+echo "non-test lines in crates/*/src: $(find crates -path '*/src/*' -name '*.rs' -print0 |
+    xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }')"
 wc -l tests/*.rs | tail -1
 wc -l tests/*.rs tests/matrix/*.rs | tail -1
 fnv_files=$(grep -rl "0xcbf2_9ce4" crates | wc -l)

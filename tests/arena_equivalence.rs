@@ -9,9 +9,10 @@
 //!
 //! The rest attacks the mechanism underneath: `_into` kernels writing into
 //! NaN-poisoned storage views (exactly what a debug-mode arena hands them)
-//! must fully overwrite the region and match their owned-output twins
-//! bit-for-bit even on hostile inputs. That full-overwrite property is what
-//! makes the arena's poison-then-reuse discipline sound.
+//! must fully overwrite the region and match the same kernel run into a
+//! zeroed tensor (what the heap policy hands them) bit-for-bit even on
+//! hostile inputs. That full-overwrite property is what makes the arena's
+//! poison-then-reuse discipline sound.
 
 mod matrix;
 
@@ -38,7 +39,7 @@ matrix::views! {
 }
 
 // ---------------------------------------------------------------------------
-// `_into` kernels vs their owned twins, into poisoned views
+// `_into` kernels into poisoned views vs into zeroed tensors
 // ---------------------------------------------------------------------------
 
 /// f32 values including adversarial bit patterns: NaN, both infinities,
@@ -69,12 +70,27 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 /// A NaN-poisoned view over fresh storage, shaped like an arena region in
 /// debug mode: if a kernel skips even one output cell, the poison survives
-/// and the bit comparison against the owned twin fails.
+/// and the bit comparison against the zeroed run fails.
 fn poisoned_view(shape: Shape) -> Tensor {
     let storage = Storage::new(shape.numel());
     let mut view = Tensor::view(storage, 0, shape).expect("view");
     view.data_mut().fill(f32::NAN);
     view
+}
+
+/// Runs `kernel` into a zeroed tensor and into a poisoned view of `shape`:
+/// the outputs must agree bit for bit, and so must what the kernel returns
+/// besides (an argmax map, batch statistics).
+fn assert_overwrites<R: PartialEq + std::fmt::Debug>(
+    shape: Shape,
+    what: &str,
+    kernel: impl Fn(&mut Tensor) -> R,
+) {
+    let mut zeroed = Tensor::zeros(shape);
+    let want = kernel(&mut zeroed);
+    let mut v = poisoned_view(shape);
+    assert_eq!(kernel(&mut v), want, "{what}: returned");
+    assert_eq!(bits(zeroed.data()), bits(v.data()), "{what}");
 }
 
 #[test]
@@ -86,11 +102,8 @@ fn into_kernels_fully_overwrite_poisoned_views() {
             let shape = Shape::nchw(n, c, hw, hw);
             let x = Tensor::from_vec(shape, tile(base, shape.numel())).unwrap();
 
-            // ReLU: `-0.0` and NaN handling must match the owned kernel.
-            let owned = relu::forward(&x);
-            let mut v = poisoned_view(shape);
-            relu::forward_into(&x, &mut v);
-            assert_eq!(bits(owned.data()), bits(v.data()), "relu");
+            // ReLU: `-0.0` and NaN handling must not depend on the output.
+            assert_overwrites(shape, "relu", |y| relu::forward_into(&x, y));
 
             // Elementwise add (residual merge).
             let b = Tensor::from_vec(shape, tile(base, shape.numel()).into_iter().rev().collect())
@@ -101,67 +114,56 @@ fn into_kernels_fully_overwrite_poisoned_views() {
             assert_eq!(bits(owned.data()), bits(v.data()), "add");
 
             // Concat along channels (dense-block merge).
-            let owned = elementwise::concat_forward(&[&x, &b]).unwrap();
-            let mut v = poisoned_view(owned.shape());
-            elementwise::concat_forward_into(&[&x, &b], &mut v).unwrap();
-            assert_eq!(bits(owned.data()), bits(v.data()), "concat");
+            let cat = Shape::nchw(n, 2 * c, hw, hw);
+            assert_overwrites(cat, "concat", |y| {
+                elementwise::concat_forward_into(&[&x, &b], y).unwrap()
+            });
 
             // Dropout with a fixed mask.
             let mask: Vec<bool> = (0..shape.numel()).map(|i| i % 3 != 0).collect();
-            let owned = dropout::forward(&x, &mask, 0.5).unwrap();
-            let mut v = poisoned_view(shape);
-            dropout::forward_into(&x, &mask, 0.5, &mut v).unwrap();
-            assert_eq!(bits(owned.data()), bits(v.data()), "dropout");
+            assert_overwrites(shape, "dropout", |y| {
+                dropout::forward_into(&x, &mask, 0.5, y).unwrap()
+            });
 
-            // Max and average pooling.
+            // Max and average pooling (the argmax map must agree too).
             let p = PoolParams::new(2, 2, 0);
             if hw >= 2 {
-                let owned = pool::maxpool_forward(&x, p).unwrap();
-                let mut v = poisoned_view(owned.y.shape());
-                let argmax = pool::maxpool_forward_into(&x, p, &mut v).unwrap();
-                assert_eq!(bits(owned.y.data()), bits(v.data()), "maxpool y");
-                assert_eq!(owned.argmax, argmax, "maxpool argmax");
-
-                let owned = pool::avgpool_forward(&x, p).unwrap();
-                let mut v = poisoned_view(owned.shape());
-                pool::avgpool_forward_into(&x, p, &mut v).unwrap();
-                assert_eq!(bits(owned.data()), bits(v.data()), "avgpool");
+                let out = p.out_shape(shape);
+                assert_overwrites(out, "maxpool", |y| {
+                    pool::maxpool_forward_into(&x, p, y).unwrap()
+                });
+                assert_overwrites(out, "avgpool", |y| {
+                    pool::avgpool_forward_into(&x, p, y).unwrap()
+                });
             }
 
             // LRN.
             let lp = LrnParams { size: 5, alpha: 1e-4, beta: 0.75, k: 2.0 };
-            let owned = lrn::forward(&x, lp).unwrap();
-            let mut v = poisoned_view(shape);
-            lrn::forward_into(&x, lp, &mut v).unwrap();
-            assert_eq!(bits(owned.data()), bits(v.data()), "lrn");
+            assert_overwrites(shape, "lrn", |y| lrn::forward_into(&x, lp, y).unwrap());
 
             // BatchNorm (cache must agree too — backward reads it).
             let gamma = Tensor::from_vec(Shape::vector(c), tile(base, c)).unwrap();
             let beta = Tensor::from_vec(Shape::vector(c), tile(base, c)).unwrap();
-            let (owned, oc) = batchnorm::forward(&x, &gamma, &beta, 1e-5).unwrap();
-            let mut v = poisoned_view(shape);
-            let vc = batchnorm::forward_into(&x, &gamma, &beta, 1e-5, &mut v).unwrap();
-            assert_eq!(bits(owned.data()), bits(v.data()), "batchnorm y");
-            assert_eq!(bits(&oc.inv_std), bits(&vc.inv_std), "batchnorm cache");
+            assert_overwrites(shape, "batchnorm", |y| {
+                bits(&batchnorm::forward_into(&x, &gamma, &beta, 1e-5, y).unwrap().inv_std)
+            });
 
             // Conv.
             let kp = ConvParams::new(3, 1, 1);
             let w = Tensor::from_vec(Shape::nchw(2, c, 3, 3), tile(base, 2 * c * 9)).unwrap();
             let cb = Tensor::from_vec(Shape::vector(2), tile(base, 2)).unwrap();
-            let owned = conv::forward(&x, &w, Some(&cb), kp).unwrap();
-            let mut v = poisoned_view(owned.shape());
-            conv::forward_into(&x, &w, Some(&cb), kp, &mut v).unwrap();
-            assert_eq!(bits(owned.data()), bits(v.data()), "conv");
+            assert_overwrites(kp.out_shape(shape, 2), "conv", |y| {
+                conv::forward_into(&x, &w, Some(&cb), kp, y).unwrap()
+            });
 
             // Linear (flattened input).
             let xm = x.clone().reshape(Shape::matrix(n, c * hw * hw)).unwrap();
             let lw = Tensor::from_vec(Shape::matrix(5, c * hw * hw), tile(base, 5 * c * hw * hw))
                 .unwrap();
             let lb = Tensor::from_vec(Shape::vector(5), tile(base, 5)).unwrap();
-            let owned = linear::forward(&xm, &lw, Some(&lb)).unwrap();
-            let mut v = poisoned_view(owned.shape());
-            linear::forward_into(&xm, &lw, Some(&lb), &mut v).unwrap();
-            assert_eq!(bits(owned.data()), bits(v.data()), "linear");
+            assert_overwrites(Shape::matrix(n, 5), "linear", |y| {
+                linear::forward_into(&xm, &lw, Some(&lb), y).unwrap()
+            });
         },
     );
 }

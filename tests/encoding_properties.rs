@@ -50,7 +50,7 @@ fn hostile_f32() -> impl Strategy<Value = f32> {
 }
 
 /// Bit-level snapshot of every codec round-trip over one `(y, dy)` input:
-/// Binarize mask bits + `relu_backward`, SSDC/CSR in both row-pointer
+/// Binarize mask bits + `relu_backward_into`, SSDC/CSR in both row-pointer
 /// widths, and DPR in all three formats. Raw `to_bits` throughout — codecs
 /// move bits rather than create NaNs, so even NaN payloads must survive
 /// byte-identically at every level.
@@ -62,7 +62,9 @@ fn codec_snapshot(
     let raw = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
     let mask = BitMask::encode(y);
     let mask_bits: Vec<bool> = (0..mask.len()).map(|i| mask.get(i)).collect();
-    let dx = raw(&mask.relu_backward(dy).unwrap());
+    let mut dx = vec![f32::NAN; y.len()];
+    mask.relu_backward_into(dy, &mut dx).unwrap();
+    let dx = raw(&dx);
     let csr: Vec<(usize, Vec<u32>)> = [true, false]
         .iter()
         .map(|&narrow| {
@@ -119,7 +121,8 @@ fn bitmask_backward_equals_fp32_reference() {
         |values| {
             let (y, dy): (Vec<f32>, Vec<f32>) = values.iter().cloned().unzip();
             let mask = BitMask::encode(&y);
-            let from_mask = mask.relu_backward(&dy).unwrap();
+            let mut from_mask = vec![f32::NAN; y.len()];
+            mask.relu_backward_into(&dy, &mut from_mask).unwrap();
             let reference: Vec<f32> =
                 y.iter().zip(&dy).map(|(&yv, &dv)| if yv > 0.0 { dv } else { 0.0 }).collect();
             assert_eq!(from_mask, reference);
@@ -310,9 +313,10 @@ fn assert_csr_relu_backward_matches_dense(y: &[f32], dy: &[f32]) {
     let raw = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
     let shape = Shape::vector(y.len());
     let dy_t = Tensor::from_vec(shape, dy.to_vec()).unwrap();
+    let mut want = Tensor::full(shape, f32::NAN);
     for config in ssdc_configs() {
         let csr = CsrMatrix::encode(y, config);
-        let want = relu::backward(&Tensor::from_vec(shape, csr.decode()).unwrap(), &dy_t);
+        relu::backward_into(&Tensor::from_vec(shape, csr.decode()).unwrap(), &dy_t, &mut want);
         let mut dx = vec![f32::NAN; y.len()];
         csr.relu_backward_into(dy, &mut dx);
         assert_eq!(raw(&dx), raw(want.data()), "{config:?} len {}", y.len());

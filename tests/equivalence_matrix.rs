@@ -47,6 +47,18 @@ fn pair_pass_densenet_cifar() {
     pass_of("densenet_cifar");
 }
 
+#[test]
+fn pair_pass_four_branch() {
+    pass_of("four_branch");
+}
+
+// Four same-wave gradient contributions into one map: an event-granular
+// arena block merges each right after its compute, a concurrent block after
+// all of them, and both must add them in program order.
+matrix::views! {
+    four_branch_merges_match_across_block_kinds: ["model=four_branch alloc=* plan=*"],
+}
+
 // Pairs no per-axis suite crossed before the matrix.
 matrix::views! {
     pairs_first_crossed_by_the_matrix: [

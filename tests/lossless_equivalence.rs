@@ -209,7 +209,8 @@ fn adversarial_binarize_mask_matches_fp32_relu_backward() {
         // exactly the FP32 ReLU-backward predicate.
         assert_eq!(mask.get(i), v > 0.0, "slot {i}: {v}");
     }
-    let from_mask = mask.relu_backward(&dy).unwrap();
+    let mut from_mask = vec![f32::NAN; y.len()];
+    mask.relu_backward_into(&dy, &mut from_mask).unwrap();
     let reference: Vec<f32> =
         y.iter().zip(&dy).map(|(&yv, &dv)| if yv > 0.0 { dv } else { 0.0 }).collect();
     assert_eq!(from_mask, reference);

@@ -139,7 +139,7 @@ const LR: f32 = 0.05;
 /// `Wire::to_bytes` header over the priced bytes of a dense wire.
 const DENSE_WIRE_HEADER: u64 = 13;
 /// Relative debug-build cost of one cell per model, for the greedy's ties.
-const MODEL_COST: [usize; 5] = [1, 3, 1, 60, 6];
+const MODEL_COST: [usize; 6] = [1, 3, 1, 60, 6, 1];
 
 /// Every axis's values, reference first, in the spellings the CLI and the
 /// job specs parse (`threads=max` is the host's parallelism, at least 4).
@@ -147,7 +147,14 @@ pub fn values() -> &'static [Vec<&'static str>] {
     static VALUES: OnceLock<Vec<Vec<&'static str>>> = OnceLock::new();
     VALUES.get_or_init(|| {
         vec![
-            vec!["tiny_convnet", "small_vgg", "tiny_classic", "resnet_cifar", "densenet_cifar"],
+            vec![
+                "tiny_convnet",
+                "small_vgg",
+                "tiny_classic",
+                "resnet_cifar",
+                "densenet_cifar",
+                "four_branch",
+            ],
             vec!["baseline", "lossless", "fp16", "fp8"],
             vec!["heap", "arena"],
             vec!["event", "wave"],
@@ -549,7 +556,8 @@ fn run_fresh(c: &Cell) -> Print {
         "small_vgg" => gist::models::small_vgg(batch, CLASSES),
         "tiny_classic" => gist::models::tiny_classic(batch, CLASSES),
         "resnet_cifar" => gist::models::resnet_cifar(1, batch),
-        _ => gist::models::densenet_cifar(1, 4, batch),
+        "densenet_cifar" => gist::models::densenet_cifar(1, 4, batch),
+        _ => four_branch(batch),
     };
     let spec = ExecSpec {
         mode: ExecMode::parse(v(MODE)).expect("mode"),
@@ -613,6 +621,30 @@ fn run_fresh(c: &Cell) -> Print {
         }
     };
     trainer_print(&ranks, policy)
+}
+
+/// Four convolution branches off one feature map, joined by a concat
+/// (Inception-style). The branches share a wave, so their backward items
+/// merge four same-wave contributions into the stem's gradient map — a
+/// sum of three or more terms, whose bits depend on the merge order.
+fn four_branch(batch: usize) -> gist::graph::Graph {
+    use gist::tensor::ops::{conv::ConvParams, pool::PoolParams};
+    let mut g = gist::graph::Graph::new("four_branch");
+    let x = g.input(gist::tensor::Shape::nchw(batch, 3, 8, 8));
+    let stem = g.conv(x, 4, ConvParams::new(3, 1, 1), true, "stem");
+    let stem = g.relu(stem, "stem_relu");
+    let branches: Vec<_> = (0..4)
+        .map(|i| {
+            let k = 1 + 2 * (i % 2);
+            let conv = g.conv(stem, 2, ConvParams::new(k, 1, k / 2), true, format!("b{i}"));
+            g.relu(conv, format!("b{i}_relu"))
+        })
+        .collect();
+    let cat = g.concat(&branches, "cat");
+    let pool = g.max_pool(cat, PoolParams::new(2, 2, 0), "pool");
+    let fc = g.linear(pool, CLASSES, true, "fc");
+    g.softmax_loss(fc, "loss");
+    g
 }
 
 fn each_rank(world: usize, rank: impl Fn(usize) -> Rank + Sync) -> Vec<Rank> {

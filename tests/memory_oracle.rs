@@ -120,7 +120,7 @@ fn no_concurrently_live_buffers_overlap() {
 /// bound) the capacity of the slab the executor actually ran out of.
 /// Stronger still: every observed buffer life resolves to its planned
 /// region and no two concurrently-live regions overlap byte-for-byte
-/// (`verify_offsets`), so the layout is proven against execution, not just
+/// (`check_no_overlap_waves`, tick-exact), so the layout is proven against execution, not just
 /// against the planner's own arithmetic.
 #[test]
 fn arena_step_runs_inside_the_planned_slab() {
@@ -147,7 +147,7 @@ fn arena_step_runs_inside_the_planned_slab() {
             // Every life fits its planned region; concurrently-live regions
             // are disjoint; the whole step fits the slab.
             let arena = exec.arena().expect("arena policy implies an arena");
-            acc.verify_offsets(|name| arena.region(name))
+            check_no_overlap_waves(&acc, &[], |name| arena.region(name))
                 .unwrap_or_else(|e| panic!("{net}/{policy}: layout violates trace: {e}"));
             assert!(
                 acc.peak_bytes() as usize <= arena.capacity_bytes(),
@@ -260,7 +260,7 @@ fn wave_arena_oracle_over_zoo_and_offload_modes() {
 /// The negative control that proves the wave check has teeth: an
 /// event-granular layout happily time-multiplexes two buffers of the same
 /// wave (the first dies mid-wave, the second inherits its bytes). That
-/// layout is tick-exactly sound — `verify_offsets` accepts it — but under
+/// layout is tick-exactly sound — the check with no wave groups accepts it — but under
 /// wave-coarsened liveness the two buffers are concurrently live, and the
 /// same-wave disjointness check must reject the sharing.
 #[test]
@@ -279,7 +279,7 @@ fn event_plan_fails_wave_disjointness_check() {
     );
     let mut acc = MemoryAccountant::new();
     acc.fold_all(&events).expect("stream");
-    acc.verify_offsets(|name| arena.region(name))
+    check_no_overlap_waves(&acc, &[], |name| arena.region(name))
         .expect("tick-exact liveness accepts the shared region");
     // All four ticks form one wave: "a" and "b" are now concurrently live.
     check_no_overlap_waves(&acc, &[(0, 3)], |name| arena.region(name))

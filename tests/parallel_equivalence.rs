@@ -21,7 +21,7 @@ use gist::simd::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use gist::tensor::ops::conv::ConvParams;
 use gist::tensor::ops::lrn::LrnParams;
 use gist::tensor::ops::{batchnorm, conv, linear, lrn};
-use gist::tensor::{Shape, Tensor};
+use gist::tensor::{ScratchPool, Shape, Tensor};
 use gist_testkit::prop::{boxed, just, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
 
@@ -131,12 +131,15 @@ fn conv_forward_backward_is_thread_invariant() {
             )
             .unwrap();
             let bias = Tensor::from_vec(Shape::vector(f), tile(base, f)).unwrap();
-            let y = conv::forward(&x, &w, Some(&bias), p).unwrap();
-            let dy = Tensor::from_vec(y.shape(), tile(base, y.numel())).unwrap();
+            let out = p.out_shape(x.shape(), f);
+            let dy = Tensor::from_vec(out, tile(base, out.numel())).unwrap();
+            let scratch = ScratchPool::new();
             assert_thread_invariant(|| {
-                let y = conv::forward(&x, &w, Some(&bias), p).unwrap();
-                let g = conv::backward(&x, &w, &dy, p).unwrap();
-                [bits(y.data()), bits(g.dx.data()), bits(g.dw.data()), bits(g.db.data())]
+                let (mut y, mut dx) =
+                    (Tensor::full(out, f32::NAN), Tensor::full(x.shape(), f32::NAN));
+                conv::forward_into(&x, &w, Some(&bias), p, &mut y).unwrap();
+                let (dw, db) = conv::backward_with_into(&x, &w, &dy, p, &scratch, &mut dx).unwrap();
+                [bits(y.data()), bits(dx.data()), bits(dw.data()), bits(db.data())]
             });
         },
     );
@@ -154,10 +157,13 @@ fn linear_forward_backward_is_thread_invariant() {
             let w = Tensor::from_vec(Shape::matrix(f_out, f_in), tile(base, f_out * f_in)).unwrap();
             let bias = Tensor::from_vec(Shape::vector(f_out), tile(base, f_out)).unwrap();
             let dy = Tensor::from_vec(Shape::matrix(n, f_out), tile(base, n * f_out)).unwrap();
+            let scratch = ScratchPool::new();
             assert_thread_invariant(|| {
-                let y = linear::forward(&x, &w, Some(&bias)).unwrap();
-                let g = linear::backward(&x, &w, &dy).unwrap();
-                [bits(y.data()), bits(g.dx.data()), bits(g.dw.data()), bits(g.db.data())]
+                let mut y = Tensor::full(dy.shape(), f32::NAN);
+                let mut dx = Tensor::full(x.shape(), f32::NAN);
+                linear::forward_into(&x, &w, Some(&bias), &mut y).unwrap();
+                let (dw, db) = linear::backward_with_into(&x, &w, &dy, &scratch, &mut dx).unwrap();
+                [bits(y.data()), bits(dx.data()), bits(dw.data()), bits(db.data())]
             });
         },
     );
@@ -175,9 +181,10 @@ fn batchnorm_forward_backward_is_thread_invariant() {
             let beta = Tensor::from_vec(Shape::vector(c), tile(base, c)).unwrap();
             let dy = Tensor::from_vec(x.shape(), tile(base, x.numel())).unwrap();
             assert_thread_invariant(|| {
-                let (y, cache) = batchnorm::forward(&x, &gamma, &beta, 1e-5).unwrap();
-                let g = batchnorm::backward(&x, &gamma, &cache, &dy).unwrap();
-                [bits(y.data()), bits(g.dx.data()), bits(g.dgamma.data()), bits(g.dbeta.data())]
+                let [mut y, mut dx] = [(); 2].map(|_| Tensor::full(x.shape(), f32::NAN));
+                let cache = batchnorm::forward_into(&x, &gamma, &beta, 1e-5, &mut y).unwrap();
+                let (dg, db) = batchnorm::backward_into(&x, &gamma, &cache, &dy, &mut dx).unwrap();
+                [bits(y.data()), bits(dx.data()), bits(dg.data()), bits(db.data())]
             });
         },
     );
@@ -194,8 +201,9 @@ fn lrn_forward_backward_is_thread_invariant() {
                 Tensor::from_vec(Shape::nchw(n, c, hw, hw), tile(base, n * c * hw * hw)).unwrap();
             let dy = Tensor::from_vec(x.shape(), tile(base, x.numel())).unwrap();
             assert_thread_invariant(|| {
-                let y = lrn::forward(&x, p).unwrap();
-                let dx = lrn::backward(&x, &dy, p).unwrap();
+                let [mut y, mut dx] = [(); 2].map(|_| Tensor::full(x.shape(), f32::NAN));
+                lrn::forward_into(&x, p, &mut y).unwrap();
+                lrn::backward_into(&x, &dy, p, &mut dx).unwrap();
                 [bits(y.data()), bits(dx.data())]
             });
         },
@@ -219,7 +227,9 @@ fn binarize_codec_is_thread_invariant() {
             let dy: Vec<f32> = y.iter().rev().copied().collect();
             assert_thread_invariant(|| {
                 let mask = BitMask::encode(&y);
-                bits(&mask.relu_backward(&dy).unwrap())
+                let mut dx = vec![f32::NAN; y.len()];
+                mask.relu_backward_into(&dy, &mut dx).unwrap();
+                bits(&dx)
             });
         },
     );

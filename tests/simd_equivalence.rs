@@ -37,7 +37,7 @@ use gist::simd::{available_levels, canon_bits, with_level, Level};
 use gist::simd::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use gist::tensor::ops::conv::ConvParams;
 use gist::tensor::ops::{conv, linear};
-use gist::tensor::{Shape, Tensor};
+use gist::tensor::{ScratchPool, Shape, Tensor};
 use gist_testkit::prop::{boxed, just, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
 
@@ -165,12 +165,15 @@ fn conv_lowering_matches_scalar_at_every_level_and_thread_count() {
             )
             .unwrap();
             let bias = Tensor::from_vec(Shape::vector(f), tile(base, f)).unwrap();
-            let y = conv::forward(&x, &w, Some(&bias), p).unwrap();
-            let dy = Tensor::from_vec(y.shape(), tile(base, y.numel())).unwrap();
+            let out = p.out_shape(x.shape(), f);
+            let dy = Tensor::from_vec(out, tile(base, out.numel())).unwrap();
+            let scratch = ScratchPool::new();
             let run = || {
-                let y = conv::forward(&x, &w, Some(&bias), p).unwrap();
-                let g = conv::backward(&x, &w, &dy, p).unwrap();
-                [canon(y.data()), canon(g.dx.data()), canon(g.dw.data()), canon(g.db.data())]
+                let (mut y, mut dx) =
+                    (Tensor::full(out, f32::NAN), Tensor::full(x.shape(), f32::NAN));
+                conv::forward_into(&x, &w, Some(&bias), p, &mut y).unwrap();
+                let (dw, db) = conv::backward_with_into(&x, &w, &dy, p, &scratch, &mut dx).unwrap();
+                [canon(y.data()), canon(dx.data()), canon(dw.data()), canon(db.data())]
             };
             let reference = with_level(Level::Scalar, || with_threads(1, run));
             for lvl in available_levels() {
@@ -193,10 +196,13 @@ fn linear_layers_match_scalar_at_every_level() {
             let w = Tensor::from_vec(Shape::matrix(f_out, f_in), tile(base, f_out * f_in)).unwrap();
             let bias = Tensor::from_vec(Shape::vector(f_out), tile(base, f_out)).unwrap();
             let dy = Tensor::from_vec(Shape::matrix(n, f_out), tile(base, n * f_out)).unwrap();
+            let scratch = ScratchPool::new();
             assert_level_invariant(|| {
-                let y = linear::forward(&x, &w, Some(&bias)).unwrap();
-                let g = linear::backward(&x, &w, &dy).unwrap();
-                [canon(y.data()), canon(g.dx.data()), canon(g.dw.data()), canon(g.db.data())]
+                let mut y = Tensor::full(dy.shape(), f32::NAN);
+                let mut dx = Tensor::full(x.shape(), f32::NAN);
+                linear::forward_into(&x, &w, Some(&bias), &mut y).unwrap();
+                let (dw, db) = linear::backward_with_into(&x, &w, &dy, &scratch, &mut dx).unwrap();
+                [canon(y.data()), canon(dx.data()), canon(dw.data()), canon(db.data())]
             });
         },
     );
@@ -219,10 +225,12 @@ fn binarize_codec_matches_scalar_at_every_level() {
             let dy: Vec<f32> = y.iter().rev().copied().collect();
             assert_level_invariant(|| {
                 let mask = BitMask::encode(&y);
-                // Words via get() (strict), select via relu_backward
+                // Words via get() (strict), select via relu_backward_into
                 // (strict — passing lanes must preserve dy's NaN payloads).
                 let first_bits: Vec<bool> = (0..64.min(mask.len())).map(|i| mask.get(i)).collect();
-                (first_bits, bits(&mask.relu_backward(&dy).unwrap()))
+                let mut dx = vec![f32::NAN; y.len()];
+                mask.relu_backward_into(&dy, &mut dx).unwrap();
+                (first_bits, bits(&dx))
             });
         },
     );
@@ -359,7 +367,7 @@ fn empty_and_one_element_inputs_at_every_level() {
             // Codecs.
             let m = BitMask::encode(&[]);
             assert_eq!(m.len(), 0, "{lvl}");
-            assert!(m.relu_backward(&[]).unwrap().is_empty(), "{lvl}");
+            assert_eq!(m.relu_backward_into(&[], &mut []), Ok(()), "{lvl}");
             let one = BitMask::encode(&[f32::NAN]);
             assert!(!one.get(0), "{lvl}: NaN is not positive");
             for f in [DprFormat::Fp16, DprFormat::Fp10, DprFormat::Fp8] {
