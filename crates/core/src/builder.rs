@@ -145,7 +145,9 @@ impl ScheduleBuilder {
                         }
                         _ => codec.bound(numel),
                     };
-                    let decode = codec.decodes() && !self.config.optimized_software;
+                    // The paper's model: every backward reader takes the
+                    // whole map, unless optimized software reads it encoded.
+                    let decode = codec.decodes(true) && !self.config.optimized_software;
                     // ...the encoded form spans the temporal gap...
                     let enc_end = if decode { first_bwd } else { last_bwd };
                     inventory.push(DataStructure {

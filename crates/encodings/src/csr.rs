@@ -202,6 +202,73 @@ impl CsrMatrix {
         });
     }
 
+    /// Decodes dense elements `start..start + out.len()` into `out`,
+    /// overwriting every element; bit-exact with the same slice of
+    /// [`decode`]. Serial, and touches only the stored elements of the rows
+    /// the range crosses (found by binary search — column indices increase
+    /// within a row), so a reader can walk the map plane by plane in
+    /// scratch the size of one plane.
+    ///
+    /// [`decode`]: Self::decode
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past `self.dense_len()`.
+    pub fn decode_range(&self, start: usize, out: &mut [f32]) {
+        let end = start + out.len();
+        assert!(end <= self.total_len, "decode_range {start}..{end} of {}", self.total_len);
+        out.fill(0.0);
+        if out.is_empty() {
+            return;
+        }
+        for r in start / self.cols..=(end - 1) / self.cols {
+            let row0 = r * self.cols;
+            // The row's columns inside the range, and where they land.
+            let (lo, hi) = (start.max(row0) - row0, end.min(row0 + self.cols) - row0);
+            let dst = &mut out[row0 + lo - start..][..hi - lo];
+            let at = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
+            match &self.col_idx {
+                ColIndices::U8(v) => self.scatter_cols(&v[at.clone()], at.start, lo, dst),
+                ColIndices::U32(v) => self.scatter_cols(&v[at.clone()], at.start, lo, dst),
+            }
+        }
+    }
+
+    /// `dst[c - lo] = value` for every stored element of one row whose
+    /// column `c` is in `[lo, lo + dst.len())`; `cols` is the row's column
+    /// array, stored from value index `first`. DPR values are decoded a
+    /// stack chunk at a time, so nothing is allocated.
+    fn scatter_cols<I: Copy + Into<u32>>(
+        &self,
+        cols: &[I],
+        first: usize,
+        lo: usize,
+        dst: &mut [f32],
+    ) {
+        let col = |c: I| c.into() as usize;
+        let a = cols.partition_point(|&c| col(c) < lo);
+        let b = a + cols[a..].partition_point(|&c| col(c) < lo + dst.len());
+        let (cols, first) = (&cols[a..b], first + a);
+        match &self.values {
+            Values::F32(v) => {
+                for (&c, &y) in cols.iter().zip(&v[first..]) {
+                    dst[col(c) - lo] = y;
+                }
+            }
+            Values::Dpr(buf) => {
+                const CHUNK: usize = 256;
+                let mut vals = [0.0f32; CHUNK];
+                for (k, cols) in cols.chunks(CHUNK).enumerate() {
+                    let vals = &mut vals[..cols.len()];
+                    buf.decode_range(first + k * CHUNK, vals);
+                    for (&c, &y) in cols.iter().zip(vals.iter()) {
+                        dst[col(c) - lo] = y;
+                    }
+                }
+            }
+        }
+    }
+
     /// ReLU backward straight off the stash: `dx = dy ⊙ [y > 0]` for the
     /// encoded map `y`, bit-exact with `relu::backward_into` over [`decode`]
     /// but without materializing the dense map — each row is zero-filled and

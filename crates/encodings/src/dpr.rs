@@ -448,6 +448,23 @@ impl DprBuffer {
             });
         });
     }
+
+    /// Decodes values `start..start + out.len()` into `out`, serially;
+    /// bit-exact with the same slice of [`decode`] (each value is a pure
+    /// function of its packed word).
+    ///
+    /// [`decode`]: Self::decode
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past `self.len()`.
+    pub fn decode_range(&self, start: usize, out: &mut [f32]) {
+        let end = start + out.len();
+        assert!(end <= self.len, "decode_range {start}..{end} of {}", self.len);
+        gist_simd::dpr_decode_into(self.format.spec(), &self.words, start, out, |b| {
+            self.format.decode_one(b)
+        });
+    }
 }
 
 #[cfg(test)]

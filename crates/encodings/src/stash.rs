@@ -2,7 +2,8 @@
 //! (the Schedule Builder's contract, Figure 5) — how many bytes to reserve
 //! for it before any value exists, how it is encoded after its last
 //! forward use, and how the backward pass reads it: decoded into a dense
-//! buffer, or, for a ReLU output, consumed directly as the gate.
+//! buffer, lowered to conv columns a plane at a time ([`ColumnSource`]), or,
+//! for a ReLU output, consumed directly as the gate.
 //!
 //! A [`StashCodec`] is a policy decision realized (`gist-core` maps its
 //! `Encoding` onto one); a [`Stash`] is one encoded map. The lowering sizes
@@ -13,6 +14,7 @@
 use crate::csr::{self, CsrMatrix, SsdcConfig};
 use crate::dpr::{DprBuffer, DprFormat, RoundingMode};
 use crate::{BitMask, EncodingError};
+use gist_tensor::ops::conv::ColumnSource;
 use gist_tensor::{Shape, Tensor};
 
 /// How a stashed feature map is held between its forward and backward use.
@@ -31,12 +33,13 @@ pub enum StashCodec {
 impl StashCodec {
     /// Bytes that hold any stash of `ne` elements under this codec: the
     /// encoded size itself where that is a function of the shape alone
-    /// ([`Self::is_exact`]), the zero-sparsity worst case for SSDC.
+    /// ([`Self::is_exact`]); for SSDC the zero-sparsity worst case, but
+    /// never more than dense — a map CSR would grow is stored dense.
     pub fn bound(&self, ne: usize) -> usize {
         match self {
             StashCodec::Dense => ne * 4,
             StashCodec::Binarize => BitMask::bytes_for(ne),
-            StashCodec::Ssdc(config) => csr::max_encoded_bytes(ne, *config),
+            StashCodec::Ssdc(config) => csr::max_encoded_bytes(ne, *config).min(ne * 4),
             StashCodec::Dpr(format, _) => format.packed_bytes(ne),
         }
     }
@@ -48,11 +51,14 @@ impl StashCodec {
         !matches!(self, StashCodec::Ssdc(_))
     }
 
-    /// Whether a backward kernel that reads the stash as a dense map needs
-    /// a decode buffer ([`Stash::decode_into`]). A dense stash is borrowed
-    /// in place; a binarized one has no dense form at all.
-    pub fn decodes(&self) -> bool {
-        matches!(self, StashCodec::Ssdc(_) | StashCodec::Dpr(..))
+    /// Whether a backward reader of a stash under this codec needs a dense
+    /// decode buffer ([`Stash::decode_into`]): only one that reads the map
+    /// whole (`whole_map` — linear, batch-norm, LRN, the loss), and only of
+    /// an SSDC or DPR stash. A dense stash is borrowed in place; a binarized
+    /// one has no dense form at all; conv reads the stash a plane at a time
+    /// ([`ColumnSource`]).
+    pub fn decodes(&self, whole_map: bool) -> bool {
+        whole_map && matches!(self, StashCodec::Ssdc(_) | StashCodec::Dpr(..))
     }
 
     /// Codec name in trace events and inventories; `None` for dense.
@@ -66,9 +72,12 @@ impl StashCodec {
     }
 
     /// Encodes the feature map `y`. A dense stash is a copy of `y` — into
-    /// `dense_region` (a planned arena view of `y`'s shape) when one is
-    /// given, a fresh tensor otherwise; encoded payloads live in their
-    /// codec containers and ignore it.
+    /// `dense_region` (a planned arena view of `y`'s shape, which a caller
+    /// can give where the reservation holds a dense map) when one is given,
+    /// a fresh tensor otherwise; encoded payloads live in their codec
+    /// containers and ignore it. An SSDC map whose CSR form would be larger
+    /// than dense takes the dense escape: it is held dense, as the CSR
+    /// decode would rebuild it, so every reader borrows it in place.
     pub fn encode(&self, y: &Tensor, dense_region: Option<Tensor>) -> Stash {
         let payload = match self {
             StashCodec::Dense => Payload::Dense(match dense_region {
@@ -79,7 +88,16 @@ impl StashCodec {
                 None => y.clone(),
             }),
             StashCodec::Binarize => Payload::Bits(BitMask::encode(y.data())),
-            StashCodec::Ssdc(config) => Payload::Sparse(CsrMatrix::encode(y.data(), *config)),
+            StashCodec::Ssdc(config) => {
+                let csr = CsrMatrix::encode(y.data(), *config);
+                if csr.encoded_bytes() <= y.numel() * 4 {
+                    Payload::Sparse(csr)
+                } else {
+                    let mut dense = dense_region.unwrap_or_else(|| Tensor::zeros(y.shape()));
+                    csr.decode_into(dense.data_mut());
+                    Payload::Dense(dense)
+                }
+            }
             StashCodec::Dpr(format, rounding) => {
                 Payload::Reduced(DprBuffer::encode_with(*format, y.data(), *rounding))
             }
@@ -126,7 +144,8 @@ impl Stash {
         self.shape.numel() * 4
     }
 
-    /// Bytes the stash actually holds; at most `codec().bound(numel)`.
+    /// Bytes the stash actually holds; at most `codec().bound(numel)`, and
+    /// dense for an SSDC stash that took the dense escape.
     pub fn encoded_bytes(&self) -> usize {
         match &self.payload {
             Payload::Dense(_) => self.dense_bytes(),
@@ -136,12 +155,20 @@ impl Stash {
         }
     }
 
-    /// The map itself when it is stashed dense — read in place, no decode.
+    /// The map itself when it is held dense (under [`StashCodec::Dense`] or
+    /// the SSDC dense escape) — read in place, no decode.
     pub fn as_dense(&self) -> Option<&Tensor> {
         match &self.payload {
             Payload::Dense(t) => Some(t),
             _ => None,
         }
+    }
+
+    /// Whether the map's values are held encoded (SSDC or DPR, not the
+    /// dense escape), so that reading them decodes — what a trace shows as
+    /// a `Decode`, whichever backward reader consumes the stash.
+    pub fn holds_encoded_values(&self) -> bool {
+        matches!(self.payload, Payload::Sparse(_) | Payload::Reduced(_))
     }
 
     fn check_len(&self, actual: usize) -> Result<(), EncodingError> {
@@ -179,9 +206,8 @@ impl Stash {
     /// ReLU backward with the stashed map `y` as the gate:
     /// `dx = dy ⊙ [y > 0]`, every element of `dx` overwritten, bit-equal to
     /// the dense kernel over the decoded map. Binarize reads its mask and
-    /// SSDC its stored elements; only DPR rebuilds the dense map — in a
-    /// heap buffer that lives inside this call, so no plan reserves a
-    /// region for it and no meter counts it.
+    /// SSDC its stored elements; DPR decodes the map a fixed stack chunk at
+    /// a time, so no call allocates or holds a dense copy.
     ///
     /// # Errors
     ///
@@ -190,17 +216,49 @@ impl Stash {
     pub fn relu_backward_into(&self, dy: &[f32], dx: &mut [f32]) -> Result<(), EncodingError> {
         self.check_len(dy.len())?;
         self.check_len(dx.len())?;
-        let gate = |y: &[f32], dx: &mut [f32]| {
+        let gate = |y: &[f32], dy: &[f32], dx: &mut [f32]| {
             for (out, (&yv, &dv)) in dx.iter_mut().zip(y.iter().zip(dy)) {
                 *out = if yv > 0.0 { dv } else { 0.0 };
             }
         };
         match &self.payload {
-            Payload::Dense(y) => gate(y.data(), dx),
+            Payload::Dense(y) => gate(y.data(), dy, dx),
             Payload::Bits(mask) => mask.relu_backward_into(dy, dx)?,
             Payload::Sparse(csr) => csr.relu_backward_into(dy, dx),
-            Payload::Reduced(dpr) => gate(&dpr.decode(), dx),
+            Payload::Reduced(dpr) => {
+                const CHUNK: usize = 1024;
+                let mut y = [0.0f32; CHUNK];
+                for (k, (dy, dx)) in dy.chunks(CHUNK).zip(dx.chunks_mut(CHUNK)).enumerate() {
+                    let y = &mut y[..dx.len()];
+                    dpr.decode_range(k * CHUNK, y);
+                    gate(y, dy, dx);
+                }
+            }
         }
         Ok(())
+    }
+}
+
+/// Conv backward reads a stash in place: a dense one (or one that took the
+/// dense escape) is borrowed, an SSDC or DPR one is range-decoded a plane
+/// at a time into the kernel's per-thread scratch.
+///
+/// # Panics
+///
+/// A binarized stash, which has no dense form (the policy never binarizes a
+/// map a conv reads).
+impl ColumnSource for Stash {
+    fn shape(&self) -> Shape {
+        self.shape
+    }
+
+    fn plane<'a>(&'a self, start: usize, scratch: &'a mut [f32]) -> &'a [f32] {
+        match &self.payload {
+            Payload::Dense(t) => return &t.data()[start..start + scratch.len()],
+            Payload::Bits(_) => unreachable!("a binarized stash is consumed by relu backward"),
+            Payload::Sparse(c) => c.decode_range(start, scratch),
+            Payload::Reduced(b) => b.decode_range(start, scratch),
+        }
+        scratch
     }
 }

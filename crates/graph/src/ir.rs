@@ -100,6 +100,14 @@ impl OpKind {
         self.needs_input_in_backward() && !matches!(self, OpKind::MaxPool(_))
     }
 
+    /// Whether this op's backward kernel reads the stash of `inputs[0]` as
+    /// one whole dense map (linear, batch-norm, LRN, the loss). Narrower
+    /// than [`Self::reads_input_stash`]: conv lowers its input to columns
+    /// one channel plane at a time.
+    pub fn reads_whole_input_stash(&self) -> bool {
+        self.reads_input_stash() && !matches!(self, OpKind::Conv { .. })
+    }
+
     /// Whether this op's backward pass reads the op's stashed *output*
     /// feature map (the `Y` of Figure 4).
     pub fn needs_output_in_backward(&self) -> bool {
@@ -591,10 +599,12 @@ mod tests {
     #[test]
     fn backward_needs_match_the_paper_figure4() {
         // Figure 4: conv needs X; relu needs Y; baseline maxpool needs both.
-        assert!(OpKind::Conv { out_channels: 1, params: ConvParams::new(1, 1, 0), bias: false }
-            .needs_input_in_backward());
+        let conv = OpKind::Conv { out_channels: 1, params: ConvParams::new(1, 1, 0), bias: false };
+        assert!(conv.needs_input_in_backward());
+        assert!(conv.reads_input_stash() && !conv.reads_whole_input_stash());
         assert!(!OpKind::Relu.needs_input_in_backward());
         assert!(OpKind::BatchNorm.reads_input_stash() && !OpKind::Relu.reads_input_stash());
+        assert!(OpKind::BatchNorm.reads_whole_input_stash());
         assert!(OpKind::Relu.needs_output_in_backward());
         let mp = OpKind::MaxPool(PoolParams::new(2, 2, 0));
         assert!(mp.needs_input_in_backward() && mp.needs_output_in_backward());

@@ -9,7 +9,7 @@ use crate::program::{
 };
 use crate::spec::{AllocPolicy, ExecMode, ExecSpec};
 use crate::RuntimeError;
-use gist_encodings::{EncodingError, Stash, StashCodec, TransferCodec, Wire};
+use gist_encodings::{EncodingError, Stash, TransferCodec, Wire};
 use gist_graph::{Graph, Node, NodeId, OpKind};
 use gist_memory::{Arena, PlanGranularity};
 use gist_obs::{Event, NullRecorder, Phase, Recorder};
@@ -23,10 +23,14 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// A [`BwdOut::decodes`] entry for stash `s` of `node`.
-fn consumed(node: NodeId, s: &Stash) -> (NodeId, &'static str, u64, u64) {
-    let codec = s.codec().label().expect("an encoded stash has a codec");
-    (node, codec, s.dense_bytes() as u64, s.encoded_bytes() as u64)
+/// The [`BwdOut::decodes`] entry for a backward read of stash `s` of
+/// `node`: `None` when nothing is decoded — the map is held dense (borrowed
+/// in place) or is a mask (consumed as the ReLU gate).
+fn consumed(node: NodeId, s: &Stash) -> Option<(NodeId, &'static str, u64, u64)> {
+    s.holds_encoded_values().then(|| {
+        let codec = s.codec().label().expect("an encoded stash has a codec");
+        (node, codec, s.dense_bytes() as u64, s.encoded_bytes() as u64)
+    })
 }
 
 /// Nanoseconds since the step's epoch, as recorded in span events.
@@ -49,8 +53,12 @@ impl MemMeter {
         self.peak = self.peak.max(self.live);
     }
 
+    /// Releases `bytes`. A free of more than is live — a double free, or
+    /// a free of something never allocated — is a program bug, not a
+    /// floor at zero.
     fn free(&mut self, bytes: usize) {
-        self.live = self.live.saturating_sub(bytes);
+        debug_assert!(self.live >= bytes, "freed {bytes} B with {} B live", self.live);
+        self.live -= bytes;
     }
 
     /// A short-lived buffer (e.g. a decode target) that exists only inside
@@ -172,9 +180,12 @@ pub struct StepStats {
     /// runtime-measured counterpart of the planner's stash accounting).
     pub stash_bytes: usize,
     /// Peak bytes of simultaneously-live feature maps, stashes, gradient
-    /// maps and decode buffers during the step — the executor's measured
-    /// dynamic footprint. Under [`AllocPolicy::Arena`] this counts planned
-    /// (aligned, worst-case) reservations, matching the packed slab.
+    /// maps, accumulating gradient side regions and the decode buffers of
+    /// whole-map readers during the step — the executor's measured dynamic
+    /// footprint (conv reads its stash in place and a first gradient
+    /// contribution is written into its map, so neither adds a buffer).
+    /// Under [`AllocPolicy::Arena`] this counts planned (aligned,
+    /// worst-case) reservations, matching the packed slab.
     pub peak_live_bytes: usize,
     /// `(layer name, to_host, bytes)` for every swap transfer this step, in
     /// issue order — the *observed* bus traffic. Dense swap modes report
@@ -427,27 +438,21 @@ impl Executor {
         }
     }
 
-    /// Materializes a stashed producer for a backward read. Dense stashes
-    /// are borrowed in place (zero copy, no decode buffer); encoded stashes
-    /// decode into the consuming item's `dec` buffer, noting the decode in
-    /// `decodes` when the step is traced.
+    /// Materializes a stashed producer for a whole-map backward read.
+    /// Dense stashes are borrowed in place (zero copy, no decode buffer);
+    /// encoded stashes decode into the consuming item's `dec` buffer.
     fn decode_stash<'s>(
         &self,
         st: &'s StepState,
-        pid: NodeId,
+        s: &'s Stash,
         dec: Option<BufId>,
-        decodes: Option<&mut Vec<(NodeId, &'static str, u64, u64)>>,
     ) -> Result<Cow<'s, Tensor>, RuntimeError> {
-        let s = st.stashes[pid.index()].as_ref().expect("stash present for backward");
         if let Some(t) = s.as_dense() {
             return Ok(Cow::Borrowed(t));
         }
         let dec = dec.expect("lowering plans a decode buffer for every encoded read");
         let mut t = self.buffer(st, dec, s.shape())?;
         s.decode_into(t.data_mut())?;
-        if let Some(decodes) = decodes {
-            decodes.push(consumed(pid, s));
-        }
         Ok(Cow::Owned(t))
     }
 
@@ -467,15 +472,14 @@ impl Executor {
         match site {
             StashSite::None => {}
             StashSite::Resident(buf) => {
-                // Only a dense stash lives in its planned region (a view
-                // of it under the arena policy). Encoded payloads stay in
+                // Only a map held dense lives in its planned region (a view
+                // of it under the arena policy, offered wherever the
+                // reservation is dense-sized). Encoded payloads stay in
                 // their codec containers; the arena still reserves their
                 // region, so the accounting covers them either way.
                 let codec = self.program.codecs[id.index()];
-                let region = match codec {
-                    StashCodec::Dense => self.view(st, buf, y.shape())?,
-                    _ => None,
-                };
+                let dense_sized = codec.bound(y.numel()) >= y.numel() * 4;
+                let region = if dense_sized { self.view(st, buf, y.shape())? } else { None };
                 let stash = codec.encode(y, region);
                 if let Some(codec) = codec.label() {
                     cx.emit(|| Event::Encode {
@@ -598,10 +602,11 @@ impl Executor {
 
     /// Computes one node's backward contributions without touching shared
     /// state — the caller merges them in program order. Each contribution
-    /// is written through the item's side region for its target (see
-    /// [`Executor::buffer`]); the node's upstream gradient is read in place
-    /// from `st.grads` (absent only for the loss head, which synthesizes
-    /// its own from the stashed logits).
+    /// is written through [`Target::write`] (see [`Executor::buffer`]): the
+    /// target's gradient map itself for a first contribution, the item's
+    /// side region for an accumulating one; the node's upstream gradient is
+    /// read in place from `st.grads` (absent only for the loss head, which
+    /// synthesizes its own from the stashed logits).
     fn backward_node(
         &self,
         st: &StepState,
@@ -615,10 +620,16 @@ impl Executor {
         let mut decodes = Vec::new();
         let mut contrib = Vec::with_capacity(targets.len());
         for t in targets {
-            contrib.push(self.buffer(st, t.dx, self.shape(t.node))?);
+            contrib.push(self.buffer(st, t.write(), self.shape(t.node))?);
         }
-        let mut stashed_input =
-            || self.decode_stash(st, node.inputs[0], dec, step.traced.then_some(&mut decodes));
+        // The producer's stash, noted as consumed when the step is traced.
+        let mut input_stash = || {
+            let pid = node.inputs[0];
+            let s = st.stashes[pid.index()].as_ref().expect("stash present for backward");
+            decodes.extend(consumed(pid, s).filter(|_| step.traced));
+            s
+        };
+        let mut stashed_input = || self.decode_stash(st, input_stash(), dec);
         let upstream = st.grads[id.index()].as_ref();
         let dy = || upstream.expect("non-loss nodes reach backward with a gradient");
         let mut pgrads = None;
@@ -629,9 +640,8 @@ impl Executor {
             }
             OpKind::Conv { params: cp, .. } => {
                 let p = self.node_params(id);
-                let x = stashed_input()?;
                 let (dw, db) = conv::backward_with_into(
-                    &x,
+                    input_stash(),
                     &p.main,
                     dy(),
                     *cp,
@@ -656,9 +666,7 @@ impl Executor {
                 // held. Where another reader would decode it, the trace
                 // shows it consumed at the sizes that decode reports.
                 let s = st.stashes[id.index()].as_ref().expect("relu output is always stashed");
-                if step.traced && s.codec().decodes() {
-                    decodes.push(consumed(id, s));
-                }
+                decodes.extend(consumed(id, s).filter(|_| step.traced));
                 s.relu_backward_into(dy().data(), contrib[0].data_mut())?;
             }
             OpKind::MaxPool(p) => {
@@ -1003,18 +1011,15 @@ impl Executor {
                     st.pgrads[node.index()] = out.pgrads;
                 }
                 for (t, g) in targets.iter().zip(out.contrib) {
-                    if let Some(existing) = &mut st.grads[t.node.index()] {
-                        existing.add_scaled(&g, 1.0).expect("gradient shapes agree");
-                        continue;
-                    }
-                    let held = match self.view(st, t.dy, g.shape())? {
-                        Some(mut v) => {
-                            v.copy_from(&g);
-                            v
+                    let grad = &mut st.grads[t.node.index()];
+                    debug_assert_eq!(grad.is_some(), t.dx.is_some(), "accumulation planned");
+                    match grad {
+                        Some(existing) => {
+                            existing.add_scaled(&g, 1.0).expect("gradient shapes agree")
                         }
-                        None => g,
-                    };
-                    st.grads[t.node.index()] = Some(held);
+                        // A first contribution already is the gradient map.
+                        None => *grad = Some(g),
+                    }
                 }
             }
             (Work::SwapIn { node, slot }, _) => {
@@ -1520,9 +1525,9 @@ mod tests {
     /// The oracle that can still fail now that `observed == predicted`
     /// holds by construction: an interpreter touching a buffer outside the
     /// lifetime the program gives it trips the debug live-set. Here the
-    /// lifetime of one backward side region is shortened — its `Alloc`
-    /// moved from the block's entry to just before its `Free` — while the
-    /// backward kernel still writes it in between.
+    /// lifetime of the gradient map the loss head writes directly is
+    /// shortened — its `Alloc` moved from the block's entry to its exit —
+    /// while the backward kernel still writes it in between.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "outside its program lifetime")]
@@ -1531,14 +1536,31 @@ mod tests {
         let spec = ExecSpec { plan: PlanGranularity::Wave, ..ExecSpec::from(ExecMode::Baseline) };
         let mut e = Executor::new(g, spec.arena(), 1).unwrap();
         let backward_start = e.program.backward_start;
-        let dx = match &e.program.blocks[backward_start].items[0].work {
-            Work::Backward { targets, .. } => targets[0].dx,
+        let written = match &e.program.blocks[backward_start].items[0].work {
+            Work::Backward { targets, .. } => targets[0].write(),
             other => panic!("first backward item is the loss head, got {other:?}"),
         };
         let block = &mut e.program.blocks[backward_start];
-        block.entry.retain(|op| *op != MemOp::Alloc(dx));
-        let free = block.exit.iter().position(|op| *op == MemOp::Free(dx)).unwrap();
-        block.exit.insert(free, MemOp::Alloc(dx));
+        block.entry.retain(|op| *op != MemOp::Alloc(written));
+        block.exit.push(MemOp::Alloc(written));
+        let (x, y) = minibatch(4);
+        let _ = e.step(&x, &y, 0.05);
+    }
+
+    /// The meter's guard: a buffer freed twice fires in debug builds
+    /// instead of silently reading as zero live bytes. The close-out's last
+    /// `Free` brings the step back to zero live bytes, so playing it again
+    /// frees more than is live.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "B live")]
+    fn a_double_free_fires_the_meter_guard() {
+        let g = gist_models::tiny_convnet(4, 3);
+        let mut e = Executor::new(g, ExecMode::Baseline, 1).unwrap();
+        let close = e.program.blocks.last_mut().expect("a close-out block");
+        let last = *close.entry.last().expect("the close-out frees what is still live");
+        assert!(matches!(last, MemOp::Free(_)), "close-out ends on {last:?}");
+        close.entry.push(last);
         let (x, y) = minibatch(4);
         let _ = e.step(&x, &y, 0.05);
     }

@@ -3,9 +3,10 @@
 //!
 //! [`StepProgram::lower`] is the only place that knows a training step's
 //! buffer lifetimes — wave order, last forward use, the inplace-ReLU reuse
-//! rule, which producers a backward item contributes to, which backward
-//! items decode a stash, and where an offload plan's swap-ins and replays
-//! land. Its output is a flat list of `Block`s over interned buffers:
+//! rule, which producers a backward item contributes to (and which of
+//! those contributions write the producer's gradient map directly), which
+//! backward items decode a stash, and where an offload plan's swap-ins and
+//! replays land. Its output is a flat list of `Block`s over interned buffers:
 //!
 //! * a block plays its `entry` memory ops, runs its work `Item`s, merges
 //!   them sequentially in program order (each item's `pre` ops, its
@@ -68,8 +69,9 @@ pub(crate) enum Slot {
     Grad(NodeId),
     /// A replay-internal intermediate.
     Replay(NodeId),
-    /// Compute-internal scratch (`.dx{k}` side regions, `.dec` decode
-    /// buffers): nothing outlives the item that wrote it.
+    /// Compute-internal scratch (`.dx{k}` side regions of accumulating
+    /// contributions, `.dec` decode buffers of whole-map readers): nothing
+    /// outlives the item that wrote it.
     Scratch,
 }
 
@@ -112,12 +114,21 @@ pub(crate) enum StashSite {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Target {
     pub node: NodeId,
-    /// The item's side region for this contribution (in the program's
-    /// memory ops under the arena policy only; heap contributions are
-    /// owned, unmetered tensors).
-    pub dx: BufId,
+    /// The item's side region for this contribution, present only when it
+    /// accumulates into a gradient map an earlier item made live (in the
+    /// program's memory ops under the arena policy only; heap contributions
+    /// are owned, unmetered tensors). A first contribution has none: the
+    /// kernel writes it straight into `dy`.
+    pub dx: Option<BufId>,
     /// The producer's gradient map.
     pub dy: BufId,
+}
+
+impl Target {
+    /// The buffer the backward kernel writes this contribution through.
+    pub fn write(&self) -> BufId {
+        self.dx.unwrap_or(self.dy)
+    }
 }
 
 /// What one work item runs.
@@ -299,22 +310,28 @@ impl Lowering<'_> {
     }
 
     /// The backward item of `node`: its targets and decode buffer.
-    fn backward(&mut self, node: &Node) -> (Option<BufId>, Vec<Target>) {
+    /// `grad_live` says which gradient maps earlier items made live; a
+    /// target whose map is not live yet takes this contribution directly,
+    /// and is live from here on.
+    fn backward(&mut self, node: &Node, grad_live: &mut [bool]) -> (Option<BufId>, Vec<Target>) {
         let targets = node
             .backward_targets()
             .iter()
             .enumerate()
-            .map(|(k, &t)| Target {
-                node: t,
-                dx: self.dense(format!("{}.dx{k}", node.name), t, Slot::Scratch),
-                dy: self.dy(t),
+            .map(|(k, &t)| {
+                let accumulates = std::mem::replace(&mut grad_live[t.index()], true);
+                let dx = accumulates
+                    .then(|| self.dense(format!("{}.dx{k}", node.name), t, Slot::Scratch));
+                Target { node: t, dx, dy: self.dy(t) }
             })
             .collect();
         // Ops whose backward decodes an *encoded* producer stash into a
-        // dense buffer; dense stashes are borrowed in place and leave no
-        // trace. (ReLU reads its *own* stash through
-        // `Stash::relu_backward_into`, which needs no planned buffer.)
-        let decodes = node.op.reads_input_stash() && self.codecs[node.inputs[0].index()].decodes();
+        // dense buffer, as the stash seam decides for the reader; dense
+        // stashes are borrowed in place and leave no trace. (ReLU reads its
+        // *own* stash through `Stash::relu_backward_into`, which needs no
+        // planned buffer.)
+        let decodes = node.op.reads_input_stash()
+            && self.codecs[node.inputs[0].index()].decodes(node.op.reads_whole_input_stash());
         let dec = decodes
             .then(|| self.dense(format!("{}.dec", node.name), node.inputs[0], Slot::Scratch));
         (dec, targets)
@@ -551,15 +568,22 @@ impl StepProgram {
             let mut block = Block::new(wv, concurrent);
             for &(node, has_dy) in &work {
                 let id = node.id;
-                let (dec, targets) = lo.backward(node);
+                if has_dy {
+                    debug_assert!(grad_live[id.index()], "{} runs backward unreached", node.name);
+                    grad_live[id.index()] = false;
+                }
+                let (dec, targets) = lo.backward(node, &mut grad_live);
                 let (mut pre, mut post) = (Vec::new(), Vec::new());
-                // Gradient side regions are allocated before the backward
-                // compute writes into them and held across the merge; the
-                // upstream gradient is released only at merge time, after
-                // this node's backward compute has read it for the last
-                // time; the node's own stash goes last — its backward was
-                // the final reader (consumers' backward items all ran
-                // earlier).
+                // Every region the backward compute writes — a target's
+                // gradient map for a first contribution, a side region for
+                // an accumulating one — is allocated before it and, under
+                // the arena, before the upstream gradient it reads is
+                // released, so the two cannot share bytes. Side regions are
+                // held across the merge; the upstream gradient is released
+                // only at merge time, after this node's backward compute
+                // has read it for the last time; the node's own stash goes
+                // last — its backward was the final reader (consumers'
+                // backward items all ran earlier).
                 if hoist {
                     // Concurrent decodes need simultaneously-live distinct
                     // regions, which a single-tick `Transient` cannot
@@ -568,14 +592,12 @@ impl StepProgram {
                     post.extend(dec.map(MemOp::Free));
                 }
                 if arena {
-                    pre.extend(targets.iter().map(|t| MemOp::Alloc(t.dx)));
+                    pre.extend(targets.iter().map(|t| MemOp::Alloc(t.write())));
                 }
                 if !hoist {
                     pre.extend(dec.map(MemOp::Transient));
                 }
                 if has_dy {
-                    debug_assert!(grad_live[id.index()], "{} runs backward unreached", node.name);
-                    grad_live[id.index()] = false;
                     let dy = MemOp::Free(lo.dy(id));
                     if hoist {
                         post.push(dy);
@@ -583,13 +605,13 @@ impl StepProgram {
                         pre.push(dy);
                     }
                 }
-                for t in &targets {
-                    if !std::mem::replace(&mut grad_live[t.node.index()], true) {
-                        pre.push(MemOp::Alloc(t.dy));
-                    }
-                }
                 if arena {
-                    post.extend(targets.iter().map(|t| MemOp::Free(t.dx)));
+                    post.extend(targets.iter().filter_map(|t| t.dx).map(MemOp::Free));
+                } else {
+                    // Heap maps are independent allocations: a first
+                    // contribution's map comes to life at merge time.
+                    let first = targets.iter().filter(|t| t.dx.is_none());
+                    pre.extend(first.map(|t| MemOp::Alloc(t.dy)));
                 }
                 if std::mem::take(&mut stashed[id.index()]) {
                     post.push(MemOp::Free(lo.held_stash(id)));

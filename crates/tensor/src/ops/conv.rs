@@ -4,7 +4,9 @@
 //!
 //! The convolution backward pass needs its stashed *input* feature map to
 //! compute weight gradients (Figure 4(d) in the paper) — which is why
-//! Binarize cannot apply to ReLU→Conv pairs and SSDC exists.
+//! Binarize cannot apply to ReLU→Conv pairs and SSDC exists. It reads that
+//! map through a [`ColumnSource`], one channel plane at a time, so an
+//! encoded stash is lowered to columns without a dense copy of the map.
 
 use crate::{ScratchPool, Shape, Tensor, TensorError};
 use gist_par::{parallel_chunks_mut, parallel_reduce, SendPtr};
@@ -64,6 +66,30 @@ fn check_geometry(s: Shape, p: ConvParams) -> Result<(), TensorError> {
     )))
 }
 
+/// A feature map conv lowers to im2col columns: a dense tensor, or a stash
+/// held in an encoded form. Conv reads it one `H × W` channel plane at a
+/// time — borrowed where the map is held dense, decoded into per-thread
+/// scratch otherwise — so no image- or batch-sized dense copy exists.
+pub trait ColumnSource: Sync {
+    /// NCHW shape of the map.
+    fn shape(&self) -> Shape;
+
+    /// Elements `start..start + scratch.len()` of the flattened map:
+    /// borrowed from the map where it is held dense, decoded into `scratch`
+    /// otherwise — bit-equal to the same slice of its dense form either way.
+    fn plane<'a>(&'a self, start: usize, scratch: &'a mut [f32]) -> &'a [f32];
+}
+
+impl ColumnSource for Tensor {
+    fn shape(&self) -> Shape {
+        Tensor::shape(self)
+    }
+
+    fn plane<'a>(&'a self, start: usize, scratch: &'a mut [f32]) -> &'a [f32] {
+        &self.data()[start..start + scratch.len()]
+    }
+}
+
 thread_local! {
     /// This thread's column matrix, forward and backward: grown to the
     /// largest image it has lowered and never shrunk, so a steady-state step
@@ -71,12 +97,20 @@ thread_local! {
     /// gist-simd's pack buffer (a separate slot: the dW matmul packs while
     /// the columns are live).
     static COLS_BUF: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// This thread's channel-plane scratch, which an encoded source decodes
+    /// into ([`ColumnSource::plane`]), grown the same way.
+    static PLANE_BUF: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Runs `f` on this thread's column buffer at `len` elements. The contents
-/// are whatever the last image left there: [`im2col_into`] writes every cell.
-fn with_cols_buf<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    COLS_BUF.with(|slot| {
+/// Runs `f` on this thread's buffer in `slot` at `len` elements. The
+/// contents are whatever the last use left there: every caller overwrites
+/// every cell.
+fn with_buf<R>(
+    slot: &'static std::thread::LocalKey<Cell<Vec<f32>>>,
+    len: usize,
+    f: impl FnOnce(&mut [f32]) -> R,
+) -> R {
+    slot.with(|slot| {
         let mut buf = slot.take();
         if buf.len() < len {
             buf.resize(len, 0.0);
@@ -96,21 +130,39 @@ fn tap_cols(p: ConvParams, kw: usize, w: usize, ow: usize) -> (usize, usize) {
 }
 
 /// Lowers image `n` of `x` into the im2col matrix `[C*K*K, OH*OW]`
-/// (row-major). Every cell of `cols` is written, padding cells with `0.0`,
-/// so the buffer may hold anything on entry.
-fn im2col_into(x: &Tensor, n: usize, p: ConvParams, oh: usize, ow: usize, cols: &mut [f32]) {
+/// (row-major), one channel plane at a time. Every cell of `cols` is
+/// written, padding cells with `0.0`, so the buffer may hold anything on
+/// entry.
+fn im2col_into<S: ColumnSource + ?Sized>(
+    x: &S,
+    n: usize,
+    p: ConvParams,
+    oh: usize,
+    ow: usize,
+    cols: &mut [f32],
+) {
     let s = x.shape();
-    let (c, h, w, k) = (s.c(), s.h(), s.w(), p.kernel);
+    let (c, hw, k) = (s.c(), s.h() * s.w(), p.kernel);
     debug_assert_eq!(cols.len(), c * k * k * oh * ow);
-    let xn = &x.data()[n * c * h * w..(n + 1) * c * h * w];
-    for (row, plane) in cols.chunks_exact_mut(oh * ow).enumerate() {
-        let (ci, kh, kw) = (row / (k * k), row / k % k, row % k);
+    with_buf(&PLANE_BUF, hw, |scratch| {
+        for (ci, rows) in cols.chunks_exact_mut(k * k * oh * ow).enumerate() {
+            let plane = x.plane((n * c + ci) * hw, scratch);
+            plane_into_rows(plane, s, p, oh, ow, rows);
+        }
+    })
+}
+
+/// The `K*K` im2col rows of one `h × w` input plane (`s` gives `h`, `w`).
+fn plane_into_rows(plane: &[f32], s: Shape, p: ConvParams, oh: usize, ow: usize, rows: &mut [f32]) {
+    let (h, w, k) = (s.h(), s.w(), p.kernel);
+    for (row, plane_cols) in rows.chunks_exact_mut(oh * ow).enumerate() {
+        let (kh, kw) = (row / k, row % k);
         let (lo, hi) = tap_cols(p, kw, w, ow);
         if lo == hi {
-            plane.fill(0.0);
+            plane_cols.fill(0.0);
             continue;
         }
-        for (ohi, dst) in plane.chunks_exact_mut(ow).enumerate() {
+        for (ohi, dst) in plane_cols.chunks_exact_mut(ow).enumerate() {
             let ih = ohi * p.stride + kh;
             if ih < p.pad || ih >= h + p.pad {
                 dst.fill(0.0);
@@ -118,7 +170,7 @@ fn im2col_into(x: &Tensor, n: usize, p: ConvParams, oh: usize, ow: usize, cols: 
             }
             dst[..lo].fill(0.0);
             dst[hi..].fill(0.0);
-            let src = &xn[(ci * h + ih - p.pad) * w + lo * p.stride + kw - p.pad..];
+            let src = &plane[(ih - p.pad) * w + lo * p.stride + kw - p.pad..];
             if p.stride == 1 {
                 dst[lo..hi].copy_from_slice(&src[..hi - lo]);
             } else {
@@ -206,7 +258,7 @@ pub fn forward_into(
     // Images are independent; fan the minibatch out over the gist-par pool.
     // (Nested matmul dispatch degrades to serial inside each image task.)
     parallel_chunks_mut(y.data_mut(), per_image, |n, dst| {
-        with_cols_buf(ckk * oh * ow, |cols| {
+        with_buf(&COLS_BUF, ckk * oh * ow, |cols| {
             im2col_into(x, n, p, oh, ow, cols);
             // weight viewed as [out_c, ckk] * cols [ckk, oh*ow]
             matmul_into(weight.data(), cols, out_c, ckk, oh * ow, dst);
@@ -223,7 +275,9 @@ pub fn forward_into(
 }
 
 /// Convolution backward pass from the stashed input `x` — the dependency
-/// that motivates SSDC. Its per-image scratch (the dW/dX matmul
+/// that motivates SSDC — read in place through its [`ColumnSource`]: the
+/// columns are bit-identical whether `x` is a dense tensor or an encoded
+/// stash of it, so dW and dX are too. Its per-image scratch (the dW/dX matmul
 /// temporaries and the per-task reduction partials) is leased from a
 /// caller-owned [`ScratchPool`] instead of heap-allocated per call; `dx`
 /// lands in a preallocated buffer (e.g. a planned arena side region) and
@@ -237,8 +291,8 @@ pub fn forward_into(
 ///
 /// Returns an error if `dy`'s shape is inconsistent with `x`/`weight`/`p`,
 /// or on a shape mismatch on `dx`.
-pub fn backward_with_into(
-    x: &Tensor,
+pub fn backward_with_into<S: ColumnSource + ?Sized>(
+    x: &S,
     weight: &Tensor,
     dy: &Tensor,
     p: ConvParams,
@@ -279,7 +333,7 @@ pub fn backward_with_into(
             for n in range {
                 let dy_n = &dy.data()[n * out_c * oh * ow..(n + 1) * out_c * oh * ow];
                 let mut dwn = scratch.lease(out_c * ckk);
-                with_cols_buf(ckk * oh * ow, |cols| {
+                with_buf(&COLS_BUF, ckk * oh * ow, |cols| {
                     im2col_into(x, n, p, oh, ow, cols);
                     matmul_a_bt_into(dy_n, cols, out_c, oh * ow, ckk, &mut dwn);
                 });

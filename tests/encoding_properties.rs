@@ -4,7 +4,7 @@
 //! count the proptest version used) from seeds derived from the property
 //! name, so failures are reproducible from the printed `seed 0x…` line.
 
-use gist::encodings::csr::SsdcConfig;
+use gist::encodings::csr::{self, SsdcConfig};
 use gist::encodings::dpr::DprBuffer;
 use gist::encodings::{
     BitMask, CsrMatrix, DprFormat, EncodingError, PoolIndexMap, RoundingMode, StashCodec,
@@ -13,8 +13,9 @@ use gist::encodings::{
 use gist::graph::{DataClass, DataStructure, Interval, NodeId, TensorRole};
 use gist::memory::{peak_dynamic, plan_static, SharingPolicy};
 use gist::simd::{available_levels, with_level, Level};
+use gist::tensor::ops::conv::{self, ConvParams};
 use gist::tensor::ops::relu;
-use gist::tensor::{Shape, Tensor};
+use gist::tensor::{ScratchPool, Shape, Tensor};
 use gist_testkit::prop::{bools, boxed, just, one_of, vec_of, weighted, Strategy};
 use gist_testkit::Runner;
 
@@ -387,15 +388,32 @@ fn assert_stash_contract(codec: StashCodec, y: &[f32], dy: &[f32]) {
     let what = format!("{codec:?} at {ne} elements");
     assert_eq!((stash.codec(), stash.shape(), stash.dense_bytes()), (codec, shape, ne * 4));
 
-    // Reservation and payload: never above the bound; equal to it exactly
-    // when the size is shape-only, and — for a data-dependent codec — only
-    // when no element could be dropped.
+    // Reservation and payload: never above the bound, which is never above
+    // dense; equal to it when the size is shape-only. SSDC holds its CSR
+    // form — or, where that would be larger than dense, the dense escape.
     let (held, bound) = (stash.encoded_bytes(), codec.bound(ne));
     assert!(held <= bound, "{what}: {held} bytes held, {bound} reserved");
-    let full = codec.is_exact() || y.iter().all(|&v| v != 0.0);
-    assert_eq!(held == bound, full, "{what}: {held} held vs {bound} reserved");
+    assert!(bound <= ne * 4, "{what}: {bound} reserved for {} dense bytes", ne * 4);
+    let escaped = match codec {
+        StashCodec::Ssdc(config) => {
+            let csr_bytes = CsrMatrix::encode(y, config).encoded_bytes();
+            assert_eq!(held, csr_bytes.min(ne * 4), "{what}: {held} held, CSR form {csr_bytes}");
+            // The reservation is tight: where the zero-sparsity CSR fits in
+            // dense, a map fills it exactly when no element could be dropped.
+            if csr::max_encoded_bytes(ne, config) <= ne * 4 {
+                let full = y.iter().all(|&v| v != 0.0);
+                assert_eq!(held == bound, full, "{what}: {held} held vs {bound} reserved");
+            }
+            csr_bytes > ne * 4
+        }
+        _ => {
+            assert_eq!(held, bound, "{what}: a shape-only size is the bound");
+            false
+        }
+    };
 
-    // The dense map a backward reader sees: the container's own decode.
+    // The dense map a backward reader sees: the container's own decode,
+    // which is what an escaped stash holds, to the bit.
     let decoded = match codec {
         StashCodec::Dense | StashCodec::Binarize => y.to_vec(),
         StashCodec::Ssdc(config) => CsrMatrix::encode(y, config).decode(),
@@ -404,7 +422,8 @@ fn assert_stash_contract(codec: StashCodec, y: &[f32], dy: &[f32]) {
     const POISON: f32 = -7.25;
     assert_eq!(
         stash.as_dense().map(|t| bits(t.data())),
-        (codec == StashCodec::Dense).then(|| bits(y))
+        (codec == StashCodec::Dense || escaped).then(|| bits(&decoded)),
+        "{what}: held dense"
     );
     if codec != StashCodec::Binarize {
         let mut dst = vec![POISON; ne];
@@ -457,7 +476,122 @@ fn every_stash_codec_honours_the_seam_contract() {
                 assert_stash_contract(codec, &y, &dy);
             }
         }
+        // An all-positive map stores every element: SSDC takes the dense
+        // escape wherever its CSR form outgrows dense — always under the
+        // lossless narrow layout — and holds exactly its bound either way.
+        let positive: Vec<f32> = (0..len).map(|i| i as f32 + 0.5).collect();
+        let t = Tensor::from_vec(Shape::vector(len), positive).unwrap();
+        for config in ssdc_configs() {
+            let codec = StashCodec::Ssdc(config);
+            let stash = codec.encode(&t, None);
+            let escapes = csr::max_encoded_bytes(len, config) > len * 4;
+            assert_eq!(stash.as_dense().is_some(), escapes, "{config:?} at {len}");
+            assert_eq!(stash.encoded_bytes(), codec.bound(len), "{config:?} at {len}");
+        }
+        let lossless = StashCodec::Ssdc(SsdcConfig::default()).encode(&t, None);
+        assert!(lossless.as_dense().is_some(), "narrow FP32 CSR kept at {len}");
     }
+}
+
+/// The range decodes a plane-at-a-time reader runs: every slice of the
+/// map, across row boundaries and the ragged last row, bit-equal to the
+/// same slice of the full decode.
+#[test]
+fn range_decodes_equal_the_slice_of_the_full_decode() {
+    let hostile = [1.5, 0.0, -0.0, f32::NAN, -2.25e-3, 0.0, 7.0, f32::INFINITY, 0.0, 3e-40];
+    for len in [0usize, 1, 35, 255, 256, 257, 1000, 1970] {
+        let y: Vec<f32> = (0..len).map(|i| hostile[(i * 7 + i / 3) % hostile.len()]).collect();
+        let ranges =
+            [(0, len), (0, len / 2), (len / 3, len - len / 3), (len.saturating_sub(1), len)];
+        for config in ssdc_configs() {
+            let csr = CsrMatrix::encode(&y, config);
+            let full = csr.decode();
+            for (a, b) in
+                ranges.iter().copied().chain((0..len).step_by(35).map(|a| (a, len.min(a + 35))))
+            {
+                let mut out = vec![f32::NAN; b - a];
+                csr.decode_range(a, &mut out);
+                assert_eq!(bits(&out), bits(&full[a..b]), "{config:?} {a}..{b} of {len}");
+            }
+        }
+        for f in [DprFormat::Fp16, DprFormat::Fp10, DprFormat::Fp8] {
+            let buf = DprBuffer::encode(f, &y);
+            let full = buf.decode();
+            for (a, b) in ranges {
+                let mut out = vec![f32::NAN; b - a];
+                buf.decode_range(a, &mut out);
+                assert_eq!(bits(&out), bits(&full[a..b]), "{f:?} {a}..{b} of {len}");
+            }
+        }
+    }
+}
+
+/// Conv backward reads its input stash in place, a channel plane at a time
+/// (`ColumnSource`): from a stash under every codec the policy can put a
+/// conv input under — the escaped SSDC stash included — dx, dW and db are
+/// bit-equal to conv backward from the stash's decoded map. Planes of 35
+/// elements put several channels in one narrow CSR row; 323 straddles rows.
+#[test]
+fn conv_backward_from_a_stash_equals_conv_backward_from_its_decoded_map() {
+    let ssdc = |narrow, value_format| StashCodec::Ssdc(SsdcConfig { narrow, value_format });
+    let mut codecs = vec![
+        StashCodec::Dense,
+        ssdc(true, None),
+        ssdc(false, None),
+        ssdc(true, Some(DprFormat::Fp8)),
+        ssdc(true, Some(DprFormat::Fp16)),
+    ];
+    codecs.extend(
+        [DprFormat::Fp16, DprFormat::Fp10, DprFormat::Fp8]
+            .map(|f| StashCodec::Dpr(f, RoundingMode::Nearest)),
+    );
+    let scratch = ScratchPool::new();
+    let mut escaped = 0;
+    for (h, w) in [(5, 7), (17, 19), (16, 16)] {
+        let xs = Shape::nchw(2, 3, h, w);
+        // A ReLU output (about half zeros) and an all-positive map (every
+        // element stored, so narrow SSDC escapes to dense).
+        let relu: Vec<f32> =
+            (0..xs.numel()).map(|i| ((i * 37 % 23) as f32 - 11.0).max(0.0) * 0.125).collect();
+        let positive: Vec<f32> = (0..xs.numel()).map(|i| (i % 13) as f32 * 0.25 + 0.5).collect();
+        for (kernel, stride, pad) in
+            (0..18).map(|i| ([1, 3, 5][i / 6], [1, 2][i / 3 % 2], [0, 1, 2][i % 3]))
+        {
+            let p = ConvParams::new(kernel, stride, pad);
+            if !p.fits(h, w) {
+                continue;
+            }
+            let weight =
+                gist::tensor::init::uniform(Shape::nchw(4, 3, kernel, kernel), -0.5, 0.5, 3);
+            let dy = gist::tensor::init::uniform(p.out_shape(xs, 4), -1.0, 1.0, 5);
+            for map in [&relu, &positive] {
+                let x = Tensor::from_vec(xs, map.clone()).unwrap();
+                for &codec in &codecs {
+                    let what = format!("{codec:?} k{kernel} s{stride} p{pad} on {h}x{w}");
+                    let stash = codec.encode(&x, None);
+                    escaped +=
+                        usize::from(codec != StashCodec::Dense && stash.as_dense().is_some());
+                    let mut decoded = Tensor::zeros(xs);
+                    stash.decode_into(decoded.data_mut()).unwrap();
+                    let grads = |dx: &mut Tensor, from_stash: bool| {
+                        let r = if from_stash {
+                            conv::backward_with_into(&stash, &weight, &dy, p, &scratch, dx)
+                        } else {
+                            conv::backward_with_into(&decoded, &weight, &dy, p, &scratch, dx)
+                        };
+                        r.unwrap()
+                    };
+                    let (mut dx_want, mut dx) = (Tensor::zeros(xs), Tensor::full(xs, f32::NAN));
+                    let (dw_want, db_want) = grads(&mut dx_want, false);
+                    let (dw, db) = grads(&mut dx, true);
+                    assert_eq!(bits(dx.data()), bits(dx_want.data()), "{what}: dx");
+                    assert_eq!(bits(dw.data()), bits(dw_want.data()), "{what}: dW");
+                    assert_eq!(bits(db.data()), bits(db_want.data()), "{what}: db");
+                }
+            }
+        }
+    }
+    assert!(escaped > 0, "no escaped SSDC stash was read");
 }
 
 #[test]

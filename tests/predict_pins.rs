@@ -18,7 +18,9 @@ use gist::graph::TensorRole;
 use gist::memory::align_arena;
 use gist::obs::{Event, MemoryAccountant, TraceSink};
 use gist::prelude::*;
-use gist::runtime::{predicted_param_wire_bytes, ssdc_stash_sizes, PlanGranularity, StepProgram};
+use gist::runtime::{
+    predicted_param_wire_bytes, ssdc_stash_sizes, AllocPolicy, PlanGranularity, StepProgram,
+};
 use gist::serve::parse_exec_mode;
 use std::collections::HashMap;
 
@@ -174,6 +176,80 @@ fn stash_reservations_and_inventory_sizes_are_the_codec_bound() {
             assert!(exact > 0, "{net}/{label}: no shape-only encoded stash in the inventory");
         }
     }
+}
+
+/// What the backward lowering no longer plans, over small zoo × mode ×
+/// policy × granularity, read off the folded event stream: no conv
+/// backward decodes its stash into a `.dec` buffer (it reads it in place);
+/// a `.dx{k}` side region is allocated only where the target's gradient map
+/// is already live (a first contribution is written straight into the map);
+/// and no SSDC stash reserves more than its dense bytes. A residual net
+/// joins the zoo (lowered only, under the arena) for its fan-outs, whose
+/// second contributions do accumulate.
+#[test]
+fn backward_plans_no_conv_decode_no_first_side_region_and_no_ssdc_above_dense() {
+    let mut accumulating = 0;
+    let residual = ("resnet-cifar", gist::models::resnet_cifar(1, BATCH));
+    for (net, graph) in small_zoo().into_iter().chain([residual]) {
+        let shapes = graph.infer_shapes().expect("shapes");
+        let node = |name: &str| graph.nodes().iter().find(|n| n.name == name).expect("a node");
+        for (label, mode) in modes() {
+            let mut ssdc = Vec::new();
+            if let ExecMode::Gist(cfg) = &mode {
+                for a in gist::core::policy::assign(&graph, cfg) {
+                    let (codec, ne) = (a.encoding.codec(cfg), shapes[a.node.index()].numel());
+                    if let StashCodec::Ssdc(_) = codec {
+                        assert!(codec.bound(ne) <= ne * 4, "{net}/{label}: {codec:?} above dense");
+                        ssdc.push(format!("{}.stash", graph.node(a.node).name));
+                    }
+                }
+            }
+            let heap = ExecSpec::from(mode.clone());
+            let wave = ExecSpec { plan: PlanGranularity::Wave, ..heap.clone().arena() };
+            let mut specs = vec![heap.clone().arena(), wave];
+            if net != "resnet-cifar" {
+                specs.push(heap);
+            }
+            for spec in specs {
+                let what = format!("{net}/{label}/{:?}/{:?}", spec.alloc, spec.plan);
+                // Only a heap SSDC stash's size needs an executed step.
+                let observed = match spec.alloc {
+                    AllocPolicy::Heap => observe(&graph, &spec).2,
+                    AllocPolicy::Arena => HashMap::new(),
+                };
+                let program = StepProgram::lower(&graph, &spec).expect("lowering");
+                let mut live = std::collections::HashSet::new();
+                for event in program.events(&observed).expect("events") {
+                    let (name, bytes) = match event {
+                        Event::Alloc { name, bytes } | Event::Transient { name, bytes } => {
+                            (name, bytes)
+                        }
+                        Event::Free { name, .. } => {
+                            live.remove(&name);
+                            continue;
+                        }
+                        _ => continue,
+                    };
+                    if let Some(reader) = name.strip_suffix(".dec") {
+                        let conv = matches!(node(reader).op, OpKind::Conv { .. });
+                        assert!(!conv, "{what}: conv backward plans {name}");
+                    }
+                    if let Some((item, k)) = name.rsplit_once(".dx") {
+                        let target = node(item).backward_targets()[k.parse::<usize>().unwrap()];
+                        let dy = format!("{}.dy", graph.node(target).name);
+                        assert!(live.contains(&dy), "{what}: {name} planned before {dy}");
+                        accumulating += 1;
+                    }
+                    if ssdc.contains(&name) {
+                        let dense = shapes[node(&name[..name.len() - 6]).id.index()].numel() * 4;
+                        assert!(bytes <= align_arena(dense as u64), "{what}: {name} {bytes}");
+                    }
+                    live.insert(name);
+                }
+            }
+        }
+    }
+    assert!(accumulating > 0, "no accumulating contribution was lowered");
 }
 
 #[test]

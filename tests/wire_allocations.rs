@@ -16,12 +16,12 @@
 //! reporting on its own thread cannot leak into an exact comparison.
 
 use gist::core::GistConfig;
-use gist::encodings::{DprFormat, TransferCodec};
+use gist::encodings::{DprFormat, RoundingMode, StashCodec, TransferCodec};
 use gist::graph::Graph;
 use gist::net::{InProcess, NetTrainer};
 use gist::obs::NullRecorder;
 use gist::runtime::{ExecMode, ExecSpec, Executor, SyntheticImages};
-use gist::tensor::Shape;
+use gist::tensor::{Shape, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -156,6 +156,32 @@ fn arena_steady_state_allocates_less_per_step_than_heap() {
             arena < heap,
             "{mode:?}: arena steady state must allocate less than heap ({arena} vs {heap})"
         );
+    }
+}
+
+/// The DPR ReLU gate runs through a fixed stack chunk: no call allocates
+/// (it used to decode the whole map into a heap `Vec` per use), and the
+/// gate is bit-equal to the dense kernel over the decoded map.
+#[test]
+fn the_dpr_relu_gate_allocates_nothing() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ne = 70_000;
+    let y: Vec<f32> = (0..ne).map(|i| ((i * 37 % 23) as f32 - 11.0) * 0.37).collect();
+    let dy: Vec<f32> = (0..ne).map(|i| i as f32 * 0.5 - 3.0).collect();
+    let t = Tensor::from_vec(Shape::vector(ne), y).expect("tensor");
+    for format in [DprFormat::Fp16, DprFormat::Fp10, DprFormat::Fp8] {
+        let stash = StashCodec::Dpr(format, RoundingMode::Nearest).encode(&t, None);
+        let mut decoded = vec![0.0f32; ne];
+        stash.decode_into(&mut decoded).expect("length");
+        let want: Vec<u32> = decoded
+            .iter()
+            .zip(&dy)
+            .map(|(&yv, &dv)| if yv > 0.0 { dv } else { 0.0 }.to_bits())
+            .collect();
+        let mut dx = vec![f32::NAN; ne];
+        let (allocs, _) = count(|| stash.relu_backward_into(&dy, &mut dx).expect("length"));
+        assert_eq!(allocs, 0, "{format:?}: the gate allocated");
+        assert_eq!(dx.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want, "{format:?}");
     }
 }
 
