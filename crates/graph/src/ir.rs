@@ -2,7 +2,7 @@
 
 use gist_tensor::ops::conv::ConvParams;
 use gist_tensor::ops::lrn::LrnParams;
-use gist_tensor::ops::pool::PoolParams;
+use gist_tensor::ops::pool::{PoolParams, MAX_MAP_WINDOW};
 use gist_tensor::Shape;
 use std::fmt;
 
@@ -426,6 +426,12 @@ impl Graph {
                             p.window, p.stride, p.pad
                         )));
                     }
+                    if matches!(node.op, OpKind::MaxPool(_)) && !p.map_fits() {
+                        return Err(err(format!(
+                            "max-pool window {} exceeds the Y→X map's {MAX_MAP_WINDOW}",
+                            p.window
+                        )));
+                    }
                     p.out_shape(x)
                 }
                 OpKind::Linear { out_features, .. } => {
@@ -582,6 +588,31 @@ mod tests {
                 }
                 let r = g.infer_shapes();
                 assert!(matches!(r, Err(GraphError::ShapeInference { .. })), "{case}: {r:?}");
+            }
+        }
+    }
+
+    /// A max-pool window wider than 16 would wrap its `u8` map entries, so
+    /// shape inference rejects it; average pooling keeps no map and takes it.
+    #[test]
+    fn max_pool_window_is_bounded_by_its_map() {
+        for (window, max_ok) in [(16, true), (17, false)] {
+            for max in [true, false] {
+                let mut g = Graph::new("wide");
+                let x = g.input(Shape::nchw(1, 2, 17, 17));
+                let p = PoolParams::new(window, 1, 0);
+                if max {
+                    g.max_pool(x, p, "p");
+                } else {
+                    g.avg_pool(x, p, "p");
+                }
+                let r = g.infer_shapes();
+                if max && !max_ok {
+                    assert!(matches!(r, Err(GraphError::ShapeInference { .. })), "{r:?}");
+                } else {
+                    let (oh, ow) = p.out_hw(17, 17);
+                    assert_eq!(r.unwrap()[1], Shape::nchw(1, 2, oh, ow), "window {window}");
+                }
             }
         }
     }

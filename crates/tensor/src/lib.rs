@@ -60,6 +60,16 @@ pub enum TensorError {
     },
     /// A kernel was invoked with a shape it does not support.
     UnsupportedShape(String),
+    /// An index read from an input (e.g. a max-pool Y→X map entry) is not
+    /// below the bound it must respect.
+    IndexOutOfRange {
+        /// Position of the offending entry in its input.
+        at: usize,
+        /// The entry's value.
+        index: usize,
+        /// Exclusive bound on every entry.
+        bound: usize,
+    },
 }
 
 impl std::fmt::Display for TensorError {
@@ -72,6 +82,9 @@ impl std::fmt::Display for TensorError {
                 write!(f, "shape mismatch: {left} vs {right}")
             }
             TensorError::UnsupportedShape(msg) => write!(f, "unsupported shape: {msg}"),
+            TensorError::IndexOutOfRange { at, index, bound } => {
+                write!(f, "entry {at} is {index}, not below {bound}")
+            }
         }
     }
 }

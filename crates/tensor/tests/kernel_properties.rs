@@ -8,7 +8,7 @@ use gist_tensor::ops::conv::{self, ConvParams};
 use gist_tensor::ops::pool::{self, PoolParams};
 use gist_tensor::ops::{elementwise, linear, relu, softmax};
 use gist_tensor::{ScratchPool, Shape, Tensor};
-use gist_testkit::prop::{boxed, just, map, one_of, vec_of, Strategy};
+use gist_testkit::prop::{bools, boxed, just, map, one_of, vec_of, Strategy};
 use gist_testkit::Runner;
 
 const CASES: u32 = 64;
@@ -17,6 +17,19 @@ fn small_tensor(n: usize, c: usize, h: usize, w: usize) -> impl Strategy<Value =
     map(vec_of(-10.0f32..10.0, n * c * h * w..n * c * h * w + 1), move |v| {
         Tensor::from_vec(Shape::nchw(n, c, h, w), v).unwrap()
     })
+}
+
+/// Raw bit patterns: the equality that tells NaN payloads and `±0.0` apart.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// [`bits`] with every NaN as one pattern, for values that sums produce:
+/// Rust leaves the sign and payload of a NaN an addition returns
+/// unspecified (`NaN + NaN` may yield either operand's), so two compiled
+/// copies of one sum may differ there — and only there.
+fn sum_bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
 }
 
 /// ReLU is idempotent and its output non-negative.
@@ -131,9 +144,6 @@ fn conv_lowering_matches_naive_loop_on_poisoned_buffers() {
                         poison();
                         let mut y = Tensor::full(expect.shape(), f32::NAN);
                         conv::forward_into(&x, &w, Some(&bias), p, &mut y).unwrap();
-                        let bits = |t: &Tensor| -> Vec<u32> {
-                            t.data().iter().map(|v| v.to_bits()).collect()
-                        };
                         assert_eq!(
                             bits(&y),
                             bits(&expect),
@@ -152,6 +162,253 @@ fn conv_lowering_matches_naive_loop_on_poisoned_buffers() {
                     });
                 }
             });
+        },
+    );
+}
+
+/// The textbook max-pool loop: each window scanned in ascending `(kh, kw)`
+/// order with a strict `>` from `-inf`, padding cells skipped, the winner's
+/// window index recorded. The kernels promise its bits.
+fn maxpool_reference(x: &Tensor, p: PoolParams) -> (Tensor, Vec<u8>) {
+    let s = x.shape();
+    let mut y = Tensor::zeros(p.out_shape(s));
+    let out = y.shape();
+    let mut argmax = vec![0u8; out.numel()];
+    let mut oi = 0usize;
+    for n in 0..s.n() {
+        for c in 0..s.c() {
+            for oh in 0..out.h() {
+                for ow in 0..out.w() {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_widx = 0u8;
+                    for kh in 0..p.window {
+                        for kw in 0..p.window {
+                            let ih = (oh * p.stride + kh) as isize - p.pad as isize;
+                            let iw = (ow * p.stride + kw) as isize - p.pad as isize;
+                            if ih < 0 || iw < 0 || ih >= s.h() as isize || iw >= s.w() as isize {
+                                continue;
+                            }
+                            let v = x.at(n, c, ih as usize, iw as usize);
+                            if v > best {
+                                best = v;
+                                best_widx = (kh * p.window + kw) as u8;
+                            }
+                        }
+                    }
+                    y.data_mut()[oi] = best;
+                    argmax[oi] = best_widx;
+                    oi += 1;
+                }
+            }
+        }
+    }
+    (y, argmax)
+}
+
+/// The textbook max-pool backward loop: zero `dX`, then add each `dY` to
+/// the cell its map entry names, in ascending `(n, c, oh, ow)` order,
+/// dropping entries that name padding.
+fn maxpool_backward_reference(x_shape: Shape, argmax: &[u8], dy: &Tensor, p: PoolParams) -> Tensor {
+    let out = p.out_shape(x_shape);
+    let mut dx = Tensor::zeros(x_shape);
+    let mut oi = 0usize;
+    for n in 0..x_shape.n() {
+        for c in 0..x_shape.c() {
+            for oh in 0..out.h() {
+                for ow in 0..out.w() {
+                    let widx = argmax[oi] as usize;
+                    let kh = widx / p.window;
+                    let kw = widx % p.window;
+                    let ih = (oh * p.stride + kh) as isize - p.pad as isize;
+                    let iw = (ow * p.stride + kw) as isize - p.pad as isize;
+                    if ih >= 0
+                        && iw >= 0
+                        && (ih as usize) < x_shape.h()
+                        && (iw as usize) < x_shape.w()
+                    {
+                        let idx = x_shape.index(n, c, ih as usize, iw as usize);
+                        dx.data_mut()[idx] += dy.data()[oi];
+                    }
+                    oi += 1;
+                }
+            }
+        }
+    }
+    dx
+}
+
+/// The textbook average-pool loop: each window's non-padding cells summed
+/// from `0.0` in ascending `(kh, kw)` order, divided by the full area.
+fn avgpool_reference(x: &Tensor, p: PoolParams) -> Tensor {
+    let s = x.shape();
+    let mut y = Tensor::zeros(p.out_shape(s));
+    let out = y.shape();
+    let area = (p.window * p.window) as f32;
+    let mut oi = 0usize;
+    for n in 0..s.n() {
+        for c in 0..s.c() {
+            for oh in 0..out.h() {
+                for ow in 0..out.w() {
+                    let mut acc = 0.0;
+                    for kh in 0..p.window {
+                        for kw in 0..p.window {
+                            let ih = (oh * p.stride + kh) as isize - p.pad as isize;
+                            let iw = (ow * p.stride + kw) as isize - p.pad as isize;
+                            if ih < 0 || iw < 0 || ih >= s.h() as isize || iw >= s.w() as isize {
+                                continue;
+                            }
+                            acc += x.at(n, c, ih as usize, iw as usize);
+                        }
+                    }
+                    y.data_mut()[oi] = acc / area;
+                    oi += 1;
+                }
+            }
+        }
+    }
+    y
+}
+
+/// The textbook average-pool backward loop: zero `dX`, then spread each
+/// `dY / area` over its window's non-padding cells in ascending
+/// `(n, c, oh, ow, kh, kw)` order.
+fn avgpool_backward_reference(x_shape: Shape, dy: &Tensor, p: PoolParams) -> Tensor {
+    let out = p.out_shape(x_shape);
+    let mut dx = Tensor::zeros(x_shape);
+    let area = (p.window * p.window) as f32;
+    let mut oi = 0usize;
+    for n in 0..x_shape.n() {
+        for c in 0..x_shape.c() {
+            for oh in 0..out.h() {
+                for ow in 0..out.w() {
+                    let g = dy.data()[oi] / area;
+                    for kh in 0..p.window {
+                        for kw in 0..p.window {
+                            let ih = (oh * p.stride + kh) as isize - p.pad as isize;
+                            let iw = (ow * p.stride + kw) as isize - p.pad as isize;
+                            if ih >= 0
+                                && iw >= 0
+                                && (ih as usize) < x_shape.h()
+                                && (iw as usize) < x_shape.w()
+                            {
+                                let idx = x_shape.index(n, c, ih as usize, iw as usize);
+                                dx.data_mut()[idx] += g;
+                            }
+                        }
+                    }
+                    oi += 1;
+                }
+            }
+        }
+    }
+    dx
+}
+
+/// Values that tell a reordered or re-associated pool from the loop: NaN,
+/// both infinities, both zeros, subnormals, and a few small integers, so
+/// windows tie often.
+fn hostile_f32() -> impl Strategy<Value = f32> {
+    one_of(vec![
+        boxed(-2.0f32..2.0),
+        boxed(one_of(vec![boxed(just(-1.0f32)), boxed(just(1.0f32)), boxed(just(2.0f32))])),
+        boxed(just(0.0f32)),
+        boxed(just(-0.0f32)),
+        boxed(just(f32::NAN)),
+        boxed(just(f32::INFINITY)),
+        boxed(just(f32::NEG_INFINITY)),
+        boxed(just(f32::MIN_POSITIVE / 2.0)),
+        boxed(just(-1e-45f32)),
+    ])
+}
+
+/// Pooling geometry: windows 1–4, strides 1–3, pads 0–1 on odd and even
+/// inputs, or one of the zoo's (2/2/0, 3/2/0, 3/1/1, 3/2/1, and a global
+/// average over the whole map).
+fn pool_case() -> impl Strategy<Value = (PoolParams, (usize, usize))> {
+    let zoo = |p: PoolParams| boxed(map(5usize..14, move |hw| (p, (hw, hw))));
+    one_of(vec![
+        boxed(map(
+            ((1usize..5, 1usize..4, 0usize..2), (1usize..12, 1usize..12)),
+            |((k, s, p), hw)| (PoolParams::new(k, s, p), hw),
+        )),
+        zoo(PoolParams::new(2, 2, 0)),
+        zoo(PoolParams::new(3, 2, 0)),
+        zoo(PoolParams::new(3, 1, 1)),
+        zoo(PoolParams::new(3, 2, 1)),
+        boxed(map(1usize..9, |hw| (PoolParams::new(hw, 1, 0), (hw, hw)))),
+    ])
+}
+
+/// Every pooling kernel equals its textbook loop bit for bit — outputs,
+/// map bytes and gradients (a summed NaN as any NaN, see [`sum_bits`]) —
+/// written into NaN-poisoned buffers, over
+/// [`pool_case`]'s geometries and [`hostile_f32`] values, on a few planes
+/// or on 200–280, where a plane-offset slip shows.
+/// With `nan_rim` each plane's outer rows and columns are NaN, so padded
+/// border windows see nothing but NaN and padding. Max-pool backward runs
+/// on the forward's map and on an arbitrary in-window map, whose border
+/// entries may name padding and must be dropped.
+#[test]
+fn pooling_kernels_equal_the_textbook_loops_bit_for_bit() {
+    Runner::new("pooling_kernels_equal_the_textbook_loops_bit_for_bit").cases(CASES * 4).run(
+        &(
+            (
+                pool_case(),
+                one_of(vec![boxed((1usize..3, 1usize..4)), boxed((just(2usize), 100usize..140))]),
+            ),
+            bools(),
+            vec_of(hostile_f32(), 16..97),
+            vec_of(0usize..256, 16..97),
+        ),
+        |(((p, (h, w)), (n, c)), nan_rim, base, entries)| {
+            let (p, s) = (*p, Shape::nchw(*n, *c, *h, *w));
+            let mut poisoned = Tensor::full(s, f32::NAN);
+            if !p.fits(*h, *w) {
+                assert!(pool::maxpool_forward_into(&poisoned.clone(), p, &mut poisoned).is_err());
+                return;
+            }
+            let mut values: Vec<f32> = base.iter().copied().cycle().take(s.numel()).collect();
+            if *nan_rim {
+                for (i, v) in values.iter_mut().enumerate() {
+                    let (r, col) = (i / w % h, i % w);
+                    if r == 0 || r == h - 1 || col == 0 || col == w - 1 {
+                        *v = f32::NAN;
+                    }
+                }
+            }
+            let x = Tensor::from_vec(s, values).unwrap();
+            let out = p.out_shape(s);
+            let dy_values = base.iter().rev().copied().cycle().take(out.numel()).collect();
+            let dy = Tensor::from_vec(out, dy_values).unwrap();
+            let case = format!("{p:?} on {s}");
+
+            let (y_ref, map_ref) = maxpool_reference(&x, p);
+            let mut y = Tensor::full(out, f32::NAN);
+            let map_got = pool::maxpool_forward_into(&x, p, &mut y).unwrap();
+            assert_eq!(bits(&y), bits(&y_ref), "maxpool forward {case}");
+            assert_eq!(map_got, map_ref, "maxpool map {case}");
+            let area = p.window * p.window;
+            let arbitrary: Vec<u8> =
+                entries.iter().cycle().take(out.numel()).map(|&e| (e % area) as u8).collect();
+            for m in [&map_ref, &arbitrary] {
+                let mut dx = poisoned.clone();
+                pool::maxpool_backward_into(s, m, &dy, p, &mut dx).unwrap();
+                assert_eq!(
+                    sum_bits(&dx),
+                    sum_bits(&maxpool_backward_reference(s, m, &dy, p)),
+                    "maxpool backward {case}"
+                );
+            }
+
+            let mut y = Tensor::full(out, f32::NAN);
+            pool::avgpool_forward_into(&x, p, &mut y).unwrap();
+            assert_eq!(sum_bits(&y), sum_bits(&avgpool_reference(&x, p)), "avgpool forward {case}");
+            pool::avgpool_backward_into(s, &dy, p, &mut poisoned).unwrap();
+            assert_eq!(
+                sum_bits(&poisoned),
+                sum_bits(&avgpool_backward_reference(s, &dy, p)),
+                "avgpool backward {case}"
+            );
         },
     );
 }

@@ -56,10 +56,12 @@
 #      outside the workspace and builds against the `gist` facade, so a
 #      facade API break would otherwise show only in the benchmark run —
 #      and a facade-compatible change can still fail one of its output
-#      checks at run time, so `train_stash`, `train_conv` and
-#      `exchange_mlp` (whose check is the wire's guard: loopback-TCP raw
-#      loss bits equal the in-process loss bits at every step) each run
-#      for 2 s and must end on `"correct": true` with `"failed": 0`
+#      checks at run time, so `train_stash`, `train_conv`, `exchange_mlp`
+#      (whose check is the wire's guard: loopback-TCP raw loss bits equal
+#      the in-process loss bits at every step) and `serve_churn` (pooling
+#      and the rest of the kernels on three more models, each job's
+#      served fingerprint equal to its solo run's) each run for 2 s and
+#      must end on `"correct": true` with `"failed": 0`
 #  12. the suffix-family tripwire: a training step is configured by one
 #      `ExecSpec` value and described by one lowered `StepProgram`, so no
 #      constructor or predictor per axis (`new_with_*`,
@@ -130,7 +132,7 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> benchmark smoke run (outside the workspace; output checks must pass)"
-for workload in train_stash train_conv exchange_mlp; do
+for workload in train_stash train_conv exchange_mlp serve_churn; do
     # A failed check also exits non-zero; the last line says which, so
     # report it instead of letting `set -e` stop silently here.
     last=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 | tail -n 1) || true
