@@ -54,13 +54,16 @@ thread_local! {
 
 /// Leases the thread-local pack buffer at `len` elements for the duration
 /// of `f`. Nested calls (a kernel inside a pool task that itself packs)
-/// simply allocate a fresh buffer; steady-state top-level calls reuse.
-fn with_pack_buf<R>(len: usize, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+/// simply allocate a fresh buffer; steady-state top-level calls reuse. The
+/// buffer only grows, and its contents are whatever the last use left:
+/// [`pack_b_transposed`] writes every cell of the panel.
+fn with_pack_buf<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     PACK_BUF.with(|slot| {
         let mut buf = slot.take();
-        buf.clear();
-        buf.resize(len, 0.0);
-        let r = f(&mut buf);
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        let r = f(&mut buf[..len]);
         slot.set(buf);
         r
     })

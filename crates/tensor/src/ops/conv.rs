@@ -1,6 +1,7 @@
 //! 2-D convolution: every geometry is lowered per image to an im2col
 //! column matrix and the register-tiled `gist-simd` GEMM family, forward and
-//! backward.
+//! backward. A pointwise convolution's column matrix is its image, read in
+//! place.
 //!
 //! The convolution backward pass needs its stashed *input* feature map to
 //! compute weight gradients (Figure 4(d) in the paper) — which is why
@@ -55,15 +56,23 @@ impl ConvParams {
     }
 }
 
-/// Rejects degenerate geometry before any output-shape arithmetic.
-fn check_geometry(s: Shape, p: ConvParams) -> Result<(), TensorError> {
-    if p.fits(s.h(), s.w()) {
-        return Ok(());
+/// Rejects degenerate geometry before any output-shape arithmetic, then a
+/// weight that is not `[K, C, R, R]` for `x`'s `C` channels and `p`'s kernel
+/// `R`. Both entry points run it before they touch an output.
+fn check_shapes(s: Shape, ws: Shape, p: ConvParams) -> Result<(), TensorError> {
+    if !p.fits(s.h(), s.w()) {
+        return Err(TensorError::UnsupportedShape(format!(
+            "conv kernel {} stride {} pad {} on {s}",
+            p.kernel, p.stride, p.pad
+        )));
     }
-    Err(TensorError::UnsupportedShape(format!(
-        "conv kernel {} stride {} pad {} on {s}",
-        p.kernel, p.stride, p.pad
-    )))
+    if ws.c() != s.c() || ws.h() != p.kernel || ws.w() != p.kernel {
+        return Err(TensorError::UnsupportedShape(format!(
+            "weight {ws} incompatible with input {s} kernel {}",
+            p.kernel
+        )));
+    }
+    Ok(())
 }
 
 /// A feature map conv lowers to im2col columns: a dense tensor, or a stash
@@ -152,6 +161,29 @@ fn im2col_into<S: ColumnSource + ?Sized>(
     })
 }
 
+/// Runs `f` on image `n`'s im2col matrix `[C*K*K, OH*OW]`. A pointwise
+/// convolution (kernel 1, stride 1, pad 0) lowers to the image itself, so its
+/// matrix is one [`ColumnSource::plane`] read: the image borrowed in place
+/// when the map is held dense, decoded straight into the column buffer
+/// otherwise. Every other geometry runs [`im2col_into`].
+fn with_cols<S: ColumnSource + ?Sized, R>(
+    x: &S,
+    n: usize,
+    p: ConvParams,
+    oh: usize,
+    ow: usize,
+    f: impl FnOnce(&[f32]) -> R,
+) -> R {
+    let len = x.shape().c() * p.kernel * p.kernel * oh * ow;
+    with_buf(&COLS_BUF, len, |cols| {
+        if p == ConvParams::new(1, 1, 0) {
+            return f(x.plane(n * len, cols));
+        }
+        im2col_into(x, n, p, oh, ow, cols);
+        f(cols)
+    })
+}
+
 /// The `K*K` im2col rows of one `h × w` input plane (`s` gives `h`, `w`).
 fn plane_into_rows(plane: &[f32], s: Shape, p: ConvParams, oh: usize, ow: usize, rows: &mut [f32]) {
     let (h, w, k) = (s.h(), s.w(), p.kernel);
@@ -212,6 +244,40 @@ fn col2im_slice(cols: &[f32], dst: &mut [f32], s: Shape, p: ConvParams, oh: usiz
     }
 }
 
+/// Channels whose bias-gradient chains [`add_channel_sums`] interleaves.
+const CHAINS: usize = 8;
+
+/// `db[k] += Σ_p dy[k·hw + p]` for every channel `k`. Each channel's sum
+/// runs from `0.0` over ascending `p`, exactly the serial loop's chain, but
+/// [`CHAINS`] channels' chains run side by side, one per lane (DESIGN.md
+/// §11: lanes hold independent outputs), so no add waits on its neighbour.
+/// A whole group reads an 8-position block of each of its planes at a time;
+/// a short last group and the positions past the last block go one
+/// position at a time.
+fn add_channel_sums(dy: &[f32], hw: usize, db: &mut [f32]) {
+    for (db, dy) in db.chunks_mut(CHAINS).zip(dy.chunks(CHAINS * hw)) {
+        let mut acc = [0.0f32; CHAINS];
+        let blocked = if db.len() == CHAINS { hw - hw % 8 } else { 0 };
+        for p0 in (0..blocked).step_by(8) {
+            let block: [&[f32; 8]; CHAINS] =
+                std::array::from_fn(|l| dy[l * hw + p0..][..8].try_into().expect("8 positions"));
+            for q in 0..8 {
+                for (a, row) in acc.iter_mut().zip(&block) {
+                    *a += row[q];
+                }
+            }
+        }
+        for p in blocked..hw {
+            for (a, plane) in acc.iter_mut().zip(dy.chunks_exact(hw)) {
+                *a += plane[p];
+            }
+        }
+        for (d, a) in db.iter_mut().zip(acc) {
+            *d += a;
+        }
+    }
+}
+
 /// Convolution forward pass, writing into a preallocated output (e.g. an
 /// arena view). Every element of `y` is overwritten.
 ///
@@ -232,13 +298,7 @@ pub fn forward_into(
 ) -> Result<(), TensorError> {
     let s = x.shape();
     let ws = weight.shape();
-    check_geometry(s, p)?;
-    if ws.c() != s.c() || ws.h() != p.kernel || ws.w() != p.kernel {
-        return Err(TensorError::UnsupportedShape(format!(
-            "weight {ws} incompatible with input {s} kernel {}",
-            p.kernel
-        )));
-    }
+    check_shapes(s, ws, p)?;
     let out_c = ws.n();
     if let Some(b) = bias {
         if b.numel() != out_c {
@@ -258,10 +318,9 @@ pub fn forward_into(
     // Images are independent; fan the minibatch out over the gist-par pool.
     // (Nested matmul dispatch degrades to serial inside each image task.)
     parallel_chunks_mut(y.data_mut(), per_image, |n, dst| {
-        with_buf(&COLS_BUF, ckk * oh * ow, |cols| {
-            im2col_into(x, n, p, oh, ow, cols);
-            // weight viewed as [out_c, ckk] * cols [ckk, oh*ow]
-            matmul_into(weight.data(), cols, out_c, ckk, oh * ow, dst);
+        // weight viewed as [out_c, ckk] * cols [ckk, oh*ow]
+        with_cols(x, n, p, oh, ow, |cols| {
+            matmul_into(weight.data(), cols, out_c, ckk, oh * ow, dst)
         });
         if let Some(b) = bias {
             for (plane, bk) in dst.chunks_exact_mut(oh * ow).zip(b.data()) {
@@ -289,8 +348,10 @@ pub fn forward_into(
 ///
 /// # Errors
 ///
-/// Returns an error if `dy`'s shape is inconsistent with `x`/`weight`/`p`,
-/// or on a shape mismatch on `dx`.
+/// Returns an error, before `dx` is touched, if the kernel geometry or the
+/// weight's channels and kernel do not fit `x` (as [`forward_into`]
+/// checks), if `dy`'s shape is inconsistent with `x`/`weight`/`p`, or on a
+/// shape mismatch on `dx`.
 pub fn backward_with_into<S: ColumnSource + ?Sized>(
     x: &S,
     weight: &Tensor,
@@ -301,7 +362,7 @@ pub fn backward_with_into<S: ColumnSource + ?Sized>(
 ) -> Result<(Tensor, Tensor), TensorError> {
     let s = x.shape();
     let ws = weight.shape();
-    check_geometry(s, p)?;
+    check_shapes(s, ws, p)?;
     let out_c = ws.n();
     let expected = p.out_shape(s, out_c);
     if dy.shape() != expected {
@@ -312,6 +373,12 @@ pub fn backward_with_into<S: ColumnSource + ?Sized>(
     }
     let (oh, ow) = (expected.h(), expected.w());
     let ckk = s.c() * p.kernel * p.kernel;
+    // dW = dy_n · colsᵀ puts its `ckk` output columns on the vector lanes;
+    // when `ckk` leaves a scalar tail there and `out_c` would not, dWᵀ =
+    // cols · dy_nᵀ runs whole vectors instead. Both sum each cell's terms in
+    // ascending order from `0.0` and products commute, so bits agree.
+    let lanes = gist_simd::level().lanes();
+    let dw_transposed = !ckk.is_multiple_of(lanes) && out_c.is_multiple_of(lanes);
     dx.data_mut().fill(0.0);
     let mut dw = Tensor::zeros(ws);
     let mut db = Tensor::zeros(Shape::vector(out_c));
@@ -333,12 +400,19 @@ pub fn backward_with_into<S: ColumnSource + ?Sized>(
             for n in range {
                 let dy_n = &dy.data()[n * out_c * oh * ow..(n + 1) * out_c * oh * ow];
                 let mut dwn = scratch.lease(out_c * ckk);
-                with_buf(&COLS_BUF, ckk * oh * ow, |cols| {
-                    im2col_into(x, n, p, oh, ow, cols);
-                    matmul_a_bt_into(dy_n, cols, out_c, oh * ow, ckk, &mut dwn);
+                with_cols(x, n, p, oh, ow, |cols| {
+                    if dw_transposed {
+                        matmul_a_bt_into(cols, dy_n, ckk, oh * ow, out_c, &mut dwn)
+                    } else {
+                        matmul_a_bt_into(dy_n, cols, out_c, oh * ow, ckk, &mut dwn)
+                    }
                 });
-                for (a, b) in dw_part.iter_mut().zip(dwn.iter()) {
-                    *a += b;
+                // dW[k][j] is dwn[k·ckk + j], or dwn[j·out_c + k] transposed.
+                let (k_step, j_step) = if dw_transposed { (1, out_c) } else { (ckk, 1) };
+                for (k, row) in dw_part.chunks_exact_mut(ckk).enumerate() {
+                    for (j, a) in row.iter_mut().enumerate() {
+                        *a += dwn[k * k_step + j * j_step];
+                    }
                 }
                 let mut dcols = scratch.lease(ckk * oh * ow);
                 matmul_at_b_into(weight.data(), dy_n, ckk, out_c, oh * ow, &mut dcols);
@@ -346,9 +420,7 @@ pub fn backward_with_into<S: ColumnSource + ?Sized>(
                 // dispatch (parallel_reduce blocks until completion).
                 let dst = unsafe { std::slice::from_raw_parts_mut(dx_ptr.add(n * per_dx), per_dx) };
                 col2im_slice(&dcols, dst, s, p, oh, ow);
-                for k in 0..out_c {
-                    db_part[k] += dy_n[k * oh * ow..(k + 1) * oh * ow].iter().sum::<f32>();
-                }
+                add_channel_sums(dy_n, oh * ow, &mut db_part);
             }
             (dw_part, db_part)
         },
@@ -555,6 +627,26 @@ mod tests {
         let w = Tensor::zeros(Shape::nchw(2, 4, 3, 3));
         let mut y = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
         assert!(forward_into(&x, &w, None, ConvParams::new(3, 1, 1), &mut y).is_err());
+    }
+
+    /// Backward checks the weight against `x` and `p` as forward does, and
+    /// before it touches `dx`: a weight with the wrong channel count, and
+    /// one with the right element count but the wrong kernel.
+    #[test]
+    fn backward_rejects_a_weight_that_does_not_fit_x_and_p() {
+        let p = ConvParams::new(3, 1, 1);
+        let x = Tensor::full(Shape::nchw(1, 2, 4, 4), 1.0);
+        for ws in [Shape::nchw(3, 1, 3, 3), Shape::nchw(3, 18, 1, 1)] {
+            let w = Tensor::full(ws, 1.0);
+            let mut y = Tensor::zeros(p.out_shape(x.shape(), 3));
+            let err = forward_into(&x, &w, None, p, &mut y).unwrap_err();
+            assert!(matches!(err, TensorError::UnsupportedShape(_)), "forward {ws}: {err:?}");
+            let dy = Tensor::full(y.shape(), 1.0);
+            let mut dx = Tensor::full(x.shape(), 7.0);
+            let err = backward_with_into(&x, &w, &dy, p, &ScratchPool::new(), &mut dx).unwrap_err();
+            assert!(matches!(err, TensorError::UnsupportedShape(_)), "backward {ws}: {err:?}");
+            assert!(dx.data().iter().all(|&v| v == 7.0), "backward {ws} touched dx");
+        }
     }
 
     #[test]

@@ -166,6 +166,141 @@ fn conv_lowering_matches_naive_loop_on_poisoned_buffers() {
     );
 }
 
+/// The textbook convolution backward pass, as gradients of
+/// [`conv_reference`]'s loops, one image at a time. db: one serial sum per
+/// channel from `0.0`. dW: for each `(k, j)`, one serial sum over output
+/// positions `p` of `dy[k, p] · col[j, p]`, where `col` is the input tap
+/// (`0.0` in padding). Both are then added image by image into zeroed
+/// totals — the kernel's fixed merge tree for one or two images. dX: each
+/// column cell `Σ_k w[k, j] · dy[k, p]` (a zero weight's term is skipped —
+/// the GEMM's semantic skip, since `0 · ∞` is NaN), added into its input
+/// cell in `col2im` order, `(ci, kh, kw, oh, ow)`, from zero.
+fn conv_backward_reference(
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+    p: ConvParams,
+) -> (Tensor, Tensor, Tensor) {
+    let (s, out) = (x.shape(), dy.shape());
+    assert!(s.n() <= 2, "the merge tree is a left fold for at most two images");
+    let (f, k) = (w.shape().n(), p.kernel);
+    let tap = |oh: usize, ow: usize, kh: usize, kw: usize| {
+        let (ih, iw) = (oh * p.stride + kh, ow * p.stride + kw);
+        let inside = (p.pad..s.h() + p.pad).contains(&ih) && (p.pad..s.w() + p.pad).contains(&iw);
+        inside.then(|| (ih - p.pad, iw - p.pad))
+    };
+    let (mut dx, mut dw, mut db) =
+        (Tensor::zeros(s), Tensor::zeros(w.shape()), Tensor::zeros(Shape::vector(f)));
+    for n in 0..s.n() {
+        for fi in 0..f {
+            let mut acc = 0.0f32;
+            for oh in 0..out.h() {
+                for ow in 0..out.w() {
+                    acc += dy.at(n, fi, oh, ow);
+                }
+            }
+            db.data_mut()[fi] += acc;
+        }
+        for ci in 0..s.c() {
+            for kh in 0..k {
+                for kw in 0..k {
+                    for fi in 0..f {
+                        let mut acc = 0.0f32;
+                        for oh in 0..out.h() {
+                            for ow in 0..out.w() {
+                                let col =
+                                    tap(oh, ow, kh, kw).map_or(0.0, |(ih, iw)| x.at(n, ci, ih, iw));
+                                acc += dy.at(n, fi, oh, ow) * col;
+                            }
+                        }
+                        dw.data_mut()[((fi * s.c() + ci) * k + kh) * k + kw] += acc;
+                    }
+                    for oh in 0..out.h() {
+                        for ow in 0..out.w() {
+                            let Some((ih, iw)) = tap(oh, ow, kh, kw) else { continue };
+                            let mut acc = 0.0f32;
+                            for fi in 0..f {
+                                let wv = w.at(fi, ci, kh, kw);
+                                if wv != 0.0 {
+                                    acc += wv * dy.at(n, fi, oh, ow);
+                                }
+                            }
+                            dx.data_mut()[((n * s.c() + ci) * s.h() + ih) * s.w() + iw] += acc;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (dx, dw, db)
+}
+
+/// Conv backward equals [`conv_backward_reference`] bit for bit (a summed
+/// NaN as any NaN, see [`sum_bits`]) at every SIMD level, `dx` written into
+/// a NaN-poisoned buffer. `ckk = C·K·K` ∈ {1, 3, 8, 9, 27} — pointwise
+/// (1×1, stride 1, pad 0) for every `C`, 3×3 at strides 1 and 2 for `C` of
+/// 1 and 3 — against `out_c` ∈ {1, 3, 8, 9, 16}, on one or two images whose
+/// `oh·ow` is below and above 8: both dW orientations, whole and short db
+/// lane groups, and both column reads. Values are [`hostile_f32`] — with
+/// `finite`, its finite ones at magnitudes from 1e-8 to 1e8, so a reordered
+/// sum rounds differently — and with `zero_planes` every third `dy` plane
+/// is all `-0.0`.
+#[test]
+fn conv_backward_equals_the_textbook_loops_bit_for_bit() {
+    let geometries: Vec<(usize, ConvParams)> = [1, 3, 8, 9]
+        .map(|c| (c, ConvParams::new(1, 1, 0)))
+        .into_iter()
+        .chain([1, 3].map(|c| (c, ConvParams::new(3, 1, 1))))
+        .chain([1, 3].map(|c| (c, ConvParams::new(3, 2, 1))))
+        .collect();
+    let scratch = ScratchPool::new();
+    Runner::new("conv_backward_equals_the_textbook_loops_bit_for_bit").cases(CASES / 4).run(
+        &((bools(), bools()), vec_of(hostile_f32(), 16..97)),
+        |((finite, zero_planes), base)| {
+            let scale = [1.0, 1e8, 1e-8, -3.0];
+            let values: Vec<f32> = if *finite {
+                let finite = base.iter().filter(|v| v.is_finite()).chain(&[0.75, -1.25]);
+                finite.zip(scale.iter().cycle()).map(|(v, m)| v * m).collect()
+            } else {
+                base.clone()
+            };
+            let tile = |shape: Shape, skip: usize| {
+                let v = values.iter().cycle().skip(skip).take(shape.numel()).copied().collect();
+                Tensor::from_vec(shape, v).unwrap()
+            };
+            for &(c, p) in &geometries {
+                for f in [1, 3, 8, 9, 16] {
+                    for (n, h, w) in [(1, 2, 3), (1, 5, 7), (2, 4, 4)] {
+                        let x = tile(Shape::nchw(n, c, h, w), 0);
+                        let wt = tile(Shape::nchw(f, c, p.kernel, p.kernel), 5);
+                        let mut dy = tile(p.out_shape(x.shape(), f), 11);
+                        let plane = dy.shape().h() * dy.shape().w();
+                        if *zero_planes {
+                            for (k, pl) in dy.data_mut().chunks_exact_mut(plane).enumerate() {
+                                if k % 3 == 0 {
+                                    pl.fill(-0.0);
+                                }
+                            }
+                        }
+                        let (dx_ref, dw_ref, db_ref) = conv_backward_reference(&x, &wt, &dy, p);
+                        for lvl in gist_simd::available_levels() {
+                            let mut dx = Tensor::full(x.shape(), f32::NAN);
+                            let (dw, db) = gist_simd::with_level(lvl, || {
+                                conv::backward_with_into(&x, &wt, &dy, p, &scratch, &mut dx)
+                            })
+                            .unwrap();
+                            let case = format!("GIST_SIMD={lvl} {p:?} out_c {f} on {}", x.shape());
+                            assert_eq!(sum_bits(&db), sum_bits(&db_ref), "db {case}");
+                            assert_eq!(sum_bits(&dw), sum_bits(&dw_ref), "dW {case}");
+                            assert_eq!(sum_bits(&dx), sum_bits(&dx_ref), "dx {case}");
+                        }
+                    }
+                }
+            }
+        },
+    );
+}
+
 /// The textbook max-pool loop: each window scanned in ascending `(kh, kw)`
 /// order with a strict `>` from `-inf`, padding cells skipped, the winner's
 /// window index recorded. The kernels promise its bits.

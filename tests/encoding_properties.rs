@@ -531,6 +531,9 @@ fn range_decodes_equal_the_slice_of_the_full_decode() {
 /// conv input under — the escaped SSDC stash included — dx, dW and db are
 /// bit-equal to conv backward from the stash's decoded map. Planes of 35
 /// elements put several channels in one narrow CSR row; 323 straddles rows.
+/// 8 and 16 filters are whole vectors of output channels, against `ckk` of
+/// 3, 27 or 75: dW's transposed product, and at kernel 1 the pointwise read
+/// that decodes a whole image straight into the column buffer.
 #[test]
 fn conv_backward_from_a_stash_equals_conv_backward_from_its_decoded_map() {
     let ssdc = |narrow, value_format| StashCodec::Ssdc(SsdcConfig { narrow, value_format });
@@ -561,13 +564,13 @@ fn conv_backward_from_a_stash_equals_conv_backward_from_its_decoded_map() {
             if !p.fits(h, w) {
                 continue;
             }
-            let weight =
-                gist::tensor::init::uniform(Shape::nchw(4, 3, kernel, kernel), -0.5, 0.5, 3);
-            let dy = gist::tensor::init::uniform(p.out_shape(xs, 4), -1.0, 1.0, 5);
-            for map in [&relu, &positive] {
+            for (f, map) in [4, 8, 16].into_iter().flat_map(|f| [(f, &relu), (f, &positive)]) {
+                let weight =
+                    gist::tensor::init::uniform(Shape::nchw(f, 3, kernel, kernel), -0.5, 0.5, 3);
+                let dy = gist::tensor::init::uniform(p.out_shape(xs, f), -1.0, 1.0, 5);
                 let x = Tensor::from_vec(xs, map.clone()).unwrap();
                 for &codec in &codecs {
-                    let what = format!("{codec:?} k{kernel} s{stride} p{pad} on {h}x{w}");
+                    let what = format!("{codec:?} f{f} k{kernel} s{stride} p{pad} on {h}x{w}");
                     let stash = codec.encode(&x, None);
                     escaped +=
                         usize::from(codec != StashCodec::Dense && stash.as_dense().is_some());
