@@ -15,7 +15,6 @@ use crate::bytes::{format_tag, put_f32s, put_u32, put_u32s, tag_format, Reader};
 use crate::dpr::{DprBuffer, DprFormat};
 use crate::transfer::WireError;
 use gist_par::{parallel_chunks_mut, parallel_for, parallel_map, SendPtr};
-use std::borrow::Cow;
 use std::ops::Range;
 
 /// Rows per parallel chunk for the CSR encode/decode loops — a pure
@@ -192,13 +191,14 @@ impl CsrMatrix {
     pub fn decode_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.total_len, "decode_into length");
         out.fill(0.0);
-        let values = self.values_f32();
         // Rows scatter through the gist-simd row scatter kernel (dense
         // column runs become vector stores; bit-identical to the scalar
         // sweep at every level).
-        self.par_rows(out, |_, dst, at| match &self.col_idx {
-            ColIndices::U8(v) => gist_simd::csr_scatter_row_u8(&v[at.clone()], &values[at], dst),
-            ColIndices::U32(v) => gist_simd::csr_scatter_row_u32(&v[at.clone()], &values[at], dst),
+        self.par_rows(out, |_, dst, at| {
+            self.row_values(at, |k, ys| match &self.col_idx {
+                ColIndices::U8(v) => gist_simd::csr_scatter_row_u8(&v[k..][..ys.len()], ys, dst),
+                ColIndices::U32(v) => gist_simd::csr_scatter_row_u32(&v[k..][..ys.len()], ys, dst),
+            })
         });
     }
 
@@ -236,8 +236,7 @@ impl CsrMatrix {
 
     /// `dst[c - lo] = value` for every stored element of one row whose
     /// column `c` is in `[lo, lo + dst.len())`; `cols` is the row's column
-    /// array, stored from value index `first`. DPR values are decoded a
-    /// stack chunk at a time, so nothing is allocated.
+    /// array, stored from value index `first`.
     fn scatter_cols<I: Copy + Into<u32>>(
         &self,
         cols: &[I],
@@ -248,22 +247,27 @@ impl CsrMatrix {
         let col = |c: I| c.into() as usize;
         let a = cols.partition_point(|&c| col(c) < lo);
         let b = a + cols[a..].partition_point(|&c| col(c) < lo + dst.len());
-        let (cols, first) = (&cols[a..b], first + a);
-        match &self.values {
-            Values::F32(v) => {
-                for (&c, &y) in cols.iter().zip(&v[first..]) {
-                    dst[col(c) - lo] = y;
-                }
+        self.row_values(first + a..first + b, |k, ys| {
+            for (&c, &y) in cols[k - first..].iter().zip(ys) {
+                dst[col(c) - lo] = y;
             }
+        });
+    }
+
+    /// Runs `f(k, values)` over the stored values `at`, in order, where
+    /// `values` starts at stored index `k`: one borrowed slice when the
+    /// values are kept as FP32, a stack chunk at a time under DPR — so no
+    /// reader allocates.
+    fn row_values(&self, at: Range<usize>, mut f: impl FnMut(usize, &[f32])) {
+        match &self.values {
+            Values::F32(v) => f(at.start, &v[at]),
             Values::Dpr(buf) => {
-                const CHUNK: usize = 256;
+                const CHUNK: usize = NARROW_COLS;
                 let mut vals = [0.0f32; CHUNK];
-                for (k, cols) in cols.chunks(CHUNK).enumerate() {
-                    let vals = &mut vals[..cols.len()];
-                    buf.decode_range(first + k * CHUNK, vals);
-                    for (&c, &y) in cols.iter().zip(vals.iter()) {
-                        dst[col(c) - lo] = y;
-                    }
+                for k in at.clone().step_by(CHUNK) {
+                    let vals = &mut vals[..(at.end - k).min(CHUNK)];
+                    buf.decode_range(k, vals);
+                    f(k, vals);
                 }
             }
         }
@@ -274,7 +278,7 @@ impl CsrMatrix {
     /// but without materializing the dense map — each row is zero-filled and
     /// only its stored elements are visited. Row-parallel on the same
     /// shape-derived grain as [`decode_into`]; a DPR value array is decoded
-    /// once per stored non-zero, not per dense element.
+    /// once per stored non-zero, a row at a time into a stack chunk.
     ///
     /// [`decode`]: Self::decode
     /// [`decode_into`]: Self::decode_into
@@ -285,7 +289,6 @@ impl CsrMatrix {
     pub fn relu_backward_into(&self, dy: &[f32], dx: &mut [f32]) {
         assert_eq!(dy.len(), self.total_len, "relu_backward_into gradient length");
         assert_eq!(dx.len(), self.total_len, "relu_backward_into output length");
-        let values = self.values_f32();
         self.par_rows(dx, |start, dx, at| {
             let dy = &dy[start..][..dx.len()];
             dx.fill(0.0);
@@ -293,11 +296,12 @@ impl CsrMatrix {
             // positive, but a NaN or negative one must gate to 0.0 exactly
             // like the dense kernel's `y > 0.0`.
             let mut gate = |c: usize, y: f32| dx[c] = if y > 0.0 { dy[c] } else { 0.0 };
-            let ys = &values[at.clone()];
-            match &self.col_idx {
-                ColIndices::U8(v) => v[at].iter().zip(ys).for_each(|(&c, &y)| gate(c as usize, y)),
-                ColIndices::U32(v) => v[at].iter().zip(ys).for_each(|(&c, &y)| gate(c as usize, y)),
-            }
+            self.row_values(at, |k, ys| match &self.col_idx {
+                ColIndices::U8(v) => v[k..].iter().zip(ys).for_each(|(&c, &y)| gate(c as usize, y)),
+                ColIndices::U32(v) => {
+                    v[k..].iter().zip(ys).for_each(|(&c, &y)| gate(c as usize, y))
+                }
+            });
         });
     }
 
@@ -313,15 +317,6 @@ impl CsrMatrix {
                 f(r * self.cols, dst, self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize);
             }
         });
-    }
-
-    /// The stored non-zero values as FP32: borrowed when they are kept
-    /// uncompressed, decoded (one value per stored non-zero) under DPR.
-    fn values_f32(&self) -> Cow<'_, [f32]> {
-        match &self.values {
-            Values::F32(v) => Cow::Borrowed(v),
-            Values::Dpr(b) => Cow::Owned(b.decode()),
-        }
     }
 
     /// Serializes the matrix for `transfer::Wire::to_bytes`. The shape

@@ -332,54 +332,25 @@ impl DprBuffer {
     /// only its own 2/3/4 values and every per-value conversion is pure
     /// (stochastic rounding derives its decision from the seed and value
     /// bits), so the buffer is byte-identical at every thread count.
-    /// Nearest-mode conversion runs through `gist_simd::dpr_encode_codes`
-    /// (8 values at a time at the AVX2 level, `encode_one` elsewhere —
-    /// byte-identical either way); stochastic rounding stays scalar at
-    /// every level.
+    /// Nearest-mode conversion runs through `gist_simd::dpr_encode_words`,
+    /// one call per chunk (whole packed vectors at the AVX2 level,
+    /// `encode_one` elsewhere — byte-identical either way); stochastic
+    /// rounding stays scalar at every level.
     pub fn encode_with(format: DprFormat, values: &[f32], mode: RoundingMode) -> Self {
-        let per = format.values_per_word();
-        let bits = format.bits();
+        let (per, bits, spec) = (format.values_per_word(), format.bits(), format.spec());
         let mut words = vec![0u32; format.packed_bytes(values.len()) / 4];
         const GRAIN: usize = 1 << 12;
-        if mode == RoundingMode::Nearest {
-            // Convert in word-groups: a stack buffer of codes feeds the
-            // vector encoder, then pure integer packing fills the words.
-            const GROUP_WORDS: usize = 64;
-            let spec = format.spec();
-            gist_par::parallel_chunks_mut(&mut words, GRAIN, |ci, chunk| {
-                let mut g = 0;
-                while g < chunk.len() {
-                    let gw = (chunk.len() - g).min(GROUP_WORDS);
-                    let base = (ci * GRAIN + g) * per;
-                    let count = (gw * per).min(values.len() - base);
-                    let mut codes = [0u16; GROUP_WORDS * 4];
-                    gist_simd::dpr_encode_codes(
-                        spec,
-                        &values[base..base + count],
-                        &mut codes[..count],
-                        |v| format.encode_one(v),
-                    );
-                    for (j, word) in chunk[g..g + gw].iter_mut().enumerate() {
-                        let hi = ((j + 1) * per).min(count);
-                        let mut w = 0u32;
-                        for (k, &c) in codes[j * per..hi].iter().enumerate() {
-                            w |= (c as u32) << (k as u32 * bits);
-                        }
-                        *word = w;
-                    }
-                    g += gw;
-                }
-            });
-            return DprBuffer { format, words, len: values.len() };
-        }
         gist_par::parallel_chunks_mut(&mut words, GRAIN, |ci, chunk| {
-            for (j, word) in chunk.iter_mut().enumerate() {
-                let base = (ci * GRAIN + j) * per;
-                let mut w = 0u32;
-                for (k, &v) in values[base..(base + per).min(values.len())].iter().enumerate() {
-                    w |= (format.encode_one_with(v, mode) as u32) << (k as u32 * bits);
-                }
-                *word = w;
+            let base = ci * GRAIN * per;
+            let values = &values[base..(base + chunk.len() * per).min(values.len())];
+            if mode == RoundingMode::Nearest {
+                gist_simd::dpr_encode_words(spec, values, chunk, |v| format.encode_one(v));
+                return;
+            }
+            for (word, vals) in chunk.iter_mut().zip(values.chunks(per)) {
+                *word = vals.iter().enumerate().fold(0, |w, (k, &v)| {
+                    w | (format.encode_one_with(v, mode) as u32) << (k as u32 * bits)
+                });
             }
         });
         DprBuffer { format, words, len: values.len() }

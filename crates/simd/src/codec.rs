@@ -14,7 +14,17 @@
 //!
 //! DPR vector paths are AVX2-only (the integer blend/shift mix is not
 //! worth an SSE2 port); SSE2 falls back to the caller's scalar closure,
-//! which is a performance choice, not a correctness one.
+//! which is a performance choice, not a correctness one. They move whole
+//! vectors: encode converts 8 lanes at a time and packs each 8-word group
+//! with one 256-bit store — FP8's 32 codes narrow through two saturating
+//! packs and a lane permute, FP16's 16 through one pack and a quadword
+//! permute, FP10's 24 pack three to a word as integers — and decode widens
+//! 8 bytes or 8 half-words straight into lanes (FP10 gathers each lane's
+//! word and shifts its slot down). Each slice runs its lane loop inside
+//! one `#[target_feature(enable = "avx2")]` function whose 8-lane helpers
+//! are `#[inline]`: the same helpers called once per 8 values from
+//! dispatch code do not inline, and that cost more than the staging they
+//! remove.
 
 use crate::Level;
 
@@ -100,9 +110,17 @@ fn bools_word_scalar(flags: &[bool]) -> u32 {
 ///
 /// # Panics
 ///
-/// Panics if `elem0` is not 32-aligned (callers chunk on word boundaries).
+/// Panics if `elem0` is not 32-aligned (callers chunk on word boundaries),
+/// or `words` or `dy` do not cover elements `elem0..elem0 + out.len()`.
 pub fn select_by_mask(words: &[u32], dy: &[f32], elem0: usize, out: &mut [f32]) {
     assert_eq!(elem0 % 32, 0, "select_by_mask chunk must start on a word boundary");
+    let end = elem0 + out.len();
+    assert!(
+        end <= dy.len() && end.div_ceil(32) <= words.len(),
+        "select_by_mask: {} gradients / {} words do not cover elements {elem0}..{end}",
+        dy.len(),
+        words.len()
+    );
     let lvl = crate::level();
     let full = match lvl {
         Level::Scalar => 0,
@@ -111,10 +129,13 @@ pub fn select_by_mask(words: &[u32], dy: &[f32], elem0: usize, out: &mut [f32]) 
     let mut g = 0;
     while g < full {
         let word = words[(elem0 + g) / 32];
+        debug_assert!(g + 32 <= out.len() && elem0 + g + 32 <= dy.len());
         match lvl {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: 32 elements of both `dy` (at elem0 + g) and `out`
-            // (at g) are in range; vector level implies detection.
+            // SAFETY: `g + 32 <= full <= out.len()`, and the entry assert
+            // puts `elem0 + out.len() <= dy.len()`: 32 elements of both
+            // `dy` (at elem0 + g) and `out` (at g) are in range; the
+            // vector level implies detection.
             Level::Sse2 => unsafe {
                 x86::select32_sse2(word, dy.as_ptr().add(elem0 + g), out.as_mut_ptr().add(g));
             },
@@ -177,50 +198,106 @@ pub struct DprSpec {
     pub per_word: usize,
 }
 
+/// How the AVX2 level packs a format's codes, one 8-word (256-bit) group
+/// at a time; a geometry with no arm runs the scalar reference only.
+#[derive(Debug, Clone, Copy)]
+enum Packing {
+    /// 8-bit codes, four per word: 32 values narrow into one store.
+    Bytes,
+    /// 16-bit codes, two per word: 16 values narrow into one store.
+    Halves,
+    /// 10-bit codes, three per word (2 bits idle): 24 values, packed as
+    /// integers after the 8-lane conversion.
+    Tens,
+}
+
 impl DprSpec {
     /// Exponent bias (`2^(e-1) - 1`).
     pub fn bias(&self) -> i32 {
         (1 << (self.e_bits - 1)) - 1
     }
+
+    /// Asserts the geometry every kernel relies on: the fields add up to
+    /// `bits`, and `per_word` codes fit one word.
+    fn check(&self) {
+        assert_eq!(self.bits, 1 + self.e_bits + self.m_bits, "DprSpec: bits must be 1 + e + m");
+        assert!(
+            self.per_word >= 1 && self.bits as usize * self.per_word <= 32,
+            "DprSpec: {} codes of {} bits do not fit a word",
+            self.per_word,
+            self.bits
+        );
+    }
+
+    fn packing(&self) -> Option<Packing> {
+        match (self.bits, self.per_word) {
+            (8, 4) => Some(Packing::Bytes),
+            (16, 2) => Some(Packing::Halves),
+            (10, 3) => Some(Packing::Tens),
+            _ => None,
+        }
+    }
 }
 
-/// Round-to-nearest-even encode of `values[i]` into `codes[i]`.
+/// Round-to-nearest-even encode of `values` into packed words: word `j`
+/// holds values `j * per_word ..` LSB-first, the last word ragged.
 ///
 /// `scalar` is the caller's reference encoder (`DprFormat::encode_one`);
 /// it handles the scalar level, the SSE2 level (no integer DPR port), and
-/// vector tails. The AVX2 arm re-implements the same bit algorithm on 8
-/// lanes and is differentially tested against `scalar`.
-pub fn dpr_encode_codes(
+/// every word past the last whole 8-word group. The AVX2 arm converts 8
+/// lanes with the same bit algorithm and packs whole vectors (see the
+/// module docs); it is differentially tested against `scalar`.
+///
+/// # Panics
+///
+/// Panics if `words.len() != values.len().div_ceil(spec.per_word)`, or
+/// `spec` is inconsistent.
+pub fn dpr_encode_words(
     spec: DprSpec,
     values: &[f32],
-    codes: &mut [u16],
+    words: &mut [u32],
     scalar: impl Fn(f32) -> u16,
 ) {
-    assert_eq!(values.len(), codes.len(), "codes length");
-    let lvl = crate::level();
-    let full = match lvl {
-        Level::Avx2 => values.len() / 8 * 8,
+    spec.check();
+    let per = spec.per_word;
+    assert_eq!(
+        words.len(),
+        values.len().div_ceil(per),
+        "dpr_encode_words: one word per {per} values"
+    );
+    let groups = match (crate::level(), spec.packing()) {
+        (Level::Avx2, Some(_)) => values.len() / (8 * per),
         _ => 0,
     };
-    let mut i = 0;
-    while i < full {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 detected; 8 values/codes in range at `i`.
-        unsafe {
-            x86::dpr_encode8_avx2(spec, values.as_ptr().add(i), codes.as_mut_ptr().add(i));
-        }
-        i += 8;
+    #[cfg(target_arch = "x86_64")]
+    if groups > 0 {
+        debug_assert!(groups * 8 * per <= values.len() && groups * 8 <= words.len());
+        // SAFETY: AVX2 is detected and `spec` has a packing; the `groups`
+        // whole groups read `groups * 8 * per <= values.len()` values and
+        // write `groups * 8 <= words.len()` words.
+        unsafe { x86::dpr_encode_avx2(spec, values.as_ptr(), words.as_mut_ptr(), groups) };
     }
-    for (v, c) in values[full..].iter().zip(codes[full..].iter_mut()) {
-        *c = scalar(*v);
+    let bits = spec.bits;
+    let (words, values) = (&mut words[groups * 8..], &values[groups * 8 * per..]);
+    for (word, vals) in words.iter_mut().zip(values.chunks(per)) {
+        *word = vals
+            .iter()
+            .enumerate()
+            .fold(0, |w, (k, &v)| w | (scalar(v) as u32) << (k as u32 * bits));
     }
 }
 
 /// Decodes packed DPR words into `out`, where `out[j]` is overall element
 /// `elem0 + j`. `scalar` is the caller's reference decoder
 /// (`DprFormat::decode_one`), used for the scalar/SSE2 levels and tails;
-/// the AVX2 arm vectorizes byte-aligned formats (16- and 8-bit codes) and
-/// extracts 10-bit codes scalar before the integer decode.
+/// the AVX2 arm loads each 8-lane group of codes straight into lanes —
+/// a byte or half-word widen for 8-/16-bit codes, a word gather and
+/// variable shift for 10-bit codes — before the integer decode.
+///
+/// # Panics
+///
+/// Panics if `words` does not hold elements `elem0..elem0 + out.len()`,
+/// or `spec` is inconsistent.
 pub fn dpr_decode_into(
     spec: DprSpec,
     words: &[u32],
@@ -228,48 +305,38 @@ pub fn dpr_decode_into(
     out: &mut [f32],
     scalar: impl Fn(u16) -> f32,
 ) {
-    let lvl = crate::level();
-    let mask = (1u32 << spec.bits) - 1;
-    let extract = |i: usize| {
-        ((words[i / spec.per_word] >> ((i % spec.per_word) as u32 * spec.bits)) & mask) as u16
-    };
-    let full = match lvl {
-        Level::Avx2 => out.len() / 8 * 8,
+    spec.check();
+    let (bits, per) = (spec.bits, spec.per_word);
+    let end = elem0 + out.len();
+    assert!(
+        end.div_ceil(per) <= words.len(),
+        "dpr_decode_into: {} words do not hold elements {elem0}..{end}",
+        words.len()
+    );
+    let full = match (crate::level(), spec.packing()) {
+        (Level::Avx2, Some(_)) => out.len() / 8 * 8,
         _ => 0,
     };
-    let mut j = 0;
-    while j < full {
-        let mut codes = [0u16; 8];
-        if spec.bits.is_multiple_of(8) {
-            // 16-/8-bit codes: words are a little-endian byte stream, so
-            // element `i` lives at byte offset `i * bits/8` regardless of
-            // word grouping.
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: 8 codes at byte offset `(elem0 + j) * bits/8` are in
-            // range (the slice holds ceil(len/per) whole words).
-            unsafe {
-                let bytes = words.as_ptr().cast::<u8>();
-                let off = (elem0 + j) * (spec.bits as usize / 8);
-                if spec.bits == 16 {
-                    x86::load8_u16(bytes.add(off), &mut codes);
-                } else {
-                    x86::load8_u8(bytes.add(off), &mut codes);
-                }
-            }
-        } else {
-            for (t, c) in codes.iter_mut().enumerate() {
-                *c = extract(elem0 + j + t);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 detected; 8 outputs in range at `j`.
-        unsafe {
-            x86::dpr_decode8_avx2(spec, &codes, out.as_mut_ptr().add(j));
-        }
-        j += 8;
+    #[cfg(target_arch = "x86_64")]
+    if full > 0 {
+        debug_assert!((elem0 + full).div_ceil(per) <= words.len());
+        // SAFETY: AVX2 is detected and `spec` has a packing; `full <=
+        // out.len()` outputs are written, and every load reads only words
+        // holding elements `elem0..elem0 + full`, which the assert above
+        // puts inside `words`.
+        unsafe { x86::dpr_decode_avx2(spec, words.as_ptr(), elem0, out.as_mut_ptr(), full) };
     }
-    for (j, o) in out.iter_mut().enumerate().skip(full) {
-        *o = scalar(extract(elem0 + j));
+    // The rest walks a word index and a slot counter: one division per
+    // call, none per element.
+    let mask = u32::MAX >> (32 - bits);
+    let i = elem0 + full;
+    let (mut w, mut k) = (i / per, i % per);
+    for o in &mut out[full..] {
+        *o = scalar(((words[w] >> (k as u32 * bits)) & mask) as u16);
+        k += 1;
+        if k == per {
+            (w, k) = (w + 1, 0);
+        }
     }
 }
 
@@ -279,7 +346,7 @@ pub fn dpr_decode_into(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::DprSpec;
+    use super::{DprSpec, Packing};
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -399,21 +466,119 @@ mod x86 {
         count
     }
 
+    /// Encodes `groups` whole 8-word groups: `8 * per_word` values each.
+    /// The lane loop lives here, inside one AVX2 function, so the 8-lane
+    /// helpers inline into it; called once per 8 values, the same kernels
+    /// ran slower than the scalar-staged code they replace.
+    ///
     /// # Safety
     ///
-    /// `p` valid for 16 byte reads.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn load8_u16(p: *const u8, codes: &mut [u16; 8]) {
-        std::ptr::copy_nonoverlapping(p, codes.as_mut_ptr().cast(), 16);
+    /// AVX2 available; `spec.packing()` is `Some`; `values` valid for
+    /// `groups * 8 * per_word` reads and `words` for `groups * 8` writes.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dpr_encode_avx2(
+        spec: DprSpec,
+        values: *const f32,
+        words: *mut u32,
+        groups: usize,
+    ) {
+        let per = spec.per_word;
+        match spec.packing().expect("DPR geometry with an AVX2 packing") {
+            Packing::Bytes => {
+                // Two saturating narrows leave each 128-bit half holding
+                // dwords [a b c d] of its four source vectors' lanes; the
+                // permute puts each vector's two halves back in order.
+                let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+                for g in 0..groups {
+                    let v = values.add(g * 8 * per);
+                    let ab = _mm256_packus_epi32(encode8(spec, v), encode8(spec, v.add(8)));
+                    let cd =
+                        _mm256_packus_epi32(encode8(spec, v.add(16)), encode8(spec, v.add(24)));
+                    let bytes = _mm256_permutevar8x32_epi32(_mm256_packus_epi16(ab, cd), order);
+                    _mm256_storeu_si256(words.add(g * 8).cast(), bytes);
+                }
+            }
+            Packing::Halves => {
+                for g in 0..groups {
+                    let v = values.add(g * 8 * per);
+                    let halves = _mm256_packus_epi32(encode8(spec, v), encode8(spec, v.add(8)));
+                    // Quadwords [a0 b0 a1 b1] -> [a0 a1 b0 b1].
+                    let halves = _mm256_permute4x64_epi64::<0b11_01_10_00>(halves);
+                    _mm256_storeu_si256(words.add(g * 8).cast(), halves);
+                }
+            }
+            Packing::Tens => {
+                let mut codes = [0u32; 24];
+                for g in 0..groups {
+                    let v = values.add(g * 8 * per);
+                    for q in 0..3 {
+                        let code = encode8(spec, v.add(q * 8));
+                        _mm256_storeu_si256(codes.as_mut_ptr().add(q * 8).cast(), code);
+                    }
+                    for (j, c) in codes.chunks_exact(3).enumerate() {
+                        *words.add(g * 8 + j) = c[0] | c[1] << 10 | c[2] << 20;
+                    }
+                }
+            }
+        }
     }
 
+    /// Decodes `full` (a multiple of 8) elements starting at `elem0`.
+    ///
     /// # Safety
     ///
-    /// `p` valid for 8 byte reads.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn load8_u8(p: *const u8, codes: &mut [u16; 8]) {
-        for (t, c) in codes.iter_mut().enumerate() {
-            *c = *p.add(t) as u16;
+    /// AVX2 available; `spec.packing()` is `Some`; `words` valid for reads
+    /// of every word holding elements `elem0..elem0 + full`, and `out`
+    /// for `full` writes.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dpr_decode_avx2(
+        spec: DprSpec,
+        words: *const u32,
+        elem0: usize,
+        out: *mut f32,
+        full: usize,
+    ) {
+        // 8- and 16-bit codes fill their words exactly, so the words are a
+        // little-endian code stream: element `i` starts at byte
+        // `i * bits / 8` whatever its word.
+        let bytes = words.cast::<u8>();
+        match spec.packing().expect("DPR geometry with an AVX2 packing") {
+            Packing::Bytes => {
+                for j in (0..full).step_by(8) {
+                    let code = _mm256_cvtepu8_epi32(_mm_loadl_epi64(bytes.add(elem0 + j).cast()));
+                    _mm256_storeu_si256(out.add(j).cast(), decode8(spec, code));
+                }
+            }
+            Packing::Halves => {
+                let halves = bytes.add(2 * elem0);
+                for j in (0..full).step_by(8) {
+                    let code = _mm256_cvtepu16_epi32(_mm_loadu_si128(halves.add(2 * j).cast()));
+                    _mm256_storeu_si256(out.add(j).cast(), decode8(spec, code));
+                }
+            }
+            Packing::Tens => {
+                // Lane `t` of a group starting in slot `k` of word `w`
+                // reads word `w + (k + t) / 3`, shifted by `(k + t) % 3`
+                // slots of 10 bits.
+                const WORD: [[i32; 8]; 3] =
+                    [[0, 0, 0, 1, 1, 1, 2, 2], [0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 1, 1, 2, 2, 2, 3]];
+                const SHIFT: [[i32; 8]; 3] = [
+                    [0, 10, 20, 0, 10, 20, 0, 10],
+                    [10, 20, 0, 10, 20, 0, 10, 20],
+                    [20, 0, 10, 20, 0, 10, 20, 0],
+                ];
+                let mask = _mm256_set1_epi32(0x3FF);
+                let (mut w, mut k) = (elem0 / 3, elem0 % 3);
+                for j in (0..full).step_by(8) {
+                    let at = _mm256_loadu_si256(WORD[k].as_ptr().cast());
+                    let shift = _mm256_loadu_si256(SHIFT[k].as_ptr().cast());
+                    let gathered = _mm256_i32gather_epi32::<4>(words.add(w).cast(), at);
+                    let code = _mm256_and_si256(_mm256_srlv_epi32(gathered, shift), mask);
+                    _mm256_storeu_si256(out.add(j).cast(), decode8(spec, code));
+                    // Eight elements on: two words and two slots.
+                    (w, k) = if k == 0 { (w + 2, 2) } else { (w + 3, k - 1) };
+                }
+            }
         }
     }
 
@@ -421,13 +586,14 @@ mod x86 {
     /// exact branch structure of `DprFormat::encode_one`: NaN → 0,
     /// ±Inf → sign|max, zero/denormal/underflow (tested on the
     /// **pre-carry** target exponent, as the scalar does) → 0, overflow
-    /// (tested post-carry) → sign|max.
+    /// (tested post-carry) → sign|max. Returns one code per `i32` lane.
     ///
     /// # Safety
     ///
-    /// AVX2 available; 8 values/codes in range.
+    /// AVX2 available; `values` valid for 8 reads.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dpr_encode8_avx2(spec: DprSpec, values: *const f32, codes: *mut u16) {
+    unsafe fn encode8(spec: DprSpec, values: *const f32) -> __m256i {
         let (e, m) = (spec.e_bits, spec.m_bits);
         let shift = 23 - m;
         let sh = |n: u32| _mm_cvtsi32_si128(n as i32);
@@ -475,26 +641,21 @@ mod x86 {
         let mut code = _mm256_blendv_epi8(normal, max_code, overflow);
         code = _mm256_blendv_epi8(code, zero, underflow);
         code = _mm256_blendv_epi8(code, max_code, inf_or_nan);
-        code = _mm256_blendv_epi8(code, zero, is_nan);
-
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), code);
-        for (t, &l) in lanes.iter().enumerate() {
-            *codes.add(t) = l as u16;
-        }
+        _mm256_blendv_epi8(code, zero, is_nan)
     }
 
-    /// 8-lane DPR decode: zero exponent field → ±0.0, otherwise rebase the
-    /// exponent and left-align the mantissa — the exact scalar bit recipe.
+    /// 8-lane DPR decode of one code per `i32` lane: zero exponent field →
+    /// ±0.0, otherwise rebase the exponent and left-align the mantissa —
+    /// the exact scalar bit recipe. Returns the `f32` bits.
     ///
     /// # Safety
     ///
-    /// AVX2 available; 8 outputs in range.
+    /// AVX2 available.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dpr_decode8_avx2(spec: DprSpec, codes: &[u16; 8], out: *mut f32) {
+    unsafe fn decode8(spec: DprSpec, code: __m256i) -> __m256i {
         let (e, m) = (spec.e_bits, spec.m_bits);
         let sh = |n: u32| _mm_cvtsi32_si128(n as i32);
-        let code = _mm256_cvtepu16_epi32(_mm_loadu_si128(codes.as_ptr().cast()));
         let sign31 = _mm256_sll_epi32(_mm256_srl_epi32(code, sh(e + m)), sh(31));
         let expf = _mm256_and_si256(_mm256_srl_epi32(code, sh(m)), _mm256_set1_epi32((1 << e) - 1));
         let mant = _mm256_and_si256(code, _mm256_set1_epi32((1 << m) - 1));
@@ -504,8 +665,7 @@ mod x86 {
             sign31,
             _mm256_or_si256(_mm256_sll_epi32(f32_exp, sh(23)), _mm256_sll_epi32(mant, sh(23 - m))),
         );
-        let fbits = _mm256_blendv_epi8(normal, sign31, is_zero);
-        _mm256_storeu_ps(out, _mm256_castsi256_ps(fbits));
+        _mm256_blendv_epi8(normal, sign31, is_zero)
     }
 }
 
@@ -564,6 +724,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Runs `f` at every available level, asserting that each run panics,
+    /// then once more at the default level for the test's `should_panic`.
+    fn panics_at_every_level(f: impl Fn() + std::panic::RefUnwindSafe) {
+        for lvl in available_levels() {
+            let run = std::panic::catch_unwind(|| with_level(lvl, &f));
+            assert!(run.is_err(), "{lvl}: a short slice was accepted");
+        }
+        f();
+    }
+
+    const FP8: DprSpec = DprSpec { e_bits: 4, m_bits: 3, bits: 8, per_word: 4 };
+    const FP10: DprSpec = DprSpec { e_bits: 5, m_bits: 4, bits: 10, per_word: 3 };
+    const FP16: DprSpec = DprSpec { e_bits: 5, m_bits: 10, bits: 16, per_word: 2 };
+
+    #[test]
+    #[should_panic(expected = "do not hold elements")]
+    fn dpr_decode_rejects_words_short_of_the_range() {
+        panics_at_every_level(|| {
+            for spec in [FP8, FP10, FP16] {
+                // One word short of elements 1..65: a vector load would
+                // run past the slice.
+                let words = vec![0u32; 65usize.div_ceil(spec.per_word) - 1];
+                let mut out = [0.0f32; 64];
+                dpr_decode_into(spec, &words, 1, &mut out, |_| 0.0);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "one word per")]
+    fn dpr_encode_rejects_a_short_word_slice() {
+        panics_at_every_level(|| {
+            let mut words = [0u32; 15];
+            dpr_encode_words(FP8, &[1.0; 64], &mut words, |_| 0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "DprSpec: 5 codes of 8 bits do not fit a word")]
+    fn dpr_kernels_reject_more_codes_than_a_word_holds() {
+        panics_at_every_level(|| {
+            let mut out = [0.0f32; 8];
+            dpr_decode_into(DprSpec { per_word: 5, ..FP8 }, &[0; 8], 0, &mut out, |_| 0.0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "DprSpec: bits must be 1 + e + m")]
+    fn dpr_kernels_reject_fields_that_miss_the_width() {
+        panics_at_every_level(|| {
+            dpr_encode_words(DprSpec { bits: 9, ..FP8 }, &[0.0; 8], &mut [0; 2], |_| 0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "do not cover elements")]
+    fn select_rejects_gradients_short_of_the_range() {
+        panics_at_every_level(|| {
+            let mut out = [0.0f32; 64];
+            select_by_mask(&[u32::MAX; 2], &[1.0; 63], 0, &mut out);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "do not cover elements")]
+    fn select_rejects_words_short_of_the_range() {
+        panics_at_every_level(|| {
+            let mut out = [0.0f32; 64];
+            select_by_mask(&[u32::MAX; 2], &[1.0; 96], 32, &mut out);
+        });
     }
 
     #[test]

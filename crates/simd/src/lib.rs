@@ -34,7 +34,7 @@ mod csr;
 mod matmul;
 
 pub use codec::{
-    count_nonzero, dpr_decode_into, dpr_encode_codes, pack_bools_into_words, pack_gt_zero_words,
+    count_nonzero, dpr_decode_into, dpr_encode_words, pack_bools_into_words, pack_gt_zero_words,
     select_by_mask, DprSpec,
 };
 pub use csr::{csr_pack_row_u32, csr_pack_row_u8, csr_scatter_row_u32, csr_scatter_row_u8};

@@ -514,13 +514,25 @@ fn range_decodes_equal_the_slice_of_the_full_decode() {
                 assert_eq!(bits(&out), bits(&full[a..b]), "{config:?} {a}..{b} of {len}");
             }
         }
+        // DPR: every start in 0..=40 and length in 0..=72 that fits, at
+        // every level — across the 8-lane decode group and the 16- and
+        // 32-value pack groups — against the scalar level's full decode.
         for f in [DprFormat::Fp16, DprFormat::Fp10, DprFormat::Fp8] {
             let buf = DprBuffer::encode(f, &y);
-            let full = buf.decode();
-            for (a, b) in ranges {
-                let mut out = vec![f32::NAN; b - a];
-                buf.decode_range(a, &mut out);
-                assert_eq!(bits(&out), bits(&full[a..b]), "{f:?} {a}..{b} of {len}");
+            let full = with_level(Level::Scalar, || buf.decode());
+            let mut out = [0.0f32; 72];
+            for lvl in available_levels() {
+                with_level(lvl, || {
+                    for a in 0..=40.min(len) {
+                        for n in 0..=72.min(len - a) {
+                            let out = &mut out[..n];
+                            out.fill(f32::NAN);
+                            buf.decode_range(a, out);
+                            let want = bits(&full[a..a + n]);
+                            assert_eq!(bits(out), want, "{f:?} {lvl} {a}+{n} of {len}");
+                        }
+                    }
+                });
             }
         }
     }

@@ -287,7 +287,7 @@ fn dpr_codec_is_thread_invariant() {
         &(vec_of(hostile_f32(), 16..257), 1usize..CODEC_LEN),
         |(base, extra)| {
             let values = tile(base, CODEC_LEN / 2 + extra);
-            for format in [DprFormat::Fp16, DprFormat::Fp8] {
+            for format in [DprFormat::Fp16, DprFormat::Fp10, DprFormat::Fp8] {
                 for mode in [RoundingMode::Nearest, RoundingMode::Stochastic { seed: 0xD5 }] {
                     assert_thread_invariant(|| {
                         let buf = DprBuffer::encode_with(format, &values, mode);

@@ -16,7 +16,7 @@
 //! reporting on its own thread cannot leak into an exact comparison.
 
 use gist::core::GistConfig;
-use gist::encodings::{DprFormat, RoundingMode, StashCodec, TransferCodec};
+use gist::encodings::{DprFormat, RoundingMode, SsdcConfig, StashCodec, TransferCodec};
 use gist::graph::Graph;
 use gist::net::{InProcess, NetTrainer};
 use gist::obs::NullRecorder;
@@ -161,7 +161,10 @@ fn arena_steady_state_allocates_less_per_step_than_heap() {
 
 /// The DPR ReLU gate runs through a fixed stack chunk: no call allocates
 /// (it used to decode the whole map into a heap `Vec` per use), and the
-/// gate is bit-equal to the dense kernel over the decoded map.
+/// gate is bit-equal to the dense kernel over the decoded map. The same
+/// holds for an SSDC stash with DPR values, whose gate and decode read each
+/// row's values through a stack chunk too. Counted on a one-thread pool: a
+/// dispatch to pool workers allocates its job, whatever the kernel does.
 #[test]
 fn the_dpr_relu_gate_allocates_nothing() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -169,20 +172,34 @@ fn the_dpr_relu_gate_allocates_nothing() {
     let y: Vec<f32> = (0..ne).map(|i| ((i * 37 % 23) as f32 - 11.0) * 0.37).collect();
     let dy: Vec<f32> = (0..ne).map(|i| i as f32 * 0.5 - 3.0).collect();
     let t = Tensor::from_vec(Shape::vector(ne), y).expect("tensor");
-    for format in [DprFormat::Fp16, DprFormat::Fp10, DprFormat::Fp8] {
-        let stash = StashCodec::Dpr(format, RoundingMode::Nearest).encode(&t, None);
-        let mut decoded = vec![0.0f32; ne];
-        stash.decode_into(&mut decoded).expect("length");
-        let want: Vec<u32> = decoded
-            .iter()
-            .zip(&dy)
-            .map(|(&yv, &dv)| if yv > 0.0 { dv } else { 0.0 }.to_bits())
-            .collect();
-        let mut dx = vec![f32::NAN; ne];
-        let (allocs, _) = count(|| stash.relu_backward_into(&dy, &mut dx).expect("length"));
-        assert_eq!(allocs, 0, "{format:?}: the gate allocated");
-        assert_eq!(dx.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want, "{format:?}");
-    }
+    gist::par::with_threads(1, || {
+        for format in [DprFormat::Fp16, DprFormat::Fp10, DprFormat::Fp8] {
+            let ssdc = SsdcConfig { narrow: true, value_format: Some(format) };
+            for codec in [StashCodec::Dpr(format, RoundingMode::Nearest), StashCodec::Ssdc(ssdc)] {
+                let stash = codec.encode(&t, None);
+                assert!(stash.as_dense().is_none(), "{codec:?}: held encoded");
+                let mut want = vec![0.0f32; ne];
+                stash.decode_into(&mut want).expect("length");
+                let mut decoded = vec![f32::NAN; ne];
+                let (allocs, _) = count(|| stash.decode_into(&mut decoded).expect("length"));
+                assert_eq!(allocs, 0, "{codec:?}: the decode allocated");
+                assert_eq!(bits(&decoded), bits(&want), "{codec:?}");
+                let want: Vec<u32> = want
+                    .iter()
+                    .zip(&dy)
+                    .map(|(&yv, &dv)| if yv > 0.0 { dv } else { 0.0 }.to_bits())
+                    .collect();
+                let mut dx = vec![f32::NAN; ne];
+                let (allocs, _) = count(|| stash.relu_backward_into(&dy, &mut dx).expect("length"));
+                assert_eq!(allocs, 0, "{codec:?}: the gate allocated");
+                assert_eq!(bits(&dx), want, "{codec:?}");
+            }
+        }
+    });
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
