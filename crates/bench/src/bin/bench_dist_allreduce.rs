@@ -90,19 +90,20 @@ fn bench_tcp(batch: usize) {
 
     for (label, codec) in codecs() {
         let policy = GradCodecPolicy::Fixed(codec);
-        let peers: Vec<String> = (0..world)
-            .map(|_| {
-                let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind :0");
-                format!("127.0.0.1:{}", l.local_addr().expect("addr").port())
-            })
+        let mut listeners: Vec<_> = (0..world)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind :0"))
             .collect();
+        let peers: Vec<String> =
+            listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect();
+        let (l1, l0) = (listeners.pop().expect("rank 1"), listeners.pop().expect("rank 0"));
         // Rank 1 mirrors every step rank 0 takes (the bench harness picks
         // the count during calibration, so rank 1 just follows until rank
         // 0 hangs up and its next exchange reports Disconnected).
         let helper = {
             let peers = peers.clone();
             std::thread::spawn(move || {
-                let tcp = Tcp::rendezvous(
+                let tcp = Tcp::rendezvous_on(
+                    l1,
                     1,
                     &peers,
                     DEFAULT_SHARDS,
@@ -118,7 +119,8 @@ fn bench_tcp(batch: usize) {
                 while t.step(&images, &labels, 0.01).is_ok() {}
             })
         };
-        let tcp = Tcp::rendezvous(
+        let tcp = Tcp::rendezvous_on(
+            l0,
             0,
             &peers,
             DEFAULT_SHARDS,

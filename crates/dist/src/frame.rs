@@ -19,7 +19,7 @@
 //! typed [`NetError`], never a panic and never an allocation larger than
 //! [`MAX_FRAME_BYTES`].
 
-use gist_encodings::WireError;
+use gist_encodings::{Reader, WireError};
 use std::io::{Read, Write};
 
 /// Leading magic of a frame ("Gist NeT v1").
@@ -174,49 +174,23 @@ pub enum Msg {
     },
 }
 
-/// Bounds-checked little-endian reader over one frame body.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A short read of the frame itself: the shared cursor's truncation is the
+/// frame's, field for field.
+fn short(e: WireError) -> NetError {
+    match e {
+        WireError::Truncated { needed, available } => NetError::Truncated { needed, available },
+        other => NetError::Wire(other),
+    }
 }
 
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
-    }
+/// The next little-endian `u32` of a frame.
+fn u32_at(r: &mut Reader) -> Result<u32, NetError> {
+    r.u32().map_err(short)
+}
 
-    fn need(&self, n: usize) -> Result<(), NetError> {
-        let available = self.buf.len() - self.pos;
-        if available < n {
-            return Err(NetError::Truncated { needed: n, available });
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        self.need(1)?;
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        Ok(v)
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        self.need(4)?;
-        let v = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().expect("4 bytes"));
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        self.need(n)?;
-        let v = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(v)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+/// The next `n` bytes of a frame, borrowed.
+fn take<'a>(r: &mut Reader<'a>, n: usize) -> Result<&'a [u8], NetError> {
+    r.take(n).map_err(short)
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -300,39 +274,42 @@ impl Msg {
     /// and its payload borrowed beside it: the caller decides where those
     /// bytes live.
     fn parse(body: &[u8]) -> Result<(Msg, &[u8]), NetError> {
-        let mut r = Rd::new(body);
+        let r = &mut Reader::new(body);
         let mut payload: &[u8] = &[];
-        let magic = r.bytes(4)?;
+        let magic = take(r, 4)?;
         if magic != MAGIC {
             return Err(NetError::BadMagic([magic[0], magic[1], magic[2], magic[3]]));
         }
-        let version = r.u8()?;
+        let version = take(r, 1)?[0];
         if version != PROTOCOL_VERSION {
             return Err(NetError::BadVersion(version));
         }
-        let kind = r.u8()?;
+        let kind = take(r, 1)?[0];
         let msg = match kind {
             0 => Msg::Hello {
-                rank: r.u32()?,
-                world: r.u32()?,
-                shards: r.u32()?,
-                policy_id: r.u32()?,
+                rank: u32_at(r)?,
+                world: u32_at(r)?,
+                shards: u32_at(r)?,
+                policy_id: u32_at(r)?,
             },
             1 => {
-                let epoch = r.u32()?;
-                let step = r.u32()?;
-                let tensor = r.u32()?;
-                let n = r.u32()? as usize;
-                payload = r.bytes(n)?;
+                let epoch = u32_at(r)?;
+                let step = u32_at(r)?;
+                let tensor = u32_at(r)?;
+                let n = u32_at(r)? as usize;
+                payload = take(r, n)?;
                 Msg::Grad { epoch, step, tensor, wire: Vec::new() }
             }
             2 => {
-                let step = r.u32()?;
-                let n = r.u32()? as usize;
+                let step = u32_at(r)?;
+                let n = u32_at(r)? as usize;
                 // Bound before allocating: the body can hold at most
                 // remaining/4 words, so a corrupt count is a truncation.
-                r.need(n.saturating_mul(4))?;
-                let words = (0..n).map(|_| r.u32()).collect::<Result<Vec<u32>, _>>()?;
+                let bytes = take(r, n.saturating_mul(4))?;
+                let words = bytes
+                    .chunks_exact(4)
+                    .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+                    .collect();
                 Msg::Stats { step, words }
             }
             k => return Err(NetError::BadKind(k)),
@@ -374,8 +351,8 @@ impl Msg {
 
     /// The body of one complete frame, its length prefix checked.
     fn body(frame: &[u8]) -> Result<&[u8], NetError> {
-        let mut r = Rd::new(frame);
-        let len = r.u32()? as usize;
+        let r = &mut Reader::new(frame);
+        let len = u32_at(r)? as usize;
         if len > MAX_FRAME_BYTES {
             return Err(NetError::FrameTooLarge { len, max: MAX_FRAME_BYTES });
         }
@@ -389,7 +366,7 @@ impl Msg {
                 available - len
             )));
         }
-        r.bytes(len)
+        take(r, len)
     }
 }
 

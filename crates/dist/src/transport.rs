@@ -6,7 +6,8 @@
 //! against [`Tcp`] knowing the only difference is the copy mechanism.
 //!
 //! [`Tcp`] is real `std::net` sockets with a deterministic rendezvous:
-//! every rank binds its own address from the shared peer list *first*,
+//! every rank binds its own address from the shared peer list *first*
+//! (or is handed its listener already bound, [`Tcp::rendezvous_on`]),
 //! then dials every lower rank with a bounded, deterministic retry/backoff
 //! schedule ([`backoff_ms`]) and accepts every higher rank, exchanging
 //! [`Msg::Hello`] both ways so a misassembled fleet (wrong world, wrong
@@ -252,17 +253,37 @@ impl Tcp {
         policy_id: u32,
         config: &NetConfig,
     ) -> Result<Tcp, NetError> {
+        let addr = peers.get(rank).ok_or_else(|| outside(rank, peers.len()))?;
+        let listener = TcpListener::bind(addr.as_str()).map_err(|e| NetError::Io {
+            peer: rank as u32,
+            op: "bind",
+            detail: format!("{addr} ({e})"),
+        })?;
+        Self::rendezvous_on(listener, rank, peers, shards, policy_id, config)
+    }
+
+    /// [`Self::rendezvous`] on a listener this rank already holds (bound to
+    /// `peers[rank]`). A caller that binds every rank's listener before any
+    /// rank starts — port 0 on loopback, say — leaves no window in which
+    /// another process can take a released port.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::rendezvous`].
+    pub fn rendezvous_on(
+        listener: TcpListener,
+        rank: usize,
+        peers: &[String],
+        shards: usize,
+        policy_id: u32,
+        config: &NetConfig,
+    ) -> Result<Tcp, NetError> {
         let world = peers.len();
         if rank >= world {
-            return Err(NetError::Config(format!("rank {rank} outside world of {world}")));
+            return Err(outside(rank, world));
         }
         let hello =
             Msg::Hello { rank: rank as u32, world: world as u32, shards: shards as u32, policy_id };
-        let listener = TcpListener::bind(peers[rank].as_str()).map_err(|e| NetError::Io {
-            peer: rank as u32,
-            op: "bind",
-            detail: format!("{} ({e})", peers[rank]),
-        })?;
         listener.set_nonblocking(true).map_err(|e| NetError::Io {
             peer: rank as u32,
             op: "bind",
@@ -360,6 +381,11 @@ impl Tcp {
     }
 }
 
+/// The configuration error of a rank with no address in the peer list.
+fn outside(rank: usize, world: usize) -> NetError {
+    NetError::Config(format!("rank {rank} outside world of {world}"))
+}
+
 /// Applies the socket options every rank-to-rank stream runs with.
 fn configure(stream: TcpStream, peer: u32, config: &NetConfig) -> Result<TcpStream, NetError> {
     let io = |e: std::io::Error| NetError::Io { peer, op: "configure", detail: e.to_string() };
@@ -417,14 +443,14 @@ impl Transport for Tcp {
 mod tests {
     use super::*;
 
-    /// Picks `n` distinct loopback addresses by briefly binding port 0.
-    pub(crate) fn free_addrs(n: usize) -> Vec<String> {
-        (0..n)
-            .map(|_| {
-                let l = TcpListener::bind("127.0.0.1:0").expect("bind :0");
-                format!("127.0.0.1:{}", l.local_addr().expect("addr").port())
-            })
-            .collect()
+    /// `n` loopback listeners on port 0 and the addresses they got. Each
+    /// rank is handed its own listener, so no port is released and bound
+    /// again in between.
+    fn bound(n: usize) -> (Vec<TcpListener>, Vec<String>) {
+        let listeners: Vec<TcpListener> =
+            (0..n).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind :0")).collect();
+        let addrs = listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect();
+        (listeners, addrs)
     }
 
     #[test]
@@ -488,13 +514,16 @@ mod tests {
 
     #[test]
     fn tcp_rendezvous_connects_and_exchanges_both_ways() {
-        let peers = free_addrs(3);
+        let (listeners, peers) = bound(3);
         let config = NetConfig::default();
-        let handles: Vec<_> = (0..3)
-            .map(|rank| {
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(rank, listener)| {
                 let peers = peers.clone();
                 std::thread::spawn(move || {
-                    let mut t = Tcp::rendezvous(rank, &peers, 8, 1, &config).expect("rendezvous");
+                    let mut t = Tcp::rendezvous_on(listener, rank, &peers, 8, 1, &config)
+                        .expect("rendezvous");
                     // Ring exchange: send to (rank+1) % 3, recv from
                     // (rank+2) % 3 — exercises both stream directions.
                     let msg = Msg::Stats { step: rank as u32, words: vec![rank as u32] };
@@ -512,11 +541,13 @@ mod tests {
 
     #[test]
     fn missing_peer_trips_the_connect_timeout_naming_the_rank() {
-        // Rank 1 dials rank 0, which never binds. The error must name
+        // Rank 1 dials rank 0, which never listens. The error must name
         // rank 0 and show at least one retry.
-        let peers = free_addrs(2);
+        let (mut listeners, peers) = bound(2);
+        let l1 = listeners.pop().expect("rank 1 listener");
+        drop(listeners);
         let config = NetConfig { timeout: Duration::from_millis(100) };
-        let err = Tcp::rendezvous(1, &peers, 8, 0, &config).expect_err("no peer");
+        let err = Tcp::rendezvous_on(l1, 1, &peers, 8, 0, &config).expect_err("no peer");
         match err {
             NetError::Rendezvous { missing_rank, attempts, .. } => {
                 assert_eq!(missing_rank, 0);
@@ -526,24 +557,28 @@ mod tests {
         }
         // Rank 0 waiting on a rank 1 that never dials in: same shape,
         // naming rank 1.
-        let peers = free_addrs(2);
-        let err = Tcp::rendezvous(0, &peers, 8, 0, &config).expect_err("no dialer");
+        let (mut listeners, peers) = bound(2);
+        let l0 = listeners.remove(0);
+        let err = Tcp::rendezvous_on(l0, 0, &peers, 8, 0, &config).expect_err("no dialer");
         assert!(
             matches!(err, NetError::Rendezvous { missing_rank: 1, .. }),
             "expected Rendezvous naming rank 1, got {err:?}"
         );
+        // A rank with no address is a configuration error.
+        let err = Tcp::rendezvous(2, &peers, 8, 0, &config).expect_err("no address");
+        assert!(matches!(err, NetError::Config(_)), "{err:?}");
     }
 
     #[test]
     fn slow_peer_within_the_retry_budget_converges() {
-        let peers = free_addrs(2);
+        let (mut listeners, peers) = bound(2);
+        let (l1, l0) = (listeners.pop().expect("rank 1"), listeners.pop().expect("rank 0"));
         let config = NetConfig { timeout: Duration::from_millis(5_000) };
         let p0 = peers.clone();
-        let h0 = std::thread::spawn(move || Tcp::rendezvous(0, &p0, 8, 0, &config));
+        let h0 = std::thread::spawn(move || Tcp::rendezvous_on(l0, 0, &p0, 8, 0, &config));
         // Rank 1 shows up late; rank 0's accept loop must keep retrying.
         std::thread::sleep(Duration::from_millis(120));
-        let p1 = peers.clone();
-        let h1 = std::thread::spawn(move || Tcp::rendezvous(1, &p1, 8, 0, &config));
+        let h1 = std::thread::spawn(move || Tcp::rendezvous_on(l1, 1, &peers, 8, 0, &config));
         let t0 = h0.join().expect("rank 0 thread").expect("rank 0 rendezvous");
         let t1 = h1.join().expect("rank 1 thread").expect("rank 1 rendezvous");
         assert_eq!((t0.rank(), t0.world()), (0, 2));
@@ -553,14 +588,12 @@ mod tests {
     #[test]
     fn hello_mismatches_fail_by_name() {
         // Shard-count mismatch: both sides come up, the handshake rejects.
-        let peers = free_addrs(2);
+        let (mut listeners, peers) = bound(2);
+        let (l1, l0) = (listeners.pop().expect("rank 1"), listeners.pop().expect("rank 0"));
         let config = NetConfig { timeout: Duration::from_millis(2_000) };
         let p0 = peers.clone();
-        let h0 = std::thread::spawn(move || Tcp::rendezvous(0, &p0, 8, 0, &config));
-        let h1 = std::thread::spawn({
-            let peers = peers.clone();
-            move || Tcp::rendezvous(1, &peers, 4, 0, &config)
-        });
+        let h0 = std::thread::spawn(move || Tcp::rendezvous_on(l0, 0, &p0, 8, 0, &config));
+        let h1 = std::thread::spawn(move || Tcp::rendezvous_on(l1, 1, &peers, 4, 0, &config));
         let r0 = h0.join().expect("thread 0");
         let r1 = h1.join().expect("thread 1");
         // At least one side must reject with a Protocol error naming the
@@ -574,11 +607,12 @@ mod tests {
 
     #[test]
     fn mid_stream_disconnect_is_a_typed_error_not_a_panic() {
-        let peers = free_addrs(2);
+        let (mut listeners, peers) = bound(2);
+        let (l1, l0) = (listeners.pop().expect("rank 1"), listeners.pop().expect("rank 0"));
         let config = NetConfig { timeout: Duration::from_millis(2_000) };
         let p1 = peers.clone();
         let h1 = std::thread::spawn(move || {
-            let mut t = Tcp::rendezvous(1, &p1, 8, 0, &config).expect("rendezvous");
+            let mut t = Tcp::rendezvous_on(l1, 1, &p1, 8, 0, &config).expect("rendezvous");
             // Write a *partial* frame — a length prefix promising more
             // than is ever sent — then drop the socket.
             use std::io::Write as _;
@@ -586,7 +620,7 @@ mod tests {
             s.write_all(&100u32.to_le_bytes()).expect("partial write");
             s.write_all(b"GNT1").expect("partial write");
         });
-        let mut t0 = Tcp::rendezvous(0, &peers, 8, 0, &config).expect("rendezvous");
+        let mut t0 = Tcp::rendezvous_on(l0, 0, &peers, 8, 0, &config).expect("rendezvous");
         h1.join().expect("rank 1 thread");
         let err = t0.recv(1).expect_err("partial frame must not parse");
         assert_eq!(err, NetError::Disconnected { peer: 1 });
@@ -596,16 +630,17 @@ mod tests {
 
     #[test]
     fn tcp_observed_bytes_match_frame_sizes() {
-        let peers = free_addrs(2);
+        let (mut listeners, peers) = bound(2);
+        let (l1, l0) = (listeners.pop().expect("rank 1"), listeners.pop().expect("rank 0"));
         let config = NetConfig::default();
         let p1 = peers.clone();
         let h1 = std::thread::spawn(move || {
-            let mut t = Tcp::rendezvous(1, &p1, 8, 0, &config).expect("rendezvous");
+            let mut t = Tcp::rendezvous_on(l1, 1, &p1, 8, 0, &config).expect("rendezvous");
             let msg = Msg::Grad { epoch: 0, step: 1, tensor: 2, wire: vec![9; 33] };
             let sent = t.send(0, &msg).expect("send");
             (msg, sent)
         });
-        let mut t0 = Tcp::rendezvous(0, &peers, 8, 0, &config).expect("rendezvous");
+        let mut t0 = Tcp::rendezvous_on(l0, 0, &peers, 8, 0, &config).expect("rendezvous");
         let (msg, sent) = h1.join().expect("rank 1 thread");
         let (got, observed) = t0.recv(1).expect("recv");
         assert_eq!(got, msg);

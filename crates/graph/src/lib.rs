@@ -39,6 +39,6 @@ pub mod stats;
 
 pub use class::{DataClass, DataStructure, TensorRole};
 pub use ir::{Graph, GraphError, Node, NodeId, OpKind};
-pub use liveness::{Interval, LivenessTable};
+pub use liveness::Interval;
 pub use patterns::{LayerPair, PairKind};
 pub use sched::Schedule;

@@ -43,40 +43,6 @@ impl Interval {
     }
 }
 
-/// A table of named lifetimes, convenient for debugging allocator decisions.
-#[derive(Debug, Clone, Default)]
-pub struct LivenessTable {
-    entries: Vec<(String, Interval, usize)>,
-}
-
-impl LivenessTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a structure's lifetime and size in bytes.
-    pub fn record(&mut self, name: impl Into<String>, interval: Interval, bytes: usize) {
-        self.entries.push((name.into(), interval, bytes));
-    }
-
-    /// All recorded entries.
-    pub fn entries(&self) -> &[(String, Interval, usize)] {
-        &self.entries
-    }
-
-    /// Total bytes live at a given step.
-    pub fn live_bytes_at(&self, step: usize) -> usize {
-        self.entries.iter().filter(|(_, iv, _)| iv.contains(step)).map(|(_, _, b)| b).sum()
-    }
-
-    /// Peak of [`Self::live_bytes_at`] over all steps — the footprint a
-    /// perfect dynamic allocator would achieve (Section V-H).
-    pub fn peak_live_bytes(&self, num_steps: usize) -> usize {
-        (0..num_steps).map(|s| self.live_bytes_at(s)).max().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,15 +70,5 @@ mod tests {
     #[should_panic(expected = "interval end")]
     fn reversed_interval_panics() {
         Interval::new(4, 2);
-    }
-
-    #[test]
-    fn peak_live_bytes_finds_maximum() {
-        let mut t = LivenessTable::new();
-        t.record("a", Interval::new(0, 2), 10);
-        t.record("b", Interval::new(2, 4), 20);
-        t.record("c", Interval::new(4, 6), 5);
-        assert_eq!(t.live_bytes_at(2), 30);
-        assert_eq!(t.peak_live_bytes(7), 30);
     }
 }

@@ -1,13 +1,12 @@
 //! The segment planner: which stashes stay resident, which are dropped and
-//! recomputed, which are swapped to host — and exactly which named buffers
-//! come and go at which backward step.
+//! recomputed, which are swapped to host — and at which backward step each
+//! swap-in and replay fires.
 //!
 //! The plan is consumed once: `gist_runtime::StepProgram::lower` turns its
-//! triggers into the step program's swap-in and replay-step items, which
-//! the executor interprets and the predictor folds. Every buffer a plan
-//! introduces carries its *name* in the plan itself (`{node}.rstash`,
-//! `{node}.ry{segment}`, `{node}.sin`); the lowering interns those names
-//! as the program's buffers.
+//! dispositions, segments and triggers into the step program's swap-in and
+//! replay-step items, which the executor interprets and the predictor
+//! folds. The plan speaks in node ids only; the lowering names every
+//! buffer those items introduce.
 
 use gist_encodings::StashCodec;
 use gist_graph::class::is_stashed;
@@ -55,15 +54,12 @@ pub enum StashDisposition {
 pub struct ReplayStep {
     /// The node whose forward op is re-run.
     pub node: NodeId,
-    /// Buffer name its output is written to (`{node}.rstash` for rebuilt
-    /// stashes, `{node}.ry{segment}` for replay-internal intermediates).
-    pub buf: String,
     /// Whether the output becomes the node's stash (a dropped member of
     /// this segment) rather than a replay-internal intermediate.
     pub is_stash: bool,
-    /// Intermediate buffers whose last replay use is this step, freed
-    /// immediately after it runs.
-    pub frees_after: Vec<(NodeId, String)>,
+    /// Intermediates whose last replay use is this step, freed immediately
+    /// after it runs.
+    pub frees_after: Vec<NodeId>,
 }
 
 /// One recompute segment: a set of dropped stashes plus the minimal closure
@@ -99,13 +95,6 @@ pub struct OffloadPlan {
     pub segments: Vec<Segment>,
     /// Per-node actions fired just before that node's backward item runs.
     pub triggers: Vec<Vec<Action>>,
-    /// Per-node swap-slot buffer name (`{node}.sin`), present for swapped
-    /// stashes that are read in the backward pass.
-    pub swap_in_name: Vec<Option<String>>,
-    /// Override for the name under which a node's stash is freed: the swap
-    /// slot or rebuilt-stash name for offloaded stashes, `None` to use the
-    /// executor's default `{node}.stash`.
-    pub stash_free_name: Vec<Option<String>>,
     /// Host pinned-slot sizes in elements (non-zero only for swapped
     /// stashes); indexes [`crate::HostStore`] slots.
     pub host_slots: Vec<usize>,
@@ -168,8 +157,6 @@ impl OffloadPlan {
             disposition: vec![StashDisposition::Resident; n],
             segments: Vec::new(),
             triggers: vec![Vec::new(); n],
-            swap_in_name: vec![None; n],
-            stash_free_name: vec![None; n],
             host_slots: vec![0; n],
             numel,
             backward_order,
@@ -199,8 +186,6 @@ impl OffloadPlan {
             if let Some(&trigger) = readers[i].iter().max_by_key(|r| pos[r.index()]) {
                 // First backward reader = the one latest in the forward
                 // schedule; the fetch lands just before it runs.
-                self.swap_in_name[i] = Some(format!("{}.sin", graph.node(NodeId::new(i)).name));
-                self.stash_free_name[i] = self.swap_in_name[i].clone();
                 self.triggers[trigger.index()].push(Action::SwapIn(NodeId::new(i)));
             }
             // Unread victims swap out and never come back: no device buffer,
@@ -252,7 +237,6 @@ impl OffloadPlan {
             if members.is_empty() {
                 continue;
             }
-            let seg_index = self.segments.len();
             let mut in_replay: Vec<bool> = vec![false; graph.len()];
             let mut externals: Vec<usize> = Vec::new();
             let mut queue: Vec<usize> = members.clone();
@@ -281,22 +265,12 @@ impl OffloadPlan {
 
             let mut steps: Vec<usize> = (0..graph.len()).filter(|&i| in_replay[i]).collect();
             steps.sort_by_key(|&i| pos[i]);
-            let is_member = |i: usize| members.contains(&i);
             let mut replay: Vec<ReplayStep> = steps
                 .iter()
-                .map(|&i| {
-                    let name = &graph.node(NodeId::new(i)).name;
-                    let buf = if is_member(i) {
-                        format!("{name}.rstash")
-                    } else {
-                        format!("{name}.ry{seg_index}")
-                    };
-                    ReplayStep {
-                        node: NodeId::new(i),
-                        buf,
-                        is_stash: is_member(i),
-                        frees_after: Vec::new(),
-                    }
+                .map(|&i| ReplayStep {
+                    node: NodeId::new(i),
+                    is_stash: members.contains(&i),
+                    frees_after: Vec::new(),
                 })
                 .collect();
             // Free each intermediate right after its last replay reader.
@@ -312,17 +286,12 @@ impl OffloadPlan {
                     .map(|(ri, _)| ri)
                     .max()
                     .expect("replay intermediate always has an in-replay reader");
-                let buf = replay[si].buf.clone();
-                replay[last].frees_after.push((NodeId::new(i), buf));
+                replay[last].frees_after.push(NodeId::new(i));
             }
             for step in &mut replay {
-                step.frees_after.sort_by_key(|(id, _)| pos[id.index()]);
+                step.frees_after.sort_by_key(|id| pos[id.index()]);
             }
 
-            for &d in &members {
-                self.stash_free_name[d] =
-                    Some(format!("{}.rstash", graph.node(NodeId::new(d)).name));
-            }
             // The segment fires just before the earliest backward reader of
             // any of its members — the reader latest in the forward order.
             let trigger = members
@@ -331,7 +300,7 @@ impl OffloadPlan {
                 .max_by_key(|r| pos[r.index()])
                 .copied()
                 .expect("segment members have running readers");
-            self.triggers[trigger.index()].push(Action::Replay(seg_index));
+            self.triggers[trigger.index()].push(Action::Replay(self.segments.len()));
             externals.sort_by_key(|&e| pos[e]);
             self.segments.push(Segment {
                 checkpoint: NodeId::new(checkpoint),
@@ -393,11 +362,13 @@ mod tests {
         assert!(plan.has_offload_work());
         let swapped = plan.disposition.iter().filter(|d| **d == StashDisposition::Swapped).count();
         assert!(swapped > 0, "small_vgg has dense stashes under baseline");
-        // Every swapped-and-read stash has a slot, a swap-in name, and a
-        // trigger.
+        // Every swapped stash has a host slot; each is fetched back by at
+        // most one trigger.
         let triggered: usize = plan.triggers.iter().map(|t| t.len()).sum();
-        let named = plan.swap_in_name.iter().filter(|s| s.is_some()).count();
-        assert_eq!(triggered, named);
+        assert!(triggered > 0 && triggered <= swapped);
+        for (i, d) in plan.disposition.iter().enumerate() {
+            assert_eq!(*d == StashDisposition::Swapped, plan.host_slots[i] > 0);
+        }
         assert!(plan.pinned_bytes() > 0);
     }
 
@@ -422,10 +393,10 @@ mod tests {
         // Each intermediate allocated in a replay is freed in the same
         // replay.
         for seg in &plan.segments {
-            let allocs: Vec<&String> =
-                seg.replay.iter().filter(|s| !s.is_stash).map(|s| &s.buf).collect();
-            let frees: Vec<&String> =
-                seg.replay.iter().flat_map(|s| s.frees_after.iter().map(|(_, b)| b)).collect();
+            let allocs: Vec<NodeId> =
+                seg.replay.iter().filter(|s| !s.is_stash).map(|s| s.node).collect();
+            let frees: Vec<NodeId> =
+                seg.replay.iter().flat_map(|s| s.frees_after.iter().copied()).collect();
             assert_eq!(allocs.len(), frees.len(), "replay leaks intermediates");
             for a in allocs {
                 assert!(frees.contains(&a));

@@ -75,7 +75,6 @@ struct NodeOut {
     y: Tensor,
     argmax: Option<Vec<u8>>,
     bn: Option<BatchNormCache>,
-    mask: Option<Vec<bool>>,
     loss: Option<(f32, usize)>,
     /// Compute start, nanoseconds since the step epoch.
     t0_ns: u64,
@@ -142,7 +141,6 @@ struct StepState {
     fmaps: Vec<Option<Tensor>>,
     stashes: Vec<Option<Stash>>,
     argmaxes: Vec<Option<Vec<u8>>>,
-    drop_masks: Vec<Option<Vec<bool>>>,
     bn_caches: Vec<Option<BatchNormCache>>,
     loss: f32,
     correct: usize,
@@ -213,7 +211,7 @@ pub struct Executor {
     /// offload plan and the inferred shapes live here and nowhere else.
     program: StepProgram,
     seed: u64,
-    /// Minibatches executed so far; also salts the per-step dropout masks.
+    /// Minibatches executed so far; also salts the per-step dropout bits.
     step_counter: u64,
     /// The slab every step executes out of (arena policy only), packed
     /// from the program's own event fold before the first kernel runs.
@@ -325,8 +323,8 @@ impl Executor {
         self.step_counter
     }
 
-    /// Sets the step epoch that salts the next pass's dropout masks. A
-    /// data-parallel trainer sets it per shard, so a shard's masks do not
+    /// Sets the step epoch that salts the next pass's dropout bits. A
+    /// data-parallel trainer sets it per shard, so a shard's bits do not
     /// depend on which replica runs it.
     pub fn set_steps_executed(&mut self, steps: u64) {
         self.step_counter = steps;
@@ -334,7 +332,7 @@ impl Executor {
 
     /// Captures the cross-step train state: every parameter tensor encoded
     /// under `codec`, and the step epoch. Restored into an executor of the
-    /// same graph **and seed** (the seed salts the dropout masks too),
+    /// same graph **and seed** (the seed salts the dropout bits too),
     /// training continues bit-identically when `codec` is lossless.
     pub fn snapshot(&self, codec: TransferCodec) -> Snapshot {
         Snapshot {
@@ -545,7 +543,6 @@ impl Executor {
         };
         let mut argmax = None;
         let mut bn = None;
-        let mut mask = None;
         let mut loss = None;
         match &node.op {
             OpKind::Input(_) => y.copy_from(step.images),
@@ -567,9 +564,7 @@ impl Executor {
             }
             OpKind::Lrn(p) => lrn::forward_into(input(0), *p, &mut y)?,
             OpKind::Dropout { p } => {
-                let keep = dropout::keep_mask(input(0).numel(), *p, self.dropout_mask_seed(id));
-                dropout::forward_into(input(0), &keep, *p, &mut y)?;
-                mask = Some(keep);
+                dropout::forward_into(input(0), *p, self.dropout_seed(id), &mut y)?
             }
             OpKind::Add => elementwise::add_forward_into(input(0), input(1), &mut y)?,
             OpKind::Concat => {
@@ -586,7 +581,7 @@ impl Executor {
             }
         }
         let dur_ns = elapsed_ns(&step.epoch).saturating_sub(t0_ns);
-        Ok(NodeOut { y, argmax, bn, mask, loss, t0_ns, dur_ns })
+        Ok(NodeOut { y, argmax, bn, loss, t0_ns, dur_ns })
     }
 
     /// Parameters of a conv, linear or batch-norm node.
@@ -594,7 +589,10 @@ impl Executor {
         self.params.get(id.index()).expect("parameterized op has parameters")
     }
 
-    fn dropout_mask_seed(&self, id: NodeId) -> u64 {
+    /// The seed of `id`'s dropout bits this step: both passes (and a
+    /// recompute replay, which runs before the step counter advances)
+    /// derive the identical bits from it.
+    fn dropout_seed(&self, id: NodeId) -> u64 {
         self.seed
             .wrapping_add((id.index() as u64).wrapping_mul(0x51_7C_C1_B7_27_22_0A_95))
             .wrapping_add(self.step_counter)
@@ -687,8 +685,7 @@ impl Executor {
             }
             OpKind::Lrn(p) => lrn::backward_into(&*stashed_input()?, dy(), *p, &mut contrib[0])?,
             OpKind::Dropout { p } => {
-                let mask = st.drop_masks[id.index()].as_ref().expect("dropout ran forward");
-                dropout::backward_into(dy(), mask, *p, &mut contrib[0])?;
+                dropout::backward_into(dy(), *p, self.dropout_seed(id), &mut contrib[0])?;
             }
             OpKind::Add => {
                 for dx in &mut contrib {
@@ -706,28 +703,6 @@ impl Executor {
         Ok(BwdOut { pgrads, contrib, t0_ns, dur_ns, decodes })
     }
 
-    /// Forward-only inference: returns the argmax class per image (the
-    /// last maximum under IEEE total order, so diverged — NaN — logits
-    /// still classify deterministically instead of panicking).
-    ///
-    /// No stashes are created and no encodings run — inference has no
-    /// backward pass, which is exactly why the paper's problem (and Gist)
-    /// is specific to training. Always heap-allocated: the program lowers
-    /// the training step, not this path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::BatchMismatch`] on input-shape mismatch.
-    pub fn predict(&self, images: &Tensor) -> Result<Vec<usize>, RuntimeError> {
-        let logits = self.forward_logits(images)?;
-        let (_, k) = logits.shape().as_matrix();
-        let argmax = |row: &[f32]| {
-            let best = row.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
-            best.map(|(j, _)| j).expect("non-empty row")
-        };
-        Ok(logits.data().chunks(k).map(argmax).collect())
-    }
-
     /// Checks a minibatch against the graph's input node; returns its size.
     fn check_images(&self, images: &Tensor) -> Result<usize, RuntimeError> {
         let expected = self.shape(self.program.input);
@@ -738,29 +713,6 @@ impl Executor {
             )));
         }
         Ok(expected.n())
-    }
-
-    /// Runs the inference forward pass — the training step's own kernel
-    /// dispatch, minus dropout — and returns the logits (the loss head's
-    /// input).
-    fn forward_logits(&self, images: &Tensor) -> Result<Tensor, RuntimeError> {
-        self.check_images(images)?;
-        let step = Batch { images, labels: &[], epoch: Instant::now(), traced: false };
-        let logits = self.program.logits;
-        let mut fmaps: Vec<Option<Tensor>> = vec![None; self.graph.len()];
-        for node in &self.graph.nodes()[..=logits.index()] {
-            let y = match node.op {
-                // Inference: dropout is the identity (inverted dropout).
-                OpKind::Dropout { .. } => fmaps[node.inputs[0].index()].clone().expect("producer"),
-                _ => {
-                    self.compute_forward(node, &fmaps, &step, Tensor::zeros(self.shape(node.id)))?.y
-                }
-            };
-            fmaps[node.id.index()] = Some(y);
-        }
-        let logits = fmaps[logits.index()].take().expect("logits computed");
-        let (n, k) = logits.shape().as_matrix();
-        logits.reshape(Shape::matrix(n, k)).map_err(RuntimeError::from)
     }
 
     /// Runs one forward+backward pass and applies an SGD update.
@@ -851,7 +803,6 @@ impl Executor {
             fmaps: vec![None; n],
             stashes: vec![None; n],
             argmaxes: vec![None; n],
-            drop_masks: vec![None; n],
             bn_caches: vec![None; n],
             loss: 0.0,
             correct: 0,
@@ -991,8 +942,7 @@ impl Executor {
                 let dur_ns = elapsed_ns(&cx.batch.epoch).saturating_sub(t0_ns);
                 cx.span(&node.name, Phase::Forward, wave, lane, t0_ns, dur_ns);
                 self.play_all(st, &item.pre, cx);
-                let out =
-                    NodeOut { y, argmax: None, bn: None, mask: None, loss: None, t0_ns, dur_ns };
+                let out = NodeOut { y, argmax: None, bn: None, loss: None, t0_ns, dur_ns };
                 self.absorb_forward(st, node.id, *stash, out, cx)?;
             }
             (Work::Backward { node, targets, .. }, Out::Backward(out)) => {
@@ -1047,7 +997,7 @@ impl Executor {
         cx: &Step,
     ) -> Result<(), RuntimeError> {
         let node = self.graph.node(id);
-        let NodeOut { mut y, argmax, bn, mask, loss, .. } = out;
+        let NodeOut { mut y, argmax, bn, loss, .. } = out;
         self.quantize_immediate(&mut y);
         if matches!(node.op, OpKind::Relu) {
             st.relu_sparsity.push((node.name.clone(), y.sparsity()));
@@ -1057,9 +1007,6 @@ impl Executor {
         }
         if bn.is_some() {
             st.bn_caches[id.index()] = bn;
-        }
-        if mask.is_some() {
-            st.drop_masks[id.index()] = mask;
         }
         if let Some((l, c)) = loss {
             st.loss = l;
@@ -1142,9 +1089,9 @@ impl Executor {
         let rs = &seg.replay[index];
         let node = self.graph.node(rs.node);
         let out = self.buffer(st, buf, self.shape(rs.node))?;
-        // The step counter has not advanced, so replayed dropout masks are
-        // bit-identical to the forward pass; argmax/BN/mask side outputs
-        // are likewise identical to the retained originals and are ignored
+        // The step counter has not advanced, so replayed dropout bits are
+        // identical to the forward pass's; argmax/BN side outputs are
+        // likewise identical to the retained originals and are ignored
         // (stats were already collected in the forward pass).
         let NodeOut { mut y, t0_ns, dur_ns, .. } =
             self.compute_forward(node, &st.rmaps, &cx.batch, out)?;
@@ -1346,6 +1293,38 @@ mod tests {
     }
 
     #[test]
+    fn an_enabled_recorder_changes_no_value() {
+        // tiny_classic runs dropout and LRN; lossless adds encode/decode
+        // events. Every step traced into a live sink must return the
+        // untraced step's stats and leave the same weight bits.
+        let (x, y) = minibatch(4);
+        let g = gist_models::tiny_classic(4, 3);
+        let mode = ExecMode::Gist(GistConfig::lossless());
+        let mut plain = Executor::new(g.clone(), mode.clone(), 5).unwrap();
+        let mut traced = Executor::new(g, mode, 5).unwrap();
+        let sink = gist_obs::TraceSink::new();
+        let bits = |e: &Executor| e.params.bits().collect::<Vec<u32>>();
+        for step in 0..3 {
+            let a = plain.step(&x, &y, 0.05).unwrap();
+            let b = traced.step_traced(&x, &y, 0.05, &sink).unwrap();
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "stats at step {step}");
+            assert_eq!(bits(&plain), bits(&traced), "weights after step {step}");
+        }
+        let grad_bits = |grads: Vec<Option<ParamGrads>>| {
+            crate::params::tensors(&grads)
+                .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+                .collect::<Vec<u32>>()
+        };
+        let (_, ga) = plain.forward_backward(&x, &y).unwrap();
+        let (_, gb) = traced.forward_backward_traced(&x, &y, &sink).unwrap();
+        assert_eq!(grad_bits(ga), grad_bits(gb));
+        let events = sink.take();
+        let spans = events.iter().filter(|e| matches!(e, Event::Span { .. })).count();
+        assert!(spans > 0 && spans % 4 == 0, "span count {spans} should cover 4 passes");
+        assert!(events.iter().any(|e| matches!(e, Event::Encode { .. })));
+    }
+
+    #[test]
     fn inplace_relu_lowers_peak_memory_without_changing_values() {
         let (x, y) = minibatch(4);
         let g = gist_models::small_vgg(4, 3);
@@ -1362,34 +1341,6 @@ mod tests {
             sa.peak_live_bytes,
             sb.peak_live_bytes
         );
-    }
-
-    #[test]
-    fn predict_matches_training_labels_after_learning() {
-        let g = gist_models::tiny_convnet(8, 3);
-        let mut e = Executor::new(g, ExecMode::Baseline, 1).unwrap();
-        let mut ds = SyntheticImages::new(3, 16, 0.1, 7);
-        for _ in 0..40 {
-            let (x, y) = ds.minibatch(8);
-            e.step(&x, &y, 0.05).unwrap();
-        }
-        let (x, y) = ds.minibatch(8);
-        let pred = e.predict(&x).unwrap();
-        let correct = pred.iter().zip(&y).filter(|(p, l)| p == l).count();
-        assert!(correct >= 6, "trained net should predict held-out samples: {correct}/8");
-    }
-
-    #[test]
-    fn predict_is_side_effect_free() {
-        let g = gist_models::tiny_classic(4, 3);
-        let e = Executor::new(g, ExecMode::Baseline, 1).unwrap();
-        let mut ds = SyntheticImages::new(3, 16, 0.1, 7);
-        let (x, _) = ds.minibatch(4);
-        let before = e.steps_executed();
-        let a = e.predict(&x).unwrap();
-        let b = e.predict(&x).unwrap();
-        assert_eq!(a, b, "inference must be deterministic (dropout = identity)");
-        assert_eq!(e.steps_executed(), before);
     }
 
     /// Two parallel conv branches off one input: waves with sibling nodes in
@@ -1503,23 +1454,6 @@ mod tests {
         assert!(matches!(e.step(&x, &y[..2], 0.1), Err(RuntimeError::BatchMismatch(_))));
         let bad = Tensor::zeros(Shape::nchw(4, 3, 16, 16));
         assert!(matches!(e.step(&bad, &y, 0.1), Err(RuntimeError::BatchMismatch(_))));
-        assert!(matches!(e.predict(&bad), Err(RuntimeError::BatchMismatch(_))));
-    }
-
-    #[test]
-    fn predict_classifies_diverged_logits_deterministically() {
-        // The state Figure 12's All-FP16 run reaches by design: a NaN
-        // weight makes every logit downstream NaN. Inference must still
-        // answer — the same answer every time — instead of panicking.
-        let g = gist_models::tiny_convnet(4, 3);
-        let mut e = Executor::new(g, ExecMode::UniformImmediate(DprFormat::Fp16), 1).unwrap();
-        let fc = e.graph().nodes().iter().position(|n| n.name == "fc").unwrap();
-        e.params.get_mut(fc).expect("fc is linear").main.data_mut()[0] = f32::NAN;
-        let (x, _) = minibatch(4);
-        let classes = e.predict(&x).expect("NaN logits still classify");
-        assert_eq!(classes.len(), 4);
-        assert!(classes.iter().all(|&c| c < 3));
-        assert_eq!(e.predict(&x).unwrap(), classes);
     }
 
     /// The oracle that can still fail now that `observed == predicted`

@@ -2,10 +2,11 @@
 
 //! # gist-runtime
 //!
-//! The training executor: actually runs forward and backward passes over an
-//! execution graph with Gist's encodings applied *at runtime* — stashing
-//! encoded feature maps between the two uses and decoding them for the
-//! backward pass — plus an SGD trainer and deterministic synthetic datasets.
+//! The training executor: interprets one lowered [`StepProgram`] per step —
+//! the only forward and backward walk — with Gist's encodings applied *at
+//! runtime*, stashing encoded feature maps between the two uses and decoding
+//! them for the backward pass. Plus one update rule (plain SGD), one epoch
+//! loop ([`train`]) and deterministic synthetic datasets.
 //!
 //! This is where the paper's value-level claims are checked:
 //!
@@ -21,7 +22,6 @@ pub mod autotune;
 pub mod checkpoint;
 pub mod data;
 pub mod exec;
-pub mod optim;
 pub mod params;
 pub mod predict;
 pub mod program;
@@ -34,7 +34,6 @@ pub use data::SyntheticImages;
 pub use exec::{Executor, StepStats};
 pub use gist_memory::PlanGranularity;
 pub use gist_offload::{OffloadMode, SwapStrategy};
-pub use optim::MomentumSgd;
 pub use params::ParamSet;
 pub use predict::{
     param_tensor_numels, predict_step_events_granular, predicted_param_wire_bytes,
@@ -42,7 +41,7 @@ pub use predict::{
 };
 pub use program::StepProgram;
 pub use spec::{offload_label, parse_offload, AllocPolicy, ExecMode, ExecSpec};
-pub use trainer::{train, train_loop, train_loop_traced, EpochStats, LrSchedule, TrainReport};
+pub use trainer::{train, EpochStats, TrainReport};
 
 /// Errors from runtime execution.
 #[derive(Debug)]

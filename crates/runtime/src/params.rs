@@ -49,9 +49,6 @@ pub fn tensors(slots: &[Option<NodeParams>]) -> impl Iterator<Item = &Tensor> {
 #[derive(Debug, Clone)]
 pub struct ParamSet {
     slots: Vec<Option<NodeParams>>,
-    /// Per node: whether L2 weight decay applies to its main tensor (conv
-    /// and linear weights, not batch-norm scale; secondaries never decay).
-    decays: Vec<bool>,
 }
 
 /// Shapes of every node's learned-parameter tensors, indexed by node id:
@@ -115,8 +112,7 @@ impl ParamSet {
                 Some(NodeParams { main, secondary: rest.first().map(|&s| Tensor::zeros(s)) })
             })
             .collect();
-        let decays = graph.nodes().iter().map(|n| !matches!(n.op, OpKind::BatchNorm)).collect();
-        Ok(ParamSet { slots, decays })
+        Ok(ParamSet { slots })
     }
 
     /// Parameters of a node, if any.
@@ -138,11 +134,6 @@ impl ParamSet {
     /// [`Self::tensors`], mutably.
     pub fn tensors_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
         self.slots.iter_mut().flatten().flat_map(|p| p.tensors_mut())
-    }
-
-    /// Whether weight decay applies to a node's main tensor.
-    pub fn decays(&self, index: usize) -> bool {
-        self.get(index).is_some() && self.decays[index]
     }
 
     /// Total scalar parameter count.
@@ -217,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn resnet_gets_batchnorm_params_that_skip_weight_decay() {
+    fn resnet_gets_batchnorm_params() {
         let g = gist_models::resnet_cifar(1, 2);
         let p = ParamSet::init(&g, 1).unwrap();
         let mut seen = [false; 2];
@@ -226,14 +217,13 @@ mod tests {
             match n.op {
                 OpKind::BatchNorm => {
                     assert!(p.get(i).is_some_and(|n| n.secondary.is_some()));
-                    assert!(!p.decays(i));
                     seen[0] = true;
                 }
                 OpKind::Conv { .. } | OpKind::Linear { .. } => {
-                    assert!(p.decays(i));
+                    assert!(p.get(i).is_some());
                     seen[1] = true;
                 }
-                _ => assert!(p.get(i).is_none() && !p.decays(i)),
+                _ => assert!(p.get(i).is_none()),
             }
         }
         assert_eq!(seen, [true; 2]);

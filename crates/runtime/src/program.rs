@@ -1,12 +1,14 @@
 //! The step program: one lowering of `Graph × ExecSpec` that both the
 //! executor and the static predictor consume.
 //!
-//! [`StepProgram::lower`] is the only place that knows a training step's
-//! buffer lifetimes — wave order, last forward use, the inplace-ReLU reuse
-//! rule, which producers a backward item contributes to (and which of
-//! those contributions write the producer's gradient map directly), which
-//! backward items decode a stash, and where an offload plan's swap-ins and
-//! replays land. Its output is a flat list of `Block`s over interned buffers:
+//! [`StepProgram::lower`] is the only place that names a training step's
+//! buffers and knows their lifetimes — wave order, last forward use, the
+//! inplace-ReLU reuse rule, which producers a backward item contributes to
+//! (and which of those contributions write the producer's gradient map
+//! directly), which backward items decode a stash, and where an offload
+//! plan's swap-ins and replays land (the plan itself speaks in node ids:
+//! the lowering spells `{node}.sin`, `{node}.rstash` and `{node}.ry{seg}`).
+//! Its output is a flat list of `Block`s over interned buffers:
 //!
 //! * a block plays its `entry` memory ops, runs its work `Item`s, merges
 //!   them sequentially in program order (each item's `pre` ops, its
@@ -217,8 +219,6 @@ pub struct StepProgram {
     pub(crate) oplan: Option<OffloadPlan>,
     /// The graph's input node.
     pub(crate) input: NodeId,
-    /// The loss head's producer (the logits).
-    pub(crate) logits: NodeId,
     /// Whether concurrent blocks are wave groups of an arena plan.
     wave_planned: bool,
 }
@@ -268,12 +268,17 @@ impl Lowering<'_> {
         self.dense(format!("{}.dy", self.name(id)), id, Slot::Grad(id))
     }
 
+    /// What the offload plan does with `id`'s stash (resident without one).
+    fn disposition(&self, id: NodeId) -> StashDisposition {
+        self.plan.map_or(StashDisposition::Resident, |p| p.disposition[id.index()])
+    }
+
     /// What a forward item does with `id`'s stash.
     fn stash_site(&mut self, id: NodeId) -> StashSite {
         if !is_stashed(self.graph, id) {
             return StashSite::None;
         }
-        match self.plan.map_or(StashDisposition::Resident, |p| p.disposition[id.index()]) {
+        match self.disposition(id) {
             // Recompute rebuilds it in the backward pass (or nothing ever
             // reads it): no device bytes, no events.
             StashDisposition::Dropped => StashSite::None,
@@ -296,15 +301,32 @@ impl Lowering<'_> {
         }
     }
 
+    /// The swap slot `{node}.sin` a swapped-out stash is fetched back into.
+    fn swap_slot(&mut self, id: NodeId) -> BufId {
+        self.dense(format!("{}.sin", self.name(id)), id, Slot::Stash(id))
+    }
+
+    /// The stash `{node}.rstash` a recompute segment rebuilds.
+    fn rebuilt_stash(&mut self, id: NodeId) -> BufId {
+        self.dense(format!("{}.rstash", self.name(id)), id, Slot::Stash(id))
+    }
+
+    /// A replay-internal intermediate `{node}.ry{seg}` of segment `seg`.
+    fn replay_map(&mut self, id: NodeId, seg: usize) -> BufId {
+        self.dense(format!("{}.ry{seg}", self.name(id)), id, Slot::Replay(id))
+    }
+
     /// The buffer `id`'s stash is held in when its backward item releases
-    /// it: the plan's swap slot / rebuilt stash for offloaded stashes, the
-    /// forward `{node}.stash` otherwise.
+    /// it, by disposition: the swap slot of a swapped stash, the rebuilt
+    /// stash of a dropped one (only replay members are ever held), the
+    /// forward `{node}.stash` of a resident one.
     fn held_stash(&mut self, id: NodeId) -> BufId {
-        match self.plan.and_then(|p| p.stash_free_name[id.index()].clone()) {
-            Some(name) => self.dense(name, id, Slot::Stash(id)),
-            None => match self.stash_site(id) {
+        match self.disposition(id) {
+            StashDisposition::Swapped => self.swap_slot(id),
+            StashDisposition::Dropped => self.rebuilt_stash(id),
+            StashDisposition::Resident => match self.stash_site(id) {
                 StashSite::Resident(buf) => buf,
-                _ => unreachable!("a held stash without a plan name is resident"),
+                _ => unreachable!("a resident held stash has a stash buffer"),
             },
         }
     }
@@ -375,8 +397,8 @@ impl StepProgram {
             }
         };
         let input = find_node(graph, "input node", |op| matches!(op, OpKind::Input(_)))?.id;
-        let logits =
-            find_node(graph, "loss head", |op| matches!(op, OpKind::SoftmaxLoss))?.inputs[0];
+        // A graph without a loss head has no backward pass to lower.
+        find_node(graph, "loss head", |op| matches!(op, OpKind::SoftmaxLoss))?;
 
         let arena = spec.alloc == AllocPolicy::Arena;
         // Wave granularity only changes the arena program: heap buffers are
@@ -528,9 +550,7 @@ impl StepProgram {
                 let plan = plan.expect("triggers come from a plan");
                 match *action {
                     Action::SwapIn(v) => {
-                        let name = plan.swap_in_name[v.index()].clone();
-                        let name = name.expect("triggered swap-in has a slot name");
-                        let slot = lo.dense(name, v, Slot::Stash(v));
+                        let slot = lo.swap_slot(v);
                         stashed[v.index()] = true;
                         prologue.items.push(Item {
                             work: Work::SwapIn { node: v, slot },
@@ -540,17 +560,15 @@ impl StepProgram {
                     }
                     Action::Replay(seg) => {
                         for (step, rs) in plan.segments[seg].replay.iter().enumerate() {
-                            let slot = if rs.is_stash {
+                            let buf = if rs.is_stash {
                                 stashed[rs.node.index()] = true;
-                                Slot::Stash(rs.node)
+                                lo.rebuilt_stash(rs.node)
                             } else {
-                                Slot::Replay(rs.node)
+                                lo.replay_map(rs.node, seg)
                             };
-                            let buf = lo.dense(rs.buf.clone(), rs.node, slot);
                             let mut post = vec![MemOp::Alloc(buf)];
-                            for (fid, fbuf) in &rs.frees_after {
-                                let freed = lo.dense(fbuf.clone(), *fid, Slot::Replay(*fid));
-                                post.push(MemOp::Free(freed));
+                            for &freed in &rs.frees_after {
+                                post.push(MemOp::Free(lo.replay_map(freed, seg)));
                             }
                             prologue.items.push(Item {
                                 work: Work::Replay { seg, step, buf },
@@ -657,7 +675,6 @@ impl StepProgram {
             codecs,
             oplan,
             input,
-            logits,
             wave_planned: hoist,
         })
     }

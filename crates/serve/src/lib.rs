@@ -44,4 +44,4 @@ pub use server::{
     solo_report, JobReport, LogAction, LogEntry, ServeConfig, ServeError, ServeReport, Server,
     StepOrder,
 };
-pub use spec::{parse_alloc, parse_exec_mode, JobSpec, JobSpecBuilder, SpecError};
+pub use spec::{JobSpec, JobSpecBuilder, SpecError};

@@ -47,17 +47,6 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// [`ExecMode::parse`] — the one `mode` spelling table, shared with the
-/// CLI's `--mode` — under the name the equivalence suites import.
-pub fn parse_exec_mode(s: &str) -> Option<ExecMode> {
-    ExecMode::parse(s)
-}
-
-/// [`AllocPolicy::parse`], likewise.
-pub fn parse_alloc(s: &str) -> Option<AllocPolicy> {
-    AllocPolicy::parse(s)
-}
-
 /// One training job as the scheduler sees it. Construct via
 /// [`JobSpec::builder`] (typed) or [`JobSpec::parse`] (CLI grammar); both
 /// run the same validation, so every `JobSpec` in existence is runnable.
@@ -449,10 +438,10 @@ mod tests {
     #[test]
     fn mode_spellings_roundtrip() {
         for s in ["baseline", "lossless", "fp16", "fp10", "fp8", "uniform-immediate"] {
-            assert_eq!(parse_exec_mode(s).unwrap().label(), s);
+            assert_eq!(ExecMode::parse(s).unwrap().label(), s);
         }
-        assert!(parse_exec_mode("fast").is_none());
-        assert!(parse_alloc("stack").is_none());
+        assert!(ExecMode::parse("fast").is_none());
+        assert!(AllocPolicy::parse("stack").is_none());
         // Garbage plan values fall back (with a warning) like every other
         // known key; the default stays event-granular.
         let (spec, warnings) = JobSpec::parse("tiny-convnet,plan=tick").unwrap();

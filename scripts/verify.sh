@@ -93,9 +93,17 @@
 #      kernel: gist-tensor's alloc-returning wrappers (`pub fn forward(`,
 #      `maxpool_backward(`, … under crates/tensor/src/ops), their result
 #      structs, `BitMask::relu_backward` and the accountant's second
-#      offset sweep (`fn verify_offsets` under crates/obs) stay deleted —
-#      and the non-test line count of crates/*/src (lines before each
-#      file's first `#[cfg(test)]`) is printed into every log
+#      offset sweep (`fn verify_offsets` under crates/obs) stay deleted.
+#      And a step is only its program: the lowering names every buffer, so
+#      the offload buffer formats (`"{}.sin"`, `"{}.rstash"`, `"{}.ry…"`)
+#      are spelled under crates/ in crates/runtime/src/program.rs only;
+#      the second forward walk (`fn predict(`, `forward_logits`), the
+#      dropout side table (`drop_masks`), the uncalled optimizer and loops
+#      (`MomentumSgd`, `LrSchedule`, `train_loop`), the third peak-of-
+#      lifetimes computation (`LivenessTable`) and gist-dist's private byte
+#      cursor (`struct Rd`) stay deleted under crates/ src/ tests/
+#      examples/ — and the non-test line count of crates/*/src (lines
+#      before each file's first `#[cfg(test)]`) is printed into every log
 #  13. the perf ledger: the newest root `BENCH_<pr>.json` (a change-side
 #      sweep of the repo benchmark folded by `bench_ledger`) against the
 #      one before it, row by row under BENCHMARK.json's bounds — a row
@@ -215,6 +223,19 @@ wrappers=$(
 if [ -n "$wrappers" ]; then
     echo "a second entry point reappeared (call the _into kernel; check offsets with gist_memory::check_no_overlap_waves):" >&2
     echo "$wrappers" >&2
+    exit 1
+fi
+names=$(grep -rnE '"\{[^"]*\}\.(sin|rstash|ry)' crates | grep -v "^crates/runtime/src/program.rs:" || true)
+if [ -n "$names" ]; then
+    echo "a step buffer is named outside the lowering (StepProgram::lower names every buffer):" >&2
+    echo "$names" >&2
+    exit 1
+fi
+seconds=$(grep -rnE "MomentumSgd|LrSchedule|train_loop|fn predict\(|forward_logits|drop_masks|LivenessTable|struct Rd\b" \
+    crates src tests examples || true)
+if [ -n "$seconds" ]; then
+    echo "a deleted second path reappeared (one forward walk, re-derived dropout bits, one update rule, one loop, one cursor):" >&2
+    echo "$seconds" >&2
     exit 1
 fi
 echo "non-test lines in crates/*/src: $(find crates -path '*/src/*' -name '*.rs' -print0 |

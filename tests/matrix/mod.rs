@@ -606,15 +606,19 @@ fn run_fresh(c: &Cell) -> Print {
             })
         }
         _ => {
-            let peers: Vec<String> = (0..world)
-                .map(|_| {
-                    let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind :0");
-                    format!("127.0.0.1:{}", l.local_addr().expect("addr").port())
-                })
+            // Every rank's listener is bound before any rank starts, and
+            // handed over bound: no port is released and taken again.
+            let listeners: Vec<_> = (0..world)
+                .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind :0"))
                 .collect();
+            let peers: Vec<String> =
+                listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect();
+            let listeners: Vec<_> = listeners.into_iter().map(|l| Mutex::new(Some(l))).collect();
             each_rank(world, |rank| {
+                let listener = lock(&listeners[rank]).take().expect("one listener per rank");
                 let (id, config) = (policy.meta_id() as u32, NetConfig::default());
-                let tcp = Tcp::rendezvous(rank, &peers, SHARDS, id, &config).expect("rendezvous");
+                let tcp = Tcp::rendezvous_on(listener, rank, &peers, SHARDS, id, &config)
+                    .expect("rendezvous");
                 let trainer = NetTrainer::new(tcp, SHARDS, policy, build);
                 scoped(threads, level, || drive(rank, world, trainer, shards))
             })

@@ -223,3 +223,47 @@ fn park_and_resume_into_a_fresh_executor_is_bitwise_invisible() {
         },
     );
 }
+
+// ---------------------------------------------------------------------------
+// Offload buffer names
+// ---------------------------------------------------------------------------
+
+/// The lowering names every buffer an offload plan introduces: a swap slot
+/// `{node}.sin`, a rebuilt stash `{node}.rstash`, a replay intermediate
+/// `{node}.ry{segment}`. `observed == predicted` holds whatever those names
+/// are, so it cannot catch a rename; this pins them, in stream order, for
+/// small_vgg under vDNN swapping and under recompute.
+#[test]
+fn offload_buffer_names_are_pinned() {
+    use gist::obs::Event;
+    use gist::runtime::StepProgram;
+    let g = gist::models::small_vgg(4, 3);
+    let offload_bufs = |offload| {
+        let spec = ExecSpec { offload, ..ExecSpec::from(ExecMode::Baseline) };
+        let events = StepProgram::lower(&g, &spec).expect("lower").events(&Default::default());
+        let names: Vec<String> = events
+            .expect("events")
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Alloc { name, .. } => Some(format!("+{name}")),
+                Event::Free { name, .. } => Some(format!("-{name}")),
+                _ => None,
+            })
+            .filter(|n| n.ends_with(".sin") || n.ends_with(".rstash") || n.contains(".ry"))
+            .collect();
+        names.join(" ")
+    };
+    assert_eq!(
+        offload_bufs(OffloadMode::Swap(SwapStrategy::Vdnn)),
+        "+fc.sin +pool2.sin -fc.sin -pool2.sin +conv2_2_relu.sin -conv2_2_relu.sin \
+         +conv2_1_relu.sin -conv2_1_relu.sin +pool1.sin -pool1.sin +conv1_2_relu.sin \
+         -conv1_2_relu.sin +conv1_1_relu.sin -conv1_1_relu.sin +input.sin -input.sin"
+    );
+    assert_eq!(
+        offload_bufs(OffloadMode::Recompute),
+        "+fc.rstash -fc.rstash +conv2_1.ry1 +conv2_1_relu.rstash -conv2_1.ry1 +conv2_2.ry1 \
+         +conv2_2_relu.rstash -conv2_2.ry1 -conv2_2_relu.rstash -conv2_1_relu.rstash \
+         +conv1_1.ry0 +conv1_1_relu.rstash -conv1_1.ry0 +conv1_2.ry0 +conv1_2_relu.rstash \
+         -conv1_2.ry0 -conv1_2_relu.rstash -conv1_1_relu.rstash"
+    );
+}

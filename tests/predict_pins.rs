@@ -21,7 +21,6 @@ use gist::prelude::*;
 use gist::runtime::{
     predicted_param_wire_bytes, ssdc_stash_sizes, AllocPolicy, PlanGranularity, StepProgram,
 };
-use gist::serve::parse_exec_mode;
 use std::collections::HashMap;
 
 const BATCH: usize = 4;
@@ -40,7 +39,7 @@ fn small_zoo() -> Vec<(&'static str, Graph)> {
 fn modes() -> Vec<(&'static str, ExecMode)> {
     ["baseline", "lossless", "fp8"]
         .into_iter()
-        .map(|label| (label, parse_exec_mode(label).expect("mode table")))
+        .map(|label| (label, ExecMode::parse(label).expect("mode table")))
         .collect()
 }
 

@@ -36,7 +36,7 @@ fn mixed_specs() -> Vec<JobSpec> {
         JobSpec::builder("tiny-classic")
             .name("classic-fp8")
             .steps(2)
-            .mode(gist::serve::spec::parse_exec_mode("fp8").unwrap())
+            .mode(gist::runtime::ExecMode::parse("fp8").unwrap())
             .seed(11)
             .build()
             .unwrap(),
@@ -44,7 +44,7 @@ fn mixed_specs() -> Vec<JobSpec> {
             .name("vgg-heap")
             .steps(2)
             .alloc(AllocPolicy::Heap)
-            .mode(gist::serve::spec::parse_exec_mode("baseline").unwrap())
+            .mode(gist::runtime::ExecMode::parse("baseline").unwrap())
             .seed(13)
             .build()
             .unwrap(),
@@ -170,8 +170,8 @@ impl JobDesc {
             .steps(self.steps)
             .batch(self.batch)
             .replicas(self.replicas)
-            .mode(gist::serve::spec::parse_exec_mode(self.mode).expect("mode table"))
-            .alloc(gist::serve::parse_alloc(self.alloc).expect("alloc table"))
+            .mode(gist::runtime::ExecMode::parse(self.mode).expect("mode table"))
+            .alloc(gist::runtime::AllocPolicy::parse(self.alloc).expect("alloc table"))
             .seed(self.seed);
         if self.ssdc_codec {
             b = b.codec(gist::encodings::TransferCodec::Ssdc);
