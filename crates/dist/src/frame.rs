@@ -18,6 +18,14 @@
 //! version or length, garbage kinds, oversized length fields — produces a
 //! typed [`NetError`], never a panic and never an allocation larger than
 //! [`MAX_FRAME_BYTES`].
+//!
+//! Frames stream. A sender writes a [`Msg::Grad`]'s fixed fields and then
+//! its wire payload straight off the buffer it describes; the one frame
+//! reader, [`read_frame_with`], reads and checks the fixed fields first and
+//! hands a well-formed `Grad`'s payload to the caller as it comes off the
+//! stream ([`Payload`]), so a receiver lands the values where they belong
+//! without holding the frame. [`read_frame`] is that reader with a sink
+//! that keeps the payload.
 
 use gist_encodings::{Reader, WireError};
 use std::io::{Read, Write};
@@ -136,6 +144,32 @@ impl From<WireError> for NetError {
     }
 }
 
+/// The fixed fields of a [`Msg::Grad`]: everything but its wire payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GradHead {
+    /// Training epoch of the sending step.
+    pub epoch: u32,
+    /// Global step index.
+    pub step: u32,
+    /// Tensor sequence number within the step.
+    pub tensor: u32,
+}
+
+/// The first [`GRAD_FRAME_OVERHEAD`] bytes of a [`Msg::Grad`] frame whose
+/// wire payload is `wire_len` bytes: length prefix, magic, version, kind,
+/// `head`'s fields and the payload length.
+pub(crate) fn grad_frame_head(head: GradHead, wire_len: usize) -> [u8; 26] {
+    let mut out = [0u8; 26];
+    out[4..8].copy_from_slice(&MAGIC);
+    (out[8], out[9]) = (PROTOCOL_VERSION, 1);
+    let body = (GRAD_FRAME_OVERHEAD as usize - 4 + wire_len) as u32;
+    let fields = [body, head.epoch, head.step, head.tensor, wire_len as u32];
+    for (at, v) in [0, 10, 14, 18, 22].into_iter().zip(fields) {
+        out[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
 /// One rank-to-rank message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
@@ -209,12 +243,14 @@ impl Msg {
     /// The frame up to a [`Msg::Grad`]'s payload — all of the frame for the
     /// other kinds — in an allocation with room for `spare` more bytes.
     fn head(&self, spare: usize) -> Vec<u8> {
-        let fields = match self {
-            Msg::Hello { .. } | Msg::Grad { .. } => 16,
-            Msg::Stats { words, .. } => 8 + 4 * words.len(),
-        };
-        let mut out = Vec::with_capacity(10 + fields + spare);
-        put_u32(&mut out, (6 + fields + self.payload().len()) as u32);
+        let len = self.frame_len();
+        let mut out = Vec::with_capacity(len - self.payload().len() + spare);
+        if let Msg::Grad { epoch, step, tensor, wire } = self {
+            let head = GradHead { epoch: *epoch, step: *step, tensor: *tensor };
+            out.extend_from_slice(&grad_frame_head(head, wire.len()));
+            return out;
+        }
+        put_u32(&mut out, (len - 4) as u32);
         out.extend_from_slice(&MAGIC);
         out.push(PROTOCOL_VERSION);
         out.push(self.kind());
@@ -224,11 +260,7 @@ impl Msg {
                     put_u32(&mut out, *v);
                 }
             }
-            Msg::Grad { epoch, step, tensor, wire } => {
-                for v in [*epoch, *step, *tensor, wire.len() as u32] {
-                    put_u32(&mut out, v);
-                }
-            }
+            Msg::Grad { .. } => unreachable!("written by grad_frame_head above"),
             Msg::Stats { step, words } => {
                 put_u32(&mut out, *step);
                 put_u32(&mut out, words.len() as u32);
@@ -254,6 +286,26 @@ impl Msg {
         let mut out = self.head(self.payload().len());
         out.extend_from_slice(self.payload());
         out
+    }
+
+    /// Bytes of [`Self::to_frame`], length prefix included.
+    pub fn frame_len(&self) -> usize {
+        let fields = match self {
+            Msg::Hello { .. } | Msg::Grad { .. } => 16,
+            Msg::Stats { words, .. } => 8 + 4 * words.len(),
+        };
+        10 + fields + self.payload().len()
+    }
+
+    /// Writes the bytes of [`Self::to_frame`] to `w`: the fixed fields,
+    /// then a [`Msg::Grad`]'s payload from the buffer the message owns.
+    ///
+    /// # Errors
+    ///
+    /// The stream's.
+    pub fn write_to(&self, w: &mut dyn Write) -> std::io::Result<()> {
+        w.write_all(&self.head(0))?;
+        w.write_all(self.payload())
     }
 
     /// Parses one frame body (the bytes after the length prefix).
@@ -371,7 +423,7 @@ impl Msg {
 }
 
 /// Maps one socket-level failure to a typed [`NetError`].
-fn io_err(peer: u32, op: &'static str, e: &std::io::Error) -> NetError {
+pub(crate) fn io_err(peer: u32, op: &'static str, e: &std::io::Error) -> NetError {
     use std::io::ErrorKind;
     match e.kind() {
         ErrorKind::UnexpectedEof
@@ -394,30 +446,82 @@ fn io_err(peer: u32, op: &'static str, e: &std::io::Error) -> NetError {
 /// [`NetError::Disconnected`] when the peer is gone, [`NetError::Io`] on
 /// timeouts and other socket failures.
 pub fn write_frame(w: &mut impl Write, peer: u32, msg: &Msg) -> Result<u64, NetError> {
-    let head = msg.head(0);
-    for part in [&head[..], msg.payload()] {
-        w.write_all(part).map_err(|e| io_err(peer, "write", &e))?;
-    }
-    w.flush().map_err(|e| io_err(peer, "write", &e))?;
-    Ok((head.len() + msg.payload().len()) as u64)
+    msg.write_to(w).and_then(|()| w.flush()).map_err(|e| io_err(peer, "write", &e))?;
+    Ok(msg.frame_len() as u64)
 }
 
-/// Reads one framed message from a stream. Returns the message plus the
-/// observed bytes consumed (body plus the 4-byte length prefix).
+/// The wire payload of one [`Msg::Grad`] frame as it comes off the stream:
+/// exactly [`Self::remaining`] bytes, taken in pieces.
+pub struct Payload<'r> {
+    r: &'r mut dyn Read,
+    left: usize,
+    peer: u32,
+}
+
+impl Payload<'_> {
+    /// Payload bytes not yet taken.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.left
+    }
+
+    /// Fills `buf` with the payload's next bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Truncated`] when `buf` asks for more than remains
+    /// (nothing is read); [`NetError::Disconnected`] on mid-payload EOF,
+    /// [`NetError::Io`] on timeouts.
+    pub fn fill(&mut self, buf: &mut [u8]) -> Result<(), NetError> {
+        if buf.len() > self.left {
+            return Err(NetError::Truncated { needed: buf.len(), available: self.left });
+        }
+        self.r.read_exact(buf).map_err(|e| io_err(self.peer, "read", &e))?;
+        self.left -= buf.len();
+        Ok(())
+    }
+
+    /// Takes the rest of the payload into `out`, replacing its contents.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::fill`].
+    pub fn read_to_vec(&mut self, out: &mut Vec<u8>) -> Result<(), NetError> {
+        out.clear();
+        out.resize(self.left, 0);
+        self.fill(out)
+    }
+}
+
+/// What a [`Msg::Grad`]'s payload is handed to: its fixed fields, then the
+/// payload itself, every byte of which the sink must take.
+pub type PayloadSink<'a> = dyn FnMut(GradHead, &mut Payload<'_>) -> Result<(), NetError> + 'a;
+
+/// The one frame reader. Reads one framed message from a stream and
+/// returns it plus the observed bytes consumed (body plus the 4-byte
+/// length prefix).
 ///
-/// A [`Msg::Grad`] whose fixed fields are consistent with the length
-/// prefix has its payload read straight into the `Vec` the message owns;
-/// every other frame is read whole and parsed by [`Msg::from_body`].
+/// The length prefix and a [`Msg::Grad`]'s fixed fields are read first. A
+/// `Grad` whose fixed fields are consistent with the prefix has its wire
+/// payload handed to `payload` as it comes off the stream, and comes back
+/// with `wire` empty; every other frame — the other kinds, and any frame
+/// whose fields disagree — is read whole (bounded by [`MAX_FRAME_BYTES`])
+/// and parsed by [`Msg::from_body`].
 ///
 /// # Errors
 ///
 /// [`NetError::Disconnected`] on mid-frame EOF, [`NetError::Io`] on
-/// timeouts, and the [`Msg::from_body`] errors on malformed bodies.
-pub fn read_frame(r: &mut impl Read, peer: u32) -> Result<(Msg, u64), NetError> {
-    let fill =
-        |r: &mut dyn Read, buf: &mut [u8]| r.read_exact(buf).map_err(|e| io_err(peer, "read", &e));
+/// timeouts, the [`Msg::from_body`] errors on malformed bodies, the sink's
+/// own errors, and [`NetError::Protocol`] when the sink leaves payload
+/// bytes untaken.
+pub fn read_frame_with(
+    r: &mut dyn Read,
+    peer: u32,
+    payload: &mut PayloadSink<'_>,
+) -> Result<(Msg, u64), NetError> {
+    let mut fill = |buf: &mut [u8]| r.read_exact(buf).map_err(|e| io_err(peer, "read", &e));
     let mut prefix = [0u8; 4];
-    fill(r, &mut prefix)?;
+    fill(&mut prefix)?;
     let len = u32::from_le_bytes(prefix) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(NetError::FrameTooLarge { len, max: MAX_FRAME_BYTES });
@@ -427,25 +531,50 @@ pub fn read_frame(r: &mut impl Read, peer: u32) -> Result<(Msg, u64), NetError> 
     const FIXED: usize = GRAD_FRAME_OVERHEAD as usize - 4;
     let mut fixed = [0u8; FIXED];
     let fixed = &mut fixed[..len.min(FIXED)];
-    fill(r, fixed)?;
+    fill(fixed)?;
     let field = |at: usize| u32::from_le_bytes(fixed[at..at + 4].try_into().expect("4 bytes"));
     if fixed.len() == FIXED
         && fixed[..4] == MAGIC
         && fixed[4..6] == [PROTOCOL_VERSION, 1]
         && field(18) as usize == len - FIXED
     {
-        let mut wire = Vec::with_capacity(len - FIXED);
-        let got = r.take((len - FIXED) as u64).read_to_end(&mut wire);
-        if got.map_err(|e| io_err(peer, "read", &e))? != len - FIXED {
-            return Err(NetError::Disconnected { peer });
+        let head = GradHead { epoch: field(6), step: field(10), tensor: field(14) };
+        let mut body = Payload { r, left: len - FIXED, peer };
+        payload(head, &mut body)?;
+        if body.left != 0 {
+            return Err(NetError::Protocol(format!("{} payload bytes left untaken", body.left)));
         }
-        let msg = Msg::Grad { epoch: field(6), step: field(10), tensor: field(14), wire };
+        let msg =
+            Msg::Grad { epoch: head.epoch, step: head.step, tensor: head.tensor, wire: vec![] };
         return Ok((msg, 4 + len as u64));
     }
     let mut body = vec![0u8; len];
     body[..fixed.len()].copy_from_slice(fixed);
-    fill(r, &mut body[fixed.len()..])?;
+    fill(&mut body[fixed.len()..])?;
     Ok((Msg::from_body(&body)?, 4 + len as u64))
+}
+
+/// Reads one framed message from a stream: [`read_frame_with`], a
+/// [`Msg::Grad`] keeping its payload. Returns the message plus the
+/// observed bytes consumed (body plus the 4-byte length prefix).
+///
+/// # Errors
+///
+/// As for [`read_frame_with`].
+pub fn read_frame(r: &mut impl Read, peer: u32) -> Result<(Msg, u64), NetError> {
+    keeping_payload(|sink| read_frame_with(r, peer, sink))
+}
+
+/// Runs a frame read whose [`Msg::Grad`] keeps its payload in the message.
+pub(crate) fn keeping_payload(
+    read: impl FnOnce(&mut PayloadSink<'_>) -> Result<(Msg, u64), NetError>,
+) -> Result<(Msg, u64), NetError> {
+    let mut kept = Vec::new();
+    let (mut msg, n) = read(&mut |_, payload| payload.read_to_vec(&mut kept))?;
+    if let Msg::Grad { wire, .. } = &mut msg {
+        *wire = kept;
+    }
+    Ok((msg, n))
 }
 
 #[cfg(test)]

@@ -20,16 +20,20 @@
 //!
 //! - [`reduce`]: the fixed-tree schedule, the codec-on-every-edge combine,
 //!   the arrival-order-independent [`GradReduceTree`], and the one walk
-//!   that combines owned edges in place and frames crossing ones.
+//!   that combines owned edges in place and streams crossing ones.
 //! - [`trainer`]: [`Trainer`] — one global step over the ranks it owns.
 //!   [`DistTrainer`] owns them all (nothing is ever framed);
-//!   [`NetTrainer`] owns the rank its [`Transport`] speaks for.
-//! - [`frame`]: the length-prefixed, magic+version-checked message layer.
-//!   Every truncation or corruption is a typed [`NetError`].
-//! - [`transport`]: the [`Transport`] seam — [`InProcess`] (a channel mesh
-//!   that still rides the frame byte path), [`Tcp`] (deterministic
-//!   rendezvous with bounded [`backoff_ms`] retries and [`Msg::Hello`]
-//!   validation both ways) and the uninhabited [`NoPeers`].
+//!   [`NetTrainer`] owns the rank its [`Transport`] speaks for, and keeps
+//!   its shard gradients from step to step in the buffers its frames
+//!   stream out of and land in ([`Trainer::merged`] reads the mean).
+//! - [`frame`]: the length-prefixed, magic+version-checked message layer
+//!   and its one streaming reader ([`read_frame_with`]). Every truncation
+//!   or corruption is a typed [`NetError`].
+//! - [`transport`]: the [`Transport`] seam — frames written and read in
+//!   pieces — with [`InProcess`] (a channel mesh that still rides the
+//!   frame byte path), [`Tcp`] (deterministic rendezvous with bounded
+//!   [`backoff_ms`] retries and [`Msg::Hello`] validation both ways) and
+//!   the uninhabited [`NoPeers`].
 //! - [`link`]: a virtual-clock serial-link engine that prices every
 //!   crossing edge from its **observed** encoded bytes.
 //!
@@ -45,8 +49,8 @@ pub mod trainer;
 pub mod transport;
 
 pub use frame::{
-    read_frame, write_frame, Msg, NetError, GRAD_FRAME_OVERHEAD, MAGIC, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    read_frame, read_frame_with, write_frame, GradHead, Msg, NetError, Payload, PayloadSink,
+    GRAD_FRAME_OVERHEAD, MAGIC, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use gist_encodings::CodecPolicy as GradCodecPolicy;
 pub use gist_encodings::TransferCodec as GradCodec;

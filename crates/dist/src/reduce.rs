@@ -16,18 +16,28 @@
 //!
 //! Placement enters through one predicate only. Slot `s` lives on rank
 //! `s % world`, and a [`Placement`] says which ranks one side *owns*. An
-//! edge with both endpoints owned is [`combine_into`]; an edge with one
-//! owned endpoint serializes the same `Wire::encode(policy.choose(payload))`
-//! bytes once ([`Wire::encode_to`]), frames them through the [`Transport`],
-//! and the receiver runs the same accumulation straight off the received
-//! bytes ([`WireRef::accumulate_into`]); an edge with none belongs to
-//! someone else. `Wire::to_bytes`/`from_bytes` round-trips exactly, so
-//! which branch an edge takes never moves a bit of the sum.
+//! edge with both endpoints owned is [`combine_into`], the codec round trip
+//! run in place; an edge with one owned endpoint streams the bytes of
+//! `Wire::encode(policy.choose(payload))` straight off the payload's slot
+//! ([`WireStream`]) through the [`Transport`], and the receiver lands them
+//! straight into its slot as they arrive ([`WireInflow`]) — the same
+//! per-element accumulation in the same order; an edge with none belongs
+//! to someone else. Which branch an edge takes never moves a bit of the
+//! sum.
+//!
+//! The slots are the trainer's own gradient buffers, moved into a
+//! [`GradReduceTree`] as borrows: nothing the walk does allocates a
+//! gradient-sized buffer. A step reduces every tensor before it broadcasts
+//! any, the root fusing the mean-scale into its last landing where that
+//! edge crosses; the broadcast then lands the decoded mean in slot 0 on
+//! the root and in the slot each other rank sent last.
 
-use crate::frame::{Msg, NetError};
+use crate::frame::{
+    grad_frame_head, GradHead, Msg, NetError, GRAD_FRAME_OVERHEAD, MAX_FRAME_BYTES,
+};
 use crate::trainer::DistError;
 use crate::transport::{NoPeers, Transport};
-use gist_encodings::{CodecPolicy, TransferCodec, Wire, WireRef};
+use gist_encodings::{CodecPolicy, TransferCodec, Wire, WireInflow, WireStream};
 use gist_obs::Event;
 use std::ops::Range;
 use std::time::Instant;
@@ -68,25 +78,16 @@ pub fn reduction_rounds(n: usize) -> Vec<Vec<Edge>> {
 /// element order: `acc[i] += decode(encode(src))[i]`.
 ///
 /// Returns the wire bytes the encoded `src` would occupy on a link. The
-/// round-trip runs even for [`TransferCodec::None`] and even when both
-/// endpoints share a device, so lossy codecs perturb partials
-/// placement-independently.
+/// round-trip runs even when both endpoints share a device, so lossy
+/// codecs perturb partials placement-independently; it materializes no
+/// wire ([`Wire::accumulate_round_trip`]).
 ///
 /// # Panics
 ///
 /// Panics if the slices disagree in length.
 pub fn combine_into(acc: &mut [f32], src: &[f32], codec: TransferCodec) -> u64 {
     assert_eq!(acc.len(), src.len(), "combine_into: shard gradient length mismatch");
-    accumulate(acc, &Wire::encode(codec, src))
-}
-
-/// The receiving half of every edge, owned or crossing: `acc[i] +=
-/// decode(wire)[i]` in serial element order. Returns the priced bytes.
-fn accumulate(acc: &mut [f32], wire: &Wire) -> u64 {
-    for (a, d) in acc.iter_mut().zip(&wire.decode()) {
-        *a += *d;
-    }
-    wire.wire_bytes()
+    Wire::accumulate_round_trip(codec, src, acc)
 }
 
 /// The shard slots of one gradient tensor, filled in any arrival order.
@@ -94,16 +95,18 @@ fn accumulate(acc: &mut [f32], wire: &Wire) -> u64 {
 /// Shard gradients are [`ingest`](Self::ingest)ed into their slot whenever
 /// their replica finishes; the walk then runs the fixed schedule, so the
 /// merged bits depend only on the shard *values*, never on which replica
-/// delivered them first. A trainer ingests the shards of the ranks it owns
-/// and hands the tree to its step's exchange; [`finish`](Self::finish) is
-/// the same walk for a caller that holds every shard.
+/// delivered them first. A slot is any buffer of `f32`s: a trainer moves
+/// in borrows of the gradient sets it keeps (`&mut [f32]`), so the walk
+/// combines, sends and lands in place and the buffers are the trainer's
+/// again when the tree is spent; [`finish`](Self::finish) is the same walk
+/// for a caller that holds every shard (`Vec<f32>` by default).
 #[derive(Debug)]
-pub struct GradReduceTree {
-    slots: Vec<Option<Vec<f32>>>,
+pub struct GradReduceTree<S = Vec<f32>> {
+    slots: Vec<Option<S>>,
     policy: CodecPolicy,
 }
 
-impl GradReduceTree {
+impl<S: AsRef<[f32]> + AsMut<[f32]>> GradReduceTree<S> {
     /// A tree over `shards` slots whose per-edge codec is chosen by
     /// `policy` from each edge's payload (a fixed [`TransferCodec`], or
     /// [`CodecPolicy::Auto`] picking SSDC vs raw from observed density).
@@ -121,27 +124,28 @@ impl GradReduceTree {
     ///
     /// Panics on an out-of-range slot, a double delivery, or a length that
     /// disagrees with an already-delivered shard.
-    pub fn ingest(&mut self, shard: usize, grad: Vec<f32>) {
+    pub fn ingest(&mut self, shard: usize, grad: S) {
         assert!(shard < self.slots.len(), "shard {shard} out of range");
         if let Some(prev) = self.slots.iter().flatten().next() {
-            assert_eq!(prev.len(), grad.len(), "shard {shard} gradient length mismatch");
+            let (prev, grad) = (prev.as_ref().len(), grad.as_ref().len());
+            assert_eq!(prev, grad, "shard {shard} gradient length mismatch");
         }
         assert!(self.slots[shard].is_none(), "shard {shard} delivered twice");
         self.slots[shard] = Some(grad);
     }
 
     /// Runs the fixed schedule over a fully delivered tree and returns
-    /// `(merged_sum, wire_bytes)`.
+    /// `(merged_sum, wire_bytes)`: slot 0, holding the sum.
     ///
-    /// The merged vector is the tree-ordered **sum** over shards (callers
-    /// scale by `1 / shards` themselves); `wire_bytes` is the total encoded
-    /// size of every edge payload.
+    /// The merged buffer holds the tree-ordered **sum** over shards
+    /// (callers scale by `1 / shards` themselves); `wire_bytes` is the
+    /// total encoded size of every edge payload.
     ///
     /// # Panics
     ///
     /// Panics if any shard was never delivered.
     #[must_use]
-    pub fn finish(mut self) -> (Vec<f32>, u64) {
+    pub fn finish(mut self) -> (S, u64) {
         let n = self.slots.len();
         for (i, s) in self.slots.iter().enumerate() {
             assert!(s.is_some(), "shard {i} never delivered (have {n} slots)");
@@ -149,7 +153,7 @@ impl GradReduceTree {
         let rounds = reduction_rounds(n);
         let mut everything = Placement::from(1);
         let mut all_mine = Exchange::new(&rounds, &mut everything, 0, Instant::now());
-        all_mine.reduce(&mut self, 0).expect("no edge crosses when every slot is owned");
+        all_mine.reduce(&mut self, 0, 1.0).expect("no edge crosses when every slot is owned");
         (self.slots[0].take().expect("root slot"), all_mine.edge_bytes.iter().flatten().sum())
     }
 }
@@ -164,18 +168,27 @@ pub struct Placement<T> {
     pub(crate) world: usize,
     /// Reaches every rank outside `owned`; `None` when there is none.
     transport: Option<T>,
+    /// Where a crossing SSDC wire — whose length depends on its values —
+    /// is serialized or received whole, kept from one transfer to the
+    /// next. Raw and DPR wires stream and never touch it.
+    stage: Vec<u8>,
 }
 
 impl From<usize> for Placement<NoPeers> {
     fn from(replicas: usize) -> Self {
-        Placement { owned: 0..replicas, world: replicas, transport: None }
+        Placement { owned: 0..replicas, world: replicas, transport: None, stage: Vec::new() }
     }
 }
 
 impl<T: Transport> From<T> for Placement<T> {
     fn from(transport: T) -> Self {
         let rank = transport.rank();
-        Placement { owned: rank..rank + 1, world: transport.world(), transport: Some(transport) }
+        Placement {
+            owned: rank..rank + 1,
+            world: transport.world(),
+            transport: Some(transport),
+            stage: Vec::new(),
+        }
     }
 }
 
@@ -184,14 +197,21 @@ impl<T> Placement<T> {
         self.owned.contains(&(slot % self.world))
     }
 
+    /// Whether any rank of the world lies across the transport.
+    pub(crate) fn crosses(&self) -> bool {
+        self.owned.len() < self.world
+    }
+
     /// The ranks on the far side of the transport, ascending.
     fn unowned(&self) -> impl Iterator<Item = usize> {
         let owned = self.owned.clone();
         (0..self.world).filter(move |rank| !owned.contains(rank))
     }
 
-    fn peers(&mut self) -> &mut T {
-        self.transport.as_mut().expect("a rank outside `owned` implies a transport")
+    /// The transport and the staging buffer, borrowed apart.
+    fn route(&mut self) -> (&mut T, &mut Vec<u8>) {
+        let peers = self.transport.as_mut().expect("a rank outside `owned` implies a transport");
+        (peers, &mut self.stage)
     }
 }
 
@@ -205,15 +225,86 @@ pub(crate) struct Exchange<'a, T> {
     rounds: &'a [Vec<Edge>],
     at: &'a mut Placement<T>,
     step: u32,
-    t0: Instant,
     /// Priced bytes per edge this side touched, `[round][edge]`.
     pub(crate) edge_bytes: Vec<Vec<u64>>,
     /// Priced bytes of one broadcast copy, summed over tensors.
     pub(crate) broadcast_bytes: u64,
+    /// What crossed the transport.
+    pub(crate) ledger: Ledger,
+}
+
+/// The observed side of a step's exchange: its bytes and trace events.
+pub(crate) struct Ledger {
+    t0: Instant,
+    rank: u32,
+    world: usize,
     /// Bytes that actually crossed the transport, framing included.
     pub(crate) observed: u64,
     /// One [`Event::NetTransfer`] per crossing edge and broadcast leg.
     pub(crate) events: Vec<Event>,
+}
+
+impl Ledger {
+    fn now_ns(&self) -> u64 {
+        self.t0.elapsed().as_nanos() as u64
+    }
+
+    /// Books one gradient transfer that began at `ts`: its observed bytes
+    /// and its trace event.
+    fn record(&mut self, leg: Leg, peer: usize, sent: bool, priced: u64, observed: u64, ts: u64) {
+        self.observed += observed;
+        let (world, tensor) = (self.world, leg.tensor);
+        let name = match leg.at {
+            At::Edge(ri, ei) => format!("allreduce.n{world}.t{tensor}.r{ri}e{ei}"),
+            At::Broadcast(rank) => format!("allreduce.n{world}.t{tensor}.bcast{rank}"),
+        };
+        self.events.push(Event::NetTransfer {
+            name,
+            rank: self.rank,
+            peer: peer as u32,
+            sent,
+            priced_bytes: priced,
+            observed_bytes: observed,
+            ts_ns: ts,
+            dur_ns: self.now_ns() - ts,
+        });
+    }
+}
+
+/// Which transfer of which tensor a frame carries, for its trace name.
+#[derive(Clone, Copy)]
+struct Leg {
+    tensor: u32,
+    at: At,
+}
+
+/// One tensor's reduced slot on this side, waiting for the broadcast: the
+/// root's mean, or the buffer of the partial a non-root sent last.
+pub(crate) struct Reduced<S> {
+    tensor: u32,
+    shard: usize,
+    slot: S,
+    policy: CodecPolicy,
+}
+
+/// What a received wire does to the slot it lands in.
+#[derive(Clone, Copy)]
+enum Landing {
+    /// `slot += wire`: a tree edge.
+    Sum,
+    /// `slot = (slot + wire) * scale`: the last edge into the root's slot,
+    /// fused with the mean-scale.
+    Mean(f32),
+    /// `slot = wire`: the broadcast.
+    Decode,
+}
+
+#[derive(Clone, Copy)]
+enum At {
+    /// Tree edge `ei` of round `ri`.
+    Edge(usize, usize),
+    /// The broadcast copy to (or received by) this rank.
+    Broadcast(usize),
 }
 
 impl<'a, T: Transport> Exchange<'a, T> {
@@ -224,118 +315,186 @@ impl<'a, T: Transport> Exchange<'a, T> {
         step: u32,
         t0: Instant,
     ) -> Self {
+        let ledger = Ledger {
+            t0,
+            rank: at.owned.start as u32,
+            world: at.world,
+            observed: 0,
+            events: vec![],
+        };
         Exchange {
             rounds,
             at,
             step,
-            t0,
             edge_bytes: rounds.iter().map(|r| vec![0; r.len()]).collect(),
             broadcast_bytes: 0,
-            observed: 0,
-            events: Vec::new(),
+            ledger,
         }
     }
 
-    /// All-reduces one gradient tensor: the tree walk into slot 0, then
-    /// the mean-scale and broadcast. Returns the broadcast-decoded mean —
-    /// the same bits on every rank of the world.
-    pub(crate) fn allreduce(
+    /// The first half of one tensor's all-reduce: the tree walk into slot
+    /// 0, which the side owning it mean-scales. A step reduces every tensor
+    /// before it broadcasts any, so each link carries one direction at a
+    /// time and no rank waits on a broadcast between two partials.
+    pub(crate) fn reduce_tensor<S: AsRef<[f32]> + AsMut<[f32]>>(
         &mut self,
-        mut tree: GradReduceTree,
+        mut tree: GradReduceTree<S>,
         tensor: u32,
-    ) -> Result<Vec<f32>, DistError> {
-        let sent = self.reduce(&mut tree, tensor)?;
+    ) -> Result<Reduced<S>, DistError> {
+        let inv = 1.0f32 / tree.slots.len() as f32;
+        let (sent, scaled) = self.reduce(&mut tree, tensor, inv)?;
         let GradReduceTree { mut slots, policy } = tree;
-        // Rank 0 owns slot 0: it mean-scales *before* the broadcast
-        // encode, and every rank — the root's own side included — decodes
-        // that one wire, so a lossy codec perturbs identically everywhere.
         if !self.at.owns(0) {
             // The partial this rank sent up the tree has done its work;
-            // the mean is decoded into its buffer.
-            let mut mean = sent.expect("a rank without slot 0 sends its partial towards it");
-            let me = self.at.owned.start;
-            self.broadcast_bytes += self.recv_grad(0, tensor, format_args!("bcast{me}"), |w| {
-                // A broadcast of another length stays `Tensor::from_vec`'s
-                // shape error downstream, as it was when this allocated.
-                mean.resize(w.len(), 0.0);
-                w.decode_into(&mut mean);
-                Ok(())
-            })?;
-            return Ok(mean);
+            // the mean will be decoded into its buffer.
+            let (shard, slot) = sent.expect("a rank without slot 0 sends its partial towards it");
+            return Ok(Reduced { tensor, shard, slot, policy });
         }
-        let inv = 1.0f32 / slots.len() as f32;
-        let mut mean = slots[0].take().expect("root slot");
-        for v in mean.iter_mut() {
-            *v *= inv;
+        let mut slot = slots[0].take().expect("root slot");
+        if !scaled {
+            for v in slot.as_mut() {
+                *v *= inv;
+            }
         }
-        let codec = policy.choose(&mean);
-        if self.at.unowned().next().is_none() {
-            let wire = Wire::encode(codec, &mean);
-            self.broadcast_bytes += wire.wire_bytes();
-            return Ok(wire.decode());
+        Ok(Reduced { tensor, shard: 0, slot, policy })
+    }
+
+    /// The second half: rank 0 encodes the mean once, and every rank — the
+    /// root's own side included — lands on the values of that one wire, so
+    /// a lossy codec perturbs identically everywhere. Returns the shard
+    /// whose slot holds the mean.
+    pub(crate) fn broadcast<S: AsRef<[f32]> + AsMut<[f32]>>(
+        &mut self,
+        reduced: Reduced<S>,
+    ) -> Result<usize, DistError> {
+        let Reduced { tensor, shard, mut slot, policy } = reduced;
+        if !self.at.owns(0) {
+            let leg = Leg { tensor, at: At::Broadcast(self.at.owned.start) };
+            self.broadcast_bytes += self.recv_grad(0, leg, slot.as_mut(), Landing::Decode)?;
+            return Ok(shard);
         }
-        // One serialization serves every peer, and a lossless codec would
-        // only decode the root's own copy back to the bits it already holds.
-        let mut bytes = Vec::new();
-        let priced = Wire::encode_to(codec, &mean, &mut bytes);
-        for peer in self.at.unowned() {
-            bytes = self.send_grad(peer, tensor, bytes, priced, format_args!("bcast{peer}"))?;
+        let mean = slot.as_mut();
+        let codec = policy.choose(mean);
+        let Some(last) = self.at.unowned().last() else {
+            self.broadcast_bytes += Wire::round_trip_in_place(codec, mean);
+            return Ok(shard);
+        };
+        // One wire serves every peer, streamed off the mean to each; the
+        // last leg also lands the root's own copy on the values the peers
+        // decode (nothing moves under a lossless codec).
+        let (world, owned) = (self.at.world, self.at.owned.clone());
+        let (peers, stage) = self.at.route();
+        let wire = WireStream::new(codec, mean, stage);
+        for peer in (0..world).filter(|rank| !owned.contains(rank)) {
+            let leg = Leg { tensor, at: At::Broadcast(peer) };
+            let start = self.ledger.now_ns();
+            let observed = send(peers, peer, self.step, tensor, &wire, mean, peer == last)?;
+            self.ledger.record(leg, peer, true, wire.wire_bytes(), observed, start);
         }
-        if !codec.is_lossless() {
-            WireRef::parse(&bytes).expect("own serialization parses").decode_into(&mut mean);
-        }
-        self.broadcast_bytes += priced;
-        Ok(mean)
+        self.broadcast_bytes += wire.wire_bytes();
+        Ok(shard)
     }
 
     /// The one walk over [`reduction_rounds`] that combines gradients,
-    /// leaving the sum in slot 0 on the side that owns it. Returns the
-    /// spent buffer of the partial this side sent last, if it sent any.
-    fn reduce(
+    /// leaving the sum in slot 0 on the side that owns it. When the last
+    /// edge into slot 0 crosses to this side, its landing also scales the
+    /// sum by `inv` — reported as `true`. Returns that flag and the shard
+    /// and spent buffer of the partial this side sent last, if it sent
+    /// any.
+    #[allow(clippy::type_complexity)]
+    fn reduce<S: AsRef<[f32]> + AsMut<[f32]>>(
         &mut self,
-        tree: &mut GradReduceTree,
+        tree: &mut GradReduceTree<S>,
         tensor: u32,
-    ) -> Result<Option<Vec<f32>>, DistError> {
+        inv: f32,
+    ) -> Result<(Option<(usize, S)>, bool), DistError> {
         let GradReduceTree { slots, policy } = tree;
         let (rounds, world) = (self.rounds, self.at.world);
-        let mut sent = None;
+        let (mut sent, mut scaled) = (None, false);
         for (ri, round) in rounds.iter().enumerate() {
             for (ei, &(dst, src)) in round.iter().enumerate() {
+                let leg = Leg { tensor, at: At::Edge(ri, ei) };
                 let priced = match (self.at.owns(dst), self.at.owns(src)) {
                     (false, false) => continue,
                     (true, true) => {
                         let incoming = slots[src].take().expect("source slot");
                         let acc = slots[dst].as_mut().expect("destination slot");
-                        combine_into(acc, &incoming, policy.choose(&incoming))
+                        let incoming = incoming.as_ref();
+                        combine_into(acc.as_mut(), incoming, policy.choose(incoming))
                     }
                     (false, true) => {
-                        let payload = slots[src].take().expect("source slot");
-                        let mut bytes = Vec::new();
-                        let priced = Wire::encode_to(policy.choose(&payload), &payload, &mut bytes);
-                        let leg = format_args!("r{ri}e{ei}");
-                        self.send_grad(dst % world, tensor, bytes, priced, leg)?;
-                        sent = Some(payload);
+                        let mut payload = slots[src].take().expect("source slot");
+                        let codec = policy.choose(payload.as_ref());
+                        let (peers, stage) = self.at.route();
+                        let wire = WireStream::new(codec, payload.as_ref(), stage);
+                        let start = self.ledger.now_ns();
+                        let data = payload.as_mut();
+                        let observed =
+                            send(peers, dst % world, self.step, tensor, &wire, data, false)?;
+                        let priced = wire.wire_bytes();
+                        self.ledger.record(leg, dst % world, true, priced, observed, start);
+                        sent = Some((src, payload));
                         priced
                     }
                     (true, false) => {
+                        // The last round is the one edge `(0, g)`.
+                        let last = ri + 1 == rounds.len();
+                        scaled |= last;
+                        let landing = if last { Landing::Mean(inv) } else { Landing::Sum };
                         let acc = slots[dst].as_mut().expect("destination slot");
-                        self.recv_grad(src % world, tensor, format_args!("r{ri}e{ei}"), |wire| {
-                            if wire.len() != acc.len() {
-                                return Err(protocol(format!(
-                                    "tensor {tensor}: peer sent {} elements, expected {}",
-                                    wire.len(),
-                                    acc.len()
-                                )));
-                            }
-                            wire.accumulate_into(acc);
-                            Ok(())
-                        })?
+                        self.recv_grad(src % world, leg, acc.as_mut(), landing)?
                     }
                 };
                 self.edge_bytes[ri][ei] += priced;
             }
         }
-        Ok(sent)
+        Ok((sent, scaled))
+    }
+
+    /// Receives `peer`'s frame for this step's `leg` and lands its wire in
+    /// `out` as it arrives, after checking the frame's header and the
+    /// wire's element count against `out`. Returns the wire's priced bytes.
+    fn recv_grad(
+        &mut self,
+        peer: usize,
+        leg: Leg,
+        out: &mut [f32],
+        landing: Landing,
+    ) -> Result<u64, DistError> {
+        let start = self.ledger.now_ns();
+        let want = GradHead { epoch: EPOCH, step: self.step, tensor: leg.tensor };
+        let (peers, stage) = self.at.route();
+        let mut priced = None;
+        let (_, observed) = peers.recv_frame(peer, &mut |got, payload| {
+            if got != want {
+                return Err(NetError::Protocol(format!(
+                    "header mismatch: got epoch {} step {} tensor {}, \
+                     expected epoch {EPOCH} step {} tensor {}",
+                    got.epoch, got.step, got.tensor, want.step, want.tensor
+                )));
+            }
+            let total = payload.remaining();
+            let mut fill = |buf: &mut [u8]| payload.fill(buf);
+            let wire = WireInflow::begin(total, &mut fill)?;
+            if wire.len() != out.len() {
+                return Err(NetError::Protocol(format!(
+                    "tensor {}: peer sent {} elements, expected {}",
+                    want.tensor,
+                    wire.len(),
+                    out.len()
+                )));
+            }
+            priced = Some(match landing {
+                Landing::Sum => wire.accumulate_into(out, stage, &mut fill)?,
+                Landing::Mean(inv) => wire.accumulate_scaled_into(out, inv, stage, &mut fill)?,
+                Landing::Decode => wire.decode_into(out, stage, &mut fill)?,
+            });
+            Ok(())
+        })?;
+        let priced = priced
+            .ok_or_else(|| protocol(format!("expected a Grad frame for tensor {}", leg.tensor)))?;
+        self.ledger.record(leg, peer, false, priced, observed, start);
+        Ok(priced)
     }
 
     /// Completes the per-shard `[loss bits, correct, batch]` table: the
@@ -388,92 +547,15 @@ impl<'a, T: Transport> Exchange<'a, T> {
         }
     }
 
-    fn now_ns(&self) -> u64 {
-        self.t0.elapsed().as_nanos() as u64
-    }
-
-    /// Frames the serialized wire `bytes` (pricing `priced`) to `peer` as
-    /// this step's gradient for `tensor`, and hands the buffer back for
-    /// the next leg.
-    fn send_grad(
-        &mut self,
-        peer: usize,
-        tensor: u32,
-        bytes: Vec<u8>,
-        priced: u64,
-        leg: std::fmt::Arguments<'_>,
-    ) -> Result<Vec<u8>, DistError> {
-        let msg = Msg::Grad { epoch: EPOCH, step: self.step, tensor, wire: bytes };
-        let start = self.now_ns();
-        let sent = self.at.peers().send(peer, &msg)?;
-        let name = format!("allreduce.n{}.t{tensor}.{leg}", self.at.world);
-        self.record(name, peer, true, priced, sent, start);
-        let Msg::Grad { wire, .. } = msg else { unreachable!("built as a Grad above") };
-        Ok(wire)
-    }
-
-    /// Receives and validates `peer`'s frame as this step's gradient for
-    /// `tensor`, parses its wire payload in place and hands the view to
-    /// `sink`. Returns the wire's priced bytes.
-    fn recv_grad(
-        &mut self,
-        peer: usize,
-        tensor: u32,
-        leg: std::fmt::Arguments<'_>,
-        sink: impl FnOnce(&WireRef<'_>) -> Result<(), DistError>,
-    ) -> Result<u64, DistError> {
-        let start = self.now_ns();
-        let (msg, got) = self.at.peers().recv(peer)?;
-        let Msg::Grad { epoch, step, tensor: sent_tensor, wire } = msg else {
-            return Err(protocol(format!("expected a Grad frame for tensor {tensor}")));
-        };
-        if (epoch, step, sent_tensor) != (EPOCH, self.step, tensor) {
-            return Err(protocol(format!(
-                "header mismatch: got epoch {epoch} step {step} tensor {sent_tensor}, \
-                 expected epoch {EPOCH} step {} tensor {tensor}",
-                self.step
-            )));
-        }
-        let wire = WireRef::parse(&wire).map_err(NetError::from)?;
-        let name = format!("allreduce.n{}.t{tensor}.{leg}", self.at.world);
-        self.record(name, peer, false, wire.wire_bytes(), got, start);
-        sink(&wire)?;
-        Ok(wire.wire_bytes())
-    }
-
-    /// Books one gradient transfer: its observed bytes and its trace event.
-    fn record(
-        &mut self,
-        name: String,
-        peer: usize,
-        sent: bool,
-        priced: u64,
-        observed: u64,
-        ts: u64,
-    ) {
-        self.observed += observed;
-        let event = Event::NetTransfer {
-            name,
-            rank: self.at.peers().rank() as u32,
-            peer: peer as u32,
-            sent,
-            priced_bytes: priced,
-            observed_bytes: observed,
-            ts_ns: ts,
-            dur_ns: self.now_ns() - ts,
-        };
-        self.events.push(event);
-    }
-
     fn send_stats(&mut self, peer: usize, words: Vec<u32>) -> Result<(), DistError> {
         let msg = Msg::Stats { step: self.step, words };
-        self.observed += self.at.peers().send(peer, &msg)?;
+        self.ledger.observed += self.at.route().0.send(peer, &msg)?;
         Ok(())
     }
 
     fn recv_stats(&mut self, peer: usize) -> Result<Vec<u32>, DistError> {
-        let (msg, got) = self.at.peers().recv(peer)?;
-        self.observed += got;
+        let (msg, got) = self.at.route().0.recv(peer)?;
+        self.ledger.observed += got;
         match msg {
             Msg::Stats { step, words } if step == self.step => Ok(words),
             _ => {
@@ -481,6 +563,33 @@ impl<'a, T: Transport> Exchange<'a, T> {
             }
         }
     }
+}
+
+/// Frames `wire` — the serialization of `data` — to `peer` as `step`'s
+/// gradient for `tensor`, straight off `data`; with `land`, `data` is left
+/// holding the values the peer decodes. Returns the observed bytes.
+fn send<T: Transport>(
+    peers: &mut T,
+    peer: usize,
+    step: u32,
+    tensor: u32,
+    wire: &WireStream<'_>,
+    data: &mut [f32],
+    land: bool,
+) -> Result<u64, NetError> {
+    let len = GRAD_FRAME_OVERHEAD as usize + wire.serialized_len();
+    if len - 4 > MAX_FRAME_BYTES {
+        return Err(NetError::FrameTooLarge { len: len - 4, max: MAX_FRAME_BYTES });
+    }
+    let head = grad_frame_head(GradHead { epoch: EPOCH, step, tensor }, wire.serialized_len());
+    peers.send_frame(peer, len, &mut |w| {
+        w.write_all(&head)?;
+        if land {
+            wire.write_landing(data, w)
+        } else {
+            wire.write_to(data, w)
+        }
+    })
 }
 
 fn protocol(msg: String) -> DistError {
@@ -599,12 +708,24 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(tensor, &(len, keep))| {
+                let mut grads: Vec<Vec<f32>> = (0..8)
+                    .map(
+                        |shard| {
+                            if ex.at.owns(shard) {
+                                shard_grad(shard, len, keep)
+                            } else {
+                                vec![]
+                            }
+                        },
+                    )
+                    .collect();
                 let mut tree = GradReduceTree::new(8, policy);
-                for shard in (0..8).filter(|&shard| ex.at.owns(shard)) {
-                    tree.ingest(shard, shard_grad(shard, len, keep));
+                for (shard, grad) in grads.iter_mut().enumerate().filter(|(_, g)| !g.is_empty()) {
+                    tree.ingest(shard, &mut grad[..]);
                 }
-                let mean = ex.allreduce(tree, tensor as u32).expect("allreduce");
-                mean.iter().map(|v| v.to_bits()).collect()
+                let reduced = ex.reduce_tensor(tree, tensor as u32).expect("reduce");
+                let at = ex.broadcast(reduced).expect("broadcast");
+                grads[at].iter().map(|v| v.to_bits()).collect()
             })
             .collect();
         (means, ex.edge_bytes, ex.broadcast_bytes)

@@ -5,7 +5,14 @@
 //! the shard gradients drain into the fixed reduction tree of
 //! [`crate::reduce`], rank 0 mean-scales the sum and broadcasts one
 //! encoded copy that every rank decodes, and the identical SGD update
-//! lands on every replica. A [`Trainer`] *owns* some of those ranks (their
+//! lands on every replica. Each owned shard's gradients land in a set of
+//! the trainer's ([`Executor::forward_backward_into`]), the tree reduces
+//! over those same buffers, and the merged mean is left in one of them
+//! ([`Trainer::merged`]). A trainer whose world crosses a transport keeps
+//! its sets from step to step — its frames stream straight out of and
+//! into them — so its steady-state step allocates no gradient-sized
+//! buffer; one that owns its whole world builds them per step (the
+//! in-process reduction, ROADMAP). A [`Trainer`] *owns* some of those ranks (their
 //! executors and sub-pools) and holds a [`Transport`] to the rest:
 //! [`DistTrainer`] owns them all, so nothing is ever serialized, framed or
 //! sent; [`NetTrainer<T>`] owns the one rank its transport speaks for.
@@ -26,7 +33,7 @@ use gist_obs::Event;
 use gist_par as par;
 use gist_par::ThreadPool;
 use gist_perf::GpuModel;
-use gist_runtime::params::{sgd_update, tensors, ParamGrads};
+use gist_runtime::params::{sgd_update, ParamGrads};
 use gist_runtime::{Executor, RuntimeError, StepStats};
 use gist_tensor::Tensor;
 use std::time::Instant;
@@ -70,9 +77,10 @@ impl From<NetError> for DistError {
     }
 }
 
-/// What one global step produced. The global loss/correct/batch, the
-/// merged gradient and `broadcast_bytes` are identical on every trainer of
-/// a world by construction.
+/// What one global step produced. The global loss/correct/batch and
+/// `broadcast_bytes` — like the merged gradient the trainer keeps,
+/// [`Trainer::merged`] — are identical on every trainer of a world by
+/// construction.
 #[derive(Debug)]
 pub struct StepReport {
     /// Mean of the shard mean losses (summed in shard-id order — the
@@ -85,9 +93,6 @@ pub struct StepReport {
     /// Step statistics of the shards this trainer's ranks computed, in
     /// ascending shard id (every shard for a [`DistTrainer`]).
     pub shard_stats: Vec<StepStats>,
-    /// The merged (mean, broadcast-decoded) gradient actually applied to
-    /// every replica — what the equivalence tests fingerprint.
-    pub merged: Vec<Option<ParamGrads>>,
     /// Priced encoded bytes per tree edge, `[round][edge]` matching
     /// [`reduction_rounds`], summed over gradient tensors — restricted to
     /// the edges **this trainer touches** (combined in place, sent or
@@ -107,8 +112,11 @@ pub struct StepReport {
     pub observed_wire_bytes: u64,
 }
 
-/// A shard's forward/backward output, tagged with its shard id.
-type ShardOut = (usize, StepStats, Vec<Option<ParamGrads>>);
+/// A shard's forward/backward statistics, tagged with its shard id.
+type ShardOut = (usize, StepStats);
+
+/// One shard's parameter gradients, node-indexed.
+type GradSet = Vec<Option<ParamGrads>>;
 
 /// Data-parallel trainer over the ranks it owns: lockstep replicas, the
 /// fixed-tree all-reduce with a codec on every transfer, and `T` carrying
@@ -123,6 +131,13 @@ pub struct Trainer<T> {
     shards: usize,
     step_no: u32,
     events: Vec<Event>,
+    /// One gradient set per shard, by shard id: an owned shard's is written
+    /// in place by every step — built by the first where the world crosses
+    /// a transport, by each where it does not — and an unowned shard's
+    /// stays empty.
+    sets: Vec<GradSet>,
+    /// The shard whose set holds the last step's merged gradient.
+    merged: usize,
 }
 
 /// The trainer that owns every rank of its world: `DistTrainer::new(replicas, ..)`.
@@ -175,7 +190,9 @@ impl<T: Transport> Trainer<T> {
             Vec::new()
         };
         let policy = policy.into();
-        Ok(Self { execs, pools, placement, policy, shards, step_no: 0, events: Vec::new() })
+        let sets = (0..shards).map(|_| Vec::new()).collect();
+        let events = Vec::new();
+        Ok(Self { execs, pools, placement, policy, shards, step_no: 0, events, sets, merged: 0 })
     }
 
     /// Replicas this trainer owns.
@@ -204,6 +221,17 @@ impl<T: Transport> Trainer<T> {
     /// the all-replicas-agree invariant [`Self::replica`] documents breaks.
     pub fn replica_mut(&mut self, r: usize) -> &mut Executor {
         &mut self.execs[r]
+    }
+
+    /// The merged (mean, broadcast-decoded) gradient the last step applied
+    /// to every replica — what the equivalence tests fingerprint. Node-
+    /// indexed like [`Executor::forward_backward`]'s set, and the same bits
+    /// on every trainer of a world. It lives in a buffer the next step
+    /// writes again: empty before the first step, unspecified after a
+    /// failed one.
+    #[must_use]
+    pub fn merged(&self) -> &[Option<ParamGrads>] {
+        &self.sets[self.merged]
     }
 
     /// Drains the most recent step's [`Event::NetTransfer`] trace events:
@@ -273,44 +301,58 @@ impl<T: Transport> Trainer<T> {
         let t0 = Instant::now();
 
         // Phase 1: every owned rank's shards, in rank-major arrival order
-        // (for several ranks NOT shard order — the tree does not care).
+        // (for several ranks NOT shard order — the tree does not care),
+        // each into its own set: kept from the last step where a transport
+        // streams it, built afresh where nothing crosses (the in-process
+        // reduction, ROADMAP).
+        if !self.placement.crosses() {
+            self.sets.iter_mut().for_each(Vec::clear);
+        }
         let mut outs = self.run_owned(epoch, images, labels)?;
 
-        // Phase 2: per-tensor fixed-tree reduce, mean-scale, broadcast.
-        // Tensor ids are positions in the canonical walk of the gradient
-        // list on every rank, so frame headers line up without negotiation.
+        // Phase 2: per-tensor fixed-tree reduce and mean-scale, then the
+        // broadcasts, over the owned sets in place. Tensor ids are
+        // positions in the canonical walk of a gradient set on every rank,
+        // so frame headers line up without negotiation.
         let rounds = reduction_rounds(s);
+        let (world, owned) = (self.placement.world, self.placement.owned.clone());
         let mut ex = Exchange::new(&rounds, &mut self.placement, self.step_no, t0);
-        let policy = self.policy;
-        let per_shard: Vec<Vec<&Tensor>> =
-            outs.iter().map(|(.., g)| tensors(g).collect()).collect();
-        let mut tensor = 0usize;
-        let mut dense_grad_bytes = 0u64;
-        let mut exchange = |like: &Tensor| -> Result<Tensor, DistError> {
-            let mut tree = GradReduceTree::new(s, policy);
-            for ((shard, ..), grads) in outs.iter().zip(&per_shard) {
-                let g = grads.get(tensor).expect("shard grad structure mismatch");
-                tree.ingest(*shard, g.data().to_vec());
+        let mut walks: Vec<_> = self
+            .sets
+            .iter_mut()
+            .enumerate()
+            .filter(|(shard, _)| owned.contains(&(shard % world)))
+            .map(|(shard, set)| (shard, set.iter_mut().flatten().flat_map(|g| g.tensors_mut())))
+            .collect();
+        let mut reduced = Vec::new();
+        loop {
+            let mut tree = GradReduceTree::new(s, self.policy);
+            let mut ended = 0;
+            for (shard, walk) in &mut walks {
+                match walk.next() {
+                    Some(grad) => tree.ingest(*shard, grad.data_mut()),
+                    None => ended += 1,
+                }
             }
-            let mean = ex.allreduce(tree, tensor as u32)?;
-            tensor += 1;
-            dense_grad_bytes += mean.len() as u64 * 4;
-            Ok(Tensor::from_vec(like.shape(), mean).map_err(RuntimeError::from)?)
-        };
-        let mut merged: Vec<Option<ParamGrads>> = Vec::with_capacity(outs[0].2.len());
-        for node in &outs[0].2 {
-            merged.push(match node {
-                Some(g) => Some(ParamGrads {
-                    main: exchange(&g.main)?,
-                    secondary: g.secondary.as_ref().map(&mut exchange).transpose()?,
-                }),
-                None => None,
-            });
+            if ended == walks.len() {
+                break;
+            }
+            assert_eq!(ended, 0, "shard grad structure mismatch");
+            reduced.push(ex.reduce_tensor(tree, reduced.len() as u32)?);
+        }
+        let mut merged = 0;
+        for tensor in reduced {
+            merged = ex.broadcast(tensor)?;
+        }
+        drop(walks);
+        let mut dense_grad_bytes = 0u64;
+        for grad in self.sets[merged].iter().flatten().flat_map(ParamGrads::tensors) {
+            dense_grad_bytes += grad.numel() as u64 * 4;
         }
 
         // Phase 3: the per-shard stats table, completed across the world.
         let mut table = vec![None; s];
-        for (shard, stats, _) in &outs {
+        for (shard, stats) in &outs {
             table[*shard] = Some([stats.loss.to_bits(), stats.correct as u32, stats.batch as u32]);
         }
         let table = ex.share_stats(table)?;
@@ -319,24 +361,24 @@ impl<T: Transport> Trainer<T> {
 
         // Phase 4: every exchange succeeded — only now touch parameters.
         for exec in &mut self.execs {
-            sgd_update(&mut exec.params, &merged, lr);
+            sgd_update(&mut exec.params, &self.sets[merged], lr);
         }
-        let Exchange { edge_bytes, broadcast_bytes, observed, events, .. } = ex;
-        self.events = events;
+        let Exchange { edge_bytes, broadcast_bytes, ledger, .. } = ex;
+        self.events = ledger.events;
+        self.merged = merged;
         self.step_no += 1;
 
-        outs.sort_by_key(|(shard, ..)| *shard);
+        outs.sort_by_key(|(shard, _)| *shard);
         Ok(StepReport {
             loss,
             correct: table.iter().map(|row| row[1] as usize).sum(),
             batch: table.iter().map(|row| row[2] as usize).sum(),
-            shard_stats: outs.into_iter().map(|(_, stats, _)| stats).collect(),
-            merged,
+            shard_stats: outs.into_iter().map(|(_, stats)| stats).collect(),
             reduce_bytes: edge_bytes.iter().flatten().sum(),
             edge_bytes,
             broadcast_bytes,
             dense_grad_bytes,
-            observed_wire_bytes: observed,
+            observed_wire_bytes: ledger.observed,
         })
     }
 
@@ -355,42 +397,48 @@ impl<T: Transport> Trainer<T> {
     }
 
     /// Phase 1: owned rank `r` steps shards `r, r + N, ...` on its own
-    /// executor. With sub-pools, ranks run side by side on scoped OS
-    /// threads, each re-installing the parent's ambient word (spawned
-    /// threads start with ambient 0, which would drop the caller's
-    /// `GIST_SIMD` override) and its own sub-pool; otherwise they step
-    /// sequentially inline — bit-identical either way, because each
-    /// shard's computation is independent and the executor is
-    /// thread-count-invariant.
+    /// executor, each shard's gradients landing in that shard's kept set.
+    /// With sub-pools, ranks run side by side on scoped OS threads, each
+    /// re-installing the parent's ambient word (spawned threads start with
+    /// ambient 0, which would drop the caller's `GIST_SIMD` override) and
+    /// its own sub-pool; otherwise they step sequentially inline —
+    /// bit-identical either way, because each shard's computation is
+    /// independent and the executor is thread-count-invariant.
     fn run_owned(
         &mut self,
         epoch: u64,
         images: &[Tensor],
         labels: &[Vec<usize>],
     ) -> Result<Vec<ShardOut>, RuntimeError> {
-        let (s, world) = (self.shards, self.placement.world);
-        let run = |rank: usize, exec: &mut Executor| -> Result<Vec<ShardOut>, RuntimeError> {
-            (rank..s)
-                .step_by(world)
-                .map(|shard| {
+        let (world, owned) = (self.placement.world, self.placement.owned.clone());
+        let mut per_rank: Vec<Vec<(usize, &mut GradSet)>> = owned.clone().map(|_| vec![]).collect();
+        for (shard, set) in self.sets.iter_mut().enumerate() {
+            if owned.contains(&(shard % world)) {
+                per_rank[shard % world - owned.start].push((shard, set));
+            }
+        }
+        let run = |exec: &mut Executor, sets: Vec<(usize, &mut GradSet)>| {
+            sets.into_iter()
+                .map(|(shard, grads)| {
                     exec.set_steps_executed(epoch + shard as u64);
-                    let (stats, grads) = exec.forward_backward(&images[shard], &labels[shard])?;
-                    Ok((shard, stats, grads))
+                    let stats =
+                        exec.forward_backward_into(&images[shard], &labels[shard], grads)?;
+                    Ok((shard, stats))
                 })
-                .collect()
+                .collect::<Result<Vec<ShardOut>, RuntimeError>>()
         };
-        let ranked = self.placement.owned.clone().zip(&mut self.execs);
+        let ranked = self.execs.iter_mut().zip(per_rank);
         let per_rank: Result<Vec<Vec<ShardOut>>, RuntimeError> = if self.pools.is_empty() {
-            ranked.map(|(rank, exec)| run(rank, exec)).collect()
+            ranked.map(|(exec, sets)| run(exec, sets)).collect()
         } else {
             let ambient = par::ambient();
             let run = &run;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = ranked
                     .zip(&self.pools)
-                    .map(|((rank, exec), pool)| {
+                    .map(|((exec, sets), pool)| {
                         scope.spawn(move || {
-                            par::with_ambient(ambient, || par::with_pool(pool, || run(rank, exec)))
+                            par::with_ambient(ambient, || par::with_pool(pool, || run(exec, sets)))
                         })
                     })
                     .collect();
@@ -406,6 +454,7 @@ mod tests {
     use super::*;
     use crate::transport::InProcess;
     use gist_encodings::TransferCodec;
+    use gist_runtime::params::tensors;
     use gist_runtime::ExecMode;
 
     fn build_exec() -> Result<Executor, RuntimeError> {
@@ -457,10 +506,8 @@ mod tests {
             let mut t = DistTrainer::new(n, 8, TransferCodec::None, build).unwrap();
             let mut bits = Vec::new();
             for step in 1..=2 {
-                let rep = t.step(&images, &labels, 0.05).unwrap();
-                bits.extend(
-                    tensors(&rep.merged).flat_map(|g| g.data().iter().map(|v| v.to_bits())),
-                );
+                t.step(&images, &labels, 0.05).unwrap();
+                bits.extend(tensors(t.merged()).flat_map(|g| g.data().iter().map(|v| v.to_bits())));
                 for r in 0..n {
                     assert_eq!(t.replica(r).steps_executed(), 8 * step, "replica {r} of {n}");
                 }

@@ -1,5 +1,12 @@
 //! The [`Transport`] seam and its two implementations.
 //!
+//! A transport moves frames, and frames stream: [`Transport::send_frame`]
+//! hands the sender a byte sink to write one frame into in pieces, and
+//! [`Transport::recv_frame`] runs the one frame reader
+//! ([`read_frame_with`]) over the peer's bytes, handing a gradient's
+//! payload to the caller as it arrives. Whole [`Msg`]s are
+//! [`Transport::send`] / [`Transport::recv`], thin wrappers over the two.
+//!
 //! [`InProcess`] is a channel mesh inside one process: every message still
 //! rides the full frame encode/decode path, so the byte layer is exercised
 //! even when no socket exists — and the equivalence tests can compare it
@@ -15,7 +22,10 @@
 //! deadlocking. Per-read/-write socket timeouts come from
 //! [`NetConfig`] (`GIST_NET_TIMEOUT_MS`).
 
-use crate::frame::{read_frame, write_frame, Msg, NetError};
+use crate::frame::{
+    io_err, keeping_payload, read_frame, read_frame_with, write_frame, Msg, NetError, PayloadSink,
+};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
@@ -28,21 +38,51 @@ pub trait Transport {
     fn rank(&self) -> usize;
     /// Total rank count.
     fn world(&self) -> usize;
-    /// Sends one message to `peer`. Returns the observed bytes that
-    /// crossed the transport (framing included).
+    /// Sends one frame of `len` bytes (length prefix included) to `peer`:
+    /// `frame` writes them, in pieces, to the sink it is handed. Returns
+    /// the observed bytes that crossed the transport.
     ///
     /// # Errors
     ///
     /// A typed [`NetError`]; the caller must abort the step (no partial
     /// gradient application).
-    fn send(&mut self, peer: usize, msg: &Msg) -> Result<u64, NetError>;
-    /// Receives the next message from `peer` (blocking, bounded by the
-    /// transport's timeout). Returns the message and its observed bytes.
+    fn send_frame(
+        &mut self,
+        peer: usize,
+        len: usize,
+        frame: &mut dyn FnMut(&mut dyn Write) -> std::io::Result<()>,
+    ) -> Result<u64, NetError>;
+    /// Receives the next frame from `peer` (blocking, bounded by the
+    /// transport's timeout) through [`read_frame_with`], a gradient's
+    /// payload handed to `payload` as it arrives. Returns the message and
+    /// its observed bytes.
     ///
     /// # Errors
     ///
     /// A typed [`NetError`]; the caller must abort the step.
-    fn recv(&mut self, peer: usize) -> Result<(Msg, u64), NetError>;
+    fn recv_frame(
+        &mut self,
+        peer: usize,
+        payload: &mut PayloadSink<'_>,
+    ) -> Result<(Msg, u64), NetError>;
+    /// Sends one message to `peer`. Returns the observed bytes that
+    /// crossed the transport (framing included).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::send_frame`].
+    fn send(&mut self, peer: usize, msg: &Msg) -> Result<u64, NetError> {
+        self.send_frame(peer, msg.frame_len(), &mut |w| msg.write_to(w))
+    }
+    /// Receives the next message from `peer`, a [`Msg::Grad`] keeping its
+    /// payload. Returns the message and its observed bytes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::recv_frame`].
+    fn recv(&mut self, peer: usize) -> Result<(Msg, u64), NetError> {
+        keeping_payload(|sink| self.recv_frame(peer, sink))
+    }
 }
 
 /// The transport of a trainer that owns every rank: no value of this type
@@ -60,11 +100,20 @@ impl Transport for NoPeers {
         match *self {}
     }
 
-    fn send(&mut self, _peer: usize, _msg: &Msg) -> Result<u64, NetError> {
+    fn send_frame(
+        &mut self,
+        _peer: usize,
+        _len: usize,
+        _frame: &mut dyn FnMut(&mut dyn Write) -> std::io::Result<()>,
+    ) -> Result<u64, NetError> {
         match *self {}
     }
 
-    fn recv(&mut self, _peer: usize) -> Result<(Msg, u64), NetError> {
+    fn recv_frame(
+        &mut self,
+        _peer: usize,
+        _payload: &mut PayloadSink<'_>,
+    ) -> Result<(Msg, u64), NetError> {
         match *self {}
     }
 }
@@ -75,11 +124,11 @@ impl Transport for NoPeers {
 
 /// One rank's endpoint of an in-process channel mesh.
 ///
-/// Frames are encoded to bytes on send and parsed on receive — the same
+/// Frames are written to bytes on send and read on receive — the same
 /// code path TCP uses — so in-process and multi-process runs differ only
-/// in who carries the bytes. The channel hands the frame over whole, so a
-/// gradient payload is copied once, into the frame, and parsed where it
-/// lies.
+/// in who carries the bytes. The channel hands each frame over whole, in
+/// one exact-size buffer: a gradient payload is copied once, into the
+/// frame, and landed by the receiver straight off it.
 #[derive(Debug)]
 pub struct InProcess {
     rank: usize,
@@ -136,16 +185,26 @@ impl Transport for InProcess {
         self.world
     }
 
-    fn send(&mut self, peer: usize, msg: &Msg) -> Result<u64, NetError> {
+    fn send_frame(
+        &mut self,
+        peer: usize,
+        len: usize,
+        frame: &mut dyn FnMut(&mut dyn Write) -> std::io::Result<()>,
+    ) -> Result<u64, NetError> {
         self.check_peer(peer)?;
-        let frame = msg.to_frame();
-        let n = frame.len() as u64;
+        let mut bytes = Vec::with_capacity(len);
+        frame(&mut bytes).map_err(|e| io_err(peer as u32, "write", &e))?;
+        let n = bytes.len() as u64;
         let tx = self.tx[peer].as_ref().expect("mesh channel");
-        tx.send(frame).map_err(|_| NetError::Disconnected { peer: peer as u32 })?;
+        tx.send(bytes).map_err(|_| NetError::Disconnected { peer: peer as u32 })?;
         Ok(n)
     }
 
-    fn recv(&mut self, peer: usize) -> Result<(Msg, u64), NetError> {
+    fn recv_frame(
+        &mut self,
+        peer: usize,
+        payload: &mut PayloadSink<'_>,
+    ) -> Result<(Msg, u64), NetError> {
         self.check_peer(peer)?;
         let rx = self.rx[peer].as_ref().expect("mesh channel");
         let frame = rx.recv_timeout(self.timeout).map_err(|e| match e {
@@ -154,8 +213,13 @@ impl Transport for InProcess {
             }
             RecvTimeoutError::Disconnected => NetError::Disconnected { peer: peer as u32 },
         })?;
-        let n = frame.len() as u64;
-        Ok((Msg::from_owned_frame(frame)?, n))
+        let mut rest = &frame[..];
+        let got = read_frame_with(&mut rest, peer as u32, payload)?;
+        if !rest.is_empty() {
+            let trailing = format!("{} trailing bytes after frame", rest.len());
+            return Err(NetError::Protocol(trailing));
+        }
+        Ok(got)
     }
 }
 
@@ -428,14 +492,41 @@ impl Transport for Tcp {
         self.streams.len()
     }
 
-    fn send(&mut self, peer: usize, msg: &Msg) -> Result<u64, NetError> {
-        let stream = self.stream(peer)?;
-        write_frame(stream, peer as u32, msg)
+    fn send_frame(
+        &mut self,
+        peer: usize,
+        _len: usize,
+        frame: &mut dyn FnMut(&mut dyn Write) -> std::io::Result<()>,
+    ) -> Result<u64, NetError> {
+        let mut out = Counted { inner: self.stream(peer)?, bytes: 0 };
+        frame(&mut out).and_then(|()| out.flush()).map_err(|e| io_err(peer as u32, "write", &e))?;
+        Ok(out.bytes)
     }
 
-    fn recv(&mut self, peer: usize) -> Result<(Msg, u64), NetError> {
-        let stream = self.stream(peer)?;
-        read_frame(stream, peer as u32)
+    fn recv_frame(
+        &mut self,
+        peer: usize,
+        payload: &mut PayloadSink<'_>,
+    ) -> Result<(Msg, u64), NetError> {
+        read_frame_with(self.stream(peer)?, peer as u32, payload)
+    }
+}
+
+/// A stream that counts the bytes written through it.
+struct Counted<W> {
+    inner: W,
+    bytes: u64,
+}
+
+impl<W: Write> Write for Counted<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
     }
 }
 

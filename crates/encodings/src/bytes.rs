@@ -8,6 +8,7 @@
 
 use crate::dpr::DprFormat;
 use crate::transfer::WireError;
+use std::io::Write;
 
 /// Appends a `u32` in little-endian order.
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -38,6 +39,38 @@ pub(crate) fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
 pub(crate) fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
     put_words(out, vs, f32::to_le_bytes);
 }
+
+/// Writes 4-byte values to a stream in the order [`put_words`] appends
+/// them: on a little-endian host the slice already is those bytes and goes
+/// out in one `write_all`; elsewhere a stack block at a time.
+macro_rules! write_words {
+    ($name:ident, $t:ty) => {
+        #[doc = concat!("Writes `", stringify!($t), "`s to `w` in little-endian order.")]
+        pub(crate) fn $name(w: &mut dyn Write, vs: &[$t]) -> std::io::Result<()> {
+            if cfg!(target_endian = "little") {
+                // SAFETY: a 4-byte plain value with no padding and no
+                // invalid bit patterns; the byte view covers exactly the
+                // slice's memory and lives no longer than the borrow.
+                let bytes = unsafe {
+                    std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
+                };
+                return w.write_all(bytes);
+            }
+            const BLOCK: usize = 1024;
+            let mut block = [0u8; BLOCK * 4];
+            for chunk in vs.chunks(BLOCK) {
+                let bytes = &mut block[..chunk.len() * 4];
+                for (dst, &v) in bytes.chunks_exact_mut(4).zip(chunk) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+                w.write_all(bytes)?;
+            }
+            Ok(())
+        }
+    };
+}
+write_words!(write_f32s, f32);
+write_words!(write_u32s, u32);
 
 /// The little-endian `u32`s of `b` (a whole number of words), in order.
 pub(crate) fn le_u32s(b: &[u8]) -> impl Iterator<Item = u32> + '_ {

@@ -37,7 +37,8 @@ pub use csr::{CsrMatrix, SsdcConfig};
 pub use dpr::{DprFormat, RoundingMode};
 pub use stash::{Stash, StashCodec};
 pub use transfer::{
-    auto_codec, max_wire_bytes, CodecPolicy, TransferCodec, Wire, WireError, WireRef,
+    auto_codec, max_wire_bytes, CodecPolicy, TransferCodec, Wire, WireError, WireInflow, WireRef,
+    WireStream,
 };
 
 /// Errors from encoding/decoding operations.

@@ -16,9 +16,12 @@
 //! by design — it is the paper's precision-reduction ablation — but its
 //! loss is a pure per-element function, so it is still deterministic.
 
-use crate::bytes::{format_tag, le_u32s, put_f32s, put_u32, put_u32s, tag_format, Reader};
+use crate::bytes::{
+    format_tag, le_u32s, put_f32s, put_u32, put_u32s, tag_format, write_f32s, write_u32s, Reader,
+};
 use crate::csr::{self, CsrMatrix, SsdcConfig};
 use crate::dpr::{DprBuffer, DprFormat};
+use std::io::Write;
 
 /// A malformed wire byte stream. Every variant is a *rejection*: the
 /// decoder's contract is that any byte slice — truncated, bit-flipped, or
@@ -207,6 +210,26 @@ impl std::fmt::Display for CodecPolicy {
 /// the dense `4 * len` payload, raw otherwise. Ties go to raw — equal
 /// bytes buy no win and the dense path skips the scatter on decode.
 pub fn auto_codec(data: &[f32]) -> TransferCodec {
+    if ssdc_wire_bytes(data) < data.len() * 4 {
+        TransferCodec::Ssdc
+    } else {
+        TransferCodec::None
+    }
+}
+
+/// Same value as `Wire::encode(codec, data).wire_bytes()`, priced without
+/// encoding.
+fn wire_bytes_of(codec: TransferCodec, data: &[f32]) -> u64 {
+    match codec {
+        TransferCodec::Ssdc => ssdc_wire_bytes(data) as u64,
+        _ => max_wire_bytes(data.len(), codec),
+    }
+}
+
+/// The SSDC wire size of `data`, priced from its counted non-zeros and
+/// `-0.0` fixups: exactly what `Wire::encode(TransferCodec::Ssdc,
+/// data).wire_bytes()` realizes.
+fn ssdc_wire_bytes(data: &[f32]) -> usize {
     let mut nnz = 0usize;
     let mut fixups = 0usize;
     for v in data {
@@ -216,12 +239,7 @@ pub fn auto_codec(data: &[f32]) -> TransferCodec {
             nnz += 1;
         }
     }
-    let ssdc = csr::encoded_bytes_for(data.len(), nnz, SsdcConfig::default()) + fixups * 4;
-    if ssdc < data.len() * 4 {
-        TransferCodec::Ssdc
-    } else {
-        TransferCodec::None
-    }
+    csr::encoded_bytes_for(data.len(), nnz, SsdcConfig::default()) + fixups * 4
 }
 
 /// The encoded payload variants.
@@ -365,6 +383,51 @@ impl Wire {
         priced
     }
 
+    /// `acc[i] += Wire::encode(codec, src).decode()[i]`, in serial element
+    /// order, without materializing the wire: a lossless codec decodes to
+    /// `src` itself, DPR is packed and unpacked a stack chunk of words at a
+    /// time. Returns the wire's [`Self::wire_bytes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices disagree in length.
+    pub fn accumulate_round_trip(codec: TransferCodec, src: &[f32], acc: &mut [f32]) -> u64 {
+        assert_eq!(acc.len(), src.len(), "round trip length");
+        let TransferCodec::Dpr(format) = codec else {
+            acc.iter_mut().zip(src).for_each(|(a, v)| *a += v);
+            return wire_bytes_of(codec, src);
+        };
+        // Whole words a chunk, 2048 of them: at most 8 Ki values (FP8).
+        const WORDS: usize = 2048;
+        let per = WORDS * format.values_per_word();
+        let (mut words, mut vals) = ([0u32; WORDS], [0.0f32; WORDS * 4]);
+        for (src, acc) in src.chunks(per).zip(acc.chunks_mut(per)) {
+            let words = pack(format, src, &mut words);
+            let vals = &mut vals[..src.len()];
+            gist_simd::dpr_decode_into(format.spec(), words, 0, vals, |c| format.decode_one(c));
+            acc.iter_mut().zip(&*vals).for_each(|(a, v)| *a += v);
+        }
+        wire_bytes_of(codec, src)
+    }
+
+    /// Replaces `data` with `Wire::encode(codec, data).decode()` in place,
+    /// without materializing the wire: a lossless codec leaves it as it
+    /// is, DPR rounds a stack chunk of words at a time. Returns the wire's
+    /// [`Self::wire_bytes`].
+    pub fn round_trip_in_place(codec: TransferCodec, data: &mut [f32]) -> u64 {
+        let priced = wire_bytes_of(codec, data);
+        if let TransferCodec::Dpr(format) = codec {
+            let mut words = [0u32; STREAM_WORDS];
+            for chunk in data.chunks_mut(STREAM_WORDS * format.values_per_word()) {
+                let words = pack(format, chunk, &mut words);
+                gist_simd::dpr_decode_into(format.spec(), words, 0, chunk, |c| {
+                    format.decode_one(c)
+                });
+            }
+        }
+        priced
+    }
+
     /// Deserializes a [`Self::to_bytes`] buffer: [`WireRef::parse`], made
     /// owned.
     ///
@@ -379,17 +442,342 @@ impl Wire {
 
 /// Starts one serialized wire in `out`: room for all of it (`wire_bytes`
 /// of payload and fixups under at most 32 bytes of header fields), then
-/// the magic, codec tag and element count.
+/// its [`head`].
 fn begin(out: &mut Vec<u8>, codec: TransferCodec, len: usize, wire_bytes: u64) {
-    assert!(len <= u32::MAX as usize, "wire length exceeds the u32 format field");
     out.reserve(wire_bytes as usize + 32);
-    out.extend_from_slice(&MAGIC);
-    out.push(match codec {
+    out.extend_from_slice(&head(codec, len));
+}
+
+/// Bytes of a serialized wire before its payload: magic, codec tag and
+/// element count.
+const HEAD: usize = 9;
+
+/// The fixup count that closes every serialized wire.
+const TAIL: usize = 4;
+
+/// The [`HEAD`] bytes of a wire of `len` elements under `codec`.
+fn head(codec: TransferCodec, len: usize) -> [u8; HEAD] {
+    assert!(len <= u32::MAX as usize, "wire length exceeds the u32 format field");
+    let tag = match codec {
         TransferCodec::None => 0,
         TransferCodec::Ssdc => 1,
         TransferCodec::Dpr(f) => 1 + format_tag(f),
-    });
-    put_u32(out, len as u32);
+    };
+    let mut out = [0u8; HEAD];
+    out[..4].copy_from_slice(&MAGIC);
+    out[4] = tag;
+    out[5..].copy_from_slice(&(len as u32).to_le_bytes());
+    out
+}
+
+/// Words of DPR values a streamed wire packs at a time: 16 KB of them.
+const STREAM_WORDS: usize = 4096;
+
+/// Payload bytes a streamed wire lands at a time: whole 4-byte words, so
+/// every chunk starts on a value of every format.
+const STREAM_BYTES: usize = 1 << 16;
+
+/// One wire serialized as it is sent, for a sender that frames the bytes
+/// straight off the buffer they describe: raw values go out from the slice
+/// itself, DPR values are packed a stack chunk of whole words at a time
+/// (the vector pack [`DprBuffer::encode`] runs), and only SSDC — whose
+/// length depends on the values — is serialized whole, into a buffer the
+/// caller reuses. The bytes are exactly `Wire::encode(codec,
+/// data).to_bytes()`.
+#[derive(Debug)]
+pub struct WireStream<'s> {
+    codec: TransferCodec,
+    len: usize,
+    wire_bytes: u64,
+    /// The whole serialization of an SSDC wire; empty for the flat codecs.
+    staged: &'s [u8],
+}
+
+impl<'s> WireStream<'s> {
+    /// The wire of `data` under `codec`. An SSDC wire is serialized into
+    /// `stage` here (its previous contents dropped); the flat codecs leave
+    /// it untouched.
+    pub fn new(codec: TransferCodec, data: &[f32], stage: &'s mut Vec<u8>) -> Self {
+        let mut wire_bytes = max_wire_bytes(data.len(), codec);
+        let staged: &'s [u8] = if codec == TransferCodec::Ssdc {
+            stage.clear();
+            wire_bytes = Wire::encode_to(codec, data, stage);
+            stage
+        } else {
+            &[]
+        };
+        WireStream { codec, len: data.len(), wire_bytes, staged }
+    }
+
+    /// Same value as the encoded wire's [`Wire::wire_bytes`].
+    pub fn wire_bytes(&self) -> u64 {
+        self.wire_bytes
+    }
+
+    /// Bytes of the serialization — `Wire::to_bytes().len()`.
+    pub fn serialized_len(&self) -> usize {
+        if self.codec == TransferCodec::Ssdc {
+            return self.staged.len();
+        }
+        HEAD + self.wire_bytes as usize + TAIL
+    }
+
+    /// Writes the serialization of `data` — the slice [`Self::new`] saw —
+    /// to `w`.
+    ///
+    /// # Errors
+    ///
+    /// The stream's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` has another length than the slice `new` saw.
+    pub fn write_to(&self, data: &[f32], w: &mut dyn Write) -> std::io::Result<()> {
+        assert_eq!(data.len(), self.len, "wire stream length");
+        let TransferCodec::Dpr(format) = self.codec else { return self.write_flat(data, w) };
+        w.write_all(&head(self.codec, self.len))?;
+        let mut words = [0u32; STREAM_WORDS];
+        for chunk in data.chunks(STREAM_WORDS * format.values_per_word()) {
+            let words = pack(format, chunk, &mut words);
+            write_u32s(w, words)?;
+        }
+        w.write_all(&[0; TAIL])
+    }
+
+    /// [`Self::write_to`], leaving in `data` the values a receiver decodes
+    /// off the bytes: a lossy codec rounds each chunk in place once it is
+    /// written, a lossless one leaves `data` as it was.
+    ///
+    /// # Errors
+    ///
+    /// The stream's; `data` is then rounded up to the failed chunk.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Self::write_to`].
+    pub fn write_landing(&self, data: &mut [f32], w: &mut dyn Write) -> std::io::Result<()> {
+        assert_eq!(data.len(), self.len, "wire stream length");
+        let TransferCodec::Dpr(format) = self.codec else { return self.write_flat(data, w) };
+        w.write_all(&head(self.codec, self.len))?;
+        let mut words = [0u32; STREAM_WORDS];
+        for chunk in data.chunks_mut(STREAM_WORDS * format.values_per_word()) {
+            let words = pack(format, chunk, &mut words);
+            write_u32s(w, words)?;
+            gist_simd::dpr_decode_into(format.spec(), words, 0, chunk, |c| format.decode_one(c));
+        }
+        w.write_all(&[0; TAIL])
+    }
+
+    /// The codecs that need no packing: raw straight from `data`, SSDC
+    /// from its staged serialization.
+    fn write_flat(&self, data: &[f32], w: &mut dyn Write) -> std::io::Result<()> {
+        if self.codec == TransferCodec::Ssdc {
+            return w.write_all(self.staged);
+        }
+        w.write_all(&head(self.codec, self.len))?;
+        write_f32s(w, data)?;
+        w.write_all(&[0; TAIL])
+    }
+}
+
+/// Packs `values` (at most [`STREAM_WORDS`] words of them) into the front
+/// of `words`, returning the packed words — byte-identical to the same
+/// words of [`DprBuffer::encode`].
+fn pack<'w>(format: DprFormat, values: &[f32], words: &'w mut [u32]) -> &'w [u32] {
+    let words = &mut words[..values.len().div_ceil(format.values_per_word())];
+    gist_simd::dpr_encode_words(format.spec(), values, words, |v| format.encode_one(v));
+    words
+}
+
+/// One serialized wire read in pieces, for a receiver that lands the values
+/// straight in the buffer they belong to: [`Self::begin`] reads and checks
+/// the head — so the element count is known before any payload byte is
+/// taken — then the payload is landed a stack chunk at a time (raw and
+/// DPR) or staged whole in a buffer the caller reuses (SSDC, whose length
+/// depends on the values). Landing runs exactly the per-element operations
+/// of [`WireRef::accumulate_into`] / [`WireRef::decode_into`], in the same
+/// order, so the bits are the whole-buffer path's.
+#[derive(Debug)]
+pub struct WireInflow {
+    codec: TransferCodec,
+    len: usize,
+    /// Bytes of the whole serialization, head included.
+    total: usize,
+}
+
+impl WireInflow {
+    /// Reads the head of a `total`-byte serialization through `fill`, which
+    /// hands out the serialization's next bytes.
+    ///
+    /// # Errors
+    ///
+    /// `fill`'s errors, and [`WireError`]s — a short serialization, bad
+    /// magic, an unknown codec tag, or a raw/DPR element count whose
+    /// payload disagrees with `total` — converted into `E`.
+    pub fn begin<E: From<WireError>>(
+        total: usize,
+        fill: &mut impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        if total < HEAD {
+            return Err(WireError::Truncated { needed: HEAD, available: total }.into());
+        }
+        let mut head = [0u8; HEAD];
+        fill(&mut head)?;
+        if head[..4] != MAGIC {
+            return Err(WireError::BadMagic([head[0], head[1], head[2], head[3]]).into());
+        }
+        let codec = match head[4] {
+            0 => TransferCodec::None,
+            1 => TransferCodec::Ssdc,
+            t => match tag_format(t - 1) {
+                Some(f) => TransferCodec::Dpr(f),
+                None => return Err(WireError::BadTag { field: "codec", value: t }.into()),
+            },
+        };
+        let len = u32::from_le_bytes([head[5], head[6], head[7], head[8]]) as usize;
+        let flat = (HEAD + TAIL) as u64 + max_wire_bytes(len, codec);
+        if codec != TransferCodec::Ssdc && flat != total as u64 {
+            return Err(WireError::Corrupt("wire length disagrees with its element count").into());
+        }
+        Ok(WireInflow { codec, len, total })
+    }
+
+    /// Element count the wire carries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the wire carries zero elements.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Reads the rest of the wire through `fill`, `acc[i] += decode()[i]`.
+    /// Returns the wire's priced bytes ([`WireRef::wire_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// `fill`'s, and a malformed payload's [`WireError`] — `acc` may then
+    /// hold part of the sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc.len() != self.len()`.
+    pub fn accumulate_into<E: From<WireError>>(
+        self,
+        acc: &mut [f32],
+        stage: &mut Vec<u8>,
+        fill: &mut impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        self.land(acc, stage, fill, |a, v| *a += v)
+    }
+
+    /// Reads the rest of the wire through `fill`, `acc[i] = (acc[i] +
+    /// decode()[i]) * scale`: a sum's last term and its mean-scale in one
+    /// pass — the same two roundings, in the same order, as
+    /// [`Self::accumulate_into`] followed by a scaling pass. Returns the
+    /// wire's priced bytes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::accumulate_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc.len() != self.len()`.
+    pub fn accumulate_scaled_into<E: From<WireError>>(
+        self,
+        acc: &mut [f32],
+        scale: f32,
+        stage: &mut Vec<u8>,
+        fill: &mut impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        self.land(acc, stage, fill, |a, v| *a = (*a + v) * scale)
+    }
+
+    /// Reads the rest of the wire through `fill`, `out[i] = decode()[i]`:
+    /// on a little-endian host a raw payload is read straight into `out`.
+    /// Returns the wire's priced bytes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::accumulate_into`]; `out` may then be part-written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.len()`.
+    pub fn decode_into<E: From<WireError>>(
+        self,
+        out: &mut [f32],
+        stage: &mut Vec<u8>,
+        fill: &mut impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        if self.codec != TransferCodec::None || cfg!(target_endian = "big") {
+            return self.land(out, stage, fill, |o, v| *o = v);
+        }
+        assert_eq!(out.len(), self.len, "wire landing length");
+        // SAFETY: every bit pattern is a valid `f32`, the byte view covers
+        // exactly `out`'s memory, and on a little-endian host the wire's
+        // bytes are the values' own.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(
+                out.as_mut_ptr().cast::<u8>(),
+                std::mem::size_of_val(out),
+            )
+        };
+        fill(bytes)?;
+        close(fill)?;
+        Ok(bytes.len() as u64)
+    }
+
+    fn land<E: From<WireError>>(
+        self,
+        out: &mut [f32],
+        stage: &mut Vec<u8>,
+        fill: &mut impl FnMut(&mut [u8]) -> Result<(), E>,
+        f: impl Fn(&mut f32, f32),
+    ) -> Result<u64, E> {
+        assert_eq!(out.len(), self.len, "wire landing length");
+        if self.codec == TransferCodec::Ssdc {
+            stage.clear();
+            stage.extend_from_slice(&head(self.codec, self.len));
+            stage.resize(self.total, 0);
+            fill(&mut stage[HEAD..])?;
+            let wire = WireRef::parse(stage)?;
+            wire.zip_into(out, f);
+            return Ok(wire.wire_bytes());
+        }
+        let mut chunk = [0u8; STREAM_BYTES];
+        let per_word = match self.codec {
+            TransferCodec::Dpr(format) => format.values_per_word(),
+            _ => 1,
+        };
+        let payload = self.total - HEAD - TAIL;
+        let mut rest = out;
+        for at in (0..payload).step_by(STREAM_BYTES) {
+            let bytes = &mut chunk[..(payload - at).min(STREAM_BYTES)];
+            fill(bytes)?;
+            let values = (bytes.len() / 4 * per_word).min(rest.len());
+            let (now, later) = std::mem::take(&mut rest).split_at_mut(values);
+            match self.codec {
+                TransferCodec::Dpr(format) => zip_dpr(format, bytes, now, &f),
+                _ => zip_dense(bytes, now, &f),
+            }
+            rest = later;
+        }
+        close(fill)?;
+        Ok(payload as u64)
+    }
+}
+
+/// Reads the fixup count that closes a raw or DPR wire: it must be zero.
+fn close<E: From<WireError>>(fill: &mut impl FnMut(&mut [u8]) -> Result<(), E>) -> Result<(), E> {
+    let mut fixups = [0u8; TAIL];
+    fill(&mut fixups)?;
+    if fixups != [0; TAIL] {
+        return Err(WireError::Corrupt("fixups on a non-ssdc wire").into());
+    }
+    Ok(())
 }
 
 /// The payload of a [`WireRef`]: the flat codecs stay little-endian bytes
@@ -518,13 +906,11 @@ impl<'a> WireRef<'a> {
 
     /// Feeds `f` every element of `out` with its decoded value. Dense
     /// values are read off the payload bytes, DPR words are decoded a
-    /// stack chunk (4 KB of words, at most 16 KB of values) at a time.
+    /// stack chunk at a time ([`zip_dpr`]).
     fn zip_into(&self, out: &mut [f32], f: impl Fn(&mut f32, f32)) {
         assert_eq!(out.len(), self.len, "wire decode length");
         match &self.payload {
-            PayloadRef::Dense(b) => {
-                out.iter_mut().zip(le_u32s(b)).for_each(|(o, w)| f(o, f32::from_bits(w)));
-            }
+            PayloadRef::Dense(b) => zip_dense(b, out, &f),
             PayloadRef::Ssdc(c) => {
                 let mut dense = c.decode();
                 for &i in &self.fixups {
@@ -532,20 +918,29 @@ impl<'a> WireRef<'a> {
                 }
                 out.iter_mut().zip(dense).for_each(|(o, v)| f(o, v));
             }
-            PayloadRef::Dpr(format, b) => {
-                const WORDS: usize = 1024;
-                let per = format.values_per_word();
-                let (mut words, mut vals) = ([0u32; WORDS], [0.0f32; WORDS * 4]);
-                for (b, out) in b.chunks(WORDS * 4).zip(out.chunks_mut(WORDS * per)) {
-                    let (words, vals) = (&mut words[..b.len() / 4], &mut vals[..out.len()]);
-                    words.iter_mut().zip(le_u32s(b)).for_each(|(w, le)| *w = le);
-                    gist_simd::dpr_decode_into(format.spec(), words, 0, vals, |code| {
-                        format.decode_one(code)
-                    });
-                    out.iter_mut().zip(&*vals).for_each(|(o, &v)| f(o, v));
-                }
-            }
+            PayloadRef::Dpr(format, b) => zip_dpr(*format, b, out, &f),
         }
+    }
+}
+
+/// Feeds `f` each element of `out` with the raw value the little-endian
+/// bytes `b` hold for it.
+fn zip_dense(b: &[u8], out: &mut [f32], f: &impl Fn(&mut f32, f32)) {
+    out.iter_mut().zip(le_u32s(b)).for_each(|(o, w)| f(o, f32::from_bits(w)));
+}
+
+/// Feeds `f` each element of `out` with its value decoded off the packed
+/// DPR words `b` (which start on a word of `out[0]`), a stack chunk — 4 KB
+/// of words, at most 16 KB of values — at a time.
+fn zip_dpr(format: DprFormat, b: &[u8], out: &mut [f32], f: &impl Fn(&mut f32, f32)) {
+    const WORDS: usize = 1024;
+    let per = format.values_per_word();
+    let (mut words, mut vals) = ([0u32; WORDS], [0.0f32; WORDS * 4]);
+    for (b, out) in b.chunks(WORDS * 4).zip(out.chunks_mut(WORDS * per)) {
+        let (words, vals) = (&mut words[..b.len() / 4], &mut vals[..out.len()]);
+        words.iter_mut().zip(le_u32s(b)).for_each(|(w, le)| *w = le);
+        gist_simd::dpr_decode_into(format.spec(), words, 0, vals, |code| format.decode_one(code));
+        out.iter_mut().zip(&*vals).for_each(|(o, &v)| f(o, v));
     }
 }
 
@@ -802,6 +1197,101 @@ mod tests {
             let want: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "len={len}");
         }
+    }
+
+    /// `fill` over one in-memory serialization, as a stream hands it out.
+    fn filler(bytes: &[u8]) -> impl FnMut(&mut [u8]) -> Result<(), WireError> + '_ {
+        let mut at = 0;
+        move |buf: &mut [u8]| {
+            let end = at + buf.len();
+            if end > bytes.len() {
+                return Err(WireError::Truncated {
+                    needed: buf.len(),
+                    available: bytes.len() - at,
+                });
+            }
+            buf.copy_from_slice(&bytes[at..end]);
+            at = end;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streamed_wires_are_the_serialized_bytes_and_land_the_same_bits() {
+        let codecs = [
+            TransferCodec::None,
+            TransferCodec::Ssdc,
+            TransferCodec::Dpr(DprFormat::Fp16),
+            TransferCodec::Dpr(DprFormat::Fp10),
+            TransferCodec::Dpr(DprFormat::Fp8),
+        ];
+        // Past one landing chunk (16 Ki raw values) and one packing chunk
+        // (12 Ki FP10 values), and off every word boundary.
+        for codec in codecs {
+            for len in [0usize, 1, 5, 257, 12_289, 16_385, 40_001] {
+                let data = hostile(len);
+                let want = Wire::encode(codec, &data);
+                let mut stage = Vec::new();
+                let stream = WireStream::new(codec, &data, &mut stage);
+                let mut bytes = Vec::new();
+                stream.write_to(&data, &mut bytes).unwrap();
+                assert_eq!(bytes, want.to_bytes(), "{codec} len={len}");
+                assert_eq!(stream.serialized_len(), bytes.len(), "{codec} len={len}");
+                assert_eq!(stream.wire_bytes(), want.wire_bytes(), "{codec} len={len}");
+                let mut landed = data.clone();
+                let mut again = Vec::new();
+                stream.write_landing(&mut landed, &mut again).unwrap();
+                assert_eq!(again, bytes, "{codec} len={len}");
+                assert_eq!(bits(&landed), bits(&want.decode()), "{codec} len={len}");
+
+                let parsed = WireRef::parse(&bytes).unwrap();
+                let start: Vec<f32> = (0..len).map(|i| i as f32 * 0.25 - 7.0).collect();
+                let (mut acc, mut want_acc) = (start.clone(), start);
+                parsed.accumulate_into(&mut want_acc);
+                let mut fill = filler(&bytes);
+                let inflow = WireInflow::begin(bytes.len(), &mut fill).unwrap();
+                assert_eq!(inflow.len(), len);
+                let priced = inflow.accumulate_into(&mut acc, &mut stage, &mut fill).unwrap();
+                assert_eq!(priced, want.wire_bytes(), "{codec} len={len}");
+                assert_eq!(bits(&acc), bits(&want_acc), "{codec} len={len}");
+                let mut out = vec![f32::NAN; len];
+                let mut fill = filler(&bytes);
+                let inflow = WireInflow::begin(bytes.len(), &mut fill).unwrap();
+                inflow.decode_into(&mut out, &mut stage, &mut fill).unwrap();
+                assert_eq!(bits(&out), bits(&want.decode()), "{codec} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_inflow_rejects_a_head_that_disagrees_with_its_length() {
+        let bytes = Wire::encode(TransferCodec::None, &hostile(10)).to_bytes();
+        let begin = |total: usize, bytes: &[u8]| {
+            WireInflow::begin(total, &mut filler(bytes)).map(|w| w.len())
+        };
+        assert_eq!(begin(bytes.len(), &bytes), Ok(10));
+        assert!(matches!(begin(bytes.len() - 1, &bytes), Err(WireError::Corrupt(_))));
+        assert!(matches!(begin(bytes.len() + 4, &bytes), Err(WireError::Corrupt(_))));
+        assert_eq!(begin(8, &bytes), Err(WireError::Truncated { needed: 9, available: 8 }));
+        let mut bad = bytes.clone();
+        bad[0] ^= 1;
+        assert!(matches!(begin(bad.len(), &bad), Err(WireError::BadMagic(_))));
+        bad = bytes.clone();
+        bad[4] = 9;
+        assert!(matches!(begin(bad.len(), &bad), Err(WireError::BadTag { .. })));
+        // A raw wire claiming fixups is corrupt after its payload lands.
+        bad = bytes.clone();
+        let n = bad.len();
+        bad[n - 4] = 1;
+        let mut fill = filler(&bad);
+        let inflow = WireInflow::begin(bad.len(), &mut fill).unwrap();
+        let mut out = vec![0.0; 10];
+        let err = inflow.decode_into(&mut out, &mut Vec::new(), &mut fill);
+        assert_eq!(err, Err(WireError::Corrupt("fixups on a non-ssdc wire")));
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -20,7 +20,7 @@ use gist_tensor::ops::{batchnorm, conv, dropout, elementwise, linear, lrn, pool,
 use gist_tensor::{Shape, Tensor};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The [`BwdOut::decodes`] entry for a backward read of stash `s` of
@@ -31,6 +31,12 @@ fn consumed(node: NodeId, s: &Stash) -> Option<(NodeId, &'static str, u64, u64)>
         let codec = s.codec().label().expect("an encoded stash has a codec");
         (node, codec, s.dense_bytes() as u64, s.encoded_bytes() as u64)
     })
+}
+
+/// The two tensors of a gradient slot [`Executor::grad_slot`] built.
+fn split(slot: &mut Option<ParamGrads>) -> (&mut Tensor, &mut Tensor) {
+    let g = slot.as_mut().expect("grad_slot builds the slot");
+    (&mut g.main, g.secondary.as_mut().expect("a gradient slot carries its secondary"))
 }
 
 /// Nanoseconds since the step's epoch, as recorded in span events.
@@ -84,9 +90,10 @@ struct NodeOut {
 
 /// One node's backward contribution. Computed (possibly concurrently) per
 /// block, then merged sequentially in program order so gradient
-/// accumulation has one fixed order at every thread count.
+/// accumulation has one fixed order at every thread count. A node's
+/// parameter gradients are no part of it: the compute writes them straight
+/// into the node's slot of the caller's gradient set.
 struct BwdOut {
-    pgrads: Option<ParamGrads>,
     /// One gradient per backward target, in target order.
     contrib: Vec<Tensor>,
     /// Compute start, nanoseconds since the step epoch.
@@ -147,7 +154,10 @@ struct StepState {
     relu_sparsity: Vec<(String, f64)>,
     meter: MemMeter,
     grads: Vec<Option<Tensor>>,
-    pgrads: Vec<Option<ParamGrads>>,
+    /// The caller's gradient set, moved in for the step: each slot is
+    /// written by its node's backward compute alone, which may run beside
+    /// its block siblings', so each sits behind its own (uncontended) lock.
+    pgrads: Vec<Mutex<Option<ParamGrads>>>,
     swap_transfers: Vec<(String, bool, u64)>,
     /// Feature maps local to the recompute segment being replayed (empty
     /// outside one).
@@ -223,6 +233,9 @@ pub struct Executor {
     /// Reusable backward scratch (im2col columns and matmul temporaries),
     /// so steady-state steps stop heap-allocating per-image scratch.
     scratch: gist_tensor::ScratchPool,
+    /// The gradient set [`Executor::step`] and [`Executor::forward_backward`]
+    /// write into, built on the first of them and reused by every later one.
+    grads: Vec<Option<ParamGrads>>,
     /// Learned parameters (public so callers can inspect or checkpoint).
     pub params: ParamSet,
 }
@@ -279,6 +292,7 @@ impl Executor {
             arena,
             host,
             scratch: gist_tensor::ScratchPool::new(),
+            grads: Vec::new(),
             params,
         })
     }
@@ -630,7 +644,6 @@ impl Executor {
         let mut stashed_input = || self.decode_stash(st, input_stash(), dec);
         let upstream = st.grads[id.index()].as_ref();
         let dy = || upstream.expect("non-loss nodes reach backward with a gradient");
-        let mut pgrads = None;
         match &node.op {
             OpKind::SoftmaxLoss => {
                 softmax::cross_entropy_into(&*stashed_input()?, step.labels, &mut contrib[0])?;
@@ -638,15 +651,18 @@ impl Executor {
             }
             OpKind::Conv { params: cp, .. } => {
                 let p = self.node_params(id);
-                let (dw, db) = conv::backward_with_into(
+                let mut g = self.grad_slot(st, id);
+                let (dw, db) = split(&mut g);
+                conv::backward_into(
                     input_stash(),
                     &p.main,
                     dy(),
                     *cp,
                     &self.scratch,
                     &mut contrib[0],
+                    dw,
+                    db,
                 )?;
-                pgrads = Some(ParamGrads { main: dw, secondary: Some(db) });
             }
             OpKind::Linear { .. } => {
                 let p = self.node_params(id);
@@ -654,10 +670,10 @@ impl Executor {
                 let (rows, cols) = self.shape(id).as_matrix();
                 let dy2 = dy().clone().reshape(Shape::matrix(rows, cols))?;
                 // The output carries the producer's (possibly NCHW) shape;
-                // backward_with_into matrix-checks it, so no reshape.
-                let (dw, db) =
-                    linear::backward_with_into(&x, &p.main, &dy2, &self.scratch, &mut contrib[0])?;
-                pgrads = Some(ParamGrads { main: dw, secondary: Some(db) });
+                // backward_into matrix-checks it, so no reshape.
+                let mut g = self.grad_slot(st, id);
+                let (dw, db) = split(&mut g);
+                linear::backward_into(&x, &p.main, &dy2, &self.scratch, &mut contrib[0], dw, db)?;
             }
             OpKind::Relu => {
                 // The node's own stash is the gate, in whatever form it is
@@ -679,9 +695,9 @@ impl Executor {
                 let gamma = &self.node_params(id).main;
                 let x = stashed_input()?;
                 let cache = st.bn_caches[id.index()].as_ref().expect("bn ran forward");
-                let (dgamma, dbeta) =
-                    batchnorm::backward_into(&x, gamma, cache, dy(), &mut contrib[0])?;
-                pgrads = Some(ParamGrads { main: dgamma, secondary: Some(dbeta) });
+                let mut g = self.grad_slot(st, id);
+                let (dgamma, dbeta) = split(&mut g);
+                batchnorm::backward_into(&x, gamma, cache, dy(), &mut contrib[0], dgamma, dbeta)?;
             }
             OpKind::Lrn(p) => lrn::backward_into(&*stashed_input()?, dy(), *p, &mut contrib[0])?,
             OpKind::Dropout { p } => {
@@ -700,7 +716,21 @@ impl Executor {
             OpKind::Input(_) => unreachable!("inputs have no backward item"),
         }
         let dur_ns = elapsed_ns(&step.epoch).saturating_sub(t0_ns);
-        Ok(BwdOut { pgrads, contrib, t0_ns, dur_ns, decodes })
+        Ok(BwdOut { contrib, t0_ns, dur_ns, decodes })
+    }
+
+    /// `id`'s slot of the step's gradient set, locked for its backward
+    /// compute. A slot the set does not hold yet — or holds at another
+    /// shape — is built here, once: the parameter's shape, then one element
+    /// per output channel (a bias gradient even for a bias-less layer).
+    fn grad_slot<'s>(&self, st: &'s StepState, id: NodeId) -> MutexGuard<'s, Option<ParamGrads>> {
+        let mut slot = st.pgrads[id.index()].lock().expect("no compute panicked holding a slot");
+        let shape = self.node_params(id).main.shape();
+        if slot.as_ref().is_none_or(|g| g.main.shape() != shape) {
+            let secondary = Some(Tensor::zeros(Shape::vector(shape.n())));
+            *slot = Some(ParamGrads { main: Tensor::zeros(shape), secondary });
+        }
+        slot
     }
 
     /// Checks a minibatch against the graph's input node; returns its size.
@@ -745,27 +775,67 @@ impl Executor {
         lr: f32,
         rec: &dyn Recorder,
     ) -> Result<StepStats, RuntimeError> {
-        let (stats, grads) = self.forward_backward_traced(images, labels, rec)?;
-        sgd_update(&mut self.params, &grads, lr);
+        let stats = self.forward_backward_traced(images, labels, rec)?.0;
+        sgd_update(&mut self.params, &self.grads, lr);
         Ok(stats)
     }
 
     /// Runs one forward+backward pass and returns the parameter gradients
-    /// without updating — used by equivalence tests and ablations.
+    /// without updating — used by equivalence tests and ablations. The
+    /// gradients live in the executor's own set, overwritten by its next
+    /// pass.
     ///
     /// # Errors
     ///
     /// As for [`Executor::step`].
-    #[allow(clippy::type_complexity)]
     pub fn forward_backward(
         &mut self,
         images: &Tensor,
         labels: &[usize],
-    ) -> Result<(StepStats, Vec<Option<ParamGrads>>), RuntimeError> {
+    ) -> Result<(StepStats, &[Option<ParamGrads>]), RuntimeError> {
         self.forward_backward_traced(images, labels, &NullRecorder)
     }
 
     /// [`Executor::forward_backward`] with execution tracing.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Executor::step`].
+    pub fn forward_backward_traced(
+        &mut self,
+        images: &Tensor,
+        labels: &[usize],
+        rec: &dyn Recorder,
+    ) -> Result<(StepStats, &[Option<ParamGrads>]), RuntimeError> {
+        let mut grads = std::mem::take(&mut self.grads);
+        let stats = self.pass(images, labels, &mut grads, rec);
+        self.grads = grads;
+        Ok((stats?, &self.grads))
+    }
+
+    /// Runs one forward+backward pass, writing every parameter gradient
+    /// into `grads` — per node ascending, the walk
+    /// [`crate::params::tensors`] takes — without updating. Every slot the
+    /// pass reaches is overwritten in place; a slot `grads` does not hold
+    /// yet is built on the way, so a set kept across steps is built by its
+    /// first pass and allocated by no later one. Slots no gradient reaches
+    /// stay as they were: a set belongs to one graph.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Executor::step`]. A failed pass leaves `grads` holding
+    /// partial values, but every slot it held still in place.
+    pub fn forward_backward_into(
+        &mut self,
+        images: &Tensor,
+        labels: &[usize],
+        grads: &mut Vec<Option<ParamGrads>>,
+    ) -> Result<StepStats, RuntimeError> {
+        self.pass(images, labels, grads, &NullRecorder)
+    }
+
+    /// The one backward entry: [`Executor::forward_backward_into`] with
+    /// execution tracing.
     ///
     /// The step is the lowered program, interpreted: one loop over the
     /// forward blocks, one over the backward blocks and the close-out.
@@ -777,17 +847,13 @@ impl Executor {
     /// emitted from the sequential merges, so their order is identical at
     /// every thread count; span events carry wall-clock timing and are the
     /// only thread-count-dependent payload.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Executor::step`].
-    #[allow(clippy::type_complexity)]
-    pub fn forward_backward_traced(
+    fn pass(
         &mut self,
         images: &Tensor,
         labels: &[usize],
+        grads: &mut Vec<Option<ParamGrads>>,
         rec: &dyn Recorder,
-    ) -> Result<(StepStats, Vec<Option<ParamGrads>>), RuntimeError> {
+    ) -> Result<StepStats, RuntimeError> {
         let batch = self.check_images(images)?;
         if labels.len() != batch {
             return Err(RuntimeError::BatchMismatch(format!(
@@ -799,6 +865,7 @@ impl Executor {
         let cx = Step { batch: Batch { images, labels, epoch, traced: rec.enabled() }, rec };
         let n = self.graph.len();
         let debug_bufs = if cfg!(debug_assertions) { self.program.bufs.len() } else { 0 };
+        grads.resize_with(n, || None);
         let mut st = StepState {
             fmaps: vec![None; n],
             stashes: vec![None; n],
@@ -809,15 +876,40 @@ impl Executor {
             relu_sparsity: Vec::new(),
             meter: MemMeter::default(),
             grads: vec![None; n],
-            pgrads: (0..n).map(|_| None).collect(),
+            pgrads: grads.drain(..).map(Mutex::new).collect(),
             swap_transfers: Vec::new(),
             rmaps: Vec::new(),
             live: vec![false; debug_bufs],
         };
-        let (forward, backward) = self.program.blocks.split_at(self.program.backward_start);
+        let ran = self.run_blocks(&mut st, &cx);
+        // The set goes back whole, whether or not the pass completed.
+        let slots = st.pgrads.drain(..);
+        grads.extend(slots.map(|slot| slot.into_inner().expect("no compute panicked holding it")));
+        let (stash_bytes, ssdc_compression) = ran?;
 
+        self.step_counter += 1;
+        Ok(StepStats {
+            loss: st.loss,
+            correct: st.correct,
+            batch,
+            relu_sparsity: st.relu_sparsity,
+            ssdc_compression,
+            stash_bytes,
+            peak_live_bytes: st.meter.peak,
+            swap_transfers: st.swap_transfers,
+        })
+    }
+
+    /// The forward blocks, then the backward blocks. Returns the stash
+    /// bytes held between the passes and each lossy stash's compression.
+    fn run_blocks(
+        &self,
+        st: &mut StepState,
+        cx: &Step,
+    ) -> Result<(usize, Vec<(String, f64)>), RuntimeError> {
+        let (forward, backward) = self.program.blocks.split_at(self.program.backward_start);
         for block in forward {
-            self.run_block(&mut st, block, &cx)?;
+            self.run_block(st, block, cx)?;
         }
         let stash_bytes: usize = st.stashes.iter().flatten().map(Stash::encoded_bytes).sum();
         let ssdc_compression: Vec<(String, f64)> = self
@@ -830,21 +922,9 @@ impl Executor {
             })
             .collect();
         for block in backward {
-            self.run_block(&mut st, block, &cx)?;
+            self.run_block(st, block, cx)?;
         }
-
-        self.step_counter += 1;
-        let stats = StepStats {
-            loss: st.loss,
-            correct: st.correct,
-            batch,
-            relu_sparsity: st.relu_sparsity,
-            ssdc_compression,
-            stash_bytes,
-            peak_live_bytes: st.meter.peak,
-            swap_transfers: st.swap_transfers,
-        };
-        Ok((stats, st.pgrads))
+        Ok((stash_bytes, ssdc_compression))
     }
 
     /// Interprets one block: `entry` ops, the items' computes — on the
@@ -957,9 +1037,6 @@ impl Executor {
                     });
                 }
                 self.play_all(st, &item.pre, cx);
-                if out.pgrads.is_some() {
-                    st.pgrads[node.index()] = out.pgrads;
-                }
                 for (t, g) in targets.iter().zip(out.contrib) {
                     let grad = &mut st.grads[t.node.index()];
                     debug_assert_eq!(grad.is_some(), t.dx.is_some(), "accumulation planned");
@@ -1310,8 +1387,8 @@ mod tests {
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "stats at step {step}");
             assert_eq!(bits(&plain), bits(&traced), "weights after step {step}");
         }
-        let grad_bits = |grads: Vec<Option<ParamGrads>>| {
-            crate::params::tensors(&grads)
+        let grad_bits = |grads: &[Option<ParamGrads>]| {
+            crate::params::tensors(grads)
                 .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
                 .collect::<Vec<u32>>()
         };
@@ -1374,9 +1451,9 @@ mod tests {
                 let mut e = Executor::new(branchy_graph(2), ExecMode::Baseline, 3).unwrap();
                 let (stats, grads) = e.forward_backward(&x, &y).unwrap();
                 let mut bits: Vec<u32> = vec![stats.loss.to_bits()];
-                for g in grads.into_iter().flatten() {
+                for g in grads.iter().flatten() {
                     bits.extend(g.main.data().iter().map(|v| v.to_bits()));
-                    if let Some(s) = g.secondary {
+                    if let Some(s) = &g.secondary {
                         bits.extend(s.data().iter().map(|v| v.to_bits()));
                     }
                 }
@@ -1431,7 +1508,7 @@ mod tests {
         let (sh, gh) = heap.forward_backward(&x, &y).unwrap();
         let (sa, ga) = arena.forward_backward(&x, &y).unwrap();
         assert_eq!(sh.loss.to_bits(), sa.loss.to_bits());
-        for (h, a) in gh.iter().zip(&ga) {
+        for (h, a) in gh.iter().zip(ga) {
             match (h, a) {
                 (None, None) => {}
                 (Some(h), Some(a)) => {

@@ -89,19 +89,21 @@ pub fn forward_into(
 
 /// Backward pass using the stashed input and forward statistics, landing
 /// `dx` in a preallocated buffer (e.g. a planned arena side region) and
-/// returning `(dgamma, dbeta)`. Every element of `dx` is overwritten by the
-/// elementwise pass.
+/// `dgamma`/`dbeta` (one element per channel) in the caller's — a gradient
+/// set kept across steps. Every element of all three is overwritten.
 ///
 /// # Errors
 ///
-/// Returns an error on shape mismatch, `dx`'s included.
+/// Returns an error on shape mismatch, the outputs' included.
 pub fn backward_into(
     x: &Tensor,
     gamma: &Tensor,
     cache: &BatchNormCache,
     dy: &Tensor,
     dx: &mut Tensor,
-) -> Result<(Tensor, Tensor), TensorError> {
+    dgamma: &mut Tensor,
+    dbeta: &mut Tensor,
+) -> Result<(), TensorError> {
     let s = x.shape();
     if dy.shape() != s {
         return Err(TensorError::ShapeMismatch { left: dy.shape(), right: s });
@@ -110,6 +112,11 @@ pub fn backward_into(
         return Err(TensorError::ShapeMismatch { left: dx.shape(), right: s });
     }
     let c = s.c();
+    for out in [&*dgamma, &*dbeta] {
+        if out.shape() != Shape::vector(c) {
+            return Err(TensorError::ShapeMismatch { left: out.shape(), right: Shape::vector(c) });
+        }
+    }
     let (sn, sh, sw) = (s.n(), s.h(), s.w());
     let per = (sn * sh * sw) as f32;
     // Per-channel gradient statistics, each accumulated in serial (n, h, w)
@@ -131,8 +138,9 @@ pub fn backward_into(
         }
         (dgamma, dbeta, sum_dy_xhat)
     });
-    let dgamma: Vec<f32> = stats.iter().map(|s| s.0).collect();
-    let dbeta: Vec<f32> = stats.iter().map(|s| s.1).collect();
+    for ((g, b), s) in dgamma.data_mut().iter_mut().zip(dbeta.data_mut()).zip(&stats) {
+        (*g, *b) = (s.0, s.1);
+    }
     parallel_chunks_mut(dx.data_mut(), c * sh * sw, |n, img| {
         for ci in 0..c {
             let (g, m, is) = (gamma.data()[ci], cache.mean[ci], cache.inv_std[ci]);
@@ -147,7 +155,7 @@ pub fn backward_into(
             }
         }
     });
-    Ok((Tensor::from_vec(Shape::vector(c), dgamma)?, Tensor::from_vec(Shape::vector(c), dbeta)?))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -213,7 +221,8 @@ mod tests {
         let mut y = Tensor::zeros(x.shape());
         let cache = forward_into(&x, &gamma, &beta, eps_bn, &mut y).unwrap();
         let mut dx = Tensor::full(x.shape(), f32::NAN);
-        backward_into(&x, &gamma, &cache, &y, &mut dx).unwrap();
+        let (mut dgamma, mut dbeta) = (Tensor::zeros(gamma.shape()), Tensor::zeros(beta.shape()));
+        backward_into(&x, &gamma, &cache, &y, &mut dx, &mut dgamma, &mut dbeta).unwrap();
         let eps = 1e-3f32;
         for idx in [0usize, 3, 7, 12, 15] {
             let mut xp = x.clone();

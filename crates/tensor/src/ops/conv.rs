@@ -339,27 +339,32 @@ pub fn forward_into(
 /// stash of it, so dW and dX are too. Its per-image scratch (the dW/dX matmul
 /// temporaries and the per-task reduction partials) is leased from a
 /// caller-owned [`ScratchPool`] instead of heap-allocated per call; `dx`
-/// lands in a preallocated buffer (e.g. a planned arena side region) and
-/// `(dw, db)` is returned. Every element of `dx` is overwritten — it is
-/// zero-filled first, then accumulated into by the col2im scatter — so a
-/// poisoned view is fine. Bit-identical at every thread count and however
-/// the pool is reused: the accumulators lease zero-filled, every other
-/// lease is fully overwritten, and the merge tree is fixed.
+/// lands in a preallocated buffer (e.g. a planned arena side region), and
+/// `dw` (the weight's shape) and `db` (one element per output channel) in
+/// the caller's — a gradient set kept across steps. Every element of all
+/// three is overwritten — `dx` is zero-filled first, then accumulated into
+/// by the col2im scatter — so poisoned buffers are fine. Bit-identical at
+/// every thread count and however the pool is reused: the accumulators
+/// lease zero-filled, every other lease is fully overwritten, and the
+/// merge tree is fixed.
 ///
 /// # Errors
 ///
-/// Returns an error, before `dx` is touched, if the kernel geometry or the
-/// weight's channels and kernel do not fit `x` (as [`forward_into`]
+/// Returns an error, before any output is touched, if the kernel geometry
+/// or the weight's channels and kernel do not fit `x` (as [`forward_into`]
 /// checks), if `dy`'s shape is inconsistent with `x`/`weight`/`p`, or on a
-/// shape mismatch on `dx`.
-pub fn backward_with_into<S: ColumnSource + ?Sized>(
+/// shape mismatch on an output.
+#[allow(clippy::too_many_arguments)]
+pub fn backward_into<S: ColumnSource + ?Sized>(
     x: &S,
     weight: &Tensor,
     dy: &Tensor,
     p: ConvParams,
     scratch: &ScratchPool,
     dx: &mut Tensor,
-) -> Result<(Tensor, Tensor), TensorError> {
+    dw: &mut Tensor,
+    db: &mut Tensor,
+) -> Result<(), TensorError> {
     let s = x.shape();
     let ws = weight.shape();
     check_shapes(s, ws, p)?;
@@ -371,6 +376,12 @@ pub fn backward_with_into<S: ColumnSource + ?Sized>(
     if dx.shape() != s {
         return Err(TensorError::ShapeMismatch { left: dx.shape(), right: s });
     }
+    if dw.shape() != ws {
+        return Err(TensorError::ShapeMismatch { left: dw.shape(), right: ws });
+    }
+    if db.shape() != Shape::vector(out_c) {
+        return Err(TensorError::ShapeMismatch { left: db.shape(), right: Shape::vector(out_c) });
+    }
     let (oh, ow) = (expected.h(), expected.w());
     let ckk = s.c() * p.kernel * p.kernel;
     // dW = dy_n · colsᵀ puts its `ckk` output columns on the vector lanes;
@@ -380,8 +391,6 @@ pub fn backward_with_into<S: ColumnSource + ?Sized>(
     let lanes = gist_simd::level().lanes();
     let dw_transposed = !ckk.is_multiple_of(lanes) && out_c.is_multiple_of(lanes);
     dx.data_mut().fill(0.0);
-    let mut dw = Tensor::zeros(ws);
-    let mut db = Tensor::zeros(Shape::vector(out_c));
     let per_dx = s.c() * s.h() * s.w();
     let dx_base = SendPtr::new(dx.data_mut().as_mut_ptr());
     // Images are disjoint in dX, so each task writes its slice directly.
@@ -436,10 +445,37 @@ pub fn backward_with_into<S: ColumnSource + ?Sized>(
             (dw_a, db_a)
         },
     );
-    if let Some((dw_sum, db_sum)) = merged {
-        dw.data_mut().copy_from_slice(&dw_sum);
-        db.data_mut().copy_from_slice(&db_sum);
+    match merged {
+        Some((dw_sum, db_sum)) => {
+            dw.data_mut().copy_from_slice(&dw_sum);
+            db.data_mut().copy_from_slice(&db_sum);
+        }
+        None => {
+            dw.data_mut().fill(0.0);
+            db.data_mut().fill(0.0);
+        }
     }
+    Ok(())
+}
+
+/// [`backward_into`] returning freshly allocated `(dw, db)`. Kept for
+/// `benchmark/`'s per-layer replay; a later `benchmark` change moves it to
+/// [`backward_into`] and deletes this.
+///
+/// # Errors
+///
+/// As for [`backward_into`].
+pub fn backward_with_into<S: ColumnSource + ?Sized>(
+    x: &S,
+    weight: &Tensor,
+    dy: &Tensor,
+    p: ConvParams,
+    scratch: &ScratchPool,
+    dx: &mut Tensor,
+) -> Result<(Tensor, Tensor), TensorError> {
+    let mut dw = Tensor::zeros(weight.shape());
+    let mut db = Tensor::zeros(Shape::vector(weight.shape().n()));
+    backward_into(x, weight, dy, p, scratch, dx, &mut dw, &mut db)?;
     Ok((dw, db))
 }
 

@@ -61,22 +61,25 @@ pub fn forward_into(
 
 /// Backward pass from the stashed input `x` and `dy` (`[N, F_out]`), with
 /// the per-task bias-reduction partials leased from a caller-owned
-/// [`ScratchPool`] instead of heap-allocated per call, landing `dx` in a
-/// preallocated buffer (e.g. a planned arena side region) and returning
-/// `(dw, db)`. `dx` may carry any shape that flattens to `[N, F_in]` (the
-/// producer's NCHW shape included); every element is overwritten by the
-/// matmul. Bit-identical at every thread count.
+/// [`ScratchPool`] instead of heap-allocated per call. `dx` may carry any
+/// shape that flattens to `[N, F_in]` (the producer's NCHW shape included)
+/// and lands in a preallocated buffer (e.g. a planned arena side region);
+/// `dw` (the weight's shape) and `db` (`F_out` elements) are the caller's
+/// too — a gradient set kept across steps. Every element of all three is
+/// overwritten. Bit-identical at every thread count.
 ///
 /// # Errors
 ///
-/// Returns an error on dimension mismatch, `dx`'s included.
-pub fn backward_with_into(
+/// Returns an error on dimension mismatch, the outputs' included.
+pub fn backward_into(
     x: &Tensor,
     weight: &Tensor,
     dy: &Tensor,
     scratch: &ScratchPool,
     dx: &mut Tensor,
-) -> Result<(Tensor, Tensor), TensorError> {
+    dw: &mut Tensor,
+    db: &mut Tensor,
+) -> Result<(), TensorError> {
     let (n, f_in) = x.shape().as_matrix();
     let (f_out, wf_in) = weight.shape().as_matrix();
     let (dn, df) = dy.shape().as_matrix();
@@ -86,15 +89,20 @@ pub fn backward_with_into(
     if dx.shape().as_matrix() != (n, f_in) {
         return Err(TensorError::ShapeMismatch { left: dx.shape(), right: Shape::matrix(n, f_in) });
     }
+    if dw.shape() != weight.shape() {
+        return Err(TensorError::ShapeMismatch { left: dw.shape(), right: weight.shape() });
+    }
+    if db.shape() != Shape::vector(f_out) {
+        return Err(TensorError::ShapeMismatch { left: db.shape(), right: Shape::vector(f_out) });
+    }
     // dX[N, F_in] = dY[N, F_out] * W[F_out, F_in]
     matmul_into(dy.data(), weight.data(), n, f_out, f_in, dx.data_mut());
     // dW[F_out, F_in] = dY^T[F_out, N] * X[N, F_in]
-    let mut dw = Tensor::zeros(weight.shape());
     matmul_at_b_into(dy.data(), x.data(), f_out, n, f_in, dw.data_mut());
     // db[j] = sum over batch rows of dy[n][j], combined along gist-par's
     // fixed pairwise tree so the result is thread-count invariant.
     let grain = batch_grain(n, f_out);
-    let db = parallel_reduce(
+    let sum = parallel_reduce(
         n,
         grain,
         |range| {
@@ -112,9 +120,32 @@ pub fn backward_with_into(
             }
             a
         },
-    )
-    .map_or_else(|| vec![0.0f32; f_out], |part| part.to_vec());
-    Ok((dw, Tensor::from_vec(Shape::vector(f_out), db)?))
+    );
+    match sum {
+        Some(part) => db.data_mut().copy_from_slice(&part),
+        None => db.data_mut().fill(0.0),
+    }
+    Ok(())
+}
+
+/// [`backward_into`] returning freshly allocated `(dw, db)`. Kept for
+/// `benchmark/`'s per-layer replay; a later `benchmark` change moves it to
+/// [`backward_into`] and deletes this.
+///
+/// # Errors
+///
+/// As for [`backward_into`].
+pub fn backward_with_into(
+    x: &Tensor,
+    weight: &Tensor,
+    dy: &Tensor,
+    scratch: &ScratchPool,
+    dx: &mut Tensor,
+) -> Result<(Tensor, Tensor), TensorError> {
+    let mut dw = Tensor::zeros(weight.shape());
+    let mut db = Tensor::zeros(Shape::vector(weight.shape().as_matrix().0));
+    backward_into(x, weight, dy, scratch, dx, &mut dw, &mut db)?;
+    Ok((dw, db))
 }
 
 #[cfg(test)]

@@ -124,7 +124,8 @@ fn batchnorm_backward_matches_finite_differences() {
         let mut y = Tensor::full(x.shape(), f32::NAN);
         let cache = batchnorm::forward_into(x, g, b, eps, &mut y).unwrap();
         let mut dx = Tensor::full(x.shape(), f32::NAN);
-        let (dgamma, dbeta) = batchnorm::backward_into(x, g, &cache, &r, &mut dx).unwrap();
+        let (mut dgamma, mut dbeta) = (Tensor::zeros(g.shape()), Tensor::zeros(b.shape()));
+        batchnorm::backward_into(x, g, &cache, &r, &mut dx, &mut dgamma, &mut dbeta).unwrap();
         // dx flows through the batch statistics too: the finite-difference
         // loss recomputes mean and variance for every perturbation.
         let fwd = |x: &Tensor, g: &Tensor, b: &Tensor, y: &mut Tensor| {
@@ -206,7 +207,9 @@ fn backward_kernels_survive_hostile_inputs() {
         let dyx = gist_tensor::init::uniform(x.shape(), -1.0, 1.0, 3);
         let mut y = Tensor::full(x.shape(), f32::NAN);
         let cache = batchnorm::forward_into(x, &gamma, &beta, 1e-5, &mut y).unwrap();
-        let (dgamma, dbeta) = batchnorm::backward_into(x, &gamma, &cache, &dyx, &mut dx).unwrap();
+        let (mut dgamma, mut dbeta) = (Tensor::zeros(gamma.shape()), Tensor::zeros(beta.shape()));
+        batchnorm::backward_into(x, &gamma, &cache, &dyx, &mut dx, &mut dgamma, &mut dbeta)
+            .unwrap();
         assert_eq!(dgamma.numel(), 2);
         assert_eq!(dbeta.numel(), 2);
 

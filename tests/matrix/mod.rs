@@ -575,9 +575,11 @@ fn run_fresh(c: &Cell) -> Print {
         return scoped(threads, level, || {
             let mut exec = build().expect("executor");
             let mut p = Print::default();
+            let mut grads = Vec::new();
             for step in 0..c.steps {
                 let (x, y) = data.minibatch(batch);
-                let (stats, grads) = exec.forward_backward(&x, &y).expect("forward_backward");
+                let stats =
+                    exec.forward_backward_into(&x, &y, &mut grads).expect("forward_backward");
                 assert!(stats.loss.is_finite(), "step {step}: loss {}", stats.loss);
                 p.values.push(stats.loss.to_bits());
                 p.values.extend(grad_bits(&grads));
@@ -663,6 +665,8 @@ fn each_rank(world: usize, rank: impl Fn(usize) -> Rank + Sync) -> Vec<Rank> {
 struct Rank {
     shards: Vec<usize>,
     reports: Vec<gist::dist::StepReport>,
+    /// Each step's merged gradient bits (`Trainer::merged`).
+    merged: Vec<Vec<u32>>,
     events: Vec<Event>,
     params: Vec<u32>,
 }
@@ -682,7 +686,7 @@ fn drive<T: Transport>(
     shards: Shards,
 ) -> Rank {
     let mut trainer = trainer.expect("trainer");
-    let (mut reports, mut events) = (Vec::new(), Vec::new());
+    let (mut reports, mut events, mut merged) = (Vec::new(), Vec::new(), Vec::new());
     for step in 0..shards.steps {
         let rep = trainer.step(shards.images, shards.labels, LR).expect("trainer step");
         assert!(rep.loss.is_finite(), "step {step}: loss {}", rep.loss);
@@ -697,6 +701,7 @@ fn drive<T: Transport>(
             assert!(step_events.is_empty(), "a trainer owning its world recorded a transfer");
         }
         events.extend(step_events);
+        merged.push(grad_bits(trainer.merged()).collect());
         reports.push(rep);
     }
     let params: Vec<u32> = trainer.replica(0).params.bits().collect();
@@ -706,7 +711,7 @@ fn drive<T: Transport>(
             "replica {r} diverged"
         );
     }
-    Rank { shards: (rank..SHARDS).step_by(stride).collect(), reports, events, params }
+    Rank { shards: (rank..SHARDS).step_by(stride).collect(), reports, merged, events, params }
 }
 
 fn trainer_print(ranks: &[Rank], policy: CodecPolicy) -> Print {
@@ -724,17 +729,14 @@ fn trainer_print(ranks: &[Rank], policy: CodecPolicy) -> Print {
                 head(rep),
                 "ranks disagree on loss or byte counters at step {step}"
             );
-            assert!(
-                grad_bits(&own.merged).eq(grad_bits(&rep.merged)),
-                "ranks merged different gradients"
-            );
+            assert_eq!(rank.merged[step], lead.merged[step], "ranks merged different gradients");
             for (&shard, stats) in rank.shards.iter().zip(&own.shard_stats) {
                 losses[shard] = Some(stats.loss.to_bits());
             }
         }
         p.values.push(rep.loss.to_bits());
         p.values.extend(losses.map(|l| l.expect("every shard has one owner")));
-        p.values.extend(grad_bits(&rep.merged));
+        p.values.extend(&lead.merged[step]);
         p.peaks.push(rep.shard_stats[0].peak_live_bytes as u64);
         p.pricing.extend([rep.broadcast_bytes, rep.dense_grad_bytes]);
         p.pricing.extend(overlay(ranks.iter().map(|r| &r.reports[step].edge_bytes)).concat());

@@ -186,8 +186,10 @@ fn batchnorm_forward_backward_is_thread_invariant() {
             let dy = Tensor::from_vec(x.shape(), tile(base, x.numel())).unwrap();
             assert_thread_invariant(|| {
                 let [mut y, mut dx] = [(); 2].map(|_| Tensor::full(x.shape(), f32::NAN));
+                let [mut dg, mut db] = [(); 2].map(|_| Tensor::full(gamma.shape(), f32::NAN));
                 let cache = batchnorm::forward_into(&x, &gamma, &beta, 1e-5, &mut y).unwrap();
-                let (dg, db) = batchnorm::backward_into(&x, &gamma, &cache, &dy, &mut dx).unwrap();
+                batchnorm::backward_into(&x, &gamma, &cache, &dy, &mut dx, &mut dg, &mut db)
+                    .unwrap();
                 [bits(y.data()), bits(dx.data()), bits(dg.data()), bits(db.data())]
             });
         },

@@ -18,12 +18,13 @@
 use gist::core::GistConfig;
 use gist::encodings::{DprFormat, RoundingMode, SsdcConfig, StashCodec, TransferCodec};
 use gist::graph::Graph;
-use gist::net::{InProcess, NetTrainer};
+use gist::net::{InProcess, NetConfig, NetTrainer, Tcp, Transport};
 use gist::obs::NullRecorder;
 use gist::runtime::{ExecMode, ExecSpec, Executor, SyntheticImages};
 use gist::tensor::{Shape, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -202,29 +203,17 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-#[test]
-fn a_crossing_tensor_costs_at_most_three_big_allocations_per_rank() {
-    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    const RANKS: usize = 2;
+/// Big allocations, on any thread, made by one steady-state step of a
+/// 2-rank raw world whose endpoints `mesh` builds — each rank on its own
+/// thread, its trainer two steps warm. Only `fc1`'s weight is big, and its
+/// one tree edge and one broadcast leg both cross.
+fn crossing_step<T: Transport + Send + 'static>(mesh: Vec<T>) -> usize {
     let build = || Executor::new(wide_net(2), ExecMode::Baseline, 5);
     let mut ds = SyntheticImages::new(4, 16, 0.3, 99);
-    let (images, labels): (Vec<_>, Vec<_>) = (0..RANKS).map(|_| ds.minibatch(2)).unzip();
-
-    // What a rank allocates before any exchange: the weight gradient
-    // `forward_backward` returns.
-    let mut alone = build().expect("executor");
-    alone.forward_backward(&images[0], &labels[0]).expect("warm-up");
-    let local = count_big(|| drop(alone.forward_backward(&images[0], &labels[0])));
-    assert_eq!(local, 1, "the net holds one gradient-sized tensor");
-
-    // A steady-state raw step of the 2-rank world. Only `fc1`'s weight is
-    // big, and its one tree edge and one broadcast leg both cross. Past
-    // its own `local` allocations a rank may make three more: the shard
-    // gradient handed to the tree, the serialized wire, and the frame the
-    // channel carries (received frames are parsed and reused in place).
-    let data = Arc::new((images, labels));
+    let data: (Vec<_>, Vec<_>) = (0..RANKS).map(|_| ds.minibatch(2)).unzip();
+    let data = Arc::new(data);
     let gate = Arc::new(Barrier::new(RANKS + 1));
-    let ranks: Vec<_> = InProcess::mesh(RANKS)
+    let ranks: Vec<_> = mesh
         .into_iter()
         .map(|tp| {
             let (data, gate) = (Arc::clone(&data), Arc::clone(&gate));
@@ -248,9 +237,54 @@ fn a_crossing_tensor_costs_at_most_three_big_allocations_per_rank() {
     for h in ranks {
         h.join().expect("rank thread");
     }
-    assert!(
-        stepped <= RANKS * (local + 3),
-        "{stepped} gradient-sized allocations in one step of {RANKS} ranks (budget {})",
-        RANKS * (local + 3)
-    );
+    stepped
+}
+
+const RANKS: usize = 2;
+
+#[test]
+fn a_crossing_tensor_costs_at_most_three_big_allocations_per_rank() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut ds = SyntheticImages::new(4, 16, 0.3, 99);
+    let (x, y) = ds.minibatch(2);
+
+    // What a rank allocates before any exchange: nothing gradient-sized —
+    // a warm pass writes its weight gradients into the set it is handed.
+    let mut alone = Executor::new(wide_net(2), ExecMode::Baseline, 5).expect("executor");
+    let mut grads = Vec::new();
+    alone.forward_backward_into(&x, &y, &mut grads).expect("warm-up");
+    let local = count_big(|| drop(alone.forward_backward_into(&x, &y, &mut grads)));
+    assert_eq!(local, 0, "a warm pass into a kept set allocated a gradient-sized buffer");
+
+    // A steady-state raw step of the 2-rank channel mesh. The trainers
+    // reduce and broadcast over the sets they keep, frame straight off
+    // them and land straight into them: what is left is the one frame the
+    // channel carries per message — `fc1`'s tree edge and its broadcast.
+    let stepped = crossing_step(InProcess::mesh(RANKS));
+    assert!(stepped <= 2, "{stepped} gradient-sized allocations in one step of {RANKS} ranks");
+}
+
+/// Over loopback TCP the bytes stream from the kept set to the socket and
+/// from the socket into the kept set: a steady-state step allocates
+/// nothing gradient-sized on either rank.
+#[test]
+fn a_tcp_step_makes_no_big_allocation() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let listeners: Vec<TcpListener> =
+        (0..RANKS).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind :0")).collect();
+    let peers: Vec<String> =
+        listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect();
+    let config = NetConfig::default();
+    let mesh: Vec<Tcp> = std::thread::scope(|s| {
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(rank, l)| {
+                let peers = &peers;
+                s.spawn(move || Tcp::rendezvous_on(l, rank, peers, RANKS, 0, &config))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("rank").expect("rendezvous")).collect()
+    });
+    assert_eq!(crossing_step(mesh), 0, "a steady-state TCP step allocated a gradient-sized buffer");
 }
