@@ -4,11 +4,12 @@
 //! Each group runs the *same* workload once per available `GIST_SIMD` level
 //! (forced via `gist_simd::with_level`, so one process covers the whole
 //! ladder); the `scalar_*` entries are the exact pre-SIMD code path and the
-//! `sse2_*`/`avx2_*` entries are the vector kernels that replaced it. The
+//! `sse2_*`/`avx2_*`/`avx512_*` entries are the vector kernels that
+//! replaced it (the `avx512_*` codec rows run the AVX2 codec bodies). The
 //! equivalence suite (`tests/simd_equivalence.rs`) proves all entries in a
 //! group compute bit-identical results, so any median gap is pure kernel
 //! speed. The `simd` meta column records the *ambient* level the process
-//! would use by default (0 = scalar, 1 = SSE2, 2 = AVX2).
+//! would use by default (0 = scalar, 1 = SSE2, 2 = AVX2, 3 = AVX-512).
 //!
 //! Run with `cargo run --release -p gist-bench --bin bench_simd_kernels`;
 //! medians land in `results/bench_simd_{matmul,codecs}.json`, each

@@ -12,6 +12,9 @@
 //! NaN payloads bit-for-bit, and the DPR vector encode implements the
 //! same round-to-nearest-even bit algorithm as the scalar reference.
 //!
+//! There are no 512-bit codec kernels: the AVX-512 level runs every AVX2
+//! body here (detection requires AVX2 alongside AVX-512F).
+//!
 //! DPR vector paths are AVX2-only (the integer blend/shift mix is not
 //! worth an SSE2 port); SSE2 falls back to the caller's scalar closure,
 //! which is a performance choice, not a correctness one. They move whole
@@ -43,11 +46,19 @@ pub fn pack_gt_zero_words(y: &[f32], word0: usize, words: &mut [u32]) {
             match lvl {
                 Level::Scalar => gt_zero_word_scalar(&y[base..base + 32]),
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: vector levels are only dispatched when detected;
-                // the slice covers exactly 32 elements.
-                Level::Sse2 => unsafe { x86::gt_zero_word_sse2(y.as_ptr().add(base)) },
+                Level::Sse2 => {
+                    debug_assert!(base + 32 <= y.len());
+                    // SAFETY: SSE2 is the x86_64 baseline; elements
+                    // `base..base + 32` are inside `y`.
+                    unsafe { x86::gt_zero_word_sse2(y.as_ptr().add(base)) }
+                }
                 #[cfg(target_arch = "x86_64")]
-                Level::Avx2 => unsafe { x86::gt_zero_word_avx2(y.as_ptr().add(base)) },
+                Level::Avx2 | Level::Avx512 => {
+                    debug_assert!(lvl <= crate::detected_level() && base + 32 <= y.len());
+                    // SAFETY: AVX2 is detected wherever these levels are
+                    // dispatched; elements `base..base + 32` are inside `y`.
+                    unsafe { x86::gt_zero_word_avx2(y.as_ptr().add(base)) }
+                }
                 #[cfg(not(target_arch = "x86_64"))]
                 _ => unreachable!("vector codec path requires x86_64"),
             }
@@ -77,10 +88,21 @@ pub fn pack_bools_into_words(flags: &[bool], word0: usize, words: &mut [u32]) {
             match lvl {
                 Level::Scalar => bools_word_scalar(&flags[base..base + 32]),
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: `bool` is guaranteed 0x00/0x01; 32 bytes in range.
-                Level::Sse2 => unsafe { x86::bools_word_sse2(flags.as_ptr().add(base).cast()) },
+                Level::Sse2 => {
+                    debug_assert!(base + 32 <= flags.len());
+                    // SAFETY: SSE2 is the x86_64 baseline; `bool` is
+                    // guaranteed 0x00/0x01, and 32 bytes from `base` are in
+                    // range.
+                    unsafe { x86::bools_word_sse2(flags.as_ptr().add(base).cast()) }
+                }
                 #[cfg(target_arch = "x86_64")]
-                Level::Avx2 => unsafe { x86::bools_word_avx2(flags.as_ptr().add(base).cast()) },
+                Level::Avx2 | Level::Avx512 => {
+                    debug_assert!(lvl <= crate::detected_level() && base + 32 <= flags.len());
+                    // SAFETY: AVX2 is detected wherever these levels are
+                    // dispatched; `bool` is guaranteed 0x00/0x01, and 32
+                    // bytes from `base` are in range.
+                    unsafe { x86::bools_word_avx2(flags.as_ptr().add(base).cast()) }
+                }
                 #[cfg(not(target_arch = "x86_64"))]
                 _ => unreachable!("vector codec path requires x86_64"),
             }
@@ -132,17 +154,25 @@ pub fn select_by_mask(words: &[u32], dy: &[f32], elem0: usize, out: &mut [f32]) 
         debug_assert!(g + 32 <= out.len() && elem0 + g + 32 <= dy.len());
         match lvl {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `g + 32 <= full <= out.len()`, and the entry assert
-            // puts `elem0 + out.len() <= dy.len()`: 32 elements of both
-            // `dy` (at elem0 + g) and `out` (at g) are in range; the
-            // vector level implies detection.
-            Level::Sse2 => unsafe {
-                x86::select32_sse2(word, dy.as_ptr().add(elem0 + g), out.as_mut_ptr().add(g));
-            },
+            Level::Sse2 => {
+                debug_assert!(lvl <= crate::detected_level());
+                // SAFETY: `g + 32 <= full <= out.len()`, and the entry
+                // assert puts `elem0 + out.len() <= dy.len()`: 32 elements
+                // of both `dy` (at elem0 + g) and `out` (at g) are in
+                // range; SSE2 is the x86_64 baseline.
+                unsafe {
+                    x86::select32_sse2(word, dy.as_ptr().add(elem0 + g), out.as_mut_ptr().add(g))
+                };
+            }
             #[cfg(target_arch = "x86_64")]
-            Level::Avx2 => unsafe {
-                x86::select32_avx2(word, dy.as_ptr().add(elem0 + g), out.as_mut_ptr().add(g));
-            },
+            Level::Avx2 | Level::Avx512 => {
+                debug_assert!(lvl <= crate::detected_level());
+                // SAFETY: as the SSE2 arm for the ranges; AVX2 is detected
+                // wherever these levels are dispatched.
+                unsafe {
+                    x86::select32_avx2(word, dy.as_ptr().add(elem0 + g), out.as_mut_ptr().add(g))
+                };
+            }
             _ => unreachable!("full-word groups only run at vector levels"),
         }
         g += 32;
@@ -164,16 +194,27 @@ pub fn count_nonzero(values: &[f32]) -> usize {
     let full = match lvl {
         Level::Scalar => 0,
         Level::Sse2 => values.len() / 4 * 4,
-        Level::Avx2 => values.len() / 8 * 8,
+        Level::Avx2 | Level::Avx512 => values.len() / 8 * 8,
     };
     let mut count = 0usize;
     match lvl {
         Level::Scalar => {}
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `full` is a multiple of the lane width within bounds.
-        Level::Sse2 => count = unsafe { x86::count_nonzero_sse2(values.as_ptr(), full) },
+        Level::Sse2 => {
+            debug_assert!(full.is_multiple_of(4) && full <= values.len());
+            // SAFETY: SSE2 is the x86_64 baseline; `full` is a multiple of
+            // 4 within bounds.
+            count = unsafe { x86::count_nonzero_sse2(values.as_ptr(), full) };
+        }
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => count = unsafe { x86::count_nonzero_avx2(values.as_ptr(), full) },
+        Level::Avx2 | Level::Avx512 => {
+            debug_assert!(
+                lvl <= crate::detected_level() && full.is_multiple_of(8) && full <= values.len()
+            );
+            // SAFETY: AVX2 is detected wherever these levels are
+            // dispatched; `full` is a multiple of 8 within bounds.
+            count = unsafe { x86::count_nonzero_avx2(values.as_ptr(), full) };
+        }
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("vector codec path requires x86_64"),
     }
@@ -266,11 +307,12 @@ pub fn dpr_encode_words(
         "dpr_encode_words: one word per {per} values"
     );
     let groups = match (crate::level(), spec.packing()) {
-        (Level::Avx2, Some(_)) => values.len() / (8 * per),
+        (Level::Avx2 | Level::Avx512, Some(_)) => values.len() / (8 * per),
         _ => 0,
     };
     #[cfg(target_arch = "x86_64")]
     if groups > 0 {
+        debug_assert!(crate::level() <= crate::detected_level() && spec.packing().is_some());
         debug_assert!(groups * 8 * per <= values.len() && groups * 8 <= words.len());
         // SAFETY: AVX2 is detected and `spec` has a packing; the `groups`
         // whole groups read `groups * 8 * per <= values.len()` values and
@@ -314,12 +356,13 @@ pub fn dpr_decode_into(
         words.len()
     );
     let full = match (crate::level(), spec.packing()) {
-        (Level::Avx2, Some(_)) => out.len() / 8 * 8,
+        (Level::Avx2 | Level::Avx512, Some(_)) => out.len() / 8 * 8,
         _ => 0,
     };
     #[cfg(target_arch = "x86_64")]
     if full > 0 {
-        debug_assert!((elem0 + full).div_ceil(per) <= words.len());
+        debug_assert!(crate::level() <= crate::detected_level() && spec.packing().is_some());
+        debug_assert!(full <= out.len() && (elem0 + full).div_ceil(per) <= words.len());
         // SAFETY: AVX2 is detected and `spec` has a packing; `full <=
         // out.len()` outputs are written, and every load reads only words
         // holding elements `elem0..elem0 + full`, which the assert above

@@ -21,9 +21,10 @@
 //! in both directions (NaN payloads, signed zeros and denormals are
 //! preserved exactly), so every level is byte-identical by construction.
 //!
-//! Per the DPR precedent, SSE2 falls back to scalar here (a 128-bit
-//! left-pack needs a byte-shuffle LUT that is not worth the surface); this
-//! is a performance choice, not a correctness one.
+//! The AVX-512 level runs the AVX2 kernels. Per the DPR precedent, SSE2
+//! falls back to scalar here (a 128-bit left-pack needs a byte-shuffle LUT
+//! that is not worth the surface); this is a performance choice, not a
+//! correctness one.
 
 use crate::Level;
 
@@ -67,15 +68,17 @@ macro_rules! pack_row_impl {
         ///
         /// Panics if `vals` or `cols` is shorter than the count.
         pub fn $name(row: &[f32], vals: &mut [f32], cols: &mut [$col]) -> usize {
-            let full = match crate::level() {
-                Level::Avx2 => row.len() / 8 * 8,
+            let lvl = crate::level();
+            let full = match lvl {
+                Level::Avx2 | Level::Avx512 => row.len() / 8 * 8,
                 _ => 0,
             };
             let mut k = 0usize;
             #[cfg(target_arch = "x86_64")]
             if full > 0 {
-                // SAFETY: `full > 0` only at the AVX2 level, which is
-                // detected before it is ever selected.
+                debug_assert!(lvl >= Level::Avx2 && lvl <= crate::detected_level());
+                // SAFETY: `full > 0` only at AVX2 and above, whose AVX2 is
+                // detected before either level is ever selected.
                 k = unsafe { x86::$kernel(&row[..full], vals, cols) };
             }
             for (c, &v) in row.iter().enumerate().skip(full) {
@@ -120,12 +123,13 @@ macro_rules! scatter_row_impl {
             assert_eq!(cols.len(), values.len(), "csr scatter row length");
             let lvl = crate::level();
             let full = match lvl {
-                Level::Avx2 => cols.len() / 8 * 8,
+                Level::Avx2 | Level::Avx512 => cols.len() / 8 * 8,
                 _ => 0,
             };
             let mut k = 0usize;
             #[cfg(target_arch = "x86_64")]
             while k < full {
+                debug_assert!(lvl <= crate::detected_level() && k + 8 <= cols.len());
                 // SAFETY: AVX2 is detected; 8 cols/values at `k` are in
                 // range. The kernel only stores when the 8 columns form a
                 // consecutive ramp, whose highest target `cols[k + 7]` it

@@ -1,11 +1,14 @@
 //! Runtime-dispatched SIMD kernels for the Gist reproduction.
 //!
-//! Every kernel here ships three implementations — scalar, SSE2, AVX2 —
-//! selected once per process from `GIST_SIMD=scalar|sse2|avx2` (mirroring
-//! `GIST_THREADS`) or by CPU feature detection. The contract that makes
-//! this crate safe to wire under a bit-deterministic stack: **all levels
-//! produce byte-identical output for every element that is not NaN, and
-//! agree element-wise on which outputs are NaN**. Vector code only ever
+//! Every kernel dispatches on one level ladder — scalar, SSE2, AVX2,
+//! AVX-512 — selected once per process from
+//! `GIST_SIMD=scalar|sse2|avx2|avx512` (mirroring `GIST_THREADS`) or by
+//! CPU feature detection. Only the GEMM tiles are 512-bit: at the AVX-512
+//! level the codecs run their AVX2 bodies (detection asks for AVX-512F and
+//! AVX2 together). The contract that makes this crate safe to wire under
+//! a bit-deterministic stack: **all levels produce byte-identical output
+//! for every element that is not NaN, and agree element-wise on which
+//! outputs are NaN**. Vector code only ever
 //! computes *independent output elements* in lanes; it never reassociates
 //! a floating-point reduction, never uses FMA (fused rounding differs from
 //! mul-then-add), and tails run in the same element order as the scalar
@@ -67,6 +70,9 @@ pub enum Level {
     Sse2,
     /// 256-bit `std::arch` x86 vectors (runtime-detected).
     Avx2,
+    /// 512-bit `std::arch` x86 vectors (runtime-detected, with AVX2):
+    /// the GEMM tiles only; every other kernel runs its AVX2 body.
+    Avx512,
 }
 
 impl Level {
@@ -76,6 +82,7 @@ impl Level {
             Level::Scalar => "scalar",
             Level::Sse2 => "sse2",
             Level::Avx2 => "avx2",
+            Level::Avx512 => "avx512",
         }
     }
 
@@ -85,6 +92,7 @@ impl Level {
             Level::Scalar => 1,
             Level::Sse2 => 4,
             Level::Avx2 => 8,
+            Level::Avx512 => 16,
         }
     }
 }
@@ -99,7 +107,10 @@ impl std::fmt::Display for Level {
 pub fn detected_level() -> Level {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        if avx2 && std::arch::is_x86_feature_detected!("avx512f") {
+            Level::Avx512
+        } else if avx2 {
             Level::Avx2
         } else {
             // SSE2 is part of the x86_64 baseline.
@@ -116,7 +127,10 @@ pub fn detected_level() -> Level {
 /// tests iterate this instead of hard-coding the x86 set.
 pub fn available_levels() -> Vec<Level> {
     let best = detected_level();
-    [Level::Scalar, Level::Sse2, Level::Avx2].into_iter().filter(|&l| l <= best).collect()
+    [Level::Scalar, Level::Sse2, Level::Avx2, Level::Avx512]
+        .into_iter()
+        .filter(|&l| l <= best)
+        .collect()
 }
 
 /// Parses a `GIST_SIMD` spelling. `None` for anything unrecognised.
@@ -125,6 +139,7 @@ pub fn parse_level(s: &str) -> Option<Level> {
         "scalar" => Some(Level::Scalar),
         "sse2" => Some(Level::Sse2),
         "avx2" => Some(Level::Avx2),
+        "avx512" => Some(Level::Avx512),
         _ => None,
     }
 }
@@ -143,7 +158,7 @@ pub fn resolve_env(raw: Option<&str>) -> (Level, Option<String>) {
         "gist-simd",
         "GIST_SIMD",
         Some(s),
-        "scalar|sse2|avx2",
+        "scalar|sse2|avx2|avx512",
         "scalar",
         parse_level,
         || Level::Scalar,
@@ -193,6 +208,7 @@ fn decode_ambient(raw: u32) -> Option<Level> {
         1 => Some(Level::Scalar),
         2 => Some(Level::Sse2),
         3 => Some(Level::Avx2),
+        4 => Some(Level::Avx512),
         _ => None,
     }
 }
@@ -246,7 +262,7 @@ mod tests {
 
     #[test]
     fn invalid_values_fall_back_to_scalar_with_warning() {
-        for bad in ["avx512", "AVX999", "", "8", "fast"] {
+        for bad in ["avx1024", "AVX999", "", "8", "fast"] {
             let (level, warning) = resolve_env(Some(bad));
             assert_eq!(level, Level::Scalar, "invalid {bad:?} must resolve to scalar");
             let w = warning.expect("invalid value must warn");
@@ -261,7 +277,7 @@ mod tests {
         // every level above the detected one (a no-op on machines that
         // support everything — the invalid-value test still covers the
         // warning path there).
-        for l in [Level::Sse2, Level::Avx2] {
+        for l in [Level::Sse2, Level::Avx2, Level::Avx512] {
             if l > detected_level() {
                 let (got, warning) = resolve_env(Some(l.name()));
                 assert_eq!(got, Level::Scalar, "unsupported {l} must not pick another width");
@@ -317,10 +333,12 @@ mod tests {
     #[test]
     fn level_ordering_matches_lane_width() {
         assert!(Level::Scalar < Level::Sse2 && Level::Sse2 < Level::Avx2);
+        assert!(Level::Avx2 < Level::Avx512);
         assert_eq!(Level::Scalar.lanes(), 1);
         assert_eq!(Level::Sse2.lanes(), 4);
         assert_eq!(Level::Avx2.lanes(), 8);
-        for l in [Level::Scalar, Level::Sse2, Level::Avx2] {
+        assert_eq!(Level::Avx512.lanes(), 16);
+        for l in [Level::Scalar, Level::Sse2, Level::Avx2, Level::Avx512] {
             assert_eq!(parse_level(l.name()), Some(l), "name/parse roundtrip");
         }
     }

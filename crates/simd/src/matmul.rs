@@ -2,14 +2,17 @@
 //!
 //! Three layouts back the conv/linear kernels: `C = A·B`, `C = Aᵀ·B`, and
 //! `C = A·Bᵀ`. All share one vector strategy: output rows are swept in
-//! `gist-par` chunks, and a chunk is cut into tiles of [`MR`] rows × two
-//! vectors of columns. A tile keeps its eight accumulators in registers,
-//! so each B vector is loaded once and used by four rows, and the eight
-//! add chains overlap each other's latency. Row-major B is read **in
-//! place** (column tiles outer, row blocks inner: the `k × 16` strip a
-//! tile column reads stays cache-resident across the chunk's row blocks);
-//! only transposed B is packed, once per call **before** the parallel
-//! dispatch, into strips the same tile reads.
+//! `gist-par` chunks, and a chunk is cut into tiles of rows × two vectors
+//! of columns — 4 rows at SSE2 and AVX2, 8 rows × two 512-bit vectors at
+//! AVX-512. A tile keeps its accumulators in registers (8, or 16 of
+//! AVX-512's 32), so each B vector is loaded once and used by every row,
+//! and the add chains overlap each other's latency. Columns are cut into
+//! strips of two vectors, then one; at AVX-512 a last 8 columns take one
+//! AVX2 vector, so no level covers fewer columns than AVX2 does. Row-major
+//! B is read **in place** (column strips outer, row blocks inner: the
+//! `k × width` strip a tile column reads stays cache-resident across the
+//! chunk's row blocks); only transposed B is packed, once per call
+//! **before** the parallel dispatch, into strips the same tiles read.
 //!
 //! Bit-exactness rules (see DESIGN.md §11): lanes hold *independent output
 //! columns*, so each `C[i][j]` accumulates its `p` terms in exactly the
@@ -17,32 +20,70 @@
 //! and how rows are grouped into tiles or chunks touches no sum.
 //! `matmul`/`matmul_at_b` skip `a == 0.0` terms (the skip is semantic,
 //! because skipping changes results when B holds NaN/Inf: `0.0 × Inf =
-//! NaN`); the tile keeps it as a mask on the *product*, `and(a·b, a != 0)`:
-//! an accumulator that starts at `+0.0` can never become `-0.0`, so adding
-//! the masked `+0.0` leaves every bit where the skip would. `matmul_a_bt`
-//! never skips. Multiplies and adds stay separate instructions — FMA's
-//! fused rounding would diverge from the scalar reference. Tail columns
-//! (fewer than one vector) are computed scalar, same element order,
-//! straight from the unpacked B. Outputs match the scalar level
-//! bit-for-bit except NaN payloads, which no compilation pins (see
-//! [`crate::canon_bits`]).
+//! NaN`); the tiles keep it as a mask on the *product*: `and(a·b, a != 0)`
+//! at SSE2/AVX2, a zero-masking multiply under `a != 0`'s mask register
+//! at AVX-512. Either way a skipped term is exactly `+0.0`, and an
+//! accumulator that starts at `+0.0` can never become `-0.0`, so adding it
+//! leaves every bit where the skip would. `matmul_a_bt` never skips.
+//! Multiplies and adds stay separate instructions — FMA's fused rounding
+//! would diverge from the scalar reference. Tail columns (fewer than 8, or
+//! than SSE2's 4) are computed scalar, same element order, straight from
+//! the unpacked B. Outputs match the scalar level bit-for-bit except NaN
+//! payloads, which no compilation pins (see [`crate::canon_bits`]).
 
 use crate::Level;
 use gist_par::parallel_chunks_mut;
 use std::cell::Cell;
 
-/// Output rows per register tile.
-const MR: usize = 4;
+/// Output rows per register tile of `lvl`: 8 at AVX-512, 4 below.
+fn tile_rows(lvl: Level) -> usize {
+    if lvl == Level::Avx512 {
+        8
+    } else {
+        4
+    }
+}
 
 /// Rows per parallel chunk: a pure function of the matrix shape (never of
 /// thread count or SIMD level), targeting enough work per chunk to
-/// amortize dispatch, rounded up to whole tiles so the rows of a chunk
-/// share their B loads. Chunks share no reduction, so where the partition
-/// falls moves no bit.
+/// amortize dispatch, rounded up to 8 rows — whole tiles at every level —
+/// so the rows of a chunk share their B loads. Chunks share no reduction,
+/// so where the partition falls moves no bit.
 pub fn row_grain(m: usize, k: usize, n: usize) -> usize {
     let flops_per_row = (2 * k * n).max(1);
     let rows_per_chunk = (1 << 16) / flops_per_row;
-    rows_per_chunk.clamp(1, m.max(1)).next_multiple_of(MR)
+    rows_per_chunk.clamp(1, m.max(1)).next_multiple_of(8)
+}
+
+/// Width of the narrowest vector tile `lvl` runs: its own lanes, except
+/// that AVX-512 finishes on an 8-wide AVX2 tile.
+fn narrowest(lvl: Level) -> usize {
+    lvl.lanes().min(8)
+}
+
+/// The vector tiles' column strips over `0..ncols` (a multiple of
+/// [`narrowest`]), as `(first column, tile level, vectors)`: two of
+/// `lvl`'s vectors while they fit, then one; at AVX-512 a last 8 columns
+/// run one AVX2 vector.
+fn strips(lvl: Level, ncols: usize) -> impl Iterator<Item = (usize, Level, usize)> {
+    debug_assert!(lvl != Level::Scalar && ncols.is_multiple_of(narrowest(lvl)));
+    let w = lvl.lanes();
+    let mut j0 = 0;
+    std::iter::from_fn(move || {
+        let left = ncols - j0;
+        let (tl, nv) = match left {
+            0 => return None,
+            _ if left >= 2 * w => (lvl, 2),
+            _ if left >= w => (lvl, 1),
+            _ => {
+                debug_assert!(lvl == Level::Avx512 && left == 8);
+                (Level::Avx2, 1)
+            }
+        };
+        let strip = (j0, tl, nv);
+        j0 += nv * tl.lanes();
+        Some(strip)
+    })
 }
 
 thread_local! {
@@ -70,23 +111,25 @@ fn with_pack_buf<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
 }
 
 /// Packs the first `ncols` rows of transposed `B[n × k]` (rows are output
-/// columns) into strips of two vectors of columns, the last one narrower:
-/// the strip starting at column `j0`, `w` wide, is the row-major `k × w`
-/// block at `panel[j0·k..]` — `panel[j0·k + p·w + l] = b[(j0 + l)·k + p]`.
-/// A pure relayout: AVX2 moves 8 × 8 blocks through registers, everything
-/// else (and the `k % 8` rows they leave) goes an element at a time.
+/// columns) into the [`strips`] the tiles read: the strip starting at
+/// column `j0`, `w` wide, is the row-major `k × w` block at
+/// `panel[j0·k..]` — `panel[j0·k + p·w + l] = b[(j0 + l)·k + p]`. A pure
+/// relayout: AVX2 and AVX-512 (whose strips are all multiples of 8 wide)
+/// move 8 × 8 blocks through registers, everything else (and the `k % 8`
+/// rows they leave) goes an element at a time.
 fn pack_b_transposed(lvl: Level, b: &[f32], k: usize, ncols: usize, panel: &mut [f32]) {
-    let nr = 2 * lvl.lanes();
-    let blocked = if lvl == Level::Avx2 { k - k % 8 } else { 0 };
-    for j0 in (0..ncols).step_by(nr) {
-        let w = nr.min(ncols - j0);
+    let blocked = if lvl >= Level::Avx2 { k - k % 8 } else { 0 };
+    for (j0, tl, nv) in strips(lvl, ncols) {
+        let w = nv * tl.lanes();
         let rows = &b[j0 * k..(j0 + w) * k];
         let strip = &mut panel[j0 * k..(j0 + w) * k];
         #[cfg(target_arch = "x86_64")]
         for p0 in (0..blocked).step_by(8) {
             for l0 in (0..w).step_by(8) {
-                // SAFETY: `blocked` is non-zero only at the AVX2 level,
-                // whose strips are whole multiples of 8 columns.
+                debug_assert!(lvl <= crate::detected_level() && w.is_multiple_of(8));
+                // SAFETY: `blocked` is non-zero only at AVX2 and above,
+                // which dispatch reports only when detected, and whose
+                // strips are whole multiples of 8 columns.
                 unsafe {
                     x86::transpose8_avx2(&rows[l0 * k + p0..], k, &mut strip[p0 * w + l0..], w)
                 };
@@ -137,10 +180,12 @@ mod x86 {
     /// accumulators live in registers across the `p` sweep. `p` ascends
     /// exactly as in the scalar sweep; separate mul/add — never FMA. With
     /// `SKIP`, a term whose `a` is `±0.0` contributes `+0.0` whatever B
-    /// holds (`cmpneq` is unordered: a NaN `a` is kept, as scalar keeps it).
+    /// holds: `$keep` is `a != 0` (unordered: a NaN `a` is kept, as scalar
+    /// keeps it), computed once per row and `p`, and `$skip_mul` the
+    /// product with the dropped lanes zeroed.
     macro_rules! tile {
         ($name:ident, $feature:literal, $w:literal, $zero:ident, $set1:ident, $load:ident,
-         $store:ident, $mul:ident, $add:ident, $and:ident, $ne:expr) => {
+         $store:ident, $mul:ident, $add:ident, $keep:ident, $skip_mul:ident) => {
             /// # Safety
             ///
             /// The level's instructions must be available (the slices bound
@@ -163,9 +208,9 @@ mod x86 {
                     }
                     for (r, acc) in acc.iter_mut().enumerate() {
                         let av = $set1(*a.add(r * a_row_stride + p * a_step));
+                        let keep = $keep(av);
                         for (acc, bv) in acc.iter_mut().zip(bv) {
-                            let prod = $mul(av, bv);
-                            let term = if SKIP { $and(prod, $ne(av, $zero())) } else { prod };
+                            let term = if SKIP { $skip_mul(keep, av, bv) } else { $mul(av, bv) };
                             *acc = $add(*acc, term);
                         }
                     }
@@ -177,6 +222,42 @@ mod x86 {
                 }
             }
         };
+    }
+
+    /// Lanes of `a` that are not `±0.0` (NaN included), as a lane mask.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn ne_zero_sse2(a: __m128) -> __m128 {
+        _mm_cmpneq_ps(a, _mm_setzero_ps())
+    }
+
+    /// `a · b` where `keep` is set, `+0.0` elsewhere.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn and_mul_sse2(keep: __m128, a: __m128, b: __m128) -> __m128 {
+        _mm_and_ps(_mm_mul_ps(a, b), keep)
+    }
+
+    /// As [`ne_zero_sse2`], 8 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn ne_zero_avx2(a: __m256) -> __m256 {
+        _mm256_cmp_ps::<_CMP_NEQ_UQ>(a, _mm256_setzero_ps())
+    }
+
+    /// As [`and_mul_sse2`], 8 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn and_mul_avx2(keep: __m256, a: __m256, b: __m256) -> __m256 {
+        _mm256_and_ps(_mm256_mul_ps(a, b), keep)
+    }
+
+    /// As [`ne_zero_sse2`], 16 lanes, into a mask register — which
+    /// `_mm512_maskz_mul_ps` then applies for free.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn ne_zero_avx512(a: __m512) -> __mmask16 {
+        _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(a, _mm512_setzero_ps())
     }
 
     /// `dst[c · ldd + r] = src[r · lds + c]` for `r, c < 8`: unpack, shuffle
@@ -221,6 +302,19 @@ mod x86 {
     }
 
     tile!(
+        tile_avx512,
+        "avx512f",
+        16,
+        _mm512_setzero_ps,
+        _mm512_set1_ps,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_mul_ps,
+        _mm512_add_ps,
+        ne_zero_avx512,
+        _mm512_maskz_mul_ps
+    );
+    tile!(
         tile_avx2,
         "avx2",
         8,
@@ -230,8 +324,8 @@ mod x86 {
         _mm256_storeu_ps,
         _mm256_mul_ps,
         _mm256_add_ps,
-        _mm256_and_ps,
-        _mm256_cmp_ps::<_CMP_NEQ_UQ>
+        ne_zero_avx2,
+        and_mul_avx2
     );
     tile!(
         tile_sse2,
@@ -243,8 +337,8 @@ mod x86 {
         _mm_storeu_ps,
         _mm_mul_ps,
         _mm_add_ps,
-        _mm_and_ps,
-        _mm_cmpneq_ps
+        ne_zero_sse2,
+        and_mul_sse2
     );
 }
 
@@ -253,26 +347,27 @@ mod x86 {
 /// # Safety
 ///
 /// `lvl` must be a vector level that [`crate::detected_level`] reported
-/// available.
+/// available, and `rows` at most its [`tile_rows`].
 unsafe fn tile<const SKIP: bool>(lvl: Level, rows: usize, nv: usize, t: Tile) {
-    debug_assert!((1..=MR).contains(&rows) && (1..=2).contains(&nv) && lvl != Level::Scalar);
+    debug_assert!(lvl != Level::Scalar && lvl <= crate::detected_level());
+    debug_assert!((1..=tile_rows(lvl)).contains(&rows) && (1..=2).contains(&nv));
     #[cfg(target_arch = "x86_64")]
     {
         macro_rules! by_rows {
-            ($f:ident, $nv:literal) => {
+            ($f:ident, $nv:literal, $($r:literal)+) => {
                 match rows {
-                    4 => x86::$f::<SKIP, 4, $nv>(t),
-                    3 => x86::$f::<SKIP, 3, $nv>(t),
-                    2 => x86::$f::<SKIP, 2, $nv>(t),
+                    $($r => x86::$f::<SKIP, $r, $nv>(t),)+
                     _ => x86::$f::<SKIP, 1, $nv>(t),
                 }
             };
         }
         match (lvl, nv) {
-            (Level::Avx2, 2) => by_rows!(tile_avx2, 2),
-            (Level::Avx2, _) => by_rows!(tile_avx2, 1),
-            (_, 2) => by_rows!(tile_sse2, 2),
-            _ => by_rows!(tile_sse2, 1),
+            (Level::Avx512, 2) => by_rows!(tile_avx512, 2, 8 7 6 5 4 3 2),
+            (Level::Avx512, _) => by_rows!(tile_avx512, 1, 8 7 6 5 4 3 2),
+            (Level::Avx2, 2) => by_rows!(tile_avx2, 2, 4 3 2),
+            (Level::Avx2, _) => by_rows!(tile_avx2, 1, 4 3 2),
+            (_, 2) => by_rows!(tile_sse2, 2, 4 3 2),
+            _ => by_rows!(tile_sse2, 1, 4 3 2),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -295,13 +390,13 @@ struct VecShape {
 }
 
 impl VecShape {
-    /// Columns the vector tiles cover: whole vectors of the level's width.
+    /// Columns the vector tiles cover: whole multiples of the narrowest tile.
     fn vector_cols(&self) -> usize {
-        self.n - self.n % self.lvl.lanes()
+        self.n - self.n % narrowest(self.lvl)
     }
 }
 
-/// Computes the full output rows of one chunk: column tiles outer and row
+/// Computes the full output rows of one chunk: column strips outer and row
 /// blocks inner (so the B strip a tile column reads is reused from cache by
 /// every row block), then scalar tails in ascending column order. `panel`
 /// is the packed B under [`BLayout::Transposed`] and unused otherwise.
@@ -315,26 +410,28 @@ fn vector_chunk<const SKIP: bool>(
 ) {
     let VecShape { lvl, k, n, a_row_stride, a_step, layout } = vs;
     let rows = cchunk.len() / n;
-    let (w, ncols) = (lvl.lanes(), vs.vector_cols());
-    let mut j0 = 0;
-    while j0 < ncols {
-        let nv = ((ncols - j0) / w).min(2);
+    let ncols = vs.vector_cols();
+    for (j0, tl, nv) in strips(lvl, ncols) {
+        let width = nv * tl.lanes();
         let (tb, ldb) = match layout {
             BLayout::RowMajor => (&b[j0..], n),
-            BLayout::Transposed => (&panel[j0 * k..], nv * w),
+            BLayout::Transposed => (&panel[j0 * k..], width),
         };
-        for r0 in (0..rows).step_by(MR) {
-            let tile_rows = MR.min(rows - r0);
+        let mr = tile_rows(tl);
+        for r0 in (0..rows).step_by(mr) {
+            let tile_rows = mr.min(rows - r0);
             // The tile's first output element to its last: rows of this
             // chunk only, whatever the neighbouring chunks' workers write.
-            let out = &mut cchunk[r0 * n + j0..(r0 + tile_rows - 1) * n + j0 + nv * w];
+            let out = &mut cchunk[r0 * n + j0..(r0 + tile_rows - 1) * n + j0 + width];
             let ta = &a[(row0 + r0) * a_row_stride..];
             let t = Tile { a: ta, a_row_stride, a_step, k, b: tb, ldb, out, ldc: n };
-            // SAFETY: `lvl` is the ambient vector level, which dispatch
-            // only reports if detected.
-            unsafe { tile::<SKIP>(lvl, tile_rows, nv, t) };
+            debug_assert!(tl <= crate::detected_level());
+            // SAFETY: `tl` is the ambient vector level (or AVX2 under
+            // AVX-512, which detection requires alongside it), and dispatch
+            // only reports a detected level; the row block is cut to `tl`'s
+            // tile height.
+            unsafe { tile::<SKIP>(tl, tile_rows, nv, t) };
         }
-        j0 += nv * w;
     }
     // Tail columns: scalar, same per-element `p` order, from unpacked B.
     for r in 0..rows {
@@ -359,10 +456,10 @@ fn vector_chunk<const SKIP: bool>(
 }
 
 /// Whether a product takes the scalar sweep: the level is forced or
-/// undetected, or there is no vector tile to run (`n` narrower than one
-/// vector, or no terms at all).
+/// undetected, or there is no vector tile to run (`n` narrower than the
+/// level's narrowest tile, or no terms at all).
 fn scalar_sweep(lvl: Level, k: usize, n: usize) -> bool {
-    lvl == Level::Scalar || n < lvl.lanes() || k == 0
+    lvl == Level::Scalar || n < narrowest(lvl) || k == 0
 }
 
 /// `C[m × n] = A[m × k] · B[k × n]`, row-major, into a preallocated `c`.
@@ -513,15 +610,16 @@ mod tests {
 
     #[test]
     fn levels_agree_on_hostile_inputs() {
-        // Shapes straddle both edges of the 4 × 16 tile (and its one-vector
-        // and scalar-tail remainders at either width); values include the
-        // NaN/Inf interactions that make the zero-skip semantic, and
-        // subnormal pairs whose product underflows to -0.0.
+        // Shapes straddle both edges of the 4 × 16 and 8 × 32 tiles (and
+        // their one-vector, 8-wide AVX2 and scalar-tail remainders at
+        // every width); values include the NaN/Inf interactions that make
+        // the zero-skip semantic, and subnormal pairs whose product
+        // underflows to -0.0.
         let specials =
             [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1e-40, f32::MAX, -2.5, -1e-40];
         let mut shapes = vec![(1, 1, 1), (3, 5, 7), (4, 9, 8), (5, 3, 17), (2, 16, 33)];
-        for m in [1, 3, 4, 5, 9] {
-            for n in [15, 16, 17, 31, 32, 33, 48] {
+        for m in [1, 3, 4, 5, 7, 8, 9] {
+            for n in [8, 15, 16, 17, 24, 31, 32, 33, 40, 47, 48] {
                 shapes.extend([1, 7, 64].map(|k| (m, k, n)));
             }
         }

@@ -384,12 +384,7 @@ pub fn backward_into<S: ColumnSource + ?Sized>(
     }
     let (oh, ow) = (expected.h(), expected.w());
     let ckk = s.c() * p.kernel * p.kernel;
-    // dW = dy_n · colsᵀ puts its `ckk` output columns on the vector lanes;
-    // when `ckk` leaves a scalar tail there and `out_c` would not, dWᵀ =
-    // cols · dy_nᵀ runs whole vectors instead. Both sum each cell's terms in
-    // ascending order from `0.0` and products commute, so bits agree.
-    let lanes = gist_simd::level().lanes();
-    let dw_transposed = !ckk.is_multiple_of(lanes) && out_c.is_multiple_of(lanes);
+    let dw_transposed = dw_transposed(out_c, ckk);
     dx.data_mut().fill(0.0);
     let per_dx = s.c() * s.h() * s.w();
     let dx_base = SendPtr::new(dx.data_mut().as_mut_ptr());
@@ -456,6 +451,17 @@ pub fn backward_into<S: ColumnSource + ?Sized>(
         }
     }
     Ok(())
+}
+
+/// Whether `backward_into` computes dW transposed. dW = dy_n · colsᵀ puts
+/// its `ckk` output columns on the vector lanes and packs `cols`; dWᵀ =
+/// cols · dy_nᵀ puts `out_c` there and packs `dy_n`. The rule is a pure
+/// function of shape: fewer scalar-tail columns first (every level's
+/// vector tiles cover whole multiples of 8), then the smaller packed
+/// operand. Both orientations sum each cell's terms in ascending order
+/// from `0.0` and products commute, so bits agree at every level.
+fn dw_transposed(out_c: usize, ckk: usize) -> bool {
+    (out_c % 8, out_c) < (ckk % 8, ckk)
 }
 
 /// [`backward_into`] returning freshly allocated `(dw, db)`. Kept for
@@ -599,6 +605,60 @@ mod tests {
                 "dw reduction order changed at {threads} threads"
             );
             assert_eq!(db.data()[0].to_bits(), db_ref.data()[0].to_bits());
+        }
+    }
+
+    /// dW in both orientations against a per-element serial sum over the
+    /// textbook columns, at every level: one image (no merge tree), terms
+    /// in ascending position order from `0.0`, magnitudes mixed so any
+    /// reordered sum would round differently.
+    #[test]
+    fn dw_bits_match_a_serial_reference_in_both_orientations() {
+        // (in_c, out_c, kernel): ckk = 27 against out_c = 8 is transposed;
+        // ckk = 8 against out_c = 12 is not.
+        for (in_c, out_c, kernel, transposed) in [(3, 8, 3, true), (8, 12, 1, false)] {
+            let (h, w) = (6, 7);
+            let ckk = in_c * kernel * kernel;
+            assert_eq!(dw_transposed(out_c, ckk), transposed, "{out_c} x {ckk}");
+            let p = ConvParams::new(kernel, 1, kernel / 2);
+            let mut x = crate::init::uniform(Shape::nchw(1, in_c, h, w), -1.0, 1.0, 21);
+            let wt = crate::init::uniform(Shape::nchw(out_c, in_c, kernel, kernel), -1.0, 1.0, 22);
+            let mut dy = crate::init::uniform(p.out_shape(x.shape(), out_c), -1.0, 1.0, 23);
+            for (i, v) in x.data_mut().iter_mut().enumerate() {
+                *v *= [1.0, 1e6, 1e-6][i % 3];
+            }
+            for (i, v) in dy.data_mut().iter_mut().enumerate() {
+                *v *= [1e-5, 1.0, 1e5, -3.0][i % 4];
+            }
+            let (oh, ow) = p.out_hw(h, w);
+            let mut want = vec![0u32; out_c * ckk];
+            for (cell, want) in want.iter_mut().enumerate() {
+                let (k, j) = (cell / ckk, cell % ckk);
+                let (ci, kh, kw) = (j / (kernel * kernel), j / kernel % kernel, j % kernel);
+                let mut acc = 0.0f32;
+                for (ohi, owi) in (0..oh * ow).map(|q| (q / ow, q % ow)) {
+                    let ih = (ohi + kh) as isize - p.pad as isize;
+                    let iw = (owi + kw) as isize - p.pad as isize;
+                    let col = if ih >= 0 && ih < h as isize && iw >= 0 && iw < w as isize {
+                        x.data()[(ci * h + ih as usize) * w + iw as usize]
+                    } else {
+                        0.0
+                    };
+                    acc += dy.data()[(k * oh + ohi) * ow + owi] * col;
+                }
+                *want = acc.to_bits();
+            }
+            for lvl in gist_simd::available_levels() {
+                let mut dx = Tensor::zeros(x.shape());
+                let mut dw = Tensor::full(wt.shape(), f32::NAN);
+                let mut db = Tensor::zeros(Shape::vector(out_c));
+                gist_simd::with_level(lvl, || {
+                    backward_into(&x, &wt, &dy, p, &ScratchPool::new(), &mut dx, &mut dw, &mut db)
+                })
+                .unwrap();
+                let got: Vec<u32> = dw.data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{lvl}: dW of {out_c} x {ckk}");
+            }
         }
     }
 

@@ -126,6 +126,11 @@
 #      oracle) and `extra_offload_validation` (step 6's differential).
 #      Not covered: `fig11` (wall-clock timings) and the trained curves
 #      `fig12` / `fig14`
+#  15. the SIMD-level smoke: `train small-vgg --batch 4 --steps 3` at
+#      each of GIST_SIMD=scalar|sse2|avx2|avx512 this CPU supports (a
+#      level whose run warns "not supported" is skipped) must print the
+#      one pinned fingerprint 0xbbea10f86e0733c0 — every level computes
+#      the same bits, the widest GEMM tiles included
 #
 # Run this before committing, and append a one-line summary of what
 # changed to CHANGES.md.
@@ -334,6 +339,22 @@ for plan in event wave; do
             exit 1
         fi
     done
+done
+
+echo "==> CLI SIMD-level smoke (one pinned fingerprint at every supported level)"
+for level in scalar sse2 avx2 avx512; do
+    out=$(GIST_SIMD=$level cargo run --release -q --offline -p gist-cli -- \
+        train small-vgg --batch 4 --steps 3 2>&1)
+    if grep -q "not supported" <<<"$out"; then
+        echo "GIST_SIMD=$level: not supported on this CPU, skipped"
+        continue
+    fi
+    this=$(grep -o "train fingerprint: 0x[0-9a-f]*" <<<"$out")
+    if [ "$this" != "train fingerprint: 0xbbea10f86e0733c0" ]; then
+        echo "GIST_SIMD=$level printed '$this', not the pinned 0xbbea10f86e0733c0" >&2
+        exit 1
+    fi
+    echo "GIST_SIMD=$level: $this"
 done
 
 echo "==> CLI multi-process transport smoke (2 forked TCP ranks == in-process)"
