@@ -17,6 +17,9 @@
 //! row's spread is wider than the metric's bound, `worse` when `b`'s median
 //! is beyond the bound, `ok` otherwise — exiting non-zero on any `worse`.
 //! Rows recorded on different hosts cannot be `worse`, only `unresolved`.
+//! A host is its CPU model, its core count and the SIMD flags the CPU
+//! reports in `/proc/cpuinfo` — never the level the code detects, which
+//! moves when the code learns a new level on the same machine.
 
 use gist_obs::json::{self, escape, Value};
 use std::collections::BTreeMap;
@@ -43,6 +46,26 @@ fn read_json(path: &str) -> Value {
     json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e:?}"))
 }
 
+/// The CPU's own SIMD feature flags (`sse*`, `ssse*`, `avx*`, `fma`) on the
+/// first `flags` line of a `/proc/cpuinfo` text, in the order listed.
+fn simd_flags(cpuinfo: &str) -> String {
+    let flags = cpuinfo.lines().find(|l| l.starts_with("flags")).and_then(|l| l.split(':').nth(1));
+    let simd = |f: &&str| ["sse", "ssse", "avx", "fma"].iter().any(|p| f.starts_with(p));
+    flags.map_or_else(Vec::new, |f| f.split_whitespace().filter(simd).collect()).join(" ")
+}
+
+/// Whether two ledger `host` objects name one machine: the same `cpu` and
+/// `nproc`, and the same `flags` where both rows record them. `simd` (the
+/// level the code detected, in rows written before `flags`) is ignored.
+fn same_host(a: Option<&Value>, b: Option<&Value>) -> bool {
+    let (Some(a), Some(b)) = (a, b) else { return false };
+    let flags = match (a.get("flags"), b.get("flags")) {
+        (Some(fa), Some(fb)) => fa == fb,
+        _ => true,
+    };
+    a.get("cpu") == b.get("cpu") && a.get("nproc") == b.get("nproc") && flags
+}
+
 /// `compare <a> <b>`: one verdict per workload × bounded metric of `b`.
 /// Returns whether any row is `worse`.
 fn compare(a_path: &str, b_path: &str) -> bool {
@@ -51,7 +74,7 @@ fn compare(a_path: &str, b_path: &str) -> bool {
         Some(Value::Num(n)) => *n,
         _ => panic!("ledger row without a number"),
     };
-    let same_host = a.get("host") == b.get("host");
+    let same_host = same_host(a.get("host"), b.get("host"));
     if !same_host {
         println!("hosts differ ({:?} / {:?}): no row can read worse", a.get("host"), b.get("host"));
     }
@@ -135,19 +158,20 @@ fn main() {
             rows.entry(name.clone()).or_insert_with(|| (unit.to_string(), Vec::new())).1.push(*v);
         }
     }
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| s.lines().find(|l| l.starts_with("model name")).map(str::to_string))
-        .and_then(|l| l.split(':').nth(1).map(|m| m.trim().to_string()))
-        .unwrap_or_else(|| "unknown".into());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .map_or_else(|| "unknown".into(), |m| m.trim().to_string());
     let nproc = std::thread::available_parallelism().map_or(0, usize::from);
     println!("{{");
     println!("  \"commit\": \"{}\",", escape(commit));
     println!("  \"sweep\": \"{}\",", escape(sweep));
     println!(
-        "  \"host\": {{\"nproc\": {nproc}, \"cpu\": \"{}\", \"simd\": \"{}\"}},",
+        "  \"host\": {{\"nproc\": {nproc}, \"cpu\": \"{}\", \"flags\": \"{}\"}},",
         escape(&cpu),
-        gist_simd::detected_level()
+        escape(&simd_flags(&cpuinfo))
     );
     let workloads: Vec<String> = table
         .iter_mut()
@@ -169,4 +193,44 @@ fn main() {
         })
         .collect();
     println!("  \"workloads\": {{\n{}\n  }}\n}}", workloads.join(",\n"));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn host(text: &str) -> Value {
+        json::parse(text).unwrap()
+    }
+
+    #[test]
+    fn hosts_that_differ_only_in_simd_are_one_host() {
+        let avx2 = host(r#"{"nproc": 2, "cpu": "Xeon", "simd": "avx2"}"#);
+        let avx512 = host(r#"{"nproc": 2, "cpu": "Xeon", "simd": "avx512"}"#);
+        assert!(same_host(Some(&avx2), Some(&avx512)));
+        // A row with flags is one host with an older row without them.
+        let flagged = host(r#"{"nproc": 2, "cpu": "Xeon", "flags": "sse2 avx2"}"#);
+        assert!(same_host(Some(&avx2), Some(&flagged)));
+    }
+
+    #[test]
+    fn cpu_cores_or_flags_tell_hosts_apart() {
+        let a = host(r#"{"nproc": 2, "cpu": "Xeon", "flags": "sse2 avx2"}"#);
+        for b in [
+            r#"{"nproc": 4, "cpu": "Xeon", "flags": "sse2 avx2"}"#,
+            r#"{"nproc": 2, "cpu": "EPYC", "flags": "sse2 avx2"}"#,
+            r#"{"nproc": 2, "cpu": "Xeon", "flags": "sse2 avx2 avx512f"}"#,
+        ] {
+            assert!(!same_host(Some(&a), Some(&host(b))), "{b}");
+        }
+        assert!(!same_host(Some(&a), None));
+    }
+
+    #[test]
+    fn simd_flags_keep_only_vector_extensions() {
+        let cpuinfo = "model name\t: Xeon\nflags\t\t: fpu sse sse2 ssse3 fma avx2 avx512f aes\n\
+                       flags\t\t: sse2\n";
+        assert_eq!(simd_flags(cpuinfo), "sse sse2 ssse3 fma avx2 avx512f");
+        assert_eq!(simd_flags("model name: Xeon"), "");
+    }
 }

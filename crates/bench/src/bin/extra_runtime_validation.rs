@@ -19,14 +19,14 @@
 //! 6. under `AllocPolicy::Arena` the step executes out of the pre-planned
 //!    slab: the observed stream equals the fully static arena prediction,
 //!    every buffer life fits its planned region with no concurrent
-//!    overlap (`check_no_overlap_waves`), the observed peak fits the slab whose
+//!    overlap (`check_regions`), the observed peak fits the slab whose
 //!    capacity equals the planned bytes, and the loss is bit-identical to
 //!    the heap run.
 
 use gist_bench::banner;
 use gist_core::GistConfig;
 use gist_encodings::DprFormat;
-use gist_memory::{check_no_overlap, check_no_overlap_waves, observed_peak};
+use gist_memory::{check_no_overlap, check_regions, observed_peak};
 use gist_obs::{Event, MemoryAccountant, TraceSink};
 use gist_runtime::{ssdc_stash_sizes, AllocPolicy, ExecMode, ExecSpec, Executor, SyntheticImages};
 use std::collections::HashMap;
@@ -159,7 +159,7 @@ fn check(net: &str, mode_name: &str, mode: &ExecMode) -> Result<(), String> {
         return fail("arena accountant peak != executor meter peak".to_string());
     }
     let arena = arena_exec.arena().expect("arena policy implies an arena");
-    if let Err(e) = check_no_overlap_waves(&arena_acc, &[], |name| arena.region(name)) {
+    if let Err(e) = check_regions(&arena_acc, |name| arena.region(name)) {
         return fail(format!("arena layout violates observed trace: {e}"));
     }
     if arena_acc.peak_bytes() as usize > arena.capacity_bytes() {

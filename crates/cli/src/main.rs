@@ -46,7 +46,6 @@ struct Args {
     steps: usize,
     trace: Option<String>,
     alloc: gist_runtime::AllocPolicy,
-    plan: gist_runtime::PlanGranularity,
     offload: gist_runtime::OffloadMode,
     replicas: usize,
     grad_codec: gist_dist::GradCodecPolicy,
@@ -60,11 +59,11 @@ struct Args {
 }
 
 impl Args {
-    /// The execution spec `train` runs under: `--mode`, `--alloc`, `--plan`
-    /// and `--offload` as one value.
+    /// The execution spec `train` runs under: `--mode`, `--alloc` and
+    /// `--offload` as one value.
     fn exec_spec(&self) -> Result<ExecSpec, String> {
         let mode = ExecMode::parse(&self.mode).ok_or(format!("unknown mode {}", self.mode))?;
-        Ok(ExecSpec { mode, alloc: self.alloc, plan: self.plan, offload: self.offload })
+        Ok(ExecSpec { mode, alloc: self.alloc, offload: self.offload })
     }
 }
 
@@ -101,7 +100,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         steps: 1,
         trace: None,
         alloc: gist_runtime::AllocPolicy::Heap,
-        plan: gist_runtime::PlanGranularity::Event,
         offload: gist_runtime::OffloadMode::None,
         replicas: 1,
         grad_codec: gist_dist::GradCodecPolicy::Fixed(gist_dist::GradCodec::None),
@@ -137,11 +135,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let v = it.next().ok_or("--alloc needs heap or arena")?;
                 args.alloc = gist_runtime::AllocPolicy::parse(v)
                     .ok_or(format!("unknown alloc policy: {v}"))?;
-            }
-            "--plan" => {
-                let v = it.next().ok_or("--plan needs event or wave")?;
-                args.plan = gist_runtime::PlanGranularity::parse(v)
-                    .ok_or(format!("unknown plan granularity: {v} (try event|wave)"))?;
             }
             "--offload" => {
                 let v = it.next().ok_or("--offload needs a mechanism")?;
@@ -215,7 +208,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 fn usage() -> String {
     "usage: gist-cli <models|plan|breakdown|stashes|report|dot|trace|train|serve> [model] \
      [--batch N] [--mode baseline|lossless|fp16|fp10|fp8] [--dynamic] [--optimized-software] \
-     [--steps N] [--trace out.json] [--alloc heap|arena] [--plan event|wave] \
+     [--steps N] [--trace out.json] [--alloc heap|arena] \
      [--offload recompute|swap|swap:naive|swap:vdnn|swap:cdma] \
      [--replicas N] [--grad-codec none|ssdc|dpr:16|dpr:10|dpr:8|auto] \
      [--transport inprocess|tcp] [--rank R] [--peers host:port,...] [--spawn-local N] \
@@ -330,7 +323,7 @@ fn run(args: Args) -> Result<(), String> {
 /// The scripted job mix `serve` runs when no `--job` is given: four small
 /// jobs spanning modes, alloc policies, replica counts and grad codecs.
 const DEFAULT_JOB_MIX: &[&str] = &[
-    "tiny-convnet,name=j0,steps=3,plan=wave",
+    "tiny-convnet,name=j0,steps=3",
     "tiny-classic,name=j1,steps=2,mode=fp8",
     "small-vgg,name=j2,steps=2,alloc=heap",
     "tiny-convnet,name=j3,steps=2,replicas=2,codec=ssdc",
@@ -424,18 +417,14 @@ const DATA_SEED: u64 = 42;
 /// execution trace (`--trace out.json`, chrome://tracing format) and
 /// printing the aggregate counters report. The printed train fingerprint
 /// (`ParamSet::fingerprint` over each step's loss bits) is what
-/// `scripts/verify.sh` demands be bitwise-identical across plan
-/// granularities and thread counts; it is also the return value.
+/// `scripts/verify.sh` demands be bitwise-identical across alloc
+/// policies and thread counts; it is also the return value.
 fn run_train(graph: Graph, spec: ExecSpec, args: &Args) -> Result<u64, String> {
     let mut ds = gist_runtime::SyntheticImages::for_graph(&graph, DATA_NOISE, DATA_SEED)
         .map_err(|e| e.to_string())?;
     let mut exec = gist_runtime::Executor::new(graph, spec, 7).map_err(|e| e.to_string())?;
     if let Some(capacity) = exec.arena_capacity_bytes() {
-        println!(
-            "arena slab: {:.1} KB pre-planned ({} granularity)",
-            capacity as f64 / 1024.0,
-            exec.spec().plan
-        );
+        println!("arena slab: {:.1} KB pre-planned", capacity as f64 / 1024.0);
     }
     if let Some(plan) = exec.offload_plan() {
         let r = gist_offload::simulate(exec.graph(), plan, &gist_perf::GpuModel::titan_x())
@@ -512,12 +501,11 @@ fn run_train_dist<T: gist_dist::Transport>(
         .map_err(|e| e.to_string())?;
     let total = per * trainer.replicas() as u64;
     println!(
-        "replica slab: {:.1} KB per replica, {:.1} KB across {} replica(s) of {} ({} granularity)",
+        "replica slab: {:.1} KB per replica, {:.1} KB across {} replica(s) of {}",
         per as f64 / 1024.0,
         total as f64 / 1024.0,
         trainer.replicas(),
-        trainer.world(),
-        args.plan
+        trainer.world()
     );
     let gpu = gist_perf::GpuModel::titan_x();
     let mut loss_bits = Vec::with_capacity(args.steps);
@@ -613,7 +601,6 @@ fn run_spawn_local(args: &Args) -> Result<(), String> {
             .args(["--steps", &args.steps.to_string()])
             .args(["--mode", &args.mode])
             .args(["--alloc", args.alloc.label()])
-            .args(["--plan", args.plan.label()])
             .args(["--grad-codec", args.grad_codec.label()])
             .args(["--transport", "tcp"])
             .args(["--rank", &rank.to_string()])
@@ -901,20 +888,6 @@ mod tests {
         // the run still completes (workspace parse_or_warn policy).
         let a = cli("serve --order sideways --job tiny-convnet,steps=backwards,codec=zip").unwrap();
         run(a).unwrap();
-    }
-
-    #[test]
-    fn parses_plan_granularity_and_trains_wave_arena() {
-        let a = cli("train tiny-convnet --batch 2 --alloc arena --plan wave").unwrap();
-        assert_eq!(a.plan, gist_runtime::PlanGranularity::Wave);
-        run(a).unwrap();
-        // Wave planning composes with the distributed path (lease pricing
-        // and replica construction both take the granularity).
-        let a = cli("train tiny-convnet --batch 2 --replicas 2 --alloc arena --plan wave").unwrap();
-        run(a).unwrap();
-        // Unlike serve's key=value grammar, a bad --plan is a hard error.
-        assert!(cli("train tiny-convnet --plan tick").is_err());
-        assert!(cli("train tiny-convnet --plan").is_err());
     }
 
     #[test]

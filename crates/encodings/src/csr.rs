@@ -112,17 +112,25 @@ impl CsrMatrix {
                 for r in range {
                     let lo = row_ptr[r] as usize;
                     let n = row_ptr[r + 1] as usize - lo;
-                    // SAFETY: rows own disjoint [row_ptr[r], row_ptr[r+1])
-                    // slices of the output arrays, which outlive the
-                    // dispatch; phase 1 counted exactly `n` non-zeros, so
-                    // the pack fills the slices completely — and it never
-                    // stores outside them, so rows filled concurrently
-                    // stay untouched.
+                    // Row ranges are prefix sums of the phase-1 counts, so
+                    // each lies inside the `nnz`-long output arrays.
+                    debug_assert!(lo + n <= nnz, "row {r} ends past nnz {nnz}");
+                    // SAFETY: `values_f32` holds `nnz` floats and outlives
+                    // the dispatch; `lo + n <= nnz`, and rows own disjoint
+                    // [row_ptr[r], row_ptr[r+1]) ranges, so no other task
+                    // touches this slice. The pack fills exactly the `n`
+                    // non-zeros phase 1 counted.
                     let row_vals = unsafe { std::slice::from_raw_parts_mut(vals.get().add(lo), n) };
                     let filled = if config.narrow {
+                        // SAFETY: `col_u8` holds `nnz` bytes under a narrow
+                        // config and outlives the dispatch; the row's range
+                        // is in bounds and disjoint from every other row's.
                         let cols = unsafe { std::slice::from_raw_parts_mut(c8.get().add(lo), n) };
                         gist_simd::csr_pack_row_u8(row(r), row_vals, cols)
                     } else {
+                        // SAFETY: `col_u32` holds `nnz` indices under a wide
+                        // config and outlives the dispatch; the row's range
+                        // is in bounds and disjoint from every other row's.
                         let cols = unsafe { std::slice::from_raw_parts_mut(c32.get().add(lo), n) };
                         gist_simd::csr_pack_row_u32(row(r), row_vals, cols)
                     };

@@ -10,7 +10,6 @@
 //! per op — which is what turns the planner's footprint numbers from
 //! accounting into a measured property of execution.
 
-use crate::granularity::{coarsen_lifetimes, PlanGranularity};
 use crate::layout::{plan_offsets_aligned, LayoutViolation, OffsetPlan};
 use crate::observed_inventory;
 use gist_graph::DataStructure;
@@ -70,6 +69,15 @@ impl std::fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
+/// The one arena lifetime granularity: tick-exact. Kept for `benchmark/`;
+/// a later `benchmark` PR deletes this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlanGranularity {
+    /// Tick-exact lifetimes.
+    #[default]
+    Event,
+}
+
 /// A planned, backed, name-addressed slab (see the module docs).
 #[derive(Debug)]
 pub struct Arena {
@@ -85,36 +93,16 @@ impl Arena {
     /// Builds an arena for a step whose memory behavior is described by
     /// `events` (typically the *predicted* stream for the planned mode, so
     /// the slab exists before the first kernel runs). Lifetimes are packed
-    /// tick-exact ([`PlanGranularity::Event`]); the slab is only sound for
-    /// an executor that serializes each wave.
+    /// tick-exact; the slab is sound because the executor runs the items
+    /// of an arena block one after another.
     ///
     /// # Errors
     ///
     /// See [`ArenaError`].
     pub fn from_events(events: &[Event]) -> Result<Self, ArenaError> {
-        Self::from_events_granular(events, PlanGranularity::Event, &[])
-    }
-
-    /// [`Arena::from_events`] with an explicit granularity. Under
-    /// [`PlanGranularity::Wave`], every lifetime is widened to the wave
-    /// `groups` (inclusive tick ranges on the stream's accountant timeline)
-    /// it intersects before packing, so any two buffers of one wave get
-    /// disjoint regions — the plan the executor may run wave items on the
-    /// thread pool against. The coarsening happens *here*, in the planner,
-    /// so the slab's soundness does not depend on the event stream already
-    /// being ordered conservatively.
-    ///
-    /// # Errors
-    ///
-    /// See [`ArenaError`].
-    pub fn from_events_granular(
-        events: &[Event],
-        granularity: PlanGranularity,
-        groups: &[(usize, usize)],
-    ) -> Result<Self, ArenaError> {
         let mut acc = MemoryAccountant::new();
         acc.fold_all(events).map_err(|e| ArenaError::Stream(e.to_string()))?;
-        let items = coarsen_lifetimes(&observed_inventory(&acc), granularity, groups);
+        let items = observed_inventory(&acc);
         let plan = plan_offsets_aligned(&items, ARENA_ALIGN);
         plan.verify_aligned(&items, ARENA_ALIGN).map_err(|v| match v {
             LayoutViolation::Overlap(a, b) => ArenaError::Layout(format!(
@@ -161,13 +149,27 @@ impl Arena {
         Ok(Arena { storage, plan, items, regions })
     }
 
+    /// [`Arena::from_events`]; the granularity and groups decide nothing.
+    /// Kept for `benchmark/`; a later `benchmark` PR deletes this.
+    ///
+    /// # Errors
+    ///
+    /// See [`ArenaError`].
+    pub fn from_events_granular(
+        events: &[Event],
+        _granularity: PlanGranularity,
+        _groups: &[(usize, usize)],
+    ) -> Result<Self, ArenaError> {
+        Self::from_events(events)
+    }
+
     /// Total slab size in bytes — the packed plan's footprint.
     pub fn capacity_bytes(&self) -> usize {
         self.plan.total_bytes
     }
 
     /// The placed `(byte_offset, bytes)` range of a buffer, if any. This is
-    /// the lookup [`crate::check_no_overlap_waves`] consumes.
+    /// the lookup [`crate::check_regions`] consumes.
     pub fn region(&self, name: &str) -> Option<(usize, usize)> {
         self.regions.get(name).copied()
     }
@@ -323,24 +325,6 @@ mod tests {
         // name-addressed handle table.
         let err = Arena::from_events(&[alloc("x", 4), free("x", 4), alloc("x", 4)]).unwrap_err();
         assert!(matches!(err, ArenaError::DuplicateName(_)));
-    }
-
-    #[test]
-    fn wave_granularity_separates_same_wave_back_to_back_buffers() {
-        // a.y is freed and c.y allocated inside one wave: event packing
-        // shares the region; wave packing must not, because the free and
-        // the alloc may race once the wave runs concurrently.
-        let events = vec![alloc("a.y", 64), free("a.y", 64), alloc("c.y", 64), free("c.y", 64)];
-        let event_plan = Arena::from_events(&events).unwrap();
-        assert_eq!(event_plan.region("a.y"), event_plan.region("c.y"));
-        assert_eq!(event_plan.capacity_bytes(), 64);
-        let wave_plan =
-            Arena::from_events_granular(&events, PlanGranularity::Wave, &[(0, 3)]).unwrap();
-        assert_ne!(wave_plan.region("a.y"), wave_plan.region("c.y"));
-        assert_eq!(wave_plan.capacity_bytes(), 128);
-        // Ticks outside every group keep event behavior.
-        let outside = Arena::from_events_granular(&events, PlanGranularity::Wave, &[]).unwrap();
-        assert_eq!(outside.capacity_bytes(), 64);
     }
 
     #[test]

@@ -30,20 +30,15 @@
 //! ```
 
 pub mod arena;
-pub mod granularity;
 pub mod layout;
 pub mod observed;
 pub mod planner;
 pub mod report;
 pub mod trace;
 
-pub use arena::{align_arena, Arena, ArenaError, ARENA_ALIGN};
-pub use granularity::{coarsen_interval, coarsen_lifetimes, PlanGranularity};
+pub use arena::{align_arena, Arena, ArenaError, PlanGranularity, ARENA_ALIGN};
 pub use layout::{plan_offsets, plan_offsets_aligned, LayoutViolation, OffsetPlan, Placement};
-pub use observed::{
-    check_no_overlap, check_no_overlap_waves, observed_inventory, observed_peak,
-    observed_peak_waves,
-};
+pub use observed::{check_no_overlap, check_regions, observed_inventory, observed_peak};
 pub use planner::{peak_dynamic, plan_static, MemoryGroup, SharingPolicy, StaticPlan};
 pub use report::{mfr, FootprintReport};
 pub use trace::to_chrome_trace;

@@ -10,7 +10,6 @@
 //! reproduces the accountant's running peak exactly — that identity is
 //! asserted in tests here and exercised end-to-end by the memory oracle.
 
-use crate::granularity::{coarsen_lifetimes, PlanGranularity};
 use crate::{peak_dynamic, plan_offsets, OffsetPlan, Placement};
 use gist_graph::{DataClass, DataStructure, Interval, NodeId, TensorRole};
 use gist_obs::MemoryAccountant;
@@ -95,12 +94,8 @@ pub fn check_no_overlap(acc: &MemoryAccountant) -> Result<OffsetPlan, (String, S
 /// buffer (a worst-case stash reservation) but never smaller, and any two
 /// buffers live together must occupy disjoint ranges.
 ///
-/// Liveness is **coarsened to the wave `groups`** (sorted, disjoint,
-/// inclusive tick ranges; empty means tick-exact): any two buffers live in
-/// the same wave count as live together, even if their event-time
-/// lifetimes were back-to-back. An event-granular plan run against a
-/// genuinely multi-node wave fails here; that failure is precisely the
-/// race the wave plan exists to exclude. The sweep is
+/// Liveness is tick-exact, as the arena packs it: two buffers whose
+/// event-time lifetimes are back-to-back may share bytes. The sweep is
 /// [`OffsetPlan::verify`]'s, over the placed regions.
 ///
 /// # Errors
@@ -108,12 +103,11 @@ pub fn check_no_overlap(acc: &MemoryAccountant) -> Result<OffsetPlan, (String, S
 /// A human-readable description of the first violation: an unplaced
 /// buffer, a region smaller than its buffer, or two buffers live together
 /// with overlapping ranges.
-pub fn check_no_overlap_waves(
+pub fn check_regions(
     acc: &MemoryAccountant,
-    groups: &[(usize, usize)],
     region: impl Fn(&str) -> Option<(usize, usize)>,
 ) -> Result<(), String> {
-    let mut items = coarsen_lifetimes(&observed_inventory(acc), PlanGranularity::Wave, groups);
+    let mut items = observed_inventory(acc);
     let mut placements = Vec::with_capacity(items.len());
     for (item, d) in items.iter_mut().enumerate() {
         let (offset, bytes) =
@@ -137,15 +131,6 @@ pub fn check_no_overlap_waves(
         };
         format!("{} and {} overlap while both live", at(a), at(b))
     })
-}
-
-/// Observed peak under wave-coarsened lifetimes: what the slab must hold
-/// once all buffers of a wave count as concurrently live. Always `>=`
-/// [`observed_peak`]; the delta is the measured capacity cost of running
-/// waves on the thread pool.
-pub fn observed_peak_waves(acc: &MemoryAccountant, groups: &[(usize, usize)]) -> usize {
-    let items = coarsen_lifetimes(&observed_inventory(acc), PlanGranularity::Wave, groups);
-    peak_dynamic(&items, acc.num_ticks())
 }
 
 #[cfg(test)]
@@ -229,14 +214,14 @@ mod tests {
             "y" => Some((64, 4)),
             _ => None,
         };
-        check_no_overlap_waves(&acc, &[], layout).unwrap();
+        check_regions(&acc, layout).unwrap();
     }
 
     #[test]
     fn executed_offsets_reject_overlap_small_region_and_missing_placement() {
         let acc = folded(&[alloc("x", 8), alloc("y", 4)]);
         let check = |layout: &dyn Fn(&str) -> Option<(usize, usize)>| {
-            check_no_overlap_waves(&acc, &[], layout).unwrap_err()
+            check_regions(&acc, layout).unwrap_err()
         };
         let err = check(&|n| if n == "x" { Some((0, 8)) } else { Some((4, 4)) });
         assert!(err.contains("overlap"), "{err}");
@@ -259,27 +244,10 @@ mod tests {
             "d" => Some((64, 64)),
             _ => None,
         };
-        check_no_overlap_waves(&acc, &[], layout).unwrap();
+        check_regions(&acc, layout).unwrap();
         // The transient is live during x's lifetime, so sharing x's region
         // is a violation.
-        let err = check_no_overlap_waves(&acc, &[], |_| Some((0, 64))).unwrap_err();
+        let err = check_regions(&acc, |_| Some((0, 64))).unwrap_err();
         assert!(err.contains("overlap"), "{err}");
-    }
-
-    #[test]
-    fn wave_check_catches_same_wave_region_sharing() {
-        // x freed at tick 1, z allocated at tick 2: event-disjoint, so the
-        // shared region passes the tick-exact check — but ticks 0..=3 are
-        // one wave, so under wave liveness the same layout is a race.
-        let acc = folded(&[alloc("x", 8), free("x", 8), alloc("z", 8), free("z", 8)]);
-        let shared = |_: &str| Some((0usize, 8usize));
-        check_no_overlap_waves(&acc, &[], shared).unwrap();
-        let err = check_no_overlap_waves(&acc, &[(0, 3)], shared).unwrap_err();
-        assert!(err.contains("overlap"), "{err}");
-        // Disjoint placements satisfy the wave check.
-        let disjoint = |n: &str| if n == "x" { Some((0, 8)) } else { Some((64, 8)) };
-        check_no_overlap_waves(&acc, &[(0, 3)], disjoint).unwrap();
-        // A group that covers only one of the lifetimes changes nothing.
-        check_no_overlap_waves(&acc, &[(0, 1)], shared).unwrap();
     }
 }

@@ -10,7 +10,7 @@
 //! ticks (frees can only lower the live sum), so the running peak computed
 //! here equals `gist-memory`'s `peak_dynamic` over the extracted intervals
 //! — that equality is the bridge the planner cross-check walks, and
-//! `gist-memory`'s `check_no_overlap_waves` verifies executed offsets
+//! `gist-memory`'s `check_regions` verifies executed offsets
 //! against the same intervals.
 
 use crate::event::Event;

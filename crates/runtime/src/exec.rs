@@ -247,10 +247,9 @@ impl Executor {
     /// is the plain reference executor.
     ///
     /// Under [`AllocPolicy::Arena`] the lowered program's event stream is
-    /// packed into offsets and backed by one slab — the whole training loop
-    /// then runs inside that pre-planned arena, serialized per wave under
-    /// [`PlanGranularity::Event`] and on the `gist-par` pool under
-    /// [`PlanGranularity::Wave`] (which trades slab bytes for wall-clock).
+    /// packed tick-exact into offsets and backed by one slab — the whole
+    /// training loop then runs inside that pre-planned arena, each block's
+    /// items one after another.
     /// Offload composes with every mode and both policies: recompute drops
     /// dense stashes and rebuilds them by re-running forward kernels at
     /// their first backward use; swap copies them to host pinned memory and
@@ -275,12 +274,8 @@ impl Executor {
         let arena = match spec.alloc {
             AllocPolicy::Heap => None,
             AllocPolicy::Arena => Some(
-                Arena::from_events_granular(
-                    &program.events(&HashMap::new())?,
-                    spec.plan,
-                    &program.wave_groups(),
-                )
-                .map_err(|e| RuntimeError::Trace(format!("arena build: {e}")))?,
+                Arena::from_events(&program.events(&HashMap::new())?)
+                    .map_err(|e| RuntimeError::Trace(format!("arena build: {e}")))?,
             ),
         };
         Ok(Executor {
@@ -297,9 +292,9 @@ impl Executor {
         })
     }
 
-    /// [`Executor::new`] with the spec spelled as four positional axes.
-    /// Kept for `benchmark/`; a later `benchmark` PR moves it to
-    /// [`ExecSpec`] and deletes this.
+    /// [`Executor::new`] with the spec spelled as positional axes; the
+    /// granularity decides nothing. Kept for `benchmark/`; a later
+    /// `benchmark` PR deletes this.
     ///
     /// # Errors
     ///
@@ -310,9 +305,9 @@ impl Executor {
         seed: u64,
         policy: AllocPolicy,
         offload: OffloadMode,
-        granularity: PlanGranularity,
+        _granularity: PlanGranularity,
     ) -> Result<Self, RuntimeError> {
-        Self::new(graph, ExecSpec { mode, alloc: policy, plan: granularity, offload }, seed)
+        Self::new(graph, ExecSpec { mode, alloc: policy, offload }, seed)
     }
 
     /// The underlying graph.
@@ -927,10 +922,10 @@ impl Executor {
         Ok((stash_bytes, ssdc_compression))
     }
 
-    /// Interprets one block: `entry` ops, the items' computes — on the
+    /// Interprets one block: `entry` ops, then the items' computes — on the
     /// `gist-par` pool iff the block is concurrent and has siblings,
-    /// otherwise each immediately followed by its merge — the sequential
-    /// merges in program order, then `exit` ops.
+    /// otherwise each immediately followed by its merge — and the
+    /// sequential merges in program order.
     fn run_block(&self, st: &mut StepState, block: &Block, cx: &Step) -> Result<(), RuntimeError> {
         self.play_all(st, &block.entry, cx);
         if block.concurrent && block.items.len() > 1 {
@@ -954,7 +949,6 @@ impl Executor {
                 self.merge(st, block.wave, lane, item, out, cx)?;
             }
         }
-        self.play_all(st, &block.exit, cx);
         Ok(())
     }
 
@@ -1467,6 +1461,41 @@ mod tests {
         }
     }
 
+    /// The arena packs lifetimes tick-exact, which is sound only if no two
+    /// items of an arena block overlap in time: over the executable zoo ×
+    /// mode × offload, no arena block is both concurrent and holding more
+    /// than one item — while the heap lowering of the branchy graphs does
+    /// run such blocks, so the property is not vacuous.
+    #[test]
+    fn arena_blocks_never_run_items_concurrently() {
+        let zoo = [
+            gist_models::tiny_convnet(4, 3),
+            gist_models::small_vgg(4, 3),
+            gist_models::tiny_classic(4, 3),
+            gist_models::resnet_cifar(1, 2),
+            gist_models::densenet_cifar(1, 4, 2),
+            branchy_graph(2),
+        ];
+        let concurrent =
+            |p: &StepProgram| p.blocks.iter().filter(|b| b.concurrent && b.items.len() > 1).count();
+        let mut heap_concurrent = 0;
+        for g in &zoo {
+            for mode in ["baseline", "lossless", "fp16", "fp8", "uniform-immediate"] {
+                for offload in ["none", "recompute", "swap:naive", "swap:vdnn", "swap:cdma"] {
+                    let spec = ExecSpec {
+                        offload: crate::parse_offload(offload).unwrap(),
+                        ..ExecSpec::from(ExecMode::parse(mode).unwrap())
+                    };
+                    heap_concurrent += concurrent(&StepProgram::lower(g, &spec).unwrap());
+                    let arena = StepProgram::lower(g, &spec.arena()).unwrap();
+                    let what = format!("{}/{mode}/{offload}", g.name());
+                    assert_eq!(concurrent(&arena), 0, "{what}: a concurrent arena block");
+                }
+            }
+        }
+        assert!(heap_concurrent > 0, "no heap block runs items concurrently");
+    }
+
     #[test]
     fn arena_steps_are_byte_identical_to_heap_steps() {
         let (x, y) = minibatch(4);
@@ -1537,23 +1566,23 @@ mod tests {
     /// holds by construction: an interpreter touching a buffer outside the
     /// lifetime the program gives it trips the debug live-set. Here the
     /// lifetime of the gradient map the loss head writes directly is
-    /// shortened — its `Alloc` moved from the block's entry to its exit —
-    /// while the backward kernel still writes it in between.
+    /// shortened — its `Alloc` moved from the loss head's `pre` to the next
+    /// backward item's — while the loss head's kernel still writes it.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "outside its program lifetime")]
     fn shortened_buffer_lifetime_trips_the_live_set_guard() {
         let g = gist_models::tiny_convnet(4, 3);
-        let spec = ExecSpec { plan: PlanGranularity::Wave, ..ExecSpec::from(ExecMode::Baseline) };
-        let mut e = Executor::new(g, spec.arena(), 1).unwrap();
-        let backward_start = e.program.backward_start;
-        let written = match &e.program.blocks[backward_start].items[0].work {
+        let mut e = Executor::new(g, ExecSpec::from(ExecMode::Baseline).arena(), 1).unwrap();
+        let head = e.program.backward_start;
+        let written = match &e.program.blocks[head].items[0].work {
             Work::Backward { targets, .. } => targets[0].write(),
             other => panic!("first backward item is the loss head, got {other:?}"),
         };
-        let block = &mut e.program.blocks[backward_start];
-        block.entry.retain(|op| *op != MemOp::Alloc(written));
-        block.exit.push(MemOp::Alloc(written));
+        let pre = &mut e.program.blocks[head].items[0].pre;
+        assert!(pre.contains(&MemOp::Alloc(written)), "the loss head allocates what it writes");
+        pre.retain(|op| *op != MemOp::Alloc(written));
+        e.program.blocks[head + 1].items[0].pre.insert(0, MemOp::Alloc(written));
         let (x, y) = minibatch(4);
         let _ = e.step(&x, &y, 0.05);
     }

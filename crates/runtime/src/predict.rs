@@ -8,8 +8,8 @@
 //!   ([`ssdc_stash_sizes`]).
 //! - Under [`AllocPolicy::Arena`] every size is the planned reservation, so
 //!   the stream is fully static and is exactly what
-//!   `gist_memory::Arena::from_events_granular` packs into the slab the
-//!   executor then runs out of.
+//!   `gist_memory::Arena::from_events` packs into the slab the executor
+//!   then runs out of.
 //!
 //! Also here: the parameter-side bounds the serve layer prices parks with.
 
@@ -36,25 +36,20 @@ pub fn ssdc_stash_sizes(events: &[Event]) -> HashMap<String, u64> {
     sizes
 }
 
-/// A predicted event stream paired with its wave groups
-/// ([`StepProgram::wave_groups`]).
+/// A predicted event stream paired with its wave groups, which are always
+/// empty. Kept for `benchmark/`; a later `benchmark` PR deletes this.
 pub type GranularEvents = (Vec<Event>, Vec<(usize, usize)>);
 
 /// The spec the positional-axis shims below stand for.
-fn positional_spec(
-    mode: &ExecMode,
-    policy: AllocPolicy,
-    plan: Option<&OffloadPlan>,
-    granularity: PlanGranularity,
-) -> ExecSpec {
+fn positional_spec(mode: &ExecMode, policy: AllocPolicy, plan: Option<&OffloadPlan>) -> ExecSpec {
     let offload = plan.map_or(OffloadMode::None, |p| p.mode);
-    ExecSpec { mode: mode.clone(), alloc: policy, plan: granularity, offload }
+    ExecSpec { mode: mode.clone(), alloc: policy, offload }
 }
 
-/// [`StepProgram::events`] and [`StepProgram::wave_groups`] of the step
-/// lowered from four positional axes (the offload mechanism is the given
-/// plan's). Kept for `benchmark/`; a later `benchmark` PR moves it to
-/// [`ExecSpec`] and deletes this.
+/// [`StepProgram::events`] of the step lowered from positional axes (the
+/// offload mechanism is the given plan's), with no wave groups; the
+/// granularity decides nothing. Kept for `benchmark/`; a later `benchmark`
+/// PR deletes this.
 ///
 /// # Errors
 ///
@@ -65,15 +60,16 @@ pub fn predict_step_events_granular(
     policy: AllocPolicy,
     ssdc_bytes: &HashMap<String, u64>,
     plan: Option<&OffloadPlan>,
-    granularity: PlanGranularity,
+    _granularity: PlanGranularity,
 ) -> Result<GranularEvents, RuntimeError> {
-    StepProgram::lower(graph, &positional_spec(mode, policy, plan, granularity))
-        .and_then(|p| Ok((p.events(ssdc_bytes)?, p.wave_groups())))
+    let events =
+        StepProgram::lower(graph, &positional_spec(mode, policy, plan))?.events(ssdc_bytes)?;
+    Ok((events, Vec::new()))
 }
 
-/// [`StepProgram::peak_bytes`] of the step lowered from four positional
-/// axes. Kept for `benchmark/`; a later `benchmark` PR moves it to
-/// [`ExecSpec`] and deletes this.
+/// [`StepProgram::peak_bytes`] of the step lowered from positional axes;
+/// the granularity decides nothing. Kept for `benchmark/`; a later
+/// `benchmark` PR deletes this.
 ///
 /// # Errors
 ///
@@ -84,10 +80,9 @@ pub fn predicted_peak_bytes_granular(
     policy: AllocPolicy,
     ssdc_bytes: &HashMap<String, u64>,
     plan: Option<&OffloadPlan>,
-    granularity: PlanGranularity,
+    _granularity: PlanGranularity,
 ) -> Result<u64, RuntimeError> {
-    StepProgram::lower(graph, &positional_spec(mode, policy, plan, granularity))?
-        .peak_bytes(ssdc_bytes)
+    StepProgram::lower(graph, &positional_spec(mode, policy, plan))?.peak_bytes(ssdc_bytes)
 }
 
 /// Element count of every learned-parameter tensor, in

@@ -10,27 +10,24 @@
 //! the lowering spells `{node}.sin`, `{node}.rstash` and `{node}.ry{seg}`).
 //! Its output is a flat list of `Block`s over interned buffers:
 //!
-//! * a block plays its `entry` memory ops, runs its work `Item`s, merges
-//!   them sequentially in program order (each item's `pre` ops, its
-//!   value-level merge, its `post` ops), then plays its `exit` ops;
-//! * `concurrent` says the items' computes may overlap — every buffer they
-//!   touch is live for the whole compute phase, so the executor may run
-//!   them on the `gist-par` pool. Heap blocks are concurrent (buffers are
-//!   independent allocations) with per-item ops; event-granular arena
-//!   blocks carry the *same* ops with `concurrent` off, so each item's ops
-//!   play around its own compute and event-time disjointness is real-time
-//!   disjointness; wave-granular arena blocks hoist every allocation into
-//!   `entry` and every release into `exit`. Offload prologues (swap-ins,
-//!   replay steps) and the end-of-step close-out are sequential blocks of
-//!   their own under every policy.
+//! * a block plays its `entry` memory ops, runs its work `Item`s and
+//!   merges them sequentially in program order (each item's `pre` ops, its
+//!   value-level merge, its `post` ops);
+//! * `concurrent` says the items' computes may overlap, so the executor may
+//!   run them on the `gist-par` pool. Heap blocks are concurrent (buffers
+//!   are independent allocations); arena blocks carry the *same* ops with
+//!   `concurrent` off, so each item's ops play around its own compute and
+//!   the tick-exact packing's event-time disjointness is real-time
+//!   disjointness. Offload prologues (swap-ins, replay steps) and the
+//!   end-of-step close-out are sequential blocks of their own under every
+//!   policy.
 //!
 //! The executor *interprets* the program for values ([`crate::Executor`]);
 //! the predictor *folds* it for bytes ([`StepProgram::events`],
-//! [`StepProgram::wave_groups`], [`StepProgram::peak_bytes`]), and
-//! `gist_memory::Arena::from_events_granular` packs the slab from that
-//! fold. Sizes are resolved at lowering time — a stash is its codec's
-//! [`StashCodec::bound`], [`align_arena`]-rounded under the arena policy —
-//! with one exception: a heap-policy stash whose codec is not
+//! [`StepProgram::peak_bytes`]), and `gist_memory::Arena::from_events`
+//! packs the slab from that fold. Sizes are resolved at lowering time — a
+//! stash is its codec's [`StashCodec::bound`], [`align_arena`]-rounded
+//! under the arena policy — with one exception: a heap-policy stash whose codec is not
 //! [`StashCodec::is_exact`] (SSDC) is as large as the values make it, so it
 //! lowers to a `Bytes::Observed` placeholder the executor fills from the
 //! encoded stash and the predictor from observed sizes
@@ -41,7 +38,7 @@ use crate::RuntimeError;
 use gist_encodings::StashCodec;
 use gist_graph::class::is_stashed;
 use gist_graph::{Graph, Node, NodeId, OpKind, Schedule};
-use gist_memory::{align_arena, PlanGranularity};
+use gist_memory::align_arena;
 use gist_obs::{Event, MemoryAccountant};
 use gist_offload::{Action, OffloadMode, OffloadPlan, StashDisposition};
 use gist_tensor::Shape;
@@ -178,30 +175,22 @@ pub(crate) struct Block {
     pub entry: Vec<MemOp>,
     /// The work, in merge order.
     pub items: Vec<Item>,
-    /// Ops played after every item has merged.
-    pub exit: Vec<MemOp>,
 }
 
 impl Block {
     fn new(wave: usize, concurrent: bool) -> Block {
-        Block {
-            wave: wave as u32,
-            concurrent,
-            entry: Vec::new(),
-            items: Vec::new(),
-            exit: Vec::new(),
-        }
+        Block { wave: wave as u32, concurrent, entry: Vec::new(), items: Vec::new() }
     }
 
     /// The block's memory ops in the order an interpreter plays them.
     fn ops(&self) -> impl Iterator<Item = MemOp> + '_ {
         let items = self.items.iter().flat_map(|it| it.pre.iter().chain(&it.post));
-        self.entry.iter().chain(items).chain(&self.exit).copied()
+        self.entry.iter().chain(items).copied()
     }
 }
 
 /// One training step of a graph under an [`ExecSpec`], lowered. Fold it
-/// with [`Self::events`] / [`Self::wave_groups`] / [`Self::peak_bytes`];
+/// with [`Self::events`] / [`Self::peak_bytes`];
 /// [`crate::Executor`] interprets it.
 #[derive(Debug, Clone)]
 pub struct StepProgram {
@@ -219,8 +208,6 @@ pub struct StepProgram {
     pub(crate) oplan: Option<OffloadPlan>,
     /// The graph's input node.
     pub(crate) input: NodeId,
-    /// Whether concurrent blocks are wave groups of an arena plan.
-    wave_planned: bool,
 }
 
 /// Buffer interning and sizing during a lowering.
@@ -401,11 +388,9 @@ impl StepProgram {
         find_node(graph, "loss head", |op| matches!(op, OpKind::SoftmaxLoss))?;
 
         let arena = spec.alloc == AllocPolicy::Arena;
-        // Wave granularity only changes the arena program: heap buffers are
-        // independent allocations, so same-wave concurrency needs no
-        // planned disjointness.
-        let hoist = arena && spec.plan == PlanGranularity::Wave;
-        let concurrent = !arena || hoist;
+        // Heap buffers are independent allocations, so same-wave items may
+        // overlap; arena items share one tick-exact packing and run in turn.
+        let concurrent = !arena;
         let inplace = matches!(&spec.mode, ExecMode::Gist(cfg) if cfg.inplace);
         let mut lo = Lowering {
             graph,
@@ -487,36 +472,20 @@ impl StepProgram {
                 }
                 ops.push(MemOp::Alloc(y));
                 live_fmap[id.index()] = true;
-                if hoist {
-                    block.entry.append(&mut ops);
-                } else {
-                    // Relinquish every dense buffer whose last forward use
-                    // was this position (including this node's own output
-                    // if nothing reads it).
-                    for j in (0..n).filter(|&j| last_use[j] == cursor) {
-                        if std::mem::take(&mut live_fmap[j]) {
-                            ops.push(MemOp::Free(lo.y(NodeId::new(j))));
-                        }
+                // Relinquish every dense buffer whose last forward use was
+                // this position (including this node's own output if
+                // nothing reads it).
+                for j in (0..n).filter(|&j| last_use[j] == cursor) {
+                    if std::mem::take(&mut live_fmap[j]) {
+                        ops.push(MemOp::Free(lo.y(NodeId::new(j))));
                     }
-                    cursor += 1;
                 }
+                cursor += 1;
                 block.items.push(Item {
                     work: Work::Forward { node: id, y, stash },
                     pre: Vec::new(),
                     post: ops,
                 });
-            }
-            if hoist {
-                // Every allocation of the wave precedes every free, so all
-                // of its buffers are planned concurrently live; the exit
-                // relinquishes whatever was last read inside the wave.
-                let wave_end = cursor + wave.len();
-                for j in (0..n).filter(|&j| (cursor..wave_end).contains(&last_use[j])) {
-                    if std::mem::take(&mut live_fmap[j]) {
-                        block.exit.push(MemOp::Free(lo.y(NodeId::new(j))));
-                    }
-                }
-                cursor = wave_end;
             }
             blocks.push(block);
         }
@@ -602,26 +571,12 @@ impl StepProgram {
                 // has read it for the last time; the node's own stash goes
                 // last — its backward was the final reader (consumers'
                 // backward items all ran earlier).
-                if hoist {
-                    // Concurrent decodes need simultaneously-live distinct
-                    // regions, which a single-tick `Transient` cannot
-                    // express: `.dec` becomes an alloc/free pair.
-                    pre.extend(dec.map(MemOp::Alloc));
-                    post.extend(dec.map(MemOp::Free));
-                }
                 if arena {
                     pre.extend(targets.iter().map(|t| MemOp::Alloc(t.write())));
                 }
-                if !hoist {
-                    pre.extend(dec.map(MemOp::Transient));
-                }
+                pre.extend(dec.map(MemOp::Transient));
                 if has_dy {
-                    let dy = MemOp::Free(lo.dy(id));
-                    if hoist {
-                        post.push(dy);
-                    } else {
-                        pre.push(dy);
-                    }
+                    pre.push(MemOp::Free(lo.dy(id)));
                 }
                 if arena {
                     post.extend(targets.iter().filter_map(|t| t.dx).map(MemOp::Free));
@@ -633,10 +588,6 @@ impl StepProgram {
                 }
                 if std::mem::take(&mut stashed[id.index()]) {
                     post.push(MemOp::Free(lo.held_stash(id)));
-                }
-                if hoist {
-                    block.entry.append(&mut pre);
-                    block.exit.append(&mut post);
                 }
                 block.items.push(Item {
                     work: Work::Backward { node: id, dec, targets },
@@ -667,16 +618,7 @@ impl StepProgram {
         blocks.push(close);
 
         let bufs = lo.bufs;
-        Ok(StepProgram {
-            bufs,
-            blocks,
-            backward_start,
-            shapes,
-            codecs,
-            oplan,
-            input,
-            wave_planned: hoist,
-        })
+        Ok(StepProgram { bufs, blocks, backward_start, shapes, codecs, oplan, input })
     }
 
     /// The memory event `op` stands for. `ssdc` maps node names to observed
@@ -714,30 +656,8 @@ impl StepProgram {
         self.blocks.iter().flat_map(Block::ops).map(|op| self.event(op, ssdc)).collect()
     }
 
-    /// The wave groups of a wave-granular arena program: sorted, disjoint,
-    /// inclusive tick ranges on the event stream's accountant timeline
-    /// (every memory event but `Reuse` takes one tick), one per concurrent
-    /// block that plays any — the coordinates
-    /// `gist_memory::coarsen_lifetimes` widens against. Offload prologues
-    /// and the close-out run sequentially and stay outside every group.
-    /// Empty for every other program.
-    pub fn wave_groups(&self) -> Vec<(usize, usize)> {
-        let mut groups = Vec::new();
-        let mut tick = 0usize;
-        for block in &self.blocks {
-            let start = tick;
-            tick += block.ops().filter(|op| !matches!(op, MemOp::Reuse { .. })).count();
-            if self.wave_planned && block.concurrent && tick > start {
-                groups.push((start, tick - 1));
-            }
-        }
-        groups
-    }
-
     /// Peak footprint in bytes: [`Self::events`] folded through the memory
-    /// accountant. Because a wave-granular program allocates every buffer
-    /// of a group before freeing any, this already *is* the
-    /// group-coarsened packing peak.
+    /// accountant.
     ///
     /// # Errors
     ///

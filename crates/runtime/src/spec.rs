@@ -5,7 +5,6 @@
 
 use gist_core::GistConfig;
 use gist_encodings::DprFormat;
-use gist_memory::PlanGranularity;
 use gist_offload::{OffloadMode, SwapStrategy};
 
 /// How the executor stashes feature maps for the backward pass.
@@ -114,23 +113,18 @@ pub fn offload_label(mode: OffloadMode) -> &'static str {
 }
 
 /// Everything that decides what a training step does to memory: the stash
-/// mode, where buffers live, how finely the arena resolves lifetimes, and
-/// the offload mechanism. [`crate::StepProgram::lower`] turns a graph and
-/// one of these into the step both the executor and the predictor consume.
+/// mode, where buffers live, and the offload mechanism.
+/// [`crate::StepProgram::lower`] turns a graph and one of these into the
+/// step both the executor and the predictor consume.
 ///
-/// `ExecMode` converts into the all-default spec (heap, event-granular,
-/// resident), so `Executor::new(graph, mode, seed)` keeps reading as it
-/// always has.
+/// `ExecMode` converts into the all-default spec (heap, resident), so
+/// `Executor::new(graph, mode, seed)` keeps reading as it always has.
 #[derive(Debug, Clone)]
 pub struct ExecSpec {
     /// Stash mode.
     pub mode: ExecMode,
     /// Where step buffers live.
     pub alloc: AllocPolicy,
-    /// Arena lifetime granularity: under `Wave` every buffer of a wave is
-    /// planned concurrently live and arena waves run on the `gist-par`
-    /// pool; under `Event` they are serialized. Ignored by the heap policy.
-    pub plan: PlanGranularity,
     /// Offload mechanism for the stashes the encodings left dense.
     pub offload: OffloadMode,
 }
@@ -146,12 +140,7 @@ impl ExecSpec {
 
 impl From<ExecMode> for ExecSpec {
     fn from(mode: ExecMode) -> ExecSpec {
-        ExecSpec {
-            mode,
-            alloc: AllocPolicy::Heap,
-            plan: PlanGranularity::Event,
-            offload: OffloadMode::None,
-        }
+        ExecSpec { mode, alloc: AllocPolicy::Heap, offload: OffloadMode::None }
     }
 }
 
@@ -167,9 +156,6 @@ mod tests {
         assert_eq!(ExecMode::parse(" FP8 ").unwrap().label(), "fp8");
         for s in ["heap", "arena"] {
             assert_eq!(AllocPolicy::parse(s).unwrap().label(), s);
-        }
-        for s in ["event", "wave"] {
-            assert_eq!(PlanGranularity::parse(s).unwrap().label(), s);
         }
         for s in ["none", "recompute", "swap:naive", "swap:vdnn", "swap:cdma"] {
             assert_eq!(offload_label(parse_offload(s).unwrap()), s);

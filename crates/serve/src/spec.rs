@@ -64,9 +64,8 @@ pub struct JobSpec {
     pub replicas: usize,
     /// Allocation policy for every replica executor.
     pub alloc: AllocPolicy,
-    /// Plan granularity for every replica's arena (and its lease pricing):
-    /// `Event` serializes arena waves, `Wave` leases the wave-conservative
-    /// slab and runs them on the pool.
+    /// Always [`PlanGranularity::Event`]; decides nothing. Kept for
+    /// `benchmark/`; a later `benchmark` PR deletes this.
     pub plan: PlanGranularity,
     /// Execution mode (baseline or a Gist config).
     pub mode: ExecMode,
@@ -86,7 +85,6 @@ impl JobSpec {
             steps: 2,
             replicas: 1,
             alloc: AllocPolicy::Arena,
-            plan: PlanGranularity::Event,
             mode: ExecMode::Gist(GistConfig::lossless()),
             codec: TransferCodec::None,
             seed: 7,
@@ -107,16 +105,11 @@ impl JobSpec {
     /// (and, under the arena policy, its lease is priced from). Jobs run
     /// fully resident: the grammar has no offload key.
     pub fn exec_spec(&self) -> ExecSpec {
-        ExecSpec {
-            mode: self.mode.clone(),
-            alloc: self.alloc,
-            plan: self.plan,
-            offload: OffloadMode::None,
-        }
+        ExecSpec { mode: self.mode.clone(), alloc: self.alloc, offload: OffloadMode::None }
     }
 
     /// Parses the CLI spec grammar `model[,key=value]*` with keys
-    /// `name|batch|steps|replicas|codec|mode|alloc|plan|seed`. Returns the spec
+    /// `name|batch|steps|replicas|codec|mode|alloc|seed`. Returns the spec
     /// plus any warnings from garbage values that fell back to defaults.
     ///
     /// # Errors
@@ -216,19 +209,6 @@ impl JobSpec {
                     warn(w);
                     b = b.alloc(v);
                 }
-                "plan" => {
-                    let (v, w) = parse_or_warn(
-                        "gist-serve",
-                        "plan",
-                        Some(value),
-                        "event|wave",
-                        "event",
-                        PlanGranularity::parse,
-                        || PlanGranularity::Event,
-                    );
-                    warn(w);
-                    b = b.plan(v);
-                }
                 "seed" => {
                     let (v, w) = parse_or_warn(
                         "gist-serve",
@@ -249,7 +229,7 @@ impl JobSpec {
                         "gist-serve",
                         "job-spec key",
                         Some(other),
-                        "name|batch|steps|replicas|codec|mode|alloc|plan|seed",
+                        "name|batch|steps|replicas|codec|mode|alloc|seed",
                         "ignoring it",
                         |_| None::<()>,
                         || (),
@@ -271,7 +251,6 @@ pub struct JobSpecBuilder {
     steps: usize,
     replicas: usize,
     alloc: AllocPolicy,
-    plan: PlanGranularity,
     mode: ExecMode,
     codec: TransferCodec,
     seed: u64,
@@ -305,12 +284,6 @@ impl JobSpecBuilder {
     /// Allocation policy.
     pub fn alloc(mut self, alloc: AllocPolicy) -> Self {
         self.alloc = alloc;
-        self
-    }
-
-    /// Plan granularity (arena lifetime coarseness and lease pricing).
-    pub fn plan(mut self, plan: PlanGranularity) -> Self {
-        self.plan = plan;
         self
     }
 
@@ -367,7 +340,7 @@ impl JobSpecBuilder {
             steps: self.steps,
             replicas: self.replicas,
             alloc: self.alloc,
-            plan: self.plan,
+            plan: PlanGranularity::Event,
             mode: self.mode,
             codec: self.codec,
             seed: self.seed,
@@ -402,7 +375,7 @@ mod tests {
     fn parse_accepts_the_full_grammar() {
         let (spec, warnings) = JobSpec::parse(
             "small-vgg, name=svc, batch=4, steps=3, replicas=2, codec=ssdc, mode=baseline, \
-             alloc=heap, plan=wave, seed=11",
+             alloc=heap, seed=11",
         )
         .unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
@@ -412,7 +385,6 @@ mod tests {
         assert_eq!(spec.codec, TransferCodec::Ssdc);
         assert!(matches!(spec.mode, ExecMode::Baseline));
         assert_eq!(spec.alloc, AllocPolicy::Heap);
-        assert_eq!(spec.plan, PlanGranularity::Wave);
     }
 
     #[test]
@@ -442,10 +414,18 @@ mod tests {
         }
         assert!(ExecMode::parse("fast").is_none());
         assert!(AllocPolicy::parse("stack").is_none());
-        // Garbage plan values fall back (with a warning) like every other
-        // known key; the default stays event-granular.
-        let (spec, warnings) = JobSpec::parse("tiny-convnet,plan=tick").unwrap();
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert_eq!(spec.plan, PlanGranularity::Event);
+    }
+
+    #[test]
+    fn a_plan_key_is_an_unknown_key() {
+        let (plain, none) = JobSpec::parse("small-vgg,alloc=arena,steps=3").unwrap();
+        assert!(none.is_empty(), "{none:?}");
+        for value in ["wave", "event", "tick"] {
+            let spec = format!("small-vgg,alloc=arena,plan={value},steps=3");
+            let (spec, warnings) = JobSpec::parse(&spec).unwrap();
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert!(warnings[0].contains("job-spec key") && warnings[0].contains("plan"));
+            assert_eq!(format!("{spec:?}"), format!("{plain:?}"));
+        }
     }
 }

@@ -387,6 +387,7 @@ pub fn backward_into<S: ColumnSource + ?Sized>(
     let dw_transposed = dw_transposed(out_c, ckk);
     dx.data_mut().fill(0.0);
     let per_dx = s.c() * s.h() * s.w();
+    let dx_len = dx.data().len();
     let dx_base = SendPtr::new(dx.data_mut().as_mut_ptr());
     // Images are disjoint in dX, so each task writes its slice directly.
     // Per-image dW/db partials are merged along gist-par's fixed pairwise
@@ -420,8 +421,11 @@ pub fn backward_into<S: ColumnSource + ?Sized>(
                 }
                 let mut dcols = scratch.lease(ckk * oh * ow);
                 matmul_at_b_into(weight.data(), dy_n, ckk, out_c, oh * ow, &mut dcols);
-                // SAFETY: image slices of dx are disjoint; dx outlives the
-                // dispatch (parallel_reduce blocks until completion).
+                debug_assert!((n + 1) * per_dx <= dx_len, "image {n} ends past dx");
+                // SAFETY: image `n`'s slice ends inside dx (asserted above;
+                // dx has shape `s`); image slices of dx are disjoint; dx
+                // outlives the dispatch (parallel_reduce blocks until
+                // completion).
                 let dst = unsafe { std::slice::from_raw_parts_mut(dx_ptr.add(n * per_dx), per_dx) };
                 col2im_slice(&dcols, dst, s, p, oh, ow);
                 add_channel_sums(dy_n, oh * ow, &mut db_part);

@@ -11,9 +11,9 @@
 #      tests/equivalence_matrix.rs and the per-axis suites that keep their
 #      train-step test names as its views, each the full cross of the axes
 #      it names) additionally crosses every
-#      available GIST_SIMD level, thread count, alloc policy, plan
-#      granularity, offload, mode, model, replica count, transport and grad
-#      codec pairwise in-process, every training step bit-compared against
+#      available GIST_SIMD level, thread count, alloc policy, offload,
+#      mode, model, replica count, transport and grad codec pairwise
+#      in-process, every training step bit-compared against
 #      one reference per (model, numeric class); `wc -l tests/*.rs`, with
 #      and without the harness in tests/matrix/, is printed into every log
 #   3. rustfmt conformance (rustfmt.toml at the repo root)
@@ -36,13 +36,13 @@
 #      solo run across interleavings/threads/alloc, the budget oracle holds
 #      on 64+ random mixes, park/resume is invisible — plus a CLI smoke of
 #      `serve` running a scripted 4-job mix under a tight --mem-budget
-#   9. the plan-granularity gate (the matrix's `plan=wave` cells, run
-#      twice by step 2, crossed with threads, SIMD, offload and every
-#      model), plus a release CLI smoke: arena training crossed over
-#      `--plan event|wave` x GIST_THREADS={1,2} must print one identical
-#      train fingerprint (per-step loss bits + all trained weight bits)
-#      across all four runs — wave-concurrent arena execution is only
-#      allowed to change the slab, never a bit of the training
+#   9. the arena-policy gate (the matrix's `alloc=arena` cells, run twice
+#      by step 2, crossed with threads, SIMD, offload and every model),
+#      plus a release CLI smoke: `train --alloc arena` at GIST_THREADS=1
+#      and 2 must print the train fingerprint (per-step loss bits + all
+#      trained weight bits) of the heap run — arena blocks run their items
+#      one after another out of one tick-exact slab, heap blocks run them
+#      on the pool, and neither may change a bit of the training
 #  10. the placement gate (the matrix's `transport=mesh|tcp` cells, run
 #      twice by step 2): the one data-parallel step, run by trainers that
 #      each own one rank over channel-mesh and loopback-TCP transports,
@@ -69,6 +69,14 @@
 #      `predicted_replica_slab_bytes*`) may reappear under crates/ beyond
 #      the three shims the benchmark package still compiles against — and
 #      the line budget of crates/runtime/src is printed into every log.
+#      Likewise one arena plan: lifetimes are packed tick-exact and arena
+#      blocks run serially, so the wave granularity (`PlanGranularity::Wave`,
+#      `coarsen_lifetimes`, `wave_groups`, `observed_peak_waves`, the
+#      `"--plan"` flag) stays deleted under crates/ src/ tests/ examples/,
+#      and no granularity-taking function is defined under crates/ beyond
+#      the four shims the benchmark package compiles against
+#      (`new_with_granularity`, `predict_step_events_granular`,
+#      `predicted_peak_bytes_granular`, `Arena::from_events_granular`).
 #      Likewise one train state: parameters are one struct walked by
 #      `ParamSet::tensors`, so no `NodeParams::` variant match may reappear
 #      under crates/ src/ tests/ examples/, and the FNV offset basis may
@@ -93,7 +101,8 @@
 #      kernel: gist-tensor's alloc-returning wrappers (`pub fn forward(`,
 #      `maxpool_backward(`, … under crates/tensor/src/ops), their result
 #      structs, `BitMask::relu_backward` and the accountant's second
-#      offset sweep (`fn verify_offsets` under crates/obs) stay deleted.
+#      offset sweep (`fn verify_offsets` under crates/obs) stay deleted;
+#      `gist_memory::check_regions` is the one executed-offset check.
 #      And a step is only its program: the lowering names every buffer, so
 #      the offload buffer formats (`"{}.sin"`, `"{}.rstash"`, `"{}.ry…"`)
 #      are spelled under crates/ in crates/runtime/src/program.rs only;
@@ -182,6 +191,18 @@ if [ -n "$families" ]; then
     exit 1
 fi
 wc -l crates/runtime/src/*.rs | tail -1
+waves=$(
+    grep -rnE 'PlanGranularity::Wave|coarsen_lifetimes|wave_groups|observed_peak_waves|"--plan"' \
+        crates src tests examples || true
+    grep -rnE "fn [a-z_]*granular" crates |
+        grep -vE "fn (new_with_granularity|predict_step_events_granular|predicted_peak_bytes_granular|from_events_granular)\(" ||
+        true
+)
+if [ -n "$waves" ]; then
+    echo "the wave plan granularity reappeared (one tick-exact arena plan; arena blocks run serially):" >&2
+    echo "$waves" >&2
+    exit 1
+fi
 walks=$(grep -rn "NodeParams::" crates src tests examples || true)
 if [ -n "$walks" ]; then
     echo "a hand-written parameter walk reappeared (use ParamSet::tensors / bits / fingerprint):" >&2
@@ -234,7 +255,7 @@ wrappers=$(
     grep -rn "fn verify_offsets" crates/obs || true
 )
 if [ -n "$wrappers" ]; then
-    echo "a second entry point reappeared (call the _into kernel; check offsets with gist_memory::check_no_overlap_waves):" >&2
+    echo "a second entry point reappeared (call the _into kernel; check offsets with gist_memory::check_regions):" >&2
     echo "$wrappers" >&2
     exit 1
 fi
@@ -323,22 +344,21 @@ grep -q "budget oracle ok" <<<"$out"
 # queue and park to fit — the smoke asserts that actually happened.
 grep -Eq "[1-9][0-9]* park" <<<"$out"
 
-echo "==> CLI plan-granularity smoke (event|wave x serial|pool, one fingerprint)"
-fp=""
-for plan in event wave; do
-    for threads in 1 2; do
-        out=$(GIST_THREADS=$threads cargo run --release -q --offline -p gist-cli -- \
-            train small-vgg --batch 4 --steps 2 --alloc arena --plan "$plan")
-        echo "$out" | sed -n "1p;\$p"
-        grep -q "($plan granularity)" <<<"$out"
-        this=$(grep -o "train fingerprint: 0x[0-9a-f]*" <<<"$out")
-        test -n "$this"
-        if [ -z "$fp" ]; then fp="$this"; fi
-        if [ "$this" != "$fp" ]; then
-            echo "plan=$plan GIST_THREADS=$threads diverged: '$this' != '$fp'" >&2
-            exit 1
-        fi
-    done
+echo "==> CLI arena-policy smoke (arena at 1 and 2 threads == heap, one fingerprint)"
+out=$(cargo run --release -q --offline -p gist-cli -- train small-vgg --batch 4 --steps 2 --alloc heap)
+echo "$out" | sed -n "\$p"
+fp=$(grep -o "train fingerprint: 0x[0-9a-f]*" <<<"$out")
+test -n "$fp"
+for threads in 1 2; do
+    out=$(GIST_THREADS=$threads cargo run --release -q --offline -p gist-cli -- \
+        train small-vgg --batch 4 --steps 2 --alloc arena)
+    echo "$out" | sed -n "1p;\$p"
+    grep -q "arena slab:" <<<"$out"
+    this=$(grep -o "train fingerprint: 0x[0-9a-f]*" <<<"$out")
+    if [ "$this" != "$fp" ]; then
+        echo "alloc=arena GIST_THREADS=$threads diverged from the heap run: '$this' != '$fp'" >&2
+        exit 1
+    fi
 done
 
 echo "==> CLI SIMD-level smoke (one pinned fingerprint at every supported level)"

@@ -3,7 +3,7 @@
 //! `AllocPolicy::Arena` promises that executing out of the pre-planned slab
 //! is **observationally invisible**: every loss, every gradient, every
 //! updated weight is bit-for-bit the value the heap executor produces, at
-//! every thread count, plan granularity and execution mode, on
+//! every thread count, SIMD level and execution mode, on
 //! straight-line and branchy graphs alike. Those train-step crosses are
 //! views of the equivalence matrix (`tests/matrix/mod.rs`).
 //!
@@ -27,11 +27,11 @@ use gist_testkit::Runner;
 
 matrix::views! {
     train_fingerprints_match_across_policy_threads_and_modes: ["mode=* alloc=* threads=* steps=3"],
-    train_fingerprints_match_across_granularity_threads_policies_and_simd: [
-        "mode=lossless plan=* simd=* threads=* alloc=* steps=3",
+    train_fingerprints_match_across_threads_policies_and_simd: [
+        "mode=lossless simd=* threads=* alloc=* steps=3",
     ],
-    branchy_graphs_match_across_granularities: [
-        "model=resnet_cifar|densenet_cifar mode=lossless alloc=arena plan=* steps=3 batch=4",
+    branchy_graphs_match_across_threads: [
+        "model=resnet_cifar|densenet_cifar mode=lossless alloc=arena threads=* steps=3 batch=4",
     ],
     branchy_graphs_match_across_policies: [
         "model=resnet_cifar|densenet_cifar mode=* alloc=* steps=3 batch=4",

@@ -52,19 +52,19 @@ fn pair_pass_four_branch() {
     pass_of("four_branch");
 }
 
-// Four same-wave gradient contributions into one map: an event-granular
-// arena block merges each right after its compute, a concurrent block after
-// all of them, and both must add them in program order.
+// Four same-wave gradient contributions into one map: an arena block merges
+// each right after its compute, a concurrent heap block after all of them,
+// and both must add them in program order.
 matrix::views! {
-    four_branch_merges_match_across_block_kinds: ["model=four_branch alloc=* plan=*"],
+    four_branch_merges_match_across_block_kinds: ["model=four_branch alloc=*"],
 }
 
 // Pairs no per-axis suite crossed before the matrix.
 matrix::views! {
     pairs_first_crossed_by_the_matrix: [
-        "model=tiny_classic alloc=* plan=* offload=* simd=*",
+        "model=tiny_classic alloc=* offload=* simd=*",
         "model=tiny_classic replicas=1|2|4|8",
-        "model=small_vgg alloc=arena plan=wave offload=*",
+        "model=small_vgg alloc=arena threads=* offload=*",
         "mode=lossless|fp8 replicas=1|2|4|8",
         "replicas=2 transport=mesh|tcp alloc=* mode=baseline|lossless",
         "model=small_vgg mode=fp8 offload=*",

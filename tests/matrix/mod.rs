@@ -19,7 +19,7 @@
 //!   trainer, of the gradient codec (none, ssdc and auto share one). A
 //!   reference runs once per process.
 //! * **peaks** — `peak_live_bytes` per step, compared between the cells of
-//!   one model, kind, mode, alloc, plan, offload, steps and batch.
+//!   one model, kind, mode, alloc, offload, steps and batch.
 //! * **pricing** (trainers) — broadcast and dense byte counters and the
 //!   per-edge tables overlaid from every rank, compared between the cells of
 //!   one model, mode class and codec.
@@ -54,7 +54,7 @@ use gist::obs::Event;
 use gist::par::with_threads;
 use gist::runtime::params::{sgd_update, tensors, ParamGrads};
 use gist::runtime::SyntheticImages;
-use gist::runtime::{parse_offload, AllocPolicy, ExecMode, ExecSpec, Executor, PlanGranularity};
+use gist::runtime::{parse_offload, AllocPolicy, ExecMode, ExecSpec, Executor};
 use gist::simd::{available_levels, parse_level, with_level, Level};
 use gist::tensor::Tensor;
 use gist_testkit::prop::Strategy;
@@ -64,25 +64,15 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The axes, in cell order.
-pub const AXES: [&str; 10] = [
-    "model",
-    "mode",
-    "alloc",
-    "plan",
-    "offload",
-    "threads",
-    "simd",
-    "replicas",
-    "transport",
-    "codec",
-];
+pub const AXES: [&str; 9] =
+    ["model", "mode", "alloc", "offload", "threads", "simd", "replicas", "transport", "codec"];
 const MODEL: usize = 0;
 const MODE: usize = 1;
-const THREADS: usize = 5;
-const SIMD: usize = 6;
-const REPLICAS: usize = 7;
-const TRANSPORT: usize = 8;
-const CODEC: usize = 9;
+const THREADS: usize = 4;
+const SIMD: usize = 5;
+const REPLICAS: usize = 6;
+const TRANSPORT: usize = 7;
+const CODEC: usize = 8;
 
 /// One value index per axis, and how long and how wide the cell trains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -157,7 +147,6 @@ pub fn values() -> &'static [Vec<&'static str>] {
             ],
             vec!["baseline", "lossless", "fp16", "fp8"],
             vec!["heap", "arena"],
-            vec!["event", "wave"],
             vec!["none", "recompute", "swap:naive", "swap:vdnn", "swap:cdma"],
             vec!["1", "2", "max"],
             available_levels().into_iter().map(Level::name).collect(),
@@ -171,7 +160,6 @@ pub fn values() -> &'static [Vec<&'static str>] {
 /// Cells the pass does not run: a cell matching `when` must match `then`.
 /// `(when, then, why)`.
 pub const RULES: &[(&str, &str, &str)] = &[
-    ("plan=wave", "alloc=arena", "wave granularity coarsens the arena plan; the heap has none"),
     ("replicas=exec", "transport=own-all codec=none", "a lone executor exchanges nothing"),
     (
         "replicas!=exec",
@@ -562,8 +550,7 @@ fn run_fresh(c: &Cell) -> Print {
     let spec = ExecSpec {
         mode: ExecMode::parse(v(MODE)).expect("mode"),
         alloc: AllocPolicy::parse(v(2)).expect("alloc"),
-        plan: PlanGranularity::parse(v(3)).expect("plan"),
-        offload: parse_offload(v(4)).expect("offload"),
+        offload: parse_offload(v(3)).expect("offload"),
     };
     let threads = v(THREADS)
         .parse()

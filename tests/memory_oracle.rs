@@ -11,11 +11,11 @@
 //! enforced as a release gate by `gist-bench`'s `extra_runtime_validation`
 //! binary; this test keeps it under plain `cargo test`.
 
-use gist::memory::{check_no_overlap, check_no_overlap_waves, observed_peak, observed_peak_waves};
+use gist::memory::{check_no_overlap, check_regions, observed_peak};
 use gist::obs::{Event, MemoryAccountant, TraceSink};
 use gist::par::with_threads;
 use gist::prelude::*;
-use gist::runtime::{ssdc_stash_sizes, AllocPolicy, PlanGranularity, StepProgram};
+use gist::runtime::{ssdc_stash_sizes, AllocPolicy};
 use std::collections::HashMap;
 
 const BATCH: usize = 8;
@@ -113,51 +113,75 @@ fn no_concurrently_live_buffers_overlap() {
     }
 }
 
-/// The arena oracle: under `AllocPolicy::Arena` the step executes out of
-/// one pre-planned slab, and three independently-derived numbers agree —
-/// the peak the accountant observes while folding the live trace, the peak
-/// the static predictor computes from the graph alone, and (as an upper
-/// bound) the capacity of the slab the executor actually ran out of.
-/// Stronger still: every observed buffer life resolves to its planned
-/// region and no two concurrently-live regions overlap byte-for-byte
-/// (`check_no_overlap_waves`, tick-exact), so the layout is proven against execution, not just
-/// against the planner's own arithmetic.
+/// Runs one traced arena step of `spec` and holds the arena oracle: the
+/// observed memory stream matches the lowered program's event for event;
+/// three independently-derived peaks agree — the one the accountant
+/// observes while folding the live trace, the one the static predictor
+/// computes from the graph alone, and (as an upper bound) the capacity of
+/// the slab the executor actually ran out of; and every observed buffer
+/// life resolves to its planned region with no two concurrently-live
+/// regions overlapping byte-for-byte (`check_regions`, tick-exact), so the
+/// layout is proven against execution, not just against the planner's own
+/// arithmetic.
+fn assert_arena_oracle(what: &str, graph: &Graph, spec: ExecSpec) {
+    let (exec, trace, meter_peak) = traced_step(graph, spec);
+
+    // Observed == predicted, event for event (the arena stream is fully
+    // static — no observed SSDC sizes needed).
+    let predicted =
+        exec.program().events(&HashMap::new()).unwrap_or_else(|e| panic!("{what}: predictor: {e}"));
+    let observed: Vec<Event> = trace.iter().filter(|ev| ev.is_memory()).cloned().collect();
+    assert_eq!(observed, predicted, "{what}: arena stream divergence");
+
+    // Peaks agree across all three derivations.
+    let mut acc = MemoryAccountant::new();
+    acc.fold_all(&trace).unwrap_or_else(|e| panic!("{what}: bad stream: {e}"));
+    assert_eq!(acc.peak_bytes(), meter_peak as u64);
+    let predicted_peak = exec.program().peak_bytes(&HashMap::new()).unwrap();
+    assert_eq!(acc.peak_bytes(), predicted_peak, "{what}: peak mismatch");
+
+    // Every life fits its planned region; concurrently-live regions are
+    // disjoint; the whole step fits the slab.
+    let arena = exec.arena().expect("arena policy implies an arena");
+    check_regions(&acc, |name| arena.region(name))
+        .unwrap_or_else(|e| panic!("{what}: layout violates trace: {e}"));
+    assert!(
+        acc.peak_bytes() as usize <= arena.capacity_bytes(),
+        "{what}: observed peak exceeds slab capacity"
+    );
+    assert_eq!(
+        arena.capacity_bytes(),
+        arena.plan().total_bytes,
+        "{what}: slab capacity != planned bytes"
+    );
+}
+
+/// The arena oracle (see [`assert_arena_oracle`]) for every zoo model x
+/// stash policy: under `AllocPolicy::Arena` the step executes out of one
+/// pre-planned slab that its observed trace fits exactly.
 #[test]
 fn arena_step_runs_inside_the_planned_slab() {
     for (net, graph) in zoo() {
         for (policy, mode) in policies() {
-            let (exec, trace, meter_peak) = traced_step(&graph, ExecSpec::from(mode).arena());
+            assert_arena_oracle(&format!("{net}/{policy}"), &graph, ExecSpec::from(mode).arena());
+        }
+    }
+}
 
-            // Observed == predicted, event for event (the arena stream is
-            // fully static — no observed SSDC sizes needed).
-            let predicted = exec
-                .program()
-                .events(&HashMap::new())
-                .unwrap_or_else(|e| panic!("{net}/{policy}: predictor: {e}"));
-            let observed: Vec<Event> = trace.iter().filter(|ev| ev.is_memory()).cloned().collect();
-            assert_eq!(observed, predicted, "{net}/{policy}: arena stream divergence");
-
-            // Peaks agree across all three derivations.
-            let mut acc = MemoryAccountant::new();
-            acc.fold_all(&trace).unwrap_or_else(|e| panic!("{net}/{policy}: bad stream: {e}"));
-            assert_eq!(acc.peak_bytes(), meter_peak as u64);
-            let predicted_peak = exec.program().peak_bytes(&HashMap::new()).unwrap();
-            assert_eq!(acc.peak_bytes(), predicted_peak, "{net}/{policy}: peak mismatch");
-
-            // Every life fits its planned region; concurrently-live regions
-            // are disjoint; the whole step fits the slab.
-            let arena = exec.arena().expect("arena policy implies an arena");
-            check_no_overlap_waves(&acc, &[], |name| arena.region(name))
-                .unwrap_or_else(|e| panic!("{net}/{policy}: layout violates trace: {e}"));
-            assert!(
-                acc.peak_bytes() as usize <= arena.capacity_bytes(),
-                "{net}/{policy}: observed peak exceeds slab capacity"
-            );
-            assert_eq!(
-                arena.capacity_bytes(),
-                arena.plan().total_bytes,
-                "{net}/{policy}: slab capacity != planned bytes"
-            );
+/// The arena oracle across the zoo x stash policy x offload mechanism:
+/// recomputed and swapped stashes change which buffers the step allocates
+/// and when, and the planned slab must still hold the observed trace.
+#[test]
+fn arena_oracle_over_zoo_and_offload_modes() {
+    for (net, graph) in zoo() {
+        for (policy, mode) in policies() {
+            for (oname, offload) in [
+                ("recompute", OffloadMode::Recompute),
+                ("swap", OffloadMode::Swap(SwapStrategy::Vdnn)),
+            ] {
+                let spec = ExecSpec { offload, ..ExecSpec::from(mode.clone()).arena() };
+                assert_arena_oracle(&format!("{net}/{policy}/{oname}"), &graph, spec);
+            }
         }
     }
 }
@@ -186,104 +210,35 @@ fn arena_and_heap_steps_agree_bitwise() {
     }
 }
 
-/// The wave-granular arena oracle, across the zoo x stash policy x offload
-/// mechanism: the observed memory stream matches the wave-conservative
-/// predicted stream event for event; three peak derivations agree; and —
-/// the property event granularity cannot even state — every pair of
-/// buffers live in the *same wave* occupies byte-disjoint slab regions
-/// (`check_no_overlap_waves`), which is what makes it sound to run the
-/// wave's kernels concurrently.
+/// The negative control that proves the region check has teeth: tick-exact
+/// packing hands a dead buffer's bytes to the next one, and the check
+/// accepts that sharing — but the same bytes handed to two buffers that are
+/// live together must be rejected.
 #[test]
-fn wave_arena_oracle_over_zoo_and_offload_modes() {
-    for (net, graph) in zoo() {
-        for (policy, mode) in policies() {
-            for (oname, offload) in [
-                ("resident", OffloadMode::None),
-                ("recompute", OffloadMode::Recompute),
-                ("swap", OffloadMode::Swap(SwapStrategy::Vdnn)),
-            ] {
-                let event = ExecSpec { offload, ..ExecSpec::from(mode.clone()).arena() };
-                let wave = ExecSpec { plan: PlanGranularity::Wave, ..event.clone() };
-                let (exec, trace, meter_peak) = traced_step(&graph, wave);
-
-                let predicted = exec
-                    .program()
-                    .events(&HashMap::new())
-                    .unwrap_or_else(|e| panic!("{net}/{policy}/{oname}: predictor: {e}"));
-                let groups = exec.program().wave_groups();
-                let observed: Vec<Event> =
-                    trace.iter().filter(|ev| ev.is_memory()).cloned().collect();
-                assert_eq!(observed, predicted, "{net}/{policy}/{oname}: wave stream divergence");
-
-                let mut acc = MemoryAccountant::new();
-                acc.fold_all(&trace)
-                    .unwrap_or_else(|e| panic!("{net}/{policy}/{oname}: bad stream: {e}"));
-                assert_eq!(acc.peak_bytes(), meter_peak as u64);
-                let predicted_peak = exec.program().peak_bytes(&HashMap::new()).unwrap();
-                assert_eq!(
-                    acc.peak_bytes(),
-                    predicted_peak,
-                    "{net}/{policy}/{oname}: wave peak mismatch"
-                );
-
-                // Same-wave concurrent liveness: no two buffers alive in
-                // one wave share a byte of the slab.
-                let arena = exec.arena().expect("arena policy implies an arena");
-                check_no_overlap_waves(&acc, &groups, |name| arena.region(name)).unwrap_or_else(
-                    |e| panic!("{net}/{policy}/{oname}: wave layout violates trace: {e}"),
-                );
-
-                // The slab holds the wave-coarsened footprint, which in
-                // turn dominates the tick-exact one.
-                let wave_peak = observed_peak_waves(&acc, &groups);
-                assert!(acc.peak_bytes() as usize <= wave_peak);
-                assert!(
-                    wave_peak <= arena.capacity_bytes(),
-                    "{net}/{policy}/{oname}: wave-coarsened peak exceeds slab"
-                );
-                assert_eq!(arena.capacity_bytes(), arena.plan().total_bytes);
-
-                // Wave conservatism is monotone: the wave plan never
-                // undercuts the event plan's footprint.
-                let event_peak = StepProgram::lower(&graph, &event)
-                    .and_then(|program| program.peak_bytes(&HashMap::new()))
-                    .unwrap();
-                assert!(
-                    predicted_peak >= event_peak,
-                    "{net}/{policy}/{oname}: wave peak {predicted_peak} < event peak {event_peak}"
-                );
-            }
-        }
-    }
-}
-
-/// The negative control that proves the wave check has teeth: an
-/// event-granular layout happily time-multiplexes two buffers of the same
-/// wave (the first dies mid-wave, the second inherits its bytes). That
-/// layout is tick-exactly sound — the check with no wave groups accepts it — but under
-/// wave-coarsened liveness the two buffers are concurrently live, and the
-/// same-wave disjointness check must reject the sharing.
-#[test]
-fn event_plan_fails_wave_disjointness_check() {
-    let events = vec![
-        Event::Alloc { name: "a".into(), bytes: 64 },
-        Event::Free { name: "a".into(), bytes: 64 },
-        Event::Alloc { name: "b".into(), bytes: 64 },
-        Event::Free { name: "b".into(), bytes: 64 },
-    ];
+fn region_check_rejects_live_buffers_sharing_bytes() {
+    let alloc = |name: &str| Event::Alloc { name: name.into(), bytes: 64 };
+    let free = |name: &str| Event::Free { name: name.into(), bytes: 64 };
+    let events = vec![alloc("a"), free("a"), alloc("b"), free("b")];
     let arena = gist::memory::Arena::from_events(&events).expect("event arena");
     assert_eq!(
         arena.region("a"),
         arena.region("b"),
-        "event-granular packing should reuse the dead buffer's bytes"
+        "packing should reuse the dead buffer's bytes"
     );
     let mut acc = MemoryAccountant::new();
     acc.fold_all(&events).expect("stream");
-    check_no_overlap_waves(&acc, &[], |name| arena.region(name))
-        .expect("tick-exact liveness accepts the shared region");
-    // All four ticks form one wave: "a" and "b" are now concurrently live.
-    check_no_overlap_waves(&acc, &[(0, 3)], |name| arena.region(name))
-        .expect_err("same-wave liveness must reject the shared region");
+    check_regions(&acc, |name| arena.region(name)).expect("back-to-back lives may share bytes");
+
+    // "a" and "b" now live together; the packed slab keeps them apart, the
+    // one-region layout does not.
+    let events = vec![alloc("a"), alloc("b"), free("a"), free("b")];
+    let arena = gist::memory::Arena::from_events(&events).expect("event arena");
+    let mut acc = MemoryAccountant::new();
+    acc.fold_all(&events).expect("stream");
+    check_regions(&acc, |name| arena.region(name)).expect("the packed layout is disjoint");
+    let err = check_regions(&acc, |_| Some((0, 64)))
+        .expect_err("two live buffers sharing bytes must be rejected");
+    assert!(err.contains("overlap"), "{err}");
 }
 
 /// The memory substream — and therefore the observed peak — is identical

@@ -18,9 +18,7 @@ use gist::graph::TensorRole;
 use gist::memory::align_arena;
 use gist::obs::{Event, MemoryAccountant, TraceSink};
 use gist::prelude::*;
-use gist::runtime::{
-    predicted_param_wire_bytes, ssdc_stash_sizes, AllocPolicy, PlanGranularity, StepProgram,
-};
+use gist::runtime::{predicted_param_wire_bytes, ssdc_stash_sizes, AllocPolicy, StepProgram};
 use std::collections::HashMap;
 
 const BATCH: usize = 4;
@@ -67,11 +65,10 @@ fn observe(graph: &Graph, spec: &ExecSpec) -> (u64, Option<u64>, HashMap<String,
 }
 
 /// What `gist-serve` leases `replicas` replicas of `model` for.
-fn lease(model: &str, mode: &ExecMode, plan: PlanGranularity, replicas: usize) -> u64 {
+fn lease(model: &str, mode: &ExecMode, replicas: usize) -> u64 {
     let spec = JobSpec::builder(model)
         .batch(BATCH)
         .mode(mode.clone())
-        .plan(plan)
         .replicas(replicas)
         .build()
         .expect("job spec");
@@ -178,7 +175,7 @@ fn stash_reservations_and_inventory_sizes_are_the_codec_bound() {
 }
 
 /// What the backward lowering no longer plans, over small zoo × mode ×
-/// policy × granularity, read off the folded event stream: no conv
+/// policy, read off the folded event stream: no conv
 /// backward decodes its stash into a `.dec` buffer (it reads it in place);
 /// a `.dx{k}` side region is allocated only where the target's gradient map
 /// is already live (a first contribution is written straight into the map);
@@ -204,13 +201,12 @@ fn backward_plans_no_conv_decode_no_first_side_region_and_no_ssdc_above_dense() 
                 }
             }
             let heap = ExecSpec::from(mode.clone());
-            let wave = ExecSpec { plan: PlanGranularity::Wave, ..heap.clone().arena() };
-            let mut specs = vec![heap.clone().arena(), wave];
+            let mut specs = vec![heap.clone().arena()];
             if net != "resnet-cifar" {
                 specs.push(heap);
             }
             for spec in specs {
-                let what = format!("{net}/{label}/{:?}/{:?}", spec.alloc, spec.plan);
+                let what = format!("{net}/{label}/{:?}", spec.alloc);
                 // Only a heap SSDC stash's size needs an executed step.
                 let observed = match spec.alloc {
                     AllocPolicy::Heap => observe(&graph, &spec).2,
@@ -258,46 +254,9 @@ fn replica_slab_bytes_is_per_slab_times_replicas() {
             let arena = priced(&graph, &ExecSpec::from(mode.clone()).arena(), &HashMap::new());
             for replicas in [1usize, 2, 4] {
                 assert_eq!(
-                    lease(net, &mode, PlanGranularity::Event, replicas),
+                    lease(net, &mode, replicas),
                     arena * replicas as u64,
                     "{net}/{label}: lease at {replicas} replicas"
-                );
-            }
-        }
-    }
-}
-
-/// The `--plan wave` pins: the wave-conservative prediction equals the
-/// peak a wave-plan executor's meter observes; the wave lease dominates
-/// the event lease (serve can upgrade a job's granularity without
-/// re-admission only in the event direction); and the replica lease
-/// arithmetic is exact under wave granularity too.
-#[test]
-fn wave_plan_predicted_peak_matches_observed_and_prices_leases() {
-    for (net, graph) in small_zoo() {
-        for (label, mode) in modes() {
-            let event = ExecSpec::from(mode.clone()).arena();
-            let wave = ExecSpec { plan: PlanGranularity::Wave, ..event.clone() };
-            let (observed, capacity, _) = observe(&graph, &wave);
-            let predicted_wave = priced(&graph, &wave, &HashMap::new());
-            assert_eq!(predicted_wave, observed, "{net}/{label}: wave peak pin");
-            let capacity = capacity.expect("arena");
-            assert!(
-                predicted_wave <= capacity,
-                "{net}/{label}: predicted wave peak {predicted_wave} exceeds slab {capacity}"
-            );
-
-            let predicted_event = priced(&graph, &event, &HashMap::new());
-            assert!(
-                predicted_wave >= predicted_event,
-                "{net}/{label}: wave lease {predicted_wave} below event lease {predicted_event}"
-            );
-
-            for replicas in [1usize, 2, 4] {
-                assert_eq!(
-                    lease(net, &mode, PlanGranularity::Wave, replicas),
-                    predicted_wave * replicas as u64,
-                    "{net}/{label}: wave lease at {replicas} replicas"
                 );
             }
         }
